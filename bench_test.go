@@ -398,7 +398,7 @@ func BenchmarkServiceEstimateLp(b *testing.B) {
 			defer engine.Close()
 			srv := httptest.NewServer(service.NewHandler(engine))
 			defer srv.Close()
-			client := service.NewClient(srv.URL)
+			client := service.New(srv.URL)
 			ctx := context.Background()
 			if _, err := client.UploadMatrix(ctx, "bench", served); err != nil {
 				b.Fatal(err)
@@ -604,7 +604,7 @@ func BenchmarkServiceBatchEstimate(b *testing.B) {
 	defer engine.Close()
 	srv := httptest.NewServer(service.NewHandler(engine))
 	defer srv.Close()
-	client := service.NewClient(srv.URL)
+	client := service.New(srv.URL)
 	ctx := context.Background()
 	if _, err := client.UploadMatrix(ctx, "bench", served); err != nil {
 		b.Fatal(err)
@@ -804,12 +804,13 @@ func BenchmarkWireLpEstimate(b *testing.B) {
 }
 
 // BenchmarkGatewayUpdateReplicated prices a replicated row update
-// through the gateway front at R=3: "sync" commits only after every
-// replica acks the PATCH, "async" commits on a single write-quorum ack
-// and drains the remaining replicas through the background apply loop.
-// The ns/op gap is the latency the quorum commit takes off the write
-// path; ci/bench_baseline.json gates the async entry as the write-
-// throughput baseline.
+// through the gateway front at R=3 at the two ends of the write-quorum
+// knob: "sync" (W=0) commits only after every replica acks the PATCH,
+// "async" (W=1) commits on a single ack and drains the remaining
+// replicas through the background apply loop. The ns/op gap is the
+// latency the quorum commit takes off the write path;
+// ci/bench_baseline.json gates the async entry as the write-throughput
+// baseline (the sub-benchmark names are its keys).
 func BenchmarkGatewayUpdateReplicated(b *testing.B) {
 	n := 256
 	base := service.MatrixFromBool(workload.Binary(260, n, n, 0.1))
@@ -831,13 +832,12 @@ func BenchmarkGatewayUpdateReplicated(b *testing.B) {
 		backends = append(backends, srv.URL)
 	}
 
-	for _, mode := range []string{"sync", "async"} {
+	for w, mode := range []string{"sync", "async"} {
 		b.Run(mode, func(b *testing.B) {
 			g := gateway.New(gateway.Config{
-				Backends:         backends,
-				Replication:      3,
-				AsyncReplication: mode == "async",
-				WriteQuorum:      1,
+				Backends:    backends,
+				Replication: 3,
+				WriteQuorum: w,
 			})
 			defer g.Close()
 			ctx := context.Background()

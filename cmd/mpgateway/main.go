@@ -20,7 +20,8 @@
 //
 // Kill a backend mid-load and the gateway fails queries over to the
 // surviving replicas; restart it and the health prober re-seeds it
-// from the gateway's retained matrix copies and re-admits it. See
+// from the gateway's retained matrix copies and re-admits it, and the
+// apply loop replays whatever row updates it missed. See
 // docs/API.md for the full API and README.md for a walkthrough.
 package main
 
@@ -52,8 +53,7 @@ func main() {
 	dataDir := flag.String("data-dir", "", "spill store directory for retained wire copies past -wire-cache-budget (empty: keep all copies in memory)")
 	fsyncFlag := flag.String("fsync", "never", "spill store fsync policy: always | batch | never (with -data-dir; the spill store is a cache, so never is the sane default)")
 	wireBudget := flag.Int64("wire-cache-budget", 0, "resident byte budget for retained wire copies; the largest copies past it spill to -data-dir (0: unlimited)")
-	async := flag.Bool("async", false, "commit row updates on -write-quorum acks and drain the rest via the background apply loop (default: every replica, synchronously)")
-	writeQuorum := flag.Int("write-quorum", 1, "replica acks a row update commits on in -async mode (W)")
+	writeQuorum := flag.Int("write-quorum", 0, "replica acks a row update commits on (W); the apply loop catches the rest up in the background (0: every live replica acks before the update returns)")
 	updateLogMax := flag.Int("update-log-max", 0, "retained update-log entries per matrix; replicas lagging past the log are reseeded from the full wire copy (0: default 1024)")
 	sessionTTL := flag.Duration("session-ttl", 0, "idle consistency sessions (monotonic / read-my-writes tokens) expire after this long (0: default 10m)")
 	flag.Parse()
@@ -85,18 +85,17 @@ func main() {
 	}
 
 	gw := gateway.New(gateway.Config{
-		Backends:         pool,
-		Replication:      *replication,
-		ProbeInterval:    *probeInterval,
-		ProbeTimeout:     *probeTimeout,
-		ProbeBackoffMax:  *probeBackoffMax,
-		UploadTTL:        *uploadTTL,
-		Store:            spill,
-		WireCacheBudget:  *wireBudget,
-		AsyncReplication: *async,
-		WriteQuorum:      *writeQuorum,
-		UpdateLogMax:     *updateLogMax,
-		SessionTTL:       *sessionTTL,
+		Backends:        pool,
+		Replication:     *replication,
+		ProbeInterval:   *probeInterval,
+		ProbeTimeout:    *probeTimeout,
+		ProbeBackoffMax: *probeBackoffMax,
+		UploadTTL:       *uploadTTL,
+		Store:           spill,
+		WireCacheBudget: *wireBudget,
+		WriteQuorum:     *writeQuorum,
+		UpdateLogMax:    *updateLogMax,
+		SessionTTL:      *sessionTTL,
 	})
 	defer gw.Close()
 
@@ -106,12 +105,8 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
-	mode := "sync"
-	if *async {
-		mode = fmt.Sprintf("async W=%d", *writeQuorum)
-	}
-	log.Printf("mpgateway listening on %s (backends=%d replication=%d replication-mode=%s probe-interval=%v)",
-		*addr, len(pool), *replication, mode, *probeInterval)
+	log.Printf("mpgateway listening on %s (backends=%d replication=%d write-quorum=%d [0 = every live replica] probe-interval=%v)",
+		*addr, len(pool), *replication, *writeQuorum, *probeInterval)
 	for _, b := range pool {
 		log.Printf("backend: %s", b)
 	}

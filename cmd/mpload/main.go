@@ -600,7 +600,7 @@ func main() {
 // -gateway run: the routing counters that show how much failover the
 // run absorbed, and one line per backend.
 func printGatewayStats(ctx context.Context, addr string) {
-	gc := gateway.NewClient(addr)
+	gc := gateway.Dial(addr)
 	st, err := gc.GatewayStats(ctx)
 	if err != nil {
 		log.Printf("gateway stats: %v", err)

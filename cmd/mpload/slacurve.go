@@ -75,7 +75,7 @@ type slaCurveCfg struct {
 // all route under one SLA while the mix's updates churn the update log
 // underneath them.
 func runSLACurve(ctx context.Context, cfg slaCurveCfg) {
-	gc := gateway.NewClient(cfg.addr)
+	gc := gateway.Dial(cfg.addr)
 	var points []slaCurvePoint
 	anyOK := false
 	for _, level := range cfg.levels {

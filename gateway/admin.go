@@ -8,12 +8,6 @@ import (
 	"repro/service"
 )
 
-// healUploadTimeout bounds one heal-pass re-seed upload. healOne holds
-// the topology lock and the matrix's commit lock across it, so this —
-// not the resync's 30s budget — is what a dead target can stall
-// placements (and that matrix's updates) for.
-const healUploadTimeout = 10 * time.Second
-
 // probeLoop is the health prober: every ProbeInterval tick it probes
 // each backend whose backoff window has elapsed, one goroutine per
 // backend — a slow probe or resync of one backend must not delay the
@@ -109,116 +103,11 @@ func (g *Gateway) probeBackend(b *backend) {
 		b.lastErr = ""
 	}
 	b.mu.Unlock()
-	g.healUnderReplication()
-}
-
-// healUnderReplication is the post-repair resync's second half: a
-// replicated row update drops unreachable replicas from a placement
-// (their stale copies are straggler-deleted when the backend returns),
-// flagging the entry. Every successful probe runs this pass, which
-// re-places flagged matrices on their missing rendezvous targets from
-// the retained wire — which UpdateRows keeps patched, so a restored
-// replica holds the post-update matrix. The flag clears once the
-// entry's full target set holds a copy; entries shrunk by backend-side
-// LRU evictions are deliberately not flagged (re-placing them would
-// just evict something else on an underprovisioned backend).
-func (g *Gateway) healUnderReplication() {
-	g.mu.Lock()
-	var names []string
-	for name, pm := range g.matrices {
-		if pm.needsHeal {
-			names = append(names, name)
-		}
+	if !wasHealthy {
+		// Whatever the backend missed while it was away is the apply
+		// loop's to replay or reseed; do not make it wait out a tick.
+		g.wakeApply()
 	}
-	g.mu.Unlock()
-	if len(names) == 0 {
-		return
-	}
-	for _, name := range names {
-		g.healOne(name)
-	}
-}
-
-// healOne re-places one flagged matrix. It holds the matrix's commit
-// lock (st.mu) for the duration — a heal re-seeds the retained wire as
-// of its snapshot, so letting an update commit a newer wire mid-heal
-// would leave the healed replica one patch behind without anyone
-// knowing — and the topology lock *exclusively*: under a shared lock a
-// concurrent PutMatrix could fan out its replacement while this
-// heal's stale upload is in flight, and whichever lands second at a
-// backend would win there, leaving that replica's content diverged
-// from the table with nothing to detect it (resync checks presence by
-// name only). The cost is that placements (and updates of this one
-// matrix) wait out a heal; uploads are bounded by healUploadTimeout
-// per missing target, so a dead backend stalls the write path for
-// seconds, not the probe loop's lifetime. Lock order is topoMu before
-// st.mu, matching rebalance's reseed stamps.
-func (g *Gateway) healOne(name string) {
-	g.topoMu.Lock()
-	defer g.topoMu.Unlock()
-	st := g.updState(name)
-	if st == nil {
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	g.mu.Lock()
-	pm, ok := g.matrices[name]
-	placeable := g.backendIDsLocked((*backend).placeable)
-	g.mu.Unlock()
-	if !ok || !pm.needsHeal {
-		return
-	}
-	wire, werr := g.wireOf(pm)
-	if werr != nil {
-		return // spilled copy unreadable; keep the flag for the next probe
-	}
-	targets := placeOn(rankBackends(placeable, name), g.cfg.Replication)
-	have := make(map[string]bool, len(pm.replicas))
-	for _, id := range pm.replicas {
-		have[id] = true
-	}
-	kept := append([]string(nil), pm.replicas...)
-	// Healed only once R placeable targets all hold a copy: with the
-	// pool degraded below R the flag stays set, so the pass resumes
-	// when the missing backends return.
-	healed := len(targets) >= g.cfg.Replication
-	for _, id := range targets {
-		if have[id] {
-			continue
-		}
-		g.mu.Lock()
-		b := g.backends[id]
-		g.mu.Unlock()
-		if b == nil {
-			healed = false
-			continue
-		}
-		ctx, cancel := context.WithTimeout(g.baseCtx, healUploadTimeout)
-		_, err := g.uploadTo(ctx, b, name, wire)
-		cancel()
-		if err != nil {
-			healed = false
-			continue
-		}
-		g.repairs.Add(1)
-		// The healed replica holds the retained wire as of pm.ver —
-		// stamp its applied vector so SLA routing trusts it and the
-		// apply loop drains only what commits after this point.
-		st.setAppliedLocked(id, pm.ver)
-		kept = append(kept, id)
-	}
-	if len(kept) == len(pm.replicas) && !healed {
-		return // nothing landed; keep the flag for the next probe
-	}
-	g.mu.Lock()
-	if cur, ok := g.matrices[name]; ok && cur == pm {
-		npm := pm.clone()
-		npm.replicas = kept
-		npm.needsHeal = !healed
-		g.matrices[name] = npm
-	}
-	g.mu.Unlock()
 }
 
 // resyncBackend reconciles a returning backend with the placement
@@ -268,7 +157,7 @@ func (g *Gateway) resyncBackend(b *backend) {
 		if err != nil {
 			continue
 		}
-		// Reserve the backend's send slot for this matrix so an async
+		// Reserve the backend's send slot for this matrix so an apply-loop
 		// drain never interleaves a log replay with the reseed upload
 		// (see async.go's ordering discipline).
 		st := g.updState(m.name)
@@ -527,13 +416,10 @@ func (g *Gateway) rebalance(ctx context.Context) RebalanceReport {
 			g.mu.Lock()
 			// Re-check the entry: a concurrent PutMatrix replaced it iff
 			// the pointer changed, and its placement then already
-			// reflects the new pool. A fully landed move supersedes any
-			// pending heal; a partial one keeps the flag so the heal
-			// pass resumes the repair.
+			// reflects the new pool.
 			if cur, ok := g.matrices[name]; ok && cur == pm {
 				npm := pm.clone()
 				npm.replicas = kept
-				npm.needsHeal = pm.needsHeal && failed
 				g.matrices[name] = npm
 			}
 			g.mu.Unlock()

@@ -11,32 +11,34 @@ import (
 	"repro/service"
 )
 
-// Async replication: the per-matrix ordered update log and the
-// background apply loop that drains it to lagging replicas.
+// Replica convergence: the per-matrix ordered update log, the
+// per-backend applied-(epoch, seq) vector, and the background apply loop
+// that brings lagging replicas back to the log head.
 //
-// In sync mode every committed row update reaches every replica before
-// the call returns, so all replicas sit at the log head at all times.
-// Async mode (Config.AsyncReplication) commits on a write quorum
-// instead: the update lands in the matrix's ordered log, the replicas
-// that acked it advance their applied-(epoch, seq) vector, and the
-// apply loop replays the pending log suffix to everyone else in the
-// background. The applied vector is also what SLA routing reads: a
-// replica is eligible for a consistency level exactly when its vector
-// is at or past the level's required version (see sla.go).
+// A committed row update lands in the matrix's ordered log; the replicas
+// that acked it advance their applied entry, and everyone else — a
+// replica that was down, shedding, reserved, or simply beyond the write
+// quorum — stays placed and lags. The apply loop replays the pending
+// log suffix to it in the background, or reseeds the full retained wire
+// when a replay cannot cover the gap (trimmed log, epoch change, lost
+// copy, or a zeroed entry marking unknown state). The applied vector is
+// also what SLA routing reads: a replica is eligible for a consistency
+// level exactly when its entry is at or past the level's required
+// version (see sla.go).
 //
-// Ordering discipline — what replaced the old gateway-wide updMu:
+// Ordering discipline:
 //
 //   - a matrix's st.mu IS its commit order. Writers hold it across
 //     their replica legs, so log-append order equals send order;
 //   - the apply loop never contacts a backend without first reserving
 //     its send slot (st.sending) under st.mu, so a background drain can
-//     never interleave with a quorum write or an in-line catch-up to
-//     the same backend — writers skip reserved backends, and drains
-//     skip backends a writer could pick only while holding st.mu;
+//     never interleave with a commit leg or an in-line catch-up to the
+//     same backend — writers skip reserved backends, and drains skip
+//     backends a writer could pick only while holding st.mu;
 //   - full reseeds of in-placement replicas (probe resync, estimate-path
 //     repair) take the same reservation; reseeds of backends outside
-//     the current replica set (heal, rebalance gains) cannot collide
-//     with the apply loop, which only walks pm.replicas.
+//     the current replica set (rebalance gains) cannot collide with the
+//     apply loop, which only walks pm.replicas.
 //
 // A reseed stamps the backend's applied entry to the snapshot version
 // it uploaded — an unconditional overwrite, not a monotone advance,
@@ -81,11 +83,19 @@ type matrixUpd struct {
 	logStart uint64
 	// applied maps backend id → the version its copy has reached.
 	applied map[string]version
-	// sending marks backends with a replay or reseed in flight.
-	sending map[string]bool
+	// sending marks backends with a replay or reseed in flight;
+	// slotFreed (on mu) is signalled at every release.
+	sending   map[string]bool
+	slotFreed sync.Cond
 	// recent/recentKeys are the client-idempotency dedupe ring (FIFO).
 	recent     map[uint64]dedupeRec
 	recentKeys []uint64
+}
+
+func newMatrixUpd() *matrixUpd {
+	st := &matrixUpd{}
+	st.slotFreed.L = &st.mu
+	return st
 }
 
 func (st *matrixUpd) setAppliedLocked(id string, v version) {
@@ -121,6 +131,7 @@ func (st *matrixUpd) release(id string) {
 	st.mu.Lock()
 	delete(st.sending, id)
 	st.mu.Unlock()
+	st.slotFreed.Broadcast()
 }
 
 // resetLocked reinstalls the state after a wholesale placement (a put,
@@ -190,7 +201,7 @@ func (g *Gateway) updState(name string) *matrixUpd {
 	if !ok {
 		return nil
 	}
-	st := &matrixUpd{}
+	st := newMatrixUpd()
 	st.resetLocked(pm.ver, pm.replicas)
 	g.upd[name] = st
 	return st
@@ -201,7 +212,7 @@ func (g *Gateway) resetUpdState(name string, ver version, ids []string) {
 	g.mu.Lock()
 	st := g.upd[name]
 	if st == nil {
-		st = &matrixUpd{}
+		st = newMatrixUpd()
 		g.upd[name] = st
 	}
 	g.mu.Unlock()
@@ -233,27 +244,65 @@ func (g *Gateway) appendLogLocked(st *matrixUpd, ver version, ups []service.RowU
 	}
 }
 
-// catchUpLocked replays a backend's pending log suffix in line,
-// advancing its applied vector entry by entry. Callers hold st.mu —
-// the replay is thereby serialized against concurrent writers, which
-// is exactly what makes in-line catch-up safe to interleave with
-// quorum commits. Reports whether the backend reached the head.
+// reseedUploadTimeout bounds one apply-loop full-wire reseed upload.
+const reseedUploadTimeout = 10 * time.Second
+
+// errEpochChanged aborts a replay whose matrix was wholesale replaced
+// under it.
+var errEpochChanged = errors.New("gateway: placement epoch changed under a log replay")
+
+// replay is the one loop that sends log entries: b gets entries in
+// order, each send bounded by ProbeTimeout, and its applied entry is
+// kept in step — advanced after each ack, zeroed by a send that got no
+// answer (see rowupdate.go). Callers own b's send slot: held says they
+// hold st.mu itself (an in-line catch-up); a drain holds only the
+// reservation, so the vector is touched — and the epoch re-checked —
+// under st.mu per entry.
+func (g *Gateway) replay(ctx context.Context, st *matrixUpd, name string, b *backend, epoch uint64, entries []logEntry, held bool) error {
+	for _, ent := range entries {
+		sendCtx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
+		_, err := b.client.UpdateRows(sendCtx, name, service.UpdateRequest{Updates: ent.ups, Delta: ent.delta, Key: ent.seq})
+		cancel()
+		if !held {
+			st.mu.Lock()
+		}
+		switch {
+		case st.head.epoch != epoch:
+			err = errEpochChanged
+		case err == nil:
+			st.advanceAppliedLocked(b.id, version{epoch: epoch, seq: ent.seq})
+		case isTransportLevel(err):
+			st.setAppliedLocked(b.id, version{})
+		}
+		if !held {
+			st.mu.Unlock()
+		}
+		if err != nil {
+			return err
+		}
+		g.asyncApplied.Add(1)
+	}
+	return nil
+}
+
+// catchUpLocked replays a backend's pending log suffix in line. Callers
+// hold st.mu — the replay is thereby serialized against concurrent
+// writers, which is exactly what makes in-line catch-up safe to
+// interleave with commits. A drain already on the backend is waited out
+// (it is doing the same work) — with st.mu released, so commitLocked,
+// which must not let another writer in, skips reserved backends before
+// calling. Reports whether the backend reached the head.
 func (g *Gateway) catchUpLocked(ctx context.Context, st *matrixUpd, name string, b *backend) bool {
-	if st.sending[b.id] {
-		return false
+	for st.sending[b.id] {
+		st.slotFreed.Wait()
 	}
 	pending, ok := st.pendingLocked(st.applied[b.id])
 	if !ok {
 		return false // needs a full reseed; that is the apply loop's job
 	}
-	for _, ent := range pending {
-		req := service.UpdateRequest{Updates: ent.ups, Delta: ent.delta, Key: ent.seq}
-		if _, err := b.client.UpdateRows(ctx, name, req); err != nil {
-			b.noteFailover(err, isTransportLevel(err))
-			return false
-		}
-		st.advanceAppliedLocked(b.id, version{epoch: st.head.epoch, seq: ent.seq})
-		g.asyncApplied.Add(1)
+	if err := g.replay(ctx, st, name, b, st.head.epoch, pending, true); err != nil {
+		b.noteFailover(err, isTransportLevel(err))
+		return false
 	}
 	return true
 }
@@ -267,11 +316,11 @@ func (g *Gateway) wakeApply() {
 	}
 }
 
-// applyLoop is the async-mode background drainer: on every commit wake
-// (and every ProbeInterval tick, covering backends that recover) it
-// walks the placement table and brings lagging replicas to the log
-// head — replaying the pending log suffix where it can, reseeding the
-// full retained wire where it cannot.
+// applyLoop is the background drainer: on every wake (a commit that
+// left a replica behind, a backend's re-admission) and every
+// ProbeInterval tick it walks the placement table and brings lagging
+// replicas to the log head — replaying the pending log suffix where it
+// can, reseeding the full retained wire where it cannot.
 func (g *Gateway) applyLoop() {
 	defer g.probeWG.Done()
 	tick := time.NewTicker(g.cfg.ProbeInterval)
@@ -304,18 +353,12 @@ func (g *Gateway) drainAll() {
 	}
 }
 
-// drainJob is one backend's catch-up work within a drain pass: a log
-// replay when entries is non-empty, a full reseed otherwise.
-type drainJob struct {
-	b       *backend
-	entries []logEntry
-}
-
 // drainMatrix collects the lagging replicas of one matrix under st.mu
 // — reserving each one's send slot — and drains them concurrently
-// outside it.
+// outside it: a log replay where the pending suffix is still in the
+// log, a full reseed (nil entries) where it is not.
 func (g *Gateway) drainMatrix(name string) {
-	pm, reps, err := g.replicaSnapshot(name)
+	_, reps, err := g.replicaSnapshot(name)
 	if err != nil {
 		return
 	}
@@ -323,81 +366,48 @@ func (g *Gateway) drainMatrix(name string) {
 	if st == nil {
 		return
 	}
-	var jobs []drainJob
+	var lagging []*backend
+	var entries [][]logEntry
 	st.mu.Lock()
-	head := st.head
+	epoch := st.head.epoch
 	for _, b := range reps {
-		if !b.eligible() || st.sending[b.id] {
-			continue
-		}
 		av := st.applied[b.id]
-		if av.AtLeast(head) {
+		if av.AtLeast(st.head) || !b.eligible() || !st.reserveLocked(b.id) {
 			continue
 		}
-		pending, replayable := st.pendingLocked(av)
-		if !st.reserveLocked(b.id) {
-			continue
-		}
-		if !replayable {
-			jobs = append(jobs, drainJob{b: b})
-			continue
-		}
-		jobs = append(jobs, drainJob{b: b, entries: append([]logEntry(nil), pending...)})
+		pending, _ := st.pendingLocked(av)
+		lagging = append(lagging, b)
+		entries = append(entries, append([]logEntry(nil), pending...))
 	}
 	st.mu.Unlock()
-	if len(jobs) == 0 {
-		return
-	}
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j drainJob) {
-			defer wg.Done()
-			g.runDrain(name, pm, st, j, head)
-		}(j)
-	}
-	wg.Wait()
+	_, _ = fanout(lagging, func(i int, b *backend) error {
+		g.runDrain(name, st, b, epoch, entries[i])
+		return nil
+	})
 }
 
 // runDrain executes one backend's drain job while holding its send
 // reservation. A 404 mid-replay (the backend lost the matrix) falls
-// back to a full reseed; an epoch change under the drain (a wholesale
-// placement replaced the matrix) aborts the replay and reseeds from
-// the current table so a stale patch can never survive on top of the
-// replacement's upload.
-func (g *Gateway) runDrain(name string, pm *placedMatrix, st *matrixUpd, j drainJob, head version) {
-	defer st.release(j.b.id)
-	if len(j.entries) == 0 {
-		g.reseedLagging(name, j.b)
+// back to a full reseed, and so does an epoch change under the drain (a
+// wholesale placement replaced the matrix): reseeding from the current
+// table keeps a stale patch from surviving on top of the replacement's
+// upload. Any other failure leaves the replica lagging for the next
+// pass.
+func (g *Gateway) runDrain(name string, st *matrixUpd, b *backend, epoch uint64, entries []logEntry) {
+	defer st.release(b.id)
+	if len(entries) == 0 {
+		g.reseedLagging(name, b)
 		return
 	}
-	for _, ent := range j.entries {
-		st.mu.Lock()
-		stale := st.head.epoch != head.epoch
-		st.mu.Unlock()
-		if stale {
-			g.reseedLagging(name, j.b)
-			return
-		}
-		req := service.UpdateRequest{Updates: ent.ups, Delta: ent.delta, Key: ent.seq}
-		ctx, cancel := context.WithTimeout(g.baseCtx, g.cfg.ProbeTimeout)
-		_, err := j.b.client.UpdateRows(ctx, name, req)
-		cancel()
-		if err != nil {
-			var apiErr *service.APIError
-			if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
-				g.reseedLagging(name, j.b)
-				return
-			}
-			j.b.noteFailover(err, isTransportLevel(err))
-			return // leave the vector where it is; the next pass retries
-		}
-		st.mu.Lock()
-		st.advanceAppliedLocked(j.b.id, version{epoch: head.epoch, seq: ent.seq})
-		st.mu.Unlock()
-		g.asyncApplied.Add(1)
+	err := g.replay(g.baseCtx, st, name, b, epoch, entries, false)
+	var apiErr *service.APIError
+	switch {
+	case err == nil:
+	case err == errEpochChanged, errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound:
+		g.reseedLagging(name, b)
+	default:
+		b.noteFailover(err, isTransportLevel(err))
 	}
-	_ = pm // the snapshot pins nothing beyond the replica handles
 }
 
 // reseedLagging ships the current retained wire to a backend whose log
@@ -415,7 +425,7 @@ func (g *Gateway) reseedLagging(name string, b *backend) {
 	if err != nil {
 		return
 	}
-	ctx, cancel := context.WithTimeout(g.baseCtx, healUploadTimeout)
+	ctx, cancel := context.WithTimeout(g.baseCtx, reseedUploadTimeout)
 	defer cancel()
 	if _, err := g.uploadTo(ctx, b, name, wire); err != nil {
 		b.noteFailover(err, isTransportLevel(err))

@@ -13,17 +13,17 @@ import (
 )
 
 // newAsyncGateway builds a gateway committing row updates on a write
-// quorum of w with the background apply loop draining the rest.
+// quorum of w (0: every live replica) with the background apply loop
+// draining the rest.
 func newAsyncGateway(t *testing.T, r, w int, addrs ...string) *Gateway {
 	t.Helper()
 	g := New(Config{
-		Backends:         addrs,
-		Replication:      r,
-		ProbeInterval:    20 * time.Millisecond,
-		ProbeTimeout:     500 * time.Millisecond,
-		ProbeBackoffMax:  100 * time.Millisecond,
-		AsyncReplication: true,
-		WriteQuorum:      w,
+		Backends:        addrs,
+		Replication:     r,
+		ProbeInterval:   20 * time.Millisecond,
+		ProbeTimeout:    500 * time.Millisecond,
+		ProbeBackoffMax: 100 * time.Millisecond,
+		WriteQuorum:     w,
 	})
 	t.Cleanup(g.Close)
 	return g
@@ -32,7 +32,7 @@ func newAsyncGateway(t *testing.T, r, w int, addrs ...string) *Gateway {
 // backendSum reads a matrix's exact sum directly from one backend,
 // bypassing the gateway — the ground truth for convergence checks.
 func backendSum(ctx context.Context, addr, name string, n int) (float64, error) {
-	res, err := service.NewClient(addr).Estimate(ctx, exactReq(name, n))
+	res, err := service.New(addr).Estimate(ctx, exactReq(name, n))
 	if err != nil {
 		return 0, err
 	}
@@ -78,8 +78,8 @@ func TestAsyncUpdateCommitsOnQuorumAndDrains(t *testing.T) {
 	}
 
 	st := g.Stats()
-	if !st.AsyncReplication || st.WriteQuorum != 1 {
-		t.Fatalf("stats mode: async=%v W=%d", st.AsyncReplication, st.WriteQuorum)
+	if st.WriteQuorum != 1 {
+		t.Fatalf("stats write quorum: W=%d", st.WriteQuorum)
 	}
 	if st.UpdateLogEntries == 0 {
 		t.Fatal("no retained update-log entries after an async commit")
@@ -282,14 +282,21 @@ func TestSaturatedBackendSheds429(t *testing.T) {
 }
 
 // TestAsyncConsistencyUnderChurn is the -race integration test for the
-// apply loop: concurrent updates and SLA reads while a replica is
-// killed and restarted, with a bounded-staleness reader asserting its
-// bound is never violated and a read-my-writes session never observing
-// its own write missing. Clients must see zero errors throughout.
+// apply loop, run at both ends of the write-quorum knob: concurrent
+// updates and SLA reads while a replica is killed and restarted, with a
+// bounded-staleness reader asserting its bound is never violated and a
+// read-my-writes session never observing its own write missing. Clients
+// must see zero errors throughout.
 func TestAsyncConsistencyUnderChurn(t *testing.T) {
+	for _, w := range []int{0, 1} {
+		t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) { consistencyUnderChurn(t, w) })
+	}
+}
+
+func consistencyUnderChurn(t *testing.T, quorum int) {
 	n := 8
 	b1, b2, b3 := startBackend(t), startBackend(t), startBackend(t)
-	g := newAsyncGateway(t, 3, 1, b1.addr, b2.addr, b3.addr)
+	g := newAsyncGateway(t, 3, quorum, b1.addr, b2.addr, b3.addr)
 	srv := httptest.NewServer(NewHandler(g))
 	t.Cleanup(srv.Close)
 	ctx := context.Background()
@@ -469,12 +476,8 @@ func TestAsyncConsistencyUnderChurn(t *testing.T) {
 	// After the churn settles, every replica converges on the final
 	// committed value.
 	finalK := commits[len(commits)-1].k
-	want := base - 1 + float64(finalK)
-	for _, b := range []*testBackend{b1, b2, b3} {
-		addr := b.addr
-		waitFor(t, "replica "+addr+" to converge after churn", func() bool {
-			got, err := backendSum(ctx, addr, "m", n)
-			return err == nil && got == want
-		})
+	if got, want := assertConverged(t, g, "m", n), base-1+float64(finalK); got != want {
+		t.Fatalf("retained wire sum = %v, want the last committed write's %v", got, want)
 	}
+	assertConverged(t, g, "rmw", n)
 }

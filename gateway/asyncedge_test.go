@@ -25,7 +25,7 @@ import (
 	"repro/service"
 )
 
-// newAsyncGatewayCfg builds an async gateway whose probe interval the
+// newAsyncGatewayCfg builds a write-quorum gateway whose probe interval the
 // test controls: time.Hour keeps the background drain ticker out of a
 // test that inspects or tampers with applied vectors (the wake-on-
 // commit drain still runs), while a short interval exercises the
@@ -33,14 +33,13 @@ import (
 func newAsyncGatewayCfg(t *testing.T, w int, probe time.Duration, logMax int, addrs ...string) *Gateway {
 	t.Helper()
 	g := New(Config{
-		Backends:         addrs,
-		Replication:      len(addrs),
-		ProbeInterval:    probe,
-		ProbeTimeout:     500 * time.Millisecond,
-		ProbeBackoffMax:  100 * time.Millisecond,
-		AsyncReplication: true,
-		WriteQuorum:      w,
-		UpdateLogMax:     logMax,
+		Backends:        addrs,
+		Replication:     len(addrs),
+		ProbeInterval:   probe,
+		ProbeTimeout:    500 * time.Millisecond,
+		ProbeBackoffMax: 100 * time.Millisecond,
+		WriteQuorum:     w,
+		UpdateLogMax:    logMax,
 	})
 	t.Cleanup(g.Close)
 	return g
@@ -322,7 +321,7 @@ func TestQuorumCommitRepairsLostCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	head0 := info.Replicas[0]
-	if err := service.NewClient(head0).DeleteMatrix(ctx, "m"); err != nil {
+	if err := service.New(head0).DeleteMatrix(ctx, "m"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -482,7 +481,7 @@ func TestConvergeReplacementAndEpochConflict(t *testing.T) {
 	}
 	// Diverge one replica behind the gateway's back, then converge.
 	divergent := info.Replicas[1]
-	if _, err := service.NewClient(divergent).UploadMatrixFull(ctx, "m", identWire(n)); err != nil {
+	if _, err := service.New(divergent).UploadMatrixFull(ctx, "m", identWire(n)); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := backendSum(ctx, divergent, "m", n); err != nil || got != float64(n) {

@@ -66,10 +66,8 @@ func newBackend(id string, httpc *http.Client) *backend {
 	// The backend hop speaks the binary wire format for the hot
 	// endpoints — estimates, row updates, and the repair/re-seed
 	// uploads of retained wire copies — with the client's sticky 415
-	// fallback covering JSON-only backends. Legacy unprefixed paths
-	// keep the hop compatible with every pooled server generation.
+	// fallback covering JSON-only backends.
 	c := service.New(id,
-		service.WithPathPrefix(""),
 		service.WithAccept(service.MediaTypeBinary),
 		service.WithHTTPClient(httpc))
 	// A new backend is admitted optimistically: the prober demotes it

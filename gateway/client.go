@@ -25,15 +25,6 @@ func Dial(baseURL string, opts ...service.ClientOption) *Client {
 	return &Client{Client: service.New(baseURL, opts...)}
 }
 
-// NewClient returns a JSON client for the given gateway root against
-// the legacy unprefixed paths.
-//
-// Deprecated: use Dial, which defaults to the versioned /v1 surface
-// and takes the shared service.ClientOption options.
-func NewClient(baseURL string) *Client {
-	return Dial(baseURL, service.WithPathPrefix(""))
-}
-
 // GatewayStats fetches the gateway's aggregate and per-backend
 // counters. (The embedded Stats method decodes a backend engine's
 // stats shape; a gateway's /stats is this one.)

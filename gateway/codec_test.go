@@ -56,7 +56,7 @@ func TestGatewayBinaryForwarding(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(g))
 	t.Cleanup(srv.Close)
 
-	jsonC := service.NewClient(srv.URL)
+	jsonC := service.New(srv.URL)
 	binC := service.New(srv.URL, service.WithPathPrefix(""), service.WithAccept(service.MediaTypeBinary))
 	ctx := context.Background()
 

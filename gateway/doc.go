@@ -14,12 +14,13 @@
 // landed, so a matrix is either queryable on its full replica set or
 // absent everywhere. The gateway retains each matrix's wire form and
 // is the placement's source of truth; that copy is what rebalancing
-// and replica repair re-upload. Row updates (UpdateRows) propagate to
-// every replica and advance the retained copy in the same commit, so
-// repairs after an update re-seed the patched matrix; an unreachable
-// replica is dropped and re-placed from the patched copy by the
-// prober's heal pass when it returns, while an answered rejection
-// reverts the legs that applied the patch (all-or-nothing).
+// and replica repair re-upload. Row updates (UpdateRows) go to every
+// live replica — or to Config.WriteQuorum of them — and advance the
+// retained copy in the same commit, so repairs after an update re-seed
+// the patched matrix; a replica that misses an update stays placed,
+// lags behind the update log, and is caught up by the apply loop when
+// it returns, while an answered rejection reverts the legs that
+// applied the patch (all-or-nothing).
 //
 // # Routing
 //

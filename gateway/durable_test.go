@@ -2,9 +2,13 @@ package gateway
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,8 +24,8 @@ import (
 // here is that the gateway's re-seed path is never exercised (Repairs
 // and ReseedBytes stay zero while Resyncs advances) and no client sees
 // an error. Updates deliberately target a matrix NOT placed on the
-// victim: an update leg against a dead replica would drop it from the
-// placement and force a heal-path re-seed, which is exactly the
+// victim: an update leg that dies against a stopping replica leaves its
+// copy in an unknown state and forces a re-seed, which is exactly the
 // mechanism this test must prove stays idle.
 func TestIntegrationDurableResyncFromDisk(t *testing.T) {
 	const n = 8
@@ -174,7 +178,7 @@ func TestIntegrationDurableResyncFromDisk(t *testing.T) {
 		g.mu.Unlock()
 		want := wireSum(pm.wire)
 		for _, addr := range pm.replicas {
-			res, err := service.NewClient(addr).Estimate(ctx, exactReq(name, n))
+			res, err := service.New(addr).Estimate(ctx, exactReq(name, n))
 			if err != nil {
 				t.Fatalf("replica %s of %s after durable churn: %v", addr, name, err)
 			}
@@ -182,5 +186,88 @@ func TestIntegrationDurableResyncFromDisk(t *testing.T) {
 				t.Errorf("replica %s of %s diverged: answers %v, retained wire implies %v", addr, name, res.Estimate, want)
 			}
 		}
+	}
+}
+
+// lostReplyTransport forwards every request, but once armed it lets the
+// next PATCH to host complete on the backend, then runs crash and
+// reports a transport error in place of the reply — a backend that
+// applied and fsynced an update and died before answering.
+type lostReplyTransport struct {
+	host  string
+	crash func()
+	armed atomic.Bool
+}
+
+func (lt *lostReplyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || req.Method != http.MethodPatch || req.URL.Host != lt.host || !lt.armed.CompareAndSwap(true, false) {
+		return resp, err
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	lt.crash()
+	return nil, errors.New("injected: reply lost after the backend applied the update")
+}
+
+// TestDurableReplicaLostReplyIsNotReplayedOver is the double-apply
+// regression test: a delta update's leg reaches a durable replica, is
+// applied and fsynced, and then fails with no answer. The replica
+// recovers the update from its WAL, but the engine's idempotency keys do
+// not survive the restart — replaying the log entry over the recovered
+// copy would add the delta a second time. The gateway must treat the
+// copy as unknown and reseed it instead.
+func TestDurableReplicaLostReplyIsNotReplayedOver(t *testing.T) {
+	for _, w := range []int{0, 1} {
+		t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) {
+			const n = 8
+			b1, b2 := startDurableBackend(t), startDurableBackend(t)
+			byAddr := map[string]*testBackend{b1.addr: b1, b2.addr: b2}
+			lt := &lostReplyTransport{}
+			g := New(Config{
+				Backends:        []string{b1.addr, b2.addr},
+				Replication:     2,
+				ProbeInterval:   20 * time.Millisecond,
+				ProbeTimeout:    500 * time.Millisecond,
+				ProbeBackoffMax: 100 * time.Millisecond,
+				WriteQuorum:     w,
+				HTTPClient:      &http.Client{Transport: lt},
+			})
+			t.Cleanup(g.Close)
+			ctx := context.Background()
+
+			wire, sum := testMatrix(n)
+			info, err := g.PutMatrix(ctx, "m", wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The placement head is the one leg every quorum tries first.
+			victim, survivor := byAddr[info.Replicas[0]], byAddr[info.Replicas[1]]
+			lt.host, lt.crash = victim.hostport, victim.stop
+
+			delta := func(v int64) service.UpdateRequest {
+				return service.UpdateRequest{Updates: []service.RowUpdate{{Row: 0, Entries: [][2]int64{{2, v}}}}, Delta: true}
+			}
+			if _, err := g.UpdateRows(ctx, "m", delta(5)); err != nil {
+				t.Fatal(err)
+			}
+			lt.armed.Store(true)
+			if _, err := g.UpdateRows(ctx, "m", delta(3)); err != nil {
+				t.Fatalf("update with the victim's reply lost: %v", err)
+			}
+			if lt.armed.Load() {
+				t.Fatal("the victim's leg was never sent")
+			}
+			want := sum + 5 + 3
+
+			victim.restart() // from disk: the lost-reply update is in its WAL
+			if got := assertConverged(t, g, "m", n); got != want {
+				t.Fatalf("retained wire sum = %v, want %v", got, want)
+			}
+			got, err := backendSum(ctx, survivor.addr, "m", n)
+			if err != nil || got != want {
+				t.Fatalf("survivor answers %v/%v, want %v", got, err, want)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -68,17 +69,13 @@ type Config struct {
 	// resident before the largest are spilled to Store. 0 (the default)
 	// disables spilling — every copy stays in memory.
 	WireCacheBudget int64
-	// AsyncReplication switches row updates from synchronous
-	// all-replica commits to write-quorum commits with background
-	// propagation: an update returns once WriteQuorum replicas applied
-	// it, and the apply loop drains the per-matrix update log to the
-	// rest (see async.go). Sync remains the default: every replica then
-	// satisfies every consistency level by construction, and the extra
-	// write latency is the price of never serving a stale read.
-	AsyncReplication bool
-	// WriteQuorum is how many replicas must apply a row update before
-	// it commits in async mode (clamped to the live replica count;
-	// ignored in sync mode). Default 1.
+	// WriteQuorum is the one replication knob: how many replicas must
+	// apply a row update before it commits. 0 (the default) waits for
+	// every live replica — each replica that can serve then satisfies
+	// every consistency level, and the write pays its slowest live leg.
+	// W > 0 commits on W acks (clamped to the replica count) and leaves
+	// the rest to the apply loop (see async.go). Either way a replica
+	// that misses an update stays placed, lags, and is caught up.
 	WriteQuorum int
 	// UpdateLogMax bounds each matrix's in-memory ordered update log.
 	// A replica lagging past the window is reseeded from the retained
@@ -108,8 +105,8 @@ func (c *Config) setDefaults() {
 	if c.HTTPClient == nil {
 		c.HTTPClient = http.DefaultClient
 	}
-	if c.WriteQuorum <= 0 {
-		c.WriteQuorum = 1
+	if c.WriteQuorum < 0 {
+		c.WriteQuorum = 0
 	}
 	if c.UpdateLogMax <= 0 {
 		c.UpdateLogMax = 1024
@@ -124,10 +121,7 @@ func (c *Config) setDefaults() {
 // the gateway is the placement's source of truth, so it keeps the
 // bytes), and the backends currently holding the matrix. Entries are
 // replaced wholesale (copy-on-write), so a snapshot taken under the
-// gateway lock stays consistent after release. needsHeal marks an
-// entry whose replica set was shrunk by a row update dropping an
-// unreachable backend; the prober's heal pass re-places it from the
-// retained wire until it is back at full replication.
+// gateway lock stays consistent after release.
 type placedMatrix struct {
 	info service.MatrixInfo
 	wire service.Matrix
@@ -136,9 +130,8 @@ type placedMatrix struct {
 	wireBytes int64
 	// spilled marks a copy whose Entries were dropped from memory; the
 	// durable form lives in the spill store and wireOf reloads it.
-	spilled   bool
-	replicas  []string
-	needsHeal bool
+	spilled  bool
+	replicas []string
 	// ver is the version of the retained wire: a fresh epoch at every
 	// wholesale install, seq advanced per committed row update. It is
 	// the matrix's update-log head (async.go) and the reference every
@@ -187,7 +180,7 @@ type Gateway struct {
 
 	// epochSeq assigns version epochs to wholesale placement installs.
 	epochSeq atomic.Uint64
-	// applyWake nudges the async apply loop after a quorum commit.
+	// applyWake nudges the apply loop when a replica is known to lag.
 	applyWake chan struct{}
 
 	// sessions and sla are the consistency-SLA state: session floors
@@ -228,7 +221,7 @@ type Gateway struct {
 }
 
 // New returns a gateway fronting the configured backends and starts
-// its health prober. Close releases it.
+// its health prober and apply loop. Close releases it.
 func New(cfg Config) *Gateway {
 	cfg.setDefaults()
 	g := &Gateway{
@@ -253,18 +246,15 @@ func New(cfg Config) *Gateway {
 		b.dur = g.met.backendDur.With(addr)
 		g.backends[addr] = b
 	}
-	g.probeWG.Add(1)
+	g.probeWG.Add(2)
 	go g.probeLoop()
-	if cfg.AsyncReplication {
-		g.probeWG.Add(1)
-		go g.applyLoop()
-	}
+	go g.applyLoop()
 	return g
 }
 
-// Close stops the health prober — aborting any in-flight probe or
-// resync — and makes every subsequent operation fail with ErrClosed.
-// In-flight client requests finish.
+// Close stops the health prober and the apply loop — aborting any
+// in-flight probe, resync, or drain — and makes every subsequent
+// operation fail with ErrClosed. In-flight client requests finish.
 func (g *Gateway) Close() {
 	g.closeOnce.Do(func() {
 		close(g.closed)
@@ -575,9 +565,8 @@ func (g *Gateway) repairReplica(ctx context.Context, b *backend, name string) bo
 // the matrix to a restart is repaired in line from the gateway's
 // retained copy and retried. Answered client errors (bad parameters
 // and the like) are returned without failover. The query runs under
-// the default (strong) consistency SLA with no session — exactly the
-// pre-SLA behavior in sync mode, where every replica is always at the
-// update-log head.
+// the default (strong) consistency SLA with no session: it is answered
+// by a replica at the update-log head.
 func (g *Gateway) Estimate(ctx context.Context, req service.Request) (*service.Result, error) {
 	res, _, err := g.estimateSLA(ctx, req, SLA{}, "")
 	return res, err
@@ -586,8 +575,10 @@ func (g *Gateway) Estimate(ctx context.Context, req service.Request) (*service.R
 // estimateSLA routes one query under a consistency SLA: candidates are
 // narrowed to the replicas whose applied version satisfies the level
 // (see slaRoute), then tried in order with the usual failover and
-// in-line 404 repair. It returns the version of the replica that
-// answered — the MP-Version echo and the session's monotonic floor.
+// in-line 404 repair; if they all fail, the replicas the SLA narrowed
+// away are routed the same way. It returns the version of the replica
+// that answered — the MP-Version echo and the session's monotonic
+// floor.
 func (g *Gateway) estimateSLA(ctx context.Context, req service.Request, sla SLA, sess string) (*service.Result, version, error) {
 	if g.isClosed() {
 		return nil, version{}, ErrClosed
@@ -602,9 +593,12 @@ func (g *Gateway) estimateSLA(ctx context.Context, req service.Request, sla SLA,
 		return nil, version{}, fmt.Errorf("%w: matrix %q has no routable replica", ErrNoBackends, req.Matrix)
 	}
 	cands, outcome := g.slaRoute(ctx, req.Matrix, order, nEligible, sla, sess)
-	g.sla.note(sla.Level, outcome)
+	defer func() { g.sla.note(sla.Level, outcome) }()
+	tried, narrowed := cands, len(cands) < len(order) // the SLA set replicas aside
 	var lastErr error
-	for attempt, b := range cands {
+	for attempt := 0; len(cands) > 0; attempt++ {
+		b := cands[0]
+		cands = cands[1:]
 		if attempt > 0 {
 			g.retries.Add(1)
 		}
@@ -636,6 +630,15 @@ func (g *Gateway) estimateSLA(ctx context.Context, req service.Request, sla SLA,
 		}
 		b.noteFailover(err, transportLevel)
 		lastErr = err
+		if len(cands) == 0 && narrowed {
+			// Every replica that satisfied the SLA failed — a quorum head
+			// that died before the rest caught up. Route once more over
+			// the others: an in-line catch-up, else the freshest (a miss).
+			narrowed = false
+			rest := slices.DeleteFunc(slices.Clone(order), func(b *backend) bool { return slices.Contains(tried, b) })
+			order, nEligible = routeOrder(rest)
+			cands, outcome = g.slaRoute(ctx, req.Matrix, order, nEligible, sla, sess)
+		}
 	}
 	// Surface a unanimous overload answer as-is: its status and
 	// Retry-After tell the client to back off, which a wrapped 502
@@ -672,8 +675,8 @@ func (g *Gateway) appliedVersion(name, id string) version {
 //   - no constraint (eventual; session levels with no history) keeps
 //     the full routeOrder — suspects still last;
 //   - otherwise the replicas whose applied vector is at or past the
-//     required version, in routeOrder (a hit — in sync mode every
-//     replica satisfies every level, so this is the whole order);
+//     required version, in routeOrder (a hit — with WriteQuorum 0
+//     that is every replica that acked the last update);
 //   - none satisfying → one in-line catch-up attempt on the least-busy
 //     eligible replica (a catchup);
 //   - still none → every replica, freshest applied vector first, so
@@ -813,10 +816,9 @@ func (g *Gateway) estimateBatchSLA(ctx context.Context, reqs []service.Request, 
 		if nEligible == 0 {
 			pool = order[:1]
 		}
-		// Narrow the pool to the replicas satisfying the query's SLA.
-		// In sync mode every replica satisfies every level, so this
-		// keeps the whole pool; an unsatisfiable query detours through
-		// estimateSLA for its catch-up/degrade handling.
+		// Narrow the pool to the replicas satisfying the query's SLA;
+		// an unsatisfiable query detours through estimateSLA for its
+		// catch-up/degrade handling.
 		sat, constrained := g.slaFilter(req.Matrix, pool, sla, sess)
 		if constrained {
 			if len(sat) == 0 {

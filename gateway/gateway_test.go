@@ -132,17 +132,11 @@ func (b *testBackend) holds(name string) bool {
 	return false
 }
 
+// newTestGateway builds a gateway with the default write quorum: every
+// live replica acks a row update before it commits.
 func newTestGateway(t *testing.T, r int, addrs ...string) *Gateway {
 	t.Helper()
-	g := New(Config{
-		Backends:        addrs,
-		Replication:     r,
-		ProbeInterval:   20 * time.Millisecond,
-		ProbeTimeout:    500 * time.Millisecond,
-		ProbeBackoffMax: 100 * time.Millisecond,
-	})
-	t.Cleanup(g.Close)
-	return g
+	return newAsyncGateway(t, r, 0, addrs...)
 }
 
 // identWire is the n×n identity in wire form: with it as Alice's
@@ -182,6 +176,49 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// atHead reports whether every placed replica of name has applied the
+// matrix's whole update log.
+func atHead(g *Gateway, name string) bool {
+	g.mu.Lock()
+	pm, ok := g.matrices[name]
+	g.mu.Unlock()
+	if !ok {
+		return false
+	}
+	st := g.updState(name)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, id := range pm.replicas {
+		if st.applied[id].Less(st.head) {
+			return false
+		}
+	}
+	return true
+}
+
+// assertConverged is the churn tests' end-state oracle, checked once
+// the load has stopped: every placed replica's applied vector reaches
+// the log head, and every replica then answers exactly the sum the
+// gateway's retained wire implies. It returns that sum.
+func assertConverged(t *testing.T, g *Gateway, name string, n int) float64 {
+	t.Helper()
+	waitFor(t, "every replica of "+name+" at the log head", func() bool { return atHead(g, name) })
+	g.mu.Lock()
+	pm := g.matrices[name]
+	g.mu.Unlock()
+	want := wireSum(pm.wire)
+	for _, addr := range pm.replicas {
+		got, err := backendSum(context.Background(), addr, name, n)
+		if err != nil {
+			t.Fatalf("replica %s of %s after churn: %v", addr, name, err)
+		}
+		if got != want {
+			t.Errorf("replica %s of %s diverged: answers %v, retained wire implies %v", addr, name, got, want)
+		}
+	}
+	return want
 }
 
 func backendStatus(g *Gateway, addr string) (BackendStatus, bool) {
@@ -360,7 +397,7 @@ func TestEstimate404RepairsReplica(t *testing.T) {
 	}
 	// Simulate a silent data loss: delete the copy directly on the
 	// backend, behind the gateway's back.
-	if err := service.NewClient(b1.addr).DeleteMatrix(ctx, "m"); err != nil {
+	if err := service.New(b1.addr).DeleteMatrix(ctx, "m"); err != nil {
 		t.Fatalf("backdoor delete: %v", err)
 	}
 	res, err := g.Estimate(ctx, exactReq("m", n))
@@ -586,7 +623,7 @@ func TestResyncDeletesStragglers(t *testing.T) {
 	}
 	// A matrix the gateway knows nothing about appears on a backend
 	// (say, left over from before the backend was pooled).
-	if _, err := service.NewClient(b1.addr).UploadMatrix(ctx, "straggler", identWire(4)); err != nil {
+	if _, err := service.New(b1.addr).UploadMatrix(ctx, "straggler", identWire(4)); err != nil {
 		t.Fatalf("backdoor upload: %v", err)
 	}
 	g.mu.Lock()

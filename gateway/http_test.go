@@ -18,7 +18,7 @@ func startGatewayServer(t *testing.T, r int, addrs ...string) (*Gateway, *Client
 	g := newTestGateway(t, r, addrs...)
 	srv := httptest.NewServer(NewHandler(g))
 	t.Cleanup(srv.Close)
-	return g, NewClient(srv.URL)
+	return g, Dial(srv.URL)
 }
 
 func TestHTTPFrontMirrorsServiceAPI(t *testing.T) {
@@ -190,7 +190,7 @@ func TestHTTPNoBackends(t *testing.T) {
 	g := newTestGateway(t, 2) // empty pool: everything placement-shaped is 503
 	srv := httptest.NewServer(NewHandler(g))
 	t.Cleanup(srv.Close)
-	gc := NewClient(srv.URL)
+	gc := Dial(srv.URL)
 	ctx := context.Background()
 
 	_, err := gc.UploadMatrix(ctx, "m", identWire(4))

@@ -7,25 +7,27 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/service"
 )
 
 // TestIntegrationUpdatesEstimatesKills is the end-to-end dynamic-
-// workload scenario: an in-process gateway over three real backends
-// (R = 2) absorbs concurrent row updates and estimates while backends
-// are killed and restarted underneath it. The bar is the production
-// one — zero client-visible errors (kills cost failovers and repairs,
-// never answers) — and, after the churn quiesces, a converged fleet:
-// the placement is back at full replication and every replica answers
-// exactly the value implied by the gateway's retained (patched) wire
-// copy.
+// workload scenario, run at both ends of the write-quorum knob: an
+// in-process gateway over three real backends (R = 3) absorbs
+// concurrent row updates and estimates while backends are killed and
+// restarted underneath it. The bar is the production one — zero
+// client-visible errors (kills cost failovers and repairs, never
+// answers) — and, after the churn quiesces, a converged fleet (see
+// assertConverged).
 func TestIntegrationUpdatesEstimatesKills(t *testing.T) {
+	for _, w := range []int{0, 1} {
+		t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) { integrationUpdatesEstimatesKills(t, w) })
+	}
+}
+
+func integrationUpdatesEstimatesKills(t *testing.T, quorum int) {
 	const n = 10
 	b1, b2, b3 := startBackend(t), startBackend(t), startBackend(t)
 	backends := []*testBackend{b1, b2, b3}
-	byAddr := map[string]*testBackend{b1.addr: b1, b2.addr: b2, b3.addr: b3}
-	g := newTestGateway(t, 2, b1.addr, b2.addr, b3.addr)
+	g := newAsyncGateway(t, 3, quorum, b1.addr, b2.addr, b3.addr)
 	ctx := context.Background()
 
 	wire, _ := testMatrix(n)
@@ -82,15 +84,9 @@ func TestIntegrationUpdatesEstimatesKills(t *testing.T) {
 	}
 
 	// Killer: three kill/restart cycles, one backend at a time, waiting
-	// for the fleet to converge back to full replication between cycles
-	// so the pool never loses two replicas of the same matrix at once —
+	// for every replica to catch back up to the log head between cycles
+	// so the pool never has two replicas of the matrix behind at once —
 	// the invariant that makes zero client-visible errors achievable.
-	fullyReplicated := func() bool {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		pm, ok := g.matrices["m"]
-		return ok && len(pm.replicas) == 2 && !pm.needsHeal
-	}
 	for cycle := 0; cycle < 3; cycle++ {
 		victim := backends[cycle%len(backends)]
 		victim.stop()
@@ -100,7 +96,7 @@ func TestIntegrationUpdatesEstimatesKills(t *testing.T) {
 			st, ok := backendStatus(g, victim.addr)
 			return ok && st.Healthy
 		})
-		waitFor(t, "full replication restored", fullyReplicated)
+		waitFor(t, "every replica back at the log head", func() bool { return atHead(g, "m") })
 	}
 	close(done)
 	wg.Wait()
@@ -111,30 +107,14 @@ func TestIntegrationUpdatesEstimatesKills(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	waitFor(t, "final convergence", fullyReplicated)
-
-	g.mu.Lock()
-	pm := g.matrices["m"]
-	g.mu.Unlock()
-	want := wireSum(pm.wire)
-	for _, addr := range pm.replicas {
-		tb := byAddr[addr]
-		waitFor(t, "replica "+addr+" holds m", func() bool { return tb.holds("m") })
-		res, err := service.NewClient(addr).Estimate(ctx, exactReq("m", n))
-		if err != nil {
-			t.Fatalf("replica %s after churn: %v", addr, err)
-		}
-		if res.Estimate != want {
-			t.Errorf("replica %s diverged: answers %v, retained wire implies %v", addr, res.Estimate, want)
-		}
-	}
+	want := assertConverged(t, g, "m", n)
 	if res, err := g.Estimate(ctx, exactReq("m", n)); err != nil || res.Estimate != want {
 		t.Errorf("gateway after churn: %v/%v, want %v", res, err, want)
 	}
 
 	st := g.Stats()
-	t.Logf("churn stats: updates=%d reverts=%d failovers=%d retries=%d repairs=%d lost=%d",
-		st.Updates, st.UpdateReverts, st.Failovers, st.Retries, st.Repairs, st.LostReplicas)
+	t.Logf("churn stats: updates=%d reverts=%d failovers=%d retries=%d repairs=%d applied=%d reseeds=%d",
+		st.Updates, st.UpdateReverts, st.Failovers, st.Retries, st.Repairs, st.AsyncApplied, st.AsyncReseeds)
 	if st.Updates == 0 || st.Estimates == 0 {
 		t.Error("churn did not exercise the update/estimate paths")
 	}

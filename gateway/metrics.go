@@ -115,15 +115,7 @@ func newGatewayMetrics(g *Gateway) *gatewayMetrics {
 		nil, func() []metrics.Sample {
 			return []metrics.Sample{{Value: time.Since(g.start).Seconds()}}
 		})
-	reg.GaugeFunc("mpgw_async_replication", "Whether updates commit on a write quorum instead of every replica (1 = async).",
-		nil, func() []metrics.Sample {
-			var v float64
-			if g.cfg.AsyncReplication {
-				v = 1
-			}
-			return []metrics.Sample{{Value: v}}
-		})
-	reg.GaugeFunc("mpgw_write_quorum", "Configured async-mode ack quorum W.",
+	reg.GaugeFunc("mpgw_write_quorum", "Configured ack quorum W a row update commits on (0 = every live replica).",
 		nil, func() []metrics.Sample {
 			return []metrics.Sample{{Value: float64(g.cfg.WriteQuorum)}}
 		})

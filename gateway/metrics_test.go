@@ -62,7 +62,7 @@ func TestGatewayMetricsEndpointE2E(t *testing.T) {
 	g := newTestGateway(t, 2, b1.addr, b2.addr)
 	srv := httptest.NewServer(NewHandler(g))
 	t.Cleanup(srv.Close)
-	gc := NewClient(srv.URL)
+	gc := Dial(srv.URL)
 	ctx := context.Background()
 
 	wire, sum := testMatrix(n)

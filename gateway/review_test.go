@@ -92,7 +92,7 @@ func TestBatchItemRepair(t *testing.T) {
 	}
 	// The replica silently loses the matrix (as a restart inside one
 	// probe interval would look).
-	if err := service.NewClient(b1.addr).DeleteMatrix(ctx, "m"); err != nil {
+	if err := service.New(b1.addr).DeleteMatrix(ctx, "m"); err != nil {
 		t.Fatalf("backdoor delete: %v", err)
 	}
 	reqs := make([]service.Request, 6)

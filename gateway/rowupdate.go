@@ -10,37 +10,37 @@ import (
 )
 
 // Replicated row updates: PATCH /matrices/{name}/rows at the gateway
-// applies a sparse row patch to every replica of a placed matrix and —
+// applies a sparse row patch to the replicas of a placed matrix and —
 // critically for the repair path — retains the patched wire copy in
 // the placement table in the same commit. Every later repair
-// (estimate-path 404 re-seed, probe resync, rebalance move) re-uploads
-// from that retained copy, so a replica repaired after an update comes
-// back holding the updated matrix, not the bytes of the original
-// upload. (Retaining only the upload-time copy was the bug class this
-// design closes: updates that landed after the copy was taken were
-// silently rolled back by the next repair. The update-then-repair
-// regression test pins the fix.)
+// (estimate-path 404 re-seed, probe resync, rebalance move, apply-loop
+// reseed) re-uploads from that retained copy, so a replica repaired
+// after an update comes back holding the updated matrix, not the bytes
+// of the original upload. (Retaining only the upload-time copy was the
+// bug class this design closes: updates that landed after the copy was
+// taken were silently rolled back by the next repair. The
+// update-then-repair regression test pins the fix.)
 //
-// Per-leg failures split the same way the routing layer splits them
-// (see failoverable):
+// There is one commit path (commitLocked) and one knob,
+// Config.WriteQuorum: 0 waits for every live replica, W > 0 for W acks.
+// Either way a replica that does not ack stays in the placement and
+// lags — SLA routing reads around it by its applied vector, and the
+// apply loop (async.go) brings it back to the log head. Per leg:
 //
-//   - an answered hard rejection (400/409/…) means the patch itself is
-//     suspect on that backend — the update is all-or-nothing: every
-//     leg that applied it is reverted to the retained pre-update wire
-//     and the request fails;
-//   - an answered 404 means the replica restarted empty — it is
-//     repaired in line with a full upload of the *patched* wire and
-//     counts as success;
-//   - a transport-level failure (or an answered 502/503) means the
-//     replica is unreachable or closing — it is dropped from the
-//     placement and the update commits on the reachable legs; when the
-//     backend returns, the probe resync deletes its stale copy
-//     (straggler) and the post-repair rebalance re-places the matrix
-//     from the patched retained wire, restoring the replica count.
-//
-// If no leg succeeds the update fails without committing; unreachable
-// legs are still dropped so their (unknown-state) copies are resynced
-// from the retained wire rather than trusted.
+//   - an ack advances the replica's applied entry to the new version;
+//   - an answered 404 means the replica lost its copy — it is repaired
+//     in line with a full upload of the *patched* wire and counts as an
+//     ack;
+//   - an answered 429/502/503 means the replica is alive but shedding
+//     or closing — it lags at its current version and is replayed later;
+//   - no answer at all (a transport-level failure) leaves the replica's
+//     state unknown: the patch may have applied, and a durable backend
+//     would carry it across a restart where the engine's idempotency
+//     keys do not survive. Its applied entry is zeroed, so it is
+//     reseeded from the retained wire, never replayed over;
+//   - any other answered rejection (400/409/…) means the patch itself is
+//     suspect — the update is all-or-nothing: every leg that acked is
+//     reverted to the retained pre-update wire and the request fails.
 
 // patchWire applies a row update to a retained wire matrix, mirroring
 // exactly the dense-side arithmetic the backends apply: replace mode
@@ -105,13 +105,12 @@ func patchWire(w service.Matrix, ups []service.RowUpdate, delta bool) (service.M
 
 // UpdateRows applies a row update to a placed matrix and atomically
 // retains the patched wire copy for future repairs (see the file
-// comment for the per-leg failure semantics). In sync mode (the
-// default) every replica applies the patch before the call returns; in
-// async mode (Config.AsyncReplication) the call commits once
-// Config.WriteQuorum replicas ack and the apply loop drains the rest
-// (see async.go). Updates are serialized per matrix; a concurrent full
-// replacement of the name wins with ErrConflict and the replicas are
-// converged back to it.
+// comment for the per-leg semantics). With Config.WriteQuorum 0 (the
+// default) every live replica applies the patch before the call
+// returns; with W > 0 the call commits once W replicas ack and the
+// apply loop drains the rest (see async.go). Updates are serialized per
+// matrix; a concurrent full replacement of the name wins with
+// ErrConflict and the replicas are converged back to it.
 func (g *Gateway) UpdateRows(ctx context.Context, name string, req service.UpdateRequest) (service.UpdateReply, error) {
 	rep, _, err := g.updateRowsSLA(ctx, name, req, "")
 	return rep, err
@@ -135,6 +134,25 @@ func (g *Gateway) updateRowsSLA(ctx context.Context, name string, req service.Up
 	}
 	st.mu.Lock() //mp:lockio-ok audited: the per-matrix commit lock is held across the replica legs by design — log-append order must equal send order (see async.go's ordering discipline)
 	defer st.mu.Unlock()
+	for {
+		rep, ver, err := g.updateRowsLocked(ctx, st, name, req, ups, sess)
+		if err != errSendSlotBusy {
+			return rep, ver, err
+		}
+		// Wait (st.mu released) for a send slot to come free, then start
+		// over: another writer may have committed meanwhile.
+		st.slotFreed.Wait()
+	}
+}
+
+// errSendSlotBusy is commitLocked's verdict on an update that fell short
+// only because a drain held the send slot of a live replica it needed;
+// nothing of the update is left on any replica.
+var errSendSlotBusy = errors.New("gateway: replica send slot busy")
+
+// updateRowsLocked is one attempt at updateRowsSLA's commit. Callers
+// hold st.mu.
+func (g *Gateway) updateRowsLocked(ctx context.Context, st *matrixUpd, name string, req service.UpdateRequest, ups []service.RowUpdate, sess string) (service.UpdateReply, version, error) {
 	// A replayed client idempotency key returns the remembered reply
 	// instead of applying twice (the WithRetry double-apply fix: the
 	// first attempt may have committed before its connection died).
@@ -174,12 +192,7 @@ func (g *Gateway) updateRowsSLA(ctx context.Context, name string, req service.Up
 	fwd := req
 	fwd.Key = newVer.seq
 
-	var rep service.UpdateReply
-	if g.cfg.AsyncReplication {
-		rep, err = g.quorumCommitLocked(ctx, st, name, pm, reps, ups, fwd, oldWire, newWire, newVer)
-	} else {
-		rep, err = g.syncCommitLocked(ctx, st, name, pm, reps, ups, fwd, newWire, oldWire, newVer)
-	}
+	rep, err := g.commitLocked(ctx, st, name, pm, reps, ups, fwd, oldWire, newWire, newVer)
 	if err != nil {
 		return service.UpdateReply{}, version{}, err
 	}
@@ -188,157 +201,102 @@ func (g *Gateway) updateRowsSLA(ctx context.Context, name string, req service.Up
 	return rep, newVer, nil
 }
 
-// syncCommitLocked is the all-replica fanout commit: every replica
-// applies the patch (or is repaired to the patched wire) before the
-// call returns — see the file comment for the per-leg failure split.
-// Callers hold st.mu.
-func (g *Gateway) syncCommitLocked(ctx context.Context, st *matrixUpd, name string, pm *placedMatrix, reps []*backend, ups []service.RowUpdate, fwd service.UpdateRequest, newWire, oldWire service.Matrix, newVer version) (service.UpdateReply, error) {
-	replies := make([]service.UpdateReply, len(reps))
-	repaired := make([]bool, len(reps))
-	errs, _ := fanout(reps, func(i int, b *backend) error {
-		var err error
-		replies[i], err = b.client.UpdateRows(ctx, name, fwd)
-		if err == nil {
-			return nil
-		}
-		// A replica that lost the matrix to a restart is repaired in
-		// line with the patched wire: it then holds the post-update
-		// matrix, which is exactly what the update wants.
-		var apiErr *service.APIError
-		if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
-			if info, rerr := g.uploadTo(ctx, b, name, newWire); rerr == nil {
-				g.repairs.Add(1)
-				repaired[i] = true
-				replies[i] = service.UpdateReply{MatrixInfo: info, RowsApplied: len(ups)}
-				return nil
-			}
-		}
-		return err
-	})
-
-	var hardErr error // first answered rejection: triggers the revert
-	var okIdx []int
-	dropped := make(map[string]bool)
-	for i, err := range errs {
-		if err == nil {
-			okIdx = append(okIdx, i)
-			continue
-		}
-		if droppable, _ := failoverable(err); droppable {
-			dropped[reps[i].id] = true
-			reps[i].noteFailover(err, isTransportLevel(err))
-		} else if hardErr == nil {
-			hardErr = err
-		}
+// patchLeg sends one replica its commit-path patch. A replica that
+// lost the matrix (an answered 404) is repaired in line with the
+// patched wire and reports repaired, with a reply synthesized from the
+// upload. A repair upload that got no answer may have landed, so its
+// error replaces the 404: the copy is then unknown, not merely lagging.
+func (g *Gateway) patchLeg(ctx context.Context, b *backend, name string, fwd service.UpdateRequest, newWire service.Matrix, rows int) (rep service.UpdateReply, repaired bool, err error) {
+	rep, err = b.client.UpdateRows(ctx, name, fwd)
+	var apiErr *service.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
+		return rep, false, err
 	}
-
-	if hardErr != nil {
-		// All-or-nothing: converge every leg that applied the patch (or
-		// was repaired to it) back to the retained pre-update wire.
-		g.updateReverts.Add(1)
-		for _, i := range okIdx {
-			revCtx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
-			_, rerr := g.uploadTo(revCtx, reps[i], name, oldWire)
-			cancel()
-			if rerr != nil {
-				// Divergent copy we cannot reach: drop it too, so the
-				// resync sweep deletes it and a rebalance re-places.
-				dropped[reps[i].id] = true
-			}
+	info, rerr := g.uploadTo(ctx, b, name, newWire)
+	if rerr != nil {
+		if isTransportLevel(rerr) {
+			err = rerr
 		}
-		g.pruneReplicas(name, pm, nil, pm.info, dropped, version{})
-		return service.UpdateReply{}, fmt.Errorf("gateway: replicated update of %q rejected (reverted): %w", name, hardErr)
+		return rep, false, err
 	}
-	if len(okIdx) == 0 {
-		// Nothing applied anywhere. The unreachable legs' copies are of
-		// unknown state, so they are dropped for resync; the retained
-		// wire stays pre-update.
-		g.pruneReplicas(name, pm, nil, pm.info, dropped, version{})
-		return service.UpdateReply{}, fmt.Errorf("%w: no replica of %q accepted the update", ErrAllReplicasFailed, name)
-	}
-
-	// Commit: the patched wire becomes the retained copy in the same
-	// table write that publishes the update — repairs and resyncs from
-	// here on re-seed the post-update matrix, and dropped replicas are
-	// re-placed from it by the post-repair rebalance. The reply (and
-	// the table's info) comes from a leg that actually applied the
-	// patch when one exists: a 404-repaired leg's reply is synthesized
-	// from its full re-upload, whose sub-version and cache counters do
-	// not describe the update.
-	best := okIdx[0]
-	for _, i := range okIdx {
-		if !repaired[i] {
-			best = i
-			break
-		}
-	}
-	rep := replies[best]
-	rep.RowsApplied = len(ups)
-	if !g.pruneReplicas(name, pm, &newWire, rep.MatrixInfo, dropped, newVer) {
-		g.convergeReplacement(name)
-		return service.UpdateReply{}, fmt.Errorf("%w: %q", service.ErrConflict, name)
-	}
-	g.appendLogLocked(st, newVer, ups, fwd.Delta)
-	for _, i := range okIdx {
-		st.setAppliedLocked(reps[i].id, newVer)
-	}
-	g.maybeSpill()
-	return rep, nil
+	g.repairs.Add(1)
+	return service.UpdateReply{MatrixInfo: info, RowsApplied: rows}, true, nil
 }
 
-// quorumCommitLocked is the async-mode commit: replicas are tried in
-// placement order and the update commits once Config.WriteQuorum of
-// them ack; the rest are left lagging for the apply loop to drain. No
-// replica is dropped from the placement for a transport failure here —
-// in async mode unreachable just means lagging, and the prober plus
-// apply loop converge it when it returns. Callers hold st.mu.
-func (g *Gateway) quorumCommitLocked(ctx context.Context, st *matrixUpd, name string, pm *placedMatrix, reps []*backend, ups []service.RowUpdate, fwd service.UpdateRequest, oldWire, newWire service.Matrix, newVer version) (service.UpdateReply, error) {
-	need := min(g.cfg.WriteQuorum, len(reps))
-	var acked []*backend
-	var rep service.UpdateReply
-	var gotReply bool
-	var hardErr error
-	for _, b := range reps {
-		if len(acked) >= need {
-			break
-		}
-		if st.sending[b.id] || !b.eligible() {
-			continue // a drain owns its send slot, or it is unhealthy: leave it lagging
-		}
-		if av := st.applied[b.id]; av.Less(st.head) {
+// commitLocked is the one commit path (see the file comment for the
+// per-leg rules). Candidates are the replicas, in placement order, that
+// are eligible and hold no send reservation. With WriteQuorum 0 every
+// candidate is patched in one concurrent round and the update commits
+// if any acked; with W > 0 the first W are, spares are tried only while
+// acks fall short, and it commits on W acks (clamped to the replica
+// count). Callers hold st.mu.
+func (g *Gateway) commitLocked(ctx context.Context, st *matrixUpd, name string, pm *placedMatrix, reps []*backend, ups []service.RowUpdate, fwd service.UpdateRequest, oldWire, newWire service.Matrix, newVer version) (service.UpdateReply, error) {
+	w := g.cfg.WriteQuorum
+	need := min(w, len(reps))
+	var (
+		acked      []*backend
+		busy       bool // a live replica was skipped for its send reservation
+		rep        service.UpdateReply
+		fromRepair bool  // rep is a 404-repaired leg's synthesized reply
+		hardErr    error // first answered rejection: triggers the revert
+	)
+	// A cancelled request stops before trying spares: every further leg
+	// would end in an unknown state too.
+	for next := 0; hardErr == nil && ctx.Err() == nil; {
+		var round []*backend
+		for ; next < len(reps) && (w == 0 || len(acked)+len(round) < need); next++ {
+			b := reps[next]
+			if !b.eligible() {
+				continue // unhealthy: leave it lagging
+			}
+			if st.sending[b.id] {
+				busy = true
+				continue // a drain owns its send slot
+			}
 			// Bring a lagging candidate in line first so the patch
 			// applies on top of its full log prefix.
-			if !g.catchUpLocked(ctx, st, name, b) {
+			if st.applied[b.id].Less(st.head) && !g.catchUpLocked(ctx, st, name, b) {
 				continue
 			}
+			round = append(round, b)
 		}
-		reply, err := b.client.UpdateRows(ctx, name, fwd)
-		if err != nil {
-			var apiErr *service.APIError
-			if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
-				if info, rerr := g.uploadTo(ctx, b, name, newWire); rerr == nil {
-					g.repairs.Add(1)
-					st.setAppliedLocked(b.id, newVer)
-					acked = append(acked, b)
-					if !gotReply {
-						rep = service.UpdateReply{MatrixInfo: info, RowsApplied: len(ups)}
-					}
-					continue
-				}
-			}
-			if droppable, _ := failoverable(err); droppable {
-				b.noteFailover(err, isTransportLevel(err))
-				continue
-			}
-			hardErr = err
+		if len(round) == 0 {
 			break
 		}
-		st.setAppliedLocked(b.id, newVer)
-		acked = append(acked, b)
-		rep, gotReply = reply, true
+		replies := make([]service.UpdateReply, len(round))
+		repaired := make([]bool, len(round))
+		errs, _ := fanout(round, func(i int, b *backend) error {
+			var err error
+			replies[i], repaired[i], err = g.patchLeg(ctx, b, name, fwd, newWire, len(ups))
+			return err
+		})
+		for i, b := range round {
+			if errs[i] == nil {
+				st.setAppliedLocked(b.id, newVer)
+				// Prefer the reply of a leg that applied the patch: a
+				// repaired leg's sub-version and cache counters describe
+				// its full re-upload, not the update.
+				if len(acked) == 0 || (fromRepair && !repaired[i]) {
+					rep, fromRepair = replies[i], repaired[i]
+				}
+				acked = append(acked, b)
+				continue
+			}
+			lagging, unknown := failoverable(errs[i])
+			if !lagging {
+				if hardErr == nil {
+					hardErr = errs[i]
+				}
+				continue
+			}
+			b.noteFailover(errs[i], unknown)
+			if unknown {
+				st.setAppliedLocked(b.id, version{})
+			}
+		}
 	}
 
-	if hardErr != nil || len(acked) < need {
+	if hardErr != nil || len(acked) == 0 || len(acked) < need {
 		// Not committed: converge every acked leg back to the retained
 		// pre-update wire so no replica holds an uncommitted patch. A
 		// leg unreachable mid-revert is stamped at the zero version —
@@ -357,20 +315,30 @@ func (g *Gateway) quorumCommitLocked(ctx context.Context, st *matrixUpd, name st
 			}
 		}
 		g.wakeApply()
-		if hardErr != nil {
+		switch {
+		case hardErr != nil:
 			return service.UpdateReply{}, fmt.Errorf("gateway: replicated update of %q rejected (reverted): %w", name, hardErr)
+		case busy && ctx.Err() == nil:
+			return service.UpdateReply{}, errSendSlotBusy
+		case w > 0:
+			return service.UpdateReply{}, fmt.Errorf("%w: update of %q reached %d of %d write-quorum acks", ErrNoBackends, name, len(acked), need)
 		}
-		return service.UpdateReply{}, fmt.Errorf("%w: update of %q reached %d of %d write-quorum acks", ErrNoBackends, name, len(acked), need)
+		return service.UpdateReply{}, fmt.Errorf("%w: no replica of %q accepted the update", ErrAllReplicasFailed, name)
 	}
 
+	// Commit: the patched wire becomes the retained copy in the same
+	// table write that publishes the update — repairs and reseeds from
+	// here on ship the post-update matrix.
 	rep.RowsApplied = len(ups)
-	if !g.pruneReplicas(name, pm, &newWire, rep.MatrixInfo, nil, newVer) {
+	if !g.installUpdate(name, pm, newWire, rep.MatrixInfo, newVer) {
 		g.convergeReplacement(name)
 		return service.UpdateReply{}, fmt.Errorf("%w: %q", service.ErrConflict, name)
 	}
 	g.appendLogLocked(st, newVer, ups, fwd.Delta)
 	g.maybeSpill()
-	g.wakeApply()
+	if len(acked) < len(reps) {
+		g.wakeApply()
+	}
 	return rep, nil
 }
 
@@ -406,43 +374,24 @@ func isTransportLevel(err error) bool {
 	return !errors.As(err, &apiErr)
 }
 
-// pruneReplicas installs the update outcome for name iff the table
-// entry is still pm (compare half of the copy-on-write): the new info
-// is recorded and the dropped replica ids removed. A non-nil newWire
-// becomes the retained copy, resident (a spilled entry un-spills; its
-// stale spill file is never read and is overwritten by the next
-// spill); nil keeps pm's wire and spill state unchanged. An entry that
-// lost replicas is flagged for the prober's heal pass, which re-places
-// it from the retained wire. A non-nil newWire also advances the
-// retained version to ver — the update-log head the commit assigned.
+// installUpdate publishes a committed update for name iff the table
+// entry is still pm (compare half of the copy-on-write): the patched
+// wire becomes the retained copy, resident (a spilled entry un-spills;
+// its stale spill file is never read and is overwritten by the next
+// spill), at version ver — the update-log head the commit assigned.
 // Reports whether the swap happened.
-func (g *Gateway) pruneReplicas(name string, pm *placedMatrix, newWire *service.Matrix, info service.MatrixInfo, dropped map[string]bool, ver version) bool {
+func (g *Gateway) installUpdate(name string, pm *placedMatrix, newWire service.Matrix, info service.MatrixInfo, ver version) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	cur, ok := g.matrices[name]
-	if !ok || cur != pm {
+	if cur, ok := g.matrices[name]; !ok || cur != pm {
 		return false
-	}
-	kept := make([]string, 0, len(pm.replicas))
-	for _, id := range pm.replicas {
-		if !dropped[id] {
-			kept = append(kept, id)
-		}
-	}
-	n := len(pm.replicas) - len(kept)
-	if n > 0 {
-		g.lostReplicas.Add(int64(n))
 	}
 	npm := pm.clone()
 	npm.info = info
-	npm.replicas = kept
-	npm.needsHeal = n > 0 || pm.needsHeal
-	if newWire != nil {
-		npm.wire = *newWire
-		npm.wireBytes = wireSize(*newWire)
-		npm.spilled = false
-		npm.ver = ver
-	}
+	npm.wire = newWire
+	npm.wireBytes = wireSize(newWire)
+	npm.spilled = false
+	npm.ver = ver
 	g.matrices[name] = npm
 	return true
 }

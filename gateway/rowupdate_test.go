@@ -108,7 +108,7 @@ func TestUpdateRowsReplicates(t *testing.T) {
 
 	// Every replica answers the updated value when queried directly.
 	for _, addr := range info.Replicas {
-		res, err := service.NewClient(addr).Estimate(ctx, exactReq("m", n))
+		res, err := service.New(addr).Estimate(ctx, exactReq("m", n))
 		if err != nil {
 			t.Fatalf("replica %s: %v", addr, err)
 		}
@@ -158,7 +158,7 @@ func TestUpdateThenRepairServesUpdatedMatrix(t *testing.T) {
 	// if its registry LRU-evicted it); the 404 triggers an in-line
 	// re-seed, which must ship the patched copy.
 	victim := byAddr[info.Replicas[0]]
-	if err := service.NewClient(victim.addr).DeleteMatrix(ctx, "m"); err != nil {
+	if err := service.New(victim.addr).DeleteMatrix(ctx, "m"); err != nil {
 		t.Fatal(err)
 	}
 	repairsBefore := g.Stats().Repairs
@@ -172,7 +172,7 @@ func TestUpdateThenRepairServesUpdatedMatrix(t *testing.T) {
 		}
 	}
 	waitFor(t, "estimate-path repair", func() bool { return victim.holds("m") })
-	res, err := service.NewClient(victim.addr).Estimate(ctx, exactReq("m", n))
+	res, err := service.New(victim.addr).Estimate(ctx, exactReq("m", n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestUpdateThenRepairServesUpdatedMatrix(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	other.restart()
 	waitFor(t, "probe resync", func() bool { return other.holds("m") })
-	res, err = service.NewClient(other.addr).Estimate(ctx, exactReq("m", n))
+	res, err = service.New(other.addr).Estimate(ctx, exactReq("m", n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func rejectingBackend(t *testing.T) *httptest.Server {
 		switch {
 		case r.Method == http.MethodPatch:
 			service.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "synthetic rejection"})
-		case r.Method == http.MethodPut && strings.HasPrefix(r.URL.Path, "/matrix/"):
+		case r.Method == http.MethodPut && strings.HasPrefix(r.URL.Path, "/v1/matrix/"):
 			service.WriteJSON(w, http.StatusOK, service.UploadReply{})
 		case r.Method == http.MethodDelete:
 			service.WriteJSON(w, http.StatusOK, map[string]string{})
@@ -246,7 +246,7 @@ func TestUpdateRowsAllOrNothingRevert(t *testing.T) {
 
 	// The good replica was reverted to the pre-update matrix and the
 	// retained wire never advanced.
-	res, err := service.NewClient(good.addr).Estimate(ctx, exactReq("m", n))
+	res, err := service.New(good.addr).Estimate(ctx, exactReq("m", n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,66 +261,108 @@ func TestUpdateRowsAllOrNothingRevert(t *testing.T) {
 	}
 }
 
-// TestUpdateRowsDropsUnreachableReplica pins the availability half:
-// with one replica down, the update commits on the reachable one, the
-// dead replica is dropped from the placement, and — once it returns —
-// the post-repair resync + rebalance restore it with the *patched*
-// matrix.
-func TestUpdateRowsDropsUnreachableReplica(t *testing.T) {
-	n := 8
-	b1, b2 := startBackend(t), startBackend(t)
-	byAddr := map[string]*testBackend{b1.addr: b1, b2.addr: b2}
-	g := newTestGateway(t, 2, b1.addr, b2.addr)
+// TestUpdateRowsLagsUnreachableReplica pins the availability half:
+// with one replica down the update commits on the reachable one, the
+// dead replica stays in the placement and lags — strong reads are
+// answered by the survivor at the log head — and once it returns it is
+// brought to the head with the *patched* matrix: by a full reseed when
+// it came back empty, and by log replay alone when a durable backend
+// was cleanly stopped between two updates.
+func TestUpdateRowsLagsUnreachableReplica(t *testing.T) {
+	const n = 8
 	ctx := context.Background()
 
-	wire, sum := testMatrix(n)
-	info, err := g.PutMatrix(ctx, "m", wire)
-	if err != nil {
-		t.Fatal(err)
+	// setup places "m" on two backends; lagBehind then commits an update
+	// with the victim down and checks the lag semantics, returning the
+	// post-update sum.
+	setup := func(t *testing.T, start func(*testing.T) *testBackend) (g *Gateway, victim *testBackend, sum float64) {
+		b1, b2 := start(t), start(t)
+		byAddr := map[string]*testBackend{b1.addr: b1, b2.addr: b2}
+		g = newTestGateway(t, 2, b1.addr, b2.addr)
+		wire, sum := testMatrix(n)
+		info, err := g.PutMatrix(ctx, "m", wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, byAddr[info.Replicas[0]], sum
 	}
-	victim := byAddr[info.Replicas[0]]
-	victim.stop()
-
-	rep, err := g.UpdateRows(ctx, "m", replaceRowReq(0, [][2]int64{{2, 7}}))
-	if err != nil {
-		t.Fatalf("update with one dead replica: %v", err)
-	}
-	if rep.RowsApplied != 1 {
-		t.Fatalf("reply %+v", rep)
-	}
-	wantSum := sum - 1 + 7
-	g.mu.Lock()
-	pm := g.matrices["m"]
-	g.mu.Unlock()
-	if len(pm.replicas) != 1 {
-		t.Fatalf("dead replica not dropped: %v", pm.replicas)
-	}
-	if got := wireSum(pm.wire); got != wantSum {
-		t.Fatalf("retained wire sum = %v, want %v", got, wantSum)
-	}
-	if res, err := g.Estimate(ctx, exactReq("m", n)); err != nil || res.Estimate != wantSum {
-		t.Fatalf("estimate = %v/%v, want %v", res, err, wantSum)
-	}
-
-	// The dead backend returns (empty): resync + the post-repair
-	// rebalance must restore the replica with the patched matrix.
-	victim.restart()
-	waitFor(t, "replica restored", func() bool {
+	lagBehind := func(t *testing.T, g *Gateway, victim *testBackend, row int, oldVal, newVal int64, sum float64) float64 {
+		rep, ver, err := g.updateRowsSLA(ctx, "m", replaceRowReq(row, [][2]int64{{2, newVal}}), "")
+		if err != nil {
+			t.Fatalf("update with one dead replica: %v", err)
+		}
+		if rep.RowsApplied != 1 {
+			t.Fatalf("reply %+v", rep)
+		}
+		want := sum - float64(oldVal) + float64(newVal)
 		g.mu.Lock()
-		defer g.mu.Unlock()
-		return len(g.matrices["m"].replicas) == 2
+		pm := g.matrices["m"]
+		g.mu.Unlock()
+		if len(pm.replicas) != 2 {
+			t.Fatalf("dead replica left the placement: %v", pm.replicas)
+		}
+		if got := wireSum(pm.wire); got != want {
+			t.Fatalf("retained wire sum = %v, want %v", got, want)
+		}
+		if got := g.appliedVersion("m", victim.addr); !got.Less(ver) {
+			t.Fatalf("dead replica's applied version = %v, want it behind the head %v", got, ver)
+		}
+		res, served, err := g.estimateSLA(ctx, exactReq("m", n), SLA{Level: ConsStrong}, "")
+		if err != nil || res.Estimate != want {
+			t.Fatalf("strong read = %v/%v, want %v", res, err, want)
+		}
+		if served != ver {
+			t.Fatalf("strong read served at MP-Version %v, want the head %v", served, ver)
+		}
+		return want
+	}
+	caughtUp := func(t *testing.T, g *Gateway, victim *testBackend, want float64) {
+		waitFor(t, "returned replica at the log head", func() bool { return atHead(g, "m") })
+		if got, err := backendSum(ctx, victim.addr, "m", n); err != nil || got != want {
+			t.Fatalf("returned replica answers %v/%v, want patched %v", got, err, want)
+		}
+		if st := g.Stats(); st.LostReplicas != 0 {
+			t.Fatalf("a lagging replica was counted lost: %+v", st)
+		}
+	}
+
+	t.Run("reseed", func(t *testing.T) {
+		g, victim, sum := setup(t, startBackend)
+		victim.stop()
+		want := lagBehind(t, g, victim, 0, 1, 7, sum)
+		before := g.Stats()
+		victim.restart() // empty: nothing to replay onto
+		caughtUp(t, g, victim, want)
+		if st := g.Stats(); st.Repairs+st.AsyncReseeds == before.Repairs+before.AsyncReseeds {
+			t.Fatalf("an empty replica reached the head without a reseed: %+v", st)
+		}
 	})
-	waitFor(t, "restored copy", func() bool { return victim.holds("m") })
-	res, err := service.NewClient(victim.addr).Estimate(ctx, exactReq("m", n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Estimate != wantSum {
-		t.Fatalf("restored replica answers %v, want patched %v", res.Estimate, wantSum)
-	}
-	if st := g.Stats(); st.LostReplicas == 0 {
-		t.Fatalf("dropped replica not counted: %+v", st)
-	}
+
+	t.Run("replay", func(t *testing.T) {
+		g, victim, sum := setup(t, startDurableBackend)
+		if _, err := g.UpdateRows(ctx, "m", replaceRowReq(0, [][2]int64{{2, 7}})); err != nil {
+			t.Fatal(err)
+		}
+		sum += 7 - 1
+		// A clean stop the prober has noticed: the next update does not
+		// try the victim, so its copy is known to sit at the first update.
+		victim.stop()
+		waitFor(t, "victim demoted", func() bool {
+			st, ok := backendStatus(g, victim.addr)
+			return ok && !st.Healthy
+		})
+		want := lagBehind(t, g, victim, 1, 2, 9, sum)
+		before := g.Stats()
+		victim.restart() // recovers the first update from its own disk
+		caughtUp(t, g, victim, want)
+		st := g.Stats()
+		if st.AsyncApplied <= before.AsyncApplied {
+			t.Fatalf("async_applied did not advance: %d -> %d", before.AsyncApplied, st.AsyncApplied)
+		}
+		if st.ReseedBytes != before.ReseedBytes || st.AsyncReseeds != before.AsyncReseeds || st.Repairs != before.Repairs {
+			t.Fatalf("a replayable replica was reseeded: before %+v, after %+v", before, st)
+		}
+	})
 }
 
 // TestUpdateRows404RepairsLeg pins the inline update-path repair: a
@@ -340,7 +382,7 @@ func TestUpdateRows404RepairsLeg(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := byAddr[info.Replicas[0]]
-	if err := service.NewClient(victim.addr).DeleteMatrix(ctx, "m"); err != nil {
+	if err := service.New(victim.addr).DeleteMatrix(ctx, "m"); err != nil {
 		t.Fatal(err)
 	}
 	repairsBefore := g.Stats().Repairs
@@ -361,7 +403,7 @@ func TestUpdateRows404RepairsLeg(t *testing.T) {
 	}
 	wantSum := sum - 1 + 7
 	for _, addr := range []string{b1.addr, b2.addr} {
-		res, err := service.NewClient(addr).Estimate(ctx, exactReq("m", n))
+		res, err := service.New(addr).Estimate(ctx, exactReq("m", n))
 		if err != nil {
 			t.Fatalf("replica %s: %v", addr, err)
 		}
@@ -406,7 +448,7 @@ func TestUpdateRowsHTTPAndClient(t *testing.T) {
 	t.Cleanup(srv.Close)
 	ctx := context.Background()
 
-	client := service.NewClient(srv.URL)
+	client := service.New(srv.URL)
 	wire, sum := testMatrix(n)
 	if _, err := client.UploadMatrix(ctx, "m", wire); err != nil {
 		t.Fatal(err)

@@ -55,8 +55,8 @@ type Consistency int
 
 const (
 	// ConsStrong requires the update-log head — the strongest (and
-	// default) level; in sync replication mode every replica satisfies
-	// it by construction.
+	// default) level; with WriteQuorum 0 every replica that acked the
+	// last update satisfies it.
 	ConsStrong Consistency = iota
 	// ConsEventual accepts any routable replica.
 	ConsEventual

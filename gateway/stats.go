@@ -74,8 +74,8 @@ type Stats struct {
 	// successful or not.
 	Retries int64 `json:"retries"`
 	// Repairs counts replica copies re-seeded from the gateway's
-	// retained wire forms (estimate-path 404 repairs and probe-time
-	// resyncs).
+	// retained wire forms (estimate- and update-path 404 repairs and
+	// probe-time resyncs).
 	Repairs int64 `json:"repairs"`
 	// Rebalanced counts matrices moved by admin add/drain/remove
 	// rebalances.
@@ -114,10 +114,8 @@ type Stats struct {
 	// WireBytes is the resident retained-wire byte total governed by
 	// Config.WireCacheBudget.
 	WireBytes int64 `json:"wire_bytes"`
-	// AsyncReplication reports whether updates commit on a write quorum
-	// (Config.AsyncReplication) instead of every replica.
-	AsyncReplication bool `json:"async_replication"`
-	// WriteQuorum is the configured async-mode ack quorum W.
+	// WriteQuorum is the configured ack quorum W a row update commits
+	// on (Config.WriteQuorum); 0 means every live replica.
 	WriteQuorum int `json:"write_quorum"`
 	// UpdateLogEntries is the total retained update-log length summed
 	// over all placed matrices (each log is bounded by
@@ -199,7 +197,6 @@ func (g *Gateway) Stats() Stats {
 		SpillErrors:      g.spillErrors.Load(),
 		SpilledMatrices:  spilled,
 		WireBytes:        wireBytes,
-		AsyncReplication: g.cfg.AsyncReplication,
 		WriteQuorum:      g.cfg.WriteQuorum,
 		UpdateLogEntries: logEntries,
 		AsyncApplied:     g.asyncApplied.Load(),

@@ -1,19 +1,20 @@
 #!/usr/bin/env bash
-# asyncsweep.sh — sync-vs-async replication sweep + SLA frontier.
+# asyncsweep.sh — write-quorum sweep + SLA frontier.
 #
 # Builds mpserver, mpgateway, and mpload, starts three backends, and
 # drives the same closed-loop update-bearing mix twice through a
-# replication-3 gateway front: once committing synchronously on every
-# replica, once committing on a single-ack write quorum (-async
-# -write-quorum 1) with the background apply loop draining the rest.
-# The async pass sweeps every consistency level (-sla-sweep) so its
-# BENCH_slacurve.json is the measured latency-vs-staleness frontier;
-# the sync pass runs the strong level only — the one level whose
-# semantics both modes share — for an apples-to-apples write-throughput
-# comparison, summarized into BENCH_asyncsweep.json.
+# replication-3 gateway front, at the two ends of the one replication
+# knob: -write-quorum 0 ("sync": every live replica acks before the
+# update returns) and -write-quorum 1 ("async": a single ack commits and
+# the background apply loop drains the rest). The async pass sweeps
+# every consistency level (-sla-sweep) so its BENCH_slacurve.json is the
+# measured latency-vs-staleness frontier; the sync pass runs the strong
+# level only — the one level whose answers both settings share — for an
+# apples-to-apples write-throughput comparison, summarized into
+# BENCH_asyncsweep.json.
 #
-# The job fails when either mode sheds update errors or when the async
-# fleet fails to sustain at least the sync fleet's update throughput
+# The job fails when either setting sheds update errors or when the
+# async fleet fails to sustain at least the sync fleet's update throughput
 # (the deterministic ≥2x separation with a slow replica is pinned by
 # TestAsyncThroughputBeatsSyncWithSlowReplica and the
 # GatewayUpdateReplicated bench baseline; live local backends are too
@@ -86,10 +87,10 @@ run_mode() {
   wait "$gw" 2>/dev/null || true
 }
 
-run_mode bench_sync BENCH_slacurve_sync.json strong
-run_mode bench_async BENCH_slacurve.json "$LEVELS" -async -write-quorum 1
+run_mode bench_sync BENCH_slacurve_sync.json strong -write-quorum 0
+run_mode bench_async BENCH_slacurve.json "$LEVELS" -write-quorum 1
 
-# Summarize the strong-level update throughput of both modes. The sync
+# Summarize the strong-level update throughput of both settings. The sync
 # document has exactly one point; the async document's strong point is
 # its last.
 jq -n \

@@ -30,7 +30,7 @@ func TestChunkedUploadLifecycle(t *testing.T) {
 	e := newTestEngine(t, Config{})
 	srv := httptest.NewServer(NewHandler(e))
 	defer srv.Close()
-	client := NewClient(srv.URL)
+	client := New(srv.URL)
 	ctx := context.Background()
 
 	const n = 24

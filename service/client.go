@@ -86,7 +86,7 @@ func WithHTTPClient(h *http.Client) ClientOption {
 
 // WithPathPrefix overrides the path prefix the typed methods call
 // under. The default is "/v1"; an empty prefix addresses the legacy
-// unprefixed aliases (what the deprecated NewClient constructor uses).
+// unprefixed aliases.
 func WithPathPrefix(prefix string) ClientOption {
 	return func(c *Client) { c.prefix = prefix }
 }
@@ -100,13 +100,6 @@ func New(baseURL string, opts ...ClientOption) *Client {
 	}
 	return c
 }
-
-// NewClient returns a JSON client for the given server root against
-// the legacy unprefixed paths.
-//
-// Deprecated: use New, which defaults to the versioned /v1 surface and
-// takes functional options (WithTimeout, WithAccept, WithRetry).
-func NewClient(baseURL string) *Client { return New(baseURL, WithPathPrefix("")) }
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {

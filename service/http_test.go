@@ -18,7 +18,7 @@ func newTestServer(t *testing.T, cfg Config) (*httptest.Server, *Client) {
 		srv.Close()
 		e.Close()
 	})
-	return srv, NewClient(srv.URL)
+	return srv, New(srv.URL)
 }
 
 func TestHTTPRoundTrip(t *testing.T) {
