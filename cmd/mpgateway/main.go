@@ -49,7 +49,7 @@ func main() {
 	probeInterval := flag.Duration("probe-interval", time.Second, "health prober base period")
 	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "per-probe timeout")
 	probeBackoffMax := flag.Duration("probe-backoff-max", 30*time.Second, "cap on the prober's exponential backoff for failing backends")
-	uploadTTL := flag.Duration("upload-ttl", 2*time.Minute, "idle replicated chunked uploads are garbage-collected after this long")
+	uploadTTL := flag.Duration("upload-ttl", 2*time.Minute, "idle chunked uploads staged at the gateway are garbage-collected after this long")
 	dataDir := flag.String("data-dir", "", "spill store directory for retained wire copies past -wire-cache-budget (empty: keep all copies in memory)")
 	fsyncFlag := flag.String("fsync", "never", "spill store fsync policy: always | batch | never (with -data-dir; the spill store is a cache, so never is the sane default)")
 	wireBudget := flag.Int64("wire-cache-budget", 0, "resident byte budget for retained wire copies; the largest copies past it spill to -data-dir (0: unlimited)")

@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/service"
@@ -133,49 +134,23 @@ func (g *Gateway) resyncBackend(b *backend) {
 	for _, mi := range held {
 		holds[mi.Name] = true
 	}
-	type reseed struct {
-		name string
-		pm   *placedMatrix
-	}
-	var missing []reseed
+	var missing []string
 	g.mu.Lock()
 	placed := make(map[string]bool, len(g.matrices))
 	for name, pm := range g.matrices {
-		for _, id := range pm.replicas {
-			if id == b.id {
-				placed[name] = true
-				if !holds[name] {
-					missing = append(missing, reseed{name, pm})
-				}
-				break
+		if slices.Contains(pm.replicas, b.id) {
+			placed[name] = true
+			if !holds[name] {
+				missing = append(missing, name)
 			}
 		}
 	}
 	g.mu.Unlock()
-	for _, m := range missing {
-		wire, err := g.wireOf(m.pm)
-		if err != nil {
-			continue
-		}
-		// Reserve the backend's send slot for this matrix so an apply-loop
-		// drain never interleaves a log replay with the reseed upload
-		// (see async.go's ordering discipline).
-		st := g.updState(m.name)
-		if st != nil {
-			st.mu.Lock()
-			free := st.reserveLocked(b.id)
-			st.mu.Unlock()
-			if !free {
-				continue // a drain owns the slot; it converges the copy
-			}
-		}
-		if _, err := g.uploadTo(ctx, b, m.name, wire); err == nil {
+	for _, name := range missing {
+		// A drain that owns the send slot converges the copy instead.
+		if n, err := g.seedReplica(ctx, name, b, false); err == nil {
 			g.repairs.Add(1)
-			g.reseedBytes.Add(wireSize(wire))
-			g.setApplied(m.name, b.id, m.pm.ver)
-		}
-		if st != nil {
-			st.release(b.id)
+			g.reseedBytes.Add(n)
 		}
 	}
 	for _, mi := range held {
@@ -328,24 +303,6 @@ func (g *Gateway) rebalance(ctx context.Context) RebalanceReport {
 		for _, id := range pm.replicas {
 			have[id] = true
 		}
-		// Resolve the wire copy (a spilled entry loads from the store)
-		// before touching any replica; an unreadable copy keeps the old
-		// placement for the next rebalance to retry.
-		gains := false
-		for _, id := range targets {
-			if !have[id] {
-				gains = true
-				break
-			}
-		}
-		var wire service.Matrix
-		if gains {
-			var werr error
-			if wire, werr = g.wireOf(pm); werr != nil {
-				rep.Failed++
-				continue
-			}
-		}
 		want := make(map[string]bool, len(targets))
 		for _, id := range targets {
 			want[id] = true
@@ -371,14 +328,13 @@ func (g *Gateway) rebalance(ctx context.Context) RebalanceReport {
 				failed = true
 				continue
 			}
-			if _, err := g.uploadTo(ctx, b, name, wire); err != nil {
+			// The gain's applied entry is stamped before the table swap
+			// publishes it to the apply loop and SLA routing. An unreadable
+			// (spilled) wire fails the move like a refused upload.
+			if _, err := g.seedReplica(ctx, name, b, false); err != nil {
 				failed = true
 				continue
 			}
-			// The gained replica holds pm's retained wire: stamp its
-			// applied vector before the table swap publishes it to the
-			// apply loop and SLA routing.
-			g.setApplied(name, b.id, pm.ver)
 			kept = append(kept, id)
 			moved = true
 		}

@@ -35,10 +35,8 @@ import (
 //     never interleave with a commit leg or an in-line catch-up to the
 //     same backend — writers skip reserved backends, and drains skip
 //     backends a writer could pick only while holding st.mu;
-//   - full reseeds of in-placement replicas (probe resync, estimate-path
-//     repair) take the same reservation; reseeds of backends outside
-//     the current replica set (rebalance gains) cannot collide with the
-//     apply loop, which only walks pm.replicas.
+//   - every full reseed of a placed matrix goes through seedReplica,
+//     which takes the same reservation.
 //
 // A reseed stamps the backend's applied entry to the snapshot version
 // it uploaded — an unconditional overwrite, not a monotone advance,
@@ -134,11 +132,11 @@ func (st *matrixUpd) release(id string) {
 	st.slotFreed.Broadcast()
 }
 
-// resetLocked reinstalls the state after a wholesale placement (a put,
-// a chunked commit): a fresh epoch head, an empty log, every target
-// replica stamped at the head. In-flight drains keep their sending
-// slots (they clear them on exit) and detect the epoch change before
-// sending anything stale (see runDrain).
+// resetLocked reinstalls the state after a wholesale placement: a fresh
+// epoch head, an empty log, every target replica stamped at the head.
+// In-flight drains keep their sending slots (they clear them on exit)
+// and detect the epoch change before sending anything stale (see
+// runDrain).
 func (st *matrixUpd) resetLocked(ver version, ids []string) {
 	st.head = ver
 	st.log = nil
@@ -410,27 +408,16 @@ func (g *Gateway) runDrain(name string, st *matrixUpd, b *backend, epoch uint64,
 	}
 }
 
-// reseedLagging ships the current retained wire to a backend whose log
-// replay is impossible (trimmed window, epoch change, lost copy) and
-// stamps its applied vector at the snapshot version. Callers hold the
-// backend's send reservation.
+// reseedLagging re-seeds a backend whose log replay is impossible
+// (trimmed window, epoch change, lost copy). Callers hold the backend's
+// send reservation.
 func (g *Gateway) reseedLagging(name string, b *backend) {
-	g.mu.Lock()
-	pm, ok := g.matrices[name]
-	g.mu.Unlock()
-	if !ok {
-		return
-	}
-	wire, err := g.wireOf(pm)
-	if err != nil {
-		return
-	}
 	ctx, cancel := context.WithTimeout(g.baseCtx, reseedUploadTimeout)
 	defer cancel()
-	if _, err := g.uploadTo(ctx, b, name, wire); err != nil {
+	switch _, err := g.seedReplica(ctx, name, b, true); {
+	case err == nil:
+		g.asyncReseeds.Add(1)
+	case !errors.Is(err, errNotSeeded):
 		b.noteFailover(err, isTransportLevel(err))
-		return
 	}
-	g.setApplied(name, b.id, pm.ver)
-	g.asyncReseeds.Add(1)
 }

@@ -19,6 +19,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -264,6 +265,67 @@ func TestLogTrimForcesReseed(t *testing.T) {
 	got, err := backendSum(ctx, victim, "m", n)
 	if err != nil || got != want {
 		t.Fatalf("reseeded replica sum = %v, %v (want %v)", got, err, want)
+	}
+}
+
+// TestRepairRacingUpdateStampsShippedVersion holds a 404 repair's
+// upload in flight while a row update commits on the other replica: the
+// repaired replica must be stamped at the version of the wire the
+// repair shipped (the pre-update one), not the head, so the apply loop
+// still owes it — and replays — the one missing entry.
+func TestRepairRacingUpdateStampsShippedVersion(t *testing.T) {
+	n := 8
+	b1 := startBackend(t)
+	eng := service.NewEngine(service.Config{Workers: 2, Shards: 1})
+	t.Cleanup(eng.Close)
+	real := service.NewHandler(eng)
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var holdNextPut atomic.Bool
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut && holdNextPut.CompareAndSwap(true, false) {
+			close(entered)
+			<-gate
+		}
+		real.ServeHTTP(w, r)
+	}))
+	t.Cleanup(slow.Close)
+	g := newAsyncGatewayCfg(t, 0, time.Hour, 0, b1.addr, slow.URL)
+	ctx := context.Background()
+
+	wire, sum := testMatrix(n)
+	if _, err := g.PutMatrix(ctx, "m", wire); err != nil {
+		t.Fatal(err)
+	}
+	placedAt := headVersion(g.updState("m"))
+	if err := eng.DeleteMatrix("m"); err != nil {
+		t.Fatal(err)
+	}
+	g.mu.Lock()
+	lost := g.backends[slow.URL]
+	g.mu.Unlock()
+	holdNextPut.Store(true)
+	repaired := make(chan bool)
+	go func() { repaired <- g.repairReplica(ctx, lost, "m") }()
+	<-entered
+	// The repair owns the slow replica's send slot, so the update
+	// commits on b1 alone and leaves the slow replica to the apply loop.
+	if _, err := g.UpdateRows(ctx, "m", replaceRowReq(0, [][2]int64{{2, 7}})); err != nil {
+		t.Fatalf("update during the repair: %v", err)
+	}
+	close(gate)
+	if !<-repaired {
+		t.Fatal("repair failed")
+	}
+	if got := g.appliedVersion("m", slow.URL); got != placedAt {
+		t.Fatalf("repaired replica stamped %v, want the shipped wire's %v (head is %v)", got, placedAt, headVersion(g.updState("m")))
+	}
+	g.wakeApply()
+	waitFor(t, "the missed entry replayed", func() bool { return atHead(g, "m") })
+	if got, err := backendSum(ctx, slow.URL, "m", n); err != nil || got != sum-1+7 {
+		t.Fatalf("repaired replica sum = %v, %v (want %v)", got, err, sum-1+7)
+	}
+	if st := g.Stats(); st.AsyncApplied != 1 || st.AsyncReseeds != 0 || st.Repairs != 1 {
+		t.Fatalf("applied=%d reseeds=%d repairs=%d, want one replayed entry, no reseed, one repair", st.AsyncApplied, st.AsyncReseeds, st.Repairs)
 	}
 }
 

@@ -8,13 +8,15 @@
 // Matrices are placed by rendezvous (highest-random-weight) hashing on
 // the matrix name with a configurable replication factor R: each
 // matrix ranks every backend by a per-(backend, name) hash and lives
-// on the top R. Uploads — single-body puts and the chunked
-// begin/append/commit lifecycle alike — fan out to all R replicas and
-// commit all-or-nothing: a partial failure tears down the copies that
-// landed, so a matrix is either queryable on its full replica set or
-// absent everywhere. The gateway retains each matrix's wire form and
-// is the placement's source of truth; that copy is what rebalancing
-// and replica repair re-upload. Row updates (UpdateRows) go to every
+// on the top R. There is one placement path, PutMatrix: a single-body
+// put fans out to all R replicas and commits all-or-nothing — a partial
+// failure tears down the copies that landed, so a matrix is either
+// queryable on its full replica set or absent everywhere — and the
+// chunked begin/append/commit lifecycle is staged at the gateway (no
+// backend sees a chunk) and placed through the same put at commit. The
+// gateway retains each matrix's wire form and is the placement's source
+// of truth; that copy is what rebalancing and every replica repair
+// re-upload, through one routine (seedReplica). Row updates (UpdateRows) go to every
 // live replica — or to Config.WriteQuorum of them — and advance the
 // retained copy in the same commit, so repairs after an update re-seed
 // the patched matrix; a replica that misses an update stays placed,

@@ -53,9 +53,9 @@ type Config struct {
 	// failing backend (ProbeInterval·2^consecutive-failures, capped
 	// here). Default 30s.
 	ProbeBackoffMax time.Duration
-	// UploadTTL bounds how long an idle fan-out chunked upload may sit
-	// staged at the gateway before it is garbage-collected (legs on the
-	// backends are aborted best-effort). Default 2 minutes.
+	// UploadTTL bounds how long an idle chunked upload may sit staged at
+	// the gateway before it is garbage-collected (lazily, on the next
+	// upload operation). Default 2 minutes.
 	UploadTTL time.Duration
 	// HTTPClient is the shared client for backend calls. Default
 	// http.DefaultClient.
@@ -151,7 +151,8 @@ func (pm *placedMatrix) clone() *placedMatrix {
 // pool of mpserver backends, places matrices across them by rendezvous
 // hashing with replication, and routes the service API against the
 // placement — estimates to the least-busy healthy replica with
-// failover, uploads fanned out to every replica all-or-nothing.
+// failover, uploads (single-body or staged chunk by chunk at the
+// gateway) placed on every replica all-or-nothing through PutMatrix.
 type Gateway struct {
 	cfg Config
 
@@ -161,15 +162,15 @@ type Gateway struct {
 	mu       sync.Mutex
 	backends map[string]*backend
 	matrices map[string]*placedMatrix
-	uploads  map[string]*fanoutUpload
+	uploads  map[string]*stagedUpload
 
 	// topoMu serializes topology changes (admin add/drain/remove and
 	// their rebalances, write side) against each other and against
-	// placements (PutMatrix and chunked commits, read side): a backend
-	// removed mid-placement would otherwise leave a matrix tabled only
-	// on an id no longer in the pool, unroutable until the next admin
-	// operation. Held across network calls — admin operations are rare
-	// and placements may share the read side freely.
+	// placements (PutMatrix, read side): a backend removed mid-placement
+	// would otherwise leave a matrix tabled only on an id no longer in
+	// the pool, unroutable until the next admin operation. Held across
+	// network calls — admin operations are rare and placements may share
+	// the read side freely.
 	topoMu sync.RWMutex
 
 	// upd holds each matrix's update-ordering state (log, applied
@@ -228,7 +229,7 @@ func New(cfg Config) *Gateway {
 		cfg:       cfg,
 		backends:  make(map[string]*backend),
 		matrices:  make(map[string]*placedMatrix),
-		uploads:   make(map[string]*fanoutUpload),
+		uploads:   make(map[string]*stagedUpload),
 		upd:       make(map[string]*matrixUpd),
 		applyWake: make(chan struct{}, 1),
 		sessions:  newSessionStore(cfg.SessionTTL),
@@ -354,6 +355,52 @@ func (g *Gateway) uploadTo(ctx context.Context, b *backend, name string, m servi
 		g.mu.Unlock()
 	}
 	return rep.MatrixInfo, nil
+}
+
+// errNotSeeded is seedReplica's verdict when it never contacted the
+// backend: the matrix left the table, a drain owns the send slot, or
+// the retained wire could not be loaded.
+var errNotSeeded = errors.New("gateway: replica not seeded")
+
+// seedReplica is the one way a placed matrix is re-shipped to a backend
+// (estimate-path repair, probe resync, rebalance gain, apply-loop
+// reseed): it uploads the table's current retained wire of name to b
+// and stamps b's applied entry with the version of the entry whose
+// wire it shipped — never a head read afterwards, so an update that
+// commits while the upload is in flight is still owed to b and the
+// apply loop replays it. The upload holds b's send slot for the matrix,
+// so it cannot interleave with a drain or a commit leg; held says the
+// caller (a drain) already owns the slot. It returns the shipped wire's
+// accounted size; an error other than errNotSeeded is the upload's own.
+func (g *Gateway) seedReplica(ctx context.Context, name string, b *backend, held bool) (int64, error) {
+	if !held {
+		st := g.updState(name)
+		if st == nil {
+			return 0, errNotSeeded
+		}
+		st.mu.Lock()
+		free := st.reserveLocked(b.id)
+		st.mu.Unlock()
+		if !free {
+			return 0, errNotSeeded
+		}
+		defer st.release(b.id)
+	}
+	g.mu.Lock()
+	pm, ok := g.matrices[name]
+	g.mu.Unlock()
+	if !ok {
+		return 0, errNotSeeded
+	}
+	wire, err := g.wireOf(pm)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", errNotSeeded, err)
+	}
+	if _, err := g.uploadTo(ctx, b, name, wire); err != nil {
+		return 0, err
+	}
+	g.setApplied(name, b.id, pm.ver)
+	return pm.wireBytes, nil
 }
 
 // fanout runs op against every backend concurrently and returns the
@@ -524,37 +571,15 @@ func (b *backend) callEstimate(ctx context.Context, req service.Request) (*servi
 	return res, err
 }
 
-// repairReplica re-uploads a placed matrix to a replica that answered
-// 404 for it — the backend restarted (losing its in-memory registry)
+// repairReplica re-seeds a replica that answered 404 for a matrix
+// placed on it — the backend restarted (losing its in-memory registry)
 // between the prober's resync passes. Returns true when the replica
-// holds the matrix again. The upload holds the backend's send slot so
-// it cannot interleave with an apply-loop drain; a reserved slot means
-// a drain is already fixing the replica, so the repair yields.
+// holds the matrix again; a drain already fixing the replica makes the
+// repair yield.
 func (g *Gateway) repairReplica(ctx context.Context, b *backend, name string) bool {
-	g.mu.Lock()
-	pm, ok := g.matrices[name]
-	g.mu.Unlock()
-	if !ok {
+	if _, err := g.seedReplica(ctx, name, b, false); err != nil {
 		return false
 	}
-	st := g.updState(name)
-	if st != nil {
-		st.mu.Lock()
-		ok := st.reserveLocked(b.id)
-		st.mu.Unlock()
-		if !ok {
-			return false
-		}
-		defer st.release(b.id)
-	}
-	wire, err := g.wireOf(pm)
-	if err != nil {
-		return false
-	}
-	if _, err := g.uploadTo(ctx, b, name, wire); err != nil {
-		return false
-	}
-	g.setApplied(name, b.id, pm.ver)
 	g.repairs.Add(1)
 	return true
 }

@@ -20,7 +20,7 @@ import (
 //	PUT    /v1/matrix/{name}           replicated upload (all-or-nothing across R replicas)
 //	DELETE /v1/matrix/{name}           remove a matrix from every replica
 //	GET    /v1/matrices                placed matrices with their replica sets
-//	POST   /v1/matrices/{name}/chunks  replicated chunked upload: begin/append/commit/abort
+//	POST   /v1/matrices/{name}/chunks  chunked upload: begin/append/abort stage at the gateway, commit places like PUT
 //	PATCH  /v1/matrices/{name}/rows    replicated row update (all-or-nothing, wire copy retained)
 //	POST   /v1/estimate                route to the least-busy healthy replica, failover on error
 //	POST   /v1/estimate/batch          scatter sub-batches across replicas, gather in order
@@ -78,14 +78,14 @@ func NewHandler(g *Gateway) http.Handler {
 		name := r.PathValue("name")
 		switch req.Op {
 		case "begin":
-			info, err := g.BeginUpload(r.Context(), name, req.Rows, req.Cols)
+			info, err := g.BeginUpload(name, req.Rows, req.Cols)
 			if err != nil {
 				g.writeError(w, err)
 				return
 			}
 			service.WriteJSON(w, http.StatusOK, info)
 		case "append":
-			info, err := g.AppendChunk(r.Context(), name, req.Upload, req.RowStart, req.RowEnd, req.Entries)
+			info, err := g.AppendChunk(name, req.Upload, req.RowStart, req.RowEnd, req.Entries)
 			if err != nil {
 				g.writeError(w, err)
 				return
@@ -99,7 +99,7 @@ func NewHandler(g *Gateway) http.Handler {
 			}
 			service.WriteJSON(w, http.StatusOK, info)
 		case "abort":
-			if err := g.AbortUpload(r.Context(), name, req.Upload); err != nil {
+			if err := g.AbortUpload(name, req.Upload); err != nil {
 				g.writeError(w, err)
 				return
 			}

@@ -115,34 +115,55 @@ func TestBatchItemRepair(t *testing.T) {
 
 // TestEvictionPrunesPlacement pins that a backend LRU-evicting a
 // placed matrix (its registry capacity below its share) prunes the
-// evicted copy from the table instead of leaving a dangling replica.
+// evicted copy from the table instead of leaving a dangling replica —
+// however the evicting placement arrives.
 func TestEvictionPrunesPlacement(t *testing.T) {
-	b1 := startBackendWith(t, service.Config{Workers: 2, Shards: 1, MaxMatrices: 1})
-	g := newTestGateway(t, 1, b1.addr)
 	ctx := context.Background()
+	for how, place := range map[string]func(g *Gateway, name string) error{
+		"put": func(g *Gateway, name string) error {
+			_, err := g.PutMatrix(ctx, name, identWire(4))
+			return err
+		},
+		"chunked": func(g *Gateway, name string) error {
+			up, err := g.BeginUpload(name, 4, 4)
+			if err != nil {
+				return err
+			}
+			if _, err := g.AppendChunk(name, up.Upload, 0, 4, identWire(4).Entries); err != nil {
+				return err
+			}
+			_, err = g.CommitUpload(ctx, name, up.Upload)
+			return err
+		},
+	} {
+		t.Run(how, func(t *testing.T) {
+			b1 := startBackendWith(t, service.Config{Workers: 2, Shards: 1, MaxMatrices: 1})
+			g := newTestGateway(t, 1, b1.addr)
 
-	if _, err := g.PutMatrix(ctx, "first", identWire(4)); err != nil {
-		t.Fatalf("put first: %v", err)
-	}
-	// The second placement evicts the first on the capacity-1 backend.
-	if _, err := g.PutMatrix(ctx, "second", identWire(4)); err != nil {
-		t.Fatalf("put second: %v", err)
-	}
-	var first *PlacementInfo
-	for _, pm := range g.Matrices() {
-		if pm.Name == "first" {
-			pm := pm
-			first = &pm
-		}
-	}
-	if first == nil {
-		t.Fatal("evicted matrix dropped from the table entirely (should stay, replica-less)")
-	}
-	if len(first.Replicas) != 0 {
-		t.Fatalf("table still lists a replica for the evicted matrix: %v", first.Replicas)
-	}
-	if st := g.Stats(); st.LostReplicas == 0 {
-		t.Fatal("lost replica not counted")
+			if _, err := g.PutMatrix(ctx, "first", identWire(4)); err != nil {
+				t.Fatalf("put first: %v", err)
+			}
+			// The second placement evicts the first on the capacity-1 backend.
+			if err := place(g, "second"); err != nil {
+				t.Fatalf("place second: %v", err)
+			}
+			var first *PlacementInfo
+			for _, pm := range g.Matrices() {
+				if pm.Name == "first" {
+					pm := pm
+					first = &pm
+				}
+			}
+			if first == nil {
+				t.Fatal("evicted matrix dropped from the table entirely (should stay, replica-less)")
+			}
+			if len(first.Replicas) != 0 {
+				t.Fatalf("table still lists a replica for the evicted matrix: %v", first.Replicas)
+			}
+			if st := g.Stats(); st.LostReplicas == 0 {
+				t.Fatal("lost replica not counted")
+			}
+		})
 	}
 }
 

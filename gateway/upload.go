@@ -3,278 +3,166 @@ package gateway
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/service"
 )
 
-// fanoutUpload is one in-progress replicated chunked upload: the
-// gateway token the client holds, one backend-side upload leg per
-// target replica, and the accumulated entries that become the
-// placement table's retained wire form at commit.
-//
-// legMu serializes the upload's own lifecycle steps (two appends to
-// the same token must not interleave across the legs); the gateway's
-// map lock is never held across the network calls.
-type fanoutUpload struct {
-	token string
-	name  string
-	rows  int
-	cols  int
+// Chunked uploads are staged at the gateway and placed through
+// PutMatrix: begin, append and abort touch no backend, and commit hands
+// the assembled wire matrix to the one placement path. The gateway has
+// to hold the whole wire form anyway (it is the retained copy every
+// repair re-uploads in one body), so per-replica upload legs would buy
+// nothing a single put does not.
 
-	legMu   sync.Mutex
-	legs    []uploadLeg
+// stagedUpload is one in-progress chunked upload: the client's token,
+// running counts and GC deadline (info) and the entries accepted so
+// far. Guarded by Gateway.mu; info's name and dimensions never change
+// after begin.
+type stagedUpload struct {
+	info    service.UploadInfo
 	entries [][3]int64
-	chunks  int
-	// touched is the last-activity time as UnixNano — atomic, because
-	// appends write it under legMu while the GC reads it under g.mu,
-	// and the two paths share no other lock.
-	touched atomic.Int64
 }
 
-// uploadLeg is one backend's half of a fan-out upload.
-type uploadLeg struct {
-	b     *backend
-	token string
+// cells is the upload's declared rows×cols — what it counts against
+// the staging budget, and the most entries a duplicate-free upload can
+// carry.
+func (up *stagedUpload) cells() int64 {
+	return int64(up.info.Rows) * int64(up.info.Cols)
 }
 
-// gcUploadsLocked drops fan-out uploads idle past the TTL, aborting
-// their backend legs best-effort. Callers hold g.mu; the aborts run
-// detached so the lock is not held across network calls.
-func (g *Gateway) gcUploadsLocked(now time.Time) {
-	for tok, up := range g.uploads {
-		if now.Sub(time.Unix(0, up.touched.Load())) > g.cfg.UploadTTL {
-			delete(g.uploads, tok)
-			go up.abortLegs()
-		}
-	}
-}
-
-// abortLegs discards the upload's staged state on every backend,
-// best-effort (the backends' own TTL GC is the backstop).
-func (up *fanoutUpload) abortLegs() {
-	up.legMu.Lock() //mp:lockio-ok audited: per-upload leg serialization; abortLegs runs detached (never under g.mu) and the legs must not interleave with a racing append/commit
-	defer up.legMu.Unlock()
-	for _, leg := range up.legs {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		_ = leg.b.client.AbortUpload(ctx, up.name, leg.token)
-		cancel()
-	}
-}
-
-// lookupUpload resolves a gateway upload token addressed at the named
-// matrix, running the lazy TTL GC on the way.
-func (g *Gateway) lookupUpload(name, token string) (*fanoutUpload, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.gcUploadsLocked(time.Now())
+// lookupUploadLocked resolves a token addressed at the named matrix,
+// dropping uploads idle past the TTL on the way. A token begun under
+// another name is not found. Callers hold g.mu.
+func (g *Gateway) lookupUploadLocked(name, token string, now time.Time) (*stagedUpload, error) {
+	g.gcUploadsLocked(now)
 	up, ok := g.uploads[token]
-	if !ok || up.name != name {
+	if !ok || up.info.Name != name {
 		return nil, fmt.Errorf("%w: %q for matrix %q", service.ErrUploadNotFound, token, name)
 	}
 	return up, nil
 }
 
-// BeginUpload starts a replicated chunked upload: one backend-side
-// upload is begun on every target replica, and the returned UploadInfo
-// carries the gateway's own token, which every subsequent step must
-// present. Any leg failing to begin aborts the others (all-or-nothing
-// from the first step).
-func (g *Gateway) BeginUpload(ctx context.Context, name string, rows, cols int) (service.UploadInfo, error) {
+func (g *Gateway) gcUploadsLocked(now time.Time) {
+	for tok, up := range g.uploads {
+		if now.After(up.info.Expires) {
+			delete(g.uploads, tok)
+		}
+	}
+}
+
+// BeginUpload stages a chunked upload of a rows×cols matrix and returns
+// the gateway's token, which every subsequent step must present. What a
+// client can pin is bounded like an engine's staging: at most
+// service.DefaultMaxUploads uploads declaring at most
+// service.DefaultMaxStagedElems cells between them, beyond which begin
+// answers ErrOverloaded. With no placeable backend it fails fast.
+func (g *Gateway) BeginUpload(name string, rows, cols int) (service.UploadInfo, error) {
 	if g.isClosed() {
 		return service.UploadInfo{}, ErrClosed
 	}
 	if name == "" {
 		return service.UploadInfo{}, fmt.Errorf("%w: empty matrix name", service.ErrBadRequest)
 	}
-	targets := g.placementTargets(name)
-	if len(targets) == 0 {
+	if err := service.CheckDims(rows, cols); err != nil {
+		return service.UploadInfo{}, err
+	}
+	if len(g.placementTargets(name)) == 0 {
 		return service.UploadInfo{}, ErrNoBackends
 	}
-	infos := make([]service.UploadInfo, len(targets))
-	errs, first := fanout(targets, func(i int, b *backend) error {
-		var err error
-		infos[i], err = b.client.BeginUpload(ctx, name, rows, cols)
-		return err
-	})
-	if first != nil {
-		for i, err := range errs {
-			if err == nil {
-				abortCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				_ = targets[i].client.AbortUpload(abortCtx, name, infos[i].Upload)
-				cancel()
-			}
-		}
-		return service.UploadInfo{}, fmt.Errorf("gateway: replicated begin of %q failed: %w", name, first)
-	}
 	now := time.Now()
-	up := &fanoutUpload{
-		token: fmt.Sprintf("gw-%d-%d", g.upSeq.Add(1), now.UnixNano()),
-		name:  name,
-		rows:  rows,
-		cols:  cols,
-	}
-	up.touched.Store(now.UnixNano())
-	for i, b := range targets {
-		up.legs = append(up.legs, uploadLeg{b: b, token: infos[i].Upload})
-	}
+	up := &stagedUpload{info: service.UploadInfo{
+		Upload:  fmt.Sprintf("gw-%d-%d", g.upSeq.Add(1), now.UnixNano()),
+		Name:    name,
+		Rows:    rows,
+		Cols:    cols,
+		Expires: now.Add(g.cfg.UploadTTL),
+	}}
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	g.gcUploadsLocked(now)
-	g.uploads[up.token] = up
-	g.mu.Unlock()
-	info := infos[0]
-	info.Upload = up.token
-	info.Expires = now.Add(g.cfg.UploadTTL)
-	return info, nil
+	if len(g.uploads) >= service.DefaultMaxUploads {
+		return service.UploadInfo{}, fmt.Errorf("%w: %d uploads already staged", service.ErrOverloaded, len(g.uploads))
+	}
+	staged := up.cells()
+	for _, other := range g.uploads {
+		staged += other.cells()
+	}
+	if staged > service.DefaultMaxStagedElems {
+		return service.UploadInfo{}, fmt.Errorf("%w: %d staged elements exceeds budget %d",
+			service.ErrOverloaded, staged, int64(service.DefaultMaxStagedElems))
+	}
+	g.uploads[up.info.Upload] = up
+	return up.info, nil
 }
 
-// AppendChunk ships one row-range chunk to every leg of a replicated
-// upload. Unlike the single-backend path — where a rejected chunk can
-// be corrected and resent — any leg failure here aborts the whole
-// upload: a chunk accepted by some replicas and rejected by others
-// would leave the legs divergent, and a resend would then be a
-// duplicate on the replicas that took it the first time.
-func (g *Gateway) AppendChunk(ctx context.Context, name, token string, rowStart, rowEnd int, entries [][3]int64) (service.UploadInfo, error) {
-	up, err := g.lookupUpload(name, token)
+// AppendChunk validates one row-range chunk (service.CheckChunk, the
+// engines' rule) and stages its entries. A rejected chunk stages
+// nothing, so it can be corrected and resent. A cell repeated across
+// chunks is not detected here: the replicas reject it at commit.
+func (g *Gateway) AppendChunk(name, token string, rowStart, rowEnd int, entries [][3]int64) (service.UploadInfo, error) {
+	g.mu.Lock()
+	up, err := g.lookupUploadLocked(name, token, time.Now())
+	g.mu.Unlock()
 	if err != nil {
 		return service.UploadInfo{}, err
 	}
-	up.legMu.Lock() //mp:lockio-ok audited: chunks must ship to every leg in one serialized step or replicas diverge (see method doc)
-	defer up.legMu.Unlock()
-	legBackends := make([]*backend, len(up.legs))
-	for i, leg := range up.legs {
-		legBackends[i] = leg.b
+	// The chunk is checked outside g.mu (the routing paths share it).
+	if err := service.CheckChunk(up.info.Rows, up.info.Cols, rowStart, rowEnd, entries); err != nil {
+		return service.UploadInfo{}, err
 	}
-	infos := make([]service.UploadInfo, len(up.legs))
-	_, first := fanout(legBackends, func(i int, b *backend) error {
-		var err error
-		infos[i], err = b.client.AppendChunk(ctx, name, up.legs[i].token, rowStart, rowEnd, entries)
-		return err
-	})
-	if first != nil {
-		g.dropUpload(up)
-		go up.abortLegs()
-		return service.UploadInfo{}, fmt.Errorf("gateway: replicated append to %q failed (upload aborted): %w", name, first)
+	nnz := 0
+	for _, ent := range entries {
+		if ent[2] != 0 {
+			nnz++
+		}
 	}
 	now := time.Now()
-	up.entries = append(up.entries, entries...)
-	up.chunks++
-	up.touched.Store(now.UnixNano())
-	info := infos[0]
-	info.Upload = up.token
-	info.Expires = now.Add(g.cfg.UploadTTL)
-	return info, nil
-}
-
-// dropUpload removes the upload from the staging table.
-func (g *Gateway) dropUpload(up *fanoutUpload) {
 	g.mu.Lock()
-	delete(g.uploads, up.token)
-	g.mu.Unlock()
+	defer g.mu.Unlock()
+	// Resolved again: it may have been committed, aborted or expired.
+	if up, err = g.lookupUploadLocked(name, token, now); err != nil {
+		return service.UploadInfo{}, err
+	}
+	// More entries than cells must repeat one; refusing them here bounds
+	// what a resent chunk can pin to the declared size.
+	if int64(len(up.entries)+len(entries)) > up.cells() {
+		return service.UploadInfo{}, fmt.Errorf("%w: more entries than the %dx%d matrix has cells (duplicates)",
+			service.ErrBadRequest, up.info.Rows, up.info.Cols)
+	}
+	up.entries = append(up.entries, entries...)
+	up.info.Entries += len(entries)
+	up.info.NNZ += nnz
+	up.info.Chunks++
+	up.info.Expires = now.Add(g.cfg.UploadTTL)
+	return up.info, nil
 }
 
-// CommitUpload commits every leg of a replicated upload,
-// all-or-nothing: if any replica fails to commit, the copies that did
-// install are deleted and the still-staged legs aborted, so the
-// matrix is either queryable on its full replica set or absent
-// everywhere. On success the placement table records the matrix with
-// the entries accumulated across the appends as its retained wire
-// form. The gateway token is consumed either way.
-func (g *Gateway) CommitUpload(ctx context.Context, name, token string) (PlacementInfo, error) {
-	if g.isClosed() {
-		return PlacementInfo{}, ErrClosed
+// takeUpload consumes a token: the upload leaves the staging table.
+func (g *Gateway) takeUpload(name, token string) (*stagedUpload, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	up, err := g.lookupUploadLocked(name, token, time.Now())
+	if err == nil {
+		delete(g.uploads, token)
 	}
-	up, err := g.lookupUpload(name, token)
+	return up, err
+}
+
+// CommitUpload consumes the token and places the staged matrix through
+// PutMatrix — all-or-nothing across the replicas, exactly as a
+// single-body put of the assembled matrix. The token is consumed either
+// way.
+func (g *Gateway) CommitUpload(ctx context.Context, name, token string) (PlacementInfo, error) {
+	up, err := g.takeUpload(name, token)
 	if err != nil {
 		return PlacementInfo{}, err
 	}
-	// Shared with other placements, exclusive against admin topology
-	// changes while the commit installs (see topoMu). The legs were
-	// targeted at begin time, so backends removed since then are
-	// reconciled below.
-	g.topoMu.RLock() //mp:lockio-ok audited: shared topology pin held across the commit legs so admin changes cannot race the install (see comment above)
-	defer g.topoMu.RUnlock()
-	up.legMu.Lock() //mp:lockio-ok audited: the all-or-nothing commit must not interleave with a racing append/abort on the same legs
-	defer up.legMu.Unlock()
-	g.dropUpload(up)
-	legBackends := make([]*backend, len(up.legs))
-	for i, leg := range up.legs {
-		legBackends[i] = leg.b
-	}
-	infos := make([]service.MatrixInfo, len(up.legs))
-	errs, first := fanout(legBackends, func(i int, b *backend) error {
-		var err error
-		infos[i], err = b.client.CommitUpload(ctx, name, up.legs[i].token)
-		return err
-	})
-	if first != nil {
-		for i, err := range errs {
-			cleanCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			if err == nil {
-				// This leg committed: tear the installed copy down.
-				_ = legBackends[i].client.DeleteMatrix(cleanCtx, name)
-			} else {
-				// This leg may still be staged: discard it.
-				_ = legBackends[i].client.AbortUpload(cleanCtx, name, up.legs[i].token)
-			}
-			cancel()
-		}
-		return PlacementInfo{}, fmt.Errorf("gateway: replicated commit of %q failed: %w", name, first)
-	}
-	// A backend removed from the pool between begin and commit must not
-	// enter the placement: its copy is torn down and only still-pooled
-	// replicas are recorded.
-	g.mu.Lock()
-	ids := make([]string, 0, len(legBackends))
-	var gone []*backend
-	for _, b := range legBackends {
-		if _, pooled := g.backends[b.id]; pooled {
-			ids = append(ids, b.id)
-		} else {
-			gone = append(gone, b)
-		}
-	}
-	g.mu.Unlock()
-	for _, b := range gone {
-		delCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		_ = b.client.DeleteMatrix(delCtx, name)
-		cancel()
-	}
-	if len(ids) == 0 {
-		return PlacementInfo{}, fmt.Errorf("%w: every upload leg's backend left the pool before commit", ErrNoBackends)
-	}
-	wire := service.Matrix{Rows: up.rows, Cols: up.cols, Entries: up.entries}
-	ver := version{epoch: g.epochSeq.Add(1)}
-	pm := &placedMatrix{
-		info:      infos[0],
-		wire:      wire,
-		wireBytes: wireSize(wire),
-		replicas:  ids,
-		ver:       ver,
-	}
-	g.mu.Lock()
-	g.matrices[name] = pm
-	g.mu.Unlock()
-	g.resetUpdState(name, ver, ids)
-	g.placements.Add(1)
-	g.maybeSpill()
-	return PlacementInfo{MatrixInfo: pm.info, Replicas: ids}, nil
+	return g.PutMatrix(ctx, name, service.Matrix{Rows: up.info.Rows, Cols: up.info.Cols, Entries: up.entries})
 }
 
-// AbortUpload discards a replicated upload: every leg is aborted and
-// the gateway token consumed.
-func (g *Gateway) AbortUpload(ctx context.Context, name, token string) error {
-	up, err := g.lookupUpload(name, token)
-	if err != nil {
-		return err
-	}
-	g.dropUpload(up)
-	up.legMu.Lock() //mp:lockio-ok audited: per-upload leg serialization, same contract as abortLegs
-	defer up.legMu.Unlock()
-	for _, leg := range up.legs {
-		_ = leg.b.client.AbortUpload(ctx, up.name, leg.token)
-	}
-	return nil
+// AbortUpload discards a staged upload and consumes its token.
+func (g *Gateway) AbortUpload(name, token string) error {
+	_, err := g.takeUpload(name, token)
+	return err
 }

@@ -321,28 +321,12 @@ func (e *Engine) recoverFromStore() {
 			p.recoveryErrs.Add(1)
 			continue
 		}
-		dense, binary, nonNeg, err := m.toDense()
+		dense, _, _, err := m.toDense()
 		if err != nil {
 			p.recoveryErrs.Add(1)
 			continue
 		}
-		sm := &servedMatrix{
-			info: MatrixInfo{
-				Name:     name,
-				Rows:     dense.Rows(),
-				Cols:     dense.Cols(),
-				NNZ:      dense.L0(),
-				Binary:   binary,
-				NonNeg:   nonNeg,
-				Uploaded: uploaded,
-			},
-			gen:   snap.Epoch,
-			sub:   snap.Seq,
-			dense: dense,
-		}
-		if binary {
-			sm.bits = toBool(dense)
-		}
+		sm := newServedMatrix(name, dense, uploaded, snap.Epoch, snap.Seq, nil, nil)
 		applied := 0
 		for _, r := range recs {
 			if r.Epoch != snap.Epoch || r.Seq <= sm.sub {

@@ -47,6 +47,42 @@ type servedMatrix struct {
 	elem  *list.Element
 }
 
+// newServedMatrix assembles a registry entry from a validated dense
+// form; one scan derives the catalog flags. The bit form of a 0/1
+// matrix is built from scratch unless prevBits — the still-valid bit
+// form of the entry's predecessor — is given, in which case only the
+// touched rows are re-derived (the row-update path).
+func newServedMatrix(name string, dense *intmat.Dense, uploaded time.Time, gen, sub uint64, prevBits *bitmat.Matrix, touched []int) *servedMatrix {
+	nnz, binary, nonNeg := scanDense(dense)
+	sm := &servedMatrix{
+		info: MatrixInfo{
+			Name:     name,
+			Rows:     dense.Rows(),
+			Cols:     dense.Cols(),
+			NNZ:      nnz,
+			Binary:   binary,
+			NonNeg:   nonNeg,
+			Uploaded: uploaded,
+		},
+		gen:   gen,
+		sub:   sub,
+		dense: dense,
+	}
+	switch {
+	case !binary:
+	case prevBits == nil:
+		sm.bits = toBool(dense)
+	default:
+		sm.bits = prevBits.Clone()
+		for _, k := range touched {
+			for j, v := range dense.Row(k) {
+				sm.bits.Set(k, j, v != 0)
+			}
+		}
+	}
+	return sm
+}
+
 // registry is the named-matrix store hosting Bob's side of the service:
 // upload B once, query it many times. Capacity is bounded; inserting
 // beyond it evicts the least-recently-used matrix (uploads and queries

@@ -319,37 +319,7 @@ func patchServed(sm *servedMatrix, ups []RowUpdate, delta bool) (*servedMatrix, 
 			}
 		}
 	}
-	nnz, binary, nonNeg := scanDense(dense)
-	newSM := &servedMatrix{
-		info: MatrixInfo{
-			Name:     sm.info.Name,
-			Rows:     sm.info.Rows,
-			Cols:     sm.info.Cols,
-			NNZ:      nnz,
-			Binary:   binary,
-			NonNeg:   nonNeg,
-			Uploaded: sm.info.Uploaded,
-		},
-		gen:   sm.gen,
-		sub:   sm.sub + 1,
-		dense: dense,
-	}
-	if binary {
-		if sm.bits != nil {
-			// The bit form was valid before the update: patch only the
-			// touched rows.
-			bits := sm.bits.Clone()
-			for _, k := range rows {
-				for j, v := range dense.Row(k) {
-					bits.Set(k, j, v != 0)
-				}
-			}
-			newSM.bits = bits
-		} else {
-			newSM.bits = toBool(dense)
-		}
-	}
-	return newSM, rows, nil
+	return newServedMatrix(sm.info.Name, dense, sm.info.Uploaded, sm.gen, sm.sub+1, sm.bits, rows), rows, nil
 }
 
 // advanceState incrementally advances one cached Bob state to the

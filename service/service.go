@@ -112,6 +112,13 @@ type Config struct {
 	MaxStagedElems int64
 }
 
+// The chunked-upload staging defaults. The gateway, which stages
+// uploads itself, bounds them with the same two values.
+const (
+	DefaultMaxUploads     = 16
+	DefaultMaxStagedElems = 2 * maxMatrixElems
+)
+
 func (c *Config) setDefaults() {
 	if c.Workers <= 0 {
 		c.Workers = 8
@@ -147,10 +154,10 @@ func (c *Config) setDefaults() {
 		c.UploadTTL = 2 * time.Minute
 	}
 	if c.MaxUploads <= 0 {
-		c.MaxUploads = 16
+		c.MaxUploads = DefaultMaxUploads
 	}
 	if c.MaxStagedElems <= 0 {
-		c.MaxStagedElems = 2 * maxMatrixElems
+		c.MaxStagedElems = DefaultMaxStagedElems
 	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 64
@@ -293,26 +300,18 @@ func (e *Engine) PutMatrix(name string, m Matrix) (MatrixInfo, []string, error) 
 	if name == "" {
 		return MatrixInfo{}, nil, fmt.Errorf("%w: empty matrix name", ErrBadRequest)
 	}
-	dense, binary, nonNeg, err := m.toDense()
+	dense, _, _, err := m.toDense()
 	if err != nil {
 		return MatrixInfo{}, nil, err
 	}
-	sm := &servedMatrix{
-		info: MatrixInfo{
-			Name:     name,
-			Rows:     dense.Rows(),
-			Cols:     dense.Cols(),
-			NNZ:      dense.L0(),
-			Binary:   binary,
-			NonNeg:   nonNeg,
-			Uploaded: time.Now(),
-		},
-		gen:   e.genSeq.Add(1),
-		dense: dense,
-	}
-	if binary {
-		sm.bits = toBool(dense)
-	}
+	return e.install(newServedMatrix(name, dense, time.Now(), e.genSeq.Add(1), 0, nil, nil))
+}
+
+// install is the tail every wholesale install shares (a single-body
+// put, a chunked commit): the matrix becomes durable, then visible,
+// then its LRU victims are accounted and tombstoned.
+func (e *Engine) install(sm *servedMatrix) (MatrixInfo, []string, error) {
+	name := sm.info.Name
 	// Durability before visibility: once a client sees the install
 	// acknowledged, a crash at any point must re-serve this matrix.
 	if err := e.persistPut(name, sm); err != nil {

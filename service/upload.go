@@ -56,8 +56,6 @@ type stagingUpload struct {
 	// on a dense upload would cost gigabytes held for the whole staging
 	// lifetime.
 	seen    []uint64
-	binary  bool
-	nonNeg  bool
 	touched time.Time
 }
 
@@ -143,8 +141,8 @@ func (e *Engine) BeginUpload(name string, rows, cols int) (UploadInfo, error) {
 	if name == "" {
 		return UploadInfo{}, fmt.Errorf("%w: empty matrix name", ErrBadRequest)
 	}
-	if !dimsInRange(rows, cols) {
-		return UploadInfo{}, fmt.Errorf("%w: matrix dimensions %dx%d out of range", ErrBadRequest, rows, cols)
+	if err := CheckDims(rows, cols); err != nil {
+		return UploadInfo{}, err
 	}
 	now := time.Now()
 	e.upMu.Lock()
@@ -173,8 +171,6 @@ func (e *Engine) BeginUpload(name string, rows, cols int) (UploadInfo, error) {
 		},
 		dense:   intmat.NewDense(rows, cols),
 		seen:    make([]uint64, (int64(rows)*int64(cols)+63)/64),
-		binary:  true,
-		nonNeg:  true,
 		touched: now,
 	}
 	e.uploads[token] = up
@@ -194,12 +190,32 @@ func (e *Engine) lookupUploadLocked(name, token string) (*stagingUpload, error) 
 	return up, nil
 }
 
+// CheckChunk is the position rule of one row-range chunk of a rows×cols
+// chunked upload: the declared range must lie inside the matrix and
+// every entry inside [rowStart, rowEnd) × [0, cols). Both tiers apply
+// it before staging anything, so a rejected chunk can be corrected and
+// resent.
+func CheckChunk(rows, cols, rowStart, rowEnd int, entries [][3]int64) error {
+	if rowStart < 0 || rowEnd > rows || rowStart >= rowEnd {
+		return fmt.Errorf("%w: chunk row range [%d, %d) outside matrix with %d rows",
+			ErrBadRequest, rowStart, rowEnd, rows)
+	}
+	for _, ent := range entries {
+		i, j := ent[0], ent[1]
+		if i < int64(rowStart) || i >= int64(rowEnd) || j < 0 || j >= int64(cols) {
+			return fmt.Errorf("%w: entry (%d, %d) outside chunk range [%d, %d)x[0, %d)",
+				ErrBadRequest, i, j, rowStart, rowEnd, cols)
+		}
+	}
+	return nil
+}
+
 // AppendChunk validates and stages one row-range chunk of an upload:
-// every entry must land inside [rowStart, rowEnd) × [0, cols), and a
-// cell already populated by any earlier chunk (or this one) is a
-// duplicate — the same cell-level discipline the single-body path's
-// toDense applies, enforced chunk by chunk so a bad chunk is rejected
-// without poisoning the rest of the upload.
+// every entry must pass CheckChunk, and a cell already populated by any
+// earlier chunk (or this one) is a duplicate — the same cell-level
+// discipline the single-body path's toDense applies, enforced chunk by
+// chunk so a bad chunk is rejected without poisoning the rest of the
+// upload.
 func (e *Engine) AppendChunk(name, token string, rowStart, rowEnd int, entries [][3]int64) (UploadInfo, error) {
 	now := time.Now()
 	e.upMu.Lock()
@@ -209,37 +225,21 @@ func (e *Engine) AppendChunk(name, token string, rowStart, rowEnd int, entries [
 	if err != nil {
 		return UploadInfo{}, err
 	}
-	if rowStart < 0 || rowEnd > up.info.Rows || rowStart >= rowEnd {
-		return UploadInfo{}, fmt.Errorf("%w: chunk row range [%d, %d) outside matrix with %d rows",
-			ErrBadRequest, rowStart, rowEnd, up.info.Rows)
+	// Validate the whole chunk before mutating the staged matrix.
+	if err := CheckChunk(up.info.Rows, up.info.Cols, rowStart, rowEnd, entries); err != nil {
+		return UploadInfo{}, err
 	}
-	// Validate the whole chunk before mutating the staged matrix, so a
-	// rejected chunk can be corrected and resent.
 	staged := make(map[int64]struct{}, len(entries))
 	for _, ent := range entries {
-		i, j := ent[0], ent[1]
-		if i < int64(rowStart) || i >= int64(rowEnd) || j < 0 || j >= int64(up.info.Cols) {
-			return UploadInfo{}, fmt.Errorf("%w: entry (%d, %d) outside chunk range [%d, %d)x[0, %d)",
-				ErrBadRequest, i, j, rowStart, rowEnd, up.info.Cols)
-		}
-		cell := i*int64(up.info.Cols) + j
-		if up.cellSeen(cell) {
-			return UploadInfo{}, fmt.Errorf("%w: duplicate entry (%d, %d)", ErrBadRequest, i, j)
-		}
-		if _, dup := staged[cell]; dup {
-			return UploadInfo{}, fmt.Errorf("%w: duplicate entry (%d, %d)", ErrBadRequest, i, j)
+		cell := ent[0]*int64(up.info.Cols) + ent[1]
+		if _, dup := staged[cell]; dup || up.cellSeen(cell) {
+			return UploadInfo{}, fmt.Errorf("%w: duplicate entry (%d, %d)", ErrBadRequest, ent[0], ent[1])
 		}
 		staged[cell] = struct{}{}
 	}
 	for _, ent := range entries {
 		i, j, v := ent[0], ent[1], ent[2]
 		up.markCell(i*int64(up.info.Cols) + j)
-		if v != 0 && v != 1 {
-			up.binary = false
-		}
-		if v < 0 {
-			up.nonNeg = false
-		}
 		if v != 0 {
 			up.info.NNZ++
 		}
@@ -275,36 +275,10 @@ func (e *Engine) CommitUpload(name, token string) (MatrixInfo, []string, error) 
 	if err != nil {
 		return MatrixInfo{}, nil, err
 	}
-	sm := &servedMatrix{
-		info: MatrixInfo{
-			Name:     up.info.Name,
-			Rows:     up.info.Rows,
-			Cols:     up.info.Cols,
-			NNZ:      up.dense.L0(),
-			Binary:   up.binary,
-			NonNeg:   up.nonNeg,
-			Uploaded: now,
-		},
-		gen:   e.genSeq.Add(1),
-		dense: up.dense,
-	}
-	if up.binary {
-		sm.bits = toBool(up.dense)
-	}
-	// Same durability-before-visibility ordering as PutMatrix. The
-	// staged upload is already consumed: a store failure loses the
-	// staging, but never acknowledges an install that would vanish on
-	// restart.
-	if err := e.persistPut(up.info.Name, sm); err != nil {
-		return MatrixInfo{}, nil, err
-	}
-	evicted := e.reg.put(up.info.Name, sm)
-	e.stats.evict(len(evicted))
-	e.persistTombstones(evicted)
-	if e.cache != nil {
-		e.cache.invalidateMatrix(append(evicted, up.info.Name)...)
-	}
-	return sm.info, evicted, nil
+	// The staged upload is already consumed: a store failure in install
+	// loses the staging, but never acknowledges an install that would
+	// vanish on restart. The staged dense form is handed over as is.
+	return e.install(newServedMatrix(name, up.dense, now, e.genSeq.Add(1), 0, nil, nil))
 }
 
 // AbortUpload discards a staged upload and consumes its token.

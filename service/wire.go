@@ -56,6 +56,15 @@ func dimsInRange(rows, cols int) bool {
 	return int64(rows)*int64(cols) <= maxMatrixElems
 }
 
+// CheckDims is the dimension rule every install path applies — a
+// single-body put, a chunked begin, and the gateway's staged begin.
+func CheckDims(rows, cols int) error {
+	if !dimsInRange(rows, cols) {
+		return fmt.Errorf("%w: matrix dimensions %dx%d out of range", ErrBadRequest, rows, cols)
+	}
+	return nil
+}
+
 // toDense validates the wire matrix and converts it, reporting whether
 // every entry is 0/1 (binary, eligible for the ℓ∞ protocols) and
 // whether all entries are non-negative (eligible for Remark 2/3).
@@ -64,8 +73,8 @@ func dimsInRange(rows, cols int) bool {
 // which is computed from the dense form precisely because wire entries
 // may carry explicit zeros.
 func (m Matrix) toDense() (d *intmat.Dense, binary, nonNeg bool, err error) {
-	if !dimsInRange(m.Rows, m.Cols) {
-		return nil, false, false, fmt.Errorf("%w: matrix dimensions %dx%d out of range", ErrBadRequest, m.Rows, m.Cols)
+	if err := CheckDims(m.Rows, m.Cols); err != nil {
+		return nil, false, false, err
 	}
 	d = intmat.NewDense(m.Rows, m.Cols)
 	seen := make(map[int64]struct{}, len(m.Entries))
