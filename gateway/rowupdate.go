@@ -51,7 +51,9 @@ import (
 func patchWire(w service.Matrix, ups []service.RowUpdate, delta bool) (service.Matrix, []int, error) {
 	affected := make(map[int]map[int64]int64, len(ups))
 	rows := make([]int, 0, len(ups))
+	size := len(w.Entries) // the output is at most the old entries plus the patch's
 	for _, u := range ups {
+		size += len(u.Entries)
 		if u.Row < 0 || u.Row >= w.Rows {
 			return service.Matrix{}, nil, fmt.Errorf("%w: row %d outside %d-row matrix", service.ErrBadRequest, u.Row, w.Rows)
 		}
@@ -68,7 +70,9 @@ func patchWire(w service.Matrix, ups []service.RowUpdate, delta bool) (service.M
 		affected[u.Row] = m
 		rows = append(rows, u.Row)
 	}
-	out := service.Matrix{Rows: w.Rows, Cols: w.Cols}
+	// One allocation, not append's doublings across ~50k entries on every
+	// update: this copy used to be most of gateway.fanout_ms (DESIGN.md).
+	out := service.Matrix{Rows: w.Rows, Cols: w.Cols, Entries: make([][3]int64, 0, size)}
 	for _, ent := range w.Entries {
 		m, hit := affected[int(ent[0])]
 		if !hit {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/intmat"
 )
@@ -211,14 +212,20 @@ func (m *Message) PutFloat64Slice(v []float64) {
 }
 
 // Float64Slice reads a vector written by PutFloat64Slice.
-func (m *Message) Float64Slice() []float64 {
+func (m *Message) Float64Slice() []float64 { return m.AppendFloat64Slice([]float64{}) }
+
+// AppendFloat64Slice reads a vector written by PutFloat64Slice onto the
+// end of dst, so a reader of many vectors can land them in one block.
+// The length prefix is checked against the payload before dst grows.
+func (m *Message) AppendFloat64Slice(dst []float64) []float64 {
 	n := int(m.Uvarint())
 	m.checkLen(n, 8)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = m.Float64()
+	dst = slices.Grow(dst, n)
+	for src := m.buf[m.pos : m.pos+8*n]; len(src) > 0; src = src[8:] {
+		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(src)))
 	}
-	return out
+	m.pos += 8 * n
+	return dst
 }
 
 // PutUint64 appends a fixed 8-byte unsigned integer (used for field
@@ -247,14 +254,18 @@ func (m *Message) PutUint64Slice(v []uint64) {
 }
 
 // Uint64Slice reads a slice written by PutUint64Slice.
-func (m *Message) Uint64Slice() []uint64 {
+func (m *Message) Uint64Slice() []uint64 { return m.AppendUint64Slice([]uint64{}) }
+
+// AppendUint64Slice is AppendFloat64Slice for PutUint64Slice's vectors.
+func (m *Message) AppendUint64Slice(dst []uint64) []uint64 {
 	n := int(m.Uvarint())
 	m.checkLen(n, 8)
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = m.Uint64()
+	dst = slices.Grow(dst, n)
+	for src := m.buf[m.pos : m.pos+8*n]; len(src) > 0; src = src[8:] {
+		dst = append(dst, binary.LittleEndian.Uint64(src))
 	}
-	return out
+	m.pos += 8 * n
+	return dst
 }
 
 // PutVarintSlice appends a length-prefixed slice of signed varints.

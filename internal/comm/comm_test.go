@@ -85,6 +85,44 @@ func TestFloatSliceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendSlicesShareOneBlock: the appending readers land several
+// vectors in a caller-sized block without reallocating it, and refuse a
+// length prefix the payload cannot back before the block grows.
+func TestAppendSlicesShareOneBlock(t *testing.T) {
+	m := NewMessage()
+	m.PutFloat64Slice([]float64{1.5, -2.25})
+	m.PutFloat64Slice(nil)
+	m.PutFloat64Slice([]float64{1e300})
+	m.PutUint64Slice([]uint64{7, 1 << 60})
+	m.PutUvarint(1 << 40) // a vector the payload does not hold
+	m.pos = 0
+	block := make([]float64, 0, 3)
+	for i := 0; i < 3; i++ {
+		block = m.AppendFloat64Slice(block)
+	}
+	if len(block) != 3 || cap(block) != 3 || block[0] != 1.5 || block[1] != -2.25 || block[2] != 1e300 {
+		t.Fatalf("block = %v (cap %d), want the three values in the block it was given", block, cap(block))
+	}
+	if got := m.AppendUint64Slice([]uint64{3}); len(got) != 3 || got[0] != 3 || got[1] != 7 || got[2] != 1<<60 {
+		t.Fatalf("AppendUint64Slice = %v", got)
+	}
+	for _, read := range []func(){
+		func() { m.AppendFloat64Slice(block) },
+		func() { m.AppendUint64Slice(nil) },
+	} {
+		func() {
+			at := m.pos
+			defer func() {
+				if recover() == nil {
+					t.Fatal("oversized length prefix accepted")
+				}
+				m.pos = at
+			}()
+			read()
+		}()
+	}
+}
+
 func TestBitmapRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 130} {
 		in := make([]bool, n)

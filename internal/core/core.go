@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/comm"
-	"repro/internal/intmat"
 )
 
 // Cost is the communication cost of one protocol execution.
@@ -81,19 +80,16 @@ func lnDim(n int) float64 {
 }
 
 // rowLpPow computes ‖y‖p^p for an integer vector with the paper's
-// convention that p = 0 counts non-zero entries. The p = 1 and p = 2
-// fast paths return bit-identical sums to the math.Pow formulation
-// (Pow(x, 1) = x and Pow(x, 2) = x·x exactly) — they are on the
-// serving hot path, where Bob evaluates every sampled row of C.
-func rowLpPow(y []int64, p float64) float64 { return rowLpPowAcc(0, y, p) }
-
-// rowLpPowAcc folds y's ℓp^p contributions into the running
-// accumulator s, element by element in order — the form the blocked
-// kernels thread through column tiles so tiling never changes the
-// float summation order.
+// convention that p = 0 counts non-zero entries: one accumulator,
+// element by element in order, so every caller's float sum is the
+// sequential one. The p = 1 and p = 2 fast paths return bit-identical
+// sums to the math.Pow formulation (Pow(x, 1) = x and Pow(x, 2) = x·x
+// exactly) — they are on the serving hot path, where Bob evaluates
+// every sampled row of C.
 //
 //mp:hotpath
-func rowLpPowAcc(s float64, y []int64, p float64) float64 {
+func rowLpPow(y []int64, p float64) float64 {
+	var s float64
 	switch p {
 	case 0:
 		for _, v := range y {
@@ -121,31 +117,6 @@ func rowLpPowAcc(s float64, y []int64, p float64) float64 {
 		}
 	}
 	return s
-}
-
-// mulRowSparse computes row · B for a sparse integer row given as
-// (cols, vals) index/value pairs, returning a dense length-B.Cols() vector.
-func mulRowSparse(cols []int, vals []int64, b *intmat.Dense) []int64 {
-	out := make([]int64, b.Cols())
-	mulRowSparseInto(out, cols, vals, b)
-	return out
-}
-
-// mulRowSparseInto accumulates row · B into out (caller-zeroed, length
-// B.Cols()); hoisting the buffer lets the serving path evaluate
-// thousands of sampled rows per query without per-row allocation.
-// Wide rows are column-tiled (kernels.go) so the output tile and the
-// touched B-row tiles stay cache-resident across the whole sparse
-// accumulation — exact integer arithmetic makes the tiling invisible
-// in the answer.
-func mulRowSparseInto(out []int64, cols []int, vals []int64, b *intmat.Dense) {
-	if len(out) <= mulBlockCols || len(cols) < 2 {
-		mulRowSparseSpanInto(out, 0, len(out), cols, vals, b)
-		return
-	}
-	for lo := 0; lo < len(out); lo += mulBlockCols {
-		mulRowSparseSpanInto(out, lo, min(lo+mulBlockCols, len(out)), cols, vals, b)
-	}
 }
 
 // median returns the median of v, averaging the middle pair when the

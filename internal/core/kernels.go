@@ -2,76 +2,111 @@ package core
 
 import "repro/internal/intmat"
 
-// Cache-blocked serve kernels. The lp serve path evaluates every
-// sampled row of C as (sparse row of A) · B followed by an ℓp fold;
-// the exact-ℓ1 serve path is one long int64 dot product. Both stream
-// vectors far larger than L1 for big column counts, so the kernels
-// here tile the column dimension: each output tile and the matching
-// tile of every touched B row stay cache-resident across the whole
-// sparse accumulation, and the ℓp fold consumes each tile while it is
-// still hot instead of re-streaming the full row afterwards.
+// Serve kernels. Round 2 of Algorithm 1 evaluates every sampled row of
+// C exactly: (sparse row of A) · B, then an ℓp fold. There is one
+// kernel for it, and it walks B's non-zeros rather than B's columns:
+// the paper's inputs are set-intersection joins, sparse by nature, and
+// every matrix the benchmark serves is at most one-fifth full. Measured
+// at 512 columns and 10-non-zero rows of A, p = 1 (µs per sampled row,
+// best of three; the dense column-tiled kernel this one replaced → this
+// one):
+//
+//	density of B   0.02          0.2          0.5          1.0
+//	µs per row     3.8 → 0.50    3.7 → 1.3    3.8 → 3.0    4.1 → 5.2
+//
+// The lists lose only past two-thirds full, by a quarter at worst, and
+// no workload sits there — so there is no dense twin and no density
+// switch to keep in step with it (DESIGN.md, "The row-shard parallel
+// serve path").
 //
 // Determinism contract: integer accumulation is reordered freely
-// (int64 addition is exact and commutative, wraparound included), but
-// the float ℓp fold visits elements in exactly the sequential column
-// order with one running accumulator — rowLpPowAcc threads the
-// partial sum through the tiles — so every blocked result is
-// bit-identical to the unblocked kernel it replaced. The transcript
-// parity tests pin this.
+// (int64 addition is exact and commutative, wraparound included), so
+// the product row y is the dense product's row; the float ℓp fold then
+// visits y in sequential column order with one running accumulator, so
+// the result is bit-identical to rowLpPow over the row of the dense
+// product (kernels_test.go pins it). The exact-ℓ1 serve path is one long
+// int64 dot product (dotInt64).
 
-// mulBlockCols is the column-tile width: 2048 int64 elements is
-// 16 KiB, so one output tile plus one B-row tile fit comfortably in a
-// 32 KiB L1 data cache with room for the sparse row itself.
-const mulBlockCols = 2048
+// nzRow is the non-zero list of one row of B: ascending column indices
+// with their values, 12 bytes per non-zero (a dense row too wide for
+// int32 would be 16 GiB on its own).
+type nzRow struct {
+	cols []int32
+	vals []int64
+}
 
-// mulRowSparseSpanInto accumulates row · B into out[lo:hi) only — one
-// column tile of the blocked kernel. Rows of B shorter than the span
-// contribute their overlap, matching the unblocked kernel's defensive
-// clamp. The inner loop is branchless so it vectorizes.
+// nzRowBytes is the fixed cost of one nzRow (two slice headers).
+const nzRowBytes = 48
+
+// nzMatrix is B as per-row non-zero lists — what round 2 multiplies
+// against. Immutable once built; withRows derives the successor of a
+// row update and shares every untouched row's list with it.
+type nzMatrix struct {
+	rows  []nzRow
+	width int   // B's column count: the length of a product row
+	bytes int64 // memory retained by rows
+}
+
+// newNZMatrix lists the non-zeros of every row of b. The lists of one
+// build share two backing arrays, so construction is three allocations
+// however many rows b has.
+func newNZMatrix(b *intmat.Dense) *nzMatrix {
+	nnz := b.L0()
+	m := &nzMatrix{rows: make([]nzRow, b.Rows()), width: b.Cols()}
+	cols := make([]int32, 0, nnz)
+	vals := make([]int64, 0, nnz)
+	for k := range m.rows {
+		lo := len(cols)
+		cols, vals = appendNZ(cols, vals, b.Row(k))
+		m.rows[k] = nzRow{cols: cols[lo:len(cols):len(cols)], vals: vals[lo:len(vals):len(vals)]}
+	}
+	m.bytes = int64(len(m.rows))*nzRowBytes + 12*int64(nnz)
+	return m
+}
+
+// appendNZ appends the non-zeros of one dense row.
+func appendNZ(cols []int32, vals []int64, row []int64) ([]int32, []int64) {
+	for j, v := range row {
+		if v != 0 {
+			cols = append(cols, int32(j))
+			vals = append(vals, v)
+		}
+	}
+	return cols, vals
+}
+
+// withRows returns the non-zero lists of nb, which differs from the
+// receiver's matrix only in the listed rows: those rows are re-listed,
+// every other row shares its list with the receiver.
+func (m *nzMatrix) withRows(nb *intmat.Dense, rows []int) *nzMatrix {
+	nm := &nzMatrix{rows: append([]nzRow(nil), m.rows...), width: m.width, bytes: m.bytes}
+	for _, k := range rows {
+		cols, vals := appendNZ(nil, nil, nb.Row(k))
+		nm.bytes += 12 * int64(len(cols)-len(nm.rows[k].cols))
+		nm.rows[k] = nzRow{cols: cols, vals: vals}
+	}
+	return nm
+}
+
+// lpPow computes ‖row · B‖p^p for the sparse row (cols, vals) of A —
+// every index in cols must be a row of B. The scratch y must be
+// m.width long; its contents are overwritten.
 //
 //mp:hotpath
-func mulRowSparseSpanInto(out []int64, lo, hi int, cols []int, vals []int64, b *intmat.Dense) {
+func (m *nzMatrix) lpPow(y []int64, cols []int, vals []int64, p float64) float64 {
+	clear(y)
 	for t, k := range cols {
 		v := vals[t]
 		if v == 0 {
 			continue
 		}
-		rk := b.Row(k)
-		end := hi
-		if len(rk) < end {
-			end = len(rk)
-		}
-		if end <= lo {
-			continue
-		}
-		dst := out[lo:end]
-		src := rk[lo:end]
-		for j, bv := range dst {
-			dst[j] = bv + v*src[j]
+		r := &m.rows[k]
+		rv := r.vals[:len(r.cols)]
+		for i, c := range r.cols {
+			y[c] += v * rv[i]
 		}
 	}
-}
-
-// mulRowLpPow computes ‖row · B‖p^p with the blocked kernel: each
-// column tile is accumulated and folded while cache-hot, and the fold
-// threads one accumulator through the tiles in column order, so the
-// result is bit-identical to clear+mulRowSparseInto+rowLpPow. The
-// scratch y must be b.Cols() long; its contents are overwritten.
-func mulRowLpPow(y []int64, cols []int, vals []int64, b *intmat.Dense, p float64) float64 {
-	if len(y) <= mulBlockCols || len(cols) < 2 {
-		clear(y)
-		mulRowSparseSpanInto(y, 0, len(y), cols, vals, b)
-		return rowLpPowAcc(0, y, p)
-	}
-	var s float64
-	for lo := 0; lo < len(y); lo += mulBlockCols {
-		hi := min(lo+mulBlockCols, len(y))
-		blk := y[lo:hi]
-		clear(blk)
-		mulRowSparseSpanInto(y, lo, hi, cols, vals, b)
-		s = rowLpPowAcc(s, blk, p)
-	}
-	return s
+	return rowLpPow(y, p)
 }
 
 // dotInt64 is the int64 dot product, 4-way unrolled so the four

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/comm"
@@ -64,19 +66,24 @@ func (o *LpOpts) setDefaults() error {
 
 // lpSketchFamilies derives the per-repetition shared sketch families for
 // Algorithm 1 with the given options — the common construction both
-// party drivers (and therefore the in-process EstimateLp) must agree on.
-func lpSketchFamilies(o LpOpts, dim int, p float64) []rowSketcher {
+// party drivers (and therefore the in-process EstimateLp) must agree on
+// — and the approximate memory they retain. Drawing them is the dear
+// part of a state build (Reps × width × dim p-stable variates), so it
+// runs once per state: the families are immutable after construction
+// (the sketch package's contract) and everything derived from a state —
+// the other party's state, UpdateRows' successor — shares them.
+func lpSketchFamilies(o LpOpts, dim int, p float64) (sketchers []rowSketcher, bytes int64) {
 	beta := math.Sqrt(o.Eps)
 	sizeWords := int(math.Ceil(o.SketchC / (beta * beta)))
 	if sizeWords < 4 {
 		sizeWords = 4
 	}
 	shared := rng.New(o.Seed)
-	sketchers := make([]rowSketcher, o.Reps)
+	sketchers = make([]rowSketcher, o.Reps)
 	for rep := range sketchers {
 		sketchers[rep] = newRowSketcher(shared.Derive("lp", strconv.Itoa(rep)), dim, p, sizeWords)
 	}
-	return sketchers
+	return sketchers, int64(o.Reps) * int64(sizeWords) * int64(dim) * 8
 }
 
 // rowSketcher abstracts the two sketch families Algorithm 1 uses for its
@@ -128,18 +135,26 @@ func (rs rowSketcher) encodeRowRange(msg *comm.Message, b *intmat.Dense, lo, hi 
 	}
 }
 
-// decodeRows reads back n row sketches from msg.
+// decodeRows reads back n row sketches from msg into one block — a
+// family's sketches all have the family's width, so the block is sized
+// once (never beyond what msg still holds) instead of once per row.
 func (rs rowSketcher) decodeRows(msg *comm.Message, n int) (fieldSk [][]field.Elem, floatSk [][]float64) {
 	if rs.l0 != nil {
+		block := make([]field.Elem, 0, min(n*rs.l0.Dim(), msg.Remaining()/8))
 		fieldSk = make([][]field.Elem, n)
 		for k := range fieldSk {
-			fieldSk[k] = msg.Uint64Slice()
+			lo := len(block)
+			block = msg.AppendUint64Slice(block)
+			fieldSk[k] = block[lo:len(block):len(block)]
 		}
 		return fieldSk, nil
 	}
+	block := make([]float64, 0, min(n*rs.fl.Dim(), msg.Remaining()/8))
 	floatSk = make([][]float64, n)
 	for k := range floatSk {
-		floatSk[k] = msg.Float64Slice()
+		lo := len(block)
+		block = msg.AppendFloat64Slice(block)
+		floatSk[k] = block[lo:len(block):len(block)]
 	}
 	return nil, floatSk
 }
@@ -184,7 +199,7 @@ func (rs rowSketcher) estimateRowWith(scratch *rowScratch, cols []int, vals []in
 	for t, k := range cols {
 		sketch.AxpyFloat(acc, float64(vals[t]), floatSk[k])
 	}
-	return rs.fl.EstimatePow(acc)
+	return rs.fl.EstimatePowInPlace(acc)
 }
 
 // sparseRow extracts the non-zero (cols, vals) of row i of a.
@@ -210,16 +225,21 @@ func putSparseRow(msg *comm.Message, cols []int, vals []int64) {
 	}
 }
 
-// getSparseRow reads a row written by putSparseRow.
-func getSparseRow(msg *comm.Message) (cols []int, vals []int64) {
-	nnz := int(msg.Uvarint())
-	cols = make([]int, nnz)
-	vals = make([]int64, nnz)
+// appendSparseRow reads a row written by putSparseRow onto the end of
+// (cols, vals). A row of A multiplies rows of B, so its column indices
+// must ascend within B's bRows rows; like the message readers, it panics
+// on a row whose indices do not — the peer is not trusted, and the
+// caller's recoverDecodeError turns the panic into the request's error.
+func appendSparseRow(msg *comm.Message, cols []int, vals []int64, bRows int) ([]int, []int64) {
 	prev := -1
-	for t := 0; t < nnz; t++ {
-		prev += int(msg.Uvarint())
-		cols[t] = prev
-		vals[t] = msg.Varint()
+	for nnz := msg.Uvarint(); nnz > 0; nnz-- {
+		d := msg.Uvarint()
+		if d == 0 || d > uint64(bRows-1-prev) {
+			panic(fmt.Sprintf("core: sampled row's columns do not ascend within the %d rows of B", bRows))
+		}
+		prev += int(d)
+		cols = append(cols, prev)
+		vals = append(vals, msg.Varint())
 	}
 	return cols, vals
 }
@@ -274,18 +294,23 @@ func BobLp(t comm.Transport, b *intmat.Dense, p float64, o LpOpts) (est float64,
 // BobLpState is the matrix-dependent phase of Bob's side of Algorithm 1:
 // everything derivable from (B, p, options, seed) before any message
 // arrives — dominated by the per-row ℓp sketches of B that make up the
-// whole round-1 payload. Building it once and calling Serve per query
-// amortizes the sketching cost across queries without changing a single
-// transcript byte: Serve replays the precomputed round-1 bytes, so a
-// served run is byte-identical to a fresh BobLp with the same inputs.
+// whole round-1 payload, beside B's non-zeros row by row, which round 2
+// multiplies the sampled rows against. Building it once and calling
+// Serve per query amortizes the sketching cost across queries without
+// changing a single transcript byte: Serve replays the precomputed
+// round-1 bytes, so a served run is byte-identical to a fresh BobLp with
+// the same inputs.
 //
 // A state is immutable after construction and safe for concurrent Serve
 // calls.
 type BobLpState struct {
-	b      *intmat.Dense
-	p      float64
-	opts   LpOpts // defaults applied
-	round1 []byte // encoded round-1 payload: per-row ℓp sketches of B
+	b         *intmat.Dense
+	p         float64
+	opts      LpOpts        // defaults applied
+	sketchers []rowSketcher // the shared sketch families, drawn once
+	famBytes  int64
+	round1    []byte    // encoded round-1 payload: per-row ℓp sketches of B
+	nz        *nzMatrix // B's non-zeros per row, what round 2 multiplies against
 }
 
 // NewBobLpState validates the parameters and runs the matrix-dependent
@@ -297,28 +322,38 @@ func NewBobLpState(b *intmat.Dense, p float64, o LpOpts) (*BobLpState, error) {
 	if err := o.setDefaults(); err != nil {
 		return nil, err
 	}
+	s := &BobLpState{b: b, p: p, opts: o, nz: newNZMatrix(b)}
+	s.sketchers, s.famBytes = lpSketchFamilies(o, b.Cols(), p)
 	// Per-row sketches are independent, so each repetition's encoding is
 	// sharded over contiguous row ranges; concatenating the per-shard
 	// buffers in shard order reproduces the sequential payload bytes.
-	var round1 []byte
-	for _, rs := range lpSketchFamilies(o, b.Cols(), p) {
+	for _, rs := range s.sketchers {
 		bufs := make([][]byte, len(shardRanges(b.Rows(), o.Shards)))
-		runShards(b.Rows(), o.Shards, func(s, lo, hi int) {
+		runShards(b.Rows(), o.Shards, func(sh, lo, hi int) {
 			msg := comm.NewMessage()
 			rs.encodeRowRange(msg, b, lo, hi)
-			bufs[s] = msg.Bytes()
+			bufs[sh] = msg.Bytes()
 		})
 		for _, part := range bufs {
-			round1 = append(round1, part...)
+			s.round1 = append(s.round1, part...)
 		}
 	}
-	return &BobLpState{b: b, p: p, opts: o, round1: round1}, nil
+	return s, nil
 }
 
-// Bytes reports the memory retained by the precomputed sketches (the
-// sizing input for cache accounting; the matrix itself is shared with
-// its owner and not counted).
-func (s *BobLpState) Bytes() int64 { return int64(len(s.round1)) }
+// Bytes reports the memory retained by the precomputation — the round-1
+// sketches, B's non-zero lists and the sketch families (the sizing
+// input for cache accounting; the matrix itself is shared with its
+// owner and not counted).
+func (s *BobLpState) Bytes() int64 { return int64(len(s.round1)) + s.nz.bytes + s.famBytes }
+
+// AliceState returns the Alice-side state for the same (m2, p, options,
+// seed), sharing this state's sketch families instead of drawing them a
+// second time — for a serving system that drives both parties against
+// its own matrix.
+func (s *BobLpState) AliceState() *AliceLpState {
+	return &AliceLpState{p: s.p, opts: s.opts, sketchers: s.sketchers}
+}
 
 // Serve runs the per-query phase of Bob's side of Algorithm 1 over t.
 func (s *BobLpState) Serve(t comm.Transport) (est float64, err error) {
@@ -330,49 +365,81 @@ func (s *BobLpState) Serve(t comm.Transport) (est float64, err error) {
 	t.Send(comm.BobToAlice, msg1)
 
 	// Round 2: sampled rows in; exact norms of the sampled rows of C,
-	// weighted sum per repetition. The varint stream decodes
-	// sequentially; the per-row products — the expensive part — are then
-	// sharded over sample ranges (each sampled row of C is independent)
-	// and the weighted contributions re-summed in sample order, which
-	// reproduces the sequential driver's float summation order exactly.
+	// weighted sum per repetition.
 	recv2 := t.Recv(comm.AliceToBob)
-	counts := make([]int, s.opts.Reps)
-	var samples []lpSample
-	for rep := range counts {
-		counts[rep] = int(recv2.Uvarint())
-		for smp := 0; smp < counts[rep]; smp++ {
-			_ = recv2.Uvarint() // row index (informational)
-			w := recv2.Float64()
-			cols, vals := getSparseRow(recv2)
-			samples = append(samples, lpSample{w: w, cols: cols, vals: vals})
-		}
-	}
-	contrib := make([]float64, len(samples))
-	runShards(len(samples), s.opts.Shards, func(_, lo, hi int) {
-		y := make([]int64, s.b.Cols())
-		for i := lo; i < hi; i++ {
-			contrib[i] = samples[i].w * mulRowLpPow(y, samples[i].cols, samples[i].vals, s.b, s.p)
-		}
-	})
-	perRep := make([]float64, s.opts.Reps)
-	idx := 0
-	for rep, count := range counts {
-		var est float64
-		for smp := 0; smp < count; smp++ {
-			est += contrib[idx]
-			idx++
-		}
-		perRep[rep] = est
-	}
-	return median(perRep), nil
+	return median(s.nz.sampledRowSums(recv2, s.opts.Reps, s.p, s.opts.Shards)), nil
 }
 
-// lpSample is one decoded round-2 sample: a sparse row of A with its
-// inverse-probability weight.
+// lpSample is one decoded round-2 sample: its inverse-probability
+// weight and the distinct row of A it carries.
 type lpSample struct {
-	w    float64
-	cols []int
-	vals []int64
+	w   float64
+	row int
+}
+
+// sampledRowSums is Bob's round 2 of Algorithm 1: it reads reps
+// repetitions of weighted sampled rows of A from recv and returns each
+// repetition's Σ w·‖A_i·B‖p^p.
+//
+// The repetitions sample independently, so one row of A arrives several
+// times over (at n = 512, ε = 0.25 some 1420 samples name 490 distinct
+// rows); each distinct row is evaluated once. Two samples are the same
+// row when they carry the same row index and the same (cols, vals) — the
+// index alone is the peer's word, and a peer that lies about it must not
+// change the answer. The varint stream decodes sequentially; the per-row
+// products — the expensive part — are then sharded over the distinct
+// rows (each row of C is independent) and the weighted contributions
+// summed in sample order, which is the sequential, un-grouped driver's
+// float summation order exactly.
+func (m *nzMatrix) sampledRowSums(recv *comm.Message, reps int, p float64, shards int) []float64 {
+	var (
+		samples []lpSample
+		repEnds = make([]int, reps) // repetition rep is samples[repEnds[rep-1]:repEnds[rep]]
+		cols    []int               // the distinct rows, back to back
+		vals    []int64             // parallel to cols
+		bounds  = []int{0}          // distinct row r is [bounds[r], bounds[r+1]) of cols/vals
+		first   = map[uint64]int{}  // row index on the wire → the distinct row first sent under it
+	)
+	for rep := range repEnds {
+		for n := recv.Uvarint(); n > 0; n-- {
+			idx := recv.Uvarint()
+			w := recv.Float64()
+			lo := len(cols)
+			cols, vals = appendSparseRow(recv, cols, vals, len(m.rows))
+			r, seen := first[idx]
+			if seen && slices.Equal(cols[lo:], cols[bounds[r]:bounds[r+1]]) && slices.Equal(vals[lo:], vals[bounds[r]:bounds[r+1]]) {
+				cols, vals = cols[:lo], vals[:lo]
+			} else {
+				r = len(bounds) - 1
+				bounds = append(bounds, len(cols))
+				if !seen {
+					first[idx] = r
+				}
+			}
+			samples = append(samples, lpSample{w: w, row: r})
+		}
+		repEnds[rep] = len(samples)
+	}
+	norms := make([]float64, len(bounds)-1)
+	runShards(len(norms), shards, func(_, lo, hi int) {
+		y := make([]int64, m.width)
+		for r := lo; r < hi; r++ {
+			norms[r] = m.lpPow(y, cols[bounds[r]:bounds[r+1]], vals[bounds[r]:bounds[r+1]], p)
+		}
+	})
+	perRep := make([]float64, reps)
+	lo := 0
+	for rep, end := range repEnds {
+		var est float64
+		for _, smp := range samples[lo:end] {
+			// The conversion rounds the product before the add, as the
+			// store to a per-sample slot used to: no fused multiply-add.
+			est += float64(smp.w * norms[smp.row])
+		}
+		perRep[rep] = est
+		lo = end
+	}
+	return perRep
 }
 
 // AliceLp drives Alice's side of Algorithm 1: she decodes Bob's row
@@ -399,7 +466,6 @@ func AliceLp(t comm.Transport, a *intmat.Dense, m2 int, p float64, o LpOpts) (er
 // AliceLp. Immutable after construction; safe for concurrent Serve
 // calls.
 type AliceLpState struct {
-	m2        int
 	p         float64
 	opts      LpOpts // defaults applied
 	sketchers []rowSketcher
@@ -418,21 +484,14 @@ func NewAliceLpState(m2 int, p float64, o LpOpts) (*AliceLpState, error) {
 	if m2 <= 0 {
 		return nil, ErrDimensionMismatch
 	}
-	beta := math.Sqrt(o.Eps)
-	sizeWords := int(math.Ceil(o.SketchC / (beta * beta)))
-	if sizeWords < 4 {
-		sizeWords = 4
-	}
-	return &AliceLpState{
-		m2:        m2,
-		p:         p,
-		opts:      o,
-		sketchers: lpSketchFamilies(o, m2, p),
-		bytes:     int64(o.Reps) * int64(sizeWords) * int64(m2) * 8,
-	}, nil
+	s := &AliceLpState{p: p, opts: o}
+	s.sketchers, s.bytes = lpSketchFamilies(o, m2, p)
+	return s, nil
 }
 
-// Bytes reports the approximate memory retained by the sketch families.
+// Bytes reports the approximate memory retained by the sketch families
+// — zero for a state from BobLpState.AliceState, whose families are
+// Bob's and counted there.
 func (s *AliceLpState) Bytes() int64 { return s.bytes }
 
 // Serve runs the per-query phase of Alice's side of Algorithm 1 over t

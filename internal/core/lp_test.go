@@ -2,7 +2,10 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
+
+	"repro/internal/comm"
 )
 
 func TestEstimateLpL0Binary(t *testing.T) {
@@ -210,5 +213,38 @@ func TestLpPowMatchesNormDefinition(t *testing.T) {
 	}
 	if math.Abs(manual-c.Lp(1.5)) > 1e-6 {
 		t.Fatal("rowLpPow disagrees with intmat.Lp")
+	}
+}
+
+// TestLpServeMalformedSampledRow: a round-2 message whose sampled rows
+// name a row B does not have fails the request with an error. With
+// shards the products run on pool goroutines, where the driver's recover
+// cannot see a panic — the index must be refused in the sequential
+// decode (this message used to end the process at Shards 2).
+func TestLpServeMalformedSampledRow(t *testing.T) {
+	b := randomInt(1800, 8, 8, 0.5, 3, true)
+	for _, shards := range []int{1, 2} {
+		st, err := NewBobLpState(b, 1, LpOpts{Eps: 0.5, Seed: 1801, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alice := func(tr comm.Transport) error {
+			tr.Recv(comm.BobToAlice)
+			msg := comm.NewMessage()
+			for rep := 0; rep < 5; rep++ {
+				msg.PutUvarint(200)
+				for smp := 0; smp < 200; smp++ {
+					msg.PutUvarint(uint64(smp))
+					msg.PutFloat64(1)
+					putSparseRow(msg, []int{99}, []int64{1})
+				}
+			}
+			tr.Send(comm.AliceToBob, msg)
+			return nil
+		}
+		_, err = runPair(alice, func(tr comm.Transport) error { _, err := st.Serve(tr); return err })
+		if err == nil || !strings.Contains(err.Error(), "malformed protocol message") {
+			t.Fatalf("shards %d: Serve returned %v, want a malformed-message error", shards, err)
+		}
 	}
 }

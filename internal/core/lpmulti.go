@@ -89,24 +89,12 @@ func EstimateLpMulti(a, b *intmat.Dense, ps []float64, o LpOpts) ([]float64, Cos
 	}
 	recv2 := conn.Send(comm.AliceToBob, msg2)
 
-	// Bob: exact norms of sampled rows, median per family. One scratch
-	// row feeds the fused blocked kernel across every sample.
+	// Bob: exact norms of sampled rows, median per family — BobLpState's
+	// round 2, once per p.
 	out := make([]float64, len(ps))
-	y := make([]int64, b.Cols())
+	nz := newNZMatrix(b)
 	for pi, p := range ps {
-		perRep := make([]float64, o.Reps)
-		for rep := range perRep {
-			count := int(recv2.Uvarint())
-			var est float64
-			for s := 0; s < count; s++ {
-				_ = recv2.Uvarint()
-				w := recv2.Float64()
-				cols, vals := getSparseRow(recv2)
-				est += w * mulRowLpPow(y, cols, vals, b, p)
-			}
-			perRep[rep] = est
-		}
-		out[pi] = median(perRep)
+		out[pi] = median(nz.sampledRowSums(recv2, o.Reps, p, o.Shards))
 	}
 	return out, costOf(conn), nil
 }

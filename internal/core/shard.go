@@ -113,6 +113,11 @@ func shardRanges(n, shards int) [][2]int {
 // more than one range, inline otherwise. fn must write only to
 // shard-private or disjoint-slot state; the caller performs the
 // deterministic merge after runShards returns.
+//
+// A panic in fn is re-raised on the calling goroutine once every task
+// has finished (the lowest shard's, when several panic), so a sharded
+// section fails the way the inline one does: inside the party driver's
+// recoverDecodeError, as the request's error, not the process's end.
 func runShards(n, shards int, fn func(shard, lo, hi int)) {
 	ranges := shardRanges(n, shards)
 	if len(ranges) == 1 {
@@ -120,11 +125,13 @@ func runShards(n, shards int, fn func(shard, lo, hi int)) {
 		return
 	}
 	shardJobs.Add(1)
+	panics := make([]any, len(ranges))
 	var wg sync.WaitGroup
 	for s, r := range ranges {
 		wg.Add(1)
 		go func(s, lo, hi int) {
 			defer wg.Done()
+			defer func() { panics[s] = recover() }()
 			shardSem <- struct{}{}
 			defer func() { <-shardSem }()
 			start := time.Now() //mp:nondeterministic-ok busy-time telemetry: feeds ShardCounters, never a transcript
@@ -138,6 +145,11 @@ func runShards(n, shards int, fn func(shard, lo, hi int)) {
 		}(s, r[0], r[1])
 	}
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 // sumInt64Shards computes Σ_{k=lo}^{hi-1} term(k) with per-shard int64

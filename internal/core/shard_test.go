@@ -72,6 +72,30 @@ func TestRunShardsExecutesEveryRange(t *testing.T) {
 	}
 }
 
+// TestRunShardsReraisesTaskPanic pins that a panic inside a shard task
+// reaches the caller of runShards — where the party drivers' recover
+// turns it into the request's error — after every other task has run,
+// instead of ending the process from the task's own goroutine.
+func TestRunShardsReraisesTaskPanic(t *testing.T) {
+	var ran atomic.Int32
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		runShards(64, 4, func(s, _, _ int) {
+			ran.Add(1)
+			if s == 1 || s == 3 {
+				panic("boom in shard " + string(rune('0'+s)))
+			}
+		})
+	}()
+	if recovered != "boom in shard 1" {
+		t.Fatalf("recovered %v, want the lowest panicking shard's value", recovered)
+	}
+	if got := ran.Load(); got != 4 {
+		t.Fatalf("%d of 4 tasks ran before the panic was re-raised", got)
+	}
+}
+
 func TestSumInt64ShardsMatchesSequential(t *testing.T) {
 	term := func(k int) int64 { return int64(k*k - 17*k + 3) }
 	// Spans both sides of minShardCheapElems: small n runs sequentially,

@@ -14,8 +14,9 @@ import (
 //
 // Every sketch and summary a Bob state precomputes is assembled from
 // independent per-row contributions — fixed-size per-row ℓp sketch
-// blocks (lp), per-column non-zero lists in row order (l0sample),
-// per-row sums and weights (exact, l1sample, linf, linfkappa, hh).
+// blocks and per-row non-zero lists (lp), per-column non-zero lists in
+// row order (l0sample), per-row sums and weights (exact, l1sample,
+// linf, linfkappa, hh).
 // Replacing a row of B therefore replaces exactly that row's
 // contribution, and because the shared sketch families are drawn from
 // the seed before any row is touched, the incrementally updated state
@@ -75,7 +76,10 @@ func rowNonNegative(m *intmat.Dense, k int) bool {
 // sketch has the same word count within a repetition, and the same
 // across repetitions), so the new rows' encodings are spliced into a
 // copy of the retained bytes at their block offsets — the result is
-// byte-identical to NewBobLpState(nb, p, opts).
+// byte-identical to NewBobLpState(nb, p, opts). The sketch families are
+// the receiver's (drawn from the seed alone, they do not depend on the
+// matrix), and B's non-zero lists are rebuilt for the listed rows only;
+// every other row's list is shared with the receiver.
 func (s *BobLpState) UpdateRows(nb *intmat.Dense, rows []int) (*BobLpState, error) {
 	n := s.b.Rows()
 	if nb.Rows() != n || nb.Cols() != s.b.Cols() {
@@ -85,26 +89,24 @@ func (s *BobLpState) UpdateRows(nb *intmat.Dense, rows []int) (*BobLpState, erro
 	if err != nil {
 		return nil, err
 	}
-	reps := s.opts.Reps
-	if n == 0 || reps <= 0 || len(s.round1)%(reps*n) != 0 {
-		// Degenerate shapes (no rows to splice into) fall back to a full
-		// rebuild, which is just as cheap there.
-		return NewBobLpState(nb, s.p, s.opts)
-	}
-	per := len(s.round1) / (reps * n)
+	// Every row's block has one size, so row k of repetition rep sits at
+	// block (rep·n + k); a re-sketched block of any other size means nb
+	// is not a matrix this state's layout can hold.
 	round1 := append([]byte(nil), s.round1...)
-	for rep, rs := range lpSketchFamilies(s.opts, nb.Cols(), s.p) {
+	for rep, rs := range s.sketchers {
 		for _, k := range rows {
 			msg := comm.NewMessage()
 			rs.encodeRowRange(msg, nb, k, k+1)
 			blk := msg.Bytes()
-			if len(blk) != per {
-				return nil, fmt.Errorf("%w: row sketch block is %d bytes, state layout expects %d", ErrUpdateShape, len(blk), per)
+			if len(blk)*len(s.sketchers)*n != len(round1) {
+				return nil, fmt.Errorf("%w: a %d-byte row sketch block does not tile the state's %d-byte round-1 layout", ErrUpdateShape, len(blk), len(round1))
 			}
-			copy(round1[(rep*n+k)*per:], blk)
+			copy(round1[(rep*n+k)*len(blk):], blk)
 		}
 	}
-	return &BobLpState{b: nb, p: s.p, opts: s.opts, round1: round1}, nil
+	ns := *s
+	ns.b, ns.round1, ns.nz = nb, round1, s.nz.withRows(nb, rows)
+	return &ns, nil
 }
 
 // UpdateRows derives the BobL0SampleState of nb by re-indexing only

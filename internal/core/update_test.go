@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -533,6 +534,35 @@ func TestUpdateRowsRandomizedParity(t *testing.T) {
 		inF, outF := runRecorded(t, alice, func(tr comm.Transport) error { _, err := fr.Serve(tr); return err })
 		if !bytes.Equal(inU, inF) || !bytes.Equal(outU, outF) {
 			t.Fatalf("trial %d: lp transcript diverged", trial)
+		}
+		// Round 2 multiplies against B's per-row non-zero lists, which
+		// UpdateRows rebuilds for the patched rows only: a query whose
+		// every row reads every patched row of B (ρ is far above its
+		// eight rows, so they are sampled) must get the rebuilt state's
+		// estimate, bit for bit, at the same cost — with Alice played
+		// once by the updated state's own AliceState (the families it
+		// shares with Bob) and once by a fresh AliceLp.
+		aHit := a.Clone()
+		for i := 0; i < aHit.Rows(); i++ {
+			for _, k := range rows {
+				aHit.Set(i, k, int64(1+i%3))
+			}
+		}
+		var estU, estF float64
+		costU, errU := runPair(
+			func(tr comm.Transport) error { return up.AliceState().Serve(tr, aHit) },
+			func(tr comm.Transport) (err error) { estU, err = up.Serve(tr); return err })
+		costF, errF := runPair(
+			func(tr comm.Transport) error { return AliceLp(tr, aHit, m, 1, o) },
+			func(tr comm.Transport) (err error) { estF, err = fr.Serve(tr); return err })
+		if errU != nil || errF != nil {
+			t.Fatalf("trial %d: serve after update: %v / %v", trial, errU, errF)
+		}
+		if math.Float64bits(estU) != math.Float64bits(estF) || costU.Bits != costF.Bits || costU.Rounds != costF.Rounds {
+			t.Fatalf("trial %d: updated state answers %v (%v), rebuilt state %v (%v)", trial, estU, costU, estF, costF)
+		}
+		if !reflect.DeepEqual(up.nz, fr.nz) || up.Bytes() != fr.Bytes() || up.AliceState().Bytes() != 0 {
+			t.Fatalf("trial %d: lp non-zero lists or byte accounting diverged", trial)
 		}
 
 		so := L0SampleOpts{Eps: 0.5, Seed: uint64(1000 + trial), Shards: shards}

@@ -64,11 +64,22 @@ func (s *AMS) AddCoord(y []float64, j int, v int64) {
 
 // EstimatePow estimates ‖x‖2² from a sketch.
 func (s *AMS) EstimatePow(y []float64) float64 {
+	return s.estimatePow(make([]float64, s.reps), y)
+}
+
+// EstimatePowInPlace is EstimatePow with the group means kept in y's
+// first reps slots: group g's mean lands in y[g] only after y[g] —
+// a member of group g or an earlier one — has been read.
+func (s *AMS) EstimatePowInPlace(y []float64) float64 { return s.estimatePow(y, y) }
+
+// estimatePow writes each group's mean of squares to the first reps
+// slots of groups and returns their median.
+func (s *AMS) estimatePow(groups, y []float64) float64 {
 	if len(y) != s.Dim() {
 		panic("sketch: AMS sketch length mismatch")
 	}
-	groups := make([]float64, s.reps)
-	for g := 0; g < s.reps; g++ {
+	groups = groups[:s.reps]
+	for g := range groups {
 		var sum float64
 		for c := 0; c < s.cols; c++ {
 			v := y[g*s.cols+c]
@@ -76,5 +87,5 @@ func (s *AMS) EstimatePow(y []float64) float64 {
 		}
 		groups[g] = sum / float64(s.cols)
 	}
-	return median(groups)
+	return medianInPlace(groups)
 }

@@ -23,10 +23,12 @@
 // # Concurrency
 //
 // A constructed sketch is immutable: Apply, AddCoord, Estimate,
-// EstimatePow, Decode and the compression helpers only read the drawn
-// hash functions and matrices and write caller-owned buffers. The
-// row-shard parallel serve path in internal/core depends on this — one
-// shared sketch family is applied to disjoint row ranges from many
-// goroutines at once — so any new sketch added here must keep its
-// post-construction methods free of internal mutation.
+// EstimatePow, EstimatePowInPlace, Decode and the compression helpers
+// only read the drawn hash functions and matrices and write caller-owned
+// buffers. The row-shard parallel serve path in internal/core depends on
+// this — one shared sketch family is applied to disjoint row ranges from
+// many goroutines at once, and one drawn family is shared by both
+// parties' states and every UpdateRows successor — so any new sketch
+// added here must keep its post-construction methods free of internal
+// mutation.
 package sketch

@@ -86,6 +86,9 @@ type FloatSketch interface {
 	Apply(x []int64) []float64
 	// EstimatePow estimates ‖x‖p^p from a sketch of x.
 	EstimatePow(y []float64) float64
+	// EstimatePowInPlace is EstimatePow for a caller whose y is scratch:
+	// it may overwrite y, and in exchange allocates nothing.
+	EstimatePowInPlace(y []float64) float64
 	// P returns the norm index the sketch estimates.
 	P() float64
 }

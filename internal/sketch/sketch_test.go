@@ -135,6 +135,47 @@ func TestStableAccuracy(t *testing.T) {
 	}
 }
 
+// TestEstimatePowInPlaceMatches: the scratch-consuming estimator the
+// serving path uses returns, bit for bit, what the allocating one did —
+// for Stable the formula spelled out, math.Pow(median|y| / scale, p),
+// which pins the p = 1 shortcut past math.Pow; for AMS EstimatePow, which
+// keeps its group means out of y.
+func TestEstimatePowInPlaceMatches(t *testing.T) {
+	r := rng.New(105)
+	const n = 60
+	sketches := []FloatSketch{
+		NewStable(r.Derive("s1"), n, 1, 33),
+		NewStable(r.Derive("s05"), n, 0.5, 33),
+		NewStable(r.Derive("even"), n, 1.5, 8),
+		NewAMS(r.Derive("ams"), n, 5, 7),
+	}
+	for trial := 0; trial < 20; trial++ {
+		x := make([]int64, n)
+		for i := range x {
+			if trial > 0 && r.Bernoulli(0.5) { // trial 0: the zero vector
+				x[i] = r.Int63n(21) - 10
+			}
+		}
+		for _, s := range sketches {
+			y := s.Apply(x)
+			want := s.EstimatePow(y)
+			if st, ok := s.(*Stable); ok {
+				abs := make([]float64, len(y))
+				for i, v := range y {
+					abs[i] = math.Abs(v)
+				}
+				want = math.Pow(median(abs)/st.scale, st.p)
+				if got := st.EstimatePow(y); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("p=%v trial %d: EstimatePow %v, formula %v", s.P(), trial, got, want)
+				}
+			}
+			if got := s.EstimatePowInPlace(y); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("p=%v trial %d: in-place %v, want %v", s.P(), trial, got, want)
+			}
+		}
+	}
+}
+
 func TestStableLinearity(t *testing.T) {
 	r := rng.New(104)
 	n := 50

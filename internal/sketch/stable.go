@@ -103,13 +103,22 @@ func (s *Stable) AddCoord(y []float64, j int, v int64) {
 
 // EstimatePow estimates ‖x‖p^p from a sketch of x.
 func (s *Stable) EstimatePow(y []float64) float64 {
+	return s.EstimatePowInPlace(append([]float64(nil), y...))
+}
+
+// EstimatePowInPlace is EstimatePow that takes |·| and the median in y
+// itself — one estimate per row of A per repetition per query makes
+// this the serving path's form.
+func (s *Stable) EstimatePowInPlace(y []float64) float64 {
 	if len(y) != s.rows {
 		panic("sketch: Stable sketch length mismatch")
 	}
-	abs := make([]float64, len(y))
 	for i, v := range y {
-		abs[i] = math.Abs(v)
+		y[i] = math.Abs(v)
 	}
-	norm := medianInPlace(abs) / s.scale
+	norm := medianInPlace(y) / s.scale
+	if s.p == 1 {
+		return norm // math.Pow(x, 1) is x exactly
+	}
 	return math.Pow(norm, s.p)
 }

@@ -591,29 +591,26 @@ func mapProtocolError(err error) error {
 }
 
 // lpStates is the lp cache entry: Bob's precomputed row sketches of B
-// plus the shared Alice-side sketch families. The engine drives both
-// parties of every job, so caching Alice's query-independent state
-// (derived from the same (m2, p, eps, seed) fingerprint) is the same
-// amortization as Bob's — a remote Alice, e.g. a real network client,
-// simply does not use it.
+// plus the Alice-side state over the same sketch families. The engine
+// drives both parties of every job, so Alice's query-independent state
+// (the same (m2, p, eps, seed) fingerprint) is derived from Bob's and
+// shares his families rather than drawing them again — a remote Alice,
+// e.g. a real network client, simply does not use it.
 type lpStates struct {
 	bob   *core.BobLpState
 	alice *core.AliceLpState
 }
 
-func newLpStates(b *intmat.Dense, m2 int, p float64, o core.LpOpts) (*lpStates, error) {
+func newLpStates(b *intmat.Dense, p float64, o core.LpOpts) (*lpStates, error) {
 	bob, err := core.NewBobLpState(b, p, o)
 	if err != nil {
 		return nil, err
 	}
-	alice, err := core.NewAliceLpState(m2, p, o)
-	if err != nil {
-		return nil, err
-	}
-	return &lpStates{bob: bob, alice: alice}, nil
+	return &lpStates{bob: bob, alice: bob.AliceState()}, nil
 }
 
-// Bytes is the entry's in-memory size, for the cache's Bytes stat.
+// Bytes is the entry's in-memory size, for the cache's Bytes stat; the
+// shared families are Bob's, and counted there.
 func (s *lpStates) Bytes() int64 { return s.bob.Bytes() + s.alice.Bytes() }
 
 // job packages one protocol execution: the two party drivers plus the
@@ -678,7 +675,7 @@ func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Dense, aBinar
 		p := req.P // p = 0 is meaningful: ℓ0, the composition-size estimate
 		o := core.LpOpts{Eps: eps, Seed: seed, Shards: e.cfg.Shards}
 		st, err := state(fmt.Sprintf("p=%g eps=%g seed=%d", p, eps, seed),
-			func() (bobState, error) { return newLpStates(b, m2, p, o) })
+			func() (bobState, error) { return newLpStates(b, p, o) })
 		if err != nil {
 			return nil, err
 		}
