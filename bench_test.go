@@ -1,5 +1,5 @@
 // Benchmark harness: one benchmark per experiment in DESIGN.md's index
-// (E1–E13), plus the end-to-end service benchmark. Each experiment
+// (E1–E14), plus the end-to-end service benchmark. Each experiment
 // benchmark reports, alongside time/op:
 //
 //	bits/op     — total communication of one protocol execution,
@@ -19,8 +19,10 @@ import (
 	"math"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/gateway"
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/intmat"
 	"repro/internal/lowerbound"
@@ -376,6 +378,37 @@ func BenchmarkE13_Rectangular(b *testing.B) {
 	})
 }
 
+// BenchmarkE14_RoundsVsBandwidth measures why the paper minimises rounds
+// *and* bits: under comm.LatencyModel's pipe model (time = rounds·RTT +
+// bits/bandwidth) the 2-round Õ(n/ε) protocol of Theorem 3.1 is set
+// against the 1-round Õ(n/ε²) baseline of [16] on the reference LAN and
+// WAN links. The extra round costs one RTT; the 1/ε bit saving
+// dominates as ε shrinks.
+func BenchmarkE14_RoundsVsBandwidth(b *testing.B) {
+	n := 192
+	ai := workload.Binary(31, n, n, 0.08).ToInt()
+	bi := workload.Binary(32, n, n, 0.08).ToInt()
+	for _, eps := range []float64{0.2, 0.05} {
+		for _, proto := range []struct {
+			name string
+			run  func(a, b *intmat.Dense, p float64, o core.LpOpts) (float64, core.Cost, error)
+		}{
+			{"tworound", core.EstimateLp},
+			{"oneround", core.OneRoundLp},
+		} {
+			b.Run(fmt.Sprintf("%s/eps=%.2f", proto.name, eps), func(b *testing.B) {
+				var cost core.Cost
+				for i := 0; i < b.N; i++ {
+					_, cost, _ = proto.run(ai, bi, 0, core.LpOpts{Eps: eps, Seed: uint64(i)})
+				}
+				reportCost(b, cost)
+				b.ReportMetric(float64(comm.LAN.Estimate(cost.Stats))/float64(time.Millisecond), "lan-ms")
+				b.ReportMetric(float64(comm.WAN.Estimate(cost.Stats))/float64(time.Millisecond), "wan-ms")
+			})
+		}
+	}
+}
+
 // BenchmarkServiceEstimateLp exercises the estimation service end to
 // end over HTTP loopback: a served 256×256 matrix answering Algorithm 1
 // queries through the engine's worker pool, with the full JSON
@@ -589,9 +622,9 @@ func BenchmarkServiceLpUpdateVsReupload(b *testing.B) {
 }
 
 // BenchmarkServiceBatchEstimate prices the batched query API over the
-// HTTP surface: 16 pinned-seed lp queries per POST /estimate/batch
+// HTTP surface: 16 pinned-seed lp queries per POST /v1/estimate/batch
 // (one HTTP exchange, one admission slot, cache hits throughout)
-// against 16 individual POST /estimate calls. Time is per 16-query
+// against 16 individual POST /v1/estimate calls. Time is per 16-query
 // group either way.
 func BenchmarkServiceBatchEstimate(b *testing.B) {
 	n := 256

@@ -13,10 +13,10 @@
 // The gateway serves the same JSON API as mpserver (clients and
 // mpload work unchanged pointed at it) plus the admin surface:
 //
-//	GET  /admin/backends   pool listing with health and counters
-//	POST /admin/backends   {"op":"add"|"drain"|"remove","addr":"http://…"}
-//	GET  /stats            gateway + per-backend counters (placements, failovers, retries, latencies)
-//	GET  /metrics          Prometheus text exposition of the fleet telemetry (mpgw_* families)
+//	GET  /v1/admin/backends   pool listing with health and counters
+//	POST /v1/admin/backends   {"op":"add"|"drain"|"remove","addr":"http://…"}
+//	GET  /v1/stats            gateway + per-backend counters (placements, failovers, retries, latencies)
+//	GET  /v1/metrics          Prometheus text exposition of the fleet telemetry (mpgw_* families)
 //
 // Kill a backend mid-load and the gateway fails queries over to the
 // surviving replicas; restart it and the health prober re-seeds it
@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"repro/gateway"
-	"repro/internal/store"
 )
 
 func main() {
@@ -50,9 +49,6 @@ func main() {
 	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "per-probe timeout")
 	probeBackoffMax := flag.Duration("probe-backoff-max", 30*time.Second, "cap on the prober's exponential backoff for failing backends")
 	uploadTTL := flag.Duration("upload-ttl", 2*time.Minute, "idle chunked uploads staged at the gateway are garbage-collected after this long")
-	dataDir := flag.String("data-dir", "", "spill store directory for retained wire copies past -wire-cache-budget (empty: keep all copies in memory)")
-	fsyncFlag := flag.String("fsync", "never", "spill store fsync policy: always | batch | never (with -data-dir; the spill store is a cache, so never is the sane default)")
-	wireBudget := flag.Int64("wire-cache-budget", 0, "resident byte budget for retained wire copies; the largest copies past it spill to -data-dir (0: unlimited)")
 	writeQuorum := flag.Int("write-quorum", 0, "replica acks a row update commits on (W); the apply loop catches the rest up in the background (0: every live replica acks before the update returns)")
 	updateLogMax := flag.Int("update-log-max", 0, "retained update-log entries per matrix; replicas lagging past the log are reseeded from the full wire copy (0: default 1024)")
 	sessionTTL := flag.Duration("session-ttl", 0, "idle consistency sessions (monotonic / read-my-writes tokens) expire after this long (0: default 10m)")
@@ -65,23 +61,7 @@ func main() {
 		}
 	}
 	if len(pool) == 0 {
-		log.Fatalf("no backends: pass -backends (more can be added at runtime via POST /admin/backends)")
-	}
-	var spill store.Store
-	if *wireBudget > 0 && *dataDir == "" {
-		log.Fatalf("-wire-cache-budget needs -data-dir to spill to")
-	}
-	if *dataDir != "" {
-		mode, err := store.ParseFsyncMode(*fsyncFlag)
-		if err != nil {
-			log.Fatalf("-fsync: %v", err)
-		}
-		disk, err := store.OpenDisk(store.DiskConfig{Dir: *dataDir, Fsync: mode})
-		if err != nil {
-			log.Fatalf("open -data-dir: %v", err)
-		}
-		defer disk.Close()
-		spill = disk
+		log.Fatalf("no backends: pass -backends (more can be added at runtime via POST /v1/admin/backends)")
 	}
 
 	gw := gateway.New(gateway.Config{
@@ -91,8 +71,6 @@ func main() {
 		ProbeTimeout:    *probeTimeout,
 		ProbeBackoffMax: *probeBackoffMax,
 		UploadTTL:       *uploadTTL,
-		Store:           spill,
-		WireCacheBudget: *wireBudget,
 		WriteQuorum:     *writeQuorum,
 		UpdateLogMax:    *updateLogMax,
 		SessionTTL:      *sessionTTL,

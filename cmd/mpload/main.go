@@ -13,7 +13,7 @@
 // code is non-zero if any request failed.
 //
 // Two flags shape a repeat-query serving workload: -batch N ships N
-// queries per POST /estimate/batch call (one server admission slot per
+// queries per POST /v1/estimate/batch call (one server admission slot per
 // batch; latencies are reported amortized per query), and -pin-seed S
 // pins every query's job seed so the server's Bob-side sketch cache
 // answers repeats from its precomputed state:
@@ -21,7 +21,7 @@
 //	mpload -addr http://127.0.0.1:8080 -mix lp=1 -batch 16 -pin-seed 7
 //
 // With -chunk-rows N the served matrix is admitted through the chunked
-// streaming-ingestion endpoint (POST /matrices/{name}/chunks, N rows
+// streaming-ingestion endpoint (POST /v1/matrices/{name}/chunks, N rows
 // per chunk) instead of one monolithic PUT body — the path for matrices
 // beyond the server's single-body size limit.
 //
@@ -35,7 +35,7 @@
 //	mpload -gateway -addr http://127.0.0.1:8080 -duration 10s
 //
 // The mix accepts the pseudo-kind "update" for a mixed read/write
-// workload: each "update" pick issues one PATCH /matrices/{name}/rows
+// workload: each "update" pick issues one PATCH /v1/matrices/{name}/rows
 // replacing -update-rows random rows with fresh 0/1 entries (the
 // served matrix stays binary and non-negative, so every estimation
 // kind remains valid throughout). Against a single server this
@@ -246,11 +246,11 @@ func main() {
 	phi := flag.Float64("phi", 0.2, "heavy-hitter threshold (eps for hh is phi/2)")
 	p := flag.Float64("p", 1, "norm index for lp")
 	aPool := flag.Int("a-pool", 8, "distinct query (Alice) matrices to rotate through")
-	batch := flag.Int("batch", 1, "queries per request: >1 uses POST /estimate/batch (one admission slot per batch; latencies reported amortized per query)")
+	batch := flag.Int("batch", 1, "queries per request: >1 uses POST /v1/estimate/batch (one admission slot per batch; latencies reported amortized per query)")
 	pinSeed := flag.Uint64("pin-seed", 0, "pin every query's job seed (>0) so repeat queries hit the server's sketch cache; 0 lets the server assign epoch seeds")
-	chunkRows := flag.Int("chunk-rows", 0, "upload the served matrix through POST /matrices/{name}/chunks with this many rows per chunk (0 = single-body PUT)")
+	chunkRows := flag.Int("chunk-rows", 0, "upload the served matrix through POST /v1/matrices/{name}/chunks with this many rows per chunk (0 = single-body PUT)")
 	gatewayMode := flag.Bool("gateway", false, "target is an mpgateway fleet front: print the gateway's per-backend and failover stats after the run")
-	updateRows := flag.Int("update-rows", 1, "rows replaced per \"update\" pick in the mix (PATCH /matrices/{name}/rows batch size)")
+	updateRows := flag.Int("update-rows", 1, "rows replaced per \"update\" pick in the mix (PATCH /v1/matrices/{name}/rows batch size)")
 	rps := flag.Float64("rps", 0, "open-loop target arrival rate (0 = closed loop); latencies are measured from the scheduled arrival")
 	rpsSweep := flag.String("rps-sweep", "", "comma-separated open-loop target rates to sweep (e.g. 25,50,100,200); fits a USL capacity model and implies open loop")
 	arrivals := flag.String("arrivals", "uniform", "open-loop arrival process: uniform or poisson")
@@ -316,7 +316,7 @@ func main() {
 	if *session != "" {
 		clientOpts = append(clientOpts, service.WithHeader("MP-Session", *session))
 	}
-	client := service.New(*addr, append(clientOpts, service.WithPathPrefix(""))...)
+	client := service.New(*addr, clientOpts...)
 	ctx := context.Background()
 
 	// Boolean matrices satisfy every kind's preconditions (binary for

@@ -142,7 +142,7 @@ func driveSLALevel(ctx context.Context, cfg slaCurveCfg, level string) slaCurveP
 		go func(w int) {
 			defer wg.Done()
 			opts := append([]service.ClientOption{}, cfg.clientOpts...)
-			opts = append(opts, service.WithPathPrefix(""), service.WithHeader("MP-Consistency", level))
+			opts = append(opts, service.WithHeader("MP-Consistency", level))
 			if level == "monotonic" || level == "rmw" {
 				// Client-minted session token: the gateway creates the
 				// session on first use, and each worker keeps its own so

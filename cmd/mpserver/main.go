@@ -7,13 +7,13 @@
 //
 // API (JSON):
 //
-//	PUT    /matrix/{name}   {"rows":512,"cols":512,"entries":[[i,j,v],...]}
-//	POST   /estimate        {"matrix":"name","kind":"lp","p":1,"eps":0.25,"a":{...}}
-//	GET    /matrices        served matrices
-//	GET    /stats           aggregate serving statistics
-//	GET    /metrics         Prometheus text exposition of the same telemetry
-//	DELETE /matrix/{name}
-//	GET    /healthz
+//	PUT    /v1/matrix/{name}   {"rows":512,"cols":512,"entries":[[i,j,v],...]}
+//	POST   /v1/estimate        {"matrix":"name","kind":"lp","p":1,"eps":0.25,"a":{...}}
+//	GET    /v1/matrices        served matrices
+//	GET    /v1/stats           aggregate serving statistics
+//	GET    /v1/metrics         Prometheus text exposition of the same telemetry
+//	DELETE /v1/matrix/{name}
+//	GET    /v1/healthz
 //
 // Kinds: lp, l0sample, l1sample, exact, linf, linfkappa, hh — see the
 // service package for the protocol each runs.
@@ -62,7 +62,7 @@ func main() {
 	cacheCap := flag.Int("cache-capacity", 64, "sketch-cache capacity (cached Bob-side states)")
 	noCache := flag.Bool("no-cache", false, "disable the sketch cache (re-derive Bob's state per query)")
 	seedRotate := flag.Int64("seed-rotate-every", 4096, "rotate the cache seed epoch after this many cached-path lookups (negative: never)")
-	maxBatch := flag.Int("max-batch", 256, "max queries per /estimate/batch request")
+	maxBatch := flag.Int("max-batch", 256, "max queries per /v1/estimate/batch request")
 	shards := flag.Int("shards", 0, "row shards per job on the parallel serve path (0 = min(GOMAXPROCS, 8), 1 = sequential; transcripts are identical for any value)")
 	uploadTTL := flag.Duration("upload-ttl", 2*time.Minute, "idle partial chunked uploads are garbage-collected after this long")
 	maxUploads := flag.Int("max-uploads", 16, "max concurrently staged chunked uploads")

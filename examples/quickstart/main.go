@@ -57,7 +57,8 @@ func main() {
 	fmt.Printf("  naive:     %d bits (shipping A)\n", n*n)
 	fmt.Println()
 	fmt.Println("note: the protocol's cost grows like Õ(n/ε) against the naive n²,")
-	fmt.Println("so at toy sizes the sketch constants dominate; EXPERIMENTS.md (E1)")
-	fmt.Println("records the measured linear-vs-quadratic scaling and the 1/ε-factor")
-	fmt.Println("separation over the one-round baseline, which hold at every size.")
+	fmt.Println("so at toy sizes the sketch constants dominate; E1 in DESIGN.md's")
+	fmt.Println("experiment index (go test -bench=E1) measures the linear-vs-quadratic")
+	fmt.Println("scaling and the 1/ε-factor separation over the one-round baseline,")
+	fmt.Println("which hold at every size.")
 }

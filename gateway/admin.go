@@ -329,8 +329,7 @@ func (g *Gateway) rebalance(ctx context.Context) RebalanceReport {
 				continue
 			}
 			// The gain's applied entry is stamped before the table swap
-			// publishes it to the apply loop and SLA routing. An unreadable
-			// (spilled) wire fails the move like a refused upload.
+			// publishes it to the apply loop and SLA routing.
 			if _, err := g.seedReplica(ctx, name, b, false); err != nil {
 				failed = true
 				continue

@@ -335,7 +335,7 @@ func consistencyUnderChurn(t *testing.T, quorum int) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		client := service.New(srv.URL, service.WithPathPrefix(""))
+		client := service.New(srv.URL)
 		for k := int64(2); ; k++ {
 			select {
 			case <-stop:
@@ -362,7 +362,7 @@ func consistencyUnderChurn(t *testing.T, quorum int) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		client := service.New(srv.URL, service.WithPathPrefix(""),
+		client := service.New(srv.URL,
 			service.WithHeader("MP-Consistency", fmt.Sprintf("bounded:%v", bound)))
 		for {
 			select {
@@ -404,7 +404,7 @@ func consistencyUnderChurn(t *testing.T, quorum int) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		client := service.New(srv.URL, service.WithPathPrefix(""),
+		client := service.New(srv.URL,
 			service.WithHeader("MP-Consistency", "rmw"),
 			service.WithHeader("MP-Session", "churn-rmw"))
 		for j := int64(3); ; j++ {
@@ -435,7 +435,7 @@ func consistencyUnderChurn(t *testing.T, quorum int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			client := service.New(srv.URL, service.WithPathPrefix(""),
+			client := service.New(srv.URL,
 				service.WithHeader("MP-Consistency", "eventual"))
 			for {
 				select {

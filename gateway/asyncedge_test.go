@@ -586,7 +586,7 @@ func TestSessionQueryParamWinsOverHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, srv.URL+"/estimate?consistency=monotonic&session=qtok", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/estimate?consistency=monotonic&session=qtok", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,8 @@ type Client struct {
 }
 
 // Dial returns a client for the given gateway root, addressing the
-// versioned /v1 surface by default; service.ClientOption values apply
-// to every call, front and admin alike.
+// versioned /v1 surface; service.ClientOption values apply to every
+// call, front and admin alike.
 func Dial(baseURL string, opts ...service.ClientOption) *Client {
 	return &Client{Client: service.New(baseURL, opts...)}
 }

@@ -57,7 +57,7 @@ func TestGatewayBinaryForwarding(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	jsonC := service.New(srv.URL)
-	binC := service.New(srv.URL, service.WithPathPrefix(""), service.WithAccept(service.MediaTypeBinary))
+	binC := service.New(srv.URL, service.WithAccept(service.MediaTypeBinary))
 	ctx := context.Background()
 
 	wire, sum := testMatrix(n)
@@ -96,7 +96,7 @@ func TestGatewayBinaryForwarding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hr, err := http.NewRequest("POST", srv.URL+"/estimate", bytes.NewReader(body))
+	hr, err := http.NewRequest("POST", srv.URL+"/v1/estimate", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,26 +133,6 @@ func TestGatewayBinaryForwarding(t *testing.T) {
 		t.Fatalf("binary row update via gateway: %v", err)
 	}
 
-	// /v1 aliases mirror the legacy paths byte for byte.
-	get := func(path string) []byte {
-		t.Helper()
-		gr, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer gr.Body.Close()
-		if gr.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, gr.StatusCode)
-		}
-		b, err := io.ReadAll(gr.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	if legacy, v1 := get("/matrices"), get("/v1/matrices"); !bytes.Equal(legacy, v1) {
-		t.Fatalf("gateway catalog bodies differ:\n legacy %s\n v1     %s", legacy, v1)
-	}
 }
 
 // gwCheckEnvelope requires body to be exactly the uniform error
@@ -209,7 +189,7 @@ func TestGatewayErrorEnvelope(t *testing.T) {
 	}
 
 	// Unplaced matrix: the gateway's own placement 404.
-	status, body := do(gc.BaseURL, "POST", "/estimate", "application/json",
+	status, body := do(gc.BaseURL, "POST", "/v1/estimate", "application/json",
 		`{"matrix":"ghost","kind":"exact","a":{"rows":4,"cols":4,"entries":[[0,0,1]]}}`)
 	if status != http.StatusNotFound {
 		t.Fatalf("unplaced estimate: status %d (%s)", status, body)
@@ -218,7 +198,7 @@ func TestGatewayErrorEnvelope(t *testing.T) {
 
 	// A backend-answered client error passes through with the
 	// backend's own envelope code.
-	status, body = do(gc.BaseURL, "POST", "/estimate", "application/json",
+	status, body = do(gc.BaseURL, "POST", "/v1/estimate", "application/json",
 		`{"matrix":"m","kind":"no-such-kind","a":{"rows":4,"cols":4,"entries":[[0,0,1]]}}`)
 	if status != http.StatusBadRequest {
 		t.Fatalf("bad kind: status %d (%s)", status, body)
@@ -226,14 +206,14 @@ func TestGatewayErrorEnvelope(t *testing.T) {
 	gwCheckEnvelope(t, body, "bad_request")
 
 	// Unsupported media type at the gateway tier.
-	status, body = do(gc.BaseURL, "POST", "/estimate", "text/csv", "i,j,v")
+	status, body = do(gc.BaseURL, "POST", "/v1/estimate", "text/csv", "i,j,v")
 	if status != http.StatusUnsupportedMediaType {
 		t.Fatalf("csv estimate: status %d (%s)", status, body)
 	}
 	gwCheckEnvelope(t, body, "unsupported_media_type")
 
 	// Unknown backend on the admin surface.
-	status, body = do(gc.BaseURL, "POST", "/admin/backends", "application/json",
+	status, body = do(gc.BaseURL, "POST", "/v1/admin/backends", "application/json",
 		`{"op":"drain","addr":"http://nope:1"}`)
 	if status != http.StatusNotFound {
 		t.Fatalf("drain unknown backend: status %d (%s)", status, body)
@@ -244,7 +224,7 @@ func TestGatewayErrorEnvelope(t *testing.T) {
 	g2 := newTestGateway(t, 1)
 	srv2 := httptest.NewServer(NewHandler(g2))
 	t.Cleanup(srv2.Close)
-	status, body = do(srv2.URL, "PUT", "/matrix/m", "application/json",
+	status, body = do(srv2.URL, "PUT", "/v1/matrix/m", "application/json",
 		`{"rows":1,"cols":1,"entries":[[0,0,1]]}`)
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("put with no backends: status %d (%s)", status, body)
@@ -253,7 +233,7 @@ func TestGatewayErrorEnvelope(t *testing.T) {
 
 	// Every replica dead: 502 bad_gateway.
 	b1.stop()
-	status, body = do(gc.BaseURL, "POST", "/estimate", "application/json",
+	status, body = do(gc.BaseURL, "POST", "/v1/estimate", "application/json",
 		`{"matrix":"m","kind":"exact","a":{"rows":4,"cols":4,"entries":[[0,0,1]]}}`)
 	if status != http.StatusBadGateway {
 		t.Fatalf("dead replicas: status %d (%s)", status, body)

@@ -14,9 +14,10 @@
 // queryable on its full replica set or absent everywhere — and the
 // chunked begin/append/commit lifecycle is staged at the gateway (no
 // backend sees a chunk) and placed through the same put at commit. The
-// gateway retains each matrix's wire form and is the placement's source
-// of truth; that copy is what rebalancing and every replica repair
-// re-upload, through one routine (seedReplica). Row updates (UpdateRows) go to every
+// gateway retains each matrix's wire form — in memory only: it is
+// diskless and holds no store — and is the placement's source of truth;
+// that copy is what rebalancing and every replica repair re-upload,
+// through one routine (seedReplica). Row updates (UpdateRows) go to every
 // live replica — or to Config.WriteQuorum of them — and advance the
 // retained copy in the same commit, so repairs after an update re-seed
 // the patched matrix; a replica that misses an update stays placed,
@@ -41,7 +42,7 @@
 // Config.ProbeInterval, demotes failures with exponential backoff,
 // and re-admits a recovering backend only after resyncing it against
 // the placement table (re-seeding lost copies, deleting stragglers).
-// The admin API (POST /admin/backends) adds, drains, and removes
+// The admin API (POST /v1/admin/backends) adds, drains, and removes
 // backends at runtime; each change rebalances affected matrices to
 // their new rendezvous targets, uploading gains before dropping
 // losses.

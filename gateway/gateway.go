@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/store"
 	"repro/service"
 )
 
@@ -60,15 +59,6 @@ type Config struct {
 	// HTTPClient is the shared client for backend calls. Default
 	// http.DefaultClient.
 	HTTPClient *http.Client
-	// Store, when set with WireCacheBudget, is the durable spill target
-	// for retained wire copies (see spill.go). The gateway owns the
-	// store's content and wipes it on New; do not share a data directory
-	// with a backend.
-	Store store.Store
-	// WireCacheBudget caps the bytes of retained wire copies held
-	// resident before the largest are spilled to Store. 0 (the default)
-	// disables spilling — every copy stays in memory.
-	WireCacheBudget int64
 	// WriteQuorum is the one replication knob: how many replicas must
 	// apply a row update before it commits. 0 (the default) waits for
 	// every live replica — each replica that can serve then satisfies
@@ -123,14 +113,8 @@ func (c *Config) setDefaults() {
 // replaced wholesale (copy-on-write), so a snapshot taken under the
 // gateway lock stays consistent after release.
 type placedMatrix struct {
-	info service.MatrixInfo
-	wire service.Matrix
-	// wireBytes is the copy's budget-accounted resident size (see
-	// wireSize); it describes the full wire form even while spilled.
-	wireBytes int64
-	// spilled marks a copy whose Entries were dropped from memory; the
-	// durable form lives in the spill store and wireOf reloads it.
-	spilled  bool
+	info     service.MatrixInfo
+	wire     service.Matrix
 	replicas []string
 	// ver is the version of the retained wire: a fresh epoch at every
 	// wholesale install, seq advanced per committed row update. It is
@@ -139,12 +123,19 @@ type placedMatrix struct {
 	ver version
 }
 
-// clone returns a copy for copy-on-write replacement: same wire and
-// flags, own replica slice. Callers adjust fields before installing.
+// clone returns a copy for copy-on-write replacement: same wire, own
+// replica slice. Callers adjust fields before installing.
 func (pm *placedMatrix) clone() *placedMatrix {
 	cp := *pm
 	cp.replicas = append([]string(nil), pm.replicas...)
 	return &cp
+}
+
+// wireSize estimates a retained wire copy's resident cost — the unit of
+// the wire_bytes and reseed_bytes stats, matching the encoded frame
+// within a constant.
+func wireSize(m service.Matrix) int64 {
+	return 32 + 24*int64(len(m.Entries))
 }
 
 // Gateway is the multi-backend front tier: it owns a health-checked
@@ -202,10 +193,6 @@ type Gateway struct {
 	updateReverts atomic.Int64
 	resyncs       atomic.Int64
 	reseedBytes   atomic.Int64
-	spills        atomic.Int64
-	spillLoads    atomic.Int64
-	spillErrors   atomic.Int64
-	spillSeq      atomic.Uint64
 	asyncApplied  atomic.Int64
 	asyncReseeds  atomic.Int64
 
@@ -237,7 +224,6 @@ func New(cfg Config) *Gateway {
 		closed:    make(chan struct{}),
 	}
 	g.baseCtx, g.cancelBase = context.WithCancel(context.Background())
-	g.wipeSpillStore()
 	g.met = newGatewayMetrics(g)
 	for _, addr := range cfg.Backends {
 		if addr == "" {
@@ -358,8 +344,7 @@ func (g *Gateway) uploadTo(ctx context.Context, b *backend, name string, m servi
 }
 
 // errNotSeeded is seedReplica's verdict when it never contacted the
-// backend: the matrix left the table, a drain owns the send slot, or
-// the retained wire could not be loaded.
+// backend: the matrix left the table or a drain owns the send slot.
 var errNotSeeded = errors.New("gateway: replica not seeded")
 
 // seedReplica is the one way a placed matrix is re-shipped to a backend
@@ -392,15 +377,11 @@ func (g *Gateway) seedReplica(ctx context.Context, name string, b *backend, held
 	if !ok {
 		return 0, errNotSeeded
 	}
-	wire, err := g.wireOf(pm)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", errNotSeeded, err)
-	}
-	if _, err := g.uploadTo(ctx, b, name, wire); err != nil {
+	if _, err := g.uploadTo(ctx, b, name, pm.wire); err != nil {
 		return 0, err
 	}
 	g.setApplied(name, b.id, pm.ver)
-	return pm.wireBytes, nil
+	return wireSize(pm.wire), nil
 }
 
 // fanout runs op against every backend concurrently and returns the
@@ -469,13 +450,12 @@ func (g *Gateway) PutMatrix(ctx context.Context, name string, m service.Matrix) 
 		ids[i] = b.id
 	}
 	ver := version{epoch: g.epochSeq.Add(1)}
-	pm := &placedMatrix{info: infos[0], wire: m, wireBytes: wireSize(m), replicas: ids, ver: ver}
+	pm := &placedMatrix{info: infos[0], wire: m, replicas: ids, ver: ver}
 	g.mu.Lock()
 	g.matrices[name] = pm
 	g.mu.Unlock()
 	g.resetUpdState(name, ver, ids)
 	g.placements.Add(1)
-	g.maybeSpill()
 	return PlacementInfo{MatrixInfo: pm.info, Replicas: ids}, nil
 }
 
@@ -495,7 +475,6 @@ func (g *Gateway) DeleteMatrix(ctx context.Context, name string) error {
 	delete(g.matrices, name)
 	delete(g.upd, name)
 	g.mu.Unlock()
-	g.dropSpilled(name)
 	_, _ = fanout(reps, func(_ int, b *backend) error {
 		return b.client.DeleteMatrix(ctx, name)
 	})

@@ -6,7 +6,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"repro/internal/metrics"
 	"repro/service"
@@ -15,7 +14,7 @@ import (
 // NewHandler exposes the gateway as an HTTP API. The front routes
 // mirror the backend service API one for one — a service.Client
 // pointed at a gateway works unchanged — under the same versioned /v1
-// prefix with unprefixed legacy aliases, plus the admin surface:
+// prefix, plus the admin surface:
 //
 //	PUT    /v1/matrix/{name}           replicated upload (all-or-nothing across R replicas)
 //	DELETE /v1/matrix/{name}           remove a matrix from every replica
@@ -37,16 +36,7 @@ import (
 // reference.
 func NewHandler(g *Gateway) http.Handler {
 	mux := http.NewServeMux()
-	handle := func(pattern string, h http.Handler) {
-		mux.Handle(pattern, h)
-		method, path, ok := strings.Cut(pattern, " ")
-		if !ok {
-			panic("route pattern without method: " + pattern)
-		}
-		mux.Handle(method+" /v1"+path, h)
-	}
-	handleFunc := func(pattern string, h http.HandlerFunc) { handle(pattern, h) }
-	handleFunc("PUT /matrix/{name}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("PUT /v1/matrix/{name}", func(w http.ResponseWriter, r *http.Request) {
 		var m service.Matrix
 		if err := service.DecodeRequest(w, r, &m); err != nil {
 			g.writeError(w, err)
@@ -59,17 +49,17 @@ func NewHandler(g *Gateway) http.Handler {
 		}
 		service.WriteJSON(w, http.StatusOK, info)
 	})
-	handleFunc("DELETE /matrix/{name}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("DELETE /v1/matrix/{name}", func(w http.ResponseWriter, r *http.Request) {
 		if err := g.DeleteMatrix(r.Context(), r.PathValue("name")); err != nil {
 			g.writeError(w, err)
 			return
 		}
 		service.WriteJSON(w, http.StatusOK, map[string]string{"deleted": r.PathValue("name")})
 	})
-	handleFunc("GET /matrices", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/matrices", func(w http.ResponseWriter, r *http.Request) {
 		service.WriteJSON(w, http.StatusOK, g.Matrices())
 	})
-	handleFunc("POST /matrices/{name}/chunks", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/matrices/{name}/chunks", func(w http.ResponseWriter, r *http.Request) {
 		var req service.ChunkRequest
 		if err := service.DecodeRequest(w, r, &req); err != nil {
 			g.writeError(w, err)
@@ -108,7 +98,7 @@ func NewHandler(g *Gateway) http.Handler {
 			g.writeError(w, fmt.Errorf("%w: unknown chunk op %q", service.ErrBadRequest, req.Op))
 		}
 	})
-	handleFunc("PATCH /matrices/{name}/rows", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("PATCH /v1/matrices/{name}/rows", func(w http.ResponseWriter, r *http.Request) {
 		var req service.UpdateRequest
 		if err := service.DecodeRequest(w, r, &req); err != nil {
 			g.writeError(w, err)
@@ -129,7 +119,7 @@ func NewHandler(g *Gateway) http.Handler {
 		w.Header().Set("MP-Version", ver.String())
 		service.WriteReply(w, r, http.StatusOK, rep)
 	})
-	handleFunc("POST /estimate", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/estimate", func(w http.ResponseWriter, r *http.Request) {
 		var req service.Request
 		if err := service.DecodeRequest(w, r, &req); err != nil {
 			g.writeError(w, err)
@@ -151,7 +141,7 @@ func NewHandler(g *Gateway) http.Handler {
 		w.Header().Set("MP-Version", ver.String())
 		service.WriteReply(w, r, http.StatusOK, res)
 	})
-	handleFunc("POST /estimate/batch", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/estimate/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req service.BatchRequest
 		if err := service.DecodeRequest(w, r, &req); err != nil {
 			g.writeError(w, err)
@@ -172,17 +162,17 @@ func NewHandler(g *Gateway) http.Handler {
 		}
 		service.WriteReply(w, r, http.StatusOK, service.BatchResponse{Results: items})
 	})
-	handleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		service.WriteJSON(w, http.StatusOK, g.Stats())
 	})
-	handle("GET /metrics", metrics.Handler(g.Metrics()))
-	handleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("GET /v1/metrics", metrics.Handler(g.Metrics()))
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	handleFunc("GET /admin/backends", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/admin/backends", func(w http.ResponseWriter, r *http.Request) {
 		service.WriteJSON(w, http.StatusOK, g.Backends())
 	})
-	handleFunc("POST /admin/backends", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/admin/backends", func(w http.ResponseWriter, r *http.Request) {
 		var req AdminRequest
 		if err := service.DecodeRequest(w, r, &req); err != nil {
 			g.writeError(w, err)
@@ -209,7 +199,7 @@ func NewHandler(g *Gateway) http.Handler {
 	return mux
 }
 
-// AdminRequest is the body of POST /admin/backends: one pool change,
+// AdminRequest is the body of POST /v1/admin/backends: one pool change,
 // selected by Op.
 type AdminRequest struct {
 	// Op is "add", "drain", or "remove".

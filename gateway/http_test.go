@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -163,12 +164,12 @@ func TestHTTPErrorMapping(t *testing.T) {
 	// Admin errors.
 	_, err = gc.DrainBackend(ctx, "http://nope:1")
 	assertStatus(err, http.StatusNotFound, "drain unknown backend")
-	err = gc.DoJSON(ctx, http.MethodPost, "/admin/backends", AdminRequest{Op: "explode", Addr: "x"}, nil)
+	err = gc.DoJSON(ctx, http.MethodPost, "/v1/admin/backends", AdminRequest{Op: "explode", Addr: "x"}, nil)
 	assertStatus(err, http.StatusBadRequest, "unknown admin op")
 	_, err = gc.AddBackend(ctx, "")
 	assertStatus(err, http.StatusBadRequest, "add empty addr")
 	// Malformed JSON body → 400.
-	resp, herr := http.Post(gc.BaseURL+"/estimate", "application/json", strings.NewReader("{nope"))
+	resp, herr := http.Post(gc.BaseURL+"/v1/estimate", "application/json", strings.NewReader("{nope"))
 	if herr != nil {
 		t.Fatal(herr)
 	}
@@ -177,12 +178,59 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Fatalf("malformed body: HTTP %d", resp.StatusCode)
 	}
 	// Unknown chunk op → 400.
-	err = gc.DoJSON(ctx, http.MethodPost, "/matrices/m/chunks", service.ChunkRequest{Op: "explode"}, nil)
+	err = gc.DoJSON(ctx, http.MethodPost, "/v1/matrices/m/chunks", service.ChunkRequest{Op: "explode"}, nil)
 	assertStatus(err, http.StatusBadRequest, "unknown chunk op")
 	// Empty matrix name via the chunks begin path → 400 comes from the
 	// gateway before any backend is contacted.
 	if _, err := gc.Client.UploadMatrix(ctx, "", identWire(n)); err == nil {
 		t.Fatal("empty-name upload accepted")
+	}
+}
+
+// TestV1OnlySurface pins the single HTTP surface: every documented
+// route answers under /v1, and the same path without the prefix is the
+// mux's plain 404 — not an alias, not an error envelope.
+func TestV1OnlySurface(t *testing.T) {
+	b1, b2 := startBackend(t), startBackend(t)
+	_, gc := startGatewayServer(t, 2, b1.addr)
+	const a = `{"rows":2,"cols":2,"entries":[[0,0,1]]}`
+	const query = `{"matrix":"m","kind":"exact","a":` + a + `}`
+	for _, rt := range []struct{ method, path, body string }{
+		{"PUT", "/matrix/m", `{"rows":2,"cols":2,"entries":[[0,0,1],[1,1,1]]}`},
+		{"GET", "/matrices", ""},
+		{"POST", "/matrices/c/chunks", `{"op":"begin","rows":2,"cols":2}`},
+		{"PATCH", "/matrices/m/rows", `{"row":0,"entries":[[1,1]]}`},
+		{"POST", "/estimate", query},
+		{"POST", "/estimate/batch", `{"queries":[` + query + `]}`},
+		{"GET", "/stats", ""},
+		{"GET", "/metrics", ""},
+		{"GET", "/healthz", ""},
+		{"GET", "/admin/backends", ""},
+		{"POST", "/admin/backends", `{"op":"add","addr":"` + b2.addr + `"}`},
+		{"DELETE", "/matrix/m", ""},
+	} {
+		for _, prefix := range []string{"", "/v1"} {
+			hr, err := http.NewRequest(rt.method, gc.BaseURL+prefix+rt.path, strings.NewReader(rt.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(hr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			want := http.StatusOK
+			if prefix == "" {
+				want = http.StatusNotFound
+			}
+			if resp.StatusCode != want {
+				t.Errorf("%s %s%s: status %d, want %d (%.80s)", rt.method, prefix, rt.path, resp.StatusCode, want, body)
+			}
+			if prefix == "" && string(body) != "404 page not found\n" {
+				t.Errorf("%s %s: body %.80q, want the mux's plain 404", rt.method, rt.path, body)
+			}
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // gatewayMetrics wires a Gateway into a metrics.Registry served at
-// GET /metrics, following the same split as the service layer: the
+// GET /v1/metrics, following the same split as the service layer: the
 // routing hot path touches exactly one live instrument (the per-backend
 // request-duration histogram, observed where recordResult already
 // folds the outcome in), while every counter the gateway already keeps
@@ -59,12 +59,6 @@ func newGatewayMetrics(g *Gateway) *gatewayMetrics {
 			func(s *Stats) int64 { return s.Resyncs }},
 		{"mpgw_reseed_bytes_total", "Wire bytes re-uploaded to returning backends by probe resyncs.",
 			func(s *Stats) int64 { return s.ReseedBytes }},
-		{"mpgw_spills_total", "Retained wire copies written to the spill store by the wire-cache budget.",
-			func(s *Stats) int64 { return s.Spills }},
-		{"mpgw_spill_loads_total", "Spilled wire copies loaded back from the store.",
-			func(s *Stats) int64 { return s.SpillLoads }},
-		{"mpgw_spill_errors_total", "Failed spill-store operations.",
-			func(s *Stats) int64 { return s.SpillErrors }},
 		{"mpgw_async_applied_total", "Update-log entries replayed to lagging replicas (apply loop and in-line catch-ups).",
 			func(s *Stats) int64 { return s.AsyncApplied }},
 		{"mpgw_async_reseeds_total", "Full-wire reseeds of replicas whose lag a log replay could not cover.",
@@ -83,26 +77,12 @@ func newGatewayMetrics(g *Gateway) *gatewayMetrics {
 			g.mu.Unlock()
 			return []metrics.Sample{{Value: float64(n)}}
 		})
-	reg.GaugeFunc("mpgw_spilled_matrices", "Placements whose wire copy currently lives in the spill store.",
-		nil, func() []metrics.Sample {
-			g.mu.Lock()
-			n := 0
-			for _, pm := range g.matrices {
-				if pm.spilled {
-					n++
-				}
-			}
-			g.mu.Unlock()
-			return []metrics.Sample{{Value: float64(n)}}
-		})
-	reg.GaugeFunc("mpgw_wire_bytes", "Resident retained-wire bytes governed by the wire-cache budget.",
+	reg.GaugeFunc("mpgw_wire_bytes", "Total size of the retained wire copies replicas are re-seeded from.",
 		nil, func() []metrics.Sample {
 			g.mu.Lock()
 			var total int64
 			for _, pm := range g.matrices {
-				if !pm.spilled {
-					total += pm.wireBytes
-				}
+				total += wireSize(pm.wire)
 			}
 			g.mu.Unlock()
 			return []metrics.Sample{{Value: float64(total)}}
@@ -200,6 +180,6 @@ func newGatewayMetrics(g *Gateway) *gatewayMetrics {
 }
 
 // Metrics returns the gateway's metrics registry — the families backing
-// GET /metrics — so embedders can mount the exposition on their own mux
+// GET /v1/metrics — so embedders can mount the exposition on their own mux
 // or register additional families alongside the gateway's.
 func (g *Gateway) Metrics() *metrics.Registry { return g.met.reg }

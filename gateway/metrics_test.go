@@ -13,18 +13,18 @@ import (
 	"repro/service"
 )
 
-// scrapeGatewayMetrics fetches GET /metrics, asserts the content type
+// scrapeGatewayMetrics fetches GET /v1/metrics, asserts the content type
 // and that the body lints clean, and returns the samples keyed by full
 // series name (labels included).
 func scrapeGatewayMetrics(t *testing.T, baseURL string) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(baseURL + "/metrics")
+	resp, err := http.Get(baseURL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics status = %d", resp.StatusCode)
+		t.Fatalf("GET /v1/metrics status = %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != metrics.TextContentType {
 		t.Fatalf("Content-Type = %q, want %q", ct, metrics.TextContentType)
@@ -52,7 +52,7 @@ func scrapeGatewayMetrics(t *testing.T, baseURL string) map[string]float64 {
 }
 
 // TestGatewayMetricsEndpointE2E drives replicated traffic through a
-// live gateway fronting two real backends and asserts GET /metrics
+// live gateway fronting two real backends and asserts GET /v1/metrics
 // reflects it: routing counters match /stats, the per-backend families
 // cover the pool with correct health, and the per-backend latency
 // histograms account for exactly the successful backend calls.

@@ -9,7 +9,7 @@ import (
 	"repro/service"
 )
 
-// Replicated row updates: PATCH /matrices/{name}/rows at the gateway
+// Replicated row updates: PATCH /v1/matrices/{name}/rows at the gateway
 // applies a sparse row patch to the replicas of a placed matrix and —
 // critically for the repair path — retains the patched wire copy in
 // the placement table in the same commit. Every later repair
@@ -179,13 +179,7 @@ func (g *Gateway) updateRowsLocked(ctx context.Context, st *matrixUpd, name stri
 		// name, and patching its content would corrupt it.
 		return service.UpdateReply{}, version{}, fmt.Errorf("%w: %q", service.ErrConflict, name)
 	}
-	// A spilled entry's wire loads from the store; the patched result
-	// re-enters memory resident on commit (maybeSpill may re-spill it).
-	oldWire, err := g.wireOf(pm)
-	if err != nil {
-		return service.UpdateReply{}, version{}, err
-	}
-	newWire, _, err := patchWire(oldWire, ups, req.Delta)
+	newWire, _, err := patchWire(pm.wire, ups, req.Delta)
 	if err != nil {
 		return service.UpdateReply{}, version{}, err
 	}
@@ -196,7 +190,7 @@ func (g *Gateway) updateRowsLocked(ctx context.Context, st *matrixUpd, name stri
 	fwd := req
 	fwd.Key = newVer.seq
 
-	rep, err := g.commitLocked(ctx, st, name, pm, reps, ups, fwd, oldWire, newWire, newVer)
+	rep, err := g.commitLocked(ctx, st, name, pm, reps, ups, fwd, newWire, newVer)
 	if err != nil {
 		return service.UpdateReply{}, version{}, err
 	}
@@ -234,7 +228,7 @@ func (g *Gateway) patchLeg(ctx context.Context, b *backend, name string, fwd ser
 // if any acked; with W > 0 the first W are, spares are tried only while
 // acks fall short, and it commits on W acks (clamped to the replica
 // count). Callers hold st.mu.
-func (g *Gateway) commitLocked(ctx context.Context, st *matrixUpd, name string, pm *placedMatrix, reps []*backend, ups []service.RowUpdate, fwd service.UpdateRequest, oldWire, newWire service.Matrix, newVer version) (service.UpdateReply, error) {
+func (g *Gateway) commitLocked(ctx context.Context, st *matrixUpd, name string, pm *placedMatrix, reps []*backend, ups []service.RowUpdate, fwd service.UpdateRequest, newWire service.Matrix, newVer version) (service.UpdateReply, error) {
 	w := g.cfg.WriteQuorum
 	need := min(w, len(reps))
 	var (
@@ -310,7 +304,7 @@ func (g *Gateway) commitLocked(ctx context.Context, st *matrixUpd, name string, 
 		}
 		for _, b := range acked {
 			revCtx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
-			_, rerr := g.uploadTo(revCtx, b, name, oldWire)
+			_, rerr := g.uploadTo(revCtx, b, name, pm.wire)
 			cancel()
 			if rerr != nil {
 				st.setAppliedLocked(b.id, version{})
@@ -339,7 +333,6 @@ func (g *Gateway) commitLocked(ctx context.Context, st *matrixUpd, name string, 
 		return service.UpdateReply{}, fmt.Errorf("%w: %q", service.ErrConflict, name)
 	}
 	g.appendLogLocked(st, newVer, ups, fwd.Delta)
-	g.maybeSpill()
 	if len(acked) < len(reps) {
 		g.wakeApply()
 	}
@@ -352,21 +345,14 @@ func (g *Gateway) commitLocked(ctx context.Context, st *matrixUpd, name string, 
 // landed there would now be divergent. Re-upload the replacement's
 // retained wire to every current replica, best-effort.
 func (g *Gateway) convergeReplacement(name string) {
-	g.mu.Lock()
-	cur, ok := g.matrices[name]
-	g.mu.Unlock()
-	if !ok {
-		return
-	}
-	curWire, werr := g.wireOf(cur)
-	_, curReps, err := g.replicaSnapshot(name)
-	if err != nil || werr != nil {
+	cur, curReps, err := g.replicaSnapshot(name)
+	if err != nil {
 		return
 	}
 	_, _ = fanout(curReps, func(_ int, b *backend) error {
 		syncCtx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
 		defer cancel()
-		_, err := g.uploadTo(syncCtx, b, name, curWire)
+		_, err := g.uploadTo(syncCtx, b, name, cur.wire)
 		return err
 	})
 }
@@ -380,10 +366,8 @@ func isTransportLevel(err error) bool {
 
 // installUpdate publishes a committed update for name iff the table
 // entry is still pm (compare half of the copy-on-write): the patched
-// wire becomes the retained copy, resident (a spilled entry un-spills;
-// its stale spill file is never read and is overwritten by the next
-// spill), at version ver — the update-log head the commit assigned.
-// Reports whether the swap happened.
+// wire becomes the retained copy at version ver — the update-log head
+// the commit assigned. Reports whether the swap happened.
 func (g *Gateway) installUpdate(name string, pm *placedMatrix, newWire service.Matrix, info service.MatrixInfo, ver version) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -393,8 +377,6 @@ func (g *Gateway) installUpdate(name string, pm *placedMatrix, newWire service.M
 	npm := pm.clone()
 	npm.info = info
 	npm.wire = newWire
-	npm.wireBytes = wireSize(newWire)
-	npm.spilled = false
 	npm.ver = ver
 	g.matrices[name] = npm
 	return true

@@ -321,7 +321,7 @@ func TestHTTPConsistencyParam(t *testing.T) {
 	}
 
 	// A bad grammar is a 400 before any backend work.
-	resp := post(gc.BaseURL+"/estimate?consistency=bogus", nil)
+	resp := post(gc.BaseURL+"/v1/estimate?consistency=bogus", nil)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
@@ -330,7 +330,7 @@ func TestHTTPConsistencyParam(t *testing.T) {
 
 	// A session level without a token mints one and echoes it with the
 	// served version.
-	resp = post(gc.BaseURL+"/estimate?consistency=monotonic", nil)
+	resp = post(gc.BaseURL+"/v1/estimate?consistency=monotonic", nil)
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -348,7 +348,7 @@ func TestHTTPConsistencyParam(t *testing.T) {
 	}
 
 	// The minted token is honored on the next request via header.
-	resp = post(gc.BaseURL+"/estimate", map[string]string{
+	resp = post(gc.BaseURL+"/v1/estimate", map[string]string{
 		"MP-Consistency": "monotonic",
 		"MP-Session":     tok,
 	})
@@ -363,7 +363,7 @@ func TestHTTPConsistencyParam(t *testing.T) {
 
 	// The service client's static-header option pins consistency on
 	// every call — the mpload wiring.
-	hc := service.New(gc.BaseURL, service.WithPathPrefix(""),
+	hc := service.New(gc.BaseURL,
 		service.WithHeader("MP-Consistency", "bounded:10s"))
 	res, err := hc.Estimate(ctx, exactReq("m", n))
 	if err != nil || res.Estimate != sum {

@@ -99,20 +99,8 @@ type Stats struct {
 	// ReseedBytes is the total wire bytes re-uploaded to returning
 	// backends by probe resyncs (zero when backends recover from disk).
 	ReseedBytes int64 `json:"reseed_bytes"`
-	// Spills counts retained wire copies written to the spill store and
-	// dropped from memory by the wire-cache budget.
-	Spills int64 `json:"spills"`
-	// SpillLoads counts spilled wire copies loaded back from the store
-	// for a repair, resync, rebalance, or row update.
-	SpillLoads int64 `json:"spill_loads"`
-	// SpillErrors counts failed spill-store operations (all
-	// best-effort: the copy stays resident or the repair is skipped).
-	SpillErrors int64 `json:"spill_errors"`
-	// SpilledMatrices is the number of placements whose wire copy
-	// currently lives in the spill store instead of memory.
-	SpilledMatrices int `json:"spilled_matrices"`
-	// WireBytes is the resident retained-wire byte total governed by
-	// Config.WireCacheBudget.
+	// WireBytes is the retained wire copies' total size (see wireSize):
+	// what the gateway keeps resident to re-seed replicas from.
 	WireBytes int64 `json:"wire_bytes"`
 	// WriteQuorum is the configured ack quorum W a row update commits
 	// on (Config.WriteQuorum); 0 means every live replica.
@@ -157,14 +145,9 @@ type RebalanceReport struct {
 func (g *Gateway) Stats() Stats {
 	g.mu.Lock()
 	matrices := len(g.matrices)
-	var spilled int
 	var wireBytes int64
 	for _, pm := range g.matrices {
-		if pm.spilled {
-			spilled++
-		} else {
-			wireBytes += pm.wireBytes
-		}
+		wireBytes += wireSize(pm.wire)
 	}
 	upd := make([]*matrixUpd, 0, len(g.upd))
 	for _, st := range g.upd {
@@ -192,10 +175,6 @@ func (g *Gateway) Stats() Stats {
 		LostReplicas:     g.lostReplicas.Load(),
 		Resyncs:          g.resyncs.Load(),
 		ReseedBytes:      g.reseedBytes.Load(),
-		Spills:           g.spills.Load(),
-		SpillLoads:       g.spillLoads.Load(),
-		SpillErrors:      g.spillErrors.Load(),
-		SpilledMatrices:  spilled,
 		WireBytes:        wireBytes,
 		WriteQuorum:      g.cfg.WriteQuorum,
 		UpdateLogEntries: logEntries,

@@ -16,17 +16,19 @@ import (
 // nothing a single put does not.
 
 // stagedUpload is one in-progress chunked upload: the client's token,
-// running counts and GC deadline (info) and the entries accepted so
-// far. Guarded by Gateway.mu; info's name and dimensions never change
-// after begin.
+// running counts and GC deadline (info), the entries accepted so far
+// and the cells they occupy (seen — the engines' duplicate rule, so a
+// cell repeated across chunks is refused at append, not at commit after
+// the token is spent). Guarded by Gateway.mu; info's name and
+// dimensions never change after begin.
 type stagedUpload struct {
 	info    service.UploadInfo
 	entries [][3]int64
+	seen    service.CellSet
 }
 
 // cells is the upload's declared rows×cols — what it counts against
-// the staging budget, and the most entries a duplicate-free upload can
-// carry.
+// the staging budget.
 func (up *stagedUpload) cells() int64 {
 	return int64(up.info.Rows) * int64(up.info.Cols)
 }
@@ -92,14 +94,15 @@ func (g *Gateway) BeginUpload(name string, rows, cols int) (service.UploadInfo, 
 		return service.UploadInfo{}, fmt.Errorf("%w: %d staged elements exceeds budget %d",
 			service.ErrOverloaded, staged, int64(service.DefaultMaxStagedElems))
 	}
+	up.seen.Reset(rows, cols)
 	g.uploads[up.info.Upload] = up
 	return up.info, nil
 }
 
-// AppendChunk validates one row-range chunk (service.CheckChunk, the
-// engines' rule) and stages its entries. A rejected chunk stages
-// nothing, so it can be corrected and resent. A cell repeated across
-// chunks is not detected here: the replicas reject it at commit.
+// AppendChunk validates one row-range chunk by the engines' rules —
+// service.CheckChunk for position, the upload's CellSet for a cell
+// already staged by this or an earlier chunk — and stages its entries.
+// A rejected chunk stages nothing, so it can be corrected and resent.
 func (g *Gateway) AppendChunk(name, token string, rowStart, rowEnd int, entries [][3]int64) (service.UploadInfo, error) {
 	g.mu.Lock()
 	up, err := g.lookupUploadLocked(name, token, time.Now())
@@ -124,11 +127,10 @@ func (g *Gateway) AppendChunk(name, token string, rowStart, rowEnd int, entries 
 	if up, err = g.lookupUploadLocked(name, token, now); err != nil {
 		return service.UploadInfo{}, err
 	}
-	// More entries than cells must repeat one; refusing them here bounds
-	// what a resent chunk can pin to the declared size.
-	if int64(len(up.entries)+len(entries)) > up.cells() {
-		return service.UploadInfo{}, fmt.Errorf("%w: more entries than the %dx%d matrix has cells (duplicates)",
-			service.ErrBadRequest, up.info.Rows, up.info.Cols)
+	// Distinct cells also bound what resent chunks can pin to the
+	// declared size.
+	if err := up.seen.AddAll(entries); err != nil {
+		return service.UploadInfo{}, err
 	}
 	up.entries = append(up.entries, entries...)
 	up.info.Entries += len(entries)

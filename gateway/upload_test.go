@@ -146,8 +146,9 @@ func TestChunkedUploadAbort(t *testing.T) {
 // TestChunkedAppendRejectIsResendable pins the engines' rule at the
 // gateway: a chunk with an out-of-range row range or entry is a 400
 // that stages nothing, so the same token takes the corrected chunk and
-// commits. A cell repeated across chunks surfaces at commit — the
-// replicas answer 400 — with nothing placed.
+// commits. A cell repeated across chunks or inside one is refused the
+// same way, at append — not by the replicas at commit, after the token
+// is spent.
 func TestChunkedAppendRejectIsResendable(t *testing.T) {
 	n := 4
 	b1, b2 := startBackend(t), startBackend(t)
@@ -194,24 +195,27 @@ func TestChunkedAppendRejectIsResendable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("begin d: %v", err)
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := gc.AppendChunk(ctx, "d", dup.Upload, 0, n, good); err != nil {
-			t.Fatalf("append d #%d: %v", i, err)
+	if _, err := gc.AppendChunk(ctx, "d", dup.Upload, 0, n/2, good[:n/2]); err != nil {
+		t.Fatalf("append d, first half: %v", err)
+	}
+	for what, bad := range map[string][][3]int64{
+		"cell staged by an earlier chunk": good,
+		"cell repeated inside the chunk":  append(append([][3]int64{}, good[n/2:]...), good[n-1]),
+	} {
+		if _, err := gc.AppendChunk(ctx, "d", dup.Upload, 0, n, bad); !is400(err) {
+			t.Fatalf("%s: %v, want 400", what, err)
 		}
 	}
-	if _, err := gc.CommitUpload(ctx, "d", dup.Upload); !is400(err) {
-		t.Fatalf("commit of a cell repeated across chunks: %v, want 400", err)
+	// The refused chunks marked nothing: their fresh cells are still free.
+	info, err = gc.AppendChunk(ctx, "d", dup.Upload, n/2, n, good[n/2:])
+	if err != nil || info.Chunks != 2 || info.Entries != n {
+		t.Fatalf("corrected chunk after duplicates: info=%+v err=%v", info, err)
 	}
-	if b1.holds("d") || b2.holds("d") || len(g.Matrices()) != 1 {
-		t.Fatal("rejected commit placed something")
+	if _, err := gc.CommitUpload(ctx, "d", dup.Upload); err != nil {
+		t.Fatalf("commit after a refused duplicate: %v", err)
 	}
-	// More entries than cells cannot be duplicate-free: refused at append.
-	over, err := gc.BeginUpload(ctx, "o", 1, 2)
-	if err != nil {
-		t.Fatalf("begin o: %v", err)
-	}
-	if _, err := gc.AppendChunk(ctx, "o", over.Upload, 0, 1, [][3]int64{{0, 0, 1}, {0, 1, 1}, {0, 0, 1}}); !is400(err) {
-		t.Fatalf("3 entries into 2 cells: %v, want 400", err)
+	if res, err := g.Estimate(ctx, exactReq("d", n)); err != nil || res.Estimate != float64(n) {
+		t.Fatalf("estimate d: res=%v err=%v", res, err)
 	}
 	assertNoBackendStaging(t, b1, b2)
 }

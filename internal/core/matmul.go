@@ -25,8 +25,8 @@ type MatMulOpts struct {
 	Sparsity int
 	// Reps is the number of tensor-CountSketch repetitions for the median
 	// point queries. Default 11 (collisions concentrate on shared
-	// rows/columns of C, so the median needs headroom; see the E12
-	// calibration in EXPERIMENTS.md).
+	// rows/columns of C, so the median needs headroom; see E12 in
+	// DESIGN.md's experiment index).
 	Reps int
 	// Verify enables a Freivalds-style check of the recovered product:
 	// Bob ships y = B·r for a shared random field vector r (n extra

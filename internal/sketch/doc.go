@@ -6,8 +6,8 @@
 //   - an occupancy-based linear ℓ0 (distinct elements) sketch over
 //     GF(2^61−1),
 //   - exact 1-sparse recovery and the ℓ0-sampler built on it,
-//   - CountSketch and the tensor CountSketch used to realize the
-//     distributed matrix product of Lemma 2.5,
+//   - the tensor CountSketch used to realize the distributed matrix
+//     product of Lemma 2.5,
 //   - the block-partitioned AMS sketch behind the general-matrix ℓ∞
 //     protocol of Theorem 4.8(1).
 //

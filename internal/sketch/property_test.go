@@ -108,30 +108,6 @@ func TestQuickSamplerLinearity(t *testing.T) {
 	}
 }
 
-func TestQuickCountSketchLinearity(t *testing.T) {
-	const n = 40
-	cs := NewCountSketch(rng.New(503), n, 3, 16)
-	f := func(rawX, rawY []int64, a8, b8 int8) bool {
-		x := boundedVec(rawX, n, 50)
-		y := boundedVec(rawY, n, 50)
-		a, b := int64(a8), int64(b8)
-		z := make([]int64, n)
-		for i := range z {
-			z[i] = a*x[i] + b*y[i]
-		}
-		sx, sy, sz := cs.Apply(x), cs.Apply(y), cs.Apply(z)
-		for i := range sz {
-			if a*sx[i]+b*sy[i] != sz[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickOneSparseDecodeInvariant(t *testing.T) {
 	// Property: for any single (index, value) with value ≠ 0, decode
 	// returns exactly that pair.

@@ -127,42 +127,6 @@ func TestTensorCSGridSizing(t *testing.T) {
 	}
 }
 
-func TestCountSketchPointQuery(t *testing.T) {
-	r := rng.New(411)
-	n := 300
-	x := make([]int64, n)
-	// A few heavy coordinates on light noise.
-	x[7] = 1000
-	x[100] = -800
-	for i := 0; i < 50; i++ {
-		x[r.Intn(n)] += r.Int63n(11) - 5
-	}
-	cs := NewCountSketch(r, n, 7, 64)
-	sk := cs.Apply(x)
-	if got := cs.PointQuery(sk, 7); got < 900 || got > 1100 {
-		t.Fatalf("PointQuery(7) = %d, want ~1000", got)
-	}
-	if got := cs.PointQuery(sk, 100); got > -700 || got < -900 {
-		t.Fatalf("PointQuery(100) = %d, want ~-800", got)
-	}
-}
-
-func TestCountSketchLinearity(t *testing.T) {
-	cs := NewCountSketch(rng.New(412), 50, 3, 16)
-	x := sparseVector(rng.New(11), 50, 10, 9)
-	skx := cs.Apply(x)
-	x2 := make([]int64, 50)
-	for i := range x {
-		x2[i] = 2 * x[i]
-	}
-	skx2 := cs.Apply(x2)
-	for i := range skx {
-		if 2*skx[i] != skx2[i] {
-			t.Fatal("CountSketch not linear")
-		}
-	}
-}
-
 func TestBlockAMSMaxEstimate(t *testing.T) {
 	r := rng.New(413)
 	n := 256

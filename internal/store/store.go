@@ -3,8 +3,7 @@
 // write-ahead log of row updates, with a local-disk implementation
 // (Disk). The service tier snapshots served matrices through it,
 // appends a WAL record per row update, and recovers on boot by
-// replaying the WAL over the latest snapshot; the gateway uses the
-// same seam to spill retained wire copies under a memory budget.
+// replaying the WAL over the latest snapshot.
 //
 // Payloads are opaque bytes: the owning tier encodes them (the service
 // reuses its binary wire codec), and the store adds its own framing —

@@ -48,7 +48,7 @@ go build -o "$bin/mpload" ./cmd/mpload
 
 wait_healthy() {
   for _ in $(seq 1 100); do
-    if curl -fsS "http://127.0.0.1:$1/healthz" >/dev/null 2>&1; then
+    if curl -fsS "http://127.0.0.1:$1/v1/healthz" >/dev/null 2>&1; then
       return 0
     fi
     sleep 0.1

@@ -46,7 +46,7 @@ server_pid=$!
 
 up=""
 for _ in $(seq 1 100); do
-  if curl -fsS "http://127.0.0.1:$PORT/healthz" >/dev/null 2>&1; then
+  if curl -fsS "http://127.0.0.1:$PORT/v1/healthz" >/dev/null 2>&1; then
     up=1
     break
   fi

@@ -3,7 +3,7 @@ package service
 // Binary hot-path wire format. The protocol transcripts are already
 // framed binary (comm.NetConn); this codec extends the same economy to
 // the HTTP hop for the hot endpoints (/estimate, /estimate/batch,
-// PATCH /matrices/{name}/rows, and the gateway's replica re-seed
+// PATCH /v1/matrices/{name}/rows, and the gateway's replica re-seed
 // uploads), where the JSON envelope otherwise dominates both bytes and
 // allocations around a sketch that is tiny by design.
 //

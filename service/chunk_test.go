@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -366,5 +367,39 @@ func TestChunkedUploadsConcurrentSameName(t *testing.T) {
 	seed := uint64(3)
 	if _, err := e.Estimate(ctx, Request{Matrix: "same", Kind: "lp", P: 1, Eps: 0.3, Seed: &seed, A: testMatrix(7, n, 0.4)}); err != nil {
 		t.Fatalf("estimate after concurrent commits: %v", err)
+	}
+}
+
+// TestCellSet drives the duplicate detector directly on a matrix whose
+// cells straddle word boundaries: every cell is fresh once and a repeat
+// after, and a refused chunk unmarks exactly the cells it marked.
+func TestCellSet(t *testing.T) {
+	const rows, cols = 7, 19 // 133 cells: three words, the last partial
+	var s CellSet
+	s.Reset(rows, cols)
+	for pass, want := range []bool{false, true} {
+		for i := int64(0); i < rows; i++ {
+			for j := int64(0); j < cols; j++ {
+				if got := s.Add(i, j); got != want {
+					t.Fatalf("pass %d: Add(%d, %d) = %v, want %v", pass, i, j, got, want)
+				}
+			}
+		}
+	}
+	s.Reset(rows, cols)
+	if s.Add(3, 7) {
+		t.Fatal("Reset left a cell marked")
+	}
+	// (3, 7) is cell 64, the first bit of the second word. The chunk
+	// repeats it after marking both neighbours, which must be rolled back.
+	err := s.AddAll([][3]int64{{3, 6, 1}, {3, 8, 1}, {3, 7, 1}})
+	if !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "duplicate entry (3, 7)") {
+		t.Fatalf("AddAll over a marked cell: %v", err)
+	}
+	if s.Add(3, 6) || s.Add(3, 8) {
+		t.Fatal("a refused chunk left its cells marked")
+	}
+	if !s.Add(3, 7) {
+		t.Fatal("the roll-back cleared a cell marked before the chunk")
 	}
 }

@@ -29,7 +29,6 @@ type Client struct {
 	timeout time.Duration
 	retries int
 	accept  string
-	prefix  string
 	headers http.Header
 	// jsonOnly latches after a 415 against a binary request: the server
 	// does not speak the binary format, so every later call goes
@@ -84,17 +83,10 @@ func WithHTTPClient(h *http.Client) ClientOption {
 	return func(c *Client) { c.HTTPClient = h }
 }
 
-// WithPathPrefix overrides the path prefix the typed methods call
-// under. The default is "/v1"; an empty prefix addresses the legacy
-// unprefixed aliases.
-func WithPathPrefix(prefix string) ClientOption {
-	return func(c *Client) { c.prefix = prefix }
-}
-
 // New returns a client for the given server root, addressing the
-// versioned /v1 API surface by default.
+// versioned /v1 API surface.
 func New(baseURL string, opts ...ClientOption) *Client {
-	c := &Client{BaseURL: baseURL, prefix: "/v1"}
+	c := &Client{BaseURL: baseURL}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -160,8 +152,8 @@ func (c *Client) DoJSON(ctx context.Context, method, path string, in, out any) e
 	return c.roundTrip(ctx, method, path, in, out, false, false, methodIdempotent(method))
 }
 
-// Do performs one API call under the client's configured path prefix
-// and negotiated encoding: the binary wire format when the client was
+// Do performs one API call under the /v1 prefix in the client's
+// negotiated encoding: the binary wire format when the client was
 // built WithAccept(MediaTypeBinary), the value has a binary form, and
 // the server has not refused it; JSON otherwise. The typed methods
 // all route through here — the codec seam tiers like the gateway
@@ -179,7 +171,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, retry
 	// it; a JSON-shaped out (catalog listings, stats) keeps the reply
 	// JSON while the request body may still go binary.
 	acceptBinary := binary && out != nil && BinaryEncodable(out)
-	return c.roundTrip(ctx, method, c.prefix+path, in, out, binary, acceptBinary, retrySafe)
+	return c.roundTrip(ctx, method, "/v1"+path, in, out, binary, acceptBinary, retrySafe)
 }
 
 // methodIdempotent reports whether a method is safe to resend after a
@@ -308,7 +300,7 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte, con
 	return nil, lastErr
 }
 
-// UploadReply is the full reply of PUT /matrix/{name}: the installed
+// UploadReply is the full reply of PUT /v1/matrix/{name}: the installed
 // catalog info plus any names the insert LRU-evicted to make room.
 type UploadReply struct {
 	MatrixInfo
@@ -492,7 +484,7 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 }
 
 // Health checks the server's liveness endpoint. A nil error means the
-// server answered GET /healthz with a 2xx.
+// server answered GET /v1/healthz with a 2xx.
 func (c *Client) Health(ctx context.Context) error {
 	return c.Do(ctx, http.MethodGet, "/healthz", nil, nil)
 }

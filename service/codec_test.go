@@ -14,10 +14,9 @@ import (
 	"testing"
 )
 
-// binClient is a client negotiating the binary wire format against the
-// legacy (unprefixed) paths of srv.
+// binClient is a client negotiating the binary wire format with srv.
 func binClient(srv *httptest.Server) *Client {
-	return New(srv.URL, WithPathPrefix(""), WithAccept(MediaTypeBinary))
+	return New(srv.URL, WithAccept(MediaTypeBinary))
 }
 
 func uploadDemo(t *testing.T, c *Client, name string, seed uint64, n int) {
@@ -96,7 +95,7 @@ func TestContentNegotiationHeaders(t *testing.T) {
 
 	post := func(body []byte, contentType, accept string) *http.Response {
 		t.Helper()
-		hr, err := http.NewRequest("POST", srv.URL+"/estimate", bytes.NewReader(body))
+		hr, err := http.NewRequest("POST", srv.URL+"/v1/estimate", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +166,7 @@ func TestContentNegotiationHeaders(t *testing.T) {
 func TestUnsupportedMediaType415(t *testing.T) {
 	srv, _ := newTestServer(t, Config{})
 	for _, ct := range []string{"text/csv", "application/xml", "multipart/form-data; boundary=x"} {
-		resp, err := http.Post(srv.URL+"/estimate", ct, strings.NewReader("i,j,v"))
+		resp, err := http.Post(srv.URL+"/v1/estimate", ct, strings.NewReader("i,j,v"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +181,7 @@ func TestUnsupportedMediaType415(t *testing.T) {
 	// (`curl -d` with no -H) both take the JSON path, not 415 — every
 	// hand-driven example in docs/API.md depends on the latter.
 	for _, ct := range []string{"application/json; charset=utf-16", "application/x-www-form-urlencoded"} {
-		resp, err := http.Post(srv.URL+"/estimate", ct, strings.NewReader("{}"))
+		resp, err := http.Post(srv.URL+"/v1/estimate", ct, strings.NewReader("{}"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,76 +237,47 @@ func TestBinaryClientJSONOnlyServer(t *testing.T) {
 	}
 }
 
-// TestV1AliasByteIdentity pins the /v1 migration contract: a JSON
-// client gets byte-identical success responses from the legacy and
-// /v1 paths.
-func TestV1AliasByteIdentity(t *testing.T) {
-	srv, c := newTestServer(t, Config{})
-	uploadDemo(t, c, "m", 80, 16)
-
-	get := func(path string) []byte {
-		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
+// TestV1OnlySurface pins the single HTTP surface: every documented
+// route answers under /v1, and the same path without the prefix is the
+// mux's plain 404 — not an alias, not an error envelope.
+func TestV1OnlySurface(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	const a = `{"rows":2,"cols":2,"entries":[[0,0,1]]}`
+	const query = `{"matrix":"m","kind":"exact","a":` + a + `}`
+	for _, rt := range []struct{ method, path, body string }{
+		{"PUT", "/matrix/m", `{"rows":2,"cols":2,"entries":[[0,0,1],[1,1,1]]}`},
+		{"GET", "/matrices", ""},
+		{"POST", "/matrices/c/chunks", `{"op":"begin","rows":2,"cols":2}`},
+		{"PATCH", "/matrices/m/rows", `{"row":0,"entries":[[1,1]]}`},
+		{"POST", "/estimate", query},
+		{"POST", "/estimate/batch", `{"queries":[` + query + `]}`},
+		{"GET", "/stats", ""},
+		{"GET", "/metrics", ""},
+		{"GET", "/healthz", ""},
+		{"DELETE", "/matrix/m", ""},
+	} {
+		for _, prefix := range []string{"", "/v1"} {
+			hr, err := http.NewRequest(rt.method, srv.URL+prefix+rt.path, strings.NewReader(rt.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(hr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			want := http.StatusOK
+			if prefix == "" {
+				want = http.StatusNotFound
+			}
+			if resp.StatusCode != want {
+				t.Errorf("%s %s%s: status %d, want %d (%.80s)", rt.method, prefix, rt.path, resp.StatusCode, want, body)
+			}
+			if prefix == "" && string(body) != "404 page not found\n" {
+				t.Errorf("%s %s: body %.80q, want the mux's plain 404", rt.method, rt.path, body)
+			}
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return body
-	}
-	if legacy, v1 := get("/matrices"), get("/v1/matrices"); !bytes.Equal(legacy, v1) {
-		t.Fatalf("catalog bodies differ:\n legacy %s\n v1     %s", legacy, v1)
-	}
-	if legacy, v1 := get("/healthz"), get("/v1/healthz"); !bytes.Equal(legacy, v1) {
-		t.Fatalf("health bodies differ: %q vs %q", legacy, v1)
-	}
-
-	// POST bodies: identical up to the elapsed_ns timing field.
-	seed := uint64(81)
-	req := Request{Matrix: "m", Kind: "lp", P: 1, Eps: 0.3, Seed: &seed, A: testBinaryMatrix(82, 16, 0.3)}
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	post := func(path string) map[string]any {
-		t.Helper()
-		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST %s: status %d", path, resp.StatusCode)
-		}
-		var m map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-			t.Fatal(err)
-		}
-		delete(m, "elapsed_ns")
-		return m
-	}
-	legacy, v1 := post("/estimate"), post("/v1/estimate")
-	lj, _ := json.Marshal(legacy)
-	vj, _ := json.Marshal(v1)
-	if !bytes.Equal(lj, vj) {
-		t.Fatalf("estimate bodies differ:\n legacy %s\n v1     %s", lj, vj)
-	}
-
-	// The default client prefix is /v1; it must behave like the legacy
-	// client in every answer.
-	v1c := New(srv.URL)
-	res, err := v1c.Estimate(context.Background(), req)
-	if err != nil {
-		t.Fatalf("/v1 client estimate: %v", err)
-	}
-	if res.Estimate != legacy["estimate"].(float64) {
-		t.Fatalf("/v1 client estimate %v != legacy %v", res.Estimate, legacy["estimate"])
 	}
 }
 
@@ -416,31 +386,35 @@ func TestErrorEnvelopeOverHTTP(t *testing.T) {
 		body        string
 		wantStatus  int
 		wantCode    string
+		wantMessage string // checked when set
 	}{
-		{"matrix_not_found", "POST", "/estimate", "application/json",
+		{"matrix_not_found", "POST", "/v1/estimate", "application/json",
 			`{"matrix":"absent","kind":"lp","a":{"rows":1,"cols":1,"entries":[[0,0,1]]}}`,
-			http.StatusNotFound, "matrix_not_found"},
-		{"bad_kind", "POST", "/estimate", "application/json",
+			http.StatusNotFound, "matrix_not_found", ""},
+		{"bad_kind", "POST", "/v1/estimate", "application/json",
 			`{"matrix":"m","kind":"nope","a":{"rows":1,"cols":1,"entries":[[0,0,1]]}}`,
-			http.StatusBadRequest, "bad_request"},
-		{"malformed_json", "POST", "/estimate", "application/json", "{not json",
-			http.StatusBadRequest, "bad_request"},
-		{"unknown_field", "POST", "/estimate", "application/json", `{"bogus":1}`,
-			http.StatusBadRequest, "bad_request"},
-		{"unsupported_media", "POST", "/estimate", "text/csv", "i,j,v",
-			http.StatusUnsupportedMediaType, "unsupported_media_type"},
-		{"body_too_large", "POST", "/estimate", "application/json",
+			http.StatusBadRequest, "bad_request", ""},
+		{"malformed_json", "POST", "/v1/estimate", "application/json", "{not json",
+			http.StatusBadRequest, "bad_request", ""},
+		{"unknown_field", "POST", "/v1/estimate", "application/json", `{"bogus":1}`,
+			http.StatusBadRequest, "bad_request", ""},
+		{"unsupported_media", "POST", "/v1/estimate", "text/csv", "i,j,v",
+			http.StatusUnsupportedMediaType, "unsupported_media_type", ""},
+		{"body_too_large", "POST", "/v1/estimate", "application/json",
 			`{"matrix":"m","kind":"lp","a":{"rows":1,"cols":1,"entries":[` +
 				strings.Repeat("[0,0,1],", 200) + `[0,0,1]]}}`,
-			http.StatusRequestEntityTooLarge, "body_too_large"},
-		{"delete_absent", "DELETE", "/matrix/absent", "", "",
-			http.StatusNotFound, "matrix_not_found"},
-		{"upload_not_found", "POST", "/matrices/m/chunks", "application/json",
+			http.StatusRequestEntityTooLarge, "body_too_large", ""},
+		{"delete_absent", "DELETE", "/v1/matrix/absent", "", "",
+			http.StatusNotFound, "matrix_not_found", ""},
+		{"upload_not_found", "POST", "/v1/matrices/m/chunks", "application/json",
 			`{"op":"commit","upload":"nope"}`,
-			http.StatusNotFound, "upload_not_found"},
-		{"v1_alias_envelope", "POST", "/v1/estimate", "application/json",
-			`{"matrix":"absent","kind":"lp","a":{"rows":1,"cols":1,"entries":[[0,0,1]]}}`,
-			http.StatusNotFound, "matrix_not_found"},
+			http.StatusNotFound, "upload_not_found", ""},
+		{"duplicate_cell_put", "PUT", "/v1/matrix/d", "application/json",
+			`{"rows":2,"cols":2,"entries":[[0,1,1],[1,1,0],[1,1,5]]}`,
+			http.StatusBadRequest, "bad_request", "service: bad request: duplicate entry (1, 1)"},
+		{"duplicate_cell_query", "POST", "/v1/estimate", "application/json",
+			`{"matrix":"m","kind":"exact","a":{"rows":1,"cols":8,"entries":[[0,3,1],[0,3,1]]}}`,
+			http.StatusBadRequest, "bad_request", "service: bad request: duplicate entry (0, 3)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -449,6 +423,10 @@ func TestErrorEnvelopeOverHTTP(t *testing.T) {
 				t.Fatalf("status %d, want %d (%s)", status, tc.wantStatus, body)
 			}
 			checkEnvelope(t, body, tc.wantCode)
+			var env ErrorEnvelope
+			if json.Unmarshal(body, &env); tc.wantMessage != "" && env.Error.Message != tc.wantMessage {
+				t.Fatalf("message %q, want %q", env.Error.Message, tc.wantMessage)
+			}
 		})
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"repro/internal/metrics"
 )
@@ -18,7 +17,7 @@ import (
 var maxBodyBytes int64 = 256 << 20
 
 // NewHandler exposes the engine as an HTTP API under the versioned
-// /v1 prefix, with the unprefixed legacy paths kept as thin aliases:
+// /v1 prefix, the only surface it serves:
 //
 //	PUT    /v1/matrix/{name}           upload/replace a served matrix (single body)
 //	DELETE /v1/matrix/{name}           remove a served matrix
@@ -43,16 +42,7 @@ var maxBodyBytes int64 = 256 << 20
 // can be admitted.
 func NewHandler(e *Engine) http.Handler {
 	mux := http.NewServeMux()
-	handle := func(pattern string, h http.Handler) {
-		mux.Handle(pattern, h)
-		method, path, ok := strings.Cut(pattern, " ")
-		if !ok {
-			panic("route pattern without method: " + pattern)
-		}
-		mux.Handle(method+" /v1"+path, h)
-	}
-	handleFunc := func(pattern string, h http.HandlerFunc) { handle(pattern, h) }
-	handleFunc("PUT /matrix/{name}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("PUT /v1/matrix/{name}", func(w http.ResponseWriter, r *http.Request) {
 		var m Matrix
 		if err := DecodeRequest(w, r, &m); err != nil {
 			e.writeError(w, err)
@@ -65,17 +55,17 @@ func NewHandler(e *Engine) http.Handler {
 		}
 		WriteReply(w, r, http.StatusOK, UploadReply{MatrixInfo: info, Evicted: evicted})
 	})
-	handleFunc("DELETE /matrix/{name}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("DELETE /v1/matrix/{name}", func(w http.ResponseWriter, r *http.Request) {
 		if err := e.DeleteMatrix(r.PathValue("name")); err != nil {
 			e.writeError(w, err)
 			return
 		}
 		WriteJSON(w, http.StatusOK, map[string]string{"deleted": r.PathValue("name")})
 	})
-	handleFunc("GET /matrices", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/matrices", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, e.Matrices())
 	})
-	handleFunc("POST /matrices/{name}/chunks", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/matrices/{name}/chunks", func(w http.ResponseWriter, r *http.Request) {
 		var req ChunkRequest
 		if err := DecodeRequest(w, r, &req); err != nil {
 			e.writeError(w, err)
@@ -114,7 +104,7 @@ func NewHandler(e *Engine) http.Handler {
 			e.writeError(w, fmt.Errorf("%w: unknown chunk op %q", ErrBadRequest, req.Op))
 		}
 	})
-	handleFunc("PATCH /matrices/{name}/rows", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("PATCH /v1/matrices/{name}/rows", func(w http.ResponseWriter, r *http.Request) {
 		var req UpdateRequest
 		if err := DecodeRequest(w, r, &req); err != nil {
 			e.writeError(w, err)
@@ -127,7 +117,7 @@ func NewHandler(e *Engine) http.Handler {
 		}
 		WriteReply(w, r, http.StatusOK, rep)
 	})
-	handleFunc("POST /estimate", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/estimate", func(w http.ResponseWriter, r *http.Request) {
 		var req Request
 		if err := DecodeRequest(w, r, &req); err != nil {
 			e.writeError(w, err)
@@ -140,7 +130,7 @@ func NewHandler(e *Engine) http.Handler {
 		}
 		WriteReply(w, r, http.StatusOK, res)
 	})
-	handleFunc("POST /estimate/batch", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/estimate/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req BatchRequest
 		if err := DecodeRequest(w, r, &req); err != nil {
 			e.writeError(w, err)
@@ -153,17 +143,17 @@ func NewHandler(e *Engine) http.Handler {
 		}
 		WriteReply(w, r, http.StatusOK, BatchResponse{Results: items})
 	})
-	handleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, e.Stats())
 	})
-	handle("GET /metrics", metrics.Handler(e.Metrics()))
-	handleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("GET /v1/metrics", metrics.Handler(e.Metrics()))
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	return mux
 }
 
-// ChunkRequest is the body of POST /matrices/{name}/chunks: one
+// ChunkRequest is the body of POST /v1/matrices/{name}/chunks: one
 // lifecycle step of a chunked upload, selected by Op.
 type ChunkRequest struct {
 	// Op is "begin", "append", "commit", or "abort".
@@ -184,14 +174,14 @@ type ChunkRequest struct {
 	Entries [][3]int64 `json:"entries,omitempty"`
 }
 
-// BatchRequest is the body of POST /estimate/batch.
+// BatchRequest is the body of POST /v1/estimate/batch.
 type BatchRequest struct {
 	// Queries are the estimation requests to run against one admission
 	// slot, bounded by the engine's MaxBatch.
 	Queries []Request `json:"queries"`
 }
 
-// BatchResponse is the reply of POST /estimate/batch: one item per
+// BatchResponse is the reply of POST /v1/estimate/batch: one item per
 // query, in order.
 type BatchResponse struct {
 	// Results holds one BatchItem per request query, in request order.

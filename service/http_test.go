@@ -106,7 +106,7 @@ func TestHTTPErrorStatuses(t *testing.T) {
 	wantStatus(err, http.StatusNotFound)
 
 	// Malformed JSON body.
-	resp, err := http.Post(srv.URL+"/estimate", "application/json", strings.NewReader("{not json"))
+	resp, err := http.Post(srv.URL+"/v1/estimate", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestHTTPErrorStatuses(t *testing.T) {
 	}
 
 	// Unknown fields are rejected (catches client/server schema drift).
-	resp, err = http.Post(srv.URL+"/estimate", "application/json", strings.NewReader(`{"bogus": 1}`))
+	resp, err = http.Post(srv.URL+"/v1/estimate", "application/json", strings.NewReader(`{"bogus": 1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestHTTPErrorStatuses(t *testing.T) {
 	}
 
 	// Health endpoint.
-	resp, err = http.Get(srv.URL + "/healthz")
+	resp, err = http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestHTTPBodyTooLarge(t *testing.T) {
 
 	body := `{"matrix":"m","kind":"lp","a":{"rows":1,"cols":1,"entries":[` +
 		strings.Repeat("[0,0,1],", 64) + `[0,0,1]]}}`
-	resp, err := http.Post(srv.URL+"/estimate", "application/json", strings.NewReader(body))
+	resp, err := http.Post(srv.URL+"/v1/estimate", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

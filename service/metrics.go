@@ -8,7 +8,7 @@ import (
 )
 
 // engineMetrics wires an Engine into a metrics.Registry served at
-// GET /metrics.
+// GET /v1/metrics.
 //
 // Two kinds of family, matching the metrics package's cost model:
 //
@@ -309,6 +309,6 @@ func (m *engineMetrics) observeRun(kind string, elapsed time.Duration) {
 }
 
 // Metrics returns the engine's metrics registry — the families backing
-// GET /metrics. Exposed so embedders can mount the exposition on their
+// GET /v1/metrics. Exposed so embedders can mount the exposition on their
 // own mux or register additional families alongside the engine's.
 func (e *Engine) Metrics() *metrics.Registry { return e.met.reg }

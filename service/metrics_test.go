@@ -11,18 +11,18 @@ import (
 	"repro/internal/metrics"
 )
 
-// scrapeMetrics fetches GET /metrics, asserts the content type and that
+// scrapeMetrics fetches GET /v1/metrics, asserts the content type and that
 // the body lints clean against the text-format grammar, and returns the
 // samples as a map from full series name (labels included) to value.
 func scrapeMetrics(t *testing.T, baseURL string) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(baseURL + "/metrics")
+	resp, err := http.Get(baseURL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics status = %d", resp.StatusCode)
+		t.Fatalf("GET /v1/metrics status = %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != metrics.TextContentType {
 		t.Fatalf("Content-Type = %q, want %q", ct, metrics.TextContentType)
@@ -50,7 +50,7 @@ func scrapeMetrics(t *testing.T, baseURL string) map[string]float64 {
 }
 
 // TestMetricsEndpointE2E drives traffic through a live HTTP server and
-// asserts that GET /metrics reflects it: every counter matches the
+// asserts that GET /v1/metrics reflects it: every counter matches the
 // /stats snapshot it mirrors, histograms account for exactly the
 // protocol runs, and a second scrape after more traffic moves every
 // counter monotonically.

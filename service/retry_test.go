@@ -65,7 +65,7 @@ func TestUpdateRowsRetrySurvivesLostReply(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	client := New(srv.URL, WithPathPrefix(""), WithRetry(2))
+	client := New(srv.URL, WithRetry(2))
 	rep, err := client.UpdateRows(context.Background(), "m", UpdateRequest{
 		Updates: []RowUpdate{{Row: 0, Entries: [][2]int64{{0, 5}}}},
 		Delta:   true,
@@ -109,7 +109,7 @@ func TestRetryGatedOnIdempotency(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	client := New(srv.URL, WithPathPrefix(""), WithRetry(3))
+	client := New(srv.URL, WithRetry(3))
 	ctx := context.Background()
 
 	// A raw PATCH has no idempotency key the server could dedupe on:
@@ -153,7 +153,7 @@ func TestUpdateRowsAutoAssignsKey(t *testing.T) {
 	ctx := context.Background()
 	upd := UpdateRequest{Updates: []RowUpdate{{Row: 0, Entries: [][2]int64{{0, 1}}}}, Delta: true}
 
-	retrying := New(srv.URL, WithPathPrefix(""), WithRetry(1))
+	retrying := New(srv.URL, WithRetry(1))
 	if _, err := retrying.UpdateRows(ctx, "m", upd); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestUpdateRowsAutoAssignsKey(t *testing.T) {
 		t.Fatalf("two updates share idempotency key %d", second)
 	}
 
-	plain := New(srv.URL, WithPathPrefix(""))
+	plain := New(srv.URL)
 	if _, err := plain.UpdateRows(ctx, "m", upd); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestOverloadShedCarriesRetryAfter(t *testing.T) {
 	}
 	defer func() { cancel(); <-parked }()
 
-	client := New(srv.URL, WithPathPrefix(""))
+	client := New(srv.URL)
 	_, err = client.Estimate(context.Background(), Request{Matrix: "m", Kind: "exact", A: diagMatrix(n, 1)})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {

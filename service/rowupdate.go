@@ -9,7 +9,7 @@ import (
 	"repro/internal/intmat"
 )
 
-// Dynamic row updates: PATCH /matrices/{name}/rows applies sparse
+// Dynamic row updates: PATCH /v1/matrices/{name}/rows applies sparse
 // row replacements (or deltas) to a served matrix in place of a full
 // re-upload. The registry entry is replaced copy-on-write under the
 // matrix's existing upload generation with a bumped sub-version, and
@@ -36,7 +36,7 @@ type RowUpdate struct {
 	Entries [][2]int64 `json:"entries"`
 }
 
-// UpdateRequest is the body of PATCH /matrices/{name}/rows: a batch of
+// UpdateRequest is the body of PATCH /v1/matrices/{name}/rows: a batch of
 // row patches, or a single patch via the shorthand Row/Entries fields.
 type UpdateRequest struct {
 	// Updates is the batch form: one patch per row, applied atomically.
@@ -81,7 +81,7 @@ func (r UpdateRequest) Normalized() ([]RowUpdate, error) {
 	return ups, nil
 }
 
-// UpdateReply is the reply of PATCH /matrices/{name}/rows.
+// UpdateReply is the reply of PATCH /v1/matrices/{name}/rows.
 type UpdateReply struct {
 	MatrixInfo
 	// Sub is the matrix's new generation sub-version: it advances by

@@ -51,20 +51,9 @@ type UploadInfo struct {
 type stagingUpload struct {
 	info  UploadInfo
 	dense *intmat.Dense
-	// seen marks occupied cells for duplicate rejection — a bitset, not
-	// a map: at the maxMatrixElems cap it is 2 MiB, where a per-cell map
-	// on a dense upload would cost gigabytes held for the whole staging
-	// lifetime.
-	seen    []uint64
+	// seen marks the cells staged so far, across chunks.
+	seen    CellSet
 	touched time.Time
-}
-
-func (u *stagingUpload) cellSeen(cell int64) bool {
-	return u.seen[cell>>6]&(1<<(uint(cell)&63)) != 0
-}
-
-func (u *stagingUpload) markCell(cell int64) {
-	u.seen[cell>>6] |= 1 << (uint(cell) & 63)
 }
 
 // uploadCounters accumulates lifecycle totals for Stats. Guarded by
@@ -170,9 +159,9 @@ func (e *Engine) BeginUpload(name string, rows, cols int) (UploadInfo, error) {
 			Expires: now.Add(e.cfg.UploadTTL),
 		},
 		dense:   intmat.NewDense(rows, cols),
-		seen:    make([]uint64, (int64(rows)*int64(cols)+63)/64),
 		touched: now,
 	}
+	up.seen.Reset(rows, cols)
 	e.uploads[token] = up
 	e.upStats.begun++
 	return up.info, nil
@@ -229,17 +218,11 @@ func (e *Engine) AppendChunk(name, token string, rowStart, rowEnd int, entries [
 	if err := CheckChunk(up.info.Rows, up.info.Cols, rowStart, rowEnd, entries); err != nil {
 		return UploadInfo{}, err
 	}
-	staged := make(map[int64]struct{}, len(entries))
-	for _, ent := range entries {
-		cell := ent[0]*int64(up.info.Cols) + ent[1]
-		if _, dup := staged[cell]; dup || up.cellSeen(cell) {
-			return UploadInfo{}, fmt.Errorf("%w: duplicate entry (%d, %d)", ErrBadRequest, ent[0], ent[1])
-		}
-		staged[cell] = struct{}{}
+	if err := up.seen.AddAll(entries); err != nil {
+		return UploadInfo{}, err
 	}
 	for _, ent := range entries {
 		i, j, v := ent[0], ent[1], ent[2]
-		up.markCell(i*int64(up.info.Cols) + j)
 		if v != 0 {
 			up.info.NNZ++
 		}

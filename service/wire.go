@@ -65,6 +65,55 @@ func CheckDims(rows, cols int) error {
 	return nil
 }
 
+// CellSet marks the occupied cells of a rows×cols matrix: the one
+// duplicate-entry detector of every ingest path — the single-body
+// decode below and the engine's and the gateway's chunk staging. It is
+// one bit a cell, 2 MiB at the maxMatrixElems cap, where a map keyed by
+// cell costs gigabytes on a dense upload. The zero value is empty;
+// Reset sizes it. Cells passed in must lie inside the matrix.
+type CellSet struct {
+	cols int64
+	bits []uint64
+}
+
+// Reset empties the set and sizes it for a rows×cols matrix (dimensions
+// that passed CheckDims).
+func (s *CellSet) Reset(rows, cols int) {
+	s.cols = int64(cols)
+	s.bits = make([]uint64, (int64(rows)*int64(cols)+63)/64)
+}
+
+// Add marks cell (i, j) and reports whether it was marked already — a
+// repeated entry.
+func (s *CellSet) Add(i, j int64) (repeat bool) {
+	cell := i*s.cols + j
+	word, bit := &s.bits[cell>>6], uint64(1)<<(uint(cell)&63)
+	repeat = *word&bit != 0
+	*word |= bit
+	return repeat
+}
+
+// AddAll marks the cell of every entry of a chunk, or of none: at the
+// first repeat — of an earlier entry or of a cell marked before the
+// call — it unmarks what it marked and reports the repeat, so a refused
+// chunk stages nothing and can be corrected and resent.
+func (s *CellSet) AddAll(entries [][3]int64) error {
+	for k, ent := range entries {
+		if s.Add(ent[0], ent[1]) {
+			for _, undo := range entries[:k] {
+				cell := undo[0]*s.cols + undo[1]
+				s.bits[cell>>6] &^= 1 << (uint(cell) & 63)
+			}
+			return errDuplicateEntry(ent[0], ent[1])
+		}
+	}
+	return nil
+}
+
+func errDuplicateEntry(i, j int64) error {
+	return fmt.Errorf("%w: duplicate entry (%d, %d)", ErrBadRequest, i, j)
+}
+
 // toDense validates the wire matrix and converts it, reporting whether
 // every entry is 0/1 (binary, eligible for the ℓ∞ protocols) and
 // whether all entries are non-negative (eligible for Remark 2/3).
@@ -77,18 +126,17 @@ func (m Matrix) toDense() (d *intmat.Dense, binary, nonNeg bool, err error) {
 		return nil, false, false, err
 	}
 	d = intmat.NewDense(m.Rows, m.Cols)
-	seen := make(map[int64]struct{}, len(m.Entries))
+	var seen CellSet
+	seen.Reset(m.Rows, m.Cols)
 	binary, nonNeg = true, true
 	for _, e := range m.Entries {
 		i, j, v := e[0], e[1], e[2]
 		if i < 0 || i >= int64(m.Rows) || j < 0 || j >= int64(m.Cols) {
 			return nil, false, false, fmt.Errorf("%w: entry (%d, %d) outside %dx%d matrix", ErrBadRequest, i, j, m.Rows, m.Cols)
 		}
-		cell := i*int64(m.Cols) + j
-		if _, dup := seen[cell]; dup {
-			return nil, false, false, fmt.Errorf("%w: duplicate entry (%d, %d)", ErrBadRequest, i, j)
+		if seen.Add(i, j) {
+			return nil, false, false, errDuplicateEntry(i, j)
 		}
-		seen[cell] = struct{}{}
 		if v != 0 && v != 1 {
 			binary = false
 		}
