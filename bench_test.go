@@ -499,6 +499,54 @@ func BenchmarkServiceLpCachedVsUncached(b *testing.B) {
 	}
 }
 
+// BenchmarkServiceKindsServe prices Serve for the two kinds whose
+// per-query work follows the non-zeros of the inputs — hh (the Lemma
+// 2.5 exchange inside Algorithm 4) and l0sample (Theorem 3.2's column
+// sketches) — on the repo benchmark's kinds_uncached shapes: n = 256, a
+// planted-heavy Boolean B, a sparse query with one planted row. The
+// cache is on and warm, so Bob's precompute is outside the loop. What
+// they put on the wire is fixed by the protocol, not by how Serve
+// computes it: bits/op must stay the constant below, to the bit.
+func BenchmarkServiceKindsServe(b *testing.B) {
+	n := 256
+	query, served := workload.PlantedHeavy(230, n, 1, n*3/4, 0.004)
+	seed := uint64(231)
+	for _, kind := range []struct {
+		name string
+		req  service.Request
+		bits int64
+	}{
+		{"hh", service.Request{Kind: "hh", P: 1, Phi: 0.1, Eps: 0.05}, 9486488},
+		{"l0sample", service.Request{Kind: "l0sample", Eps: 0.25}, 33038336},
+	} {
+		b.Run(kind.name, func(b *testing.B) {
+			engine := service.NewEngine(service.Config{Workers: 4, Shards: 1})
+			defer engine.Close()
+			ctx := context.Background()
+			if _, _, err := engine.PutMatrix("bench", service.MatrixFromDense(served)); err != nil {
+				b.Fatal(err)
+			}
+			req := kind.req
+			req.Matrix, req.A, req.Seed = "bench", service.MatrixFromDense(query), &seed
+			if _, err := engine.Estimate(ctx, req); err != nil { // warm the cache
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := engine.Estimate(ctx, req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Bits != kind.bits {
+					b.Fatalf("%s put %d bits on the wire, the protocol's count is %d", kind.name, res.Bits, kind.bits)
+				}
+			}
+			b.ReportMetric(float64(kind.bits), "bits/op")
+		})
+	}
+}
+
 // BenchmarkServiceLpSharded prices the row-shard parallel serve path
 // on the uncached lp pipeline: the same pinned-seed query against a
 // served 512×512 matrix, answered by an engine that re-derives Bob's

@@ -151,6 +151,34 @@ func (m *Message) checkLen(n, elemBytes int) {
 // Len returns the current payload size in bytes.
 func (m *Message) Len() int { return len(m.buf) }
 
+// Grow reserves room for n more payload bytes, so a writer that knows
+// its message size builds it in one allocation.
+func (m *Message) Grow(n int) { m.buf = slices.Grow(m.buf, n) }
+
+// PutZeros appends n zero bytes: a run of n zero varints, or of n/8
+// zero fixed-width words — most of a sparse vector sent in a dense
+// layout.
+func (m *Message) PutZeros(n int) { m.buf = append(m.buf, make([]byte, n)...) }
+
+// SkipZeros advances the read cursor past at most limit zero bytes,
+// eight at a time, and returns how many it passed — the reader's side
+// of PutZeros.
+func (m *Message) SkipZeros(limit int) int {
+	src := m.buf[m.pos:]
+	if limit < len(src) {
+		src = src[:limit]
+	}
+	n := 0
+	for len(src)-n >= 8 && binary.LittleEndian.Uint64(src[n:]) == 0 {
+		n += 8
+	}
+	for n < len(src) && src[n] == 0 {
+		n++
+	}
+	m.pos += n
+	return n
+}
+
 // PutUvarint appends an unsigned varint.
 func (m *Message) PutUvarint(v uint64) {
 	m.buf = binary.AppendUvarint(m.buf, v)
@@ -166,13 +194,24 @@ func (m *Message) Uvarint() uint64 {
 	return v
 }
 
-// PutVarint appends a signed varint (zig-zag).
+// PutVarint appends a signed varint (zig-zag). Values in [−64, 63] —
+// one byte, and nearly every word of a compressed factor — skip the
+// general encoder.
 func (m *Message) PutVarint(v int64) {
+	if uint64(v+64) < 128 {
+		m.buf = append(m.buf, byte(v<<1)^byte(v>>63))
+		return
+	}
 	m.buf = binary.AppendVarint(m.buf, v)
 }
 
 // Varint reads a signed varint.
 func (m *Message) Varint() int64 {
+	if m.pos < len(m.buf) && m.buf[m.pos] < 0x80 {
+		b := m.buf[m.pos]
+		m.pos++
+		return int64(b>>1) ^ -int64(b&1)
+	}
 	v, n := binary.Varint(m.buf[m.pos:])
 	if n <= 0 {
 		panic("comm: malformed varint")
@@ -246,10 +285,17 @@ func (m *Message) Uint64() uint64 {
 }
 
 // PutUint64Slice appends a length-prefixed slice of fixed 8-byte values.
+// The words are laid down as one run of zeros and the non-zero ones
+// written over it: the field sketch of a sparse vector is mostly zeros.
 func (m *Message) PutUint64Slice(v []uint64) {
 	m.PutUvarint(uint64(len(v)))
-	for _, x := range v {
-		m.PutUint64(x)
+	off := len(m.buf)
+	m.PutZeros(8 * len(v))
+	dst := m.buf[off:]
+	for i, x := range v {
+		if x != 0 {
+			binary.LittleEndian.PutUint64(dst[8*i:], x)
+		}
 	}
 }
 
@@ -258,14 +304,24 @@ func (m *Message) Uint64Slice() []uint64 { return m.AppendUint64Slice([]uint64{}
 
 // AppendUint64Slice is AppendFloat64Slice for PutUint64Slice's vectors.
 func (m *Message) AppendUint64Slice(dst []uint64) []uint64 {
-	n := int(m.Uvarint())
-	m.checkLen(n, 8)
-	dst = slices.Grow(dst, n)
-	for src := m.buf[m.pos : m.pos+8*n]; len(src) > 0; src = src[8:] {
+	src := m.Uint64SliceRaw()
+	dst = slices.Grow(dst, len(src)/8)
+	for ; len(src) > 0; src = src[8:] {
 		dst = append(dst, binary.LittleEndian.Uint64(src))
 	}
-	m.pos += 8 * n
 	return dst
+}
+
+// Uint64SliceRaw reads a slice written by PutUint64Slice without
+// decoding it: the words as they travelled, eight little-endian bytes
+// each, aliasing the payload. The length prefix is checked against the
+// payload first.
+func (m *Message) Uint64SliceRaw() []byte {
+	n := int(m.Uvarint())
+	m.checkLen(n, 8)
+	raw := m.buf[m.pos : m.pos+8*n : m.pos+8*n]
+	m.pos += 8 * n
+	return raw
 }
 
 // PutVarintSlice appends a length-prefixed slice of signed varints.

@@ -1,6 +1,8 @@
 package comm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -12,10 +14,17 @@ func FuzzVarintRoundTrip(f *testing.F) {
 	f.Add(int64(0), uint64(0))
 	f.Add(int64(-1), uint64(1))
 	f.Add(int64(1<<62), uint64(1<<63))
+	f.Add(int64(-64), uint64(127))
+	f.Add(int64(-65), uint64(128))
+	f.Add(int64(63), uint64(0))
+	f.Add(int64(64), uint64(0))
 	f.Fuzz(func(t *testing.T, sv int64, uv uint64) {
 		m := NewMessage()
 		m.PutVarint(sv)
 		m.PutUvarint(uv)
+		if want := binary.AppendUvarint(binary.AppendVarint(nil, sv), uv); !bytes.Equal(m.Bytes(), want) {
+			t.Fatalf("PutVarint(%d), PutUvarint(%d) = %x, encoding/binary gives %x", sv, uv, m.Bytes(), want)
+		}
 		m.pos = 0
 		if got := m.Varint(); got != sv {
 			t.Fatalf("varint %d != %d", got, sv)
@@ -25,6 +34,62 @@ func FuzzVarintRoundTrip(f *testing.F) {
 		}
 		if m.Remaining() != 0 {
 			t.Fatal("bytes left over")
+		}
+	})
+}
+
+// FuzzZeroRuns: a vector written as runs of zeros around its non-zero
+// varints is the bytes of the plain slice form, and reading it back by
+// skipping the runs finds the same words at the same positions.
+func FuzzZeroRuns(f *testing.F) {
+	f.Add([]byte{0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 200, 0})
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, 127, 128, 255})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		words := make([]int64, len(raw))
+		for i, b := range raw {
+			switch {
+			case b < 128: // zero, as most words of a sparse vector are
+			case b < 192: // one byte, either sign
+				words[i] = int64(b) - 160
+			default: // several bytes, either sign
+				words[i] = (int64(b) - 223) << (b % 50)
+			}
+		}
+		ref := NewMessage()
+		ref.PutVarintSlice(words)
+
+		m := NewMessage()
+		m.PutUvarint(uint64(len(words)))
+		run := 0
+		for _, w := range words {
+			if w == 0 {
+				run++
+				continue
+			}
+			m.PutZeros(run)
+			m.PutVarint(w)
+			run = 0
+		}
+		m.PutZeros(run)
+		if !bytes.Equal(m.Bytes(), ref.Bytes()) {
+			t.Fatalf("zero-run form %x differs from the slice form %x", m.Bytes(), ref.Bytes())
+		}
+
+		m.pos = 0
+		n := int(m.Uvarint())
+		got := make([]int64, n)
+		for idx := m.SkipZeros(n); idx < n; idx += 1 + m.SkipZeros(n-idx-1) {
+			got[idx] = m.Varint()
+		}
+		if m.Remaining() != 0 {
+			t.Fatalf("%d bytes left after the skipping read", m.Remaining())
+		}
+		for i := range words {
+			if got[i] != words[i] {
+				t.Fatalf("word %d read back as %d, want %d", i, got[i], words[i])
+			}
 		}
 	})
 }
@@ -72,6 +137,9 @@ func FuzzReaderOnArbitraryBytes(f *testing.F) {
 			func(m *Message) { m.IndexList() },
 			func(m *Message) { m.Float64Slice() },
 			func(m *Message) { m.Uint64Slice() },
+			func(m *Message) { m.Uint64SliceRaw() },
+			func(m *Message) { m.VarintSlice() },
+			func(m *Message) { m.SkipZeros(len(raw) / 2); m.Varint() },
 		}
 		for _, dec := range decoders {
 			m := &Message{buf: raw}

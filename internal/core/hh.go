@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -28,10 +29,10 @@ type HHOpts struct {
 	Reps int
 	// Seed is the shared public-coin seed.
 	Seed uint64
-	// Shards splits Bob's row-parallel phases (absolute row sums, the
-	// scale dot product, and the embedded Algorithm 1 state) into
-	// contiguous ranges executed concurrently. Never changes a transcript
-	// byte or an output bit; 0 or 1 runs sequentially.
+	// Shards splits Bob's row-parallel phases (the scale dot product and
+	// the embedded Algorithm 1 state) into contiguous ranges executed
+	// concurrently. Never changes a transcript byte or an output bit; 0
+	// or 1 runs sequentially.
 	Shards int
 }
 
@@ -163,22 +164,14 @@ func AliceHH(t comm.Transport, a *intmat.Dense, m2 int, bNonNeg bool, o HHOpts) 
 	heavyVal := math.Pow(o.Phi*tpAlice, 1/o.P)
 	beta := math.Min(8*o.BetaC*lnDim(n)*(o.Phi/o.Eps)*(o.Phi/o.Eps)/heavyVal, 1)
 
-	// Step 3: Alice samples the non-zero entries of A.
+	// Step 3: Alice samples the non-zero entries of A, one private coin
+	// each in row-major order.
 	alicePriv := rng.New(o.Seed).Derive("alice-private", "hh")
-	aBeta := intmat.NewDense(m1, n)
-	for i := 0; i < m1; i++ {
-		for k, v := range a.Row(i) {
-			if v != 0 && alicePriv.Bernoulli(beta) {
-				aBeta.Set(i, k, v)
-			}
-		}
-	}
+	aBeta := intmat.FromDenseFunc(a, func(int, int, int64) bool { return alicePriv.Bernoulli(beta) })
 
 	// Step 4: recover C^β via the Lemma 2.5 tensor sketch.
 	ts := hhTensorSketch(o, m1, n, m2, beta, t1absAlice)
-	recv3 := t.Recv(comm.BobToAlice)
-	sk := ts.SketchFromCompressed(aBeta, recv3.VarintSlice())
-	recovered := ts.Decode(sk)
+	recovered := ts.Recover(aBeta, readCompressedFactor(t.Recv(comm.BobToAlice), ts))
 
 	// Step 5 (Alice→Bob): ship entries above the εβ·heavyVal/(8ϕ) floor.
 	sendCutoff := (o.Eps / (8 * o.Phi)) * beta * heavyVal
@@ -215,14 +208,17 @@ func BobHH(t comm.Transport, b *intmat.Dense, m1 int, aNonNeg bool, o HHOpts) (o
 }
 
 // BobHHState is the matrix-dependent phase of Bob's side of
-// Algorithm 4: the absolute row sums of B (the ‖|A|·|B|‖1 scale folds
-// them against Alice's column sums every query), B's signedness, and —
-// built lazily on first use, since it is only needed when the exact
-// p = 1 scale shortcut does not apply to a query — the nested
-// BobLpState of the embedded Algorithm 1. Safe for concurrent Serve
-// calls.
+// Algorithm 4: B's non-zeros row by row, which every query's Lemma 2.5
+// factor is compressed from (the sketch itself is sized per query, from
+// the scale Alice's column sums give); the absolute row sums of B (the
+// ‖|A|·|B|‖1 scale folds them against those column sums); B's
+// signedness; and — built lazily on first use, since it is only needed
+// when the exact p = 1 scale shortcut does not apply to a query — the
+// nested BobLpState of the embedded Algorithm 1. Safe for concurrent
+// Serve calls.
 type BobHHState struct {
 	b          *intmat.Dense
+	nz         *nzMatrix // B's non-zeros per row, what step 4 compresses
 	absRowSums []int64
 	bNonNeg    bool
 	opts       HHOpts // defaults applied
@@ -239,27 +235,31 @@ func NewBobHHState(b *intmat.Dense, o HHOpts) (*BobHHState, error) {
 	if err := o.setDefaults(); err != nil {
 		return nil, err
 	}
-	s := &BobHHState{b: b, bNonNeg: requireNonNegativeSharded(b, o.Shards) == nil, opts: o}
+	s := &BobHHState{b: b, nz: newNZMatrix(b), bNonNeg: true, opts: o}
 	s.absRowSums = make([]int64, b.Rows())
-	runShards(b.Rows(), o.Shards, func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			var rs int64
-			for _, v := range b.Row(k) {
-				if v < 0 {
-					v = -v
-				}
-				rs += v
-			}
-			s.absRowSums[k] = rs
-		}
-	})
+	for k := range s.absRowSums {
+		s.absRowSums[k], s.bNonNeg = s.nz.rows[k].absSum(s.bNonNeg)
+	}
 	return s, nil
+}
+
+// absSum returns the sum of the row's absolute values, and nonNeg
+// unless the row holds a negative entry.
+func (r nzRow) absSum(nonNeg bool) (int64, bool) {
+	var sum int64
+	for _, v := range r.vals {
+		if v < 0 {
+			v, nonNeg = -v, false
+		}
+		sum += v
+	}
+	return sum, nonNeg
 }
 
 // Bytes reports the memory retained by the precomputation (the nested
 // ℓp sketches are counted once built).
 func (s *BobHHState) Bytes() int64 {
-	n := int64(8 * len(s.absRowSums))
+	n := s.nz.bytes + int64(8*len(s.absRowSums))
 	s.nestedMu.Lock()
 	if s.nested != nil {
 		n += s.nested.Bytes()
@@ -337,22 +337,30 @@ func (s *BobHHState) Serve(t comm.Transport, m1 int, aNonNeg bool) (out []Weight
 	ts := hhTensorSketch(o, m1, n, m2, beta, t1abs)
 	msg3 := comm.NewMessage()
 	msg3.Label = "column-compressed B for tensor sketch"
-	msg3.PutVarintSlice(ts.ColCompress(b))
+	putCompressedFactor(msg3, ts, s.nz)
 	t.Send(comm.BobToAlice, msg3)
 
 	// Step 5 in: keep candidates at or above β·((ϕ−ε/2)·tp)^{1/p}.
+	// Alice ships entries of an m1×m2 matrix in the order she decoded
+	// them, ascending by (i, j); anything else is not her message.
 	recv4 := t.Recv(comm.AliceToBob)
 	keepCutoff := beta * math.Pow((o.Phi-o.Eps/2)*tp, 1/o.P)
-	count := int(recv4.Uvarint())
-	for s := 0; s < count; s++ {
-		i := int(recv4.Uvarint())
-		j := int(recv4.Uvarint())
+	count := recv4.Uvarint()
+	if count > uint64(m1)*uint64(m2) {
+		panic(fmt.Sprintf("core: %d candidate entries of a %d×%d product", count, m1, m2))
+	}
+	prev := uint64(0) // 1 + the previous candidate's i·m2 + j
+	for ; count > 0; count-- {
+		i, j := recv4.Uvarint(), recv4.Uvarint()
+		if i >= uint64(m1) || j >= uint64(m2) || i*uint64(m2)+j < prev {
+			panic(fmt.Sprintf("core: candidate (%d, %d) outside the %d×%d product or out of order", i, j, m1, m2))
+		}
+		prev = i*uint64(m2) + j + 1
 		v := float64(recv4.Varint())
 		if math.Abs(v) >= keepCutoff {
-			out = append(out, WeightedPair{I: i, J: j, Value: v / beta})
+			out = append(out, WeightedPair{I: int(i), J: int(j), Value: v / beta})
 		}
 	}
-	sortPairs(out)
 	return out, nil
 }
 

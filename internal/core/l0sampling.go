@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 
 	"repro/internal/comm"
@@ -90,20 +92,35 @@ func AliceL0Sample(t comm.Transport, a *intmat.Dense, o L0SampleOpts) (err error
 	if err := o.setDefaults(); err != nil {
 		return err
 	}
-	m1 := a.Rows()
 	n := a.Cols()
-	l0, sampler := l0SampleSketches(o, m1)
+	l0, sampler := l0SampleSketches(o, a.Rows())
 
-	// Round 1 (Alice→Bob): sketches of every column of A.
+	// Round 1 (Alice→Bob): sketches of every column of A, each built
+	// from the column's non-zeros in ascending row order — the order
+	// Apply meets them in. A column without any is two length prefixes
+	// and zero words.
 	msg := comm.NewMessage()
 	msg.Label = "per-column ℓ0 sketches and samplers of A"
-	col := make([]int64, m1)
+	dims := [2]int{l0.Dim(), sampler.Dim()}
+	msg.Grow(n * (2*binary.MaxVarintLen64 + 8*(dims[0]+dims[1])))
+	sk := make([]field.Elem, dims[0]+dims[1])
+	byCol := intmat.FromDense(a).Transpose()
 	for k := 0; k < n; k++ {
-		for i := 0; i < m1; i++ {
-			col[i] = a.Get(i, k)
+		rows, vals := byCol.Row(k)
+		if len(rows) == 0 {
+			for _, d := range dims {
+				msg.PutUvarint(uint64(d))
+				msg.PutZeros(8 * d)
+			}
+			continue
 		}
-		msg.PutUint64Slice(l0.Apply(col))
-		msg.PutUint64Slice(sampler.Apply(col))
+		clear(sk)
+		for x, i := range rows {
+			l0.AddCoord(sk[:dims[0]], int(i), vals[x])
+			sampler.AddCoord(sk[dims[0]:], int(i), vals[x])
+		}
+		msg.PutUint64Slice(sk[:dims[0]])
+		msg.PutUint64Slice(sk[dims[0]:])
 	}
 	t.Send(comm.AliceToBob, msg)
 	return nil
@@ -190,12 +207,19 @@ func (s *BobL0SampleState) Serve(t comm.Transport, m1 int) (pair Pair, value int
 	m2 := s.cols
 	l0, sampler := l0SampleSketches(o, m1)
 
+	// The 2n received vectors stay in the message; the combines below
+	// read the few they need in place. Each must be as long as its
+	// sketch: the combines run on pool goroutines, where a short or long
+	// vector is past the driver's recover.
 	recv := t.Recv(comm.AliceToBob)
-	normSk := make([][]field.Elem, n)
-	sampSk := make([][]field.Elem, n)
+	normSk := make([][]byte, n)
+	sampSk := make([][]byte, n)
 	for k := 0; k < n; k++ {
-		normSk[k] = recv.Uint64Slice()
-		sampSk[k] = recv.Uint64Slice()
+		normSk[k], sampSk[k] = recv.Uint64SliceRaw(), recv.Uint64SliceRaw()
+		if len(normSk[k]) != 8*l0.Dim() || len(sampSk[k]) != 8*sampler.Dim() {
+			panic(fmt.Sprintf("core: column %d carries sketches of %d and %d bytes, want %d and %d",
+				k, len(normSk[k]), len(sampSk[k]), 8*l0.Dim(), 8*sampler.Dim()))
+		}
 	}
 
 	// Per-column ℓ0 estimates of C. Columns of C are independent, so the
@@ -214,7 +238,7 @@ func (s *BobL0SampleState) Serve(t comm.Transport, m1 int) (pair Pair, value int
 				accNorm[i] = 0
 			}
 			for _, e := range s.colNZ[j] {
-				sketch.AxpyField(accNorm, e.v, normSk[e.k])
+				sketch.AxpyFieldLE(accNorm, e.v, normSk[e.k])
 			}
 			if e := l0.Estimate(accNorm); e > 0 {
 				colEst[j] = e
@@ -246,7 +270,7 @@ func (s *BobL0SampleState) Serve(t comm.Transport, m1 int) (pair Pair, value int
 	}
 	accSamp := make([]field.Elem, sampler.Dim())
 	for _, e := range s.colNZ[j] {
-		sketch.AxpyField(accSamp, e.v, sampSk[e.k])
+		sketch.AxpyFieldLE(accSamp, e.v, sampSk[e.k])
 	}
 	i, v, ok := sampler.Decode(accSamp)
 	if !ok {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 
 	"repro/internal/comm"
 	"repro/internal/field"
@@ -88,7 +90,7 @@ func DistributedProduct(a, b *intmat.Dense, o MatMulOpts) (ca, cb *intmat.Dense,
 	// Freivalds witness y = B·r when verification is on.
 	msg := comm.NewMessage()
 	msg.Label = "column-compressed B·Scᵀ (tensor sketch factor)"
-	msg.PutVarintSlice(ts.ColCompress(b))
+	putCompressedFactor(msg, ts, newNZMatrix(b))
 	var r []field.Elem
 	if o.Verify {
 		r = freivaldsVector(shared.Derive("matmul", "freivalds"), b.Cols())
@@ -106,9 +108,7 @@ func DistributedProduct(a, b *intmat.Dense, o MatMulOpts) (ca, cb *intmat.Dense,
 	}
 	recv := conn.Send(comm.BobToAlice, msg)
 
-	compressed := recv.VarintSlice()
-	sk := ts.SketchFromCompressed(a, compressed)
-	entries := ts.Decode(sk)
+	entries := ts.Recover(intmat.FromDense(a), readCompressedFactor(recv, ts))
 	ca = intmat.NewSparse(a.Rows(), b.Cols(), entries).ToDense()
 	cb = intmat.NewDense(a.Rows(), b.Cols())
 
@@ -133,6 +133,47 @@ func DistributedProduct(a, b *intmat.Dense, o MatMulOpts) (ca, cb *intmat.Dense,
 		}
 	}
 	return ca, cb, addCost(costOf(conn), extra), nil
+}
+
+// putCompressedFactor appends Bob's half of the Lemma 2.5 exchange: the
+// bytes of PutVarintSlice(ts.ColCompress(b)) for the matrix b whose
+// non-zero lists nz holds, written one compressed row at a time. A row
+// of B reaches at most as many buckets as it has non-zeros, and a zero
+// word is a zero byte, so all but a few bytes of each row are runs of
+// zeros.
+func putCompressedFactor(msg *comm.Message, ts *sketch.TensorCS, nz *nzMatrix) {
+	// One byte per word: exact but for the length prefix while every
+	// word is within [−64, 63].
+	msg.Grow(binary.MaxVarintLen64 + ts.CompressedSize())
+	msg.PutUvarint(uint64(ts.CompressedSize()))
+	rc := ts.NewRowCompressor()
+	for rep := 0; rep < ts.Reps(); rep++ {
+		for k := range nz.rows {
+			buckets, words := rc.Row(rep, nz.rows[k].cols, nz.rows[k].vals)
+			next := 0
+			for x, v := range buckets {
+				msg.PutZeros(int(v) - next)
+				msg.PutVarint(words[x])
+				next = int(v) + 1
+			}
+			msg.PutZeros(ts.GridSide() - next)
+		}
+	}
+}
+
+// readCompressedFactor is Alice's read of putCompressedFactor's bytes:
+// one pass that steps over the zero bytes and keeps the non-zero words.
+// The peer is not trusted to send the sketch's word count.
+func readCompressedFactor(recv *comm.Message, ts *sketch.TensorCS) *sketch.Factor {
+	size := ts.CompressedSize()
+	if n := recv.Uvarint(); n != uint64(size) {
+		panic(fmt.Sprintf("core: compressed factor of %d words, the sketch has %d", n, size))
+	}
+	f := ts.NewFactor()
+	for idx := recv.SkipZeros(size); idx < size; idx += 1 + recv.SkipZeros(size-idx-1) {
+		f.Add(idx, recv.Varint())
+	}
+	return f
 }
 
 // freivaldsVector derives the shared random evaluation vector.

@@ -1,0 +1,363 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/comm"
+	"repro/internal/intmat"
+	"repro/internal/rng"
+	"repro/internal/sketch"
+)
+
+// The message builders and readers that follow the non-zeros, each
+// against the dense construction whose bytes it must reproduce, and the
+// checks on what an untrusted peer puts in those messages.
+
+// TestCompressedFactorBytesMatchDenseForm: putCompressedFactor writes
+// PutVarintSlice(ColCompress(b)) byte for byte, and Alice's skipping
+// read recovers from it what the dense read, completion and decode
+// recover — over signed values, one-byte and multi-byte words, buckets
+// that cancel, empty rows, rectangular shapes, odd and even repetition
+// counts, and a sketch too small for the product.
+func TestCompressedFactorBytesMatchDenseForm(t *testing.T) {
+	cases := []struct {
+		name             string
+		rows, inner, col int
+		density          float64
+		maxAbs           int64
+		s                int
+	}{
+		{"signed", 24, 24, 24, 0.15, 3, 120},
+		{"unit-values-cancel", 30, 30, 30, 0.3, 1, 4},
+		{"multi-byte", 16, 20, 18, 0.2, 1 << 40, 80},
+		{"edge-of-one-byte", 16, 20, 18, 0.1, 70, 80},
+		{"wide", 7, 40, 33, 0.1, 3, 40},
+		{"tall", 20, 30, 12, 0.1, 3, 40},
+		{"undersized", 40, 40, 40, 0.1, 3, 1},
+		{"empty", 9, 9, 9, 0, 1, 1},
+	}
+	for ci, c := range cases {
+		for _, reps := range []int{1, 4, 5, 11} {
+			t.Run(fmt.Sprintf("%s/reps=%d", c.name, reps), func(t *testing.T) {
+				a := randomInt(uint64(3000+ci), c.rows, c.inner, c.density, c.maxAbs, false)
+				b := randomInt(uint64(3100+ci), c.inner, c.col, c.density, c.maxAbs, false)
+				for x := 0; x < c.col; x++ {
+					b.Set(c.inner/2, x, 0) // a row of B without non-zeros
+				}
+				ts := sketch.NewTensorCS(rng.New(uint64(3200+ci)), c.rows, c.inner, c.col, c.s, reps)
+
+				want := comm.NewMessage()
+				want.PutVarintSlice(ts.ColCompress(b))
+				got := comm.NewMessage()
+				putCompressedFactor(got, ts, newNZMatrix(b))
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("payload of %d bytes differs from the dense form's %d", got.Len(), want.Len())
+				}
+
+				conn := comm.NewConn()
+				recovered := ts.Recover(intmat.FromDense(a), readCompressedFactor(conn.Send(comm.BobToAlice, got), ts))
+				if got.Remaining() != 0 {
+					t.Fatalf("the skipping read left %d bytes", got.Remaining())
+				}
+				dense := ts.Decode(ts.SketchFromCompressed(a, conn.Send(comm.BobToAlice, want).VarintSlice()))
+				if len(recovered) != len(dense) {
+					t.Fatalf("recovered %d entries, the dense pipeline %d", len(recovered), len(dense))
+				}
+				for x := range dense {
+					if recovered[x] != dense[x] {
+						t.Fatalf("entry %d: %+v, the dense pipeline has %+v", x, recovered[x], dense[x])
+					}
+				}
+			})
+		}
+	}
+}
+
+// wantMalformed runs Bob's driver against a scripted Alice and requires
+// the malformed-message error.
+func wantMalformed(t *testing.T, what string, alice, bob func(comm.Transport) error) {
+	t.Helper()
+	_, err := runPair(alice, bob)
+	if err == nil || !strings.Contains(err.Error(), "malformed protocol message") {
+		t.Fatalf("%s: got %v, want a malformed-message error", what, err)
+	}
+}
+
+// swapSend is Bob's transport with his nth message replaced on its way
+// out.
+type swapSend struct {
+	comm.Transport
+	nth  int
+	swap func(*comm.Message) *comm.Message
+}
+
+func (s *swapSend) Send(dir comm.Direction, msg *comm.Message) *comm.Message {
+	if s.nth--; s.nth == 0 {
+		msg = s.swap(msg)
+	}
+	return s.Transport.Send(dir, msg)
+}
+
+// TestCompressedFactorRejectsWrongSize: Alice refuses a factor whose
+// word count is not her sketch's, and one cut short.
+func TestCompressedFactorRejectsWrongSize(t *testing.T) {
+	a := randomInt(3300, 12, 12, 0.3, 3, true)
+	b := randomInt(3301, 12, 12, 0.3, 3, true)
+	o := HHOpts{Phi: 0.2, Eps: 0.1, Seed: 3302}
+	resize := func(by int) func(*comm.Message) *comm.Message {
+		return func(good *comm.Message) *comm.Message {
+			m := comm.NewMessage()
+			m.PutVarintSlice(make([]int64, len(good.VarintSlice())+by))
+			return m
+		}
+	}
+	for name, swap := range map[string]func(*comm.Message) *comm.Message{
+		"one word short": resize(-1),
+		"one word long":  resize(1),
+		"truncated":      func(good *comm.Message) *comm.Message { return comm.FromBytes(good.Bytes()[:good.Len()/2]) },
+	} {
+		_, err := runPair(
+			func(tr comm.Transport) error { return AliceHH(tr, a, b.Cols(), true, o) },
+			func(tr comm.Transport) error {
+				_, err := BobHH(&swapSend{Transport: tr, nth: 2, swap: swap}, b, a.Rows(), true, o)
+				return err
+			})
+		if err == nil || !strings.Contains(err.Error(), "malformed protocol message") {
+			t.Fatalf("%s: AliceHH returned %v, want a malformed-message error", name, err)
+		}
+	}
+}
+
+// TestHHServeRefusesForeignCandidates: message 4 names entries of an
+// m1×m2 product in ascending order; Bob used to append whatever indices
+// it carried.
+func TestHHServeRefusesForeignCandidates(t *testing.T) {
+	const m1, n, m2 = 16, 16, 16
+	b := randomInt(3401, n, m2, 0.3, 3, true)
+	o := HHOpts{Phi: 0.2, Eps: 0.1, Seed: 3402}
+	type cand struct {
+		i, j uint64
+		v    int64
+	}
+	script := func(count uint64, cands ...cand) func(comm.Transport) error {
+		return func(tr comm.Transport) error {
+			msg1 := comm.NewMessage()
+			for k := 0; k < n; k++ {
+				msg1.PutUvarint(1)
+			}
+			tr.Send(comm.AliceToBob, msg1)
+			tr.Recv(comm.BobToAlice)
+			tr.Recv(comm.BobToAlice)
+			msg4 := comm.NewMessage()
+			msg4.PutUvarint(count)
+			for _, c := range cands {
+				msg4.PutUvarint(c.i)
+				msg4.PutUvarint(c.j)
+				msg4.PutVarint(c.v)
+			}
+			tr.Send(comm.AliceToBob, msg4)
+			return nil
+		}
+	}
+	for _, shards := range []int{1, 2} {
+		o.Shards = shards
+		st, err := NewBobHHState(b, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bob := func(tr comm.Transport) error { _, err := st.Serve(tr, m1, true); return err }
+		wantMalformed(t, "row and column outside the product", script(1, cand{999, 12345, 1 << 40}), bob)
+		wantMalformed(t, "row m1", script(1, cand{m1, 0, 1 << 40}), bob)
+		wantMalformed(t, "column m2", script(1, cand{0, m2, 1 << 40}), bob)
+		wantMalformed(t, "more candidates than cells", script(m1*m2+1), bob)
+		wantMalformed(t, "the same entry twice", script(2, cand{3, 4, 1 << 40}, cand{3, 4, 1 << 40}), bob)
+		wantMalformed(t, "columns descending", script(2, cand{3, 4, 1 << 40}, cand{3, 2, 1 << 40}), bob)
+		wantMalformed(t, "rows descending", script(2, cand{3, 4, 1 << 40}, cand{2, 9, 1 << 40}), bob)
+		wantMalformed(t, "count beyond the payload", script(3, cand{3, 4, 1 << 40}), bob)
+
+		// The same script in order is served: both heavy candidates come
+		// back, rescaled.
+		var out []WeightedPair
+		_, err = runPair(script(2, cand{3, 4, 1 << 40}, cand{m1 - 1, m2 - 1, -(1 << 40)}),
+			func(tr comm.Transport) (err error) { out, err = st.Serve(tr, m1, true); return err })
+		if err != nil || len(out) != 2 || out[0].I != 3 || out[0].J != 4 || out[1].I != m1-1 || out[1].J != m2-1 {
+			t.Fatalf("in-order candidates: %v, %v", out, err)
+		}
+	}
+}
+
+// TestL0SampleServeChecksVectorLengths: every received vector must be
+// as long as its sketch. Short ones used to be combined as far as they
+// reached and reported as a failed sample; long ones reached an index
+// panic inside a shard.
+func TestL0SampleServeChecksVectorLengths(t *testing.T) {
+	const m1, n = 12, 10
+	b := randomInt(3500, n, 14, 0.4, 3, false)
+	for _, shards := range []int{1, 2} {
+		o := L0SampleOpts{Eps: 0.5, Seed: 3501, Shards: shards}
+		st, err := NewBobL0SampleState(b, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.setDefaults(); err != nil {
+			t.Fatal(err)
+		}
+		l0, sampler := l0SampleSketches(o, m1)
+		script := func(badColumn, normLen, sampLen int) func(comm.Transport) error {
+			return func(tr comm.Transport) error {
+				msg := comm.NewMessage()
+				for k := 0; k < n; k++ {
+					nl, sl := l0.Dim(), sampler.Dim()
+					if k == badColumn {
+						nl, sl = normLen, sampLen
+					}
+					msg.PutUint64Slice(make([]uint64, nl))
+					msg.PutUint64Slice(make([]uint64, sl))
+				}
+				tr.Send(comm.AliceToBob, msg)
+				return nil
+			}
+		}
+		bob := func(tr comm.Transport) error { _, _, err := st.Serve(tr, m1); return err }
+		wantMalformed(t, "3- and 1-word vectors", script(4, 3, 1), bob)
+		wantMalformed(t, "norm sketch one word short", script(0, l0.Dim()-1, sampler.Dim()), bob)
+		wantMalformed(t, "norm sketch one word long", script(n-1, l0.Dim()+1, sampler.Dim()), bob)
+		wantMalformed(t, "sampler sketch one word short", script(2, l0.Dim(), sampler.Dim()-1), bob)
+		wantMalformed(t, "sampler sketch one word long", script(2, l0.Dim(), sampler.Dim()+1), bob)
+		wantMalformed(t, "empty vectors", script(5, 0, 0), bob)
+		// All-zero vectors of the right lengths are a well-formed message
+		// about an empty product.
+		if _, err := runPair(script(-1, 0, 0), bob); err != ErrSampleFailed {
+			t.Fatalf("well-formed zero sketches: %v, want ErrSampleFailed", err)
+		}
+	}
+}
+
+// TestAliceL0SampleMessageMatchesColumnGather: round 1 built from A's
+// non-zeros by column is, byte for byte, the message built by gathering
+// every column and applying both sketches to it, word by word.
+func TestAliceL0SampleMessageMatchesColumnGather(t *testing.T) {
+	holes := randomInt(3602, 20, 18, 0.3, 3, false)
+	for i := 0; i < holes.Rows(); i++ {
+		holes.Set(i, 0, 0)
+		holes.Set(i, 7, 0)
+		holes.Set(i, 17, 0)
+	}
+	for name, a := range map[string]*intmat.Dense{
+		"sparse":       randomInt(3600, 30, 26, 0.05, 3, true),
+		"dense":        randomInt(3601, 14, 12, 1, 2, true),
+		"signed":       randomInt(3603, 20, 18, 0.3, 1<<40, false),
+		"zero-columns": holes,
+		"zero":         intmat.NewDense(9, 11),
+	} {
+		for _, eps := range []float64{0.5, 0.25} {
+			o := L0SampleOpts{Eps: eps, Seed: 3610}
+			conn := comm.NewConn()
+			if err := AliceL0Sample(conn, a, o); err != nil {
+				t.Fatal(err)
+			}
+			got := conn.Recv(comm.AliceToBob)
+
+			if err := o.setDefaults(); err != nil {
+				t.Fatal(err)
+			}
+			l0, sampler := l0SampleSketches(o, a.Rows())
+			want := comm.NewMessage()
+			col := make([]int64, a.Rows())
+			for k := 0; k < a.Cols(); k++ {
+				for i := range col {
+					col[i] = a.Get(i, k)
+				}
+				for _, sk := range [][]uint64{l0.Apply(col), sampler.Apply(col)} {
+					want.PutUvarint(uint64(len(sk)))
+					for _, w := range sk {
+						want.PutUint64(w)
+					}
+				}
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s, ε = %v: message of %d bytes differs from the column-gather form's %d", name, eps, got.Len(), want.Len())
+			}
+		}
+	}
+}
+
+// TestL0SampleShardsAgree: Bob's in-place combine returns one sample
+// whatever the shard count.
+func TestL0SampleShardsAgree(t *testing.T) {
+	a := randomInt(3700, 24, 20, 0.2, 3, false)
+	b := randomInt(3701, 20, 28, 0.2, 3, false)
+	type sample struct {
+		p Pair
+		v int64
+	}
+	var first sample
+	for _, shards := range []int{1, 2, 4} {
+		p, v, _, err := SampleL0(a, b, L0SampleOpts{Eps: 0.25, Seed: 3702, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := a.Mul(b); c.Get(p.I, p.J) != v || v == 0 {
+			t.Fatalf("shards %d: sample (%d, %d) = %d, the product has %d", shards, p.I, p.J, v, c.Get(p.I, p.J))
+		}
+		if shards == 1 {
+			first = sample{p, v}
+		} else if got := (sample{p, v}); got != first {
+			t.Fatalf("shards %d sampled %+v, sequential %+v", shards, got, first)
+		}
+	}
+}
+
+// TestBobHHStateListsFollowUpdates: the non-zero lists a served hh state
+// compresses from are the rebuilt state's after a chain of row updates
+// — emptied rows, refilled rows, a sign flip there and back — and so is
+// the factor they produce.
+func TestBobHHStateListsFollowUpdates(t *testing.T) {
+	b := randomInt(3800, 20, 22, 0.2, 3, true)
+	o := HHOpts{Phi: 0.2, Eps: 0.1, Seed: 3801}
+	st, err := NewBobHHState(b, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := b
+	for step, rows := range [][]int{{0}, {5, 19}, {5}, {7, 7, 2}} {
+		next := patchIntRows(uint64(3810+step), cur, rows, 3, step != 1)
+		if step == 0 {
+			for j := 0; j < next.Cols(); j++ {
+				next.Set(0, j, 0) // a row emptied
+			}
+		}
+		if st, err = st.UpdateRows(next, rows); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewBobHHState(next, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.nz.rows) != len(fresh.nz.rows) || st.Bytes() != fresh.Bytes() || st.bNonNeg != fresh.bNonNeg {
+			t.Fatalf("step %d: %d rows / %d bytes / nonNeg %v, rebuilt %d / %d / %v", step,
+				len(st.nz.rows), st.Bytes(), st.bNonNeg, len(fresh.nz.rows), fresh.Bytes(), fresh.bNonNeg)
+		}
+		for k := range fresh.nz.rows {
+			if !slices.Equal(st.nz.rows[k].cols, fresh.nz.rows[k].cols) || !slices.Equal(st.nz.rows[k].vals, fresh.nz.rows[k].vals) {
+				t.Fatalf("step %d: row %d lists %v, rebuilt %v", step, k, st.nz.rows[k], fresh.nz.rows[k])
+			}
+		}
+		if !reflect.DeepEqual(st.absRowSums, fresh.absRowSums) {
+			t.Fatalf("step %d: absolute row sums diverged", step)
+		}
+		ts := hhTensorSketch(st.opts, 16, next.Rows(), next.Cols(), 1, 500)
+		mu, mf := comm.NewMessage(), comm.NewMessage()
+		putCompressedFactor(mu, ts, st.nz)
+		putCompressedFactor(mf, ts, fresh.nz)
+		if !bytes.Equal(mu.Bytes(), mf.Bytes()) {
+			t.Fatalf("step %d: the updated state's factor differs from the rebuilt state's", step)
+		}
+		cur = next
+	}
+}

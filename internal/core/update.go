@@ -257,11 +257,12 @@ func (s *BobLinfKappaState) UpdateRows(nb *bitmat.Matrix, rows []int) (*BobLinfK
 	return &BobLinfKappaState{b: nb, vk: vk, opts: s.opts}, nil
 }
 
-// UpdateRows derives the BobHHState of nb by recomputing only the
-// listed rows' absolute sums, re-deriving the signedness flag (a full
-// rescan is needed only when a previously signed matrix may have lost
-// its last negative row), and incrementally updating the nested
-// Algorithm 1 state when the old state had built it.
+// UpdateRows derives the BobHHState of nb by re-listing only the listed
+// rows' non-zeros and recomputing their absolute sums, re-deriving the
+// signedness flag (a full rescan is needed only when a previously
+// signed matrix may have lost its last negative row), and incrementally
+// updating the nested Algorithm 1 state when the old state had built
+// it.
 func (s *BobHHState) UpdateRows(nb *intmat.Dense, rows []int) (*BobHHState, error) {
 	if nb.Rows() != s.b.Rows() || nb.Cols() != s.b.Cols() {
 		return nil, ErrUpdateShape
@@ -270,19 +271,11 @@ func (s *BobHHState) UpdateRows(nb *intmat.Dense, rows []int) (*BobHHState, erro
 	if err != nil {
 		return nil, err
 	}
-	ns := &BobHHState{b: nb, opts: s.opts}
+	ns := &BobHHState{b: nb, nz: s.nz.withRows(nb, rows), opts: s.opts}
 	ns.absRowSums = append([]int64(nil), s.absRowSums...)
 	patchNonNeg := true
 	for _, k := range rows {
-		var rs int64
-		for _, v := range nb.Row(k) {
-			if v < 0 {
-				v = -v
-				patchNonNeg = false
-			}
-			rs += v
-		}
-		ns.absRowSums[k] = rs
+		ns.absRowSums[k], patchNonNeg = ns.nz.rows[k].absSum(patchNonNeg)
 	}
 	switch {
 	case !patchNonNeg:

@@ -581,5 +581,32 @@ func TestUpdateRowsRandomizedParity(t *testing.T) {
 		if !reflect.DeepEqual(l0up.colNZ, l0fr.colNZ) {
 			t.Fatalf("trial %d: l0sample column index diverged", trial)
 		}
+
+		// hh compresses its Lemma 2.5 factor from B's per-row non-zero
+		// lists, which UpdateRows re-lists for the patched rows only: the
+		// lists, the bytes they account for and the transcript they
+		// produce must be the rebuilt state's.
+		ho := HHOpts{Phi: 0.2, Eps: 0.1, Seed: uint64(1010 + trial), Shards: shards}
+		hh, err := NewBobHHState(b, ho)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hhUp, err := hh.UpdateRows(b2, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hhFr, err := NewBobHHState(b2, ho)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(hhUp.nz, hhFr.nz) || hhUp.Bytes() != hhFr.Bytes() || hhUp.Bytes() <= int64(8*n) {
+			t.Fatalf("trial %d: hh non-zero lists or byte accounting diverged", trial)
+		}
+		aliceHH := func(tr comm.Transport) error { return AliceHH(tr, aHit, m, false, ho) }
+		inU, outU = runRecorded(t, aliceHH, func(tr comm.Transport) error { _, err := hhUp.Serve(tr, aHit.Rows(), false); return err })
+		inF, outF = runRecorded(t, aliceHH, func(tr comm.Transport) error { _, err := hhFr.Serve(tr, aHit.Rows(), false); return err })
+		if !bytes.Equal(inU, inF) || !bytes.Equal(outU, outF) {
+			t.Fatalf("trial %d: hh transcript diverged", trial)
+		}
 	}
 }

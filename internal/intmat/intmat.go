@@ -67,9 +67,7 @@ func (d *Dense) Row(i int) []int64 {
 
 // Clone returns a deep copy.
 func (d *Dense) Clone() *Dense {
-	c := NewDense(d.rows, d.cols)
-	copy(c.data, d.data)
-	return c
+	return &Dense{rows: d.rows, cols: d.cols, data: append([]int64(nil), d.data...)}
 }
 
 // AddMatrix accumulates o into d entrywise (d += o).
@@ -292,6 +290,13 @@ func (s *Sparse) Cols() int { return s.cols }
 // NNZ returns the number of stored non-zero entries.
 func (s *Sparse) NNZ() int { return len(s.vals) }
 
+// Row returns the column indices and values of row i's stored entries,
+// columns ascending; the slices alias the matrix.
+func (s *Sparse) Row(i int) (cols []int32, vals []int64) {
+	lo, hi := s.rowPtr[i], s.rowPtr[i+1]
+	return s.colIdx[lo:hi], s.vals[lo:hi]
+}
+
 // RowEntries calls fn for every stored entry of row i.
 func (s *Sparse) RowEntries(i int, fn func(j int, v int64)) {
 	for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
@@ -322,8 +327,48 @@ func (s *Sparse) ToDense() *Dense {
 }
 
 // FromDense converts a dense matrix to CSR.
-func FromDense(d *Dense) *Sparse {
-	return NewSparse(d.Rows(), d.Cols(), d.NonZeros())
+func FromDense(d *Dense) *Sparse { return FromDenseFunc(d, nil) }
+
+// FromDenseFunc converts to CSR the non-zero entries of d that keep
+// accepts; keep sees each of them once, in row-major order. A nil keep
+// accepts every entry.
+func FromDenseFunc(d *Dense, keep func(i, j int, v int64) bool) *Sparse {
+	s := &Sparse{rows: d.rows, cols: d.cols, rowPtr: make([]int32, d.rows+1)}
+	for i := 0; i < d.rows; i++ {
+		for j, v := range d.Row(i) {
+			if v != 0 && (keep == nil || keep(i, j, v)) {
+				s.colIdx = append(s.colIdx, int32(j))
+				s.vals = append(s.vals, v)
+			}
+		}
+		s.rowPtr[i+1] = int32(len(s.vals))
+	}
+	return s
+}
+
+// Transpose returns sᵀ: its row j lists column j of s, rows ascending.
+func (s *Sparse) Transpose() *Sparse {
+	t := &Sparse{
+		rows: s.cols, cols: s.rows,
+		rowPtr: make([]int32, s.cols+1),
+		colIdx: make([]int32, len(s.colIdx)),
+		vals:   make([]int64, len(s.vals)),
+	}
+	for _, j := range s.colIdx {
+		t.rowPtr[j+1]++
+	}
+	for j := 0; j < s.cols; j++ {
+		t.rowPtr[j+1] += t.rowPtr[j]
+	}
+	next := append([]int32(nil), t.rowPtr[:s.cols]...)
+	for i := 0; i < s.rows; i++ {
+		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
+			at := next[s.colIdx[k]]
+			next[s.colIdx[k]]++
+			t.colIdx[at], t.vals[at] = int32(i), s.vals[k]
+		}
+	}
+	return t
 }
 
 // Mul returns the integer product s·o as a dense matrix.

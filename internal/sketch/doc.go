@@ -30,5 +30,7 @@
 // many goroutines at once, and one drawn family is shared by both
 // parties' states and every UpdateRows successor — so any new sketch
 // added here must keep its post-construction methods free of internal
-// mutation.
+// mutation. The tensor sketch's per-query working values (RowCompressor,
+// Factor) are not sketches: they own scratch, are built per use from the
+// immutable TensorCS, and belong to one goroutine.
 package sketch

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"encoding/binary"
 	"math"
 
 	"repro/internal/field"
@@ -148,5 +149,25 @@ func AxpyField(y []field.Elem, a int64, x []field.Elem) {
 	}
 	for i, v := range x {
 		y[i] = field.Add(y[i], field.Mul(fa, v))
+	}
+}
+
+// AxpyFieldLE is AxpyField for an x still in its wire form, eight
+// little-endian bytes a word and len(y) words long: the receiver of
+// many sketches combines the few it needs without decoding them all.
+// The sketch of a sparse vector is mostly zero words, which are stepped
+// over.
+//
+//mp:hotpath
+func AxpyFieldLE(y []field.Elem, a int64, x []byte) {
+	fa := field.ReduceInt(a)
+	if fa == 0 {
+		return
+	}
+	x = x[:8*len(y)]
+	for i := range y {
+		if v := binary.LittleEndian.Uint64(x[8*i:]); v != 0 {
+			y[i] = field.Add(y[i], field.Mul(fa, v))
+		}
 	}
 }

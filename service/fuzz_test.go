@@ -54,12 +54,12 @@ func FuzzMatrixToDense(f *testing.F) {
 		if !dimsInRange(m.Rows, m.Cols) {
 			t.Fatalf("accepted out-of-range dims %dx%d", m.Rows, m.Cols)
 		}
-		nnz, wantBinary, wantNonNeg := scanDense(d)
-		if isBinary != wantBinary || nonNeg != wantNonNeg {
+		c := scanDense(d)
+		if wantBinary, wantNonNeg := c.nonBinary == 0, c.negative == 0; isBinary != wantBinary || nonNeg != wantNonNeg {
 			t.Fatalf("flags (%v,%v) disagree with dense scan (%v,%v)", isBinary, nonNeg, wantBinary, wantNonNeg)
 		}
-		if nnz > len(m.Entries) {
-			t.Fatalf("NNZ %d exceeds wire entries %d", nnz, len(m.Entries))
+		if c.nnz > len(m.Entries) {
+			t.Fatalf("NNZ %d exceeds wire entries %d", c.nnz, len(m.Entries))
 		}
 	})
 }

@@ -326,7 +326,7 @@ func (e *Engine) recoverFromStore() {
 			p.recoveryErrs.Add(1)
 			continue
 		}
-		sm := newServedMatrix(name, dense, uploaded, snap.Epoch, snap.Seq, nil, nil)
+		sm := newServedMatrix(name, dense, uploaded, snap.Epoch, snap.Seq)
 		applied := 0
 		for _, r := range recs {
 			if r.Epoch != snap.Epoch || r.Seq <= sm.sub {

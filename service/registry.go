@@ -40,6 +40,7 @@ type MatrixInfo struct {
 // it with a fresh gen.
 type servedMatrix struct {
 	info  MatrixInfo
+	cells cellCounts // what info's NNZ, Binary and NonNeg derive from
 	gen   uint64
 	sub   uint64
 	dense *intmat.Dense
@@ -48,39 +49,26 @@ type servedMatrix struct {
 }
 
 // newServedMatrix assembles a registry entry from a validated dense
-// form; one scan derives the catalog flags. The bit form of a 0/1
-// matrix is built from scratch unless prevBits — the still-valid bit
-// form of the entry's predecessor — is given, in which case only the
-// touched rows are re-derived (the row-update path).
-func newServedMatrix(name string, dense *intmat.Dense, uploaded time.Time, gen, sub uint64, prevBits *bitmat.Matrix, touched []int) *servedMatrix {
-	nnz, binary, nonNeg := scanDense(dense)
+// form; one scan derives the catalog flags. A row update derives its
+// successor from the touched rows instead (patchServed).
+func newServedMatrix(name string, dense *intmat.Dense, uploaded time.Time, gen, sub uint64) *servedMatrix {
 	sm := &servedMatrix{
-		info: MatrixInfo{
-			Name:     name,
-			Rows:     dense.Rows(),
-			Cols:     dense.Cols(),
-			NNZ:      nnz,
-			Binary:   binary,
-			NonNeg:   nonNeg,
-			Uploaded: uploaded,
-		},
+		info:  MatrixInfo{Name: name, Rows: dense.Rows(), Cols: dense.Cols(), Uploaded: uploaded},
 		gen:   gen,
 		sub:   sub,
 		dense: dense,
 	}
-	switch {
-	case !binary:
-	case prevBits == nil:
+	sm.setCells(scanDense(dense))
+	if sm.info.Binary {
 		sm.bits = toBool(dense)
-	default:
-		sm.bits = prevBits.Clone()
-		for _, k := range touched {
-			for j, v := range dense.Row(k) {
-				sm.bits.Set(k, j, v != 0)
-			}
-		}
 	}
 	return sm
+}
+
+// setCells records the cell tallies and the catalog flags they imply.
+func (sm *servedMatrix) setCells(c cellCounts) {
+	sm.cells = c
+	sm.info.NNZ, sm.info.Binary, sm.info.NonNeg = c.nnz, c.nonBinary == 0, c.negative == 0
 }
 
 // registry is the named-matrix store hosting Bob's side of the service:

@@ -150,24 +150,37 @@ func (c *rowUpdateCounters) snapshot() RowUpdateStats {
 	return c.s
 }
 
-// scanDense derives the catalog flags of a dense matrix in one pass.
-func scanDense(d *intmat.Dense) (nnz int, binary, nonNeg bool) {
-	binary, nonNeg = true, true
-	for i := 0; i < d.Rows(); i++ {
-		for _, v := range d.Row(i) {
-			if v == 0 {
-				continue
-			}
-			nnz++
-			if v != 1 {
-				binary = false
-			}
-			if v < 0 {
-				nonNeg = false
-			}
+// cellCounts are the tallies the catalog flags derive from: the cells
+// that are not zero, those that are neither zero nor one, and those
+// below zero. Counts, unlike the flags, can be kept across a row update
+// from the touched rows alone.
+type cellCounts struct{ nnz, nonBinary, negative int }
+
+// addRow tallies row with weight +1 when it enters the matrix and −1
+// when it leaves.
+func (c *cellCounts) addRow(row []int64, weight int) {
+	for _, v := range row {
+		if v == 0 {
+			continue
+		}
+		c.nnz += weight
+		if v != 1 {
+			c.nonBinary += weight
+		}
+		if v < 0 {
+			c.negative += weight
 		}
 	}
-	return nnz, binary, nonNeg
+}
+
+// scanDense tallies a dense matrix in one pass: the install-time
+// derivation, and the oracle the incremental one is tested against.
+func scanDense(d *intmat.Dense) cellCounts {
+	var c cellCounts
+	for i := 0; i < d.Rows(); i++ {
+		c.addRow(d.Row(i), 1)
+	}
+	return c
 }
 
 // UpdateRows applies a batch of sparse row patches to a served matrix:
@@ -280,34 +293,40 @@ func (e *Engine) rememberUpdateLocked(k updKey, rep UpdateReply) {
 }
 
 // patchServed builds sm's copy-on-write successor with the validated
-// row patches applied: dense clone patched, catalog flags rescanned,
+// row patches applied: dense clone patched, cell tallies and the
+// catalog flags adjusted by the touched rows (old row out, new row in),
 // sub-version bumped, bit form patched incrementally when it stays
 // binary. Returns the touched rows for cache revalidation. Shared by
 // the live update path and WAL replay at recovery, so a replayed
 // update reconstructs byte-identical served state.
 func patchServed(sm *servedMatrix, ups []RowUpdate, delta bool) (*servedMatrix, []int, error) {
 	rows := make([]int, 0, len(ups))
+	seen := make([]bool, sm.info.Cols) // columns of the patch at hand; all false between patches
 	for _, u := range ups {
 		if u.Row < 0 || u.Row >= sm.info.Rows {
 			return nil, nil, fmt.Errorf("%w: row %d outside %d-row matrix", ErrBadRequest, u.Row, sm.info.Rows)
 		}
-		cols := make(map[int64]bool, len(u.Entries))
 		for _, ent := range u.Entries {
 			j := ent[0]
 			if j < 0 || j >= int64(sm.info.Cols) {
 				return nil, nil, fmt.Errorf("%w: entry column %d outside %d-column matrix", ErrBadRequest, j, sm.info.Cols)
 			}
-			if cols[j] {
+			if seen[j] {
 				return nil, nil, fmt.Errorf("%w: duplicate column %d in row %d update", ErrBadRequest, j, u.Row)
 			}
-			cols[j] = true
+			seen[j] = true
+		}
+		for _, ent := range u.Entries {
+			seen[ent[0]] = false
 		}
 		rows = append(rows, u.Row)
 	}
 
-	dense := sm.dense.Clone()
+	next := &servedMatrix{info: sm.info, gen: sm.gen, sub: sm.sub + 1, dense: sm.dense.Clone()}
+	cells := sm.cells
 	for _, u := range ups {
-		row := dense.Row(u.Row)
+		row := next.dense.Row(u.Row)
+		cells.addRow(row, -1)
 		if !delta {
 			clear(row)
 		}
@@ -318,8 +337,22 @@ func patchServed(sm *servedMatrix, ups []RowUpdate, delta bool) (*servedMatrix, 
 				row[ent[0]] = ent[1]
 			}
 		}
+		cells.addRow(row, 1)
 	}
-	return newServedMatrix(sm.info.Name, dense, sm.info.Uploaded, sm.gen, sm.sub+1, sm.bits, rows), rows, nil
+	next.setCells(cells)
+	switch {
+	case !next.info.Binary:
+	case sm.bits == nil:
+		next.bits = toBool(next.dense)
+	default:
+		next.bits = sm.bits.Clone()
+		for _, k := range rows {
+			for j, v := range next.dense.Row(k) {
+				next.bits.Set(k, j, v != 0)
+			}
+		}
+	}
+	return next, rows, nil
 }
 
 // advanceState incrementally advances one cached Bob state to the

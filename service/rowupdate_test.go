@@ -461,3 +461,148 @@ func TestUpdateRowsConcurrentChurn(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// checkServedAgainstScan holds a served matrix's incrementally kept
+// tallies, catalog flags and bit form to a fresh scan of its dense form.
+func checkServedAgainstScan(t *testing.T, when string, sm *servedMatrix) {
+	t.Helper()
+	want := scanDense(sm.dense)
+	if sm.cells != want {
+		t.Fatalf("%s: tallies %+v, a scan counts %+v", when, sm.cells, want)
+	}
+	if sm.info.NNZ != want.nnz || sm.info.Binary != (want.nonBinary == 0) || sm.info.NonNeg != (want.negative == 0) {
+		t.Fatalf("%s: info %+v disagrees with the scan %+v", when, sm.info, want)
+	}
+	if (sm.bits != nil) != sm.info.Binary {
+		t.Fatalf("%s: bit form present = %v for binary = %v", when, sm.bits != nil, sm.info.Binary)
+	}
+	if sm.bits != nil && !sm.bits.Equal(toBool(sm.dense)) {
+		t.Fatalf("%s: bit form differs from the dense form", when)
+	}
+}
+
+// TestUpdateRowsFlagsFollowTouchedRows: NNZ, Binary and NonNeg are
+// adjusted from the rows an update touches (old row out, new row in),
+// never rescanned — so they must equal a scan after every step of a
+// randomized replace/delta history that walks the matrix binary →
+// integer → binary and non-negative → signed → non-negative, the flags
+// turning exactly with the last offending cell, and again after the
+// history is replayed from the WAL.
+func TestUpdateRowsFlagsFollowTouchedRows(t *testing.T) {
+	const n = 12
+	rnd := rand.New(rand.NewSource(4100))
+	dir := t.TempDir()
+	d := openPersistDisk(t, dir, nil)
+	e := NewEngine(Config{Store: d, SnapshotEvery: -1, Shards: 1}) // every update stays in the WAL
+	if _, _, err := e.PutMatrix("m", testBinaryMatrix(4101, n, 0.3)); err != nil {
+		t.Fatal(err)
+	}
+	served := func() *servedMatrix {
+		sm, ok := e.reg.peek("m")
+		if !ok {
+			t.Fatal("matrix gone")
+		}
+		return sm
+	}
+	checkServedAgainstScan(t, "install", served())
+
+	var binarySeen, nonNegSeen []bool // the flags' values, in order of change
+	note := func(seen *[]bool, v bool) {
+		if len(*seen) == 0 || (*seen)[len(*seen)-1] != v {
+			*seen = append(*seen, v)
+		}
+	}
+	step := 0
+	apply := func(delta bool, ups ...RowUpdate) {
+		t.Helper()
+		step++
+		rep, err := e.UpdateRows("m", UpdateRequest{Updates: ups, Delta: delta})
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		sm := served()
+		checkServedAgainstScan(t, fmt.Sprintf("step %d", step), sm)
+		if rep.MatrixInfo != sm.info {
+			t.Fatalf("step %d: reply carries %+v, the registry %+v", step, rep.MatrixInfo, sm.info)
+		}
+		note(&binarySeen, sm.info.Binary)
+		note(&nonNegSeen, sm.info.NonNeg)
+	}
+	// palette draws a row patch with values from lo..hi (zero excluded
+	// in replace mode means an absent entry; in delta mode it is a
+	// no-op entry, which is legal).
+	palette := func(row int, lo, hi int64) RowUpdate {
+		u := RowUpdate{Row: row}
+		for j := 0; j < n; j++ {
+			if rnd.Float64() < 0.35 {
+				u.Entries = append(u.Entries, [2]int64{int64(j), lo + rnd.Int63n(hi-lo+1)})
+			}
+		}
+		return u
+	}
+	// cleanse replaces, one row a step, every row holding a cell that
+	// bad rejects: the flag may turn only with the last of them.
+	cleanse := func(bad func(int64) bool, lo, hi int64) {
+		for k := 0; k < n; k++ {
+			for _, v := range served().dense.Row(k) {
+				if bad(v) {
+					apply(false, palette(k, lo, hi))
+					break
+				}
+			}
+		}
+	}
+
+	for i := 0; i < 6; i++ { // binary rows, two a batch
+		apply(false, palette(rnd.Intn(n/2), 1, 1), palette(n/2+rnd.Intn(n/2), 1, 1))
+	}
+	for i := 0; i < 6; i++ { // integer rows and integer deltas
+		apply(i%2 == 1, palette(rnd.Intn(n), 0, 3))
+	}
+	cleanse(func(v int64) bool { return v != 0 && v != 1 }, 1, 1)
+	for i := 0; i < 6; i++ { // signed rows and signed deltas
+		apply(i%2 == 1, palette(rnd.Intn(n), -3, 3))
+	}
+	cleanse(func(v int64) bool { return v < 0 }, 0, 2)
+	cleanse(func(v int64) bool { return v != 0 && v != 1 }, 1, 1)
+	// One cell there and back by deltas: 1 → 2 → 1 and 0 → −1 → 0.
+	row := RowUpdate{Row: 3, Entries: [][2]int64{{0, 1}, {1, 0}}}
+	apply(false, row)
+	apply(true, RowUpdate{Row: 3, Entries: [][2]int64{{0, 1}}})
+	apply(true, RowUpdate{Row: 3, Entries: [][2]int64{{0, -1}}})
+	apply(true, RowUpdate{Row: 3, Entries: [][2]int64{{1, -1}}})
+	apply(true, RowUpdate{Row: 3, Entries: [][2]int64{{1, 1}}})
+
+	// Binary is lost to the integer rows, the signed rows, the 2 and
+	// the −1, and regained after each; NonNeg to the signed rows and the
+	// −1.
+	if want := []bool{true, false, true, false, true, false, true, false, true}; fmt.Sprint(binarySeen) != fmt.Sprint(want) {
+		t.Fatalf("Binary went through %v, want %v", binarySeen, want)
+	}
+	if want := []bool{true, false, true, false, true}; fmt.Sprint(nonNegSeen) != fmt.Sprint(want) {
+		t.Fatalf("NonNeg went through %v, want %v", nonNegSeen, want)
+	}
+
+	// Crash-free restart: the snapshot is the install, every update
+	// above is replayed through the same patchServed.
+	final := served()
+	e.Close()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rd := openPersistDisk(t, dir, nil)
+	re := NewEngine(Config{Store: rd, SnapshotEvery: -1, Shards: 1})
+	defer re.Close()
+	defer rd.Close()
+	got, ok := re.reg.peek("m")
+	if !ok {
+		t.Fatal("matrix not recovered")
+	}
+	if st := re.Stats().Store; st.ReplayedRecords != int64(step) || st.RecoveryErrors != 0 {
+		t.Fatalf("recovery replayed %d records with %d errors, want %d and none", st.ReplayedRecords, st.RecoveryErrors, step)
+	}
+	checkServedAgainstScan(t, "after WAL replay", got)
+	if !got.dense.Equal(final.dense) || got.cells != final.cells || got.sub != final.sub {
+		t.Fatalf("recovered sub %d tallies %+v, live sub %d tallies %+v", got.sub, got.cells, final.sub, final.cells)
+	}
+}

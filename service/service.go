@@ -304,7 +304,7 @@ func (e *Engine) PutMatrix(name string, m Matrix) (MatrixInfo, []string, error) 
 	if err != nil {
 		return MatrixInfo{}, nil, err
 	}
-	return e.install(newServedMatrix(name, dense, time.Now(), e.genSeq.Add(1), 0, nil, nil))
+	return e.install(newServedMatrix(name, dense, time.Now(), e.genSeq.Add(1), 0))
 }
 
 // install is the tail every wholesale install shares (a single-body

@@ -261,7 +261,7 @@ func (e *Engine) CommitUpload(name, token string) (MatrixInfo, []string, error) 
 	// The staged upload is already consumed: a store failure in install
 	// loses the staging, but never acknowledges an install that would
 	// vanish on restart. The staged dense form is handed over as is.
-	return e.install(newServedMatrix(name, up.dense, now, e.genSeq.Add(1), 0, nil, nil))
+	return e.install(newServedMatrix(name, up.dense, now, e.genSeq.Add(1), 0))
 }
 
 // AbortUpload discards a staged upload and consumes its token.
