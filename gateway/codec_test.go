@@ -205,6 +205,33 @@ func TestGatewayErrorEnvelope(t *testing.T) {
 	}
 	gwCheckEnvelope(t, body, "bad_request")
 
+	// The three refusals of service.CheckRowUpdates come from the
+	// gateway's own check of its retained copy, before any backend is
+	// asked — with the status, code and message service's
+	// TestErrorEnvelopeOverHTTP requires of mpserver for the same
+	// patches of an 8×8 matrix.
+	if _, err := gc.UploadMatrix(ctx, "p", identWire(8)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, patch, wantMessage string }{
+		{"row outside", `{"updates":[{"row":8,"entries":[[0,1]]}]}`,
+			"service: bad request: row 8 outside 8-row matrix"},
+		{"column outside", `{"updates":[{"row":0,"entries":[[0,1]]},{"row":1,"entries":[[-1,1]]}]}`,
+			"service: bad request: entry column -1 outside 8-column matrix"},
+		{"duplicate column", `{"row":2,"entries":[[3,1],[5,1],[3,2]],"delta":true}`,
+			"service: bad request: duplicate column 3 in row 2 update"},
+	} {
+		status, body = do(gc.BaseURL, "PATCH", "/v1/matrices/p/rows", "application/json", tc.patch)
+		if status != http.StatusBadRequest {
+			t.Fatalf("patch with %s: status %d (%s)", tc.name, status, body)
+		}
+		gwCheckEnvelope(t, body, "bad_request")
+		var env service.ErrorEnvelope
+		if err := json.Unmarshal(body, &env); err != nil || env.Error.Message != tc.wantMessage {
+			t.Fatalf("patch with %s: message %q (%v), want %q", tc.name, env.Error.Message, err, tc.wantMessage)
+		}
+	}
+
 	// Unsupported media type at the gateway tier.
 	status, body = do(gc.BaseURL, "POST", "/v1/estimate", "text/csv", "i,j,v")
 	if status != http.StatusUnsupportedMediaType {

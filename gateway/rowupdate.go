@@ -42,29 +42,24 @@ import (
 //     suspect — the update is all-or-nothing: every leg that acked is
 //     reverted to the retained pre-update wire and the request fails.
 
-// patchWire applies a row update to a retained wire matrix, mirroring
-// exactly the dense-side arithmetic the backends apply: replace mode
-// makes each patched row exactly its listed entries; delta mode adds
-// values cell-wise. Resulting zero cells are dropped from the wire
-// form (equivalent under the dense semantics). It returns the patched
-// wire and the distinct updated row indices.
+// patchWire applies a row update to a retained wire matrix — one the
+// backends' own rule, service.CheckRowUpdates, accepts — with the
+// dense-side arithmetic the backends apply: replace mode makes each
+// patched row exactly its listed entries; delta mode adds values
+// cell-wise. Resulting zero cells are dropped from the wire form
+// (equivalent under the dense semantics). It returns the patched wire
+// and the distinct updated row indices.
 func patchWire(w service.Matrix, ups []service.RowUpdate, delta bool) (service.Matrix, []int, error) {
+	if err := service.CheckRowUpdates(w.Rows, w.Cols, ups); err != nil {
+		return service.Matrix{}, nil, err
+	}
 	affected := make(map[int]map[int64]int64, len(ups))
 	rows := make([]int, 0, len(ups))
 	size := len(w.Entries) // the output is at most the old entries plus the patch's
 	for _, u := range ups {
 		size += len(u.Entries)
-		if u.Row < 0 || u.Row >= w.Rows {
-			return service.Matrix{}, nil, fmt.Errorf("%w: row %d outside %d-row matrix", service.ErrBadRequest, u.Row, w.Rows)
-		}
 		m := make(map[int64]int64, len(u.Entries))
 		for _, ent := range u.Entries {
-			if ent[0] < 0 || ent[0] >= int64(w.Cols) {
-				return service.Matrix{}, nil, fmt.Errorf("%w: entry column %d outside %d-column matrix", service.ErrBadRequest, ent[0], w.Cols)
-			}
-			if _, dup := m[ent[0]]; dup {
-				return service.Matrix{}, nil, fmt.Errorf("%w: duplicate column %d in row %d update", service.ErrBadRequest, ent[0], u.Row)
-			}
 			m[ent[0]] = ent[1]
 		}
 		affected[u.Row] = m

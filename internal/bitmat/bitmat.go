@@ -138,20 +138,6 @@ func (m *Matrix) ColSupport(j int) []int {
 	return out
 }
 
-// IntersectRows returns the popcount of the AND of row i of m and row k of
-// other. Both matrices must have the same number of columns.
-func (m *Matrix) IntersectRows(i int, other *Matrix, k int) int {
-	if m.cols != other.cols {
-		panic("bitmat: column mismatch")
-	}
-	a, b := m.Row(i), other.Row(k)
-	c := 0
-	for w := range a {
-		c += bits.OnesCount64(a[w] & b[w])
-	}
-	return c
-}
-
 // Transpose returns the transpose matrix.
 func (m *Matrix) Transpose() *Matrix {
 	t := New(m.cols, m.rows)

@@ -144,20 +144,6 @@ func TestMulDimensionMismatchPanics(t *testing.T) {
 	New(3, 4).Mul(New(5, 3))
 }
 
-func TestIntersectRows(t *testing.T) {
-	a := New(2, 100)
-	b := New(2, 100)
-	for _, j := range []int{1, 50, 64, 99} {
-		a.Set(0, j, true)
-	}
-	for _, j := range []int{50, 64, 70} {
-		b.Set(1, j, true)
-	}
-	if got := a.IntersectRows(0, b, 1); got != 2 {
-		t.Errorf("IntersectRows = %d, want 2", got)
-	}
-}
-
 func TestMulVecInt(t *testing.T) {
 	m := New(3, 5)
 	m.Set(0, 1, true)

@@ -220,12 +220,6 @@ func (m *Message) Varint() int64 {
 	return v
 }
 
-// PutInt appends a signed integer as a varint; convenience for ints.
-func (m *Message) PutInt(v int) { m.PutVarint(int64(v)) }
-
-// Int reads an integer written by PutInt.
-func (m *Message) Int() int { return int(m.Varint()) }
-
 // PutFloat64 appends a float64 as 8 bytes.
 func (m *Message) PutFloat64(v float64) {
 	m.buf = binary.LittleEndian.AppendUint64(m.buf, math.Float64bits(v))
@@ -322,25 +316,6 @@ func (m *Message) Uint64SliceRaw() []byte {
 	raw := m.buf[m.pos : m.pos+8*n : m.pos+8*n]
 	m.pos += 8 * n
 	return raw
-}
-
-// PutVarintSlice appends a length-prefixed slice of signed varints.
-func (m *Message) PutVarintSlice(v []int64) {
-	m.PutUvarint(uint64(len(v)))
-	for _, x := range v {
-		m.PutVarint(x)
-	}
-}
-
-// VarintSlice reads a slice written by PutVarintSlice.
-func (m *Message) VarintSlice() []int64 {
-	n := int(m.Uvarint())
-	m.checkLen(n, 1)
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = m.Varint()
-	}
-	return out
 }
 
 // PutBitmap appends an n-bit bitmap packed into ⌈n/8⌉ bytes. This is the
@@ -446,10 +421,14 @@ func (m *Message) PutSparse(s *intmat.Sparse) {
 	}
 }
 
-// Sparse reads a matrix written by PutSparse.
-func (m *Message) Sparse() *intmat.Sparse {
-	rows := int(m.Uvarint())
-	cols := int(m.Uvarint())
+// Sparse reads a rows × cols matrix written by PutSparse. The
+// dimensions are catalog metadata the reader knows before the message
+// arrives; a message that declares others is malformed, and nothing is
+// sized from what it declares.
+func (m *Message) Sparse(rows, cols int) *intmat.Sparse {
+	if r, c := m.Uvarint(), m.Uvarint(); r != uint64(rows) || c != uint64(cols) {
+		panic(fmt.Sprintf("comm: sparse matrix declared %d×%d, want %d×%d", r, c, rows, cols))
+	}
 	nnz := int(m.Uvarint())
 	m.checkLen(nnz, 3) // at least one byte each for row delta, col, value
 	entries := make([]intmat.Entry, nnz)
@@ -461,35 +440,6 @@ func (m *Message) Sparse() *intmat.Sparse {
 		entries[i] = intmat.Entry{I: row, J: j, V: v}
 	}
 	return intmat.NewSparse(rows, cols, entries)
-}
-
-// PutFloatMatrix appends an r×c float64 matrix given as a flat row-major
-// slice (8·r·c bytes plus dimension prefix). Used for sketch transmissions
-// such as S·Bᵀ.
-func (m *Message) PutFloatMatrix(rows, cols int, data []float64) {
-	if len(data) != rows*cols {
-		panic("comm: PutFloatMatrix shape mismatch")
-	}
-	m.PutUvarint(uint64(rows))
-	m.PutUvarint(uint64(cols))
-	for _, x := range data {
-		m.PutFloat64(x)
-	}
-}
-
-// FloatMatrix reads a matrix written by PutFloatMatrix.
-func (m *Message) FloatMatrix() (rows, cols int, data []float64) {
-	rows = int(m.Uvarint())
-	cols = int(m.Uvarint())
-	if rows < 0 || cols < 0 || (cols != 0 && rows > (1<<31)/cols) {
-		panic("comm: matrix dimensions exceed payload")
-	}
-	m.checkLen(rows*cols, 8)
-	data = make([]float64, rows*cols)
-	for i := range data {
-		data[i] = m.Float64()
-	}
-	return rows, cols, data
 }
 
 // Remaining reports how many unread bytes are left; protocols use it in

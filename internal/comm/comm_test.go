@@ -202,35 +202,34 @@ func TestSparseRoundTrip(t *testing.T) {
 	m := NewMessage()
 	m.PutSparse(s)
 	m.pos = 0
-	got := m.Sparse()
+	got := m.Sparse(5, 7)
 	if !got.ToDense().Equal(s.ToDense()) {
 		t.Fatal("sparse round trip mismatch")
 	}
 }
 
-func TestFloatMatrixRoundTrip(t *testing.T) {
-	data := []float64{1, 2, 3, 4, 5, 6}
-	m := NewMessage()
-	m.PutFloatMatrix(2, 3, data)
-	m.pos = 0
-	r, c, got := m.FloatMatrix()
-	if r != 2 || c != 3 {
-		t.Fatalf("dims %dx%d", r, c)
+// TestSparseChecksDeclaredDimensions: the reader knows the matrix's
+// shape beforehand and sizes nothing from what the peer declares — the
+// eight bytes {rows 2⁴⁰, cols 4, nnz 0} are a malformed message, not an
+// allocation of 2⁴⁰ row lists, and so is a well-formed matrix of another
+// width.
+func TestSparseChecksDeclaredDimensions(t *testing.T) {
+	huge := NewMessage()
+	huge.PutUvarint(1 << 40)
+	huge.PutUvarint(4)
+	huge.PutUvarint(0)
+	if huge.Len() != 8 {
+		t.Fatalf("the message is %d bytes, want 8", huge.Len())
 	}
-	for i := range data {
-		if got[i] != data[i] {
-			t.Fatal("data mismatch")
-		}
-	}
-}
+	mustPanic(t, "2^40 declared rows", func() { huge.Sparse(2, 4) })
 
-func TestFloatMatrixShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewMessage().PutFloatMatrix(2, 2, []float64{1})
+	m := NewMessage()
+	m.PutSparse(intmat.NewSparse(5, 7, []intmat.Entry{{I: 4, J: 6, V: 1}}))
+	mustPanic(t, "declared cols differ", func() { FromBytes(m.Bytes()).Sparse(5, 8) })
+	mustPanic(t, "declared rows differ", func() { FromBytes(m.Bytes()).Sparse(4, 7) })
+	if got := FromBytes(m.Bytes()).Sparse(5, 7); got.NNZ() != 1 {
+		t.Fatalf("the matching read kept %d entries, want 1", got.NNZ())
+	}
 }
 
 func TestTruncatedReadsPanic(t *testing.T) {
@@ -249,9 +248,9 @@ func TestTruncatedReadsPanic(t *testing.T) {
 func TestQuickVarintSlice(t *testing.T) {
 	f := func(v []int64) bool {
 		m := NewMessage()
-		m.PutVarintSlice(v)
+		putVarints(m, v)
 		m.pos = 0
-		got := m.VarintSlice()
+		got := varints(m)
 		if len(got) != len(v) {
 			return false
 		}

@@ -58,7 +58,7 @@ func FuzzZeroRuns(f *testing.F) {
 			}
 		}
 		ref := NewMessage()
-		ref.PutVarintSlice(words)
+		putVarints(ref, words)
 
 		m := NewMessage()
 		m.PutUvarint(uint64(len(words)))
@@ -138,7 +138,7 @@ func FuzzReaderOnArbitraryBytes(f *testing.F) {
 			func(m *Message) { m.Float64Slice() },
 			func(m *Message) { m.Uint64Slice() },
 			func(m *Message) { m.Uint64SliceRaw() },
-			func(m *Message) { m.VarintSlice() },
+			func(m *Message) { m.Sparse(2, 4) },
 			func(m *Message) { m.SkipZeros(len(raw) / 2); m.Varint() },
 		}
 		for _, dec := range decoders {

@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // LatencyModel converts a protocol's (bits, rounds) cost into an
 // estimated wall-clock transfer time under a simple pipe model:
@@ -34,9 +31,4 @@ func (m LatencyModel) Estimate(s Stats) time.Duration {
 	}
 	transfer := time.Duration(float64(s.TotalBits()) / m.BitsPerSecond * float64(time.Second))
 	return time.Duration(s.Rounds)*m.RTT + transfer
-}
-
-// String formats the model parameters for experiment labels.
-func (m LatencyModel) String() string {
-	return fmt.Sprintf("RTT=%v bw=%.0fMb/s", m.RTT, m.BitsPerSecond/1e6)
 }

@@ -42,9 +42,3 @@ func TestLatencyCrossover(t *testing.T) {
 		t.Fatal("extra rounds should cost on WAN when bits are comparable")
 	}
 }
-
-func TestLatencyString(t *testing.T) {
-	if WAN.String() == "" || LAN.String() == "" {
-		t.Fatal("empty model strings")
-	}
-}

@@ -11,6 +11,24 @@ import (
 // from: each must produce, or accept, exactly the bytes of the plain
 // word-by-word form.
 
+// putVarints writes the plain slice form of a word vector: a uvarint
+// count, then the varints.
+func putVarints(m *Message, v []int64) {
+	m.PutUvarint(uint64(len(v)))
+	for _, x := range v {
+		m.PutVarint(x)
+	}
+}
+
+// varints reads a vector written by putVarints.
+func varints(m *Message) []int64 {
+	out := make([]int64, m.Uvarint())
+	for i := range out {
+		out[i] = m.Varint()
+	}
+	return out
+}
+
 func mustPanic(t *testing.T, what string, f func()) {
 	t.Helper()
 	defer func() {
@@ -22,8 +40,7 @@ func mustPanic(t *testing.T, what string, f func()) {
 }
 
 // TestVarintSingleByteEdges: the one-byte path of PutVarint and Varint
-// is binary.AppendVarint's encoding on both sides of its range, and the
-// slice forms are a prefix plus those bytes.
+// is binary.AppendVarint's encoding on both sides of its range.
 func TestVarintSingleByteEdges(t *testing.T) {
 	values := []int64{0, 1, -1, 63, -64, 64, -65, 127, -128, math.MinInt64, math.MaxInt64}
 	var want []byte
@@ -47,27 +64,9 @@ func TestVarintSingleByteEdges(t *testing.T) {
 		t.Fatal("a run of PutVarint differs from a run of binary.AppendVarint")
 	}
 
-	s := NewMessage()
-	s.PutVarintSlice(values)
-	if !bytes.Equal(s.Bytes(), append(binary.AppendUvarint(nil, uint64(len(values))), want...)) {
-		t.Fatal("PutVarintSlice is not a uvarint count followed by the varints")
-	}
-	got := s.VarintSlice()
-	if len(got) != len(values) || s.Remaining() != 0 {
-		t.Fatalf("VarintSlice read %d values, %d bytes left", len(got), s.Remaining())
-	}
-	for i, v := range values {
-		if got[i] != v {
-			t.Fatalf("VarintSlice[%d] = %d, want %d", i, got[i], v)
-		}
-	}
-
-	// A payload cut inside a multi-byte varint, or short of its count,
-	// still panics; so does an over-long encoding's missing tail.
+	// A payload cut inside a multi-byte varint still panics.
 	mustPanic(t, "varint cut after its first byte", func() { FromBytes([]byte{0x80}).Varint() })
 	mustPanic(t, "varint on an empty payload", func() { FromBytes(nil).Varint() })
-	mustPanic(t, "slice short of its count", func() { FromBytes(s.Bytes()[:s.Len()-1]).VarintSlice() })
-	mustPanic(t, "slice count beyond the payload", func() { FromBytes([]byte{9, 0, 0}).VarintSlice() })
 }
 
 // TestPutZerosSkipZeros: PutZeros(n) is n zero varints; SkipZeros stops

@@ -20,22 +20,22 @@ type endpoint interface {
 func runScriptedBob(t endpoint) []int64 {
 	msg := NewMessage()
 	msg.Label = "bob round 1"
-	msg.PutVarintSlice([]int64{1, -2, 3})
+	putVarints(msg, []int64{1, -2, 3})
 	t.Send(BobToAlice, msg)
-	first := t.Recv(AliceToBob).VarintSlice()
-	second := t.Recv(AliceToBob).VarintSlice()
+	first := varints(t.Recv(AliceToBob))
+	second := varints(t.Recv(AliceToBob))
 	return append(first, second...)
 }
 
 func runScriptedAlice(t endpoint) {
-	in := t.Recv(BobToAlice).VarintSlice()
+	in := varints(t.Recv(BobToAlice))
 	m1 := NewMessage()
 	m1.Label = "alice reply"
-	m1.PutVarintSlice(in)
+	putVarints(m1, in)
 	t.Send(AliceToBob, m1)
 	m2 := NewMessage()
 	m2.Label = "alice extra"
-	m2.PutVarintSlice([]int64{40, 50})
+	putVarints(m2, []int64{40, 50})
 	t.Send(AliceToBob, m2)
 }
 
@@ -45,13 +45,13 @@ func referenceStats(t *testing.T) Stats {
 	t.Helper()
 	conn := NewConn()
 	msg := NewMessage()
-	msg.PutVarintSlice([]int64{1, -2, 3})
-	in := conn.Send(BobToAlice, msg).VarintSlice()
+	putVarints(msg, []int64{1, -2, 3})
+	in := varints(conn.Send(BobToAlice, msg))
 	m1 := NewMessage()
-	m1.PutVarintSlice(in)
+	putVarints(m1, in)
 	conn.Send(AliceToBob, m1)
 	m2 := NewMessage()
-	m2.PutVarintSlice([]int64{40, 50})
+	putVarints(m2, []int64{40, 50})
 	conn.Send(AliceToBob, m2)
 	return conn.Stats()
 }
@@ -122,9 +122,9 @@ func TestNetConnMatchesConnAccounting(t *testing.T) {
 func TestConnRecvReplaysPending(t *testing.T) {
 	conn := NewConn()
 	msg := NewMessage()
-	msg.PutInt(7)
+	msg.PutVarint(7)
 	conn.Send(AliceToBob, msg)
-	if got := conn.Recv(AliceToBob).Int(); got != 7 {
+	if got := conn.Recv(AliceToBob).Varint(); got != 7 {
 		t.Fatalf("recv got %d", got)
 	}
 	defer func() {

@@ -84,7 +84,7 @@ func TestMulRowSparse(t *testing.T) {
 	b.Set(0, 0, 2)
 	b.Set(2, 1, -3)
 	y := make([]int64, 2)
-	if got := newNZMatrix(b).lpPow(y, []int{0, 2}, []int64{5, 1}, 1); got != 13 || y[0] != 10 || y[1] != -3 {
+	if got := lpPow(intmat.FromDense(b), y, []int32{0, 2}, []int64{5, 1}, 1); got != 13 || y[0] != 10 || y[1] != -3 {
 		t.Fatalf("(5,·,1)·B = %v with ℓ1 %v, want [10 -3] and 13", y, got)
 	}
 }

@@ -126,15 +126,20 @@ func AliceHH(t comm.Transport, a *intmat.Dense, m2 int, bNonNeg bool, o HHOpts) 
 	}
 	n := a.Cols()
 	m1 := a.Rows()
+	// A is listed once; every step below reads the list.
+	as := intmat.FromDense(a)
 
 	// Step 1a (Alice→Bob): column sums of |A|.
 	msg1 := comm.NewMessage()
 	msg1.Label = "column sums of |A|"
 	absColSums := make([]int64, n)
+	aNonNeg := true
 	for i := 0; i < m1; i++ {
-		for k, v := range a.Row(i) {
+		cols, vals := as.Row(i)
+		for x, k := range cols {
+			v := vals[x]
 			if v < 0 {
-				v = -v
+				v, aNonNeg = -v, false
 			}
 			absColSums[k] += v
 		}
@@ -146,8 +151,12 @@ func AliceHH(t comm.Transport, a *intmat.Dense, m2 int, bNonNeg bool, o HHOpts) 
 
 	// Step 1b: when the scale is not exact, run Alice's side of the
 	// embedded Algorithm 1 on the same transport.
-	if !(o.P == 1 && bNonNeg && requireNonNegative(a) == nil) {
-		if err := AliceLp(t, a, m2, o.P, hhNestedLpOpts(o)); err != nil {
+	if !(o.P == 1 && bNonNeg && aNonNeg) {
+		nested, err := NewAliceLpState(m2, o.P, hhNestedLpOpts(o))
+		if err != nil {
+			return err
+		}
+		if err := nested.serve(t, as); err != nil {
 			return err
 		}
 	}
@@ -167,7 +176,14 @@ func AliceHH(t comm.Transport, a *intmat.Dense, m2 int, bNonNeg bool, o HHOpts) 
 	// Step 3: Alice samples the non-zero entries of A, one private coin
 	// each in row-major order.
 	alicePriv := rng.New(o.Seed).Derive("alice-private", "hh")
-	aBeta := intmat.FromDenseFunc(a, func(int, int, int64) bool { return alicePriv.Bernoulli(beta) })
+	entries := as.Entries()
+	kept := entries[:0]
+	for _, e := range entries {
+		if alicePriv.Bernoulli(beta) {
+			kept = append(kept, e)
+		}
+	}
+	aBeta := intmat.NewSparse(m1, n, kept)
 
 	// Step 4: recover C^β via the Lemma 2.5 tensor sketch.
 	ts := hhTensorSketch(o, m1, n, m2, beta, t1absAlice)
@@ -214,11 +230,12 @@ func BobHH(t comm.Transport, b *intmat.Dense, m1 int, aNonNeg bool, o HHOpts) (o
 // ‖|A|·|B|‖1 scale folds them against those column sums); B's
 // signedness; and — built lazily on first use, since it is only needed
 // when the exact p = 1 scale shortcut does not apply to a query — the
-// nested BobLpState of the embedded Algorithm 1. Safe for concurrent
-// Serve calls.
+// nested BobLpState of the embedded Algorithm 1, whose round 2 borrows
+// this state's non-zero lists rather than listing B again. Safe for
+// concurrent Serve calls.
 type BobHHState struct {
 	b          *intmat.Dense
-	nz         *nzMatrix // B's non-zeros per row, what step 4 compresses
+	nz         *intmat.Sparse // B's non-zeros per row: step 4 compresses them, the nested state borrows them
 	absRowSums []int64
 	bNonNeg    bool
 	opts       HHOpts // defaults applied
@@ -235,19 +252,20 @@ func NewBobHHState(b *intmat.Dense, o HHOpts) (*BobHHState, error) {
 	if err := o.setDefaults(); err != nil {
 		return nil, err
 	}
-	s := &BobHHState{b: b, nz: newNZMatrix(b), bNonNeg: true, opts: o}
+	s := &BobHHState{b: b, nz: intmat.FromDense(b), bNonNeg: true, opts: o}
 	s.absRowSums = make([]int64, b.Rows())
 	for k := range s.absRowSums {
-		s.absRowSums[k], s.bNonNeg = s.nz.rows[k].absSum(s.bNonNeg)
+		s.absRowSums[k], s.bNonNeg = absSum(s.nz, k, s.bNonNeg)
 	}
 	return s, nil
 }
 
-// absSum returns the sum of the row's absolute values, and nonNeg
-// unless the row holds a negative entry.
-func (r nzRow) absSum(nonNeg bool) (int64, bool) {
+// absSum returns the sum of the absolute values of row k of nz, and
+// nonNeg unless the row holds a negative entry.
+func absSum(nz *intmat.Sparse, k int, nonNeg bool) (int64, bool) {
 	var sum int64
-	for _, v := range r.vals {
+	_, vals := nz.Row(k)
+	for _, v := range vals {
 		if v < 0 {
 			v, nonNeg = -v, false
 		}
@@ -257,12 +275,13 @@ func (r nzRow) absSum(nonNeg bool) (int64, bool) {
 }
 
 // Bytes reports the memory retained by the precomputation (the nested
-// ℓp sketches are counted once built).
+// ℓp sketches are counted once built; the non-zero lists the nested
+// state borrows are counted once, here).
 func (s *BobHHState) Bytes() int64 {
-	n := s.nz.bytes + int64(8*len(s.absRowSums))
+	n := s.nz.Bytes() + int64(8*len(s.absRowSums))
 	s.nestedMu.Lock()
 	if s.nested != nil {
-		n += s.nested.Bytes()
+		n += s.nested.Bytes() - s.nz.Bytes()
 	}
 	s.nestedMu.Unlock()
 	return n
@@ -274,7 +293,7 @@ func (s *BobHHState) nestedLp() (*BobLpState, error) {
 	s.nestedMu.Lock()
 	defer s.nestedMu.Unlock()
 	if !s.nestedBuilt {
-		s.nested, s.nestedErr = NewBobLpState(s.b, s.opts.P, hhNestedLpOpts(s.opts))
+		s.nested, s.nestedErr = newBobLpState(s.b, s.nz, s.opts.P, hhNestedLpOpts(s.opts))
 		s.nestedBuilt = true
 	}
 	return s.nested, s.nestedErr

@@ -4,7 +4,9 @@ import "repro/internal/intmat"
 
 // Serve kernels. Round 2 of Algorithm 1 evaluates every sampled row of
 // C exactly: (sparse row of A) · B, then an ℓp fold. There is one
-// kernel for it, and it walks B's non-zeros rather than B's columns:
+// kernel for it, and it walks B's non-zeros — the per-row lists of an
+// intmat.Sparse, the one non-zero form every kernel and driver in this
+// package reads — rather than B's columns:
 // the paper's inputs are set-intersection joins, sparse by nature, and
 // every matrix the benchmark serves is at most one-fifth full. Measured
 // at 512 columns and 10-non-zero rows of A, p = 1 (µs per sampled row,
@@ -27,83 +29,22 @@ import "repro/internal/intmat"
 // product (kernels_test.go pins it). The exact-ℓ1 serve path is one long
 // int64 dot product (dotInt64).
 
-// nzRow is the non-zero list of one row of B: ascending column indices
-// with their values, 12 bytes per non-zero (a dense row too wide for
-// int32 would be 16 GiB on its own).
-type nzRow struct {
-	cols []int32
-	vals []int64
-}
-
-// nzRowBytes is the fixed cost of one nzRow (two slice headers).
-const nzRowBytes = 48
-
-// nzMatrix is B as per-row non-zero lists — what round 2 multiplies
-// against. Immutable once built; withRows derives the successor of a
-// row update and shares every untouched row's list with it.
-type nzMatrix struct {
-	rows  []nzRow
-	width int   // B's column count: the length of a product row
-	bytes int64 // memory retained by rows
-}
-
-// newNZMatrix lists the non-zeros of every row of b. The lists of one
-// build share two backing arrays, so construction is three allocations
-// however many rows b has.
-func newNZMatrix(b *intmat.Dense) *nzMatrix {
-	nnz := b.L0()
-	m := &nzMatrix{rows: make([]nzRow, b.Rows()), width: b.Cols()}
-	cols := make([]int32, 0, nnz)
-	vals := make([]int64, 0, nnz)
-	for k := range m.rows {
-		lo := len(cols)
-		cols, vals = appendNZ(cols, vals, b.Row(k))
-		m.rows[k] = nzRow{cols: cols[lo:len(cols):len(cols)], vals: vals[lo:len(vals):len(vals)]}
-	}
-	m.bytes = int64(len(m.rows))*nzRowBytes + 12*int64(nnz)
-	return m
-}
-
-// appendNZ appends the non-zeros of one dense row.
-func appendNZ(cols []int32, vals []int64, row []int64) ([]int32, []int64) {
-	for j, v := range row {
-		if v != 0 {
-			cols = append(cols, int32(j))
-			vals = append(vals, v)
-		}
-	}
-	return cols, vals
-}
-
-// withRows returns the non-zero lists of nb, which differs from the
-// receiver's matrix only in the listed rows: those rows are re-listed,
-// every other row shares its list with the receiver.
-func (m *nzMatrix) withRows(nb *intmat.Dense, rows []int) *nzMatrix {
-	nm := &nzMatrix{rows: append([]nzRow(nil), m.rows...), width: m.width, bytes: m.bytes}
-	for _, k := range rows {
-		cols, vals := appendNZ(nil, nil, nb.Row(k))
-		nm.bytes += 12 * int64(len(cols)-len(nm.rows[k].cols))
-		nm.rows[k] = nzRow{cols: cols, vals: vals}
-	}
-	return nm
-}
-
-// lpPow computes ‖row · B‖p^p for the sparse row (cols, vals) of A —
-// every index in cols must be a row of B. The scratch y must be
-// m.width long; its contents are overwritten.
+// lpPow computes ‖row · B‖p^p for the sparse row (cols, vals) of A and
+// the non-zero lists nz of B — every index in cols must be a row of B.
+// The scratch y must be nz.Cols() long; its contents are overwritten.
 //
 //mp:hotpath
-func (m *nzMatrix) lpPow(y []int64, cols []int, vals []int64, p float64) float64 {
+func lpPow(nz *intmat.Sparse, y []int64, cols []int32, vals []int64, p float64) float64 {
 	clear(y)
 	for t, k := range cols {
 		v := vals[t]
 		if v == 0 {
 			continue
 		}
-		r := &m.rows[k]
-		rv := r.vals[:len(r.cols)]
-		for i, c := range r.cols {
-			y[c] += v * rv[i]
+		bc, bv := nz.Row(int(k))
+		bv = bv[:len(bc)]
+		for i, c := range bc {
+			y[c] += v * bv[i]
 		}
 	}
 	return rowLpPow(y, p)

@@ -30,22 +30,22 @@ func TestNZKernelMatchesDenseProduct(t *testing.T) {
 					}
 				}
 			}
-			nz := newNZMatrix(b)
+			nz := intmat.FromDense(b)
 			y := make([]int64, width)
 			for trial := 0; trial < 6; trial++ {
 				a := intmat.NewDense(1, inner)
-				var cols []int
+				var cols []int32
 				var vals []int64
 				for k := 0; k < inner; k++ {
 					if rnd.Float64() < 0.4 {
 						v := rnd.Int63n(9) - 4 // zero one time in nine
 						a.Set(0, k, v)
-						cols, vals = append(cols, k), append(vals, v)
+						cols, vals = append(cols, int32(k)), append(vals, v)
 					}
 				}
 				want := a.Mul(b).Row(0)
 				for _, p := range []float64{0, 0.5, 1, 2} {
-					got, ref := nz.lpPow(y, cols, vals, p), rowLpPow(want, p)
+					got, ref := lpPow(nz, y, cols, vals, p), rowLpPow(want, p)
 					if math.Float64bits(got) != math.Float64bits(ref) {
 						t.Fatalf("width %d density %g p %g: kernel %v, dense reference %v", width, density, p, got, ref)
 					}
@@ -103,13 +103,13 @@ func TestRound2GroupingMatchesUngrouped(t *testing.T) {
 			for _, s := range smps {
 				msg.PutUvarint(uint64(s.idx))
 				msg.PutFloat64(s.w)
-				cols, vals := sparseRow(s.row, s.i)
+				cols, vals := intmat.FromDense(s.row).Row(s.i)
 				putSparseRow(msg, cols, vals)
 				want[rep] += float64(s.w * rowLpPow(s.c.Row(s.i), p))
 			}
 		}
 		for _, shards := range []int{1, 2, 4} {
-			got := newNZMatrix(b).sampledRowSums(comm.FromBytes(msg.Bytes()), reps, p, shards)
+			got := sampledRowSums(intmat.FromDense(b), comm.FromBytes(msg.Bytes()), reps, p, shards)
 			for rep := range want {
 				if math.Float64bits(got[rep]) != math.Float64bits(want[rep]) {
 					t.Fatalf("p %g shards %d repetition %d: grouped sum %v, un-grouped reference %v", p, shards, rep, got[rep], want[rep])

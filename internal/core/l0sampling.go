@@ -26,10 +26,9 @@ type L0SampleOpts struct {
 	SketchC float64
 	// Seed is the shared public-coin seed.
 	Seed uint64
-	// Shards splits the row-parallel phases (indexing B by column, the
-	// per-column sketch combines of a served query) into contiguous
-	// ranges executed concurrently. Never changes a transcript byte or an
-	// output bit; 0 or 1 runs sequentially.
+	// Shards splits the per-column sketch combines of a served query
+	// into contiguous ranges executed concurrently. Never changes a
+	// transcript byte or an output bit; 0 or 1 runs sequentially.
 	Shards int
 }
 
@@ -140,71 +139,36 @@ func BobL0Sample(t comm.Transport, b *intmat.Dense, m1 int, o L0SampleOpts) (pai
 	return st.Serve(t, m1)
 }
 
-// colEntry is one non-zero of a served matrix column: its row index and
-// value.
-type colEntry struct {
-	k int
-	v int64
-}
-
 // BobL0SampleState is the matrix-dependent phase of Bob's side of
-// Theorem 3.2: a column-sparse form of B, so each served query combines
-// Alice's sketches only over B's non-zeros instead of probing every
-// (row, column) cell. The shared sketches themselves depend on Alice's
-// row count m1 — per-query catalog metadata — so they are derived in
-// Serve. Immutable after construction; safe for concurrent Serve calls.
+// Theorem 3.2: Bᵀ as non-zero lists — row j of byCol is column j of B,
+// rows ascending — so each served query combines Alice's sketches only
+// over B's non-zeros instead of probing every (row, column) cell. The
+// shared sketches themselves depend on Alice's row count m1 — per-query
+// catalog metadata — so they are derived in Serve. Immutable after
+// construction; safe for concurrent Serve calls.
 type BobL0SampleState struct {
-	rows, cols int
-	colNZ      [][]colEntry // per column j, the non-zeros of B_{*,j}
-	opts       L0SampleOpts // defaults applied
+	byCol *intmat.Sparse
+	opts  L0SampleOpts // defaults applied
 }
 
-// NewBobL0SampleState validates the options and indexes B by column.
-// The row scan is sharded: each shard indexes its own contiguous row
-// range, and the per-column lists are concatenated in shard order —
-// shard ranges are ascending, so every column's entries stay in
-// increasing row order, exactly as the sequential scan emits them.
+// NewBobL0SampleState validates the options and lists B by column.
 func NewBobL0SampleState(b *intmat.Dense, o L0SampleOpts) (*BobL0SampleState, error) {
 	if err := o.setDefaults(); err != nil {
 		return nil, err
 	}
-	s := &BobL0SampleState{rows: b.Rows(), cols: b.Cols(), colNZ: make([][]colEntry, b.Cols()), opts: o}
-	parts := make([][][]colEntry, len(shardRanges(b.Rows(), o.Shards)))
-	runShards(b.Rows(), o.Shards, func(sh, lo, hi int) {
-		local := make([][]colEntry, b.Cols())
-		for k := lo; k < hi; k++ {
-			for j, v := range b.Row(k) {
-				if v != 0 {
-					local[j] = append(local[j], colEntry{k: k, v: v})
-				}
-			}
-		}
-		parts[sh] = local
-	})
-	for _, local := range parts {
-		for j, es := range local {
-			s.colNZ[j] = append(s.colNZ[j], es...)
-		}
-	}
-	return s, nil
+	return &BobL0SampleState{byCol: intmat.FromDense(b).Transpose(), opts: o}, nil
 }
 
 // Bytes reports the memory retained by the precomputation.
-func (s *BobL0SampleState) Bytes() int64 {
-	var n int64
-	for _, col := range s.colNZ {
-		n += int64(len(col)) * 16
-	}
-	return n
-}
+func (s *BobL0SampleState) Bytes() int64 { return s.byCol.Bytes() }
 
 // Serve runs the per-query phase of Bob's side of Theorem 3.2 over t.
 // m1 is Alice's row count for this query.
 func (s *BobL0SampleState) Serve(t comm.Transport, m1 int) (pair Pair, value int64, err error) {
 	defer recoverDecodeError(&err)
 	o := s.opts
-	n := s.rows
-	m2 := s.cols
+	n := s.byCol.Cols()
+	m2 := s.byCol.Rows()
 	l0, sampler := l0SampleSketches(o, m1)
 
 	// The 2n received vectors stay in the message; the combines below
@@ -231,14 +195,13 @@ func (s *BobL0SampleState) Serve(t comm.Transport, m1 int) (pair Pair, value int
 	runShards(m2, s.opts.Shards, func(_, lo, hi int) {
 		accNorm := make([]field.Elem, l0.Dim())
 		for j := lo; j < hi; j++ {
-			if len(s.colNZ[j]) == 0 {
+			rows, vals := s.byCol.Row(j)
+			if len(rows) == 0 {
 				continue
 			}
-			for i := range accNorm {
-				accNorm[i] = 0
-			}
-			for _, e := range s.colNZ[j] {
-				sketch.AxpyFieldLE(accNorm, e.v, normSk[e.k])
+			clear(accNorm)
+			for x, k := range rows {
+				sketch.AxpyFieldLE(accNorm, vals[x], normSk[k])
 			}
 			if e := l0.Estimate(accNorm); e > 0 {
 				colEst[j] = e
@@ -269,8 +232,9 @@ func (s *BobL0SampleState) Serve(t comm.Transport, m1 int) (pair Pair, value int
 		j = m2 - 1
 	}
 	accSamp := make([]field.Elem, sampler.Dim())
-	for _, e := range s.colNZ[j] {
-		sketch.AxpyFieldLE(accSamp, e.v, sampSk[e.k])
+	rows, vals := s.byCol.Row(j)
+	for x, k := range rows {
+		sketch.AxpyFieldLE(accSamp, vals[x], sampSk[k])
 	}
 	i, v, ok := sampler.Decode(accSamp)
 	if !ok {

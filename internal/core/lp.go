@@ -159,15 +159,9 @@ func (rs rowSketcher) decodeRows(msg *comm.Message, n int) (fieldSk [][]field.El
 	return nil, floatSk
 }
 
-// estimateRow combines the sketches of rows of B indexed by the sparse
-// row (cols, vals) of A and returns the ‖·‖p^p estimate for that row of C.
-func (rs rowSketcher) estimateRow(cols []int, vals []int64, fieldSk [][]field.Elem, floatSk [][]float64) float64 {
-	return rs.estimateRowWith(newRowScratch(rs), cols, vals, fieldSk, floatSk)
-}
-
-// rowScratch is the reusable accumulator for estimateRowWith: one row
-// of A is estimated per call, thousands per query, so the hot serving
-// path hoists the buffer instead of allocating per row.
+// rowScratch is the reusable accumulator for estimateRow: one row of A
+// is estimated per call, thousands per query, so the callers hoist the
+// buffer instead of allocating per row.
 type rowScratch struct {
 	fieldAcc []field.Elem
 	floatAcc []float64
@@ -180,8 +174,10 @@ func newRowScratch(rs rowSketcher) *rowScratch {
 	return &rowScratch{floatAcc: make([]float64, rs.fl.Dim())}
 }
 
-// estimateRowWith is estimateRow against a caller-owned scratch buffer.
-func (rs rowSketcher) estimateRowWith(scratch *rowScratch, cols []int, vals []int64, fieldSk [][]field.Elem, floatSk [][]float64) float64 {
+// estimateRow combines the sketches of rows of B indexed by the sparse
+// row (cols, vals) of A, in the caller's scratch, and returns the
+// ‖·‖p^p estimate for that row of C.
+func (rs rowSketcher) estimateRow(scratch *rowScratch, cols []int32, vals []int64, fieldSk [][]field.Elem, floatSk [][]float64) float64 {
 	if rs.l0 != nil {
 		acc := scratch.fieldAcc
 		for i := range acc {
@@ -202,22 +198,10 @@ func (rs rowSketcher) estimateRowWith(scratch *rowScratch, cols []int, vals []in
 	return rs.fl.EstimatePowInPlace(acc)
 }
 
-// sparseRow extracts the non-zero (cols, vals) of row i of a.
-func sparseRow(a *intmat.Dense, i int) (cols []int, vals []int64) {
-	row := a.Row(i)
-	for j, v := range row {
-		if v != 0 {
-			cols = append(cols, j)
-			vals = append(vals, v)
-		}
-	}
-	return cols, vals
-}
-
 // putSparseRow appends a sparse row (delta-coded columns, varint values).
-func putSparseRow(msg *comm.Message, cols []int, vals []int64) {
+func putSparseRow(msg *comm.Message, cols []int32, vals []int64) {
 	msg.PutUvarint(uint64(len(cols)))
-	prev := -1
+	prev := int32(-1)
 	for t, c := range cols {
 		msg.PutUvarint(uint64(c - prev))
 		prev = c
@@ -230,7 +214,7 @@ func putSparseRow(msg *comm.Message, cols []int, vals []int64) {
 // must ascend within B's bRows rows; like the message readers, it panics
 // on a row whose indices do not — the peer is not trusted, and the
 // caller's recoverDecodeError turns the panic into the request's error.
-func appendSparseRow(msg *comm.Message, cols []int, vals []int64, bRows int) ([]int, []int64) {
+func appendSparseRow(msg *comm.Message, cols []int32, vals []int64, bRows int) ([]int32, []int64) {
 	prev := -1
 	for nnz := msg.Uvarint(); nnz > 0; nnz-- {
 		d := msg.Uvarint()
@@ -238,7 +222,7 @@ func appendSparseRow(msg *comm.Message, cols []int, vals []int64, bRows int) ([]
 			panic(fmt.Sprintf("core: sampled row's columns do not ascend within the %d rows of B", bRows))
 		}
 		prev += int(d)
-		cols = append(cols, prev)
+		cols = append(cols, int32(prev))
 		vals = append(vals, msg.Varint())
 	}
 	return cols, vals
@@ -309,20 +293,29 @@ type BobLpState struct {
 	opts      LpOpts        // defaults applied
 	sketchers []rowSketcher // the shared sketch families, drawn once
 	famBytes  int64
-	round1    []byte    // encoded round-1 payload: per-row ℓp sketches of B
-	nz        *nzMatrix // B's non-zeros per row, what round 2 multiplies against
+	round1    []byte         // encoded round-1 payload: per-row ℓp sketches of B
+	nz        *intmat.Sparse // B's non-zeros per row, what round 2 multiplies against
 }
 
 // NewBobLpState validates the parameters and runs the matrix-dependent
 // precomputation of Bob's side of Algorithm 1.
 func NewBobLpState(b *intmat.Dense, p float64, o LpOpts) (*BobLpState, error) {
+	return newBobLpState(b, nil, p, o)
+}
+
+// newBobLpState is NewBobLpState for a caller that may already hold b's
+// non-zero lists: a non-nil nz is borrowed, a nil one is listed here.
+func newBobLpState(b *intmat.Dense, nz *intmat.Sparse, p float64, o LpOpts) (*BobLpState, error) {
 	if p < 0 || p > 2 {
 		return nil, ErrBadP
 	}
 	if err := o.setDefaults(); err != nil {
 		return nil, err
 	}
-	s := &BobLpState{b: b, p: p, opts: o, nz: newNZMatrix(b)}
+	if nz == nil {
+		nz = intmat.FromDense(b)
+	}
+	s := &BobLpState{b: b, p: p, opts: o, nz: nz}
 	s.sketchers, s.famBytes = lpSketchFamilies(o, b.Cols(), p)
 	// Per-row sketches are independent, so each repetition's encoding is
 	// sharded over contiguous row ranges; concatenating the per-shard
@@ -345,7 +338,7 @@ func NewBobLpState(b *intmat.Dense, p float64, o LpOpts) (*BobLpState, error) {
 // sketches, B's non-zero lists and the sketch families (the sizing
 // input for cache accounting; the matrix itself is shared with its
 // owner and not counted).
-func (s *BobLpState) Bytes() int64 { return int64(len(s.round1)) + s.nz.bytes + s.famBytes }
+func (s *BobLpState) Bytes() int64 { return int64(len(s.round1)) + s.nz.Bytes() + s.famBytes }
 
 // AliceState returns the Alice-side state for the same (m2, p, options,
 // seed), sharing this state's sketch families instead of drawing them a
@@ -367,7 +360,7 @@ func (s *BobLpState) Serve(t comm.Transport) (est float64, err error) {
 	// Round 2: sampled rows in; exact norms of the sampled rows of C,
 	// weighted sum per repetition.
 	recv2 := t.Recv(comm.AliceToBob)
-	return median(s.nz.sampledRowSums(recv2, s.opts.Reps, s.p, s.opts.Shards)), nil
+	return median(sampledRowSums(s.nz, recv2, s.opts.Reps, s.p, s.opts.Shards)), nil
 }
 
 // lpSample is one decoded round-2 sample: its inverse-probability
@@ -391,11 +384,11 @@ type lpSample struct {
 // rows (each row of C is independent) and the weighted contributions
 // summed in sample order, which is the sequential, un-grouped driver's
 // float summation order exactly.
-func (m *nzMatrix) sampledRowSums(recv *comm.Message, reps int, p float64, shards int) []float64 {
+func sampledRowSums(nz *intmat.Sparse, recv *comm.Message, reps int, p float64, shards int) []float64 {
 	var (
 		samples []lpSample
 		repEnds = make([]int, reps) // repetition rep is samples[repEnds[rep-1]:repEnds[rep]]
-		cols    []int               // the distinct rows, back to back
+		cols    []int32             // the distinct rows, back to back
 		vals    []int64             // parallel to cols
 		bounds  = []int{0}          // distinct row r is [bounds[r], bounds[r+1]) of cols/vals
 		first   = map[uint64]int{}  // row index on the wire → the distinct row first sent under it
@@ -405,7 +398,7 @@ func (m *nzMatrix) sampledRowSums(recv *comm.Message, reps int, p float64, shard
 			idx := recv.Uvarint()
 			w := recv.Float64()
 			lo := len(cols)
-			cols, vals = appendSparseRow(recv, cols, vals, len(m.rows))
+			cols, vals = appendSparseRow(recv, cols, vals, nz.Rows())
 			r, seen := first[idx]
 			if seen && slices.Equal(cols[lo:], cols[bounds[r]:bounds[r+1]]) && slices.Equal(vals[lo:], vals[bounds[r]:bounds[r+1]]) {
 				cols, vals = cols[:lo], vals[:lo]
@@ -422,9 +415,9 @@ func (m *nzMatrix) sampledRowSums(recv *comm.Message, reps int, p float64, shard
 	}
 	norms := make([]float64, len(bounds)-1)
 	runShards(len(norms), shards, func(_, lo, hi int) {
-		y := make([]int64, m.width)
+		y := make([]int64, nz.Cols())
 		for r := lo; r < hi; r++ {
-			norms[r] = m.lpPow(y, cols[bounds[r]:bounds[r+1]], vals[bounds[r]:bounds[r+1]], p)
+			norms[r] = lpPow(nz, y, cols[bounds[r]:bounds[r+1]], vals[bounds[r]:bounds[r+1]], p)
 		}
 	})
 	perRep := make([]float64, reps)
@@ -497,6 +490,12 @@ func (s *AliceLpState) Bytes() int64 { return s.bytes }
 // Serve runs the per-query phase of Alice's side of Algorithm 1 over t
 // with her matrix a.
 func (s *AliceLpState) Serve(t comm.Transport, a *intmat.Dense) (err error) {
+	return s.serve(t, intmat.FromDense(a))
+}
+
+// serve is Serve on the non-zero lists of Alice's matrix, for a driver
+// that has listed it already.
+func (s *AliceLpState) serve(t comm.Transport, a *intmat.Sparse) (err error) {
 	defer recoverDecodeError(&err)
 	if a.Cols() <= 0 {
 		return ErrDimensionMismatch
@@ -504,27 +503,20 @@ func (s *AliceLpState) Serve(t comm.Transport, a *intmat.Dense) (err error) {
 	o := s.opts
 	beta := math.Sqrt(o.Eps)
 	n := a.Cols()
-	m1 := a.Rows()
 
 	recv1 := t.Recv(comm.BobToAlice)
 	alicePriv := rng.New(o.Seed).Derive("alice-private", "lp")
 	rho := o.RhoC / o.Eps
 	msg2 := comm.NewMessage()
-	rowCols := make([][]int, m1)
-	rowVals := make([][]int64, m1)
-	runShards(m1, s.opts.Shards, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rowCols[i], rowVals[i] = sparseRow(a, i)
-		}
-	})
 	for _, rs := range s.sketchers {
 		fieldSk, floatSk := rs.decodeRows(recv1, n)
-		picks := sampleRowsByNorm(rs, rowCols, rowVals, fieldSk, floatSk, beta, rho, alicePriv, s.opts.Shards)
+		picks := sampleRowsByNorm(rs, a, fieldSk, floatSk, beta, rho, alicePriv, s.opts.Shards)
 		msg2.PutUvarint(uint64(len(picks)))
 		for _, smp := range picks {
 			msg2.PutUvarint(uint64(smp.i))
 			msg2.PutFloat64(smp.weight)
-			putSparseRow(msg2, rowCols[smp.i], rowVals[smp.i])
+			cols, vals := a.Row(smp.i)
+			putSparseRow(msg2, cols, vals)
 		}
 	}
 	msg2.Label = "sampled rows of A with weights"
@@ -552,7 +544,6 @@ func OneRoundLp(a, b *intmat.Dense, p float64, o LpOpts) (float64, Cost, error) 
 		sizeWords = 4
 	}
 	n := a.Cols()
-	m1 := a.Rows()
 	conn := comm.NewConn()
 	shared := rng.New(o.Seed)
 
@@ -568,15 +559,17 @@ func OneRoundLp(a, b *intmat.Dense, p float64, o LpOpts) (float64, Cost, error) 
 	recv := conn.Send(comm.BobToAlice, msg)
 
 	perRep := make([]float64, o.Reps)
+	as := intmat.FromDense(a)
 	for rep, rs := range sketchers {
 		fieldSk, floatSk := rs.decodeRows(recv, n)
+		scratch := newRowScratch(rs)
 		var total float64
-		for i := 0; i < m1; i++ {
-			cols, vals := sparseRow(a, i)
+		for i := 0; i < as.Rows(); i++ {
+			cols, vals := as.Row(i)
 			if len(cols) == 0 {
 				continue
 			}
-			if e := rs.estimateRow(cols, vals, fieldSk, floatSk); e > 0 {
+			if e := rs.estimateRow(scratch, cols, vals, fieldSk, floatSk); e > 0 {
 				total += e
 			}
 		}

@@ -236,7 +236,7 @@ func TestLpServeMalformedSampledRow(t *testing.T) {
 				for smp := 0; smp < 200; smp++ {
 					msg.PutUvarint(uint64(smp))
 					msg.PutFloat64(1)
-					putSparseRow(msg, []int{99}, []int64{1})
+					putSparseRow(msg, []int32{99}, []int64{1})
 				}
 			}
 			tr.Send(comm.AliceToBob, msg)

@@ -41,7 +41,6 @@ func EstimateLpMulti(a, b *intmat.Dense, ps []float64, o LpOpts) ([]float64, Cos
 		sizeWords = 4
 	}
 	n := a.Cols()
-	m1 := a.Rows()
 	conn := comm.NewConn()
 	shared := rng.New(o.Seed)
 
@@ -68,22 +67,19 @@ func EstimateLpMulti(a, b *intmat.Dense, ps []float64, o LpOpts) ([]float64, Cos
 	// Alice: per family, group and sample exactly as EstimateLp.
 	alicePriv := rng.New(o.Seed).Derive("alice-private", "lpmulti")
 	rho := o.RhoC / o.Eps
-	rowCols := make([][]int, m1)
-	rowVals := make([][]int64, m1)
-	for i := 0; i < m1; i++ {
-		rowCols[i], rowVals[i] = sparseRow(a, i)
-	}
+	as := intmat.FromDense(a)
 	msg2 := comm.NewMessage()
 	msg2.Label = "sampled rows of A (all p, batched)"
 	for _, fam := range sketchers {
 		for _, rs := range fam {
 			fieldSk, floatSk := rs.decodeRows(recv1, n)
-			picks := sampleRowsByNorm(rs, rowCols, rowVals, fieldSk, floatSk, beta, rho, alicePriv, o.Shards)
+			picks := sampleRowsByNorm(rs, as, fieldSk, floatSk, beta, rho, alicePriv, o.Shards)
 			msg2.PutUvarint(uint64(len(picks)))
 			for _, s := range picks {
 				msg2.PutUvarint(uint64(s.i))
 				msg2.PutFloat64(s.weight)
-				putSparseRow(msg2, rowCols[s.i], rowVals[s.i])
+				cols, vals := as.Row(s.i)
+				putSparseRow(msg2, cols, vals)
 			}
 		}
 	}
@@ -92,9 +88,9 @@ func EstimateLpMulti(a, b *intmat.Dense, ps []float64, o LpOpts) ([]float64, Cos
 	// Bob: exact norms of sampled rows, median per family — BobLpState's
 	// round 2, once per p.
 	out := make([]float64, len(ps))
-	nz := newNZMatrix(b)
+	nz := intmat.FromDense(b)
 	for pi, p := range ps {
-		out[pi] = median(nz.sampledRowSums(recv2, o.Reps, p, o.Shards))
+		out[pi] = median(sampledRowSums(nz, recv2, o.Reps, p, o.Shards))
 	}
 	return out, costOf(conn), nil
 }
@@ -115,28 +111,27 @@ type weightedPick struct {
 // in row order, matching the sequential float summation exactly, and the
 // coin-consuming group-and-sample step runs sequentially so priv's
 // stream is untouched by the shard count.
-func sampleRowsByNorm(rs rowSketcher, rowCols [][]int, rowVals [][]int64, fieldSk [][]field.Elem, floatSk [][]float64, beta, rho float64, priv *rng.RNG, shards int) []weightedPick {
-	m1 := len(rowCols)
+func sampleRowsByNorm(rs rowSketcher, a *intmat.Sparse, fieldSk [][]field.Elem, floatSk [][]float64, beta, rho float64, priv *rng.RNG, shards int) []weightedPick {
+	m1 := a.Rows()
 	rowEst := make([]float64, m1)
 	runShards(m1, shards, func(_, lo, hi int) {
 		scratch := newRowScratch(rs)
 		for i := lo; i < hi; i++ {
-			if len(rowCols[i]) == 0 {
+			cols, vals := a.Row(i)
+			if len(cols) == 0 {
 				continue
 			}
-			e := rs.estimateRowWith(scratch, rowCols[i], rowVals[i], fieldSk, floatSk)
+			e := rs.estimateRow(scratch, cols, vals, fieldSk, floatSk)
 			if e < 0 {
 				e = 0
 			}
 			rowEst[i] = e
 		}
 	})
+	// An empty row's estimate stayed +0, which leaves the sum as it is.
 	total := 0.0
-	for i := 0; i < m1; i++ {
-		if len(rowCols[i]) == 0 {
-			continue
-		}
-		total += rowEst[i]
+	for _, e := range rowEst {
+		total += e
 	}
 	type group struct {
 		members []int

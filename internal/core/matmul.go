@@ -90,7 +90,7 @@ func DistributedProduct(a, b *intmat.Dense, o MatMulOpts) (ca, cb *intmat.Dense,
 	// Freivalds witness y = B·r when verification is on.
 	msg := comm.NewMessage()
 	msg.Label = "column-compressed B·Scᵀ (tensor sketch factor)"
-	putCompressedFactor(msg, ts, newNZMatrix(b))
+	putCompressedFactor(msg, ts, intmat.FromDense(b))
 	var r []field.Elem
 	if o.Verify {
 		r = freivaldsVector(shared.Derive("matmul", "freivalds"), b.Cols())
@@ -136,20 +136,21 @@ func DistributedProduct(a, b *intmat.Dense, o MatMulOpts) (ca, cb *intmat.Dense,
 }
 
 // putCompressedFactor appends Bob's half of the Lemma 2.5 exchange: the
-// bytes of PutVarintSlice(ts.ColCompress(b)) for the matrix b whose
-// non-zero lists nz holds, written one compressed row at a time. A row
-// of B reaches at most as many buckets as it has non-zeros, and a zero
-// word is a zero byte, so all but a few bytes of each row are runs of
-// zeros.
-func putCompressedFactor(msg *comm.Message, ts *sketch.TensorCS, nz *nzMatrix) {
+// column-compressed factor of the matrix whose non-zero lists nz holds —
+// ts.CompressedSize() words, as a length and one varint per word —
+// written one compressed row at a time. A row of B reaches at most as
+// many buckets as it has non-zeros, and a zero word is a zero byte, so
+// all but a few bytes of each row are runs of zeros.
+func putCompressedFactor(msg *comm.Message, ts *sketch.TensorCS, nz *intmat.Sparse) {
 	// One byte per word: exact but for the length prefix while every
 	// word is within [−64, 63].
 	msg.Grow(binary.MaxVarintLen64 + ts.CompressedSize())
 	msg.PutUvarint(uint64(ts.CompressedSize()))
 	rc := ts.NewRowCompressor()
 	for rep := 0; rep < ts.Reps(); rep++ {
-		for k := range nz.rows {
-			buckets, words := rc.Row(rep, nz.rows[k].cols, nz.rows[k].vals)
+		for k := 0; k < nz.Rows(); k++ {
+			cols, vals := nz.Row(k)
+			buckets, words := rc.Row(rep, cols, vals)
 			next := 0
 			for x, v := range buckets {
 				msg.PutZeros(int(v) - next)

@@ -58,7 +58,7 @@ func NaiveInt(a, b *intmat.Dense) (ExactStats, Cost, error) {
 	msg := comm.NewMessage()
 	msg.PutSparse(intmat.FromDense(a))
 	recv := conn.Send(comm.AliceToBob, msg)
-	got := recv.Sparse().ToDense()
+	got := recv.Sparse(a.Rows(), a.Cols()).ToDense()
 	c := got.Mul(b)
 	return exactStatsOf(c), costOf(conn), nil
 }

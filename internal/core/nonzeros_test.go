@@ -18,12 +18,41 @@ import (
 // against the dense construction whose bytes it must reproduce, and the
 // checks on what an untrusted peer puts in those messages.
 
+// denseFactor is the compressed factor of b as the dense word array of
+// ts.CompressedSize() words the message lays out: the reach of every row
+// under every repetition, written at its place and zero elsewhere. (That
+// the words are the dense ColCompress's is package sketch's to pin, next
+// to the reference it keeps.)
+func denseFactor(ts *sketch.TensorCS, b *intmat.Dense) []int64 {
+	words := make([]int64, ts.CompressedSize())
+	rc, nz := ts.NewRowCompressor(), intmat.FromDense(b)
+	for rep := 0; rep < ts.Reps(); rep++ {
+		for k := 0; k < b.Rows(); k++ {
+			cols, vals := nz.Row(k)
+			buckets, ws := rc.Row(rep, cols, vals)
+			for x, v := range buckets {
+				words[(rep*b.Rows()+k)*ts.GridSide()+int(v)] = ws[x]
+			}
+		}
+	}
+	return words
+}
+
+// putVarintSlice writes the plain form of a word vector: its length,
+// then one varint per word.
+func putVarintSlice(m *comm.Message, words []int64) {
+	m.PutUvarint(uint64(len(words)))
+	for _, w := range words {
+		m.PutVarint(w)
+	}
+}
+
 // TestCompressedFactorBytesMatchDenseForm: putCompressedFactor writes
-// PutVarintSlice(ColCompress(b)) byte for byte, and Alice's skipping
-// read recovers from it what the dense read, completion and decode
-// recover — over signed values, one-byte and multi-byte words, buckets
-// that cancel, empty rows, rectangular shapes, odd and even repetition
-// counts, and a sketch too small for the product.
+// the plain varint slice of the dense factor byte for byte, and Alice's
+// skipping read recovers from it what a word-by-word read of the dense
+// form recovers — over signed values, one-byte and multi-byte words,
+// buckets that cancel, empty rows, rectangular shapes, odd and even
+// repetition counts, and a sketch too small for the product.
 func TestCompressedFactorBytesMatchDenseForm(t *testing.T) {
 	cases := []struct {
 		name             string
@@ -51,10 +80,11 @@ func TestCompressedFactorBytesMatchDenseForm(t *testing.T) {
 				}
 				ts := sketch.NewTensorCS(rng.New(uint64(3200+ci)), c.rows, c.inner, c.col, c.s, reps)
 
+				words := denseFactor(ts, b)
 				want := comm.NewMessage()
-				want.PutVarintSlice(ts.ColCompress(b))
+				putVarintSlice(want, words)
 				got := comm.NewMessage()
-				putCompressedFactor(got, ts, newNZMatrix(b))
+				putCompressedFactor(got, ts, intmat.FromDense(b))
 				if !bytes.Equal(got.Bytes(), want.Bytes()) {
 					t.Fatalf("payload of %d bytes differs from the dense form's %d", got.Len(), want.Len())
 				}
@@ -64,7 +94,11 @@ func TestCompressedFactorBytesMatchDenseForm(t *testing.T) {
 				if got.Remaining() != 0 {
 					t.Fatalf("the skipping read left %d bytes", got.Remaining())
 				}
-				dense := ts.Decode(ts.SketchFromCompressed(a, conn.Send(comm.BobToAlice, want).VarintSlice()))
+				plain := ts.NewFactor()
+				for idx, w := range words {
+					plain.Add(idx, w)
+				}
+				dense := ts.Recover(intmat.FromDense(a), plain)
 				if len(recovered) != len(dense) {
 					t.Fatalf("recovered %d entries, the dense pipeline %d", len(recovered), len(dense))
 				}
@@ -112,7 +146,7 @@ func TestCompressedFactorRejectsWrongSize(t *testing.T) {
 	resize := func(by int) func(*comm.Message) *comm.Message {
 		return func(good *comm.Message) *comm.Message {
 			m := comm.NewMessage()
-			m.PutVarintSlice(make([]int64, len(good.VarintSlice())+by))
+			putVarintSlice(m, make([]int64, int(good.Uvarint())+by))
 			return m
 		}
 	}
@@ -339,13 +373,15 @@ func TestBobHHStateListsFollowUpdates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(st.nz.rows) != len(fresh.nz.rows) || st.Bytes() != fresh.Bytes() || st.bNonNeg != fresh.bNonNeg {
+		if st.nz.Rows() != fresh.nz.Rows() || st.Bytes() != fresh.Bytes() || st.bNonNeg != fresh.bNonNeg {
 			t.Fatalf("step %d: %d rows / %d bytes / nonNeg %v, rebuilt %d / %d / %v", step,
-				len(st.nz.rows), st.Bytes(), st.bNonNeg, len(fresh.nz.rows), fresh.Bytes(), fresh.bNonNeg)
+				st.nz.Rows(), st.Bytes(), st.bNonNeg, fresh.nz.Rows(), fresh.Bytes(), fresh.bNonNeg)
 		}
-		for k := range fresh.nz.rows {
-			if !slices.Equal(st.nz.rows[k].cols, fresh.nz.rows[k].cols) || !slices.Equal(st.nz.rows[k].vals, fresh.nz.rows[k].vals) {
-				t.Fatalf("step %d: row %d lists %v, rebuilt %v", step, k, st.nz.rows[k], fresh.nz.rows[k])
+		for k := 0; k < fresh.nz.Rows(); k++ {
+			cols, vals := st.nz.Row(k)
+			fcols, fvals := fresh.nz.Row(k)
+			if !slices.Equal(cols, fcols) || !slices.Equal(vals, fvals) {
+				t.Fatalf("step %d: row %d lists %v %v, rebuilt %v %v", step, k, cols, vals, fcols, fvals)
 			}
 		}
 		if !reflect.DeepEqual(st.absRowSums, fresh.absRowSums) {

@@ -140,7 +140,8 @@ func TestAddCost(t *testing.T) {
 
 func TestLinfBinaryCostBelowNaiveAtScale(t *testing.T) {
 	// The paper's headline n^1.5 vs n² separation, as a regression test
-	// at the size where EXPERIMENTS.md shows the crossover.
+	// at the size where DESIGN.md's experiment index (E6) shows the
+	// crossover.
 	n := 384
 	a := bitmat.New(n, n)
 	b := bitmat.New(n, n)

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bitmat"
 	"repro/internal/comm"
@@ -14,9 +14,9 @@ import (
 //
 // Every sketch and summary a Bob state precomputes is assembled from
 // independent per-row contributions — fixed-size per-row ℓp sketch
-// blocks and per-row non-zero lists (lp), per-column non-zero lists in
-// row order (l0sample), per-row sums and weights (exact, l1sample,
-// linf, linfkappa, hh).
+// blocks and per-row non-zero lists (lp, hh), the same lists transposed
+// (l0sample), per-row sums and weights (exact, l1sample, linf,
+// linfkappa, hh).
 // Replacing a row of B therefore replaces exactly that row's
 // contribution, and because the shared sketch families are drawn from
 // the seed before any row is touched, the incrementally updated state
@@ -41,33 +41,59 @@ import (
 // row index is out of range.
 var ErrUpdateShape = errors.New("core: row update requires identical dimensions")
 
-// normalizeRows sorts, dedupes, and bounds-checks an updated-row list.
-func normalizeRows(rows []int, n int) ([]int, error) {
-	out := make([]int, 0, len(rows))
+// shape is what a served matrix, integer or Boolean, tells of its size.
+type shape interface {
+	Rows() int
+	Cols() int
+}
+
+// updatedRows is the opening of every UpdateRows: nb must be n × cols,
+// the dimensions the state was built with, and the updated-row list
+// comes back sorted, deduplicated and bounds-checked.
+func updatedRows(nb shape, n, cols int, rows []int) ([]int, error) {
+	if nb.Rows() != n || nb.Cols() != cols {
+		return nil, ErrUpdateShape
+	}
 	for _, k := range rows {
 		if k < 0 || k >= n {
 			return nil, fmt.Errorf("%w: row %d outside %d-row matrix", ErrUpdateShape, k, n)
 		}
-		out = append(out, k)
 	}
-	sort.Ints(out)
-	uniq := out[:0]
-	for i, k := range out {
-		if i == 0 || k != out[i-1] {
-			uniq = append(uniq, k)
-		}
-	}
-	return uniq, nil
+	out := slices.Clone(rows)
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }
 
-// rowNonNegative reports whether row k of m has no negative entry.
-func rowNonNegative(m *intmat.Dense, k int) bool {
-	for _, v := range m.Row(k) {
-		if v < 0 {
-			return false
-		}
+// withRowTotals returns a copy of the per-row totals with the listed
+// rows recomputed by total.
+func withRowTotals(totals []int64, rows []int, total func(k int) int64) []int64 {
+	out := append([]int64(nil), totals...)
+	for _, k := range rows {
+		out[k] = total(k)
 	}
-	return true
+	return out
+}
+
+// withRowSums is withRowTotals for the row sums of a matrix that must
+// stay non-negative: the listed rows of nb are summed, and refused if
+// one holds a negative entry (the rest of nb is unchanged from a matrix
+// the constructor already validated).
+func withRowSums(rowSums []int64, nb *intmat.Dense, rows []int) ([]int64, error) {
+	nonNeg := true
+	out := withRowTotals(rowSums, rows, func(k int) int64 {
+		var rs int64
+		for _, v := range nb.Row(k) {
+			if v < 0 {
+				nonNeg = false
+			}
+			rs += v
+		}
+		return rs
+	})
+	if !nonNeg {
+		return nil, ErrNeedNonNegative
+	}
+	return out, nil
 }
 
 // UpdateRows derives the BobLpState of nb from an existing state by
@@ -81,17 +107,21 @@ func rowNonNegative(m *intmat.Dense, k int) bool {
 // matrix), and B's non-zero lists are rebuilt for the listed rows only;
 // every other row's list is shared with the receiver.
 func (s *BobLpState) UpdateRows(nb *intmat.Dense, rows []int) (*BobLpState, error) {
-	n := s.b.Rows()
-	if nb.Rows() != n || nb.Cols() != s.b.Cols() {
-		return nil, ErrUpdateShape
-	}
-	rows, err := normalizeRows(rows, n)
+	rows, err := updatedRows(nb, s.b.Rows(), s.b.Cols(), rows)
 	if err != nil {
 		return nil, err
 	}
+	return s.updateRows(nb, s.nz.WithRows(nb, rows), rows)
+}
+
+// updateRows is UpdateRows past its opening, for a caller that holds
+// nb's non-zero lists nz already: they are borrowed, as newBobLpState
+// borrows them.
+func (s *BobLpState) updateRows(nb *intmat.Dense, nz *intmat.Sparse, rows []int) (*BobLpState, error) {
 	// Every row's block has one size, so row k of repetition rep sits at
 	// block (rep·n + k); a re-sketched block of any other size means nb
 	// is not a matrix this state's layout can hold.
+	n := nb.Rows()
 	round1 := append([]byte(nil), s.round1...)
 	for rep, rs := range s.sketchers {
 		for _, k := range rows {
@@ -105,96 +135,34 @@ func (s *BobLpState) UpdateRows(nb *intmat.Dense, rows []int) (*BobLpState, erro
 		}
 	}
 	ns := *s
-	ns.b, ns.round1, ns.nz = nb, round1, s.nz.withRows(nb, rows)
+	ns.b, ns.round1, ns.nz = nb, round1, nz
 	return &ns, nil
 }
 
-// UpdateRows derives the BobL0SampleState of nb by re-indexing only
-// the listed rows: each column's non-zero list drops its entries for
-// the updated rows and merges the new rows' non-zeros back in row
-// order, which is exactly the order the from-scratch row scan emits.
-// Columns the update does not touch share their lists with the old
-// state.
+// UpdateRows derives the BobL0SampleState of nb by re-listing only the
+// listed rows: B's column lists are transposed back to row lists, the
+// listed rows replaced, and the result transposed again — the lists
+// intmat.FromDense(nb).Transpose() holds, without reading the rows of
+// nb the update left alone. Still O(nnz), as every column list has to
+// be searched for the replaced rows' entries one way or another.
 func (s *BobL0SampleState) UpdateRows(nb *intmat.Dense, rows []int) (*BobL0SampleState, error) {
-	if nb.Rows() != s.rows || nb.Cols() != s.cols {
-		return nil, ErrUpdateShape
-	}
-	rows, err := normalizeRows(rows, s.rows)
+	rows, err := updatedRows(nb, s.byCol.Cols(), s.byCol.Rows(), rows)
 	if err != nil {
 		return nil, err
 	}
-	inRow := make(map[int]bool, len(rows))
-	for _, k := range rows {
-		inRow[k] = true
-	}
-	ns := &BobL0SampleState{rows: s.rows, cols: s.cols, colNZ: make([][]colEntry, s.cols), opts: s.opts}
-	for j := 0; j < s.cols; j++ {
-		old := s.colNZ[j]
-		changed := false
-		for _, e := range old {
-			if inRow[e.k] {
-				changed = true
-				break
-			}
-		}
-		if !changed {
-			for _, k := range rows {
-				if nb.Get(k, j) != 0 {
-					changed = true
-					break
-				}
-			}
-		}
-		if !changed {
-			ns.colNZ[j] = old // shared: the old state never mutates it
-			continue
-		}
-		// Merge the surviving old entries with the updated rows' new
-		// non-zeros, both streams ascending in row index.
-		var merged []colEntry
-		ri := 0
-		emitNew := func(limit int) {
-			for ri < len(rows) && rows[ri] < limit {
-				if v := nb.Get(rows[ri], j); v != 0 {
-					merged = append(merged, colEntry{k: rows[ri], v: v})
-				}
-				ri++
-			}
-		}
-		for _, e := range old {
-			if inRow[e.k] {
-				continue
-			}
-			emitNew(e.k)
-			merged = append(merged, e)
-		}
-		emitNew(s.rows)
-		ns.colNZ[j] = merged
-	}
-	return ns, nil
+	return &BobL0SampleState{byCol: s.byCol.Transpose().WithRows(nb, rows).Transpose(), opts: s.opts}, nil
 }
 
 // UpdateRows derives the BobExactL1State of nb by recomputing only the
-// listed rows' sums. The updated rows must be non-negative (the rest
-// of nb is unchanged from a matrix the constructor already validated).
+// listed rows' sums. The updated rows must be non-negative.
 func (s *BobExactL1State) UpdateRows(nb *intmat.Dense, rows []int) (*BobExactL1State, error) {
-	if nb.Rows() != len(s.rowSums) {
-		return nil, ErrUpdateShape
-	}
-	rows, err := normalizeRows(rows, nb.Rows())
+	rows, err := updatedRows(nb, len(s.rowSums), nb.Cols(), rows) // the state never kept B's width
 	if err != nil {
 		return nil, err
 	}
-	rowSums := append([]int64(nil), s.rowSums...)
-	for _, k := range rows {
-		if !rowNonNegative(nb, k) {
-			return nil, ErrNeedNonNegative
-		}
-		var rs int64
-		for _, v := range nb.Row(k) {
-			rs += v
-		}
-		rowSums[k] = rs
+	rowSums, err := withRowSums(s.rowSums, nb, rows)
+	if err != nil {
+		return nil, err
 	}
 	return &BobExactL1State{rowSums: rowSums, shards: s.shards}, nil
 }
@@ -202,23 +170,13 @@ func (s *BobExactL1State) UpdateRows(nb *intmat.Dense, rows []int) (*BobExactL1S
 // UpdateRows derives the BobL1SampleState of nb by recomputing only
 // the listed rows' sums; the updated rows must be non-negative.
 func (s *BobL1SampleState) UpdateRows(nb *intmat.Dense, rows []int) (*BobL1SampleState, error) {
-	if nb.Rows() != s.b.Rows() || nb.Cols() != s.b.Cols() {
-		return nil, ErrUpdateShape
-	}
-	rows, err := normalizeRows(rows, nb.Rows())
+	rows, err := updatedRows(nb, s.b.Rows(), s.b.Cols(), rows)
 	if err != nil {
 		return nil, err
 	}
-	rowSums := append([]int64(nil), s.rowSums...)
-	for _, k := range rows {
-		if !rowNonNegative(nb, k) {
-			return nil, ErrNeedNonNegative
-		}
-		var rs int64
-		for _, v := range nb.Row(k) {
-			rs += v
-		}
-		rowSums[k] = rs
+	rowSums, err := withRowSums(s.rowSums, nb, rows)
+	if err != nil {
+		return nil, err
 	}
 	return &BobL1SampleState{b: nb, rowSums: rowSums, shards: s.shards}, nil
 }
@@ -226,34 +184,22 @@ func (s *BobL1SampleState) UpdateRows(nb *intmat.Dense, rows []int) (*BobL1Sampl
 // UpdateRows derives the BobLinfState of nb by recomputing only the
 // listed rows' bit weights.
 func (s *BobLinfState) UpdateRows(nb *bitmat.Matrix, rows []int) (*BobLinfState, error) {
-	if nb.Rows() != s.b.Rows() || nb.Cols() != s.b.Cols() {
-		return nil, ErrUpdateShape
-	}
-	rows, err := normalizeRows(rows, nb.Rows())
+	rows, err := updatedRows(nb, s.b.Rows(), s.b.Cols(), rows)
 	if err != nil {
 		return nil, err
 	}
-	vk := append([]int64(nil), s.vk...)
-	for _, k := range rows {
-		vk[k] = int64(nb.RowWeight(k))
-	}
+	vk := withRowTotals(s.vk, rows, func(k int) int64 { return int64(nb.RowWeight(k)) })
 	return &BobLinfState{b: nb, vk: vk, opts: s.opts}, nil
 }
 
 // UpdateRows derives the BobLinfKappaState of nb by recomputing only
 // the listed rows' bit weights.
 func (s *BobLinfKappaState) UpdateRows(nb *bitmat.Matrix, rows []int) (*BobLinfKappaState, error) {
-	if nb.Rows() != s.b.Rows() || nb.Cols() != s.b.Cols() {
-		return nil, ErrUpdateShape
-	}
-	rows, err := normalizeRows(rows, nb.Rows())
+	rows, err := updatedRows(nb, s.b.Rows(), s.b.Cols(), rows)
 	if err != nil {
 		return nil, err
 	}
-	vk := append([]int64(nil), s.vk...)
-	for _, k := range rows {
-		vk[k] = int64(nb.RowWeight(k))
-	}
+	vk := withRowTotals(s.vk, rows, func(k int) int64 { return int64(nb.RowWeight(k)) })
 	return &BobLinfKappaState{b: nb, vk: vk, opts: s.opts}, nil
 }
 
@@ -262,21 +208,18 @@ func (s *BobLinfKappaState) UpdateRows(nb *bitmat.Matrix, rows []int) (*BobLinfK
 // signedness flag (a full rescan is needed only when a previously
 // signed matrix may have lost its last negative row), and incrementally
 // updating the nested Algorithm 1 state when the old state had built
-// it.
+// it — handing it the new lists, so the two keep sharing one.
 func (s *BobHHState) UpdateRows(nb *intmat.Dense, rows []int) (*BobHHState, error) {
-	if nb.Rows() != s.b.Rows() || nb.Cols() != s.b.Cols() {
-		return nil, ErrUpdateShape
-	}
-	rows, err := normalizeRows(rows, nb.Rows())
+	rows, err := updatedRows(nb, s.b.Rows(), s.b.Cols(), rows)
 	if err != nil {
 		return nil, err
 	}
-	ns := &BobHHState{b: nb, nz: s.nz.withRows(nb, rows), opts: s.opts}
-	ns.absRowSums = append([]int64(nil), s.absRowSums...)
+	ns := &BobHHState{b: nb, nz: s.nz.WithRows(nb, rows), opts: s.opts}
 	patchNonNeg := true
-	for _, k := range rows {
-		ns.absRowSums[k], patchNonNeg = ns.nz.rows[k].absSum(patchNonNeg)
-	}
+	ns.absRowSums = withRowTotals(s.absRowSums, rows, func(k int) (sum int64) {
+		sum, patchNonNeg = absSum(ns.nz, k, patchNonNeg)
+		return sum
+	})
 	switch {
 	case !patchNonNeg:
 		ns.bNonNeg = false
@@ -292,7 +235,7 @@ func (s *BobHHState) UpdateRows(nb *intmat.Dense, rows []int) (*BobHHState, erro
 	built, nested, nerr := s.nestedBuilt, s.nested, s.nestedErr
 	s.nestedMu.Unlock()
 	if built && nerr == nil && nested != nil {
-		if nn, err := nested.UpdateRows(nb, rows); err == nil {
+		if nn, err := nested.updateRows(nb, ns.nz, rows); err == nil {
 			ns.nested, ns.nestedBuilt = nn, true
 		}
 		// On failure the nested state is left unbuilt and re-derived

@@ -156,7 +156,7 @@ func TestUpdateRowsTranscriptParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(st2.colNZ, fr.colNZ) {
+				if !st2.byCol.Equal(fr.byCol) {
 					t.Fatal("merged column index differs from rebuilt index")
 				}
 				var pu, pf Pair
@@ -561,7 +561,7 @@ func TestUpdateRowsRandomizedParity(t *testing.T) {
 		if math.Float64bits(estU) != math.Float64bits(estF) || costU.Bits != costF.Bits || costU.Rounds != costF.Rounds {
 			t.Fatalf("trial %d: updated state answers %v (%v), rebuilt state %v (%v)", trial, estU, costU, estF, costF)
 		}
-		if !reflect.DeepEqual(up.nz, fr.nz) || up.Bytes() != fr.Bytes() || up.AliceState().Bytes() != 0 {
+		if !up.nz.Equal(fr.nz) || up.Bytes() != fr.Bytes() || up.AliceState().Bytes() != 0 {
 			t.Fatalf("trial %d: lp non-zero lists or byte accounting diverged", trial)
 		}
 
@@ -578,7 +578,7 @@ func TestUpdateRowsRandomizedParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(l0up.colNZ, l0fr.colNZ) {
+		if !l0up.byCol.Equal(l0fr.byCol) {
 			t.Fatalf("trial %d: l0sample column index diverged", trial)
 		}
 
@@ -599,7 +599,7 @@ func TestUpdateRowsRandomizedParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(hhUp.nz, hhFr.nz) || hhUp.Bytes() != hhFr.Bytes() || hhUp.Bytes() <= int64(8*n) {
+		if !hhUp.nz.Equal(hhFr.nz) || hhUp.Bytes() != hhFr.Bytes() || hhUp.Bytes() <= int64(8*n) {
 			t.Fatalf("trial %d: hh non-zero lists or byte accounting diverged", trial)
 		}
 		aliceHH := func(tr comm.Transport) error { return AliceHH(tr, aHit, m, false, ho) }

@@ -1,5 +1,6 @@
-// Package intmat implements integer matrices, both dense and sparse (CSR),
-// together with the ℓp statistics the paper estimates.
+// Package intmat implements integer matrices, both dense and sparse (one
+// non-zero list per row), together with the ℓp statistics the paper
+// estimates.
 //
 // The paper's protocols target C = A·B with polynomially-bounded integer
 // entries; int64 comfortably covers every workload in the benchmark
@@ -10,6 +11,7 @@ package intmat
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -173,47 +175,6 @@ func (d *Dense) Lp(p float64) float64 {
 	return s
 }
 
-// RowLp returns Σ_j |Cij|^p for row i (p = 0 counts non-zeros).
-func (d *Dense) RowLp(i int, p float64) float64 {
-	row := d.Row(i)
-	if p == 0 {
-		c := 0.0
-		for _, v := range row {
-			if v != 0 {
-				c++
-			}
-		}
-		return c
-	}
-	var s float64
-	for _, v := range row {
-		if v != 0 {
-			s += math.Pow(math.Abs(float64(v)), p)
-		}
-	}
-	return s
-}
-
-// ColLp returns Σ_i |Cij|^p for column j.
-func (d *Dense) ColLp(j int, p float64) float64 {
-	if p == 0 {
-		c := 0.0
-		for i := 0; i < d.rows; i++ {
-			if d.Get(i, j) != 0 {
-				c++
-			}
-		}
-		return c
-	}
-	var s float64
-	for i := 0; i < d.rows; i++ {
-		if v := d.Get(i, j); v != 0 {
-			s += math.Pow(math.Abs(float64(v)), p)
-		}
-	}
-	return s
-}
-
 // Entry is one non-zero matrix entry.
 type Entry struct {
 	I, J int
@@ -234,17 +195,59 @@ func (d *Dense) NonZeros() []Entry {
 	return out
 }
 
-// Sparse is a CSR-format sparse integer matrix. It is the interchange
-// format for protocol messages that carry sampled or partial matrices.
+// Sparse is a sparse integer matrix held as one non-zero list per row:
+// ascending column indices with their values, 12 bytes per non-zero (a
+// dense row too wide for int32 would be 16 GiB on its own). It is the
+// one non-zero form in the repository — what the serve kernels multiply
+// against, what a Bob state retains of B, and the interchange format for
+// protocol messages that carry sampled or partial matrices.
+//
+// The lists of one build are cut from two shared backing arrays sized to
+// the non-zeros, so a matrix retains three allocations however many rows
+// it has. A Sparse is immutable once built; WithRows derives the
+// successor of a row update and shares every untouched row's list with
+// it.
 type Sparse struct {
-	rows, cols int
-	rowPtr     []int32
-	colIdx     []int32
-	vals       []int64
+	cols int
+	nnz  int
+	list []rowList // one per row
 }
 
-// NewSparse builds a CSR matrix from entries. Duplicate (i, j) pairs are
-// summed. Entries that sum to zero are dropped.
+// rowList is the non-zero list of one row.
+type rowList struct {
+	cols []int32
+	vals []int64
+}
+
+// rowListBytes is the fixed cost of one rowList (two slice headers).
+const rowListBytes = 48
+
+// cutRows builds the matrix whose row i is entries [ends[i-1], ends[i])
+// of (cols, vals), each list capped so that no append through it can
+// reach the next row's entries.
+func cutRows(ncols int, ends []int32, cols []int32, vals []int64) *Sparse {
+	s := &Sparse{cols: ncols, nnz: len(cols), list: make([]rowList, len(ends))}
+	lo := int32(0)
+	for i, hi := range ends {
+		s.list[i] = rowList{cols: cols[lo:hi:hi], vals: vals[lo:hi:hi]}
+		lo = hi
+	}
+	return s
+}
+
+// appendNonZeros appends the non-zeros of one dense row.
+func appendNonZeros(cols []int32, vals []int64, row []int64) ([]int32, []int64) {
+	for j, v := range row {
+		if v != 0 {
+			cols = append(cols, int32(j))
+			vals = append(vals, v)
+		}
+	}
+	return cols, vals
+}
+
+// NewSparse builds a sparse matrix from entries. Duplicate (i, j) pairs
+// are summed. Entries that sum to zero are dropped.
 func NewSparse(rows, cols int, entries []Entry) *Sparse {
 	for _, e := range entries {
 		if e.I < 0 || e.I >= rows || e.J < 0 || e.J >= cols {
@@ -258,56 +261,103 @@ func NewSparse(rows, cols int, entries []Entry) *Sparse {
 		}
 		return sorted[a].J < sorted[b].J
 	})
-	s := &Sparse{rows: rows, cols: cols, rowPtr: make([]int32, rows+1)}
-	for k := 0; k < len(sorted); {
-		i, j := sorted[k].I, sorted[k].J
-		var v int64
-		for k < len(sorted) && sorted[k].I == i && sorted[k].J == j {
-			v += sorted[k].V
-			k++
+	ends := make([]int32, rows)
+	cs, vs := make([]int32, 0, len(sorted)), make([]int64, 0, len(sorted))
+	k := 0
+	for i := range ends {
+		for k < len(sorted) && sorted[k].I == i {
+			j := sorted[k].J
+			var v int64
+			for ; k < len(sorted) && sorted[k].I == i && sorted[k].J == j; k++ {
+				v += sorted[k].V
+			}
+			if v != 0 {
+				cs, vs = append(cs, int32(j)), append(vs, v)
+			}
 		}
-		if v != 0 {
-			s.colIdx = append(s.colIdx, int32(j))
-			s.vals = append(s.vals, v)
-			s.rowPtr[i+1] = int32(len(s.vals))
-		}
+		ends[i] = int32(len(cs))
 	}
-	// Fill gaps: rowPtr must be non-decreasing.
-	for i := 1; i <= rows; i++ {
-		if s.rowPtr[i] < s.rowPtr[i-1] {
-			s.rowPtr[i] = s.rowPtr[i-1]
-		}
+	return cutRows(cols, ends, cs, vs)
+}
+
+// FromDense lists the non-zeros of every row of d. The cells are read
+// once — for a query matrix, fifty cells to a non-zero, that pass is
+// the whole cost, and counting first would double it — into arrays that
+// start at one entry per 32 cells and grow; the lists are then cut from
+// copies of exactly the non-zeros' size.
+func FromDense(d *Dense) *Sparse {
+	ends := make([]int32, d.rows)
+	cols, vals := make([]int32, 0, len(d.data)/32), make([]int64, 0, len(d.data)/32)
+	for i := range ends {
+		cols, vals = appendNonZeros(cols, vals, d.Row(i))
+		ends[i] = int32(len(cols))
 	}
-	return s
+	return cutRows(d.cols, ends, append(make([]int32, 0, len(cols)), cols...), append(make([]int64, 0, len(vals)), vals...))
+}
+
+// WithRows returns the non-zero lists of nb, which must have the
+// receiver's shape and differ from the receiver's matrix only in the
+// listed rows: those rows are re-listed, every other row shares its
+// list with the receiver — O(rows + touched cells), never O(NNZ).
+func (s *Sparse) WithRows(nb *Dense, rows []int) *Sparse {
+	if nb.rows != len(s.list) || nb.cols != s.cols {
+		panic("intmat: WithRows dimension mismatch")
+	}
+	ns := &Sparse{cols: s.cols, nnz: s.nnz, list: append([]rowList(nil), s.list...)}
+	for _, k := range rows {
+		cols, vals := appendNonZeros(nil, nil, nb.Row(k))
+		ns.nnz += len(cols) - len(ns.list[k].cols)
+		ns.list[k] = rowList{cols: cols, vals: vals}
+	}
+	return ns
 }
 
 // Rows returns the number of rows.
-func (s *Sparse) Rows() int { return s.rows }
+func (s *Sparse) Rows() int { return len(s.list) }
 
 // Cols returns the number of columns.
 func (s *Sparse) Cols() int { return s.cols }
 
 // NNZ returns the number of stored non-zero entries.
-func (s *Sparse) NNZ() int { return len(s.vals) }
+func (s *Sparse) NNZ() int { return s.nnz }
+
+// Bytes reports the memory the lists retain: two slice headers per row
+// and 12 bytes per non-zero.
+func (s *Sparse) Bytes() int64 { return int64(len(s.list))*rowListBytes + 12*int64(s.nnz) }
 
 // Row returns the column indices and values of row i's stored entries,
 // columns ascending; the slices alias the matrix.
 func (s *Sparse) Row(i int) (cols []int32, vals []int64) {
-	lo, hi := s.rowPtr[i], s.rowPtr[i+1]
-	return s.colIdx[lo:hi], s.vals[lo:hi]
+	l := &s.list[i]
+	return l.cols, l.vals
+}
+
+// Equal reports whether both matrices have the same shape and the same
+// lists; an empty row is empty whichever constructor made it.
+func (s *Sparse) Equal(o *Sparse) bool {
+	if len(s.list) != len(o.list) || s.cols != o.cols || s.nnz != o.nnz {
+		return false
+	}
+	for i, l := range s.list {
+		if !slices.Equal(l.cols, o.list[i].cols) || !slices.Equal(l.vals, o.list[i].vals) {
+			return false
+		}
+	}
+	return true
 }
 
 // RowEntries calls fn for every stored entry of row i.
 func (s *Sparse) RowEntries(i int, fn func(j int, v int64)) {
-	for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-		fn(int(s.colIdx[k]), s.vals[k])
+	cols, vals := s.Row(i)
+	for x, j := range cols {
+		fn(int(j), vals[x])
 	}
 }
 
 // Entries returns all stored entries in row-major order.
 func (s *Sparse) Entries() []Entry {
-	out := make([]Entry, 0, s.NNZ())
-	for i := 0; i < s.rows; i++ {
+	out := make([]Entry, 0, s.nnz)
+	for i := range s.list {
 		s.RowEntries(i, func(j int, v int64) {
 			out = append(out, Entry{I: i, J: j, V: v})
 		})
@@ -317,67 +367,46 @@ func (s *Sparse) Entries() []Entry {
 
 // ToDense converts to a dense matrix.
 func (s *Sparse) ToDense() *Dense {
-	d := NewDense(s.rows, s.cols)
-	for i := 0; i < s.rows; i++ {
-		s.RowEntries(i, func(j int, v int64) {
-			d.Set(i, j, v)
-		})
+	d := NewDense(len(s.list), s.cols)
+	for i := range s.list {
+		row := d.Row(i)
+		s.RowEntries(i, func(j int, v int64) { row[j] = v })
 	}
 	return d
 }
 
-// FromDense converts a dense matrix to CSR.
-func FromDense(d *Dense) *Sparse { return FromDenseFunc(d, nil) }
-
-// FromDenseFunc converts to CSR the non-zero entries of d that keep
-// accepts; keep sees each of them once, in row-major order. A nil keep
-// accepts every entry.
-func FromDenseFunc(d *Dense, keep func(i, j int, v int64) bool) *Sparse {
-	s := &Sparse{rows: d.rows, cols: d.cols, rowPtr: make([]int32, d.rows+1)}
-	for i := 0; i < d.rows; i++ {
-		for j, v := range d.Row(i) {
-			if v != 0 && (keep == nil || keep(i, j, v)) {
-				s.colIdx = append(s.colIdx, int32(j))
-				s.vals = append(s.vals, v)
-			}
-		}
-		s.rowPtr[i+1] = int32(len(s.vals))
-	}
-	return s
-}
-
 // Transpose returns sᵀ: its row j lists column j of s, rows ascending.
 func (s *Sparse) Transpose() *Sparse {
-	t := &Sparse{
-		rows: s.cols, cols: s.rows,
-		rowPtr: make([]int32, s.cols+1),
-		colIdx: make([]int32, len(s.colIdx)),
-		vals:   make([]int64, len(s.vals)),
-	}
-	for _, j := range s.colIdx {
-		t.rowPtr[j+1]++
-	}
-	for j := 0; j < s.cols; j++ {
-		t.rowPtr[j+1] += t.rowPtr[j]
-	}
-	next := append([]int32(nil), t.rowPtr[:s.cols]...)
-	for i := 0; i < s.rows; i++ {
-		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			at := next[s.colIdx[k]]
-			next[s.colIdx[k]]++
-			t.colIdx[at], t.vals[at] = int32(i), s.vals[k]
+	// next[j] is where column j's next entry goes: first the counts, then
+	// their running sum — each column's start — then advanced by the fill.
+	next := make([]int32, s.cols)
+	for _, l := range s.list {
+		for _, j := range l.cols {
+			next[j]++
 		}
 	}
-	return t
+	at := int32(0)
+	for j, c := range next {
+		next[j] = at
+		at += c
+	}
+	rows, vals := make([]int32, s.nnz), make([]int64, s.nnz)
+	for i, l := range s.list {
+		for x, j := range l.cols {
+			rows[next[j]], vals[next[j]] = int32(i), l.vals[x]
+			next[j]++
+		}
+	}
+	return cutRows(len(s.list), next, rows, vals) // the fill left next[j] at column j's end
 }
 
 // Mul returns the integer product s·o as a dense matrix.
 func (s *Sparse) Mul(o *Sparse) *Dense {
-	if s.cols != o.rows {
+	if s.cols != o.Rows() {
 		panic("intmat: sparse Mul dimension mismatch")
 	}
-	out := NewDense(s.rows, o.cols)
-	for i := 0; i < s.rows; i++ {
+	out := NewDense(s.Rows(), o.cols)
+	for i := range s.list {
 		oi := out.Row(i)
 		s.RowEntries(i, func(k int, a int64) {
 			o.RowEntries(k, func(j int, b int64) {
@@ -393,8 +422,8 @@ func (s *Sparse) MulDense(d *Dense) *Dense {
 	if s.cols != d.Rows() {
 		panic("intmat: MulDense dimension mismatch")
 	}
-	out := NewDense(s.rows, d.Cols())
-	for i := 0; i < s.rows; i++ {
+	out := NewDense(s.Rows(), d.Cols())
+	for i := range s.list {
 		oi := out.Row(i)
 		s.RowEntries(i, func(k int, a int64) {
 			rk := d.Row(k)
@@ -411,11 +440,13 @@ func (s *Sparse) MulDense(d *Dense) *Dense {
 // L1 returns Σ|entries|.
 func (s *Sparse) L1() int64 {
 	var sum int64
-	for _, v := range s.vals {
-		if v < 0 {
-			sum -= v
-		} else {
-			sum += v
+	for _, l := range s.list {
+		for _, v := range l.vals {
+			if v < 0 {
+				sum -= v
+			} else {
+				sum += v
+			}
 		}
 	}
 	return sum

@@ -68,25 +68,6 @@ func TestNorms(t *testing.T) {
 	}
 }
 
-func TestRowColLp(t *testing.T) {
-	d := NewDense(2, 2)
-	d.Set(0, 0, 2)
-	d.Set(0, 1, -2)
-	d.Set(1, 0, 3)
-	if got := d.RowLp(0, 2); math.Abs(got-8) > 1e-9 {
-		t.Errorf("RowLp(0,2) = %v, want 8", got)
-	}
-	if got := d.RowLp(0, 0); got != 2 {
-		t.Errorf("RowLp(0,0) = %v, want 2", got)
-	}
-	if got := d.ColLp(0, 1); math.Abs(got-5) > 1e-9 {
-		t.Errorf("ColLp(0,1) = %v, want 5", got)
-	}
-	if got := d.ColLp(1, 0); got != 1 {
-		t.Errorf("ColLp(1,0) = %v, want 1", got)
-	}
-}
-
 func TestLpDecomposesOverRows(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -94,7 +75,9 @@ func TestLpDecomposesOverRows(t *testing.T) {
 		for _, p := range []float64{0, 0.5, 1, 1.5, 2} {
 			var rows float64
 			for i := 0; i < 8; i++ {
-				rows += d.RowLp(i, p)
+				row := NewDense(1, 11)
+				copy(row.Row(0), d.Row(i))
+				rows += row.Lp(p)
 			}
 			if math.Abs(rows-d.Lp(p)) > 1e-6*(1+math.Abs(rows)) {
 				return false
@@ -203,5 +186,111 @@ func TestSparseL1(t *testing.T) {
 	s := NewSparse(2, 2, []Entry{{0, 0, -3}, {1, 1, 4}})
 	if got := s.L1(); got != 7 {
 		t.Fatalf("L1 = %d, want 7", got)
+	}
+}
+
+// TestWithRowsMatchesRelisting: over random histories of row
+// replacements — rows emptied and refilled, rows listed twice — the
+// successor WithRows derives is the matrix FromDense lists from scratch,
+// row by row and in NNZ and Bytes; every row it did not touch aliases
+// the receiver's list (structural sharing is the contract), and the
+// receiver still lists the matrix it was built from.
+func TestWithRowsMatchesRelisting(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		const rows, cols = 9, 13
+		cur := randomDense(r, rows, cols, 0.3, 9)
+		s := FromDense(cur)
+		for step := 0; step < 8; step++ {
+			next := cur.Clone()
+			touched := make([]bool, rows)
+			var list []int
+			for n := 1 + int(r.Int63n(3)); n > 0; n-- {
+				k := int(r.Int63n(rows))
+				for j := 0; j < cols; j++ {
+					next.Set(k, j, 0)
+					if step%3 != 0 && r.Bernoulli(0.4) { // every third step only empties
+						next.Set(k, j, r.Int63n(19)-9)
+					}
+				}
+				touched[k] = true
+				list = append(list, k)
+				if r.Bernoulli(0.5) {
+					list = append(list, k) // a row listed twice
+				}
+			}
+			ns, fresh := s.WithRows(next, list), FromDense(next)
+			if !ns.Equal(fresh) || ns.NNZ() != fresh.NNZ() || ns.Bytes() != fresh.Bytes() || !ns.ToDense().Equal(next) {
+				return false
+			}
+			if !s.Equal(FromDense(cur)) {
+				return false // the receiver changed
+			}
+			for k := 0; k < rows; k++ {
+				oc, ov := s.Row(k)
+				nc, nv := ns.Row(k)
+				if !touched[k] && len(oc) > 0 && (&oc[0] != &nc[0] || &ov[0] != &nv[0]) {
+					return false // an untouched row was copied
+				}
+			}
+			cur, s = next, ns
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestTransposeTwiceIsIdentity: the transpose lists every column with
+// its rows ascending, and transposing again gives back the same lists.
+func TestTransposeTwiceIsIdentity(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		d := randomDense(r, 7, 12, 0.25, 9)
+		for j := 0; j < 7; j++ {
+			d.Set(j, 4, 0) // a column without non-zeros
+		}
+		s := FromDense(d)
+		tr := s.Transpose()
+		if tr.Rows() != 12 || tr.Cols() != 7 || tr.NNZ() != s.NNZ() {
+			return false
+		}
+		for j := 0; j < 12; j++ {
+			rows, vals := tr.Row(j)
+			for x, i := range rows {
+				if d.Get(int(i), j) != vals[x] || (x > 0 && rows[x-1] >= i) {
+					return false
+				}
+			}
+		}
+		return tr.Transpose().Equal(s)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestEmptyRowsEqualAcrossConstructors: a row without non-zeros is the
+// same row whether FromDense, NewSparse, WithRows or Transpose made it,
+// and Equal still tells different matrices apart.
+func TestEmptyRowsEqualAcrossConstructors(t *testing.T) {
+	d := NewDense(3, 4)
+	d.Set(1, 2, 5)
+	fromDense := FromDense(d)
+	full := d.Clone()
+	full.Set(0, 0, 1)
+	full.Set(2, 3, -1)
+	for name, s := range map[string]*Sparse{
+		"NewSparse": NewSparse(3, 4, []Entry{{1, 2, 5}, {0, 1, 2}, {0, 1, -2}}),
+		"WithRows":  FromDense(full).WithRows(d, []int{0, 2}),
+		"Transpose": fromDense.Transpose().Transpose(),
+	} {
+		if !s.Equal(fromDense) || !fromDense.Equal(s) || s.Bytes() != fromDense.Bytes() {
+			t.Errorf("%s's matrix differs from FromDense's", name)
+		}
+	}
+	if fromDense.Equal(FromDense(full)) || fromDense.Equal(FromDense(NewDense(3, 5))) {
+		t.Error("Equal accepted a different matrix")
 	}
 }

@@ -118,17 +118,6 @@ func (r *RNG) Sign() int {
 	return -1
 }
 
-// NormFloat64 returns a standard normal variate (Box–Muller; the spare
-// value is discarded to keep the stream position predictable).
-func (r *RNG) NormFloat64() float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
 // ExpFloat64 returns an Exp(1) variate.
 func (r *RNG) ExpFloat64() float64 {
 	u := r.Float64()

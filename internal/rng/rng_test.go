@@ -98,25 +98,6 @@ func TestBernoulli(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(6)
-	var sum, sumSq float64
-	const n = 50000
-	for i := 0; i < n; i++ {
-		x := r.NormFloat64()
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.03 {
-		t.Errorf("normal mean %v", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("normal variance %v", variance)
-	}
-}
-
 func TestStableCauchyMedian(t *testing.T) {
 	// |Cauchy| has median 1 (tan(π/4)).
 	r := New(7)

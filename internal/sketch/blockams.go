@@ -47,9 +47,6 @@ func NewBlockAMS(r *rng.RNG, n, blockSize, reps, cols int) *BlockAMS {
 // Dim returns the total sketch length in float64 words.
 func (b *BlockAMS) Dim() int { return b.dim }
 
-// NumBlocks returns the number of blocks.
-func (b *BlockAMS) NumBlocks() int { return len(b.blocks) }
-
 // Apply sketches the integer vector x.
 func (b *BlockAMS) Apply(x []int64) []float64 {
 	if len(x) != b.n {

@@ -45,18 +45,6 @@ func (o *OneSparse) Add(st *OneSparseState, j int, v int64) {
 	st.Finger = field.Add(st.Finger, field.Mul(fv, field.Pow(o.r, uint64(j+1))))
 }
 
-// Combine accumulates a·src into dst — the linearity used when parties
-// combine transmitted states.
-func (o *OneSparse) Combine(dst *OneSparseState, a int64, src OneSparseState) {
-	fa := field.ReduceInt(a)
-	if fa == 0 {
-		return
-	}
-	dst.Sum = field.Add(dst.Sum, field.Mul(fa, src.Sum))
-	dst.IxSum = field.Add(dst.IxSum, field.Mul(fa, src.IxSum))
-	dst.Finger = field.Add(dst.Finger, field.Mul(fa, src.Finger))
-}
-
 // Decode inspects the state. It returns:
 //
 //	kind == 0: the underlying vector is zero;

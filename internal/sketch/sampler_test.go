@@ -85,21 +85,6 @@ func TestOneSparseManyCollisionsDetected(t *testing.T) {
 	}
 }
 
-func TestOneSparseCombine(t *testing.T) {
-	r := rng.New(302)
-	os := NewOneSparse(r, 50)
-	var a, b OneSparseState
-	os.Add(&a, 10, 4)
-	os.Add(&b, 10, 1)
-	// a - 4*b should be the zero vector.
-	var combined OneSparseState
-	os.Combine(&combined, 1, a)
-	os.Combine(&combined, -4, b)
-	if kind, _, _ := os.Decode(combined); kind != 0 {
-		t.Fatalf("a-4b decoded as kind %d, want 0", kind)
-	}
-}
-
 func TestL0SamplerBasic(t *testing.T) {
 	r := rng.New(303)
 	n := 256

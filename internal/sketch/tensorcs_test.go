@@ -147,8 +147,8 @@ func TestBlockAMSMaxEstimate(t *testing.T) {
 func TestBlockAMSUnevenLastBlock(t *testing.T) {
 	// n not divisible by blockSize must still work.
 	b := NewBlockAMS(rng.New(414), 100, 16, 3, 8)
-	if b.NumBlocks() != 7 {
-		t.Fatalf("NumBlocks = %d, want 7", b.NumBlocks())
+	if len(b.blocks) != 7 {
+		t.Fatalf("%d blocks, want 7", len(b.blocks))
 	}
 	x := make([]int64, 100)
 	x[99] = 50

@@ -415,6 +415,18 @@ func TestErrorEnvelopeOverHTTP(t *testing.T) {
 		{"duplicate_cell_query", "POST", "/v1/estimate", "application/json",
 			`{"matrix":"m","kind":"exact","a":{"rows":1,"cols":8,"entries":[[0,3,1],[0,3,1]]}}`,
 			http.StatusBadRequest, "bad_request", "service: bad request: duplicate entry (0, 3)"},
+		// The three refusals of CheckRowUpdates, against the 8×8 "m";
+		// gateway.TestGatewayErrorEnvelope requires the same three
+		// answers of mpgateway.
+		{"patch_row_outside", "PATCH", "/v1/matrices/m/rows", "application/json",
+			`{"updates":[{"row":8,"entries":[[0,1]]}]}`,
+			http.StatusBadRequest, "bad_request", "service: bad request: row 8 outside 8-row matrix"},
+		{"patch_column_outside", "PATCH", "/v1/matrices/m/rows", "application/json",
+			`{"updates":[{"row":0,"entries":[[0,1]]},{"row":1,"entries":[[-1,1]]}]}`,
+			http.StatusBadRequest, "bad_request", "service: bad request: entry column -1 outside 8-column matrix"},
+		{"patch_duplicate_column", "PATCH", "/v1/matrices/m/rows", "application/json",
+			`{"row":2,"entries":[[3,1],[5,1],[3,2]],"delta":true}`,
+			http.StatusBadRequest, "bad_request", "service: bad request: duplicate column 3 in row 2 update"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -51,8 +51,8 @@ func EncodeMatrixSnapshot(m Matrix, uploaded time.Time) []byte {
 	return b
 }
 
-// DecodeMatrixSnapshot parses a snapshot payload.
-func DecodeMatrixSnapshot(b []byte) (Matrix, time.Time, error) {
+// decodeMatrixSnapshot parses a snapshot payload.
+func decodeMatrixSnapshot(b []byte) (Matrix, time.Time, error) {
 	if len(b) < 8 {
 		return Matrix{}, time.Time{}, fmt.Errorf("snapshot payload of %d bytes", len(b))
 	}
@@ -316,7 +316,7 @@ func (e *Engine) recoverFromStore() {
 			// whose racing delete or replacement won: nothing servable.
 			continue
 		}
-		m, uploaded, err := DecodeMatrixSnapshot(snap.Payload)
+		m, uploaded, err := decodeMatrixSnapshot(snap.Payload)
 		if err != nil {
 			p.recoveryErrs.Add(1)
 			continue

@@ -527,8 +527,8 @@ func TestRecoverySkipsCorruptState(t *testing.T) {
 // check: a payload shorter than the timestamp header is corruption,
 // not a zero matrix.
 func TestDecodeMatrixSnapshotRejectsShort(t *testing.T) {
-	if _, _, err := DecodeMatrixSnapshot([]byte("short")); err == nil {
-		t.Fatal("DecodeMatrixSnapshot accepted a truncated payload")
+	if _, _, err := decodeMatrixSnapshot([]byte("short")); err == nil {
+		t.Fatal("decodeMatrixSnapshot accepted a truncated payload")
 	}
 }
 

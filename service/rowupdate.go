@@ -81,6 +81,35 @@ func (r UpdateRequest) Normalized() ([]RowUpdate, error) {
 	return ups, nil
 }
 
+// CheckRowUpdates is the position rule of a row patch against a
+// rows×cols matrix: every patched row and every entry's column must lie
+// inside the matrix, and no row patch may name a column twice. Both
+// tiers apply it before touching anything — the engine to the served
+// matrix, the gateway to its retained wire copy — so they refuse the
+// same patches with the same words.
+func CheckRowUpdates(rows, cols int, ups []RowUpdate) error {
+	seen := make([]bool, cols) // columns of the patch at hand; all false between patches
+	for _, u := range ups {
+		if u.Row < 0 || u.Row >= rows {
+			return fmt.Errorf("%w: row %d outside %d-row matrix", ErrBadRequest, u.Row, rows)
+		}
+		for _, ent := range u.Entries {
+			j := ent[0]
+			if j < 0 || j >= int64(cols) {
+				return fmt.Errorf("%w: entry column %d outside %d-column matrix", ErrBadRequest, j, cols)
+			}
+			if seen[j] {
+				return fmt.Errorf("%w: duplicate column %d in row %d update", ErrBadRequest, j, u.Row)
+			}
+			seen[j] = true
+		}
+		for _, ent := range u.Entries {
+			seen[ent[0]] = false
+		}
+	}
+	return nil
+}
+
 // UpdateReply is the reply of PATCH /v1/matrices/{name}/rows.
 type UpdateReply struct {
 	MatrixInfo
@@ -292,39 +321,22 @@ func (e *Engine) rememberUpdateLocked(k updKey, rep UpdateReply) {
 	}
 }
 
-// patchServed builds sm's copy-on-write successor with the validated
-// row patches applied: dense clone patched, cell tallies and the
+// patchServed builds sm's copy-on-write successor with the row patches,
+// once they pass CheckRowUpdates, applied: dense clone patched, cell tallies and the
 // catalog flags adjusted by the touched rows (old row out, new row in),
 // sub-version bumped, bit form patched incrementally when it stays
 // binary. Returns the touched rows for cache revalidation. Shared by
 // the live update path and WAL replay at recovery, so a replayed
 // update reconstructs byte-identical served state.
 func patchServed(sm *servedMatrix, ups []RowUpdate, delta bool) (*servedMatrix, []int, error) {
-	rows := make([]int, 0, len(ups))
-	seen := make([]bool, sm.info.Cols) // columns of the patch at hand; all false between patches
-	for _, u := range ups {
-		if u.Row < 0 || u.Row >= sm.info.Rows {
-			return nil, nil, fmt.Errorf("%w: row %d outside %d-row matrix", ErrBadRequest, u.Row, sm.info.Rows)
-		}
-		for _, ent := range u.Entries {
-			j := ent[0]
-			if j < 0 || j >= int64(sm.info.Cols) {
-				return nil, nil, fmt.Errorf("%w: entry column %d outside %d-column matrix", ErrBadRequest, j, sm.info.Cols)
-			}
-			if seen[j] {
-				return nil, nil, fmt.Errorf("%w: duplicate column %d in row %d update", ErrBadRequest, j, u.Row)
-			}
-			seen[j] = true
-		}
-		for _, ent := range u.Entries {
-			seen[ent[0]] = false
-		}
-		rows = append(rows, u.Row)
+	if err := CheckRowUpdates(sm.info.Rows, sm.info.Cols, ups); err != nil {
+		return nil, nil, err
 	}
-
 	next := &servedMatrix{info: sm.info, gen: sm.gen, sub: sm.sub + 1, dense: sm.dense.Clone()}
 	cells := sm.cells
+	rows := make([]int, 0, len(ups))
 	for _, u := range ups {
+		rows = append(rows, u.Row)
 		row := next.dense.Row(u.Row)
 		cells.addRow(row, -1)
 		if !delta {
