@@ -1,5 +1,5 @@
 // Benchmark harness: one benchmark per experiment in DESIGN.md's index
-// (E1–E14), plus the end-to-end service benchmark. Each experiment
+// (E1–E15), plus the end-to-end service benchmark. Each experiment
 // benchmark reports, alongside time/op:
 //
 //	bits/op     — total communication of one protocol execution,
@@ -409,6 +409,53 @@ func BenchmarkE14_RoundsVsBandwidth(b *testing.B) {
 	}
 }
 
+// BenchmarkE15_ProtocolVsNaive measures where the paper's protocols beat
+// shipping A: Algorithm 1 (lp, p = 1, ε = 0.25) and Algorithm 4 (hh,
+// ϕ = 0.1, ε = 0.05) at n = 256 against core.NaiveInt's sparse shipment
+// of A, as A fills up. `naive-bits` is that shipment and `ratio` is
+// bits/op over it: the protocol wins where ratio < 1. lp's sketches are
+// dense whatever A is and hh's factor follows B's non-zeros, not A's, so
+// both costs are nearly flat in density(A) while the shipment grows with
+// it; DESIGN.md's E15 row has the crossover this puts at n = 256.
+func BenchmarkE15_ProtocolVsNaive(b *testing.B) {
+	n := 256
+	B := workload.Binary(150, n, n, 0.05).ToInt()
+	for _, density := range []float64{0.002, 0.01, 0.05, 0.2} {
+		A := workload.Binary(uint64(151+int(density*1000)), n, n, density).ToInt()
+		_, naive, err := core.NaiveInt(A, B)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, proto := range []struct {
+			name string
+			run  func(seed uint64) (core.Cost, error)
+		}{
+			{"lp", func(seed uint64) (core.Cost, error) {
+				_, c, err := core.EstimateLp(A, B, 1, core.LpOpts{Eps: 0.25, Seed: seed})
+				return c, err
+			}},
+			{"hh", func(seed uint64) (core.Cost, error) {
+				_, c, err := core.HeavyHitters(A, B, core.HHOpts{Phi: 0.1, Eps: 0.05, Seed: seed})
+				return c, err
+			}},
+		} {
+			b.Run(fmt.Sprintf("%s/density=%.3f", proto.name, density), func(b *testing.B) {
+				var cost core.Cost
+				for i := 0; i < b.N; i++ {
+					c, err := proto.run(uint64(i))
+					if err != nil {
+						b.Fatal(err)
+					}
+					cost = c
+				}
+				reportCost(b, cost)
+				b.ReportMetric(float64(naive.Bits), "naive-bits")
+				b.ReportMetric(float64(cost.Bits)/float64(naive.Bits), "ratio")
+			})
+		}
+	}
+}
+
 // BenchmarkServiceEstimateLp exercises the estimation service end to
 // end over HTTP loopback: a served 256×256 matrix answering Algorithm 1
 // queries through the engine's worker pool, with the full JSON
@@ -504,9 +551,12 @@ func BenchmarkServiceLpCachedVsUncached(b *testing.B) {
 // 2.5 exchange inside Algorithm 4) and l0sample (Theorem 3.2's column
 // sketches) — on the repo benchmark's kinds_uncached shapes: n = 256, a
 // planted-heavy Boolean B, a sparse query with one planted row. The
-// cache is on and warm, so Bob's precompute is outside the loop. What
-// they put on the wire is fixed by the protocol, not by how Serve
-// computes it: bits/op must stay the constant below, to the bit.
+// cache is on and warm, so Bob's precompute is outside the loop. Both
+// big messages travel as (gap, word) pairs, so what the kinds put on the
+// wire follows the inputs' non-zeros too — but for pinned inputs and
+// seed it is a constant, not a function of how Serve computes it:
+// bits/op must stay the count below, to the bit (9 486 488 and
+// 33 038 336 in the dense layout these replaced).
 func BenchmarkServiceKindsServe(b *testing.B) {
 	n := 256
 	query, served := workload.PlantedHeavy(230, n, 1, n*3/4, 0.004)
@@ -516,8 +566,8 @@ func BenchmarkServiceKindsServe(b *testing.B) {
 		req  service.Request
 		bits int64
 	}{
-		{"hh", service.Request{Kind: "hh", P: 1, Phi: 0.1, Eps: 0.05}, 9486488},
-		{"l0sample", service.Request{Kind: "l0sample", Eps: 0.25}, 33038336},
+		{"hh", service.Request{Kind: "hh", P: 1, Phi: 0.1, Eps: 0.05}, 92712},
+		{"l0sample", service.Request{Kind: "l0sample", Eps: 0.25}, 628880},
 	} {
 		b.Run(kind.name, func(b *testing.B) {
 			engine := service.NewEngine(service.Config{Workers: 4, Shards: 1})

@@ -155,30 +155,6 @@ func (m *Message) Len() int { return len(m.buf) }
 // its message size builds it in one allocation.
 func (m *Message) Grow(n int) { m.buf = slices.Grow(m.buf, n) }
 
-// PutZeros appends n zero bytes: a run of n zero varints, or of n/8
-// zero fixed-width words — most of a sparse vector sent in a dense
-// layout.
-func (m *Message) PutZeros(n int) { m.buf = append(m.buf, make([]byte, n)...) }
-
-// SkipZeros advances the read cursor past at most limit zero bytes,
-// eight at a time, and returns how many it passed — the reader's side
-// of PutZeros.
-func (m *Message) SkipZeros(limit int) int {
-	src := m.buf[m.pos:]
-	if limit < len(src) {
-		src = src[:limit]
-	}
-	n := 0
-	for len(src)-n >= 8 && binary.LittleEndian.Uint64(src[n:]) == 0 {
-		n += 8
-	}
-	for n < len(src) && src[n] == 0 {
-		n++
-	}
-	m.pos += n
-	return n
-}
-
 // PutUvarint appends an unsigned varint.
 func (m *Message) PutUvarint(v uint64) {
 	m.buf = binary.AppendUvarint(m.buf, v)
@@ -278,18 +254,15 @@ func (m *Message) Uint64() uint64 {
 	return v
 }
 
-// PutUint64Slice appends a length-prefixed slice of fixed 8-byte values.
-// The words are laid down as one run of zeros and the non-zero ones
-// written over it: the field sketch of a sparse vector is mostly zeros.
+// PutUint64Slice appends a length-prefixed slice of fixed 8-byte values,
+// every word written whether or not it is zero: the form of vectors that
+// are dense (Freivalds witnesses) or spliced at fixed offsets (lp's round
+// 1 at p = 0). A vector that is mostly zeros travels as
+// PutSparseUint64s.
 func (m *Message) PutUint64Slice(v []uint64) {
 	m.PutUvarint(uint64(len(v)))
-	off := len(m.buf)
-	m.PutZeros(8 * len(v))
-	dst := m.buf[off:]
-	for i, x := range v {
-		if x != 0 {
-			binary.LittleEndian.PutUint64(dst[8*i:], x)
-		}
+	for _, x := range v {
+		m.PutUint64(x)
 	}
 }
 
@@ -298,24 +271,135 @@ func (m *Message) Uint64Slice() []uint64 { return m.AppendUint64Slice([]uint64{}
 
 // AppendUint64Slice is AppendFloat64Slice for PutUint64Slice's vectors.
 func (m *Message) AppendUint64Slice(dst []uint64) []uint64 {
-	src := m.Uint64SliceRaw()
-	dst = slices.Grow(dst, len(src)/8)
-	for ; len(src) > 0; src = src[8:] {
+	n := int(m.Uvarint())
+	m.checkLen(n, 8)
+	dst = slices.Grow(dst, n)
+	for src := m.buf[m.pos : m.pos+8*n]; len(src) > 0; src = src[8:] {
 		dst = append(dst, binary.LittleEndian.Uint64(src))
 	}
+	m.pos += 8 * n
 	return dst
 }
 
-// Uint64SliceRaw reads a slice written by PutUint64Slice without
-// decoding it: the words as they travelled, eight little-endian bytes
-// each, aliasing the payload. The length prefix is checked against the
-// payload first.
-func (m *Message) Uint64SliceRaw() []byte {
-	n := int(m.Uvarint())
-	m.checkLen(n, 8)
-	raw := m.buf[m.pos : m.pos+8*n : m.pos+8*n]
-	m.pos += 8 * n
-	return raw
+// The two sparse-vector forms. A vector whose words are mostly zero
+// travels as its non-zero words only: a uvarint count, then one
+// (uvarint gap, word) pair per non-zero word in ascending index order,
+// where gap is the distance from the previous non-zero index (from −1
+// for the first), so every gap is ≥ 1. The form is canonical — no zero
+// word, indices strictly ascending — so a vector has exactly one
+// encoding and transcripts stay a function of (inputs, seed). Its cost
+// is count·(gap bytes + word bytes) whatever the dimension: below the
+// dense form while the fill stays under ½ (varint words) or 8⁄9 (field
+// words), at worst 2× and 1.125× of it plus the count (DESIGN.md,
+// "Encodings").
+//
+// The dimension is not on the wire. Readers take it from the caller,
+// who knows it from the sketch the vector belongs to, and refuse an
+// index at or past it, a zero word, a zero gap, and a count the
+// remaining payload cannot hold — so what a reader allocates is bounded
+// by the bytes that arrived, never by a number the peer declares.
+
+// PutSparseVarints appends a vector of signed words in the sparse form:
+// words[x] ≠ 0 sits at index idx[x], idx strictly ascending. Words are
+// zig-zag varints.
+func (m *Message) PutSparseVarints(idx []int, words []int64) {
+	m.Grow(1 + 2*len(idx)) // a one-byte gap and a one-byte word each, at least
+	m.putSparseCount(idx, len(words))
+	prev := -1
+	for x, i := range idx {
+		if words[x] == 0 {
+			panic("comm: sparse vector holds a zero word")
+		}
+		m.putGap(i, prev)
+		m.PutVarint(words[x])
+		prev = i
+	}
+}
+
+// AppendSparseVarints reads a vector of dimension dim written by
+// PutSparseVarints onto the ends of idx and words, so a reader of many
+// vectors can land them in one block; the dense vector is never built.
+func (m *Message) AppendSparseVarints(dim int, idx []int, words []int64) ([]int, []int64) {
+	n := m.sparseCount(dim, 2)
+	idx, words = slices.Grow(idx, n), slices.Grow(words, n)
+	prev := -1
+	for ; n > 0; n-- {
+		prev = m.gap(prev, dim)
+		w := m.Varint()
+		if w == 0 {
+			panic("comm: zero word in a sparse vector")
+		}
+		idx, words = append(idx, prev), append(words, w)
+	}
+	return idx, words
+}
+
+// PutSparseUint64s is PutSparseVarints for fixed 8-byte words (field
+// elements, uniform over ~2^61, which varints would not shorten).
+func (m *Message) PutSparseUint64s(idx []int, words []uint64) {
+	m.Grow(1 + 9*len(idx))
+	m.putSparseCount(idx, len(words))
+	prev := -1
+	for x, i := range idx {
+		if words[x] == 0 {
+			panic("comm: sparse vector holds a zero word")
+		}
+		m.putGap(i, prev)
+		m.PutUint64(words[x])
+		prev = i
+	}
+}
+
+// AppendSparseUint64s is AppendSparseVarints for PutSparseUint64s's
+// vectors.
+func (m *Message) AppendSparseUint64s(dim int, idx []int, words []uint64) ([]int, []uint64) {
+	n := m.sparseCount(dim, 9)
+	idx, words = slices.Grow(idx, n), slices.Grow(words, n)
+	prev := -1
+	for ; n > 0; n-- {
+		prev = m.gap(prev, dim)
+		w := m.Uint64()
+		if w == 0 {
+			panic("comm: zero word in a sparse vector")
+		}
+		idx, words = append(idx, prev), append(words, w)
+	}
+	return idx, words
+}
+
+func (m *Message) putSparseCount(idx []int, words int) {
+	if len(idx) != words {
+		panic("comm: sparse vector with unequal index and word counts")
+	}
+	m.PutUvarint(uint64(len(idx)))
+}
+
+func (m *Message) putGap(i, prev int) {
+	if i <= prev {
+		panic("comm: sparse vector indices must be strictly ascending")
+	}
+	m.PutUvarint(uint64(i - prev))
+}
+
+// sparseCount reads a sparse vector's count and refuses one beyond the
+// dimension or beyond what the remaining payload holds at pairBytes a
+// pair at least.
+func (m *Message) sparseCount(dim, pairBytes int) int {
+	n := m.Uvarint()
+	if dim < 0 || n > uint64(dim) {
+		panic(fmt.Sprintf("comm: %d non-zero words in a vector of dimension %d", n, dim))
+	}
+	m.checkLen(int(n), pairBytes)
+	return int(n)
+}
+
+// gap reads one gap and returns the index it leads to from prev.
+func (m *Message) gap(prev, dim int) int {
+	g := m.Uvarint()
+	if g == 0 || g > uint64(dim-1-prev) {
+		panic(fmt.Sprintf("comm: gap %d after index %d in a sparse vector of dimension %d", g, prev, dim))
+	}
+	return prev + int(g)
 }
 
 // PutBitmap appends an n-bit bitmap packed into ⌈n/8⌉ bytes. This is the

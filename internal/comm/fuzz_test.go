@@ -3,6 +3,7 @@ package comm
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -38,58 +39,63 @@ func FuzzVarintRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzZeroRuns: a vector written as runs of zeros around its non-zero
-// varints is the bytes of the plain slice form, and reading it back by
-// skipping the runs finds the same words at the same positions.
+// FuzzZeroRuns: a vector that is mostly runs of zeros, written in each
+// sparse form, takes exactly count + Σ (gap + word) bytes and reads back
+// as the same words at the same positions — and a dimension one short
+// of the last non-zero index is refused.
 func FuzzZeroRuns(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 200, 0})
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 127, 128, 255})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		words := make([]int64, len(raw))
+		dense := make([]int64, len(raw))
 		for i, b := range raw {
 			switch {
 			case b < 128: // zero, as most words of a sparse vector are
 			case b < 192: // one byte, either sign
-				words[i] = int64(b) - 160
+				dense[i] = int64(b) - 160
 			default: // several bytes, either sign
-				words[i] = (int64(b) - 223) << (b % 50)
+				dense[i] = (int64(b) - 223) << (b % 50)
 			}
 		}
-		ref := NewMessage()
-		putVarints(ref, words)
+		dense = append(dense, make([]int64, 200*(len(raw)%3))...) // a long zero tail, or none
+		idx, words := sparseOf(dense)
+		fixed := make([]uint64, len(words))
+		for x, w := range words {
+			fixed[x] = uint64(w)
+		}
 
 		m := NewMessage()
-		m.PutUvarint(uint64(len(words)))
-		run := 0
-		for _, w := range words {
-			if w == 0 {
-				run++
-				continue
-			}
-			m.PutZeros(run)
-			m.PutVarint(w)
-			run = 0
-		}
-		m.PutZeros(run)
-		if !bytes.Equal(m.Bytes(), ref.Bytes()) {
-			t.Fatalf("zero-run form %x differs from the slice form %x", m.Bytes(), ref.Bytes())
+		m.PutSparseVarints(idx, words)
+		varLen := m.Len()
+		m.PutSparseUint64s(idx, fixed)
+		if wantVar, wantFixed := pairBytes(idx, words); varLen != wantVar || m.Len()-varLen != wantFixed {
+			t.Fatalf("the two forms of %v took %d and %d bytes, the pairs come to %d and %d", dense, varLen, m.Len()-varLen, wantVar, wantFixed)
 		}
 
-		m.pos = 0
-		n := int(m.Uvarint())
-		got := make([]int64, n)
-		for idx := m.SkipZeros(n); idx < n; idx += 1 + m.SkipZeros(n-idx-1) {
-			got[idx] = m.Varint()
+		gotIdx, gotWords := m.AppendSparseVarints(len(dense), nil, nil)
+		if !slices.Equal(denseOf(len(dense), gotIdx, gotWords), dense) {
+			t.Fatalf("varint form read back %v %v, want %v", gotIdx, gotWords, dense)
+		}
+		fIdx, fWords := m.AppendSparseUint64s(len(dense), nil, nil)
+		if !slices.Equal(fIdx, idx) || !slices.Equal(fWords, fixed) {
+			t.Fatalf("fixed form read back %v %v", fIdx, fWords)
 		}
 		if m.Remaining() != 0 {
-			t.Fatalf("%d bytes left after the skipping read", m.Remaining())
+			t.Fatalf("%d bytes left after both vectors", m.Remaining())
 		}
-		for i := range words {
-			if got[i] != words[i] {
-				t.Fatalf("word %d read back as %d, want %d", i, got[i], words[i])
-			}
+		if len(idx) > 0 {
+			m.pos = 0
+			last := idx[len(idx)-1]
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("a reader of dimension %d accepted index %d", last, last)
+					}
+				}()
+				m.AppendSparseVarints(last, nil, nil)
+			}()
 		}
 	})
 }
@@ -137,9 +143,9 @@ func FuzzReaderOnArbitraryBytes(f *testing.F) {
 			func(m *Message) { m.IndexList() },
 			func(m *Message) { m.Float64Slice() },
 			func(m *Message) { m.Uint64Slice() },
-			func(m *Message) { m.Uint64SliceRaw() },
+			func(m *Message) { m.AppendSparseVarints(len(raw), nil, nil) },
+			func(m *Message) { m.AppendSparseUint64s(1<<40, nil, nil) },
 			func(m *Message) { m.Sparse(2, 4) },
-			func(m *Message) { m.SkipZeros(len(raw) / 2); m.Varint() },
 		}
 		for _, dec := range decoders {
 			m := &Message{buf: raw}

@@ -187,7 +187,12 @@ func AliceHH(t comm.Transport, a *intmat.Dense, m2 int, bNonNeg bool, o HHOpts) 
 
 	// Step 4: recover C^β via the Lemma 2.5 tensor sketch.
 	ts := hhTensorSketch(o, m1, n, m2, beta, t1absAlice)
-	recovered := ts.Recover(aBeta, readCompressedFactor(t.Recv(comm.BobToAlice), ts))
+	recv3 := t.Recv(comm.BobToAlice)
+	factor := readCompressedFactor(recv3, ts)
+	if recv3.Remaining() != 0 {
+		panic(fmt.Sprintf("core: %d bytes after the compressed factor", recv3.Remaining()))
+	}
+	recovered := ts.Recover(aBeta, factor)
 
 	// Step 5 (Alice→Bob): ship entries above the εβ·heavyVal/(8ϕ) floor.
 	sendCutoff := (o.Eps / (8 * o.Phi)) * beta * heavyVal

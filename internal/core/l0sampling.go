@@ -1,9 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/field"
@@ -47,7 +47,9 @@ func (o *L0SampleOpts) setDefaults() error {
 
 // SampleL0 is Theorem 3.2: a one-round protocol that samples a uniformly
 // random non-zero entry of C = A·B (each entry with probability
-// (1±ε)/‖C‖0) using Õ(n/ε²) bits.
+// (1±ε)/‖C‖0) using Õ(n/ε²) bits — the dense sketches' size and the
+// message's worst case: the sketches travel as their non-zero words
+// (comm.PutSparseUint64s), so the cost follows the non-zeros of A.
 //
 // Alice ships, for every item k, an ℓ0 sketch and an ℓ0-sampler sketch of
 // column A_{*,k}; since both are linear, Bob assembles per-column-of-C
@@ -84,8 +86,8 @@ func l0SampleSketches(o L0SampleOpts, m1 int) (*sketch.L0, *sketch.L0Sampler) {
 }
 
 // AliceL0Sample drives Alice's side of Theorem 3.2: one message of
-// per-column ℓ0 sketches and ℓ0-sampler sketches of A. The sample is
-// Bob's output.
+// per-column ℓ0 sketches and ℓ0-sampler sketches of A, two sparse
+// field-word vectors a column. The sample is Bob's output.
 func AliceL0Sample(t comm.Transport, a *intmat.Dense, o L0SampleOpts) (err error) {
 	defer recoverDecodeError(&err)
 	if err := o.setDefaults(); err != nil {
@@ -96,33 +98,60 @@ func AliceL0Sample(t comm.Transport, a *intmat.Dense, o L0SampleOpts) (err error
 
 	// Round 1 (Alice→Bob): sketches of every column of A, each built
 	// from the column's non-zeros in ascending row order — the order
-	// Apply meets them in. A column without any is two length prefixes
-	// and zero words.
+	// Apply meets them in — in a scratch vector, and written as the
+	// non-zero ones of the words those coordinates reach. A column
+	// without any is two zero counts.
 	msg := comm.NewMessage()
 	msg.Label = "per-column ℓ0 sketches and samplers of A"
-	dims := [2]int{l0.Dim(), sampler.Dim()}
-	msg.Grow(n * (2*binary.MaxVarintLen64 + 8*(dims[0]+dims[1])))
-	sk := make([]field.Elem, dims[0]+dims[1])
+	normSk, sampSk := make([]field.Elem, l0.Dim()), make([]field.Elem, sampler.Dim())
+	var normAt, sampAt []int
+	var words []field.Elem
 	byCol := intmat.FromDense(a).Transpose()
 	for k := 0; k < n; k++ {
 		rows, vals := byCol.Row(k)
-		if len(rows) == 0 {
-			for _, d := range dims {
-				msg.PutUvarint(uint64(d))
-				msg.PutZeros(8 * d)
-			}
-			continue
-		}
-		clear(sk)
+		normAt, sampAt = normAt[:0], sampAt[:0]
 		for x, i := range rows {
-			l0.AddCoord(sk[:dims[0]], int(i), vals[x])
-			sampler.AddCoord(sk[dims[0]:], int(i), vals[x])
+			l0.AddCoord(normSk, int(i), vals[x])
+			sampler.AddCoord(sampSk, int(i), vals[x])
+			normAt, sampAt = l0.Support(normAt, int(i)), sampler.Support(sampAt, int(i))
 		}
-		msg.PutUint64Slice(sk[:dims[0]])
-		msg.PutUint64Slice(sk[dims[0]:])
+		words = putReachedWords(msg, normSk, normAt, words)
+		words = putReachedWords(msg, sampSk, sampAt, words)
 	}
 	t.Send(comm.AliceToBob, msg)
 	return nil
+}
+
+// putReachedWords appends the field sketch sk as a sparse vector, given
+// the words at that its coordinates reached (in any order, repeats
+// allowed), and leaves sk all zero for the next sketch. A reached word
+// whose contributions cancelled is a zero word like any other and is not
+// sent. words is scratch, returned for the next call.
+func putReachedWords(msg *comm.Message, sk []field.Elem, at []int, words []field.Elem) []field.Elem {
+	slices.Sort(at)
+	at = slices.Compact(at)
+	idx, words := at[:0], words[:0]
+	for _, w := range at {
+		if sk[w] != 0 {
+			idx, words = append(idx, w), append(words, sk[w])
+			sk[w] = 0
+		}
+	}
+	msg.PutSparseUint64s(idx, words)
+	return words
+}
+
+// sparseVecs is a run of received sparse vectors landed in one block:
+// vector v is the (index, word) pairs start[v]:start[v+1].
+type sparseVecs struct {
+	start []int
+	idx   []int
+	words []field.Elem
+}
+
+func (s *sparseVecs) vec(v int) ([]int, []field.Elem) {
+	lo, hi := s.start[v], s.start[v+1]
+	return s.idx[lo:hi], s.words[lo:hi]
 }
 
 // BobL0Sample drives Bob's side of Theorem 3.2: he assembles
@@ -171,19 +200,23 @@ func (s *BobL0SampleState) Serve(t comm.Transport, m1 int) (pair Pair, value int
 	m2 := s.byCol.Rows()
 	l0, sampler := l0SampleSketches(o, m1)
 
-	// The 2n received vectors stay in the message; the combines below
-	// read the few they need in place. Each must be as long as its
-	// sketch: the combines run on pool goroutines, where a short or long
-	// vector is past the driver's recover.
+	// The 2n received vectors are kept as the (index, word) pairs they
+	// travelled as. The reader holds every index below its sketch's
+	// dimension — taken from the sketch, not from the peer — which is
+	// what lets the combines below run on pool goroutines, past the
+	// driver's recover.
 	recv := t.Recv(comm.AliceToBob)
-	normSk := make([][]byte, n)
-	sampSk := make([][]byte, n)
+	pairs := recv.Remaining() / 9 // a pair is a gap byte and a word, at least
+	sk := sparseVecs{start: make([]int, 2*n+1), idx: make([]int, 0, pairs), words: make([]field.Elem, 0, pairs)}
 	for k := 0; k < n; k++ {
-		normSk[k], sampSk[k] = recv.Uint64SliceRaw(), recv.Uint64SliceRaw()
-		if len(normSk[k]) != 8*l0.Dim() || len(sampSk[k]) != 8*sampler.Dim() {
-			panic(fmt.Sprintf("core: column %d carries sketches of %d and %d bytes, want %d and %d",
-				k, len(normSk[k]), len(sampSk[k]), 8*l0.Dim(), 8*sampler.Dim()))
+		// Vector 2k is column k's norm sketch, 2k+1 its sampler sketch.
+		for f, dim := range [2]int{l0.Dim(), sampler.Dim()} {
+			sk.idx, sk.words = recv.AppendSparseUint64s(dim, sk.idx, sk.words)
+			sk.start[2*k+f+1] = len(sk.idx)
 		}
+	}
+	if recv.Remaining() != 0 {
+		panic(fmt.Sprintf("core: %d bytes after the last column's sketches", recv.Remaining()))
 	}
 
 	// Per-column ℓ0 estimates of C. Columns of C are independent, so the
@@ -201,7 +234,8 @@ func (s *BobL0SampleState) Serve(t comm.Transport, m1 int) (pair Pair, value int
 			}
 			clear(accNorm)
 			for x, k := range rows {
-				sketch.AxpyFieldLE(accNorm, vals[x], normSk[k])
+				idx, words := sk.vec(2 * int(k))
+				sketch.AxpyFieldSparse(accNorm, vals[x], idx, words)
 			}
 			if e := l0.Estimate(accNorm); e > 0 {
 				colEst[j] = e
@@ -234,7 +268,8 @@ func (s *BobL0SampleState) Serve(t comm.Transport, m1 int) (pair Pair, value int
 	accSamp := make([]field.Elem, sampler.Dim())
 	rows, vals := s.byCol.Row(j)
 	for x, k := range rows {
-		sketch.AxpyFieldLE(accSamp, vals[x], sampSk[k])
+		idx, words := sk.vec(2*int(k) + 1)
+		sketch.AxpyFieldSparse(accSamp, vals[x], idx, words)
 	}
 	i, v, ok := sampler.Decode(accSamp)
 	if !ok {

@@ -124,7 +124,7 @@ func aliceExchangeTurn(t comm.Transport, aliceCols [][]itemEntry, level int, uk 
 	ca := intmat.NewDense(m1, m2)
 	for _, k := range active {
 		if uk[k] > 0 && vkA[k] > 0 && vkA[k] < uk[k] {
-			js := recvB.IndexList()
+			js := indexListBelow(recvB, m2, "column")
 			for _, i := range survivorsAt(aliceCols[k], level) {
 				row := ca.Row(i)
 				for _, j := range js {
@@ -149,6 +149,56 @@ func aliceExchangeTurn(t comm.Transport, aliceCols [][]itemEntry, level int, uk 
 	return ca
 }
 
+// indexListBelow reads an index list of the exchange and refuses an
+// index outside [0, limit): the lists address rows or columns of the
+// product, whose shape both parties know.
+func indexListBelow(recv *comm.Message, limit int, what string) []int {
+	list := recv.IndexList()
+	for _, i := range list {
+		if i < 0 || i >= limit {
+			panic(fmt.Sprintf("core: %s index %d in an index list over %d %ss", what, i, limit, what))
+		}
+	}
+	return list
+}
+
+// readLevelSums reads the tail of Alice's round 1 in Algorithms 2 and
+// 3: her deepest level, then one column sum per level and active item,
+// which land in row ℓ of the result at the item's index (n to a row).
+// The level count sizes the result, so it is checked first against what
+// Alice can have: her deepest level is at most bound (⌈log_base of her
+// matrix's weight⌉ + 1, and the weight is at most its cell count —
+// catalog metadata), and every sum she lists takes a byte at least.
+func readLevelSums(recv *comm.Message, bound, n int, active []int) [][]int {
+	got := recv.Uvarint()
+	if got > uint64(bound) {
+		panic(fmt.Sprintf("core: deepest level %d, at most %d for a matrix of this shape", got, bound))
+	}
+	if len(active) > 0 && got >= uint64(recv.Remaining()/len(active)) {
+		panic(fmt.Sprintf("core: %d levels of %d column sums in %d bytes", got+1, len(active), recv.Remaining()))
+	}
+	flat := make([]int, (int(got)+1)*n)
+	sums := make([][]int, got+1)
+	for ℓ := range sums {
+		sums[ℓ] = flat[ℓ*n : (ℓ+1)*n : (ℓ+1)*n]
+		for _, k := range active {
+			sums[ℓ][k] = int(recv.Uvarint())
+		}
+	}
+	return sums
+}
+
+// levelBound is the deepest level a party subsampling at decay base can
+// reach on a matrix of the given cell count: linfLevels' and
+// AliceLinfKappa's ⌈log_base(weight)⌉ + 1 at the largest weight there
+// is.
+func levelBound(cells int, base float64) int {
+	if cells <= 1 {
+		return 0
+	}
+	return int(math.Ceil(math.Log(float64(cells))/math.Log(base))) + 1
+}
+
 // bobExchangeFinish is Bob's closing move: read Alice's lists, build
 // CB, and combine both sides' maxima into the protocol output
 // max(‖CA‖∞, ‖CB‖∞) with its witnessing pair.
@@ -157,7 +207,7 @@ func bobExchangeFinish(t comm.Transport, b *bitmat.Matrix, vk, uk []int, active 
 	cb = intmat.NewDense(m1, b.Cols())
 	for _, k := range active {
 		if uk[k] > 0 && vk[k] > 0 && uk[k] <= vk[k] {
-			is := recvA.IndexList()
+			is := indexListBelow(recvA, m1, "row")
 			bRow := b.RowSupport(k)
 			for _, i := range is {
 				row := cb.Row(i)
@@ -346,14 +396,9 @@ func (s *BobLinfState) Serve(t comm.Transport, m1 int) (est float64, arg Pair, e
 
 	// Round 1 in: per-level column sums; pick ℓ* via Remark 2 per level.
 	recv1 := t.Recv(comm.AliceToBob)
-	gotMax := int(recv1.Uvarint())
-	bobColSums := make([][]int, gotMax+1)
-	for ℓ := 0; ℓ <= gotMax; ℓ++ {
-		bobColSums[ℓ] = make([]int, n)
-		for k := 0; k < n; k++ {
-			bobColSums[ℓ][k] = int(recv1.Uvarint())
-		}
-	}
+	active := allItems(n)
+	bobColSums := readLevelSums(recv1, levelBound(m1*n, 1+o.Eps), n, active)
+	gotMax := len(bobColSums) - 1
 	gamma := o.GammaC * lnDim(n) / (o.Eps * o.Eps)
 	threshold := gamma * float64(m1) * float64(m2)
 	lStar := gotMax
@@ -377,7 +422,6 @@ func (s *BobLinfState) Serve(t comm.Transport, m1 int) (est float64, arg Pair, e
 	msgL.PutUvarint(uint64(lStar))
 	t.Send(comm.BobToAlice, msgL)
 
-	active := allItems(n)
 	vkSent := bobExchangeSend(t, b, bobColSums[lStar], active)
 	maxVal, arg, _ := bobExchangeFinish(t, b, vkSent, bobColSums[lStar], active, m1)
 

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/bitmat"
+	"repro/internal/comm"
 	"repro/internal/rng"
 )
 
@@ -210,5 +213,167 @@ func TestLinfGeneralZero(t *testing.T) {
 	}
 	if est != 0 {
 		t.Fatalf("zero product estimate = %v", est)
+	}
+}
+
+// allocatedBy is the heap f allocates, live or not.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLinfServeBoundsLevelCount: Bob sizes his per-level column sums
+// from the deepest level Alice declares. He used to allocate for
+// whatever number arrived before reading a byte of the sums — and in
+// Algorithm 3, where an all-false survivor bitmap means no sum is read
+// at all, a 31-byte message bought 411 MB and a nil error. Alice's
+// deepest level is bounded by the shapes both know, and her sums by the
+// bytes she sent.
+func TestLinfServeBoundsLevelCount(t *testing.T) {
+	const n = 24
+	b := randomBinary(4000, n, n, 0.3)
+	// round1 is Algorithm 3's round 1 over bitmapBits items, none
+	// surviving, with n zero column sums and the given deepest level.
+	round1 := func(bitmapBits int, maxLevel uint64) func(comm.Transport) error {
+		return func(tr comm.Transport) error {
+			msg := comm.NewMessage()
+			msg.PutBitmap(make([]bool, bitmapBits))
+			for k := 0; k < n; k++ {
+				msg.PutUvarint(0)
+			}
+			msg.PutUvarint(maxLevel)
+			if bitmapBits == n && maxLevel == 2_000_000 && msg.Len() != 31 {
+				t.Fatalf("the message under test is %d bytes, want 31", msg.Len())
+			}
+			tr.Send(comm.AliceToBob, msg)
+			return nil
+		}
+	}
+	for _, shards := range []int{1, 2} {
+		kappa, err := NewBobLinfKappaState(b, LinfKappaOpts{Kappa: 4, Seed: 4001, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveKappa := func(tr comm.Transport) error { _, _, err := kappa.Serve(tr, n); return err }
+		if got := allocatedBy(func() {
+			wantMalformed(t, "Algorithm 3: deepest level 2 000 000 over an empty survivor set", round1(n, 2_000_000), serveKappa)
+		}); got > 1<<20 {
+			t.Fatalf("Algorithm 3: refusing a 31-byte message allocated %d bytes", got)
+		}
+		wantMalformed(t, "Algorithm 3: deepest level one past the bound", round1(n, uint64(levelBound(n*n, 2))+1), serveKappa)
+		wantMalformed(t, "Algorithm 3: survivor bitmap longer than B", round1(n+8, 0), serveKappa)
+		wantMalformed(t, "Algorithm 3: survivor bitmap shorter than B", round1(n-1, 0), serveKappa)
+		// At the bound the same message is the empty-product fallback.
+		if _, err := runPair(round1(n, uint64(levelBound(n*n, 2))), serveKappa); err != nil {
+			t.Fatalf("Algorithm 3: deepest level at the bound: %v", err)
+		}
+
+		// Algorithm 2 reads n sums a level, so the bytes bound the levels
+		// even where a small ε makes the shape's bound large.
+		o := LinfOpts{Eps: 0.001, Seed: 4002, Shards: shards}
+		linf, err := NewBobLinfState(b, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveLinf := func(tr comm.Transport) error { _, _, err := linf.Serve(tr, n); return err }
+		levels := func(maxLevel uint64, sums int) func(comm.Transport) error {
+			return func(tr comm.Transport) error {
+				msg := comm.NewMessage()
+				msg.PutUvarint(maxLevel)
+				for k := 0; k < sums; k++ {
+					msg.PutUvarint(0)
+				}
+				tr.Send(comm.AliceToBob, msg)
+				return nil
+			}
+		}
+		if levelBound(n*n, 1+o.Eps) < 5000 {
+			t.Fatalf("the shape's bound is %d levels; the case needs one the bytes undercut", levelBound(n*n, 1+o.Eps))
+		}
+		if got := allocatedBy(func() {
+			wantMalformed(t, "Algorithm 2: deepest level 2 000 000", levels(2_000_000, n), serveLinf)
+			wantMalformed(t, "Algorithm 2: 5 000 levels, the sums of one", levels(4999, n), serveLinf)
+			wantMalformed(t, "Algorithm 2: a level one sum short", levels(1, 2*n-1), serveLinf)
+		}); got > 1<<20 {
+			t.Fatalf("Algorithm 2: refusing three short messages allocated %d bytes", got)
+		}
+	}
+}
+
+// TestLinfExchangeRefusesForeignIndices: the index lists of the
+// exchange address rows (Alice's) and columns (Bob's) of the product.
+// An index past the shape used to reach the partial matrix and come
+// back as a recovered runtime panic; it is refused by name.
+func TestLinfExchangeRefusesForeignIndices(t *testing.T) {
+	const m1, n, m2 = 10, 12, 14
+	full := func(rows, cols int) *bitmat.Matrix { return randomBinary(4100, rows, cols, 1) }
+	o := LinfOpts{Eps: 0.5, Seed: 4101}
+
+	// Alice names row m1. Every item has one survivor on her side and
+	// m2 ≥ 1 on Bob's, so she covers them all.
+	alice := func(row int) func(comm.Transport) error {
+		return func(tr comm.Transport) error {
+			msg1 := comm.NewMessage()
+			msg1.PutUvarint(0)
+			for k := 0; k < n; k++ {
+				msg1.PutUvarint(1)
+			}
+			tr.Send(comm.AliceToBob, msg1)
+			tr.Recv(comm.BobToAlice) // ℓ*
+			tr.Recv(comm.BobToAlice) // v_k, and no list of Bob's
+			msg := comm.NewMessage()
+			for k := 0; k < n; k++ {
+				msg.PutIndexList([]int{row})
+			}
+			msg.PutVarint(0)
+			msg.PutUvarint(0)
+			msg.PutUvarint(0)
+			tr.Send(comm.AliceToBob, msg)
+			return nil
+		}
+	}
+	st, err := NewBobLinfState(full(n, m2), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob := func(tr comm.Transport) error { _, _, err := st.Serve(tr, m1); return err }
+	if _, err := runPair(alice(m1), bob); err == nil || !strings.Contains(err.Error(), "row index 10 in an index list over 10 rows") {
+		t.Fatalf("row m1 in Alice's list: %v", err)
+	}
+	if _, err := runPair(alice(m1-1), bob); err != nil {
+		t.Fatalf("row m1−1 in Alice's list: %v", err)
+	}
+
+	// Bob names column m2. Every item has m1 survivors on Alice's side
+	// at level 0 and, he says, one on his, so he covers them all.
+	scriptedBob := func(col int) func(comm.Transport) error {
+		return func(tr comm.Transport) (err error) {
+			defer recoverDecodeError(&err) // Alice may be gone before the last Recv
+			tr.Recv(comm.AliceToBob)
+			msgL := comm.NewMessage()
+			msgL.PutUvarint(0)
+			tr.Send(comm.BobToAlice, msgL)
+			msg := comm.NewMessage()
+			for k := 0; k < n; k++ {
+				msg.PutUvarint(1)
+			}
+			for k := 0; k < n; k++ {
+				msg.PutIndexList([]int{col})
+			}
+			tr.Send(comm.BobToAlice, msg)
+			tr.Recv(comm.AliceToBob)
+			return nil
+		}
+	}
+	a := full(m1, n)
+	realAlice := func(tr comm.Transport) error { return AliceLinf(tr, a, m2, o) }
+	if _, err := runPair(realAlice, scriptedBob(m2)); err == nil || !strings.Contains(err.Error(), "column index 14 in an index list over 14 columns") {
+		t.Fatalf("column m2 in Bob's list: %v", err)
+	}
+	if _, err := runPair(realAlice, scriptedBob(m2-1)); err != nil {
+		t.Fatalf("column m2−1 in Bob's list: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/bitmat"
@@ -219,24 +220,21 @@ func (s *BobLinfKappaState) Serve(t comm.Transport, m1 int) (est float64, arg Pa
 	// Round 1 in: parse, compute ‖D^ℓ‖1 per level, decide.
 	recv1 := t.Recv(comm.AliceToBob)
 	keepBob := recv1.Bitmap()
+	if len(keepBob) != n {
+		panic(fmt.Sprintf("core: survivor bitmap over %d items, B has %d rows", len(keepBob), n))
+	}
 	fullColSums := make([]int64, n)
 	for k := 0; k < n; k++ {
 		fullColSums[k] = int64(recv1.Uvarint())
 	}
-	gotMax := int(recv1.Uvarint())
 	var activeBob []int
 	for k := 0; k < n; k++ {
 		if keepBob[k] {
 			activeBob = append(activeBob, k)
 		}
 	}
-	bobColSums := make([][]int, gotMax+1)
-	for ℓ := 0; ℓ <= gotMax; ℓ++ {
-		bobColSums[ℓ] = make([]int, n)
-		for _, k := range activeBob {
-			bobColSums[ℓ][k] = int(recv1.Uvarint())
-		}
-	}
+	bobColSums := readLevelSums(recv1, levelBound(m1*n, 2), n, activeBob)
+	gotMax := len(bobColSums) - 1
 	// ‖C‖1 and ‖D‖1 shard with exact int64 partials over item ranges.
 	l1C := sumInt64Shards(n, o.Shards, func(k int) int64 {
 		return fullColSums[k] * s.vk[k]

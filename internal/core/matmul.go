@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"repro/internal/comm"
 	"repro/internal/field"
@@ -56,7 +54,8 @@ func (o *MatMulOpts) setDefaults() error {
 //
 // The realization here uses a tensor CountSketch, whose row/column-
 // factored hashing commutes with matrix products: Bob ships the
-// column-compressed B·Scᵀ (n·Θ(√s) words), Alice completes the sketch
+// column-compressed B·Scᵀ (n·Θ(√s) words, of which only the non-zero
+// ones travel: at most reps·nnz(B) pairs), Alice completes the sketch
 // (Sr·A)·(B·Scᵀ) = Sr·(AB)·Scᵀ locally and decodes all non-zero entries
 // by median point queries. In this realization CA carries the entire
 // recovered product and CB = 0, which satisfies the lemma's contract;
@@ -136,43 +135,40 @@ func DistributedProduct(a, b *intmat.Dense, o MatMulOpts) (ca, cb *intmat.Dense,
 }
 
 // putCompressedFactor appends Bob's half of the Lemma 2.5 exchange: the
-// column-compressed factor of the matrix whose non-zero lists nz holds —
-// ts.CompressedSize() words, as a length and one varint per word —
-// written one compressed row at a time. A row of B reaches at most as
-// many buckets as it has non-zeros, and a zero word is a zero byte, so
-// all but a few bytes of each row are runs of zeros.
+// column-compressed factor of the matrix whose non-zero lists nz holds,
+// as one sparse vector of ts.CompressedSize() words. A row of B reaches
+// at most as many buckets as it has non-zeros, so the message costs
+// O(reps · nnz(B)) pairs whatever the grid side; a bucket whose entries
+// cancel is a zero word and is not sent.
 func putCompressedFactor(msg *comm.Message, ts *sketch.TensorCS, nz *intmat.Sparse) {
-	// One byte per word: exact but for the length prefix while every
-	// word is within [−64, 63].
-	msg.Grow(binary.MaxVarintLen64 + ts.CompressedSize())
-	msg.PutUvarint(uint64(ts.CompressedSize()))
+	// A row reaches at most one bucket per non-zero, per repetition.
+	idx := make([]int, 0, ts.Reps()*nz.NNZ())
+	words := make([]int64, 0, ts.Reps()*nz.NNZ())
 	rc := ts.NewRowCompressor()
 	for rep := 0; rep < ts.Reps(); rep++ {
 		for k := 0; k < nz.Rows(); k++ {
 			cols, vals := nz.Row(k)
-			buckets, words := rc.Row(rep, cols, vals)
-			next := 0
+			buckets, ws := rc.Row(rep, cols, vals)
+			base := (rep*nz.Rows() + k) * ts.GridSide()
 			for x, v := range buckets {
-				msg.PutZeros(int(v) - next)
-				msg.PutVarint(words[x])
-				next = int(v) + 1
+				if ws[x] != 0 {
+					idx, words = append(idx, base+int(v)), append(words, ws[x])
+				}
 			}
-			msg.PutZeros(ts.GridSide() - next)
 		}
 	}
+	msg.PutSparseVarints(idx, words)
 }
 
-// readCompressedFactor is Alice's read of putCompressedFactor's bytes:
-// one pass that steps over the zero bytes and keeps the non-zero words.
-// The peer is not trusted to send the sketch's word count.
+// readCompressedFactor is Alice's read of putCompressedFactor's bytes.
+// The vector's dimension is her sketch's word count — nothing the peer
+// sends sizes anything — and only the non-zero words exist on her side
+// too.
 func readCompressedFactor(recv *comm.Message, ts *sketch.TensorCS) *sketch.Factor {
-	size := ts.CompressedSize()
-	if n := recv.Uvarint(); n != uint64(size) {
-		panic(fmt.Sprintf("core: compressed factor of %d words, the sketch has %d", n, size))
-	}
+	idx, words := recv.AppendSparseVarints(ts.CompressedSize(), nil, nil)
 	f := ts.NewFactor()
-	for idx := recv.SkipZeros(size); idx < size; idx += 1 + recv.SkipZeros(size-idx-1) {
-		f.Add(idx, recv.Varint())
+	for x, i := range idx {
+		f.Add(i, words[x])
 	}
 	return f
 }

@@ -1,7 +1,6 @@
 package sketch
 
 import (
-	"encoding/binary"
 	"math"
 
 	"repro/internal/field"
@@ -94,9 +93,25 @@ func (s *L0) AddCoord(y []field.Elem, j int, v int64) {
 		if c == 0 {
 			c = 1
 		}
-		b := s.bucket[ℓ].Bucket(uint64(j), s.buckets)
-		y[ℓ*s.buckets+b] = field.Add(y[ℓ*s.buckets+b], field.Mul(c, fv))
+		w := s.word(ℓ, j)
+		y[w] = field.Add(y[w], field.Mul(c, fv))
 	}
+}
+
+// word is the sketch word coordinate j adds into at level ℓ.
+func (s *L0) word(ℓ, j int) int {
+	return ℓ*s.buckets + s.bucket[ℓ].Bucket(uint64(j), s.buckets)
+}
+
+// Support appends to dst the sketch words AddCoord writes for coordinate
+// j, so the sketch of a sparse vector can be read off the words its
+// coordinates reach instead of scanned for.
+func (s *L0) Support(dst []int, j int) []int {
+	lev := s.level.Level(uint64(j), s.levels-1)
+	for ℓ := 0; ℓ <= lev; ℓ++ {
+		dst = append(dst, s.word(ℓ, j))
+	}
+	return dst
 }
 
 // Estimate returns an estimate of ‖x‖0 from a sketch of x.
@@ -152,22 +167,17 @@ func AxpyField(y []field.Elem, a int64, x []field.Elem) {
 	}
 }
 
-// AxpyFieldLE is AxpyField for an x still in its wire form, eight
-// little-endian bytes a word and len(y) words long: the receiver of
-// many sketches combines the few it needs without decoding them all.
-// The sketch of a sparse vector is mostly zero words, which are stepped
-// over.
+// AxpyFieldSparse is AxpyField for an x given as its non-zero words:
+// x[t] sits at index idx[t] < len(y). The receiver of many sparse
+// sketches combines each over the few words it has.
 //
 //mp:hotpath
-func AxpyFieldLE(y []field.Elem, a int64, x []byte) {
+func AxpyFieldSparse(y []field.Elem, a int64, idx []int, x []field.Elem) {
 	fa := field.ReduceInt(a)
 	if fa == 0 {
 		return
 	}
-	x = x[:8*len(y)]
-	for i := range y {
-		if v := binary.LittleEndian.Uint64(x[8*i:]); v != 0 {
-			y[i] = field.Add(y[i], field.Mul(fa, v))
-		}
+	for t, i := range idx {
+		y[i] = field.Add(y[i], field.Mul(fa, x[t]))
 	}
 }

@@ -80,14 +80,31 @@ func (s *L0Sampler) AddCoord(y []field.Elem, j int, v int64) {
 	for rep := 0; rep < s.reps; rep++ {
 		lev := s.level[rep].Level(uint64(j), s.levels-1)
 		for ℓ := 0; ℓ <= lev; ℓ++ {
-			cell := s.cell[rep*s.levels+ℓ].Bucket(uint64(j), samplerCells)
-			off := s.stateOffset(rep, ℓ, cell)
+			off := s.cellOffset(rep, ℓ, j)
 			st := OneSparseState{Sum: y[off], IxSum: y[off+1], Finger: y[off+2]}
 			s.os[rep].Add(&st, j, v)
 			y[off], y[off+1], y[off+2] = st.Sum, st.IxSum, st.Finger
 		}
 	}
-	return
+}
+
+// cellOffset is the first of the three words of the 1-sparse cell
+// coordinate j lands in at level ℓ of repetition rep.
+func (s *L0Sampler) cellOffset(rep, ℓ, j int) int {
+	return s.stateOffset(rep, ℓ, s.cell[rep*s.levels+ℓ].Bucket(uint64(j), samplerCells))
+}
+
+// Support appends to dst the sketch words AddCoord writes for coordinate
+// j (see L0.Support).
+func (s *L0Sampler) Support(dst []int, j int) []int {
+	for rep := 0; rep < s.reps; rep++ {
+		lev := s.level[rep].Level(uint64(j), s.levels-1)
+		for ℓ := 0; ℓ <= lev; ℓ++ {
+			off := s.cellOffset(rep, ℓ, j)
+			dst = append(dst, off, off+1, off+2)
+		}
+	}
+	return dst
 }
 
 // Decode attempts to sample a support coordinate from a sketch of x. It

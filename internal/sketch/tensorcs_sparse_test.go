@@ -1,9 +1,9 @@
 package sketch
 
 import (
-	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -292,21 +292,19 @@ func TestRecoverRejectsForeignInputs(t *testing.T) {
 	expectPanic("another sketch's factor", func() { ts.Recover(intmat.FromDense(intmat.NewDense(6, 5)), other.NewFactor()) })
 }
 
-// TestAxpyFieldLE: the in-place combine over wire-form words is
-// AxpyField over the decoded ones — zero words, negative and zero
-// multipliers included.
-func TestAxpyFieldLE(t *testing.T) {
+// TestAxpyFieldSparse: the combine over a vector's non-zero words is
+// AxpyField over the dense vector — negative and zero multipliers
+// included — and an index past the accumulator panics.
+func TestAxpyFieldSparse(t *testing.T) {
 	r := rng.New(7960)
 	x := make([]field.Elem, 40)
+	var idx []int
+	var words []field.Elem
 	for i := range x {
-		if r.Bernoulli(0.3) {
-			x[i] = field.Reduce(r.Uint64())
+		if r.Bernoulli(0.3) || i == 7 || i == len(x)-1 {
+			x[i] = 1 + field.Reduce(r.Uint64())%(field.P-1)
+			idx, words = append(idx, i), append(words, x[i])
 		}
-	}
-	x[7] = field.P - 1
-	raw := make([]byte, 8*len(x))
-	for i, v := range x {
-		binary.LittleEndian.PutUint64(raw[8*i:], v)
 	}
 	for _, a := range []int64{3, -5, 0, 1 << 40} {
 		want, got := make([]field.Elem, len(x)), make([]field.Elem, len(x))
@@ -315,15 +313,53 @@ func TestAxpyFieldLE(t *testing.T) {
 			got[i] = want[i]
 		}
 		AxpyField(want, a, x)
-		AxpyFieldLE(got, a, raw)
+		AxpyFieldSparse(got, a, idx, words)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("a = %d: AxpyFieldLE differs from AxpyField", a)
+			t.Fatalf("a = %d: AxpyFieldSparse differs from AxpyField", a)
 		}
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("a wire vector shorter than the accumulator must panic")
+			t.Fatal("an index past the accumulator must panic")
 		}
 	}()
-	AxpyFieldLE(make([]field.Elem, 41), 1, raw)
+	AxpyFieldSparse(make([]field.Elem, 39), 1, idx, words)
+}
+
+// TestSupportListsWhatAddCoordWrites: for both ℓ0 sketch families, the
+// words Support names for a coordinate are exactly the words AddCoord
+// changes in a zero sketch, so a sketch built by AddCoord is zero
+// outside the Support of its coordinates.
+func TestSupportListsWhatAddCoordWrites(t *testing.T) {
+	const n = 200
+	l0 := NewL0(rng.New(7970), n, 32)
+	sampler := NewL0Sampler(rng.New(7971), n, 4)
+	for name, sk := range map[string]struct {
+		dim      int
+		addCoord func([]field.Elem, int, int64)
+		support  func([]int, int) []int
+	}{
+		"L0":        {l0.Dim(), l0.AddCoord, l0.Support},
+		"L0Sampler": {sampler.Dim(), sampler.AddCoord, sampler.Support},
+	} {
+		for j := 0; j < n; j++ {
+			y := make([]field.Elem, sk.dim)
+			sk.addCoord(y, j, -3)
+			var written []int
+			for w, v := range y {
+				if v != 0 {
+					written = append(written, w)
+				}
+			}
+			at := sk.support([]int{-1}, j)
+			if at[0] != -1 {
+				t.Fatalf("%s: Support overwrote dst", name)
+			}
+			got := append([]int(nil), at[1:]...)
+			slices.Sort(got)
+			if !slices.Equal(got, written) {
+				t.Fatalf("%s: coordinate %d writes words %v, Support names %v", name, j, written, got)
+			}
+		}
+	}
 }
