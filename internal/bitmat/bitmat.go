@@ -34,6 +34,20 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, wordsPer: wp, words: make([]uint64, rows*wp)}
 }
 
+// FromSparse sets the bit rows of a 0/1 matrix from its non-zero lists:
+// bit (i, j) is set for every entry s stores, whatever its value.
+func FromSparse(s *intmat.Sparse) *Matrix {
+	m := New(s.Rows(), s.Cols())
+	for i := 0; i < m.rows; i++ {
+		row := m.Row(i)
+		cols, _ := s.Row(i)
+		for _, j := range cols {
+			row[j/64] |= 1 << uint(j%64)
+		}
+	}
+	return m
+}
+
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/intmat"
 	"repro/internal/rng"
 )
 
@@ -169,6 +170,21 @@ func TestToIntRoundTrip(t *testing.T) {
 			if d.Get(i, j) != want {
 				t.Fatalf("ToInt mismatch at (%d,%d)", i, j)
 			}
+		}
+	}
+}
+
+// TestFromSparse: the bit rows set from a 0/1 matrix's non-zero lists are
+// the matrix, across a word boundary and with empty rows.
+func TestFromSparse(t *testing.T) {
+	r := rng.New(13)
+	for _, shape := range [][2]int{{9, 9}, {5, 130}, {3, 64}} {
+		m := random(t, r, shape[0], shape[1], 0.3)
+		for j := 0; j < shape[1]; j++ {
+			m.Set(1, j, false)
+		}
+		if got := FromSparse(intmat.FromDense(m.ToInt())); !got.Equal(m) {
+			t.Fatalf("%dx%d: FromSparse differs from the matrix listed", shape[0], shape[1])
 		}
 	}
 }

@@ -20,6 +20,14 @@ import (
 // separated by a real socket, with identical transcripts and therefore
 // identical costs.
 //
+// An Alice driver's one body reads her matrix as non-zero lists
+// (AliceLpState.ServeSparse, AliceHHSparse, AliceL0SampleSparse, … on an
+// *intmat.Sparse) — the form a serving system validates a request's
+// matrix into, so a query is never dense. The *intmat.Dense names beside
+// them (Serve, AliceHH, AliceL0Sample, …) list the matrix and call that
+// body, for callers that hold A dense: the reference functions here and
+// the benchmark harness.
+//
 // Cross-party facts a real deployment learns out of band — matrix
 // dimensions and signedness, which a serving system publishes in its
 // catalog — are driver parameters, not protocol payload, exactly as the

@@ -113,37 +113,30 @@ func HeavyHitters(a, b *intmat.Dense, o HHOpts) ([]WeightedPair, Cost, error) {
 	return out, cost, nil
 }
 
-// AliceHH drives Alice's side of Algorithm 4: absolute column sums out,
-// the embedded scale estimation when needed, β-downsampling of A, her
-// side of the Lemma 2.5 recovery, and the candidate shipment. m2 is
-// Bob's column count and bNonNeg whether Bob's matrix is entrywise
+// AliceHH is AliceHHSparse for a caller that holds Alice's matrix dense.
+func AliceHH(t comm.Transport, a *intmat.Dense, m2 int, bNonNeg bool, o HHOpts) (err error) {
+	return AliceHHSparse(t, intmat.FromDense(a), m2, bNonNeg, o)
+}
+
+// AliceHHSparse drives Alice's side of Algorithm 4 on the non-zero lists
+// of her matrix, which every step reads: absolute column sums out, the
+// embedded scale estimation when needed, β-downsampling of A, her side
+// of the Lemma 2.5 recovery, and the candidate shipment. m2 is Bob's
+// column count and bNonNeg whether Bob's matrix is entrywise
 // non-negative — both catalog metadata known before the protocol
 // starts. The heavy-hitter set is Bob's output.
-func AliceHH(t comm.Transport, a *intmat.Dense, m2 int, bNonNeg bool, o HHOpts) (err error) {
+func AliceHHSparse(t comm.Transport, as *intmat.Sparse, m2 int, bNonNeg bool, o HHOpts) (err error) {
 	defer recoverDecodeError(&err)
 	if err := o.setDefaults(); err != nil {
 		return err
 	}
-	n := a.Cols()
-	m1 := a.Rows()
-	// A is listed once; every step below reads the list.
-	as := intmat.FromDense(a)
+	n := as.Cols()
+	m1 := as.Rows()
 
 	// Step 1a (Alice→Bob): column sums of |A|.
 	msg1 := comm.NewMessage()
 	msg1.Label = "column sums of |A|"
-	absColSums := make([]int64, n)
-	aNonNeg := true
-	for i := 0; i < m1; i++ {
-		cols, vals := as.Row(i)
-		for x, k := range cols {
-			v := vals[x]
-			if v < 0 {
-				v, aNonNeg = -v, false
-			}
-			absColSums[k] += v
-		}
-	}
+	absColSums, aNonNeg := absColumnSums(as)
 	for _, s := range absColSums {
 		msg1.PutUvarint(uint64(s))
 	}
@@ -156,7 +149,7 @@ func AliceHH(t comm.Transport, a *intmat.Dense, m2 int, bNonNeg bool, o HHOpts) 
 		if err != nil {
 			return err
 		}
-		if err := nested.serve(t, as); err != nil {
+		if err := nested.ServeSparse(t, as); err != nil {
 			return err
 		}
 	}

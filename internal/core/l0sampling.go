@@ -85,10 +85,17 @@ func l0SampleSketches(o L0SampleOpts, m1 int) (*sketch.L0, *sketch.L0Sampler) {
 	return l0, sampler
 }
 
-// AliceL0Sample drives Alice's side of Theorem 3.2: one message of
-// per-column ℓ0 sketches and ℓ0-sampler sketches of A, two sparse
-// field-word vectors a column. The sample is Bob's output.
+// AliceL0Sample is AliceL0SampleSparse for a caller that holds Alice's
+// matrix dense.
 func AliceL0Sample(t comm.Transport, a *intmat.Dense, o L0SampleOpts) (err error) {
+	return AliceL0SampleSparse(t, intmat.FromDense(a), o)
+}
+
+// AliceL0SampleSparse drives Alice's side of Theorem 3.2 on the non-zero
+// lists of her matrix: one message of per-column ℓ0 sketches and
+// ℓ0-sampler sketches of A, two sparse field-word vectors a column. The
+// sample is Bob's output.
+func AliceL0SampleSparse(t comm.Transport, a *intmat.Sparse, o L0SampleOpts) (err error) {
 	defer recoverDecodeError(&err)
 	if err := o.setDefaults(); err != nil {
 		return err
@@ -106,7 +113,7 @@ func AliceL0Sample(t comm.Transport, a *intmat.Dense, o L0SampleOpts) (err error
 	normSk, sampSk := make([]field.Elem, l0.Dim()), make([]field.Elem, sampler.Dim())
 	var normAt, sampAt []int
 	var words []field.Elem
-	byCol := intmat.FromDense(a).Transpose()
+	byCol := a.Transpose()
 	for k := 0; k < n; k++ {
 		rows, vals := byCol.Row(k)
 		normAt, sampAt = normAt[:0], sampAt[:0]

@@ -29,16 +29,24 @@ func ExactL1(a, b *intmat.Dense) (int64, Cost, error) {
 	return total, cost, nil
 }
 
-// AliceExactL1 drives Alice's side of Remark 2: one message of column
-// sums of A. The exact value is Bob's output.
+// AliceExactL1 is AliceExactL1Sparse for a caller that holds Alice's
+// matrix dense.
 func AliceExactL1(t comm.Transport, a *intmat.Dense) (err error) {
+	return AliceExactL1Sparse(t, intmat.FromDense(a))
+}
+
+// AliceExactL1Sparse drives Alice's side of Remark 2 on the non-zero
+// lists of her matrix: one message of column sums of A. The exact value
+// is Bob's output.
+func AliceExactL1Sparse(t comm.Transport, a *intmat.Sparse) (err error) {
 	defer recoverDecodeError(&err)
-	if err := requireNonNegative(a); err != nil {
-		return err
+	colSums, nonNeg := absColumnSums(a)
+	if !nonNeg {
+		return ErrNeedNonNegative
 	}
 	msg := comm.NewMessage()
 	msg.Label = "column sums of A"
-	for _, s := range columnSums(a) {
+	for _, s := range colSums {
 		msg.PutUvarint(uint64(s))
 	}
 	t.Send(comm.AliceToBob, msg)
@@ -128,32 +136,38 @@ func SampleL1(a, b *intmat.Dense, seed uint64) (i, j, witness int, cost Cost, er
 	return i, j, witness, cost, nil
 }
 
-// AliceSampleL1 drives Alice's side of Remark 3: per item k, the column
-// sum of A and a value-weighted row sample from that column. The sample
-// is Bob's output.
+// AliceSampleL1 is AliceSampleL1Sparse for a caller that holds Alice's
+// matrix dense.
 func AliceSampleL1(t comm.Transport, a *intmat.Dense, seed uint64) (err error) {
+	return AliceSampleL1Sparse(t, intmat.FromDense(a), seed)
+}
+
+// AliceSampleL1Sparse drives Alice's side of Remark 3 on the non-zero
+// lists of her matrix: per item k, the column sum of A and a
+// value-weighted row sample from that column — one private coin per
+// non-empty column, columns ascending, and a walk down the column's
+// non-zeros, rows ascending. The sample is Bob's output.
+func AliceSampleL1Sparse(t comm.Transport, a *intmat.Sparse, seed uint64) (err error) {
 	defer recoverDecodeError(&err)
-	if err := requireNonNegative(a); err != nil {
-		return err
+	colSums, nonNeg := absColumnSums(a)
+	if !nonNeg {
+		return ErrNeedNonNegative
 	}
 	alicePriv := rng.New(seed).Derive("alice-private", "l1sample")
 	msg := comm.NewMessage()
 	msg.Label = "column sums and row samples of A"
-	n := a.Cols()
-	for k := 0; k < n; k++ {
-		var sum int64
-		for i := 0; i < a.Rows(); i++ {
-			sum += a.Get(i, k)
-		}
+	byCol := a.Transpose()
+	for k, sum := range colSums {
 		msg.PutUvarint(uint64(sum))
 		pick := -1
 		if sum > 0 {
 			target := alicePriv.Int63n(sum)
+			rows, vals := byCol.Row(k)
 			var acc int64
-			for i := 0; i < a.Rows(); i++ {
-				acc += a.Get(i, k)
+			for x, i := range rows {
+				acc += vals[x]
 				if acc > target {
-					pick = i
+					pick = int(i)
 					break
 				}
 			}
@@ -290,12 +304,19 @@ func requireNonNegativeSharded(m *intmat.Dense, shards int) error {
 	return nil
 }
 
-func columnSums(m *intmat.Dense) []int64 {
-	out := make([]int64, m.Cols())
-	for i := 0; i < m.Rows(); i++ {
-		for j, v := range m.Row(i) {
-			out[j] += v
+// absColumnSums returns the column sums of |a| — a's own column sums
+// when it is entrywise non-negative, which nonNeg reports.
+func absColumnSums(a *intmat.Sparse) (sums []int64, nonNeg bool) {
+	sums, nonNeg = make([]int64, a.Cols()), true
+	for i := 0; i < a.Rows(); i++ {
+		cols, vals := a.Row(i)
+		for x, k := range cols {
+			v := vals[x]
+			if v < 0 {
+				v, nonNeg = -v, false
+			}
+			sums[k] += v
 		}
 	}
-	return out
+	return sums, nonNeg
 }

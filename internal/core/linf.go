@@ -338,6 +338,12 @@ func AliceLinf(t comm.Transport, a *bitmat.Matrix, m2 int, o LinfOpts) (err erro
 	return nil
 }
 
+// AliceLinfSparse is AliceLinf on the non-zero lists of Alice's 0/1
+// matrix, from which her bit rows are set: every listed entry is a one.
+func AliceLinfSparse(t comm.Transport, a *intmat.Sparse, m2 int, o LinfOpts) error {
+	return AliceLinf(t, bitmat.FromSparse(a), m2, o)
+}
+
 // BobLinf drives Bob's side of Algorithm 2: he locates the first level
 // ℓ* at which ‖C^ℓ‖1 falls below the γ·m1·m2 threshold (Remark 2 per
 // level), announces it, runs his half of the index exchange, and

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bitmat"
 	"repro/internal/comm"
+	"repro/internal/intmat"
 	"repro/internal/rng"
 )
 
@@ -166,6 +167,13 @@ func AliceLinfKappa(t comm.Transport, a *bitmat.Matrix, m2 int, o LinfKappaOpts)
 	}
 	aliceExchangeTurn(t, cols, lStar, colSums[lStar], active, a.Rows(), m2)
 	return nil
+}
+
+// AliceLinfKappaSparse is AliceLinfKappa on the non-zero lists of
+// Alice's 0/1 matrix, from which her bit rows are set: every listed
+// entry is a one.
+func AliceLinfKappaSparse(t comm.Transport, a *intmat.Sparse, m2 int, o LinfKappaOpts) error {
+	return AliceLinfKappa(t, bitmat.FromSparse(a), m2, o)
 }
 
 // BobLinfKappa drives Bob's side of Algorithm 3: he computes ‖D^ℓ‖1 per

@@ -487,15 +487,14 @@ func NewAliceLpState(m2 int, p float64, o LpOpts) (*AliceLpState, error) {
 // Bob's and counted there.
 func (s *AliceLpState) Bytes() int64 { return s.bytes }
 
-// Serve runs the per-query phase of Alice's side of Algorithm 1 over t
-// with her matrix a.
+// Serve is ServeSparse for a caller that holds Alice's matrix dense.
 func (s *AliceLpState) Serve(t comm.Transport, a *intmat.Dense) (err error) {
-	return s.serve(t, intmat.FromDense(a))
+	return s.ServeSparse(t, intmat.FromDense(a))
 }
 
-// serve is Serve on the non-zero lists of Alice's matrix, for a driver
-// that has listed it already.
-func (s *AliceLpState) serve(t comm.Transport, a *intmat.Sparse) (err error) {
+// ServeSparse runs the per-query phase of Alice's side of Algorithm 1
+// over t with the non-zero lists of her matrix a.
+func (s *AliceLpState) ServeSparse(t comm.Transport, a *intmat.Sparse) (err error) {
 	defer recoverDecodeError(&err)
 	if a.Cols() <= 0 {
 		return ErrDimensionMismatch

@@ -199,12 +199,14 @@ func (d *Dense) NonZeros() []Entry {
 // ascending column indices with their values, 12 bytes per non-zero (a
 // dense row too wide for int32 would be 16 GiB on its own). It is the
 // one non-zero form in the repository — what the serve kernels multiply
-// against, what a Bob state retains of B, and the interchange format for
-// protocol messages that carry sampled or partial matrices.
+// against, what a Bob state retains of B, what a request's A is validated
+// into (FromCells) and every Alice driver reads, and the interchange
+// format for protocol messages that carry sampled or partial matrices.
 //
 // The lists of one build are cut from two shared backing arrays sized to
-// the non-zeros, so a matrix retains three allocations however many rows
-// it has. A Sparse is immutable once built; WithRows derives the
+// the non-zeros (FromCells: to the cells it was given, explicit zeros
+// included), so a matrix retains three allocations however many rows it
+// has. A Sparse is immutable once built; WithRows derives the
 // successor of a row update and shares every untouched row's list with
 // it.
 type Sparse struct {
@@ -293,6 +295,117 @@ func FromDense(d *Dense) *Sparse {
 		ends[i] = int32(len(cols))
 	}
 	return cutRows(d.cols, ends, append(make([]int32, 0, len(cols)), cols...), append(make([]int64, 0, len(vals)), vals...))
+}
+
+// CellError is the cell FromCells refused.
+type CellError struct {
+	I, J int64
+	// Duplicate is set when the cell is listed twice; otherwise it lies
+	// outside the matrix.
+	Duplicate bool
+}
+
+func (e *CellError) Error() string {
+	if e.Duplicate {
+		return fmt.Sprintf("intmat: duplicate cell (%d, %d)", e.I, e.J)
+	}
+	return fmt.Sprintf("intmat: cell (%d, %d) outside the matrix", e.I, e.J)
+}
+
+// FromCells lists a rows × cols matrix given as (row, col, value) cells
+// in any order — the wire form of a matrix — and reports whether every
+// value is 0 or 1 and whether none is negative. It needs no dense
+// scratch and no per-cell mark, so its cost follows rows + len(cells):
+// the cells are counted per row, scattered into their rows in the order
+// given, and only a row whose columns did not arrive ascending is
+// sorted. A cell outside the matrix, or one listed twice, is a
+// *CellError: any cell outside is reported before any duplicate, and the
+// duplicate reported is the lowest (row, col). An explicit zero occupies
+// its cell for that test and is then dropped.
+func FromCells(rows, cols int, cells [][3]int64) (s *Sparse, binary, nonNeg bool, err error) {
+	ends := make([]int32, rows) // per-row counts, then starts, then ends
+	binary, nonNeg = true, true
+	zeros := 0
+	for _, c := range cells {
+		i, j, v := c[0], c[1], c[2]
+		if i < 0 || i >= int64(rows) || j < 0 || j >= int64(cols) {
+			return nil, false, false, &CellError{I: i, J: j}
+		}
+		ends[i]++
+		switch {
+		case v == 0:
+			zeros++
+		case v < 0:
+			binary, nonNeg = false, false
+		case v != 1:
+			binary = false
+		}
+	}
+	at := int32(0)
+	for i, c := range ends {
+		ends[i] = at
+		at += c
+	}
+	cs, vs := make([]int32, len(cells)), make([]int64, len(cells))
+	for _, c := range cells {
+		x := ends[c[0]]
+		cs[x], vs[x] = int32(c[1]), c[2]
+		ends[c[0]] = x + 1 // the fill leaves ends[i] at row i's end
+	}
+	var unsorted byCol
+	lo := int32(0)
+	for i, hi := range ends {
+		if rc := cs[lo:hi]; !ascending(rc) {
+			unsorted = byCol{cols: rc, vals: vs[lo:hi]}
+			sort.Sort(&unsorted)
+			for x := 1; x < len(rc); x++ {
+				if rc[x] == rc[x-1] {
+					return nil, false, false, &CellError{I: int64(i), J: int64(rc[x]), Duplicate: true}
+				}
+			}
+		}
+		lo = hi
+	}
+	if zeros > 0 {
+		w, lo := int32(0), int32(0)
+		for i, hi := range ends {
+			for x := lo; x < hi; x++ {
+				if vs[x] != 0 {
+					cs[w], vs[w] = cs[x], vs[x]
+					w++
+				}
+			}
+			lo, ends[i] = hi, w
+		}
+		cs, vs = cs[:w], vs[:w]
+	}
+	return cutRows(cols, ends, cs, vs), binary, nonNeg, nil
+}
+
+// ascending reports whether cols strictly ascend — a row that needs no
+// sort and holds no duplicate.
+//
+//mp:hotpath
+func ascending(cols []int32) bool {
+	for x := 1; x < len(cols); x++ {
+		if cols[x] <= cols[x-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// byCol sorts one row's cells by column.
+type byCol struct {
+	cols []int32
+	vals []int64
+}
+
+func (r *byCol) Len() int           { return len(r.cols) }
+func (r *byCol) Less(a, b int) bool { return r.cols[a] < r.cols[b] }
+func (r *byCol) Swap(a, b int) {
+	r.cols[a], r.cols[b] = r.cols[b], r.cols[a]
+	r.vals[a], r.vals[b] = r.vals[b], r.vals[a]
 }
 
 // WithRows returns the non-zero lists of nb, which must have the

@@ -294,3 +294,114 @@ func TestEmptyRowsEqualAcrossConstructors(t *testing.T) {
 		t.Error("Equal accepted a different matrix")
 	}
 }
+
+// shuffledCells is d's non-zeros, plus zeros explicit zero cells on
+// cells d leaves empty, in a seeded random order.
+func shuffledCells(r *rng.RNG, d *Dense, zeros int) [][3]int64 {
+	var cells [][3]int64
+	for _, e := range d.NonZeros() {
+		cells = append(cells, [3]int64{int64(e.I), int64(e.J), e.V})
+	}
+	for i := 0; i < d.Rows() && zeros > 0; i++ {
+		for j := 0; j < d.Cols() && zeros > 0; j++ {
+			if d.Get(i, j) == 0 && r.Bernoulli(0.3) {
+				cells = append(cells, [3]int64{int64(i), int64(j), 0})
+				zeros--
+			}
+		}
+	}
+	for x := len(cells) - 1; x > 0; x-- {
+		y := int(r.Int63n(int64(x + 1)))
+		cells[x], cells[y] = cells[y], cells[x]
+	}
+	return cells
+}
+
+// TestFromCellsEqualsFromDense: whatever order the cells arrive in, and
+// with explicit zeros among them, the listing is FromDense's of the
+// matrix they spell, with the two flags a scan of it gives.
+func TestFromCellsEqualsFromDense(t *testing.T) {
+	r := rng.New(77)
+	for _, c := range []struct {
+		rows, cols int
+		density    float64
+		maxAbs     int64
+		zeros      int
+	}{
+		{9, 13, 0.4, 4, 0},
+		{9, 13, 0.4, 4, 7},
+		{1, 40, 0.9, 1, 3}, // values -1, 0, 1
+		{40, 1, 0.5, 3, 2},
+		{6, 6, 0, 1, 5}, // nothing but explicit zeros
+		{5, 7, 0, 1, 0}, // no cells at all
+	} {
+		d := randomDense(r, c.rows, c.cols, c.density, c.maxAbs)
+		cells := shuffledCells(r, d, c.zeros)
+		s, binary, nonNeg, err := FromCells(c.rows, c.cols, cells)
+		if err != nil {
+			t.Fatalf("%dx%d: %v", c.rows, c.cols, err)
+		}
+		if !s.Equal(FromDense(d)) {
+			t.Fatalf("%dx%d: the listing of %d shuffled cells differs from FromDense", c.rows, c.cols, len(cells))
+		}
+		wantBinary, wantNonNeg := true, true
+		for _, e := range d.NonZeros() {
+			wantBinary = wantBinary && e.V == 1
+			wantNonNeg = wantNonNeg && e.V > 0
+		}
+		if binary != wantBinary || nonNeg != wantNonNeg {
+			t.Fatalf("%dx%d: flags (%v, %v), a scan gives (%v, %v)", c.rows, c.cols, binary, nonNeg, wantBinary, wantNonNeg)
+		}
+	}
+	// Row-major cells — what MatrixFromDense ships — take the no-sort path.
+	d := randomDense(r, 12, 12, 0.3, 5)
+	var cells [][3]int64
+	for _, e := range d.NonZeros() {
+		cells = append(cells, [3]int64{int64(e.I), int64(e.J), e.V})
+	}
+	if s, _, _, err := FromCells(12, 12, cells); err != nil || !s.Equal(FromDense(d)) {
+		t.Fatalf("row-major cells: err %v", err)
+	}
+	for _, c := range []struct {
+		cells          [][3]int64
+		binary, nonNeg bool
+	}{
+		{[][3]int64{{0, 1, 1}, {1, 1, 0}, {0, 0, 1}}, true, true},
+		{[][3]int64{{0, 1, 1}, {0, 0, 2}}, false, true},
+		{[][3]int64{{0, 1, 1}, {1, 0, -1}}, false, false},
+	} {
+		if _, binary, nonNeg, err := FromCells(2, 2, c.cells); err != nil || binary != c.binary || nonNeg != c.nonNeg {
+			t.Fatalf("%v: flags (%v, %v), err %v", c.cells, binary, nonNeg, err)
+		}
+	}
+}
+
+// TestFromCellsRefusals pins the precedence: a cell outside the matrix
+// is reported wherever it sits among duplicates, the duplicate reported
+// is the lowest (row, col) whatever the order, and an explicit zero
+// occupies its cell.
+func TestFromCellsRefusals(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		cells [][3]int64
+		want  CellError
+	}{
+		{"row above", [][3]int64{{0, 0, 1}, {3, 0, 1}}, CellError{I: 3, J: 0}},
+		{"row below", [][3]int64{{-1, 2, 1}}, CellError{I: -1, J: 2}},
+		{"column above", [][3]int64{{2, 4, 1}}, CellError{I: 2, J: 4}},
+		{"column below", [][3]int64{{2, -7, 1}}, CellError{I: 2, J: -7}},
+		{"far outside", [][3]int64{{1 << 40, 1 << 40, 1}}, CellError{I: 1 << 40, J: 1 << 40}},
+		{"outside after duplicates", [][3]int64{{1, 1, 1}, {1, 1, 2}, {0, 9, 1}}, CellError{I: 0, J: 9}},
+		{"adjacent duplicate", [][3]int64{{1, 1, 1}, {1, 1, 2}}, CellError{I: 1, J: 1, Duplicate: true}},
+		{"duplicate apart", [][3]int64{{2, 3, 1}, {0, 0, 1}, {2, 1, 1}, {2, 3, 5}}, CellError{I: 2, J: 3, Duplicate: true}},
+		{"lowest of two duplicates", [][3]int64{{2, 3, 1}, {2, 3, 1}, {0, 2, 1}, {2, 0, 1}, {2, 0, 1}, {0, 2, 4}}, CellError{I: 0, J: 2, Duplicate: true}},
+		{"zero then value", [][3]int64{{1, 2, 0}, {1, 2, 5}}, CellError{I: 1, J: 2, Duplicate: true}},
+		{"two zeros", [][3]int64{{1, 2, 0}, {0, 0, 1}, {1, 2, 0}}, CellError{I: 1, J: 2, Duplicate: true}},
+	} {
+		s, binary, nonNeg, err := FromCells(3, 4, c.cells)
+		got, ok := err.(*CellError)
+		if !ok || *got != c.want || s != nil || binary || nonNeg {
+			t.Errorf("%s: got (%v, %v, %v, %v), want %+v", c.name, s, binary, nonNeg, err, c.want)
+		}
+	}
+}

@@ -156,14 +156,25 @@ func (s *L0) Estimate(y []field.Elem) float64 {
 }
 
 // AxpyField accumulates y += a·x over the field, the combination
-// primitive protocols use on transmitted field sketches.
+// primitive protocols use on transmitted field sketches; unrolled as
+// AxpyFloat is.
+//
+//mp:hotpath
 func AxpyField(y []field.Elem, a int64, x []field.Elem) {
 	fa := field.ReduceInt(a)
 	if fa == 0 {
 		return
 	}
-	for i, v := range x {
-		y[i] = field.Add(y[i], field.Mul(fa, v))
+	y = y[:len(x)]
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		y[i] = field.Add(y[i], field.Mul(fa, x[i]))
+		y[i+1] = field.Add(y[i+1], field.Mul(fa, x[i+1]))
+		y[i+2] = field.Add(y[i+2], field.Mul(fa, x[i+2]))
+		y[i+3] = field.Add(y[i+3], field.Mul(fa, x[i+3]))
+	}
+	for ; i < len(x); i++ {
+		y[i] = field.Add(y[i], field.Mul(fa, x[i]))
 	}
 }
 

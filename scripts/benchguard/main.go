@@ -15,10 +15,11 @@
 // input is also a failure, so a renamed benchmark cannot silently
 // disable its guard.
 //
-// An "allocs_per_op" map in the baseline additionally gates allocs/op
-// (the codec hot path's allocation budget); those entries require the
-// bench run to pass -benchmem, and a missing allocs/op metric fails
-// the gate rather than skipping it.
+// "allocs_per_op" and "bytes_per_op" maps in the baseline additionally
+// gate allocs/op and B/op (the codec hot path's and the cached serve
+// path's allocation budgets); those entries require the bench run to
+// pass -benchmem, and a missing metric fails the gate rather than
+// skipping it.
 //
 // It also gates the open-loop capacity model: with -loadcurve pointing
 // at a BENCH_loadcurve.json (emitted by mpload -rps-sweep) and
@@ -75,6 +76,11 @@ type Baseline struct {
 	// benchmark whose output lacks the allocs/op metric fails, so the
 	// gate cannot be disabled by dropping the flag.
 	AllocsPerOp map[string]float64 `json:"allocs_per_op"`
+	// BytesPerOp maps benchmark names to baseline B/op, gated the same
+	// way: what a request allocates is as hardware-independent as how
+	// often, and a dense per-query buffer moves it where it may leave
+	// the count alone.
+	BytesPerOp map[string]float64 `json:"bytes_per_op"`
 }
 
 // Report is the BENCH_ci.json artifact.
@@ -118,8 +124,8 @@ type KneeVerdict struct {
 }
 
 // GuardVerdict is one guarded benchmark's comparison outcome. Metric
-// distinguishes the ns/op gate (empty, the default) from extra-metric
-// gates such as allocs/op.
+// distinguishes the ns/op gate (empty, the default) from the -benchmem
+// gates, allocs/op and B/op.
 type GuardVerdict struct {
 	Name       string  `json:"name"`
 	Metric     string  `json:"metric,omitempty"`
@@ -183,60 +189,48 @@ func main() {
 		for _, r := range report.Results {
 			byName[r.Name] = r
 		}
-		for name, baseNs := range base.NsPerOp {
-			full := "Benchmark" + name
-			r, ok := byName[full]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "benchguard: guarded benchmark %s missing from %s\n", full, *in)
-				failed = true
-				continue
+		for _, gate := range []struct {
+			metric string // "" is ns/op; the others need -benchmem
+			base   map[string]float64
+		}{
+			{"", base.NsPerOp},
+			{"allocs/op", base.AllocsPerOp},
+			{"B/op", base.BytesPerOp},
+		} {
+			for name, baseVal := range gate.base {
+				full := "Benchmark" + name
+				r, ok := byName[full]
+				if !ok {
+					fmt.Fprintf(os.Stderr, "benchguard: guarded benchmark %s missing from %s\n", full, *in)
+					failed = true
+					continue
+				}
+				val, unit := r.NsPerOp, "ns/op"
+				if gate.metric != "" {
+					if val, ok = r.Metrics[gate.metric]; !ok {
+						fmt.Fprintf(os.Stderr, "benchguard: %s has no %s metric (run with -benchmem)\n", full, gate.metric)
+						failed = true
+						continue
+					}
+					unit = gate.metric
+				}
+				v := GuardVerdict{
+					Name:       name,
+					Metric:     gate.metric,
+					NsPerOp:    val,
+					BaselineNs: baseVal,
+					Ratio:      val / baseVal,
+					Pass:       val <= *maxRatio*baseVal,
+				}
+				report.Guarded = append(report.Guarded, v)
+				status := "ok"
+				if !v.Pass {
+					status = "REGRESSION"
+					failed = true
+				}
+				fmt.Printf("benchguard: %-45s %12.0f %-9s  baseline %12.0f  ratio %.2f  %s\n",
+					name, val, unit, baseVal, v.Ratio, status)
 			}
-			v := GuardVerdict{
-				Name:       name,
-				NsPerOp:    r.NsPerOp,
-				BaselineNs: baseNs,
-				Ratio:      r.NsPerOp / baseNs,
-				Pass:       r.NsPerOp <= *maxRatio*baseNs,
-			}
-			report.Guarded = append(report.Guarded, v)
-			status := "ok"
-			if !v.Pass {
-				status = "REGRESSION"
-				failed = true
-			}
-			fmt.Printf("benchguard: %-45s %12.0f ns/op  baseline %12.0f  ratio %.2f  %s\n",
-				name, v.NsPerOp, v.BaselineNs, v.Ratio, status)
-		}
-		for name, baseAllocs := range base.AllocsPerOp {
-			full := "Benchmark" + name
-			r, ok := byName[full]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "benchguard: guarded benchmark %s missing from %s\n", full, *in)
-				failed = true
-				continue
-			}
-			allocs, ok := r.Metrics["allocs/op"]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "benchguard: %s has no allocs/op metric (run with -benchmem)\n", full)
-				failed = true
-				continue
-			}
-			v := GuardVerdict{
-				Name:       name,
-				Metric:     "allocs/op",
-				NsPerOp:    allocs,
-				BaselineNs: baseAllocs,
-				Ratio:      allocs / baseAllocs,
-				Pass:       allocs <= *maxRatio*baseAllocs,
-			}
-			report.Guarded = append(report.Guarded, v)
-			status := "ok"
-			if !v.Pass {
-				status = "REGRESSION"
-				failed = true
-			}
-			fmt.Printf("benchguard: %-45s %12.0f allocs/op  baseline %9.0f  ratio %.2f  %s\n",
-				name, allocs, baseAllocs, v.Ratio, status)
 		}
 	}
 
@@ -373,7 +367,7 @@ func loadBaseline(path string) (Baseline, error) {
 	if err := json.Unmarshal(buf, &b); err != nil {
 		return Baseline{}, fmt.Errorf("parse %s: %w", path, err)
 	}
-	if len(b.NsPerOp) == 0 && len(b.AllocsPerOp) == 0 {
+	if len(b.NsPerOp) == 0 && len(b.AllocsPerOp) == 0 && len(b.BytesPerOp) == 0 {
 		return Baseline{}, fmt.Errorf("%s guards no benchmarks", path)
 	}
 	return b, nil

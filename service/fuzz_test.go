@@ -6,9 +6,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/intmat"
 )
 
 // Native fuzz targets for the service's untrusted surfaces: the JSON
@@ -62,6 +65,104 @@ func FuzzMatrixToDense(f *testing.F) {
 			t.Fatalf("NNZ %d exceeds wire entries %d", c.nnz, len(m.Entries))
 		}
 	})
+}
+
+// cellByCellDense is the wire-matrix validator the listing replaced —
+// every cell bounds-checked, marked in a CellSet and stored in a zeroed
+// dense matrix, in wire order — kept as the reference FuzzWireMatrixListing
+// holds the listing to.
+func cellByCellDense(m Matrix) (d *intmat.Dense, binary, nonNeg bool, err error) {
+	if err := CheckDims(m.Rows, m.Cols); err != nil {
+		return nil, false, false, err
+	}
+	d = intmat.NewDense(m.Rows, m.Cols)
+	var seen CellSet
+	seen.Reset(m.Rows, m.Cols)
+	binary, nonNeg = true, true
+	for _, e := range m.Entries {
+		i, j, v := e[0], e[1], e[2]
+		if i < 0 || i >= int64(m.Rows) || j < 0 || j >= int64(m.Cols) {
+			return nil, false, false, fmt.Errorf("%w: entry (%d, %d) outside %dx%d matrix", ErrBadRequest, i, j, m.Rows, m.Cols)
+		}
+		if seen.Add(i, j) {
+			return nil, false, false, errDuplicateEntry(i, j)
+		}
+		if v != 0 && v != 1 {
+			binary = false
+		}
+		if v < 0 {
+			nonNeg = false
+		}
+		d.Set(int(i), int(j), v)
+	}
+	return d, binary, nonNeg, nil
+}
+
+// FuzzWireMatrixListing builds a small matrix's wire entries from the
+// fuzz stream — unsorted, repeated, explicit zeros, a step outside the
+// matrix on every side — and holds Matrix.list to the cell-by-cell
+// reference: it refuses exactly the inputs the reference refuses (with a
+// request-level error that is the reference's own whenever the input has
+// a single fault), and otherwise lists FromDense of the reference's
+// matrix with the same two flags.
+func FuzzWireMatrixListing(f *testing.F) {
+	// After the two dimension words, an entry is (row+1, col+1, value+2).
+	f.Add([]byte{3, 0, 3, 0, 1, 1, 3, 1, 3, 3, 2, 2, 5, 3, 1, 1})          // row-major, no fault
+	f.Add([]byte{3, 0, 3, 0, 3, 3, 3, 1, 2, 4, 3, 1, 5, 1, 1, 3, 2, 2, 1}) // shuffled, no fault
+	f.Add([]byte{2, 0, 2, 0, 1, 1, 3, 2, 1, 3, 1, 1, 4})                   // (0,0) twice
+	f.Add([]byte{2, 0, 2, 0, 1, 2, 2, 1, 2, 5})                            // an explicit zero, then its cell again
+	f.Add([]byte{4, 0, 4, 0, 0, 1, 3, 2, 2, 3, 2, 2, 3})                   // row -1, then a duplicate
+	f.Add([]byte{4, 0, 4, 0, 2, 2, 3, 2, 2, 3, 5, 1, 3})                   // a duplicate, then row 4
+	f.Fuzz(func(t *testing.T, data []byte) {
+		off := 0
+		m := Matrix{Rows: fuzzWord(data, &off) % 9, Cols: fuzzWord(data, &off) % 9}
+		for ; off+3 <= len(data); off += 3 {
+			// Rows and columns from -1 to one past the last; values -2 … 3.
+			m.Entries = append(m.Entries, [3]int64{
+				int64(int(data[off])%(m.Rows+2)) - 1,
+				int64(int(data[off+1])%(m.Cols+2)) - 1,
+				int64(data[off+2]%6) - 2,
+			})
+		}
+		want, wantBinary, wantNonNeg, wantErr := cellByCellDense(m)
+		got, binary, nonNeg, err := m.list()
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%+v: list err %v, the cell-by-cell reference %v", m, err, wantErr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("%+v: list returned a non-request error: %v", m, err)
+			}
+			// The two walk the entries in different orders, so they may name
+			// different faults of an input that has several; a single fault
+			// both must name, in the same words.
+			if faults(m) == 1 && err.Error() != wantErr.Error() {
+				t.Fatalf("%+v: list says %q, the reference %q", m, err, wantErr)
+			}
+			return
+		}
+		if !got.Equal(intmat.FromDense(want)) || binary != wantBinary || nonNeg != wantNonNeg {
+			t.Fatalf("%+v: list gives %v (binary %v, non-negative %v), the reference %v (%v, %v)",
+				m, got.Entries(), binary, nonNeg, want.NonZeros(), wantBinary, wantNonNeg)
+		}
+	})
+}
+
+// faults counts what is wrong with a wire matrix of in-range dimensions:
+// entries outside it, and entries on a cell an earlier entry holds.
+func faults(m Matrix) (n int) {
+	seen := map[[2]int64]bool{}
+	for _, e := range m.Entries {
+		switch cell := [2]int64{e[0], e[1]}; {
+		case e[0] < 0 || e[0] >= int64(m.Rows) || e[1] < 0 || e[1] >= int64(m.Cols):
+			n++
+		case seen[cell]:
+			n++
+		default:
+			seen[cell] = true
+		}
+	}
+	return n
 }
 
 // FuzzRequestDecoders runs arbitrary bodies through DecodeJSON for

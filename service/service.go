@@ -503,22 +503,28 @@ func (e *Engine) jobSeed(req Request) (seed, epoch uint64) {
 	return e.nextSeed(), 0
 }
 
-// runJob validates the request, builds both parties' inputs (Bob's
-// through the sketch cache), and drives the protocol over a fresh
-// transport. Cancelling ctx aborts the run at its next transport
-// operation.
+// runJob validates the request, builds both parties' inputs (Alice's
+// matrix as the row lists her drivers read — it is never dense here —
+// and Bob's state through the sketch cache), and drives the protocol
+// over a fresh transport. Cancelling ctx aborts the run at its next
+// transport operation.
 func (e *Engine) runJob(ctx context.Context, req Request) (*Result, error) {
 	sm, ok := e.reg.get(req.Matrix)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrMatrixNotFound, req.Matrix)
 	}
-	a, aBinary, aNonNeg, err := req.A.toDense()
+	// What a few bytes of request can get wrong is refused before A is
+	// listed: listing costs O(rows + entries) of A's own declared shape.
+	if _, ok := Kinds[req.Kind]; !ok {
+		return nil, errUnknownKind(req.Kind)
+	}
+	if req.A.Cols != sm.info.Rows {
+		return nil, fmt.Errorf("%w: A is %dx%d but %q has %d rows",
+			ErrBadRequest, req.A.Rows, req.A.Cols, req.Matrix, sm.info.Rows)
+	}
+	a, aBinary, aNonNeg, err := req.A.list()
 	if err != nil {
 		return nil, err
-	}
-	if a.Cols() != sm.info.Rows {
-		return nil, fmt.Errorf("%w: A is %dx%d but %q has %d rows",
-			ErrBadRequest, a.Rows(), a.Cols(), req.Matrix, sm.info.Rows)
 	}
 	seed, epoch := e.jobSeed(req)
 
@@ -654,7 +660,7 @@ func (e *Engine) bobState(sm *servedMatrix, kind, fp string, epoch uint64, build
 // precomputed state depends on: the seed appears for lp/l0sample/hh
 // (their states bake in sketches drawn from it) and is omitted for the
 // seed-free Bob phases, whose entries therefore serve any seed.
-func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Dense, aBinary, aNonNeg bool, seed, epoch uint64) (*job, error) {
+func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Sparse, aBinary, aNonNeg bool, seed, epoch uint64) (*job, error) {
 	res := &Result{}
 	b := sm.dense
 	m2 := sm.info.Cols
@@ -681,7 +687,7 @@ func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Dense, aBinar
 		}
 		lp := st.(*lpStates)
 		return &job{
-			alice: func(t comm.Transport) error { return lp.alice.Serve(t, a) },
+			alice: func(t comm.Transport) error { return lp.alice.ServeSparse(t, a) },
 			bob: func(t comm.Transport) (err error) {
 				res.Estimate, err = lp.bob.Serve(t)
 				return err
@@ -698,7 +704,7 @@ func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Dense, aBinar
 		l0 := st.(*core.BobL0SampleState)
 		m1 := a.Rows()
 		return &job{
-			alice: func(t comm.Transport) error { return core.AliceL0Sample(t, a, o) },
+			alice: func(t comm.Transport) error { return core.AliceL0SampleSparse(t, a, o) },
 			bob: func(t comm.Transport) (err error) {
 				pair, v, err := l0.Serve(t, m1)
 				res.I, res.J, res.Estimate = pair.I, pair.J, float64(v)
@@ -713,7 +719,7 @@ func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Dense, aBinar
 		}
 		l1 := st.(*core.BobL1SampleState)
 		return &job{
-			alice: func(t comm.Transport) error { return core.AliceSampleL1(t, a, seed) },
+			alice: func(t comm.Transport) error { return core.AliceSampleL1Sparse(t, a, seed) },
 			bob: func(t comm.Transport) (err error) {
 				res.I, res.J, res.Witness, err = l1.Serve(t, seed)
 				return err
@@ -727,7 +733,7 @@ func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Dense, aBinar
 		}
 		ex := st.(*core.BobExactL1State)
 		return &job{
-			alice: func(t comm.Transport) error { return core.AliceExactL1(t, a) },
+			alice: func(t comm.Transport) error { return core.AliceExactL1Sparse(t, a) },
 			bob: func(t comm.Transport) (err error) {
 				v, err := ex.Serve(t)
 				res.Estimate = float64(v)
@@ -736,7 +742,7 @@ func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Dense, aBinar
 			result: res,
 		}, nil
 	case "linf":
-		aBits, bBits, err := binaryPair(sm, a, aBinary)
+		bBits, err := binaryPair(sm, aBinary)
 		if err != nil {
 			return nil, err
 		}
@@ -749,7 +755,7 @@ func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Dense, aBinar
 		lf := st.(*core.BobLinfState)
 		m1 := a.Rows()
 		return &job{
-			alice: func(t comm.Transport) error { return core.AliceLinf(t, aBits, m2, o) },
+			alice: func(t comm.Transport) error { return core.AliceLinfSparse(t, a, m2, o) },
 			bob: func(t comm.Transport) (err error) {
 				var arg core.Pair
 				res.Estimate, arg, err = lf.Serve(t, m1)
@@ -759,7 +765,7 @@ func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Dense, aBinar
 			result: res,
 		}, nil
 	case "linfkappa":
-		aBits, bBits, err := binaryPair(sm, a, aBinary)
+		bBits, err := binaryPair(sm, aBinary)
 		if err != nil {
 			return nil, err
 		}
@@ -776,7 +782,7 @@ func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Dense, aBinar
 		lk := st.(*core.BobLinfKappaState)
 		m1 := a.Rows()
 		return &job{
-			alice: func(t comm.Transport) error { return core.AliceLinfKappa(t, aBits, m2, o) },
+			alice: func(t comm.Transport) error { return core.AliceLinfKappaSparse(t, a, m2, o) },
 			bob: func(t comm.Transport) (err error) {
 				var arg core.Pair
 				res.Estimate, arg, err = lk.Serve(t, m1)
@@ -804,7 +810,7 @@ func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Dense, aBinar
 		m1 := a.Rows()
 		bNonNeg := sm.info.NonNeg
 		return &job{
-			alice: func(t comm.Transport) error { return core.AliceHH(t, a, m2, bNonNeg, o) },
+			alice: func(t comm.Transport) error { return core.AliceHHSparse(t, a, m2, bNonNeg, o) },
 			bob: func(t comm.Transport) (err error) {
 				out, err := hh.Serve(t, m1, aNonNeg)
 				for _, wp := range out {
@@ -815,19 +821,23 @@ func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Dense, aBinar
 			},
 			result: res,
 		}, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown kind %q", ErrBadRequest, req.Kind)
+	default: // a kind in Kinds without a case above
+		return nil, errUnknownKind(req.Kind)
 	}
 }
 
+func errUnknownKind(kind string) error {
+	return fmt.Errorf("%w: unknown kind %q", ErrBadRequest, kind)
+}
+
 // binaryPair checks both matrices qualify for the Boolean-matrix
-// protocols and returns their bit forms.
-func binaryPair(sm *servedMatrix, a *intmat.Dense, aBinary bool) (aBits, bBits *bitmat.Matrix, err error) {
+// protocols and returns Bob's bit form.
+func binaryPair(sm *servedMatrix, aBinary bool) (bBits *bitmat.Matrix, err error) {
 	if sm.bits == nil {
-		return nil, nil, fmt.Errorf("%w: matrix %q is not Boolean (required for ℓ∞ kinds)", ErrBadRequest, sm.info.Name)
+		return nil, fmt.Errorf("%w: matrix %q is not Boolean (required for ℓ∞ kinds)", ErrBadRequest, sm.info.Name)
 	}
 	if !aBinary {
-		return nil, nil, fmt.Errorf("%w: query matrix must be Boolean for ℓ∞ kinds", ErrBadRequest)
+		return nil, fmt.Errorf("%w: query matrix must be Boolean for ℓ∞ kinds", ErrBadRequest)
 	}
-	return toBool(a), sm.bits, nil
+	return sm.bits, nil
 }

@@ -202,7 +202,7 @@ func CheckChunk(rows, cols, rowStart, rowEnd int, entries [][3]int64) error {
 // AppendChunk validates and stages one row-range chunk of an upload:
 // every entry must pass CheckChunk, and a cell already populated by any
 // earlier chunk (or this one) is a duplicate — the same cell-level
-// discipline the single-body path's toDense applies, enforced chunk by
+// discipline the single-body path's Matrix.list applies, enforced chunk by
 // chunk so a bad chunk is rejected without poisoning the rest of the
 // upload.
 func (e *Engine) AppendChunk(name, token string, rowStart, rowEnd int, entries [][3]int64) (UploadInfo, error) {

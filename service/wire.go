@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/bitmat"
@@ -65,12 +66,15 @@ func CheckDims(rows, cols int) error {
 	return nil
 }
 
-// CellSet marks the occupied cells of a rows×cols matrix: the one
-// duplicate-entry detector of every ingest path — the single-body
-// decode below and the engine's and the gateway's chunk staging. It is
-// one bit a cell, 2 MiB at the maxMatrixElems cap, where a map keyed by
-// cell costs gigabytes on a dense upload. The zero value is empty;
-// Reset sizes it. Cells passed in must lie inside the matrix.
+// CellSet marks the occupied cells of a rows×cols matrix: the
+// duplicate-entry detector of the two places a matrix arrives a chunk at
+// a time — the engine's and the gateway's upload staging — where a
+// repeat must be refused against cells staged by earlier chunks. A
+// matrix that arrives whole (a put, a query, a snapshot) is validated by
+// Matrix.list instead, which needs no per-cell mark. It is one bit a
+// cell, 2 MiB at the maxMatrixElems cap, where a map keyed by cell costs
+// gigabytes on a dense upload. The zero value is empty; Reset sizes it.
+// Cells passed in must lie inside the matrix.
 type CellSet struct {
 	cols int64
 	bits []uint64
@@ -114,38 +118,37 @@ func errDuplicateEntry(i, j int64) error {
 	return fmt.Errorf("%w: duplicate entry (%d, %d)", ErrBadRequest, i, j)
 }
 
-// toDense validates the wire matrix and converts it, reporting whether
-// every entry is 0/1 (binary, eligible for the ℓ∞ protocols) and
-// whether all entries are non-negative (eligible for Remark 2/3).
-// Duplicate (row, col) entries are rejected: silently letting the last
-// one win (the previous behavior) also miscounted the catalog NNZ,
-// which is computed from the dense form precisely because wire entries
-// may carry explicit zeros.
-func (m Matrix) toDense() (d *intmat.Dense, binary, nonNeg bool, err error) {
+// list validates the wire matrix into its non-zero lists — the one
+// validator of a matrix that arrives whole — reporting whether every
+// entry is 0/1 (binary, eligible for the ℓ∞ protocols) and whether all
+// entries are non-negative (eligible for Remark 2/3). An entry outside
+// the matrix is refused before any duplicate (row, col), and the
+// duplicate reported is the lowest; letting the last one win would also
+// miscount the catalog NNZ. Explicit zeros are legal and not listed. The
+// cost follows rows + entries, never rows × cols.
+func (m Matrix) list() (s *intmat.Sparse, binary, nonNeg bool, err error) {
 	if err := CheckDims(m.Rows, m.Cols); err != nil {
 		return nil, false, false, err
 	}
-	d = intmat.NewDense(m.Rows, m.Cols)
-	var seen CellSet
-	seen.Reset(m.Rows, m.Cols)
-	binary, nonNeg = true, true
-	for _, e := range m.Entries {
-		i, j, v := e[0], e[1], e[2]
-		if i < 0 || i >= int64(m.Rows) || j < 0 || j >= int64(m.Cols) {
-			return nil, false, false, fmt.Errorf("%w: entry (%d, %d) outside %dx%d matrix", ErrBadRequest, i, j, m.Rows, m.Cols)
+	s, binary, nonNeg, err = intmat.FromCells(m.Rows, m.Cols, m.Entries)
+	var bad *intmat.CellError
+	if errors.As(err, &bad) {
+		if bad.Duplicate {
+			err = errDuplicateEntry(bad.I, bad.J)
+		} else {
+			err = fmt.Errorf("%w: entry (%d, %d) outside %dx%d matrix", ErrBadRequest, bad.I, bad.J, m.Rows, m.Cols)
 		}
-		if seen.Add(i, j) {
-			return nil, false, false, errDuplicateEntry(i, j)
-		}
-		if v != 0 && v != 1 {
-			binary = false
-		}
-		if v < 0 {
-			nonNeg = false
-		}
-		d.Set(int(i), int(j), v)
 	}
-	return d, binary, nonNeg, nil
+	return s, binary, nonNeg, err
+}
+
+// toDense is list for the served matrix, which the registry holds dense.
+func (m Matrix) toDense() (d *intmat.Dense, binary, nonNeg bool, err error) {
+	s, binary, nonNeg, err := m.list()
+	if err != nil {
+		return nil, false, false, err
+	}
+	return s.ToDense(), binary, nonNeg, nil
 }
 
 // toBool converts a binary wire matrix for the Boolean-matrix
