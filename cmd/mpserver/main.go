@@ -66,7 +66,7 @@ func main() {
 	shards := flag.Int("shards", 0, "row shards per job on the parallel serve path (0 = min(GOMAXPROCS, 8), 1 = sequential; transcripts are identical for any value)")
 	uploadTTL := flag.Duration("upload-ttl", 2*time.Minute, "idle partial chunked uploads are garbage-collected after this long")
 	maxUploads := flag.Int("max-uploads", 16, "max concurrently staged chunked uploads")
-	maxStaged := flag.Int64("max-staged-elems", 0, "total rows*cols budget across staged chunked uploads (0 = default 1<<25, ~256 MiB of staging)")
+	maxStaged := flag.Int64("max-staged-elems", 0, "total rows*cols budget across staged chunked uploads (0 = default 1<<25; staging keeps one bit per declared cell and 24 bytes per received entry)")
 	dataDir := flag.String("data-dir", "", "durable store directory: served matrices are snapshotted and row updates WAL-logged there, and the server recovers them on boot (empty: in-memory only)")
 	fsyncFlag := flag.String("fsync", "always", "durable store fsync policy: always | batch | never (with -data-dir)")
 	snapshotEvery := flag.Int("snapshot-every", 64, "re-snapshot a matrix after this many WAL records and truncate the covered log (negative: never compact; with -data-dir)")

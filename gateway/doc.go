@@ -13,16 +13,20 @@
 // failure tears down the copies that landed, so a matrix is either
 // queryable on its full replica set or absent everywhere — and the
 // chunked begin/append/commit lifecycle is staged at the gateway (no
-// backend sees a chunk) and placed through the same put at commit. The
-// gateway retains each matrix's wire form — in memory only: it is
-// diskless and holds no store — and is the placement's source of truth;
-// that copy is what rebalancing and every replica repair re-upload,
+// backend sees a chunk; the staging table is the engines' own,
+// service.UploadStager) and placed through the same put at commit. The
+// gateway retains each matrix — in memory only: it is diskless and holds
+// no store — in the form the backends hold it, one immutable row-shared
+// non-zero list (intmat.Sparse) validated at the put by their rule, and
+// is the placement's source of truth; that copy, rendered to wire
+// triples, is what rebalancing and every replica repair re-upload,
 // through one routine (seedReplica). Row updates (UpdateRows) go to every
 // live replica — or to Config.WriteQuorum of them — and advance the
-// retained copy in the same commit, so repairs after an update re-seed
-// the patched matrix; a replica that misses an update stays placed,
-// lags behind the update log, and is caught up by the apply loop when
-// it returns, while an answered rejection reverts the legs that
+// retained copy in the same commit with the backends' own patcher
+// (service.PatchRows, O(touched rows)), so repairs after an update
+// re-seed the patched matrix; a replica that misses an update stays
+// placed, lags behind the update log, and is caught up by the apply loop
+// when it returns, while an answered rejection reverts the legs that
 // applied the patch (all-or-nothing).
 //
 // # Routing

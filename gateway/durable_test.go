@@ -176,7 +176,7 @@ func TestIntegrationDurableResyncFromDisk(t *testing.T) {
 		g.mu.Lock()
 		pm := g.matrices[name]
 		g.mu.Unlock()
-		want := wireSum(pm.wire)
+		want := wireSum(service.MatrixFromList(pm.list))
 		for _, addr := range pm.replicas {
 			res, err := service.New(addr).Estimate(ctx, exactReq(name, n))
 			if err != nil {

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/intmat"
 	"repro/service"
 )
 
@@ -107,23 +108,27 @@ func (c *Config) setDefaults() {
 }
 
 // placedMatrix is one placement-table entry: the catalog info, the
-// retained wire form (what rebalancing and replica repair re-upload —
-// the gateway is the placement's source of truth, so it keeps the
-// bytes), and the backends currently holding the matrix. Entries are
-// replaced wholesale (copy-on-write), so a snapshot taken under the
-// gateway lock stays consistent after release.
+// retained copy (what rebalancing and replica repair re-upload — the
+// gateway is the placement's source of truth, so it keeps the matrix),
+// and the backends currently holding the matrix. The copy is the form
+// the backends hold — immutable non-zero lists, validated at PutMatrix
+// by their own rule (service.Matrix.List), advanced by their own patcher
+// (service.PatchRows) at O(touched rows) — and is rendered to wire
+// triples only when a replica is seeded. Entries are replaced wholesale
+// (copy-on-write), so a snapshot taken under the gateway lock stays
+// consistent after release.
 type placedMatrix struct {
 	info     service.MatrixInfo
-	wire     service.Matrix
+	list     *intmat.Sparse
 	replicas []string
-	// ver is the version of the retained wire: a fresh epoch at every
+	// ver is the version of the retained copy: a fresh epoch at every
 	// wholesale install, seq advanced per committed row update. It is
 	// the matrix's update-log head (async.go) and the reference every
 	// reseed stamps into the applied vector.
 	ver version
 }
 
-// clone returns a copy for copy-on-write replacement: same wire, own
+// clone returns a copy for copy-on-write replacement: same lists, own
 // replica slice. Callers adjust fields before installing.
 func (pm *placedMatrix) clone() *placedMatrix {
 	cp := *pm
@@ -131,11 +136,12 @@ func (pm *placedMatrix) clone() *placedMatrix {
 	return &cp
 }
 
-// wireSize estimates a retained wire copy's resident cost — the unit of
-// the wire_bytes and reseed_bytes stats, matching the encoded frame
-// within a constant.
-func wireSize(m service.Matrix) int64 {
-	return 32 + 24*int64(len(m.Entries))
+// wireSize is what a retained copy costs to ship — the unit of the
+// wire_bytes and reseed_bytes stats: 24 bytes a non-zero, matching the
+// frame a seed encodes within a constant (and twice what the lists keep
+// resident).
+func wireSize(s *intmat.Sparse) int64 {
+	return 32 + 24*int64(s.NNZ())
 }
 
 // Gateway is the multi-backend front tier: it owns a health-checked
@@ -147,13 +153,13 @@ func wireSize(m service.Matrix) int64 {
 type Gateway struct {
 	cfg Config
 
-	// mu guards the pool, placement table, and upload staging maps.
+	// mu guards the pool and the placement table.
 	// Never held across a backend network call: fan-out paths snapshot
 	// under mu, call outside it, and re-acquire to commit.
 	mu       sync.Mutex
 	backends map[string]*backend
 	matrices map[string]*placedMatrix
-	uploads  map[string]*stagedUpload
+	uploads  *service.UploadStager // its own lock
 
 	// topoMu serializes topology changes (admin add/drain/remove and
 	// their rebalances, write side) against each other and against
@@ -180,7 +186,6 @@ type Gateway struct {
 	sessions *sessionStore
 	sla      slaCounters
 
-	upSeq         atomic.Uint64
 	estimates     atomic.Int64
 	batches       atomic.Int64
 	failovers     atomic.Int64
@@ -216,7 +221,7 @@ func New(cfg Config) *Gateway {
 		cfg:       cfg,
 		backends:  make(map[string]*backend),
 		matrices:  make(map[string]*placedMatrix),
-		uploads:   make(map[string]*stagedUpload),
+		uploads:   service.NewUploadStager("gw", cfg.UploadTTL, service.DefaultMaxUploads, service.DefaultMaxStagedElems),
 		upd:       make(map[string]*matrixUpd),
 		applyWake: make(chan struct{}, 1),
 		sessions:  newSessionStore(cfg.SessionTTL),
@@ -349,9 +354,9 @@ var errNotSeeded = errors.New("gateway: replica not seeded")
 
 // seedReplica is the one way a placed matrix is re-shipped to a backend
 // (estimate-path repair, probe resync, rebalance gain, apply-loop
-// reseed): it uploads the table's current retained wire of name to b
+// reseed): it uploads the table's current retained copy of name to b
 // and stamps b's applied entry with the version of the entry whose
-// wire it shipped — never a head read afterwards, so an update that
+// copy it shipped — never a head read afterwards, so an update that
 // commits while the upload is in flight is still owed to b and the
 // apply loop replays it. The upload holds b's send slot for the matrix,
 // so it cannot interleave with a drain or a commit leg; held says the
@@ -377,11 +382,11 @@ func (g *Gateway) seedReplica(ctx context.Context, name string, b *backend, held
 	if !ok {
 		return 0, errNotSeeded
 	}
-	if _, err := g.uploadTo(ctx, b, name, pm.wire); err != nil {
+	if _, err := g.uploadTo(ctx, b, name, service.MatrixFromList(pm.list)); err != nil {
 		return 0, err
 	}
 	g.setApplied(name, b.id, pm.ver)
-	return wireSize(pm.wire), nil
+	return wireSize(pm.list), nil
 }
 
 // fanout runs op against every backend concurrently and returns the
@@ -406,11 +411,12 @@ func fanout(backends []*backend, op func(i int, b *backend) error) (errs []error
 	return errs, nil
 }
 
-// PutMatrix validates and places a matrix: it uploads the wire form to
-// every target replica concurrently, and on any failure deletes the
-// copies that landed (all-or-nothing) and reports the failure. On
-// success the placement table records the matrix, its replicas, and
-// the retained wire form rebalancing re-uploads from.
+// PutMatrix validates and places a matrix: it lists the wire form by
+// the backends' own rule (refusing here what each of them would), uploads
+// it to every target replica concurrently, and on any failure deletes
+// the copies that landed (all-or-nothing) and reports the failure. On
+// success the placement table records the matrix, its replicas, and the
+// lists as the retained copy rebalancing re-uploads from.
 func (g *Gateway) PutMatrix(ctx context.Context, name string, m service.Matrix) (PlacementInfo, error) {
 	if g.isClosed() {
 		return PlacementInfo{}, ErrClosed
@@ -426,6 +432,10 @@ func (g *Gateway) PutMatrix(ctx context.Context, name string, m service.Matrix) 
 	targets := g.placementTargets(name)
 	if len(targets) == 0 {
 		return PlacementInfo{}, ErrNoBackends
+	}
+	list, _, _, err := m.List()
+	if err != nil {
+		return PlacementInfo{}, err
 	}
 	infos := make([]service.MatrixInfo, len(targets))
 	errs, first := fanout(targets, func(i int, b *backend) error {
@@ -450,7 +460,7 @@ func (g *Gateway) PutMatrix(ctx context.Context, name string, m service.Matrix) 
 		ids[i] = b.id
 	}
 	ver := version{epoch: g.epochSeq.Add(1)}
-	pm := &placedMatrix{info: infos[0], wire: m, replicas: ids, ver: ver}
+	pm := &placedMatrix{info: infos[0], list: list, replicas: ids, ver: ver}
 	g.mu.Lock()
 	g.matrices[name] = pm
 	g.mu.Unlock()

@@ -208,7 +208,7 @@ func assertConverged(t *testing.T, g *Gateway, name string, n int) float64 {
 	g.mu.Lock()
 	pm := g.matrices[name]
 	g.mu.Unlock()
-	want := wireSum(pm.wire)
+	want := wireSum(service.MatrixFromList(pm.list))
 	for _, addr := range pm.replicas {
 		got, err := backendSum(context.Background(), addr, name, n)
 		if err != nil {

@@ -82,7 +82,7 @@ func newGatewayMetrics(g *Gateway) *gatewayMetrics {
 			g.mu.Lock()
 			var total int64
 			for _, pm := range g.matrices {
-				total += wireSize(pm.wire)
+				total += wireSize(pm.list)
 			}
 			g.mu.Unlock()
 			return []metrics.Sample{{Value: float64(total)}}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"repro/internal/intmat"
 	"repro/service"
 )
 
@@ -41,66 +42,6 @@ import (
 //   - any other answered rejection (400/409/…) means the patch itself is
 //     suspect — the update is all-or-nothing: every leg that acked is
 //     reverted to the retained pre-update wire and the request fails.
-
-// patchWire applies a row update to a retained wire matrix — one the
-// backends' own rule, service.CheckRowUpdates, accepts — with the
-// dense-side arithmetic the backends apply: replace mode makes each
-// patched row exactly its listed entries; delta mode adds values
-// cell-wise. Resulting zero cells are dropped from the wire form
-// (equivalent under the dense semantics). It returns the patched wire
-// and the distinct updated row indices.
-func patchWire(w service.Matrix, ups []service.RowUpdate, delta bool) (service.Matrix, []int, error) {
-	if err := service.CheckRowUpdates(w.Rows, w.Cols, ups); err != nil {
-		return service.Matrix{}, nil, err
-	}
-	affected := make(map[int]map[int64]int64, len(ups))
-	rows := make([]int, 0, len(ups))
-	size := len(w.Entries) // the output is at most the old entries plus the patch's
-	for _, u := range ups {
-		size += len(u.Entries)
-		m := make(map[int64]int64, len(u.Entries))
-		for _, ent := range u.Entries {
-			m[ent[0]] = ent[1]
-		}
-		affected[u.Row] = m
-		rows = append(rows, u.Row)
-	}
-	// One allocation, not append's doublings across ~50k entries on every
-	// update: this copy used to be most of gateway.fanout_ms (DESIGN.md).
-	out := service.Matrix{Rows: w.Rows, Cols: w.Cols, Entries: make([][3]int64, 0, size)}
-	for _, ent := range w.Entries {
-		m, hit := affected[int(ent[0])]
-		if !hit {
-			out.Entries = append(out.Entries, ent)
-			continue
-		}
-		if !delta {
-			continue // replaced row: old entries vanish
-		}
-		if dv, ok := m[ent[1]]; ok {
-			delete(m, ent[1]) // merged into this entry; not re-emitted below
-			if nv := ent[2] + dv; nv != 0 {
-				out.Entries = append(out.Entries, [3]int64{ent[0], ent[1], nv})
-			}
-			continue
-		}
-		out.Entries = append(out.Entries, ent)
-	}
-	// Entries of the patch that did not merge into an existing cell.
-	for _, u := range ups {
-		m := affected[u.Row]
-		for _, ent := range u.Entries {
-			v, ok := m[ent[0]]
-			if !ok {
-				continue // delta already merged into an existing entry
-			}
-			if v != 0 {
-				out.Entries = append(out.Entries, [3]int64{int64(u.Row), ent[0], v})
-			}
-		}
-	}
-	return out, rows, nil
-}
 
 // UpdateRows applies a row update to a placed matrix and atomically
 // retains the patched wire copy for future repairs (see the file
@@ -174,7 +115,7 @@ func (g *Gateway) updateRowsLocked(ctx context.Context, st *matrixUpd, name stri
 		// name, and patching its content would corrupt it.
 		return service.UpdateReply{}, version{}, fmt.Errorf("%w: %q", service.ErrConflict, name)
 	}
-	newWire, _, err := patchWire(pm.wire, ups, req.Delta)
+	newList, _, err := service.PatchRows(pm.list, ups, req.Delta)
 	if err != nil {
 		return service.UpdateReply{}, version{}, err
 	}
@@ -185,7 +126,7 @@ func (g *Gateway) updateRowsLocked(ctx context.Context, st *matrixUpd, name stri
 	fwd := req
 	fwd.Key = newVer.seq
 
-	rep, err := g.commitLocked(ctx, st, name, pm, reps, ups, fwd, newWire, newVer)
+	rep, err := g.commitLocked(ctx, st, name, pm, reps, ups, fwd, newList, newVer)
 	if err != nil {
 		return service.UpdateReply{}, version{}, err
 	}
@@ -199,13 +140,13 @@ func (g *Gateway) updateRowsLocked(ctx context.Context, st *matrixUpd, name stri
 // patched wire and reports repaired, with a reply synthesized from the
 // upload. A repair upload that got no answer may have landed, so its
 // error replaces the 404: the copy is then unknown, not merely lagging.
-func (g *Gateway) patchLeg(ctx context.Context, b *backend, name string, fwd service.UpdateRequest, newWire service.Matrix, rows int) (rep service.UpdateReply, repaired bool, err error) {
+func (g *Gateway) patchLeg(ctx context.Context, b *backend, name string, fwd service.UpdateRequest, newList *intmat.Sparse, rows int) (rep service.UpdateReply, repaired bool, err error) {
 	rep, err = b.client.UpdateRows(ctx, name, fwd)
 	var apiErr *service.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
 		return rep, false, err
 	}
-	info, rerr := g.uploadTo(ctx, b, name, newWire)
+	info, rerr := g.uploadTo(ctx, b, name, service.MatrixFromList(newList))
 	if rerr != nil {
 		if isTransportLevel(rerr) {
 			err = rerr
@@ -223,7 +164,7 @@ func (g *Gateway) patchLeg(ctx context.Context, b *backend, name string, fwd ser
 // if any acked; with W > 0 the first W are, spares are tried only while
 // acks fall short, and it commits on W acks (clamped to the replica
 // count). Callers hold st.mu.
-func (g *Gateway) commitLocked(ctx context.Context, st *matrixUpd, name string, pm *placedMatrix, reps []*backend, ups []service.RowUpdate, fwd service.UpdateRequest, newWire service.Matrix, newVer version) (service.UpdateReply, error) {
+func (g *Gateway) commitLocked(ctx context.Context, st *matrixUpd, name string, pm *placedMatrix, reps []*backend, ups []service.RowUpdate, fwd service.UpdateRequest, newList *intmat.Sparse, newVer version) (service.UpdateReply, error) {
 	w := g.cfg.WriteQuorum
 	need := min(w, len(reps))
 	var (
@@ -260,7 +201,7 @@ func (g *Gateway) commitLocked(ctx context.Context, st *matrixUpd, name string, 
 		repaired := make([]bool, len(round))
 		errs, _ := fanout(round, func(i int, b *backend) error {
 			var err error
-			replies[i], repaired[i], err = g.patchLeg(ctx, b, name, fwd, newWire, len(ups))
+			replies[i], repaired[i], err = g.patchLeg(ctx, b, name, fwd, newList, len(ups))
 			return err
 		})
 		for i, b := range round {
@@ -299,7 +240,7 @@ func (g *Gateway) commitLocked(ctx context.Context, st *matrixUpd, name string, 
 		}
 		for _, b := range acked {
 			revCtx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
-			_, rerr := g.uploadTo(revCtx, b, name, pm.wire)
+			_, rerr := g.uploadTo(revCtx, b, name, service.MatrixFromList(pm.list))
 			cancel()
 			if rerr != nil {
 				st.setAppliedLocked(b.id, version{})
@@ -323,7 +264,7 @@ func (g *Gateway) commitLocked(ctx context.Context, st *matrixUpd, name string, 
 	// table write that publishes the update — repairs and reseeds from
 	// here on ship the post-update matrix.
 	rep.RowsApplied = len(ups)
-	if !g.installUpdate(name, pm, newWire, rep.MatrixInfo, newVer) {
+	if !g.installUpdate(name, pm, newList, rep.MatrixInfo, newVer) {
 		g.convergeReplacement(name)
 		return service.UpdateReply{}, fmt.Errorf("%w: %q", service.ErrConflict, name)
 	}
@@ -347,7 +288,7 @@ func (g *Gateway) convergeReplacement(name string) {
 	_, _ = fanout(curReps, func(_ int, b *backend) error {
 		syncCtx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
 		defer cancel()
-		_, err := g.uploadTo(syncCtx, b, name, cur.wire)
+		_, err := g.uploadTo(syncCtx, b, name, service.MatrixFromList(cur.list))
 		return err
 	})
 }
@@ -363,7 +304,7 @@ func isTransportLevel(err error) bool {
 // entry is still pm (compare half of the copy-on-write): the patched
 // wire becomes the retained copy at version ver — the update-log head
 // the commit assigned. Reports whether the swap happened.
-func (g *Gateway) installUpdate(name string, pm *placedMatrix, newWire service.Matrix, info service.MatrixInfo, ver version) bool {
+func (g *Gateway) installUpdate(name string, pm *placedMatrix, newList *intmat.Sparse, info service.MatrixInfo, ver version) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if cur, ok := g.matrices[name]; !ok || cur != pm {
@@ -371,7 +312,7 @@ func (g *Gateway) installUpdate(name string, pm *placedMatrix, newWire service.M
 	}
 	npm := pm.clone()
 	npm.info = info
-	npm.wire = newWire
+	npm.list = newList
 	npm.ver = ver
 	g.matrices[name] = npm
 	return true

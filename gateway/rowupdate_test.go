@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/intmat"
 	"repro/service"
 )
 
@@ -26,45 +28,6 @@ func wireSum(m service.Matrix) float64 {
 		s += float64(ent[2])
 	}
 	return s
-}
-
-func TestPatchWire(t *testing.T) {
-	w := service.Matrix{Rows: 4, Cols: 4, Entries: [][3]int64{{0, 0, 2}, {1, 1, 3}, {1, 3, 4}, {2, 2, 1}}}
-
-	// Replace row 1 entirely.
-	got, rows, err := patchWire(w, []service.RowUpdate{{Row: 1, Entries: [][2]int64{{0, 9}}}}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows, []int{1}) {
-		t.Fatalf("rows = %v", rows)
-	}
-	want := [][3]int64{{0, 0, 2}, {2, 2, 1}, {1, 0, 9}}
-	if !reflect.DeepEqual(got.Entries, want) {
-		t.Fatalf("replace: got %v want %v", got.Entries, want)
-	}
-
-	// Delta: merge into an existing cell (cancelling it) and create a
-	// fresh one.
-	got, _, err = patchWire(w, []service.RowUpdate{{Row: 1, Entries: [][2]int64{{1, -3}, {2, 5}}}}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = [][3]int64{{0, 0, 2}, {1, 3, 4}, {2, 2, 1}, {1, 2, 5}}
-	if !reflect.DeepEqual(got.Entries, want) {
-		t.Fatalf("delta: got %v want %v", got.Entries, want)
-	}
-
-	// Validation.
-	if _, _, err := patchWire(w, []service.RowUpdate{{Row: 4}}, false); !errors.Is(err, service.ErrBadRequest) {
-		t.Fatalf("row out of range: %v", err)
-	}
-	if _, _, err := patchWire(w, []service.RowUpdate{{Row: 0, Entries: [][2]int64{{4, 1}}}}, false); !errors.Is(err, service.ErrBadRequest) {
-		t.Fatalf("col out of range: %v", err)
-	}
-	if _, _, err := patchWire(w, []service.RowUpdate{{Row: 0, Entries: [][2]int64{{1, 1}, {1, 2}}}}, false); !errors.Is(err, service.ErrBadRequest) {
-		t.Fatalf("dup col: %v", err)
-	}
 }
 
 // TestUpdateRowsReplicates pins the happy path: the patch lands on
@@ -100,7 +63,7 @@ func TestUpdateRowsReplicates(t *testing.T) {
 		t.Fatalf("estimate after update = %v, want %v", res.Estimate, wantSum)
 	}
 	g.mu.Lock()
-	retained := g.matrices["m"].wire
+	retained := service.MatrixFromList(g.matrices["m"].list)
 	g.mu.Unlock()
 	if got := wireSum(retained); got != wantSum {
 		t.Fatalf("retained wire sum = %v, want %v", got, wantSum)
@@ -254,7 +217,7 @@ func TestUpdateRowsAllOrNothingRevert(t *testing.T) {
 		t.Fatalf("replica answers %v after revert, want pre-update %v", res.Estimate, sum)
 	}
 	g.mu.Lock()
-	retained := g.matrices["m"].wire
+	retained := service.MatrixFromList(g.matrices["m"].list)
 	g.mu.Unlock()
 	if got := wireSum(retained); got != sum {
 		t.Fatalf("retained wire sum = %v, want pre-update %v", got, sum)
@@ -301,7 +264,7 @@ func TestUpdateRowsLagsUnreachableReplica(t *testing.T) {
 		if len(pm.replicas) != 2 {
 			t.Fatalf("dead replica left the placement: %v", pm.replicas)
 		}
-		if got := wireSum(pm.wire); got != want {
+		if got := wireSum(service.MatrixFromList(pm.list)); got != want {
 			t.Fatalf("retained wire sum = %v, want %v", got, want)
 		}
 		if got := g.appliedVersion("m", victim.addr); !got.Less(ver) {
@@ -427,7 +390,7 @@ func TestUpdateRowsEdgeErrors(t *testing.T) {
 	// evictions) has nothing to update.
 	g.mu.Lock()
 	pm := g.matrices["m"]
-	g.matrices["m"] = &placedMatrix{info: pm.info, wire: pm.wire, replicas: nil}
+	g.matrices["m"] = &placedMatrix{info: pm.info, list: pm.list, replicas: nil}
 	g.mu.Unlock()
 	if _, err := g.UpdateRows(ctx, "m", replaceRowReq(0, nil)); !errors.Is(err, ErrNoBackends) {
 		t.Fatalf("replica-less update: got %v, want ErrNoBackends", err)
@@ -470,5 +433,87 @@ func TestUpdateRowsHTTPAndClient(t *testing.T) {
 	var apiErr *service.APIError
 	if _, err := client.ReplaceRow(ctx, "ghost", 0, nil); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
 		t.Fatalf("unknown matrix over HTTP: %v", err)
+	}
+}
+
+// TestRetainedCopyFollowsDensePatch: a gateway advances its retained
+// copy with the engines' own patcher, so after a random history of
+// replace and delta patches — rows emptied, cells cancelled to zero —
+// applied through the gateway, the copy it would re-seed from is the
+// matrix a dense cell-by-cell patch of the upload holds, and so is what
+// each replica serves: its pinned-seed answers are those of a fresh
+// engine given that dense matrix whole, hh and l0sample (whose bits
+// follow the non-zeros) included.
+func TestRetainedCopyFollowsDensePatch(t *testing.T) {
+	const n = 12
+	b1, b2 := startBackend(t), startBackend(t)
+	g := newTestGateway(t, 2, b1.addr, b2.addr)
+	ctx := context.Background()
+	wire, _ := testMatrix(n)
+	info, err := g.PutMatrix(ctx, "m", wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	list, _, _, err := wire.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := list.ToDense()
+	rnd := rand.New(rand.NewSource(6100))
+	for step := 0; step < 30; step++ {
+		delta := step%2 == 1
+		req := service.UpdateRequest{Delta: delta}
+		for _, k := range rnd.Perm(n)[:1+rnd.Intn(2)] {
+			u := service.RowUpdate{Row: k}
+			row := ref.Row(k)
+			if !delta {
+				clear(row)
+			}
+			for _, j := range rnd.Perm(n)[:rnd.Intn(5)] {
+				v := rnd.Int63n(4) // a replace may store an explicit zero
+				if delta && row[j] != 0 && rnd.Intn(2) == 0 {
+					v = -row[j] // the cell cancelled
+				}
+				u.Entries = append(u.Entries, [2]int64{int64(j), v})
+				if delta {
+					row[j] += v
+				} else {
+					row[j] = v
+				}
+			}
+			req.Updates = append(req.Updates, u)
+		}
+		if _, err := g.UpdateRows(ctx, "m", req); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		g.mu.Lock()
+		pm := g.matrices["m"]
+		g.mu.Unlock()
+		if !pm.list.Equal(intmat.FromDense(ref)) {
+			t.Fatalf("step %d: the retained copy is not the dense patch of the upload", step)
+		}
+	}
+	fresh := service.NewEngine(service.Config{})
+	defer fresh.Close()
+	if _, _, err := fresh.PutMatrix("m", service.MatrixFromDense(ref)); err != nil {
+		t.Fatal(err)
+	}
+	seed := uint64(6101)
+	for _, kind := range []string{"lp", "l0sample", "l1sample", "exact", "hh"} {
+		req := service.Request{Matrix: "m", Kind: kind, A: identWire(n), P: 1, Eps: 0.1, Seed: &seed}
+		want, err := fresh.Estimate(ctx, req)
+		if err != nil {
+			t.Fatalf("%s on the dense patch: %v", kind, err)
+		}
+		for _, addr := range info.Replicas {
+			got, err := service.New(addr).Estimate(ctx, req)
+			if err != nil {
+				t.Fatalf("%s on replica %s: %v", kind, addr, err)
+			}
+			got.Elapsed, want.Elapsed = 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: replica %s answers %+v, an engine given the dense patch %+v", kind, addr, got, want)
+			}
+		}
 	}
 }

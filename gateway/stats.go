@@ -99,8 +99,9 @@ type Stats struct {
 	// ReseedBytes is the total wire bytes re-uploaded to returning
 	// backends by probe resyncs (zero when backends recover from disk).
 	ReseedBytes int64 `json:"reseed_bytes"`
-	// WireBytes is the retained wire copies' total size (see wireSize):
-	// what the gateway keeps resident to re-seed replicas from.
+	// WireBytes is the retained copies' total size as shipped (see
+	// wireSize): 24 bytes per non-zero the gateway would re-seed
+	// replicas with — explicit zeros of the upload are not retained.
 	WireBytes int64 `json:"wire_bytes"`
 	// WriteQuorum is the configured ack quorum W a row update commits
 	// on (Config.WriteQuorum); 0 means every live replica.
@@ -147,7 +148,7 @@ func (g *Gateway) Stats() Stats {
 	matrices := len(g.matrices)
 	var wireBytes int64
 	for _, pm := range g.matrices {
-		wireBytes += wireSize(pm.wire)
+		wireBytes += wireSize(pm.list)
 	}
 	upd := make([]*matrixUpd, 0, len(g.upd))
 	for _, st := range g.upd {

@@ -93,11 +93,11 @@ func TestAliceListDriversMatchDenseAdapters(t *testing.T) {
 		kinds := []kind{
 			{"lp",
 				func(tr comm.Transport) error { return lpAlice.Serve(tr, a) },
-				func(tr comm.Transport) error { return lpAlice.ServeSparse(tr, as) },
+				func(tr comm.Transport) error { return lpAlice.Serve(tr, as) },
 				func(tr comm.Transport) (err error) { out, err = BobLp(tr, b, 1, lpO); return err }},
 			{"l0sample",
 				func(tr comm.Transport) error { return AliceL0Sample(tr, a, l0O) },
-				func(tr comm.Transport) error { return AliceL0SampleSparse(tr, as, l0O) },
+				func(tr comm.Transport) error { return AliceL0Sample(tr, as, l0O) },
 				func(tr comm.Transport) error {
 					pair, v, err := BobL0Sample(tr, b, m1, l0O)
 					out = fmt.Sprint(pair, v)
@@ -105,7 +105,7 @@ func TestAliceListDriversMatchDenseAdapters(t *testing.T) {
 				}},
 			{"l1sample",
 				func(tr comm.Transport) error { return AliceSampleL1(tr, a, seed) },
-				func(tr comm.Transport) error { return AliceSampleL1Sparse(tr, as, seed) },
+				func(tr comm.Transport) error { return AliceSampleL1(tr, as, seed) },
 				func(tr comm.Transport) error {
 					i, j, w, err := BobSampleL1(tr, b, seed)
 					out = fmt.Sprint(i, j, w)
@@ -113,11 +113,11 @@ func TestAliceListDriversMatchDenseAdapters(t *testing.T) {
 				}},
 			{"exact",
 				func(tr comm.Transport) error { return AliceExactL1(tr, a) },
-				func(tr comm.Transport) error { return AliceExactL1Sparse(tr, as) },
+				func(tr comm.Transport) error { return AliceExactL1(tr, as) },
 				func(tr comm.Transport) (err error) { out, err = BobExactL1(tr, b); return err }},
 			{"hh",
 				func(tr comm.Transport) error { return AliceHH(tr, a, m2, true, hhO) },
-				func(tr comm.Transport) error { return AliceHHSparse(tr, as, m2, true, hhO) },
+				func(tr comm.Transport) error { return AliceHH(tr, as, m2, true, hhO) },
 				func(tr comm.Transport) (err error) { out, err = BobHH(tr, b, m1, in.nonNeg, hhO); return err }},
 		}
 		if in.binary {
@@ -225,8 +225,8 @@ func TestAliceL1ListWalksMatchDenseScans(t *testing.T) {
 				alice func(comm.Transport) error
 				want  []byte
 			}{
-				{"exact", func(tr comm.Transport) error { return AliceExactL1Sparse(tr, as) }, wantExact},
-				{"l1sample", func(tr comm.Transport) error { return AliceSampleL1Sparse(tr, as, seed) }, wantSample},
+				{"exact", func(tr comm.Transport) error { return AliceExactL1(tr, as) }, wantExact},
+				{"l1sample", func(tr comm.Transport) error { return AliceSampleL1(tr, as, seed) }, wantSample},
 			} {
 				var got []byte
 				_, err := runPair(k.alice, func(tr comm.Transport) error {

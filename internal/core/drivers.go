@@ -20,13 +20,13 @@ import (
 // separated by a real socket, with identical transcripts and therefore
 // identical costs.
 //
-// An Alice driver's one body reads her matrix as non-zero lists
-// (AliceLpState.ServeSparse, AliceHHSparse, AliceL0SampleSparse, … on an
-// *intmat.Sparse) — the form a serving system validates a request's
-// matrix into, so a query is never dense. The *intmat.Dense names beside
-// them (Serve, AliceHH, AliceL0Sample, …) list the matrix and call that
-// body, for callers that hold A dense: the reference functions here and
-// the benchmark harness.
+// Every driver reads its party's matrix as non-zero lists and takes it
+// as an intmat.Matrix: a serving system hands over the *intmat.Sparse it
+// already holds — a request's A is validated straight into one, a served
+// B is held as one — and the driver or Bob state borrows it; the
+// reference functions here and the benchmark harness hand over an
+// *intmat.Dense, which is listed on entry. One name, one body, either
+// way.
 //
 // Cross-party facts a real deployment learns out of band — matrix
 // dimensions and signedness, which a serving system publishes in its

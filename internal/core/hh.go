@@ -100,12 +100,13 @@ func HeavyHitters(a, b *intmat.Dense, o HHOpts) ([]WeightedPair, Cost, error) {
 	if err := checkDims(a.Cols(), b.Rows()); err != nil {
 		return nil, Cost{}, err
 	}
-	aNonNeg := requireNonNegative(a) == nil
-	bNonNeg := requireNonNegative(b) == nil
+	as, bs := a.List(), b.List()
+	aNonNeg := requireNonNegative(as) == nil
+	bNonNeg := requireNonNegative(bs) == nil
 	var out []WeightedPair
 	cost, err := runPair(
-		func(t comm.Transport) error { return AliceHH(t, a, b.Cols(), bNonNeg, o) },
-		func(t comm.Transport) (err error) { out, err = BobHH(t, b, a.Rows(), aNonNeg, o); return err },
+		func(t comm.Transport) error { return AliceHH(t, as, b.Cols(), bNonNeg, o) },
+		func(t comm.Transport) (err error) { out, err = BobHH(t, bs, a.Rows(), aNonNeg, o); return err },
 	)
 	if err != nil {
 		return nil, cost, err
@@ -113,23 +114,19 @@ func HeavyHitters(a, b *intmat.Dense, o HHOpts) ([]WeightedPair, Cost, error) {
 	return out, cost, nil
 }
 
-// AliceHH is AliceHHSparse for a caller that holds Alice's matrix dense.
-func AliceHH(t comm.Transport, a *intmat.Dense, m2 int, bNonNeg bool, o HHOpts) (err error) {
-	return AliceHHSparse(t, intmat.FromDense(a), m2, bNonNeg, o)
-}
-
-// AliceHHSparse drives Alice's side of Algorithm 4 on the non-zero lists
-// of her matrix, which every step reads: absolute column sums out, the
+// AliceHH drives Alice's side of Algorithm 4 on the non-zero lists of
+// her matrix, which every step reads: absolute column sums out, the
 // embedded scale estimation when needed, β-downsampling of A, her side
 // of the Lemma 2.5 recovery, and the candidate shipment. m2 is Bob's
 // column count and bNonNeg whether Bob's matrix is entrywise
 // non-negative — both catalog metadata known before the protocol
 // starts. The heavy-hitter set is Bob's output.
-func AliceHHSparse(t comm.Transport, as *intmat.Sparse, m2 int, bNonNeg bool, o HHOpts) (err error) {
+func AliceHH(t comm.Transport, a intmat.Matrix, m2 int, bNonNeg bool, o HHOpts) (err error) {
 	defer recoverDecodeError(&err)
 	if err := o.setDefaults(); err != nil {
 		return err
 	}
+	as := a.List()
 	n := as.Cols()
 	m1 := as.Rows()
 
@@ -149,7 +146,7 @@ func AliceHHSparse(t comm.Transport, as *intmat.Sparse, m2 int, bNonNeg bool, o 
 		if err != nil {
 			return err
 		}
-		if err := nested.ServeSparse(t, as); err != nil {
+		if err := nested.Serve(t, as); err != nil {
 			return err
 		}
 	}
@@ -213,7 +210,7 @@ func AliceHHSparse(t comm.Transport, as *intmat.Sparse, m2 int, bNonNeg bool, o 
 // the Lemma 2.5 recovery, and keeps the shipped candidates above the
 // output threshold. m1 is Alice's row count and aNonNeg whether her
 // matrix is entrywise non-negative — both catalog metadata.
-func BobHH(t comm.Transport, b *intmat.Dense, m1 int, aNonNeg bool, o HHOpts) (out []WeightedPair, err error) {
+func BobHH(t comm.Transport, b intmat.Matrix, m1 int, aNonNeg bool, o HHOpts) (out []WeightedPair, err error) {
 	st, err := NewBobHHState(b, o)
 	if err != nil {
 		return nil, err
@@ -222,9 +219,10 @@ func BobHH(t comm.Transport, b *intmat.Dense, m1 int, aNonNeg bool, o HHOpts) (o
 }
 
 // BobHHState is the matrix-dependent phase of Bob's side of
-// Algorithm 4: B's non-zeros row by row, which every query's Lemma 2.5
-// factor is compressed from (the sketch itself is sized per query, from
-// the scale Alice's column sums give); the absolute row sums of B (the
+// Algorithm 4: B's non-zeros row by row (borrowed), which every query's
+// Lemma 2.5 factor is compressed from (the sketch itself is sized per
+// query, from the scale Alice's column sums give); the absolute row sums
+// of B (the
 // ‖|A|·|B|‖1 scale folds them against those column sums); B's
 // signedness; and — built lazily on first use, since it is only needed
 // when the exact p = 1 scale shortcut does not apply to a query — the
@@ -232,7 +230,6 @@ func BobHH(t comm.Transport, b *intmat.Dense, m1 int, aNonNeg bool, o HHOpts) (o
 // this state's non-zero lists rather than listing B again. Safe for
 // concurrent Serve calls.
 type BobHHState struct {
-	b          *intmat.Dense
 	nz         *intmat.Sparse // B's non-zeros per row: step 4 compresses them, the nested state borrows them
 	absRowSums []int64
 	bNonNeg    bool
@@ -246,12 +243,12 @@ type BobHHState struct {
 
 // NewBobHHState validates the options and runs the matrix-dependent
 // precomputation of Bob's side of Algorithm 4.
-func NewBobHHState(b *intmat.Dense, o HHOpts) (*BobHHState, error) {
+func NewBobHHState(b intmat.Matrix, o HHOpts) (*BobHHState, error) {
 	if err := o.setDefaults(); err != nil {
 		return nil, err
 	}
-	s := &BobHHState{b: b, nz: intmat.FromDense(b), bNonNeg: true, opts: o}
-	s.absRowSums = make([]int64, b.Rows())
+	s := &BobHHState{nz: b.List(), bNonNeg: true, opts: o}
+	s.absRowSums = make([]int64, s.nz.Rows())
 	for k := range s.absRowSums {
 		s.absRowSums[k], s.bNonNeg = absSum(s.nz, k, s.bNonNeg)
 	}
@@ -273,13 +270,13 @@ func absSum(nz *intmat.Sparse, k int, nonNeg bool) (int64, bool) {
 }
 
 // Bytes reports the memory retained by the precomputation (the nested
-// ℓp sketches are counted once built; the non-zero lists the nested
-// state borrows are counted once, here).
+// ℓp sketches are counted once built; B's lists are their owner's and
+// not counted).
 func (s *BobHHState) Bytes() int64 {
-	n := s.nz.Bytes() + int64(8*len(s.absRowSums))
+	n := int64(8 * len(s.absRowSums))
 	s.nestedMu.Lock()
 	if s.nested != nil {
-		n += s.nested.Bytes() - s.nz.Bytes()
+		n += s.nested.Bytes()
 	}
 	s.nestedMu.Unlock()
 	return n
@@ -291,7 +288,7 @@ func (s *BobHHState) nestedLp() (*BobLpState, error) {
 	s.nestedMu.Lock()
 	defer s.nestedMu.Unlock()
 	if !s.nestedBuilt {
-		s.nested, s.nestedErr = newBobLpState(s.b, s.nz, s.opts.P, hhNestedLpOpts(s.opts))
+		s.nested, s.nestedErr = NewBobLpState(s.nz, s.opts.P, hhNestedLpOpts(s.opts))
 		s.nestedBuilt = true
 	}
 	return s.nested, s.nestedErr
@@ -303,9 +300,8 @@ func (s *BobHHState) nestedLp() (*BobLpState, error) {
 func (s *BobHHState) Serve(t comm.Transport, m1 int, aNonNeg bool) (out []WeightedPair, err error) {
 	defer recoverDecodeError(&err)
 	o := s.opts
-	b := s.b
-	n := b.Rows()
-	m2 := b.Cols()
+	n := s.nz.Rows()
+	m2 := s.nz.Cols()
 
 	// Step 1a in: the exact ‖|A|·|B|‖1, which upper-bounds the sampled
 	// sparsity for any sign pattern and equals ‖C‖1 for non-negative

@@ -85,17 +85,11 @@ func l0SampleSketches(o L0SampleOpts, m1 int) (*sketch.L0, *sketch.L0Sampler) {
 	return l0, sampler
 }
 
-// AliceL0Sample is AliceL0SampleSparse for a caller that holds Alice's
-// matrix dense.
-func AliceL0Sample(t comm.Transport, a *intmat.Dense, o L0SampleOpts) (err error) {
-	return AliceL0SampleSparse(t, intmat.FromDense(a), o)
-}
-
-// AliceL0SampleSparse drives Alice's side of Theorem 3.2 on the non-zero
-// lists of her matrix: one message of per-column ℓ0 sketches and
-// ℓ0-sampler sketches of A, two sparse field-word vectors a column. The
-// sample is Bob's output.
-func AliceL0SampleSparse(t comm.Transport, a *intmat.Sparse, o L0SampleOpts) (err error) {
+// AliceL0Sample drives Alice's side of Theorem 3.2 on the non-zero lists
+// of her matrix: one message of per-column ℓ0 sketches and ℓ0-sampler
+// sketches of A, two sparse field-word vectors a column. The sample is
+// Bob's output.
+func AliceL0Sample(t comm.Transport, a intmat.Matrix, o L0SampleOpts) (err error) {
 	defer recoverDecodeError(&err)
 	if err := o.setDefaults(); err != nil {
 		return err
@@ -113,7 +107,7 @@ func AliceL0SampleSparse(t comm.Transport, a *intmat.Sparse, o L0SampleOpts) (er
 	normSk, sampSk := make([]field.Elem, l0.Dim()), make([]field.Elem, sampler.Dim())
 	var normAt, sampAt []int
 	var words []field.Elem
-	byCol := a.Transpose()
+	byCol := a.List().Transpose()
 	for k := 0; k < n; k++ {
 		rows, vals := byCol.Row(k)
 		normAt, sampAt = normAt[:0], sampAt[:0]
@@ -167,7 +161,7 @@ func (s *sparseVecs) vec(v int) ([]int, []field.Elem) {
 // norm, and decodes that column's ℓ0-sampler. m1 is Alice's row count —
 // catalog metadata fixing the shared sketch dimension; it costs no
 // communication.
-func BobL0Sample(t comm.Transport, b *intmat.Dense, m1 int, o L0SampleOpts) (pair Pair, value int64, err error) {
+func BobL0Sample(t comm.Transport, b intmat.Matrix, m1 int, o L0SampleOpts) (pair Pair, value int64, err error) {
 	st, err := NewBobL0SampleState(b, o)
 	if err != nil {
 		return Pair{}, 0, err
@@ -188,11 +182,11 @@ type BobL0SampleState struct {
 }
 
 // NewBobL0SampleState validates the options and lists B by column.
-func NewBobL0SampleState(b *intmat.Dense, o L0SampleOpts) (*BobL0SampleState, error) {
+func NewBobL0SampleState(b intmat.Matrix, o L0SampleOpts) (*BobL0SampleState, error) {
 	if err := o.setDefaults(); err != nil {
 		return nil, err
 	}
-	return &BobL0SampleState{byCol: intmat.FromDense(b).Transpose(), opts: o}, nil
+	return &BobL0SampleState{byCol: b.List().Transpose(), opts: o}, nil
 }
 
 // Bytes reports the memory retained by the precomputation.

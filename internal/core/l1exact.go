@@ -29,18 +29,12 @@ func ExactL1(a, b *intmat.Dense) (int64, Cost, error) {
 	return total, cost, nil
 }
 
-// AliceExactL1 is AliceExactL1Sparse for a caller that holds Alice's
-// matrix dense.
-func AliceExactL1(t comm.Transport, a *intmat.Dense) (err error) {
-	return AliceExactL1Sparse(t, intmat.FromDense(a))
-}
-
-// AliceExactL1Sparse drives Alice's side of Remark 2 on the non-zero
-// lists of her matrix: one message of column sums of A. The exact value
-// is Bob's output.
-func AliceExactL1Sparse(t comm.Transport, a *intmat.Sparse) (err error) {
+// AliceExactL1 drives Alice's side of Remark 2 on the non-zero lists of
+// her matrix: one message of column sums of A. The exact value is Bob's
+// output.
+func AliceExactL1(t comm.Transport, a intmat.Matrix) (err error) {
 	defer recoverDecodeError(&err)
-	colSums, nonNeg := absColumnSums(a)
+	colSums, nonNeg := absColumnSums(a.List())
 	if !nonNeg {
 		return ErrNeedNonNegative
 	}
@@ -55,7 +49,7 @@ func AliceExactL1Sparse(t comm.Transport, a *intmat.Sparse) (err error) {
 
 // BobExactL1 drives Bob's side of Remark 2 and returns the exact ‖AB‖1
 // as Σ_k colSumA(k)·rowSumB(k).
-func BobExactL1(t comm.Transport, b *intmat.Dense) (total int64, err error) {
+func BobExactL1(t comm.Transport, b intmat.Matrix) (total int64, err error) {
 	st, err := NewBobExactL1State(b, 1)
 	if err != nil {
 		return 0, err
@@ -75,11 +69,12 @@ type BobExactL1State struct {
 // NewBobExactL1State validates B and precomputes its row sums, sharding
 // both row scans over contiguous ranges. shards ≤ 1 runs sequentially;
 // the shard count never changes a transcript byte or an output bit.
-func NewBobExactL1State(b *intmat.Dense, shards int) (*BobExactL1State, error) {
-	if err := requireNonNegativeSharded(b, shards); err != nil {
+func NewBobExactL1State(b intmat.Matrix, shards int) (*BobExactL1State, error) {
+	nz := b.List()
+	if err := requireNonNegativeSharded(nz, shards); err != nil {
 		return nil, err
 	}
-	return &BobExactL1State{rowSums: rowSumsSharded(b, shards), shards: shards}, nil
+	return &BobExactL1State{rowSums: rowSumsSharded(nz, shards), shards: shards}, nil
 }
 
 // Bytes reports the memory retained by the precomputation.
@@ -101,12 +96,13 @@ func (s *BobExactL1State) Serve(t comm.Transport) (total int64, err error) {
 
 // rowSumsSharded computes per-row sums of b over contiguous sharded row
 // ranges (disjoint writes; exact integer arithmetic).
-func rowSumsSharded(b *intmat.Dense, shards int) []int64 {
+func rowSumsSharded(b *intmat.Sparse, shards int) []int64 {
 	rowSums := make([]int64, b.Rows())
 	runShards(b.Rows(), shards, func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
 			var rs int64
-			for _, v := range b.Row(k) {
+			_, vals := b.Row(k)
+			for _, v := range vals {
 				rs += v
 			}
 			rowSums[k] = rs
@@ -136,19 +132,14 @@ func SampleL1(a, b *intmat.Dense, seed uint64) (i, j, witness int, cost Cost, er
 	return i, j, witness, cost, nil
 }
 
-// AliceSampleL1 is AliceSampleL1Sparse for a caller that holds Alice's
-// matrix dense.
-func AliceSampleL1(t comm.Transport, a *intmat.Dense, seed uint64) (err error) {
-	return AliceSampleL1Sparse(t, intmat.FromDense(a), seed)
-}
-
-// AliceSampleL1Sparse drives Alice's side of Remark 3 on the non-zero
-// lists of her matrix: per item k, the column sum of A and a
-// value-weighted row sample from that column — one private coin per
-// non-empty column, columns ascending, and a walk down the column's
-// non-zeros, rows ascending. The sample is Bob's output.
-func AliceSampleL1Sparse(t comm.Transport, a *intmat.Sparse, seed uint64) (err error) {
+// AliceSampleL1 drives Alice's side of Remark 3 on the non-zero lists of
+// her matrix: per item k, the column sum of A and a value-weighted row
+// sample from that column — one private coin per non-empty column,
+// columns ascending, and a walk down the column's non-zeros, rows
+// ascending. The sample is Bob's output.
+func AliceSampleL1(t comm.Transport, am intmat.Matrix, seed uint64) (err error) {
 	defer recoverDecodeError(&err)
+	a := am.List()
 	colSums, nonNeg := absColumnSums(a)
 	if !nonNeg {
 		return ErrNeedNonNegative
@@ -181,7 +172,7 @@ func AliceSampleL1Sparse(t comm.Transport, a *intmat.Sparse, seed uint64) (err e
 // BobSampleL1 drives Bob's side of Remark 3: weight each item k by
 // colSumA(k)·rowSumB(k), sample a witness, then a column of B_{k,*}
 // proportionally to its entries.
-func BobSampleL1(t comm.Transport, b *intmat.Dense, seed uint64) (i, j, witness int, err error) {
+func BobSampleL1(t comm.Transport, b intmat.Matrix, seed uint64) (i, j, witness int, err error) {
 	st, err := NewBobL1SampleState(b, 1)
 	if err != nil {
 		return 0, 0, 0, err
@@ -190,12 +181,12 @@ func BobSampleL1(t comm.Transport, b *intmat.Dense, seed uint64) (i, j, witness 
 }
 
 // BobL1SampleState is the matrix-dependent phase of Bob's side of
-// Remark 3: B with its row sums precomputed. The sampling seed is a
-// per-query input of Serve (Bob's private coins are drawn fresh per
-// query), so one state serves any seed. Immutable after construction;
-// safe for concurrent Serve calls.
+// Remark 3: B's non-zero lists (borrowed) with its row sums
+// precomputed. The sampling seed is a per-query input of Serve (Bob's
+// private coins are drawn fresh per query), so one state serves any
+// seed. Immutable after construction; safe for concurrent Serve calls.
 type BobL1SampleState struct {
-	b       *intmat.Dense
+	b       *intmat.Sparse
 	rowSums []int64
 	shards  int
 }
@@ -203,11 +194,12 @@ type BobL1SampleState struct {
 // NewBobL1SampleState validates B and precomputes its row sums over
 // sharded row ranges. shards ≤ 1 runs sequentially; the shard count
 // never changes a transcript byte or an output bit.
-func NewBobL1SampleState(b *intmat.Dense, shards int) (*BobL1SampleState, error) {
-	if err := requireNonNegativeSharded(b, shards); err != nil {
+func NewBobL1SampleState(b intmat.Matrix, shards int) (*BobL1SampleState, error) {
+	nz := b.List()
+	if err := requireNonNegativeSharded(nz, shards); err != nil {
 		return nil, err
 	}
-	return &BobL1SampleState{b: b, rowSums: rowSumsSharded(b, shards), shards: shards}, nil
+	return &BobL1SampleState{b: nz, rowSums: rowSumsSharded(nz, shards), shards: shards}, nil
 }
 
 // Bytes reports the memory retained by the precomputation.
@@ -258,37 +250,35 @@ func (s *BobL1SampleState) Serve(t comm.Transport, seed uint64) (i, j, witness i
 			break
 		}
 	}
-	// Column sample from row B_{k,*} proportional to values.
+	// Column sample from row B_{k,*} proportional to values: a walk
+	// down the row's non-zeros, where alone the running sum moves.
 	jt := bobPriv.Int63n(s.rowSums[k])
 	var jacc int64
 	col := 0
-	for jj, v := range b.Row(k) {
+	cols, vals := b.Row(k)
+	for x, v := range vals {
 		jacc += v
 		if jacc > jt {
-			col = jj
+			col = int(cols[x])
 			break
 		}
 	}
 	return rowPicks[k], col, k, nil
 }
 
-func requireNonNegative(ms ...*intmat.Dense) error {
-	for _, m := range ms {
-		if err := requireNonNegativeSharded(m, 1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// requireNonNegative refuses a matrix with a negative entry.
+func requireNonNegative(m intmat.Matrix) error { return requireNonNegativeSharded(m.List(), 1) }
 
-// requireNonNegativeSharded is requireNonNegative with the row scan
-// split over sharded ranges; the verdict is split-independent.
-func requireNonNegativeSharded(m *intmat.Dense, shards int) error {
+// requireNonNegativeSharded refuses a listed matrix with a negative
+// entry, the row scan split over sharded ranges; the verdict is
+// split-independent.
+func requireNonNegativeSharded(m *intmat.Sparse, shards int) error {
 	ranges := shardRanges(m.Rows(), shards)
 	neg := make([]bool, len(ranges))
 	runShards(m.Rows(), shards, func(s, lo, hi int) {
 		for i := lo; i < hi && !neg[s]; i++ {
-			for _, v := range m.Row(i) {
+			_, vals := m.Row(i)
+			for _, v := range vals {
 				if v < 0 {
 					neg[s] = true
 					break

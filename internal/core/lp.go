@@ -116,21 +116,28 @@ func newRowSketcher(r *rng.RNG, dim int, p float64, sizeWords int) rowSketcher {
 	}
 }
 
-// encodeRows sketches every row of b and appends the sketches to msg.
-func (rs rowSketcher) encodeRows(msg *comm.Message, b *intmat.Dense) {
-	rs.encodeRowRange(msg, b, 0, b.Rows())
-}
-
-// encodeRowRange sketches rows [lo, hi) of b and appends the sketches
-// to msg. Each row's encoding is self-delimiting, so the shard-parallel
-// precompute concatenates per-range buffers in range order to reproduce
-// the sequential encodeRows bytes exactly.
-func (rs rowSketcher) encodeRowRange(msg *comm.Message, b *intmat.Dense, lo, hi int) {
+// encodeRowRange sketches rows [lo, hi) of b from their non-zero lists
+// and appends the sketches to msg. A sketch is built by adding the
+// row's coordinates in ascending column order — the order, and so the
+// floating-point sums, of the families' Apply over the row's cells,
+// which skips the zeros. Each row's encoding is self-delimiting, so the
+// shard-parallel precompute concatenates per-range buffers in range
+// order to reproduce the sequential bytes exactly.
+func (rs rowSketcher) encodeRowRange(msg *comm.Message, b *intmat.Sparse, lo, hi int) {
 	for k := lo; k < hi; k++ {
+		cols, vals := b.Row(k)
 		if rs.l0 != nil {
-			msg.PutUint64Slice(rs.l0.Apply(b.Row(k)))
+			y := make([]field.Elem, rs.l0.Dim())
+			for x, j := range cols {
+				rs.l0.AddCoord(y, int(j), vals[x])
+			}
+			msg.PutUint64Slice(y)
 		} else {
-			msg.PutFloat64Slice(rs.fl.Apply(b.Row(k)))
+			y := make([]float64, rs.fl.Dim())
+			for x, j := range cols {
+				rs.fl.AddCoord(y, int(j), vals[x])
+			}
+			msg.PutFloat64Slice(y)
 		}
 	}
 }
@@ -267,7 +274,7 @@ func EstimateLp(a, b *intmat.Dense, p float64, o LpOpts) (float64, Cost, error) 
 // BobLp re-derives the matrix-dependent precomputation on every call;
 // a serving system that answers many queries against the same B should
 // build a BobLpState once and call Serve per query.
-func BobLp(t comm.Transport, b *intmat.Dense, p float64, o LpOpts) (est float64, err error) {
+func BobLp(t comm.Transport, b intmat.Matrix, p float64, o LpOpts) (est float64, err error) {
 	st, err := NewBobLpState(b, p, o)
 	if err != nil {
 		return 0, err
@@ -288,43 +295,35 @@ func BobLp(t comm.Transport, b *intmat.Dense, p float64, o LpOpts) (est float64,
 // A state is immutable after construction and safe for concurrent Serve
 // calls.
 type BobLpState struct {
-	b         *intmat.Dense
 	p         float64
 	opts      LpOpts        // defaults applied
 	sketchers []rowSketcher // the shared sketch families, drawn once
 	famBytes  int64
 	round1    []byte         // encoded round-1 payload: per-row ℓp sketches of B
-	nz        *intmat.Sparse // B's non-zeros per row, what round 2 multiplies against
+	nz        *intmat.Sparse // B's non-zeros per row, borrowed: what round 2 multiplies against
 }
 
 // NewBobLpState validates the parameters and runs the matrix-dependent
-// precomputation of Bob's side of Algorithm 1.
-func NewBobLpState(b *intmat.Dense, p float64, o LpOpts) (*BobLpState, error) {
-	return newBobLpState(b, nil, p, o)
-}
-
-// newBobLpState is NewBobLpState for a caller that may already hold b's
-// non-zero lists: a non-nil nz is borrowed, a nil one is listed here.
-func newBobLpState(b *intmat.Dense, nz *intmat.Sparse, p float64, o LpOpts) (*BobLpState, error) {
+// precomputation of Bob's side of Algorithm 1. The state keeps b's lists
+// (b.List()): those of a *intmat.Sparse are borrowed, not copied.
+func NewBobLpState(b intmat.Matrix, p float64, o LpOpts) (*BobLpState, error) {
 	if p < 0 || p > 2 {
 		return nil, ErrBadP
 	}
 	if err := o.setDefaults(); err != nil {
 		return nil, err
 	}
-	if nz == nil {
-		nz = intmat.FromDense(b)
-	}
-	s := &BobLpState{b: b, p: p, opts: o, nz: nz}
-	s.sketchers, s.famBytes = lpSketchFamilies(o, b.Cols(), p)
+	nz := b.List()
+	s := &BobLpState{p: p, opts: o, nz: nz}
+	s.sketchers, s.famBytes = lpSketchFamilies(o, nz.Cols(), p)
 	// Per-row sketches are independent, so each repetition's encoding is
 	// sharded over contiguous row ranges; concatenating the per-shard
 	// buffers in shard order reproduces the sequential payload bytes.
 	for _, rs := range s.sketchers {
-		bufs := make([][]byte, len(shardRanges(b.Rows(), o.Shards)))
-		runShards(b.Rows(), o.Shards, func(sh, lo, hi int) {
+		bufs := make([][]byte, len(shardRanges(nz.Rows(), o.Shards)))
+		runShards(nz.Rows(), o.Shards, func(sh, lo, hi int) {
 			msg := comm.NewMessage()
-			rs.encodeRowRange(msg, b, lo, hi)
+			rs.encodeRowRange(msg, nz, lo, hi)
 			bufs[sh] = msg.Bytes()
 		})
 		for _, part := range bufs {
@@ -335,10 +334,9 @@ func newBobLpState(b *intmat.Dense, nz *intmat.Sparse, p float64, o LpOpts) (*Bo
 }
 
 // Bytes reports the memory retained by the precomputation — the round-1
-// sketches, B's non-zero lists and the sketch families (the sizing
-// input for cache accounting; the matrix itself is shared with its
-// owner and not counted).
-func (s *BobLpState) Bytes() int64 { return int64(len(s.round1)) + s.nz.Bytes() + s.famBytes }
+// sketches and the sketch families (the sizing input for cache
+// accounting; B's lists are their owner's and not counted).
+func (s *BobLpState) Bytes() int64 { return int64(len(s.round1)) + s.famBytes }
 
 // AliceState returns the Alice-side state for the same (m2, p, options,
 // seed), sharing this state's sketch families instead of drawing them a
@@ -442,7 +440,7 @@ func sampledRowSums(nz *intmat.Sparse, recv *comm.Message, reps int, p float64, 
 // dimension and costs no communication, matching the in-process
 // simulation. Alice learns nothing beyond the transcript; the estimate
 // is Bob's output.
-func AliceLp(t comm.Transport, a *intmat.Dense, m2 int, p float64, o LpOpts) (err error) {
+func AliceLp(t comm.Transport, a intmat.Matrix, m2 int, p float64, o LpOpts) (err error) {
 	st, err := NewAliceLpState(m2, p, o)
 	if err != nil {
 		return err
@@ -487,18 +485,14 @@ func NewAliceLpState(m2 int, p float64, o LpOpts) (*AliceLpState, error) {
 // Bob's and counted there.
 func (s *AliceLpState) Bytes() int64 { return s.bytes }
 
-// Serve is ServeSparse for a caller that holds Alice's matrix dense.
-func (s *AliceLpState) Serve(t comm.Transport, a *intmat.Dense) (err error) {
-	return s.ServeSparse(t, intmat.FromDense(a))
-}
-
-// ServeSparse runs the per-query phase of Alice's side of Algorithm 1
-// over t with the non-zero lists of her matrix a.
-func (s *AliceLpState) ServeSparse(t comm.Transport, a *intmat.Sparse) (err error) {
+// Serve runs the per-query phase of Alice's side of Algorithm 1 over t
+// with the non-zero lists of her matrix.
+func (s *AliceLpState) Serve(t comm.Transport, am intmat.Matrix) (err error) {
 	defer recoverDecodeError(&err)
-	if a.Cols() <= 0 {
+	if am.Cols() <= 0 {
 		return ErrDimensionMismatch
 	}
+	a := am.List()
 	o := s.opts
 	beta := math.Sqrt(o.Eps)
 	n := a.Cols()
@@ -552,13 +546,14 @@ func OneRoundLp(a, b *intmat.Dense, p float64, o LpOpts) (float64, Cost, error) 
 	}
 	msg := comm.NewMessage()
 	msg.Label = "per-row ℓp sketches of B (1-round accuracy)"
+	bs := b.List()
 	for _, rs := range sketchers {
-		rs.encodeRows(msg, b)
+		rs.encodeRowRange(msg, bs, 0, bs.Rows())
 	}
 	recv := conn.Send(comm.BobToAlice, msg)
 
 	perRep := make([]float64, o.Reps)
-	as := intmat.FromDense(a)
+	as := a.List()
 	for rep, rs := range sketchers {
 		fieldSk, floatSk := rs.decodeRows(recv, n)
 		scratch := newRowScratch(rs)

@@ -57,9 +57,10 @@ func EstimateLpMulti(a, b *intmat.Dense, ps []float64, o LpOpts) ([]float64, Cos
 	// Round 1: Bob → Alice, all families batched.
 	msg1 := comm.NewMessage()
 	msg1.Label = "per-row ℓp sketches of B (all p, batched)"
+	nz := intmat.FromDense(b)
 	for _, fam := range sketchers {
 		for _, rs := range fam {
-			rs.encodeRows(msg1, b)
+			rs.encodeRowRange(msg1, nz, 0, nz.Rows())
 		}
 	}
 	recv1 := conn.Send(comm.BobToAlice, msg1)
@@ -88,7 +89,6 @@ func EstimateLpMulti(a, b *intmat.Dense, ps []float64, o LpOpts) ([]float64, Cos
 	// Bob: exact norms of sampled rows, median per family — BobLpState's
 	// round 2, once per p.
 	out := make([]float64, len(ps))
-	nz := intmat.FromDense(b)
 	for pi, p := range ps {
 		out[pi] = median(sampledRowSums(nz, recv2, o.Reps, p, o.Shards))
 	}

@@ -75,8 +75,9 @@ func TestAliceHHMessagesMatchDenseScans(t *testing.T) {
 
 // TestBobHHNestedStateBorrowsList: the nested Algorithm 1 state of an hh
 // state multiplies against the hh state's own lists — built, and carried
-// through UpdateRows — so B is listed once per cached state and Bytes
-// counts the lists once, as a state rebuilt on the updated matrix does.
+// through UpdateRows — so B is listed once however many states read it
+// and Bytes leaves the lists to their owner, as a state rebuilt on the
+// updated matrix does.
 func TestBobHHNestedStateBorrowsList(t *testing.T) {
 	b := randomInt(4200, 20, 22, 0.2, 3, false)
 	o := HHOpts{Phi: 0.2, Eps: 0.1, Seed: 4201}
@@ -92,8 +93,8 @@ func TestBobHHNestedStateBorrowsList(t *testing.T) {
 	if nested.nz != st.nz {
 		t.Fatal("the nested state listed B again")
 	}
-	if got, want := st.Bytes(), bare+nested.Bytes()-st.nz.Bytes(); got != want {
-		t.Fatalf("Bytes() = %d with the nested state built, want %d: the shared lists count once", got, want)
+	if got, want := st.Bytes(), bare+nested.Bytes(); got != want {
+		t.Fatalf("Bytes() = %d with the nested state built, want %d: the borrowed lists are their owner's", got, want)
 	}
 	cur := b
 	for step, rows := range [][]int{{3}, {0, 19}, {3, 3, 7}} {

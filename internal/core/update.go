@@ -78,11 +78,12 @@ func withRowTotals(totals []int64, rows []int, total func(k int) int64) []int64 
 // stay non-negative: the listed rows of nb are summed, and refused if
 // one holds a negative entry (the rest of nb is unchanged from a matrix
 // the constructor already validated).
-func withRowSums(rowSums []int64, nb *intmat.Dense, rows []int) ([]int64, error) {
+func withRowSums(rowSums []int64, nb intmat.Matrix, rows []int) ([]int64, error) {
 	nonNeg := true
 	out := withRowTotals(rowSums, rows, func(k int) int64 {
 		var rs int64
-		for _, v := range nb.Row(k) {
+		_, vals := nb.ListRow(k)
+		for _, v := range vals {
 			if v < 0 {
 				nonNeg = false
 			}
@@ -104,29 +105,24 @@ func withRowSums(rowSums []int64, nb *intmat.Dense, rows []int) ([]int64, error)
 // copy of the retained bytes at their block offsets — the result is
 // byte-identical to NewBobLpState(nb, p, opts). The sketch families are
 // the receiver's (drawn from the seed alone, they do not depend on the
-// matrix), and B's non-zero lists are rebuilt for the listed rows only;
-// every other row's list is shared with the receiver.
-func (s *BobLpState) UpdateRows(nb *intmat.Dense, rows []int) (*BobLpState, error) {
-	rows, err := updatedRows(nb, s.b.Rows(), s.b.Cols(), rows)
+// matrix), and the successor keeps nb's lists as the constructor does:
+// those of a *intmat.Sparse — the registry's patched successor, which
+// shares every untouched row with the receiver's — are borrowed.
+func (s *BobLpState) UpdateRows(nb intmat.Matrix, rows []int) (*BobLpState, error) {
+	rows, err := updatedRows(nb, s.nz.Rows(), s.nz.Cols(), rows)
 	if err != nil {
 		return nil, err
 	}
-	return s.updateRows(nb, s.nz.WithRows(nb, rows), rows)
-}
-
-// updateRows is UpdateRows past its opening, for a caller that holds
-// nb's non-zero lists nz already: they are borrowed, as newBobLpState
-// borrows them.
-func (s *BobLpState) updateRows(nb *intmat.Dense, nz *intmat.Sparse, rows []int) (*BobLpState, error) {
 	// Every row's block has one size, so row k of repetition rep sits at
 	// block (rep·n + k); a re-sketched block of any other size means nb
 	// is not a matrix this state's layout can hold.
-	n := nb.Rows()
+	nz := nb.List()
+	n := nz.Rows()
 	round1 := append([]byte(nil), s.round1...)
 	for rep, rs := range s.sketchers {
 		for _, k := range rows {
 			msg := comm.NewMessage()
-			rs.encodeRowRange(msg, nb, k, k+1)
+			rs.encodeRowRange(msg, nz, k, k+1)
 			blk := msg.Bytes()
 			if len(blk)*len(s.sketchers)*n != len(round1) {
 				return nil, fmt.Errorf("%w: a %d-byte row sketch block does not tile the state's %d-byte round-1 layout", ErrUpdateShape, len(blk), len(round1))
@@ -135,27 +131,23 @@ func (s *BobLpState) updateRows(nb *intmat.Dense, nz *intmat.Sparse, rows []int)
 		}
 	}
 	ns := *s
-	ns.b, ns.round1, ns.nz = nb, round1, nz
+	ns.round1, ns.nz = round1, nz
 	return &ns, nil
 }
 
-// UpdateRows derives the BobL0SampleState of nb by re-listing only the
-// listed rows: B's column lists are transposed back to row lists, the
-// listed rows replaced, and the result transposed again — the lists
-// intmat.FromDense(nb).Transpose() holds, without reading the rows of
-// nb the update left alone. Still O(nnz), as every column list has to
+// UpdateRows derives the BobL0SampleState of nb: one transpose of its
+// lists, as the constructor does — O(nnz), as every column list has to
 // be searched for the replaced rows' entries one way or another.
-func (s *BobL0SampleState) UpdateRows(nb *intmat.Dense, rows []int) (*BobL0SampleState, error) {
-	rows, err := updatedRows(nb, s.byCol.Cols(), s.byCol.Rows(), rows)
-	if err != nil {
+func (s *BobL0SampleState) UpdateRows(nb intmat.Matrix, rows []int) (*BobL0SampleState, error) {
+	if _, err := updatedRows(nb, s.byCol.Cols(), s.byCol.Rows(), rows); err != nil {
 		return nil, err
 	}
-	return &BobL0SampleState{byCol: s.byCol.Transpose().WithRows(nb, rows).Transpose(), opts: s.opts}, nil
+	return &BobL0SampleState{byCol: nb.List().Transpose(), opts: s.opts}, nil
 }
 
 // UpdateRows derives the BobExactL1State of nb by recomputing only the
 // listed rows' sums. The updated rows must be non-negative.
-func (s *BobExactL1State) UpdateRows(nb *intmat.Dense, rows []int) (*BobExactL1State, error) {
+func (s *BobExactL1State) UpdateRows(nb intmat.Matrix, rows []int) (*BobExactL1State, error) {
 	rows, err := updatedRows(nb, len(s.rowSums), nb.Cols(), rows) // the state never kept B's width
 	if err != nil {
 		return nil, err
@@ -169,16 +161,17 @@ func (s *BobExactL1State) UpdateRows(nb *intmat.Dense, rows []int) (*BobExactL1S
 
 // UpdateRows derives the BobL1SampleState of nb by recomputing only
 // the listed rows' sums; the updated rows must be non-negative.
-func (s *BobL1SampleState) UpdateRows(nb *intmat.Dense, rows []int) (*BobL1SampleState, error) {
+func (s *BobL1SampleState) UpdateRows(nb intmat.Matrix, rows []int) (*BobL1SampleState, error) {
 	rows, err := updatedRows(nb, s.b.Rows(), s.b.Cols(), rows)
 	if err != nil {
 		return nil, err
 	}
-	rowSums, err := withRowSums(s.rowSums, nb, rows)
+	nz := nb.List()
+	rowSums, err := withRowSums(s.rowSums, nz, rows)
 	if err != nil {
 		return nil, err
 	}
-	return &BobL1SampleState{b: nb, rowSums: rowSums, shards: s.shards}, nil
+	return &BobL1SampleState{b: nz, rowSums: rowSums, shards: s.shards}, nil
 }
 
 // UpdateRows derives the BobLinfState of nb by recomputing only the
@@ -203,18 +196,19 @@ func (s *BobLinfKappaState) UpdateRows(nb *bitmat.Matrix, rows []int) (*BobLinfK
 	return &BobLinfKappaState{b: nb, vk: vk, opts: s.opts}, nil
 }
 
-// UpdateRows derives the BobHHState of nb by re-listing only the listed
-// rows' non-zeros and recomputing their absolute sums, re-deriving the
-// signedness flag (a full rescan is needed only when a previously
-// signed matrix may have lost its last negative row), and incrementally
-// updating the nested Algorithm 1 state when the old state had built
-// it — handing it the new lists, so the two keep sharing one.
-func (s *BobHHState) UpdateRows(nb *intmat.Dense, rows []int) (*BobHHState, error) {
-	rows, err := updatedRows(nb, s.b.Rows(), s.b.Cols(), rows)
+// UpdateRows derives the BobHHState of nb by keeping its lists as the
+// constructor does, recomputing the listed rows' absolute sums,
+// re-deriving the signedness flag (a full rescan is needed only when a
+// previously signed matrix may have lost its last negative row), and
+// incrementally updating the nested Algorithm 1 state when the old
+// state had built it — handing it the same lists, so the two keep
+// sharing one.
+func (s *BobHHState) UpdateRows(nb intmat.Matrix, rows []int) (*BobHHState, error) {
+	rows, err := updatedRows(nb, s.nz.Rows(), s.nz.Cols(), rows)
 	if err != nil {
 		return nil, err
 	}
-	ns := &BobHHState{b: nb, nz: s.nz.WithRows(nb, rows), opts: s.opts}
+	ns := &BobHHState{nz: nb.List(), opts: s.opts}
 	patchNonNeg := true
 	ns.absRowSums = withRowTotals(s.absRowSums, rows, func(k int) (sum int64) {
 		sum, patchNonNeg = absSum(ns.nz, k, patchNonNeg)
@@ -229,13 +223,13 @@ func (s *BobHHState) UpdateRows(nb *intmat.Dense, rows []int) (*BobHHState, erro
 		// The old matrix was signed and every updated row is now
 		// non-negative: the negative entry may have lived in a replaced
 		// row, so re-derive the flag exactly as the constructor would.
-		ns.bNonNeg = requireNonNegativeSharded(nb, s.opts.Shards) == nil
+		ns.bNonNeg = requireNonNegativeSharded(ns.nz, s.opts.Shards) == nil
 	}
 	s.nestedMu.Lock()
 	built, nested, nerr := s.nestedBuilt, s.nested, s.nestedErr
 	s.nestedMu.Unlock()
 	if built && nerr == nil && nested != nil {
-		if nn, err := nested.updateRows(nb, ns.nz, rows); err == nil {
+		if nn, err := nested.UpdateRows(ns.nz, rows); err == nil {
 			ns.nested, ns.nestedBuilt = nn, true
 		}
 		// On failure the nested state is left unbuilt and re-derived

@@ -175,6 +175,29 @@ func (d *Dense) Lp(p float64) float64 {
 	return s
 }
 
+// Matrix is a matrix that can list its non-zeros: what every Bob-side
+// constructor and Alice driver of internal/core takes. A *Sparse answers
+// with itself and its own slices, so a caller that holds the lists — the
+// serving tiers — lends them; a *Dense is listed on the spot (FromDense,
+// one pass over every cell), which is what the in-process reference
+// functions and the benchmark harness pay for holding cells.
+type Matrix interface {
+	Rows() int
+	Cols() int
+	// List returns the non-zero lists of the whole matrix.
+	List() *Sparse
+	// ListRow returns the non-zeros of row k, columns ascending.
+	ListRow(k int) (cols []int32, vals []int64)
+}
+
+// List lists the non-zeros of every row (FromDense).
+func (d *Dense) List() *Sparse { return FromDense(d) }
+
+// ListRow lists the non-zeros of row k.
+func (d *Dense) ListRow(k int) (cols []int32, vals []int64) {
+	return appendNonZeros(nil, nil, d.Row(k))
+}
+
 // Entry is one non-zero matrix entry.
 type Entry struct {
 	I, J int
@@ -206,9 +229,10 @@ func (d *Dense) NonZeros() []Entry {
 // The lists of one build are cut from two shared backing arrays sized to
 // the non-zeros (FromCells: to the cells it was given, explicit zeros
 // included), so a matrix retains three allocations however many rows it
-// has. A Sparse is immutable once built; WithRows derives the
-// successor of a row update and shares every untouched row's list with
-// it.
+// has. A Sparse is immutable once built — the registry, every cached Bob
+// state and the gateway's retained copy share one across goroutines on
+// that contract; Patch derives the successor of a row update and shares
+// every untouched row's list with it.
 type Sparse struct {
 	cols int
 	nnz  int
@@ -408,22 +432,73 @@ func (r *byCol) Swap(a, b int) {
 	r.vals[a], r.vals[b] = r.vals[b], r.vals[a]
 }
 
-// WithRows returns the non-zero lists of nb, which must have the
-// receiver's shape and differ from the receiver's matrix only in the
-// listed rows: those rows are re-listed, every other row shares its
-// list with the receiver — O(rows + touched cells), never O(NNZ).
-func (s *Sparse) WithRows(nb *Dense, rows []int) *Sparse {
-	if nb.rows != len(s.list) || nb.cols != s.cols {
-		panic("intmat: WithRows dimension mismatch")
-	}
-	ns := &Sparse{cols: s.cols, nnz: s.nnz, list: append([]rowList(nil), s.list...)}
-	for _, k := range rows {
-		cols, vals := appendNonZeros(nil, nil, nb.Row(k))
-		ns.nnz += len(cols) - len(ns.list[k].cols)
-		ns.list[k] = rowList{cols: cols, vals: vals}
+// RowPatch is one row's part of a row update: (column, value) cells in
+// any order, the columns distinct and inside the matrix.
+type RowPatch struct {
+	Row   int
+	Cells [][2]int64
+}
+
+// Patch returns the successor of s under one patch per row — the one
+// way a listed matrix changes. In replace mode a patched row becomes
+// exactly the non-zero cells of its patch; in delta mode each cell is
+// added to the row and a sum of zero is dropped. Only the patched rows
+// are re-listed, from the patch's own cells (and, for a delta, a merge
+// with the old list); every other row shares its list with the receiver
+// — O(rows + touched cells), never O(NNZ).
+func (s *Sparse) Patch(patches []RowPatch, delta bool) *Sparse {
+	ns := &Sparse{cols: s.cols, nnz: s.nnz, list: slices.Clone(s.list)}
+	for _, p := range patches {
+		old := ns.list[p.Row]
+		l := rowList{cols: make([]int32, len(p.Cells)), vals: make([]int64, len(p.Cells))}
+		for x, c := range p.Cells {
+			l.cols[x], l.vals[x] = int32(c[0]), c[1]
+		}
+		if !ascending(l.cols) {
+			sort.Sort(&byCol{cols: l.cols, vals: l.vals})
+		}
+		base := old
+		if !delta {
+			base = rowList{} // replace: the patch added to an empty row
+		}
+		l = mergeRows(base, l)
+		ns.nnz += len(l.cols) - len(old.cols)
+		ns.list[p.Row] = l
 	}
 	return ns
 }
+
+// mergeRows returns a + b for two rows listed by ascending column,
+// without the entries that sum to zero.
+func mergeRows(a, b rowList) rowList {
+	out := rowList{cols: make([]int32, 0, len(a.cols)+len(b.cols)), vals: make([]int64, 0, len(a.cols)+len(b.cols))}
+	x, y := 0, 0
+	for x < len(a.cols) || y < len(b.cols) {
+		var c int32
+		var v int64
+		switch {
+		case y == len(b.cols) || (x < len(a.cols) && a.cols[x] < b.cols[y]):
+			c, v = a.cols[x], a.vals[x]
+			x++
+		case x == len(a.cols) || b.cols[y] < a.cols[x]:
+			c, v = b.cols[y], b.vals[y]
+			y++
+		default:
+			c, v = a.cols[x], a.vals[x]+b.vals[y]
+			x, y = x+1, y+1
+		}
+		if v != 0 {
+			out.cols, out.vals = append(out.cols, c), append(out.vals, v)
+		}
+	}
+	return out
+}
+
+// List returns s: a listed matrix lends its own lists.
+func (s *Sparse) List() *Sparse { return s }
+
+// ListRow is Row.
+func (s *Sparse) ListRow(k int) (cols []int32, vals []int64) { return s.Row(k) }
 
 // Rows returns the number of rows.
 func (s *Sparse) Rows() int { return len(s.list) }

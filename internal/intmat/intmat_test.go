@@ -189,9 +189,24 @@ func TestSparseL1(t *testing.T) {
 	}
 }
 
+// withRows is Patch for a test that holds the successor dense: the
+// listed rows (repeats allowed) are replaced by nb's.
+func withRows(s *Sparse, nb *Dense, rows []int) *Sparse {
+	patches := make([]RowPatch, len(rows))
+	for x, k := range rows {
+		patches[x].Row = k
+		for j, v := range nb.Row(k) {
+			if v != 0 {
+				patches[x].Cells = append(patches[x].Cells, [2]int64{int64(j), v})
+			}
+		}
+	}
+	return s.Patch(patches, false)
+}
+
 // TestWithRowsMatchesRelisting: over random histories of row
 // replacements — rows emptied and refilled, rows listed twice — the
-// successor WithRows derives is the matrix FromDense lists from scratch,
+// successor Patch derives is the matrix FromDense lists from scratch,
 // row by row and in NNZ and Bytes; every row it did not touch aliases
 // the receiver's list (structural sharing is the contract), and the
 // receiver still lists the matrix it was built from.
@@ -219,7 +234,7 @@ func TestWithRowsMatchesRelisting(t *testing.T) {
 					list = append(list, k) // a row listed twice
 				}
 			}
-			ns, fresh := s.WithRows(next, list), FromDense(next)
+			ns, fresh := withRows(s, next, list), FromDense(next)
 			if !ns.Equal(fresh) || ns.NNZ() != fresh.NNZ() || ns.Bytes() != fresh.Bytes() || !ns.ToDense().Equal(next) {
 				return false
 			}
@@ -238,6 +253,69 @@ func TestWithRowsMatchesRelisting(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPatchMatchesDensePatch: over random histories of replace and delta
+// patches — cells in any column order, explicit zeros, deltas that cancel
+// a cell, rows emptied — the successor Patch derives is FromDense of the
+// same patch applied cell by cell to the dense matrix; untouched rows
+// alias the receiver's lists and the receiver is left as it was.
+func TestPatchMatchesDensePatch(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		const rows, cols = 8, 11
+		cur := randomDense(r, rows, cols, 0.3, 5)
+		s := FromDense(cur)
+		for step := 0; step < 10; step++ {
+			delta := step%2 == 1
+			next := cur.Clone()
+			touched := make([]bool, rows)
+			var patches []RowPatch
+			for n := 1 + int(r.Int63n(3)); n > 0; n-- {
+				k := int(r.Int63n(rows))
+				if touched[k] {
+					continue
+				}
+				touched[k] = true
+				p := RowPatch{Row: k}
+				if !delta {
+					clear(next.Row(k))
+				}
+				for j := cols - 1; j >= 0; j-- { // columns descending: Patch sorts
+					if !r.Bernoulli(0.4) {
+						continue
+					}
+					v := r.Int63n(7) - 3 // zero included
+					if delta && r.Bernoulli(0.5) {
+						v = -cur.Get(k, j) // the cell cancelled
+					}
+					p.Cells = append(p.Cells, [2]int64{int64(j), v})
+					if delta {
+						next.Add(k, j, v)
+					} else {
+						next.Set(k, j, v)
+					}
+				}
+				patches = append(patches, p)
+			}
+			ns, fresh := s.Patch(patches, delta), FromDense(next)
+			if !ns.Equal(fresh) || ns.NNZ() != fresh.NNZ() || !s.Equal(FromDense(cur)) {
+				return false
+			}
+			for k := 0; k < rows; k++ {
+				oc, _ := s.Row(k)
+				nc, _ := ns.Row(k)
+				if !touched[k] && len(oc) > 0 && &oc[0] != &nc[0] {
+					return false // an untouched row was copied
+				}
+			}
+			cur, s = next, ns
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
 }
@@ -272,7 +350,7 @@ func TestTransposeTwiceIsIdentity(t *testing.T) {
 }
 
 // TestEmptyRowsEqualAcrossConstructors: a row without non-zeros is the
-// same row whether FromDense, NewSparse, WithRows or Transpose made it,
+// same row whether FromDense, NewSparse, Patch or Transpose made it,
 // and Equal still tells different matrices apart.
 func TestEmptyRowsEqualAcrossConstructors(t *testing.T) {
 	d := NewDense(3, 4)
@@ -283,7 +361,7 @@ func TestEmptyRowsEqualAcrossConstructors(t *testing.T) {
 	full.Set(2, 3, -1)
 	for name, s := range map[string]*Sparse{
 		"NewSparse": NewSparse(3, 4, []Entry{{1, 2, 5}, {0, 1, 2}, {0, 1, -2}}),
-		"WithRows":  FromDense(full).WithRows(d, []int{0, 2}),
+		"Patch":     withRows(FromDense(full), d, []int{0, 2}),
 		"Transpose": fromDense.Transpose().Transpose(),
 	} {
 		if !s.Equal(fromDense) || !fromDense.Equal(s) || s.Bytes() != fromDense.Bytes() {

@@ -84,6 +84,11 @@ type FloatSketch interface {
 	Dim() int
 	// Apply sketches an integer vector of the configured dimension.
 	Apply(x []int64) []float64
+	// AddCoord adds value v at coordinate j into the sketch y. Apply is
+	// AddCoord over the non-zero coordinates in ascending order, so a
+	// sketch built that way from a vector's non-zero list is bit-equal
+	// to Apply over its cells.
+	AddCoord(y []float64, j int, v int64)
 	// EstimatePow estimates ‖x‖p^p from a sketch of x.
 	EstimatePow(y []float64) float64
 	// EstimatePowInPlace is EstimatePow for a caller whose y is scratch:

@@ -47,13 +47,14 @@ func FuzzMatrixToDense(f *testing.F) {
 		if len(m.Entries) > 1<<12 || int64(m.Rows)*int64(m.Cols) > 1<<20 {
 			return // keep a fuzz exec cheap; big shapes are covered by unit tests
 		}
-		d, isBinary, nonNeg, err := m.toDense()
+		list, isBinary, nonNeg, err := m.List()
 		if err != nil {
 			if !errors.Is(err, ErrBadRequest) {
-				t.Fatalf("toDense returned a non-request error: %v", err)
+				t.Fatalf("List returned a non-request error: %v", err)
 			}
 			return
 		}
+		d := list.ToDense()
 		if !dimsInRange(m.Rows, m.Cols) {
 			t.Fatalf("accepted out-of-range dims %dx%d", m.Rows, m.Cols)
 		}
@@ -100,7 +101,7 @@ func cellByCellDense(m Matrix) (d *intmat.Dense, binary, nonNeg bool, err error)
 
 // FuzzWireMatrixListing builds a small matrix's wire entries from the
 // fuzz stream — unsorted, repeated, explicit zeros, a step outside the
-// matrix on every side — and holds Matrix.list to the cell-by-cell
+// matrix on every side — and holds Matrix.List to the cell-by-cell
 // reference: it refuses exactly the inputs the reference refuses (with a
 // request-level error that is the reference's own whenever the input has
 // a single fault), and otherwise lists FromDense of the reference's
@@ -125,7 +126,7 @@ func FuzzWireMatrixListing(f *testing.F) {
 			})
 		}
 		want, wantBinary, wantNonNeg, wantErr := cellByCellDense(m)
-		got, binary, nonNeg, err := m.list()
+		got, binary, nonNeg, err := m.List()
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("%+v: list err %v, the cell-by-cell reference %v", m, err, wantErr)
 		}
@@ -286,7 +287,8 @@ func FuzzUpdateRowsEngine(f *testing.F) {
 			return
 		}
 		// Naively apply the same patch to a dense oracle.
-		d, _, _, _ := base.toDense()
+		list, _, _, _ := base.List()
+		d := list.ToDense()
 		for _, u := range req.Updates {
 			row := d.Row(u.Row)
 			if !delta {

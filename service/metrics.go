@@ -218,7 +218,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	reg.CounterFunc("mp_uploads_total",
 		"Chunked-upload lifecycle events.",
 		[]string{"event"}, func() []metrics.Sample {
-			us := e.uploadStats()
+			us := e.uploads.Stats()
 			return []metrics.Sample{
 				{Labels: []string{"begun"}, Value: float64(us.Begun)},
 				{Labels: []string{"committed"}, Value: float64(us.Committed)},
@@ -229,17 +229,17 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	reg.CounterFunc("mp_upload_chunks_total",
 		"Chunks accepted across all chunked uploads.",
 		nil, func() []metrics.Sample {
-			return []metrics.Sample{{Value: float64(e.uploadStats().Chunks)}}
+			return []metrics.Sample{{Value: float64(e.uploads.Stats().Chunks)}}
 		})
 	reg.GaugeFunc("mp_uploads_active",
 		"Chunked uploads currently staged (begun, not yet committed).",
 		nil, func() []metrics.Sample {
-			return []metrics.Sample{{Value: float64(e.uploadStats().Active)}}
+			return []metrics.Sample{{Value: float64(e.uploads.Stats().Active)}}
 		})
 	reg.GaugeFunc("mp_upload_staged_elems",
 		"Total rows*cols staged across active chunked uploads, against the MaxStagedElems budget.",
 		nil, func() []metrics.Sample {
-			return []metrics.Sample{{Value: float64(e.uploadStats().StagedElems)}}
+			return []metrics.Sample{{Value: float64(e.uploads.Stats().StagedElems)}}
 		})
 
 	reg.CounterFunc("mp_row_update_requests_total",

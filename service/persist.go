@@ -155,7 +155,7 @@ func (e *Engine) persistPut(name string, sm *servedMatrix) error {
 	if p == nil {
 		return nil
 	}
-	payload := EncodeMatrixSnapshot(MatrixFromDense(sm.dense), sm.info.Uploaded)
+	payload := EncodeMatrixSnapshot(MatrixFromList(sm.list), sm.info.Uploaded)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err := p.store.SaveSnapshot(name, store.Snapshot{Epoch: sm.gen, Seq: sm.sub, Payload: payload}); err != nil {
@@ -272,7 +272,7 @@ func (e *Engine) compactOne(name string) {
 	if !ok || p.lastEpoch[name] != sm.gen {
 		return // deleted, or a replacement's snapshot is already newer
 	}
-	payload := EncodeMatrixSnapshot(MatrixFromDense(sm.dense), sm.info.Uploaded)
+	payload := EncodeMatrixSnapshot(MatrixFromList(sm.list), sm.info.Uploaded)
 	if err := p.store.SaveSnapshot(name, store.Snapshot{Epoch: sm.gen, Seq: sm.sub, Payload: payload}); err != nil {
 		p.errs.Add(1)
 		return
@@ -321,12 +321,12 @@ func (e *Engine) recoverFromStore() {
 			p.recoveryErrs.Add(1)
 			continue
 		}
-		dense, _, _, err := m.toDense()
+		list, _, _, err := m.List()
 		if err != nil {
 			p.recoveryErrs.Add(1)
 			continue
 		}
-		sm := newServedMatrix(name, dense, uploaded, snap.Epoch, snap.Seq)
+		sm := newServedMatrix(name, list, uploaded, snap.Epoch, snap.Seq)
 		applied := 0
 		for _, r := range recs {
 			if r.Epoch != snap.Epoch || r.Seq <= sm.sub {

@@ -17,8 +17,9 @@ type MatrixInfo struct {
 	Rows int `json:"rows"`
 	// Cols is the matrix column count.
 	Cols int `json:"cols"`
-	// NNZ is the number of non-zero entries (computed from the dense
-	// form, so explicit zeros in the upload do not count).
+	// NNZ is the number of non-zero entries (the length of the served
+	// matrix's non-zero lists, so explicit zeros in the upload do not
+	// count).
 	NNZ int `json:"nnz"`
 	// Binary reports whether every entry is 0/1, which qualifies the
 	// matrix for the ℓ∞ protocols.
@@ -30,8 +31,11 @@ type MatrixInfo struct {
 	Uploaded time.Time `json:"uploaded"`
 }
 
-// servedMatrix is one registry entry: Bob's matrix in the forms the
-// protocols need, plus the catalog metadata Alice learns out of band.
+// servedMatrix is one registry entry: Bob's matrix, held once as its
+// non-zero lists — what every Bob state borrows, what a row update
+// patches, what a snapshot encodes — beside the bit rows the two
+// Boolean kinds read, plus the catalog metadata Alice learns out of
+// band. The lists are immutable and shared across goroutines.
 // gen is the upload generation of the name — unique per PutMatrix, so
 // sketch-cache entries built against a replaced matrix can never serve
 // its successor. sub is the generation's sub-version: it advances by
@@ -43,24 +47,29 @@ type servedMatrix struct {
 	cells cellCounts // what info's NNZ, Binary and NonNeg derive from
 	gen   uint64
 	sub   uint64
-	dense *intmat.Dense
+	list  *intmat.Sparse
 	bits  *bitmat.Matrix // non-nil iff the matrix is 0/1
 	elem  *list.Element
 }
 
-// newServedMatrix assembles a registry entry from a validated dense
-// form; one scan derives the catalog flags. A row update derives its
-// successor from the touched rows instead (patchServed).
-func newServedMatrix(name string, dense *intmat.Dense, uploaded time.Time, gen, sub uint64) *servedMatrix {
+// newServedMatrix assembles a registry entry from validated lists; one
+// pass over the non-zeros derives the catalog flags. A row update
+// derives its successor from the touched rows instead (patchServed).
+func newServedMatrix(name string, list *intmat.Sparse, uploaded time.Time, gen, sub uint64) *servedMatrix {
 	sm := &servedMatrix{
-		info:  MatrixInfo{Name: name, Rows: dense.Rows(), Cols: dense.Cols(), Uploaded: uploaded},
-		gen:   gen,
-		sub:   sub,
-		dense: dense,
+		info: MatrixInfo{Name: name, Rows: list.Rows(), Cols: list.Cols(), Uploaded: uploaded},
+		gen:  gen,
+		sub:  sub,
+		list: list,
 	}
-	sm.setCells(scanDense(dense))
+	var c cellCounts
+	for i := 0; i < list.Rows(); i++ {
+		_, vals := list.Row(i)
+		c.addRow(vals, 1)
+	}
+	sm.setCells(c)
 	if sm.info.Binary {
-		sm.bits = toBool(dense)
+		sm.bits = bitmat.FromSparse(list)
 	}
 	return sm
 }

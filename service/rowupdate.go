@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/bitmat"
 	"repro/internal/core"
 	"repro/internal/intmat"
 )
@@ -83,10 +84,9 @@ func (r UpdateRequest) Normalized() ([]RowUpdate, error) {
 
 // CheckRowUpdates is the position rule of a row patch against a
 // rows×cols matrix: every patched row and every entry's column must lie
-// inside the matrix, and no row patch may name a column twice. Both
-// tiers apply it before touching anything — the engine to the served
-// matrix, the gateway to its retained wire copy — so they refuse the
-// same patches with the same words.
+// inside the matrix, and no row patch may name a column twice. PatchRows
+// applies it before touching anything, so both tiers refuse the same
+// patches with the same words.
 func CheckRowUpdates(rows, cols int, ups []RowUpdate) error {
 	seen := make([]bool, cols) // columns of the patch at hand; all false between patches
 	for _, u := range ups {
@@ -179,20 +179,37 @@ func (c *rowUpdateCounters) snapshot() RowUpdateStats {
 	return c.s
 }
 
+// PatchRows is the one row patcher: the live update, WAL replay and the
+// gateway's retained copy all advance a matrix through it, so they hold
+// the same lists after the same history. Once the patches (distinct
+// rows — UpdateRequest.Normalized) pass CheckRowUpdates it returns the
+// successor of list — in replace mode a patched row becomes exactly its
+// non-zero entries, in delta mode each value is added to its cell and a
+// zero sum leaves the list — sharing every untouched row with list, and
+// the patched rows.
+func PatchRows(list *intmat.Sparse, ups []RowUpdate, delta bool) (next *intmat.Sparse, rows []int, err error) {
+	if err := CheckRowUpdates(list.Rows(), list.Cols(), ups); err != nil {
+		return nil, nil, err
+	}
+	patches := make([]intmat.RowPatch, len(ups))
+	rows = make([]int, len(ups))
+	for x, u := range ups {
+		patches[x], rows[x] = intmat.RowPatch{Row: u.Row, Cells: u.Entries}, u.Row
+	}
+	return list.Patch(patches, delta), rows, nil
+}
+
 // cellCounts are the tallies the catalog flags derive from: the cells
 // that are not zero, those that are neither zero nor one, and those
 // below zero. Counts, unlike the flags, can be kept across a row update
 // from the touched rows alone.
 type cellCounts struct{ nnz, nonBinary, negative int }
 
-// addRow tallies row with weight +1 when it enters the matrix and −1
-// when it leaves.
-func (c *cellCounts) addRow(row []int64, weight int) {
-	for _, v := range row {
-		if v == 0 {
-			continue
-		}
-		c.nnz += weight
+// addRow tallies a row's non-zero values with weight +1 when it enters
+// the matrix and −1 when it leaves.
+func (c *cellCounts) addRow(vals []int64, weight int) {
+	c.nnz += weight * len(vals)
+	for _, v := range vals {
 		if v != 1 {
 			c.nonBinary += weight
 		}
@@ -202,18 +219,8 @@ func (c *cellCounts) addRow(row []int64, weight int) {
 	}
 }
 
-// scanDense tallies a dense matrix in one pass: the install-time
-// derivation, and the oracle the incremental one is tested against.
-func scanDense(d *intmat.Dense) cellCounts {
-	var c cellCounts
-	for i := 0; i < d.Rows(); i++ {
-		c.addRow(d.Row(i), 1)
-	}
-	return c
-}
-
 // UpdateRows applies a batch of sparse row patches to a served matrix:
-// the dense form is cloned and patched, the registry entry replaced
+// the patched rows are re-listed (PatchRows), the registry entry replaced
 // under the same upload generation with a bumped sub-version, and
 // every cached Bob state revalidated in place by the core incremental
 // layer. The whole batch is atomic — a validation failure on any patch
@@ -321,46 +328,40 @@ func (e *Engine) rememberUpdateLocked(k updKey, rep UpdateReply) {
 	}
 }
 
-// patchServed builds sm's copy-on-write successor with the row patches,
-// once they pass CheckRowUpdates, applied: dense clone patched, cell tallies and the
-// catalog flags adjusted by the touched rows (old row out, new row in),
-// sub-version bumped, bit form patched incrementally when it stays
-// binary. Returns the touched rows for cache revalidation. Shared by
-// the live update path and WAL replay at recovery, so a replayed
-// update reconstructs byte-identical served state.
+// patchServed builds sm's copy-on-write successor under the row
+// patches (PatchRows): cell tallies and the catalog flags adjusted by the
+// touched rows (old row out, new row in), sub-version bumped, bit form
+// patched incrementally when it stays binary. Returns the touched rows
+// for cache revalidation. Shared by the live update path and WAL replay
+// at recovery, so a replayed update reconstructs identical served state.
 func patchServed(sm *servedMatrix, ups []RowUpdate, delta bool) (*servedMatrix, []int, error) {
-	if err := CheckRowUpdates(sm.info.Rows, sm.info.Cols, ups); err != nil {
+	list, rows, err := PatchRows(sm.list, ups, delta)
+	if err != nil {
 		return nil, nil, err
 	}
-	next := &servedMatrix{info: sm.info, gen: sm.gen, sub: sm.sub + 1, dense: sm.dense.Clone()}
+	next := &servedMatrix{info: sm.info, gen: sm.gen, sub: sm.sub + 1, list: list}
 	cells := sm.cells
-	rows := make([]int, 0, len(ups))
-	for _, u := range ups {
-		rows = append(rows, u.Row)
-		row := next.dense.Row(u.Row)
-		cells.addRow(row, -1)
-		if !delta {
-			clear(row)
-		}
-		for _, ent := range u.Entries {
-			if delta {
-				row[ent[0]] += ent[1]
-			} else {
-				row[ent[0]] = ent[1]
-			}
-		}
-		cells.addRow(row, 1)
+	for _, k := range rows {
+		_, old := sm.list.Row(k)
+		_, now := list.Row(k)
+		cells.addRow(old, -1)
+		cells.addRow(now, 1)
 	}
 	next.setCells(cells)
 	switch {
 	case !next.info.Binary:
 	case sm.bits == nil:
-		next.bits = toBool(next.dense)
+		next.bits = bitmat.FromSparse(list)
 	default:
 		next.bits = sm.bits.Clone()
 		for _, k := range rows {
-			for j, v := range next.dense.Row(k) {
-				next.bits.Set(k, j, v != 0)
+			old, _ := sm.list.Row(k)
+			for _, j := range old {
+				next.bits.Set(k, int(j), false)
+			}
+			now, _ := list.Row(k)
+			for _, j := range now {
+				next.bits.Set(k, int(j), true)
 			}
 		}
 	}
@@ -377,19 +378,19 @@ func patchServed(sm *servedMatrix, ups []RowUpdate, delta bool) (*servedMatrix, 
 func advanceState(st bobState, sm *servedMatrix, rows []int) (bobState, bool) {
 	switch v := st.(type) {
 	case *lpStates:
-		nb, err := v.bob.UpdateRows(sm.dense, rows)
+		nb, err := v.bob.UpdateRows(sm.list, rows)
 		if err != nil {
 			return nil, false
 		}
 		return &lpStates{bob: nb, alice: v.alice}, true
 	case *core.BobL0SampleState:
-		nb, err := v.UpdateRows(sm.dense, rows)
+		nb, err := v.UpdateRows(sm.list, rows)
 		return nb, err == nil
 	case *core.BobExactL1State:
-		nb, err := v.UpdateRows(sm.dense, rows)
+		nb, err := v.UpdateRows(sm.list, rows)
 		return nb, err == nil
 	case *core.BobL1SampleState:
-		nb, err := v.UpdateRows(sm.dense, rows)
+		nb, err := v.UpdateRows(sm.list, rows)
 		return nb, err == nil
 	case *core.BobLinfState:
 		if sm.bits == nil {
@@ -404,7 +405,7 @@ func advanceState(st bobState, sm *servedMatrix, rows []int) (bobState, bool) {
 		nb, err := v.UpdateRows(sm.bits, rows)
 		return nb, err == nil
 	case *core.BobHHState:
-		nb, err := v.UpdateRows(sm.dense, rows)
+		nb, err := v.UpdateRows(sm.list, rows)
 		return nb, err == nil
 	default:
 		return nil, false

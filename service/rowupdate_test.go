@@ -466,7 +466,8 @@ func TestUpdateRowsConcurrentChurn(t *testing.T) {
 // tallies, catalog flags and bit form to a fresh scan of its dense form.
 func checkServedAgainstScan(t *testing.T, when string, sm *servedMatrix) {
 	t.Helper()
-	want := scanDense(sm.dense)
+	dense := sm.list.ToDense()
+	want := scanDense(dense)
 	if sm.cells != want {
 		t.Fatalf("%s: tallies %+v, a scan counts %+v", when, sm.cells, want)
 	}
@@ -476,7 +477,7 @@ func checkServedAgainstScan(t *testing.T, when string, sm *servedMatrix) {
 	if (sm.bits != nil) != sm.info.Binary {
 		t.Fatalf("%s: bit form present = %v for binary = %v", when, sm.bits != nil, sm.info.Binary)
 	}
-	if sm.bits != nil && !sm.bits.Equal(toBool(sm.dense)) {
+	if sm.bits != nil && !sm.bits.Equal(toBool(dense)) {
 		t.Fatalf("%s: bit form differs from the dense form", when)
 	}
 }
@@ -544,7 +545,7 @@ func TestUpdateRowsFlagsFollowTouchedRows(t *testing.T) {
 	// bad rejects: the flag may turn only with the last of them.
 	cleanse := func(bad func(int64) bool, lo, hi int64) {
 		for k := 0; k < n; k++ {
-			for _, v := range served().dense.Row(k) {
+			for _, v := range served().list.ToDense().Row(k) {
 				if bad(v) {
 					apply(false, palette(k, lo, hi))
 					break
@@ -602,7 +603,7 @@ func TestUpdateRowsFlagsFollowTouchedRows(t *testing.T) {
 		t.Fatalf("recovery replayed %d records with %d errors, want %d and none", st.ReplayedRecords, st.RecoveryErrors, step)
 	}
 	checkServedAgainstScan(t, "after WAL replay", got)
-	if !got.dense.Equal(final.dense) || got.cells != final.cells || got.sub != final.sub {
+	if !got.list.Equal(final.list) || got.cells != final.cells || got.sub != final.sub {
 		t.Fatalf("recovered sub %d tallies %+v, live sub %d tallies %+v", got.sub, got.cells, final.sub, final.cells)
 	}
 }

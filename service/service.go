@@ -102,13 +102,14 @@ type Config struct {
 	// the background compactor re-snapshots it and truncates the covered
 	// log. Default 64; negative never compacts.
 	SnapshotEvery int
-	// MaxStagedElems bounds the total rows×cols staged across all
-	// in-progress chunked uploads. Staging allocates the dense buffer at
-	// begin — proportional to the declared dimensions, not the data
-	// shipped — so this, not MaxUploads, is what caps the memory a
-	// client can pin with cheap begin requests (8 bytes per element:
-	// the default 2·maxMatrixElems ≈ 256 MiB of staging). Begins beyond
-	// the budget fail with ErrOverloaded. Default 1<<25.
+	// MaxStagedElems bounds the total rows×cols declared across all
+	// in-progress chunked uploads. Staging keeps the entries received
+	// (24 bytes each, at most one per declared cell) and one bit per
+	// declared cell, so this, not MaxUploads, is what caps the memory a
+	// client can pin: 4 MiB of cell marks at the default 2·maxMatrixElems
+	// for begins alone, 24 bytes per declared cell if every one is then
+	// sent. Begins beyond the budget fail with ErrOverloaded. Default
+	// 1<<25.
 	MaxStagedElems int64
 }
 
@@ -229,11 +230,7 @@ type Engine struct {
 	genSeq  atomic.Uint64 // upload generations (cache-key component)
 	closed  chan struct{}
 
-	upMu        sync.Mutex
-	uploads     map[string]*stagingUpload // in-progress chunked uploads by token
-	upSeq       atomic.Uint64             // upload-token sequence
-	upStats     uploadCounters
-	stagedElems int64 // Σ rows×cols across e.uploads, vs MaxStagedElems
+	uploads *UploadStager // in-progress chunked uploads
 
 	// updMu serializes row updates (UpdateRows): sub-version assignment
 	// and cache revalidation must observe a stable predecessor entry.
@@ -257,7 +254,7 @@ func NewEngine(cfg Config) *Engine {
 		queue:   make(chan struct{}, cfg.QueueDepth),
 		seedSeq: make(chan uint64, 1),
 		closed:  make(chan struct{}),
-		uploads: make(map[string]*stagingUpload),
+		uploads: NewUploadStager("up", cfg.UploadTTL, cfg.MaxUploads, cfg.MaxStagedElems),
 	}
 	if !cfg.DisableCache {
 		e.cache = newSketchCache(cfg.CacheCapacity, cfg.SeedRotateEvery)
@@ -300,15 +297,15 @@ func (e *Engine) PutMatrix(name string, m Matrix) (MatrixInfo, []string, error) 
 	if name == "" {
 		return MatrixInfo{}, nil, fmt.Errorf("%w: empty matrix name", ErrBadRequest)
 	}
-	dense, _, _, err := m.toDense()
+	list, _, _, err := m.List()
 	if err != nil {
 		return MatrixInfo{}, nil, err
 	}
-	return e.install(newServedMatrix(name, dense, time.Now(), e.genSeq.Add(1), 0))
+	return e.install(newServedMatrix(name, list, time.Now(), e.genSeq.Add(1), 0))
 }
 
-// install is the tail every wholesale install shares (a single-body
-// put, a chunked commit): the matrix becomes durable, then visible,
+// install is the tail of a wholesale install (a single-body put, or a
+// chunked commit through it): the matrix becomes durable, then visible,
 // then its LRU victims are accounted and tombstoned.
 func (e *Engine) install(sm *servedMatrix) (MatrixInfo, []string, error) {
 	name := sm.info.Name
@@ -355,7 +352,7 @@ func (e *Engine) Stats() Stats {
 		s.Cache = e.cache.snapshot()
 	}
 	s.Shard = shardStatsSnapshot(e.cfg.Shards)
-	s.Uploads = e.uploadStats()
+	s.Uploads = e.uploads.Stats()
 	s.RowUpdates = e.rowUpd.snapshot()
 	if e.persist != nil {
 		s.Store = e.persist.snapshot()
@@ -522,7 +519,7 @@ func (e *Engine) runJob(ctx context.Context, req Request) (*Result, error) {
 		return nil, fmt.Errorf("%w: A is %dx%d but %q has %d rows",
 			ErrBadRequest, req.A.Rows, req.A.Cols, req.Matrix, sm.info.Rows)
 	}
-	a, aBinary, aNonNeg, err := req.A.list()
+	a, aBinary, aNonNeg, err := req.A.List()
 	if err != nil {
 		return nil, err
 	}
@@ -607,7 +604,7 @@ type lpStates struct {
 	alice *core.AliceLpState
 }
 
-func newLpStates(b *intmat.Dense, p float64, o core.LpOpts) (*lpStates, error) {
+func newLpStates(b *intmat.Sparse, p float64, o core.LpOpts) (*lpStates, error) {
 	bob, err := core.NewBobLpState(b, p, o)
 	if err != nil {
 		return nil, err
@@ -662,7 +659,7 @@ func (e *Engine) bobState(sm *servedMatrix, kind, fp string, epoch uint64, build
 // seed-free Bob phases, whose entries therefore serve any seed.
 func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Sparse, aBinary, aNonNeg bool, seed, epoch uint64) (*job, error) {
 	res := &Result{}
-	b := sm.dense
+	b := sm.list
 	m2 := sm.info.Cols
 	eps := req.Eps
 	if eps == 0 {
@@ -687,7 +684,7 @@ func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Sparse, aBina
 		}
 		lp := st.(*lpStates)
 		return &job{
-			alice: func(t comm.Transport) error { return lp.alice.ServeSparse(t, a) },
+			alice: func(t comm.Transport) error { return lp.alice.Serve(t, a) },
 			bob: func(t comm.Transport) (err error) {
 				res.Estimate, err = lp.bob.Serve(t)
 				return err
@@ -704,7 +701,7 @@ func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Sparse, aBina
 		l0 := st.(*core.BobL0SampleState)
 		m1 := a.Rows()
 		return &job{
-			alice: func(t comm.Transport) error { return core.AliceL0SampleSparse(t, a, o) },
+			alice: func(t comm.Transport) error { return core.AliceL0Sample(t, a, o) },
 			bob: func(t comm.Transport) (err error) {
 				pair, v, err := l0.Serve(t, m1)
 				res.I, res.J, res.Estimate = pair.I, pair.J, float64(v)
@@ -719,7 +716,7 @@ func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Sparse, aBina
 		}
 		l1 := st.(*core.BobL1SampleState)
 		return &job{
-			alice: func(t comm.Transport) error { return core.AliceSampleL1Sparse(t, a, seed) },
+			alice: func(t comm.Transport) error { return core.AliceSampleL1(t, a, seed) },
 			bob: func(t comm.Transport) (err error) {
 				res.I, res.J, res.Witness, err = l1.Serve(t, seed)
 				return err
@@ -733,7 +730,7 @@ func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Sparse, aBina
 		}
 		ex := st.(*core.BobExactL1State)
 		return &job{
-			alice: func(t comm.Transport) error { return core.AliceExactL1Sparse(t, a) },
+			alice: func(t comm.Transport) error { return core.AliceExactL1(t, a) },
 			bob: func(t comm.Transport) (err error) {
 				v, err := ex.Serve(t)
 				res.Estimate = float64(v)
@@ -810,7 +807,7 @@ func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Sparse, aBina
 		m1 := a.Rows()
 		bNonNeg := sm.info.NonNeg
 		return &job{
-			alice: func(t comm.Transport) error { return core.AliceHHSparse(t, a, m2, bNonNeg, o) },
+			alice: func(t comm.Transport) error { return core.AliceHH(t, a, m2, bNonNeg, o) },
 			bob: func(t comm.Transport) (err error) {
 				out, err := hh.Serve(t, m1, aNonNeg)
 				for _, wp := range out {

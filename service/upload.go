@@ -3,9 +3,8 @@ package service
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
-
-	"repro/internal/intmat"
 )
 
 // Streaming matrix ingestion: matrices larger than the HTTP layer's
@@ -14,10 +13,13 @@ import (
 // generation token; each append ships one row-range chunk of sparse
 // entries, validated (bounds, declared row range, cell-level duplicates)
 // as it lands; commit atomically installs the assembled matrix in the
-// registry exactly as a single-body PutMatrix would — same NNZ
-// accounting from the dense form, same cache invalidation, same upload
-// generation discipline. Idle partial uploads are garbage-collected
-// lazily on every upload operation (no background goroutine to leak).
+// registry exactly as a single-body PutMatrix would — the staged entries
+// go through the same Matrix.List, so the NNZ accounting, the cache
+// invalidation and the upload generation discipline are that path's.
+// What is staged is what was received: the accepted entries and one bit
+// per declared cell (UploadStager), never a rows × cols buffer. Idle
+// partial uploads are garbage-collected lazily on every upload operation
+// (no background goroutine to leak).
 
 // ErrUploadNotFound is returned for operations on unknown, expired, or
 // already-committed upload tokens.
@@ -46,25 +48,20 @@ type UploadInfo struct {
 	Expires time.Time `json:"expires"`
 }
 
-// stagingUpload is one in-progress chunked upload. Guarded by
-// Engine.upMu.
-type stagingUpload struct {
-	info  UploadInfo
-	dense *intmat.Dense
-	// seen marks the cells staged so far, across chunks.
+// stagedUpload is one in-progress chunked upload: the client's token,
+// running counts and GC deadline (info), the entries accepted so far and
+// the cells they occupy (seen — a cell repeated across chunks is refused
+// at append, not at commit after the token is spent). info's name and
+// dimensions never change after begin.
+type stagedUpload struct {
+	info    UploadInfo
+	entries [][3]int64
 	seen    CellSet
-	touched time.Time
 }
 
-// uploadCounters accumulates lifecycle totals for Stats. Guarded by
-// Engine.upMu.
-type uploadCounters struct {
-	begun     int64
-	chunks    int64
-	committed int64
-	aborted   int64
-	expired   int64
-}
+// cells is the upload's declared rows×cols — what it counts against the
+// staging budget.
+func (up *stagedUpload) cells() int64 { return int64(up.info.Rows) * int64(up.info.Cols) }
 
 // UploadStats is a snapshot of the chunked-upload lifecycle counters.
 type UploadStats struct {
@@ -85,37 +82,159 @@ type UploadStats struct {
 	Expired int64 `json:"expired"`
 }
 
-func (e *Engine) uploadStats() UploadStats {
-	e.upMu.Lock()
-	defer e.upMu.Unlock()
-	e.gcUploadsLocked(time.Now())
-	return UploadStats{
-		Active:      len(e.uploads),
-		StagedElems: e.stagedElems,
-		Begun:       e.upStats.begun,
-		Chunks:      e.upStats.chunks,
-		Committed:   e.upStats.committed,
-		Aborted:     e.upStats.aborted,
-		Expired:     e.upStats.expired,
-	}
+// UploadStager is the staging table of chunked uploads, the one both
+// tiers hold — an engine stages what it will install, a gateway what it
+// will place: token → upload, lazy TTL collection on every operation, a
+// cap on concurrent uploads and a budget on the cells they declare
+// between them. An upload pins one bit per declared cell plus 24 bytes
+// per accepted entry, and its CellSet caps the accepted entries at
+// rows × cols, so the declared-cell budget bounds the memory cheap begin
+// requests can pin. Safe for concurrent use.
+type UploadStager struct {
+	prefix         string // of the tokens: which tier issued one
+	ttl            time.Duration
+	maxUploads     int
+	maxStagedElems int64
+
+	mu      sync.Mutex
+	seq     uint64
+	uploads map[string]*stagedUpload
+	stats   UploadStats // lifetime counters; Active and StagedElems are derived
 }
 
-// gcUploadsLocked drops staged uploads idle past the TTL, returning
-// their elements to the staging budget. Callers hold e.upMu.
-func (e *Engine) gcUploadsLocked(now time.Time) {
-	for tok, up := range e.uploads {
-		if now.Sub(up.touched) > e.cfg.UploadTTL {
-			e.dropUploadLocked(tok, up)
-			e.upStats.expired++
+// NewUploadStager returns an empty staging table whose tokens start
+// with prefix.
+func NewUploadStager(prefix string, ttl time.Duration, maxUploads int, maxStagedElems int64) *UploadStager {
+	return &UploadStager{prefix: prefix, ttl: ttl, maxUploads: maxUploads, maxStagedElems: maxStagedElems,
+		uploads: make(map[string]*stagedUpload)}
+}
+
+// Stats snapshots the table's counters.
+func (s *UploadStager) Stats() UploadStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.gcLocked(time.Now())
+	out := s.stats
+	out.Active, out.StagedElems = len(s.uploads), s.stagedElemsLocked()
+	return out
+}
+
+func (s *UploadStager) stagedElemsLocked() (elems int64) {
+	for _, up := range s.uploads {
+		elems += up.cells()
+	}
+	return elems
+}
+
+// gcLocked drops staged uploads idle past the TTL.
+func (s *UploadStager) gcLocked(now time.Time) {
+	for tok, up := range s.uploads {
+		if now.After(up.info.Expires) {
+			delete(s.uploads, tok)
+			s.stats.Expired++
 		}
 	}
 }
 
-// dropUploadLocked removes a staged upload and credits its elements
-// back to the staging budget. Callers hold e.upMu.
-func (e *Engine) dropUploadLocked(token string, up *stagingUpload) {
-	delete(e.uploads, token)
-	e.stagedElems -= int64(up.info.Rows) * int64(up.info.Cols)
+// lookupLocked resolves a token addressed at the named matrix, after
+// collecting the expired. The token must have been begun for the same
+// name: an upload staged for one matrix can never be appended to,
+// committed, or aborted through another's URL.
+func (s *UploadStager) lookupLocked(name, token string, now time.Time) (*stagedUpload, error) {
+	s.gcLocked(now)
+	up, ok := s.uploads[token]
+	if !ok || up.info.Name != name {
+		return nil, fmt.Errorf("%w: %q for matrix %q", ErrUploadNotFound, token, name)
+	}
+	return up, nil
+}
+
+// Begin stages an upload of a rows×cols matrix (dimensions that passed
+// CheckDims) destined for name and returns its token. Beyond the upload
+// cap or the declared-cell budget it answers ErrOverloaded.
+func (s *UploadStager) Begin(name string, rows, cols int) (UploadInfo, error) {
+	now := time.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.gcLocked(now)
+	if len(s.uploads) >= s.maxUploads {
+		return UploadInfo{}, fmt.Errorf("%w: %d uploads already staged", ErrOverloaded, len(s.uploads))
+	}
+	staged, elems := s.stagedElemsLocked(), int64(rows)*int64(cols)
+	if staged+elems > s.maxStagedElems {
+		return UploadInfo{}, fmt.Errorf("%w: %d staged elements + %d requested exceeds budget %d",
+			ErrOverloaded, staged, elems, s.maxStagedElems)
+	}
+	s.seq++
+	up := &stagedUpload{info: UploadInfo{
+		Upload:  fmt.Sprintf("%s-%d-%d", s.prefix, s.seq, now.UnixNano()),
+		Name:    name,
+		Rows:    rows,
+		Cols:    cols,
+		Expires: now.Add(s.ttl),
+	}}
+	up.seen.Reset(rows, cols)
+	s.uploads[up.info.Upload] = up
+	s.stats.Begun++
+	return up.info, nil
+}
+
+// Append validates and stages one row-range chunk of an upload: every
+// entry must pass CheckChunk, and a cell already staged by any earlier
+// chunk (or this one) is a duplicate — the cell-level discipline the
+// single-body path's Matrix.List applies, enforced chunk by chunk. A
+// refused chunk stages nothing, so it can be corrected and resent.
+func (s *UploadStager) Append(name, token string, rowStart, rowEnd int, entries [][3]int64) (UploadInfo, error) {
+	now := time.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	up, err := s.lookupLocked(name, token, now)
+	if err != nil {
+		return UploadInfo{}, err
+	}
+	if err := CheckChunk(up.info.Rows, up.info.Cols, rowStart, rowEnd, entries); err != nil {
+		return UploadInfo{}, err
+	}
+	if err := up.seen.AddAll(entries); err != nil {
+		return UploadInfo{}, err
+	}
+	for _, ent := range entries {
+		if ent[2] != 0 {
+			up.info.NNZ++
+		}
+	}
+	up.entries = append(up.entries, entries...)
+	up.info.Entries += len(entries)
+	up.info.Chunks++
+	up.info.Expires = now.Add(s.ttl)
+	s.stats.Chunks++
+	return up.info, nil
+}
+
+// Take consumes a token for commit and returns the staged matrix in
+// wire form, entries in arrival order.
+func (s *UploadStager) Take(name, token string) (Matrix, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	up, err := s.lookupLocked(name, token, time.Now())
+	if err != nil {
+		return Matrix{}, err
+	}
+	delete(s.uploads, token)
+	s.stats.Committed++
+	return Matrix{Rows: up.info.Rows, Cols: up.info.Cols, Entries: up.entries}, nil
+}
+
+// Abort discards a staged upload and consumes its token.
+func (s *UploadStager) Abort(name, token string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, err := s.lookupLocked(name, token, time.Now()); err != nil {
+		return err
+	}
+	delete(s.uploads, token)
+	s.stats.Aborted++
+	return nil
 }
 
 // BeginUpload starts a chunked upload of a rows×cols matrix destined
@@ -133,50 +252,7 @@ func (e *Engine) BeginUpload(name string, rows, cols int) (UploadInfo, error) {
 	if err := CheckDims(rows, cols); err != nil {
 		return UploadInfo{}, err
 	}
-	now := time.Now()
-	e.upMu.Lock()
-	defer e.upMu.Unlock()
-	e.gcUploadsLocked(now)
-	if len(e.uploads) >= e.cfg.MaxUploads {
-		return UploadInfo{}, fmt.Errorf("%w: %d uploads already staged", ErrOverloaded, len(e.uploads))
-	}
-	// Staging allocates rows×cols up front, so the element budget — not
-	// the upload count — is what bounds the memory a burst of cheap
-	// begin requests can pin.
-	elems := int64(rows) * int64(cols)
-	if e.stagedElems+elems > e.cfg.MaxStagedElems {
-		return UploadInfo{}, fmt.Errorf("%w: %d staged elements + %d requested exceeds budget %d",
-			ErrOverloaded, e.stagedElems, elems, e.cfg.MaxStagedElems)
-	}
-	e.stagedElems += elems
-	token := fmt.Sprintf("up-%d-%d", e.upSeq.Add(1), now.UnixNano())
-	up := &stagingUpload{
-		info: UploadInfo{
-			Upload:  token,
-			Name:    name,
-			Rows:    rows,
-			Cols:    cols,
-			Expires: now.Add(e.cfg.UploadTTL),
-		},
-		dense:   intmat.NewDense(rows, cols),
-		touched: now,
-	}
-	up.seen.Reset(rows, cols)
-	e.uploads[token] = up
-	e.upStats.begun++
-	return up.info, nil
-}
-
-// lookupUploadLocked resolves a token addressed at the named matrix.
-// The token must have been begun for the same name: an upload staged
-// for one registry slot can never be appended to, committed, or
-// aborted through another slot's URL. Callers hold e.upMu.
-func (e *Engine) lookupUploadLocked(name, token string) (*stagingUpload, error) {
-	up, ok := e.uploads[token]
-	if !ok || up.info.Name != name {
-		return nil, fmt.Errorf("%w: %q for matrix %q", ErrUploadNotFound, token, name)
-	}
-	return up, nil
+	return e.uploads.Begin(name, rows, cols)
 }
 
 // CheckChunk is the position rule of one row-range chunk of a rows×cols
@@ -199,81 +275,30 @@ func CheckChunk(rows, cols, rowStart, rowEnd int, entries [][3]int64) error {
 	return nil
 }
 
-// AppendChunk validates and stages one row-range chunk of an upload:
-// every entry must pass CheckChunk, and a cell already populated by any
-// earlier chunk (or this one) is a duplicate — the same cell-level
-// discipline the single-body path's Matrix.list applies, enforced chunk by
-// chunk so a bad chunk is rejected without poisoning the rest of the
-// upload.
+// AppendChunk validates and stages one row-range chunk of an upload
+// (UploadStager.Append).
 func (e *Engine) AppendChunk(name, token string, rowStart, rowEnd int, entries [][3]int64) (UploadInfo, error) {
-	now := time.Now()
-	e.upMu.Lock()
-	defer e.upMu.Unlock()
-	e.gcUploadsLocked(now)
-	up, err := e.lookupUploadLocked(name, token)
-	if err != nil {
-		return UploadInfo{}, err
-	}
-	// Validate the whole chunk before mutating the staged matrix.
-	if err := CheckChunk(up.info.Rows, up.info.Cols, rowStart, rowEnd, entries); err != nil {
-		return UploadInfo{}, err
-	}
-	if err := up.seen.AddAll(entries); err != nil {
-		return UploadInfo{}, err
-	}
-	for _, ent := range entries {
-		i, j, v := ent[0], ent[1], ent[2]
-		if v != 0 {
-			up.info.NNZ++
-		}
-		up.dense.Set(int(i), int(j), v)
-	}
-	up.info.Entries += len(entries)
-	up.info.Chunks++
-	up.touched = now
-	up.info.Expires = now.Add(e.cfg.UploadTTL)
-	e.upStats.chunks++
-	return up.info, nil
+	return e.uploads.Append(name, token, rowStart, rowEnd, entries)
 }
 
 // CommitUpload atomically installs a staged upload in the registry,
 // exactly as a single-body PutMatrix of the assembled matrix would:
 // fresh upload generation, LRU insertion with evictions, sketch-cache
-// invalidation for the replaced name. The token is consumed.
+// invalidation for the replaced name. The token is consumed: a store
+// failure in the install loses the staging, but never acknowledges an
+// install that would vanish on restart.
 func (e *Engine) CommitUpload(name, token string) (MatrixInfo, []string, error) {
 	select {
 	case <-e.closed:
 		return MatrixInfo{}, nil, ErrClosed
 	default:
 	}
-	now := time.Now()
-	e.upMu.Lock()
-	e.gcUploadsLocked(now)
-	up, err := e.lookupUploadLocked(name, token)
-	if err == nil {
-		e.dropUploadLocked(token, up)
-		e.upStats.committed++
-	}
-	e.upMu.Unlock()
+	m, err := e.uploads.Take(name, token)
 	if err != nil {
 		return MatrixInfo{}, nil, err
 	}
-	// The staged upload is already consumed: a store failure in install
-	// loses the staging, but never acknowledges an install that would
-	// vanish on restart. The staged dense form is handed over as is.
-	return e.install(newServedMatrix(name, up.dense, now, e.genSeq.Add(1), 0))
+	return e.PutMatrix(name, m)
 }
 
 // AbortUpload discards a staged upload and consumes its token.
-func (e *Engine) AbortUpload(name, token string) error {
-	e.upMu.Lock()
-	defer e.upMu.Unlock()
-	e.gcUploadsLocked(time.Now())
-	up, err := e.lookupUploadLocked(name, token)
-	if err != nil {
-		return err
-	}
-	e.dropUploadLocked(token, up)
-	e.upStats.aborted++
-	return nil
-}
+func (e *Engine) AbortUpload(name, token string) error { return e.uploads.Abort(name, token) }

@@ -21,11 +21,30 @@ type Matrix struct {
 	Entries [][3]int64 `json:"entries"`
 }
 
-// MatrixFromDense builds the wire form of a dense integer matrix.
+// MatrixFromDense builds the wire form of a dense integer matrix — a
+// client-side helper: no serving path holds one.
 func MatrixFromDense(d *intmat.Dense) Matrix {
 	m := Matrix{Rows: d.Rows(), Cols: d.Cols()}
 	for _, e := range d.NonZeros() {
 		m.Entries = append(m.Entries, [3]int64{int64(e.I), int64(e.J), e.V})
+	}
+	return m
+}
+
+// MatrixFromList renders non-zero lists as a wire matrix, entries in
+// row-major order — MatrixFromDense's of the same matrix. It is how a
+// served matrix leaves the process: a snapshot payload, a gateway's seed
+// of a replica. A matrix without non-zeros has nil Entries, as there.
+func MatrixFromList(s *intmat.Sparse) Matrix {
+	m := Matrix{Rows: s.Rows(), Cols: s.Cols()}
+	if s.NNZ() > 0 {
+		m.Entries = make([][3]int64, 0, s.NNZ())
+	}
+	for i := 0; i < s.Rows(); i++ {
+		cols, vals := s.Row(i)
+		for x, j := range cols {
+			m.Entries = append(m.Entries, [3]int64{int64(i), int64(j), vals[x]})
+		}
 	}
 	return m
 }
@@ -41,8 +60,10 @@ func MatrixFromBool(b *bitmat.Matrix) Matrix {
 	return m
 }
 
-// maxMatrixElems bounds rows×cols of an uploaded matrix (the dense
-// form allocates one int64 per element — 1<<24 elements is 128 MiB) so
+// maxMatrixElems bounds rows×cols of an uploaded matrix — what the
+// forms that are still one unit a cell cost (the 0/1 kinds' bit rows and
+// a staged upload's CellSet, 2 MiB each at 1<<24 cells; the ℓ∞ index
+// exchange's dense product) and the most non-zeros a list can hold — so
 // a tiny hostile request cannot demand an enormous allocation.
 const maxMatrixElems = 1 << 24
 
@@ -71,7 +92,7 @@ func CheckDims(rows, cols int) error {
 // a time — the engine's and the gateway's upload staging — where a
 // repeat must be refused against cells staged by earlier chunks. A
 // matrix that arrives whole (a put, a query, a snapshot) is validated by
-// Matrix.list instead, which needs no per-cell mark. It is one bit a
+// Matrix.List instead, which needs no per-cell mark. It is one bit a
 // cell, 2 MiB at the maxMatrixElems cap, where a map keyed by cell costs
 // gigabytes on a dense upload. The zero value is empty; Reset sizes it.
 // Cells passed in must lie inside the matrix.
@@ -118,15 +139,16 @@ func errDuplicateEntry(i, j int64) error {
 	return fmt.Errorf("%w: duplicate entry (%d, %d)", ErrBadRequest, i, j)
 }
 
-// list validates the wire matrix into its non-zero lists — the one
-// validator of a matrix that arrives whole — reporting whether every
-// entry is 0/1 (binary, eligible for the ℓ∞ protocols) and whether all
-// entries are non-negative (eligible for Remark 2/3). An entry outside
-// the matrix is refused before any duplicate (row, col), and the
-// duplicate reported is the lowest; letting the last one win would also
-// miscount the catalog NNZ. Explicit zeros are legal and not listed. The
-// cost follows rows + entries, never rows × cols.
-func (m Matrix) list() (s *intmat.Sparse, binary, nonNeg bool, err error) {
+// List validates the wire matrix into its non-zero lists — the one
+// validator of a matrix that arrives whole, on either tier, and the one
+// form a served matrix is held in — reporting whether every entry is
+// 0/1 (binary, eligible for the ℓ∞ protocols) and whether all entries
+// are non-negative (eligible for Remark 2/3). An entry outside the
+// matrix is refused before any duplicate (row, col), and the duplicate
+// reported is the lowest; letting the last one win would also miscount
+// the catalog NNZ. Explicit zeros are legal and not listed. The cost
+// follows rows + entries, never rows × cols.
+func (m Matrix) List() (s *intmat.Sparse, binary, nonNeg bool, err error) {
 	if err := CheckDims(m.Rows, m.Cols); err != nil {
 		return nil, false, false, err
 	}
@@ -140,29 +162,6 @@ func (m Matrix) list() (s *intmat.Sparse, binary, nonNeg bool, err error) {
 		}
 	}
 	return s, binary, nonNeg, err
-}
-
-// toDense is list for the served matrix, which the registry holds dense.
-func (m Matrix) toDense() (d *intmat.Dense, binary, nonNeg bool, err error) {
-	s, binary, nonNeg, err := m.list()
-	if err != nil {
-		return nil, false, false, err
-	}
-	return s.ToDense(), binary, nonNeg, nil
-}
-
-// toBool converts a binary wire matrix for the Boolean-matrix
-// protocols.
-func toBool(d *intmat.Dense) *bitmat.Matrix {
-	b := bitmat.New(d.Rows(), d.Cols())
-	for i := 0; i < d.Rows(); i++ {
-		for j, v := range d.Row(i) {
-			if v != 0 {
-				b.Set(i, j, true)
-			}
-		}
-	}
-	return b
 }
 
 // Entry is one heavy-hitter output entry: a matrix position with the
