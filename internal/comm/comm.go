@@ -160,8 +160,15 @@ func (m *Message) PutUvarint(v uint64) {
 	m.buf = binary.AppendUvarint(m.buf, v)
 }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint. Values below 128 — one byte, and
+// nearly every column gap and count of a sampled row — skip the general
+// decoder, as Varint's do.
 func (m *Message) Uvarint() uint64 {
+	if m.pos < len(m.buf) && m.buf[m.pos] < 0x80 {
+		b := m.buf[m.pos]
+		m.pos++
+		return uint64(b)
+	}
 	v, n := binary.Uvarint(m.buf[m.pos:])
 	if n <= 0 {
 		panic("comm: malformed uvarint")
@@ -221,20 +228,44 @@ func (m *Message) PutFloat64Slice(v []float64) {
 }
 
 // Float64Slice reads a vector written by PutFloat64Slice.
-func (m *Message) Float64Slice() []float64 { return m.AppendFloat64Slice([]float64{}) }
+func (m *Message) Float64Slice() []float64 {
+	v := make([]float64, m.wordCount())
+	m.readFloat64s(v)
+	return v
+}
 
-// AppendFloat64Slice reads a vector written by PutFloat64Slice onto the
-// end of dst, so a reader of many vectors can land them in one block.
-// The length prefix is checked against the payload before dst grows.
-func (m *Message) AppendFloat64Slice(dst []float64) []float64 {
+// Float64SliceInto reads a vector written by PutFloat64Slice into dst,
+// for a reader that knows the vector's length (a sketch family's width)
+// and lands many vectors in one block: a length prefix other than
+// len(dst) panics, as a prefix the payload cannot back does.
+func (m *Message) Float64SliceInto(dst []float64) {
+	m.wantWords(len(dst))
+	m.readFloat64s(dst)
+}
+
+// wordCount reads the length prefix of a vector of 8-byte words and
+// checks it against the payload before the caller allocates.
+func (m *Message) wordCount() int {
 	n := int(m.Uvarint())
 	m.checkLen(n, 8)
-	dst = slices.Grow(dst, n)
-	for src := m.buf[m.pos : m.pos+8*n]; len(src) > 0; src = src[8:] {
-		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(src)))
+	return n
+}
+
+// wantWords reads the length prefix of a fixed-width vector of 8-byte
+// words and panics unless it is n.
+func (m *Message) wantWords(n int) {
+	if got := m.wordCount(); got != n {
+		panic(fmt.Sprintf("comm: %d-word vector where the reader expects %d", got, n))
 	}
-	m.pos += 8 * n
-	return dst
+}
+
+// readFloat64s fills dst from the next 8·len(dst) bytes.
+func (m *Message) readFloat64s(dst []float64) {
+	src := m.buf[m.pos : m.pos+8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+	m.pos += 8 * len(dst)
 }
 
 // PutUint64 appends a fixed 8-byte unsigned integer (used for field
@@ -267,18 +298,25 @@ func (m *Message) PutUint64Slice(v []uint64) {
 }
 
 // Uint64Slice reads a slice written by PutUint64Slice.
-func (m *Message) Uint64Slice() []uint64 { return m.AppendUint64Slice([]uint64{}) }
+func (m *Message) Uint64Slice() []uint64 {
+	v := make([]uint64, m.wordCount())
+	m.readUint64s(v)
+	return v
+}
 
-// AppendUint64Slice is AppendFloat64Slice for PutUint64Slice's vectors.
-func (m *Message) AppendUint64Slice(dst []uint64) []uint64 {
-	n := int(m.Uvarint())
-	m.checkLen(n, 8)
-	dst = slices.Grow(dst, n)
-	for src := m.buf[m.pos : m.pos+8*n]; len(src) > 0; src = src[8:] {
-		dst = append(dst, binary.LittleEndian.Uint64(src))
+// Uint64SliceInto is Float64SliceInto for PutUint64Slice's vectors.
+func (m *Message) Uint64SliceInto(dst []uint64) {
+	m.wantWords(len(dst))
+	m.readUint64s(dst)
+}
+
+// readUint64s fills dst from the next 8·len(dst) bytes.
+func (m *Message) readUint64s(dst []uint64) {
+	src := m.buf[m.pos : m.pos+8*len(dst)]
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(src[8*i:])
 	}
-	m.pos += 8 * n
-	return dst
+	m.pos += 8 * len(dst)
 }
 
 // The two sparse-vector forms. A vector whose words are mostly zero

@@ -85,41 +85,41 @@ func TestFloatSliceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAppendSlicesShareOneBlock: the appending readers land several
-// vectors in a caller-sized block without reallocating it, and refuse a
-// length prefix the payload cannot back before the block grows.
-func TestAppendSlicesShareOneBlock(t *testing.T) {
+// TestFixedWidthSlicesShareOneBlock: the fixed-width readers land
+// several vectors in one caller-sized block, and refuse a length prefix
+// other than the width they were given — shorter, longer, or beyond
+// what the payload holds — before they write a word.
+func TestFixedWidthSlicesShareOneBlock(t *testing.T) {
 	m := NewMessage()
 	m.PutFloat64Slice([]float64{1.5, -2.25})
-	m.PutFloat64Slice(nil)
-	m.PutFloat64Slice([]float64{1e300})
+	m.PutFloat64Slice([]float64{1e300, 0})
 	m.PutUint64Slice([]uint64{7, 1 << 60})
-	m.PutUvarint(1 << 40) // a vector the payload does not hold
 	m.pos = 0
-	block := make([]float64, 0, 3)
-	for i := 0; i < 3; i++ {
-		block = m.AppendFloat64Slice(block)
+	block := make([]float64, 4)
+	m.Float64SliceInto(block[:2])
+	m.Float64SliceInto(block[2:])
+	if block[0] != 1.5 || block[1] != -2.25 || block[2] != 1e300 || block[3] != 0 {
+		t.Fatalf("block = %v, want the two vectors side by side", block)
 	}
-	if len(block) != 3 || cap(block) != 3 || block[0] != 1.5 || block[1] != -2.25 || block[2] != 1e300 {
-		t.Fatalf("block = %v (cap %d), want the three values in the block it was given", block, cap(block))
+	words := make([]uint64, 2)
+	if m.Uint64SliceInto(words); words[0] != 7 || words[1] != 1<<60 {
+		t.Fatalf("Uint64SliceInto = %v", words)
 	}
-	if got := m.AppendUint64Slice([]uint64{3}); len(got) != 3 || got[0] != 3 || got[1] != 7 || got[2] != 1<<60 {
-		t.Fatalf("AppendUint64Slice = %v", got)
-	}
-	for _, read := range []func(){
-		func() { m.AppendFloat64Slice(block) },
-		func() { m.AppendUint64Slice(nil) },
+	for _, c := range []struct {
+		name string
+		put  func(*Message)
+		read func(*Message)
+	}{
+		{"short", func(m *Message) { m.PutFloat64Slice([]float64{1}) }, func(m *Message) { m.Float64SliceInto(block[:2]) }},
+		{"long", func(m *Message) { m.PutUint64Slice([]uint64{1, 2, 3}) }, func(m *Message) { m.Uint64SliceInto(words) }},
+		{"beyond the payload", func(m *Message) { m.PutUvarint(2) }, func(m *Message) { m.Float64SliceInto(block[:2]) }},
 	} {
-		func() {
-			at := m.pos
-			defer func() {
-				if recover() == nil {
-					t.Fatal("oversized length prefix accepted")
-				}
-				m.pos = at
-			}()
-			read()
-		}()
+		m := NewMessage()
+		c.put(m)
+		mustPanic(t, c.name, func() { c.read(m) })
+	}
+	if block[0] != 1.5 || words[0] != 7 {
+		t.Fatalf("a refused vector wrote into the block: %v, %v", block, words)
 	}
 }
 

@@ -1,17 +1,21 @@
 package core
 
-import "repro/internal/intmat"
+import (
+	"math/bits"
+
+	"repro/internal/intmat"
+)
 
 // Serve kernels. Round 2 of Algorithm 1 evaluates every sampled row of
 // C exactly: (sparse row of A) · B, then an ℓp fold. There is one
-// kernel for it, and it walks B's non-zeros — the per-row lists of an
-// intmat.Sparse, the one non-zero form every kernel and driver in this
-// package reads — rather than B's columns:
-// the paper's inputs are set-intersection joins, sparse by nature, and
-// every matrix the benchmark serves is at most one-fifth full. Measured
-// at 512 columns and 10-non-zero rows of A, p = 1 (µs per sampled row,
-// best of three; the dense column-tiled kernel this one replaced → this
-// one):
+// kernel for it, plus the exact p = 1 identity (l1RowSum, below), and
+// it walks B's non-zeros — the per-row lists of an intmat.Sparse, the
+// one non-zero form every kernel in this package reads — rather than B's
+// columns: the paper's inputs are set-intersection joins, sparse by
+// nature, and every matrix the benchmark serves is at most one-fifth
+// full. Measured at 512 columns and 10-non-zero rows of A, p = 1 (µs per
+// sampled row, best of three; the dense column-tiled kernel this one
+// replaced → this one):
 //
 //	density of B   0.02          0.2          0.5          1.0
 //	µs per row     3.8 → 0.50    3.7 → 1.3    3.8 → 3.0    4.1 → 5.2
@@ -28,6 +32,14 @@ import "repro/internal/intmat"
 // the result is bit-identical to rowLpPow over the row of the dense
 // product (kernels_test.go pins it). The exact-ℓ1 serve path is one long
 // int64 dot product (dotInt64).
+//
+// At p = 1 a sampled row over non-negative rows of B needs no product:
+// there every entry of row · B is non-negative, so its ℓ1 norm is
+// Σ_k a_k·‖B_k‖₁, one multiply-add per non-zero of the row against B's
+// precomputed row sums (the identity BobExactL1State serves). The paper's
+// headline p = 1 input — a natural join over non-negative relations —
+// is always this case; lpPow stays the path for p ≠ 1, signed rows and
+// totals past 2⁵³.
 
 // lpPow computes ‖row · B‖p^p for the sparse row (cols, vals) of A and
 // the non-zero lists nz of B — every index in cols must be a row of B.
@@ -94,4 +106,57 @@ func dotInt64Sharded(a, b []int64, shards int) int64 {
 		total += p
 	}
 	return total
+}
+
+// l1Limit bounds the totals l1RowSum answers: below 2⁵³ every integer
+// is a float64, so each partial sum of lpPow's in-order p = 1 fold over
+// a non-negative row is exact and the fold is the total, converted once.
+const l1Limit = 1 << 53
+
+// l1RowSums returns, for every row of B, the sum l1RowSum reads: the
+// row's sum when its entries are non-negative and it stays below
+// l1Limit, −1 otherwise (no total through such a row is answered).
+func l1RowSums(nz *intmat.Sparse) []int64 {
+	sums := make([]int64, nz.Rows())
+	for k := range sums {
+		sums[k] = l1RowSumOf(nz, k)
+	}
+	return sums
+}
+
+// l1RowSumOf is one row's entry of l1RowSums.
+func l1RowSumOf(nz *intmat.Sparse, k int) int64 {
+	var sum int64
+	_, vals := nz.Row(k)
+	for _, v := range vals {
+		if v < 0 || v >= l1Limit-sum {
+			return -1
+		}
+		sum += v
+	}
+	return sum
+}
+
+// l1RowSum computes ‖row · B‖₁ for the sparse row (cols, vals) of A as
+// Σ_k a_k·rowSums[k], exactly: ok is false — and the caller runs lpPow —
+// for a negative coefficient, a row of B marked −1, or a total that
+// would reach l1Limit (checked before each add, on the full 128-bit
+// product, so nothing overflows). When ok, norm is bit-identical to
+// lpPow(nz, y, cols, vals, 1).
+//
+//mp:hotpath
+func l1RowSum(rowSums []int64, cols []int32, vals []int64) (norm float64, ok bool) {
+	var total uint64
+	for t, k := range cols {
+		v, s := vals[t], rowSums[k]
+		if v < 0 || s < 0 {
+			return 0, false
+		}
+		hi, prod := bits.Mul64(uint64(v), uint64(s))
+		if hi != 0 || prod >= l1Limit-total {
+			return 0, false
+		}
+		total += prod
+	}
+	return float64(total), true
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 
@@ -142,67 +144,116 @@ func (rs rowSketcher) encodeRowRange(msg *comm.Message, b *intmat.Sparse, lo, hi
 	}
 }
 
-// decodeRows reads back n row sketches from msg into one block — a
-// family's sketches all have the family's width, so the block is sized
-// once (never beyond what msg still holds) instead of once per row.
-func (rs rowSketcher) decodeRows(msg *comm.Message, n int) (fieldSk [][]field.Elem, floatSk [][]float64) {
-	if rs.l0 != nil {
-		block := make([]field.Elem, 0, min(n*rs.l0.Dim(), msg.Remaining()/8))
-		fieldSk = make([][]field.Elem, n)
-		for k := range fieldSk {
-			lo := len(block)
-			block = msg.AppendUint64Slice(block)
-			fieldSk[k] = block[lo:len(block):len(block)]
-		}
-		return fieldSk, nil
-	}
-	block := make([]float64, 0, min(n*rs.fl.Dim(), msg.Remaining()/8))
-	floatSk = make([][]float64, n)
-	for k := range floatSk {
-		lo := len(block)
-		block = msg.AppendFloat64Slice(block)
-		floatSk[k] = block[lo:len(block):len(block)]
-	}
-	return nil, floatSk
+// sketchBlock is round 1 as Alice holds it: Bob's row sketches for
+// every repetition of one norm index, rep-interleaved. Row k's sketches
+// for repetitions 0, 1, … lie side by side in one stripe of reps × width
+// words, so a single pass over a row of A combines every repetition's
+// sketches at once — one Axpy over the stripe per non-zero of the row,
+// into an accumulator of the same layout. Each word is still its own sum
+// over the row's non-zeros in column order, so each repetition's
+// estimate is the one a pass over that repetition alone computes.
+type sketchBlock struct {
+	sketchers []rowSketcher // one per repetition, all of one kind and width
+	width     int           // words in one repetition's sketch
+	fieldSk   []field.Elem  // n stripes at p = 0
+	floatSk   []float64     // n stripes at p > 0
 }
 
-// rowScratch is the reusable accumulator for estimateRow: one row of A
-// is estimated per call, thousands per query, so the callers hoist the
-// buffer instead of allocating per row.
-type rowScratch struct {
-	fieldAcc []field.Elem
-	floatAcc []float64
+// readSketchBlock reads the n row sketches of each repetition, in the
+// wire's repetition-major order, into one rep-interleaved block. Every
+// row must be the family's width and every float word finite: a peer's
+// row of another length, or a NaN or ±Inf word, panics — the message
+// readers' way of refusing a payload, which recoverDecodeError turns
+// into the request's error. The block is sized only once the payload is
+// known to hold n·reps rows of that width.
+func readSketchBlock(msg *comm.Message, sketchers []rowSketcher, n int) *sketchBlock {
+	blk := &sketchBlock{sketchers: sketchers}
+	rs := sketchers[0]
+	if rs.l0 != nil {
+		blk.width = rs.l0.Dim()
+	} else {
+		blk.width = rs.fl.Dim()
+	}
+	stripe := len(sketchers) * blk.width
+	if msg.Remaining()/8 < n*stripe {
+		panic(fmt.Sprintf("core: round 1 holds %d bytes, too few for %d rows of %d-word sketches", msg.Remaining(), n*len(sketchers), blk.width))
+	}
+	if rs.l0 != nil {
+		blk.fieldSk = make([]field.Elem, n*stripe)
+	} else {
+		blk.floatSk = make([]float64, n*stripe)
+	}
+	for rep := range sketchers {
+		for k := 0; k < n; k++ {
+			at := k*stripe + rep*blk.width
+			if blk.fieldSk != nil {
+				msg.Uint64SliceInto(blk.fieldSk[at : at+blk.width])
+				continue
+			}
+			row := blk.floatSk[at : at+blk.width]
+			msg.Float64SliceInto(row)
+			for _, x := range row {
+				if !(math.Abs(x) <= math.MaxFloat64) {
+					panic(fmt.Sprintf("core: row sketch word %v is not finite", x))
+				}
+			}
+		}
+	}
+	return blk
 }
 
-func newRowScratch(rs rowSketcher) *rowScratch {
-	if rs.l0 != nil {
-		return &rowScratch{fieldAcc: make([]field.Elem, rs.l0.Dim())}
+// rowNorms estimates ‖(A·B)_i‖p^p for every row i of a and every
+// repetition: est[rep][i], +0 for a row of A with no non-zero, and a
+// negative estimate clamped to 0. Rows are sharded over contiguous
+// ranges; each shard owns one stripe-wide accumulator and writes
+// disjoint slots, and no coin is drawn.
+func (blk *sketchBlock) rowNorms(a *intmat.Sparse, shards int) [][]float64 {
+	reps, w, m1 := len(blk.sketchers), blk.width, a.Rows()
+	stripe := reps * w
+	all := make([]float64, reps*m1)
+	est := make([][]float64, reps)
+	for rep := range est {
+		est[rep] = all[rep*m1 : (rep+1)*m1]
 	}
-	return &rowScratch{floatAcc: make([]float64, rs.fl.Dim())}
-}
-
-// estimateRow combines the sketches of rows of B indexed by the sparse
-// row (cols, vals) of A, in the caller's scratch, and returns the
-// ‖·‖p^p estimate for that row of C.
-func (rs rowSketcher) estimateRow(scratch *rowScratch, cols []int32, vals []int64, fieldSk [][]field.Elem, floatSk [][]float64) float64 {
-	if rs.l0 != nil {
-		acc := scratch.fieldAcc
-		for i := range acc {
-			acc[i] = 0
+	runShards(m1, shards, func(_, lo, hi int) {
+		var fieldAcc []field.Elem
+		var floatAcc []float64
+		if blk.fieldSk != nil {
+			fieldAcc = make([]field.Elem, stripe)
+		} else {
+			floatAcc = make([]float64, stripe)
 		}
-		for t, k := range cols {
-			sketch.AxpyField(acc, vals[t], fieldSk[k])
+		for i := lo; i < hi; i++ {
+			cols, vals := a.Row(i)
+			if len(cols) == 0 {
+				continue
+			}
+			if fieldAcc != nil {
+				clear(fieldAcc)
+				for t, k := range cols {
+					sketch.AxpyField(fieldAcc, vals[t], blk.fieldSk[int(k)*stripe:][:stripe])
+				}
+			} else {
+				clear(floatAcc)
+				for t, k := range cols {
+					sketch.AxpyFloat(floatAcc, float64(vals[t]), blk.floatSk[int(k)*stripe:][:stripe])
+				}
+			}
+			for rep, rs := range blk.sketchers {
+				var e float64
+				if fieldAcc != nil {
+					e = rs.l0.Estimate(fieldAcc[rep*w:][:w])
+				} else {
+					e = rs.fl.EstimatePowInPlace(floatAcc[rep*w:][:w])
+				}
+				if e < 0 {
+					e = 0
+				}
+				est[rep][i] = e
+			}
 		}
-		return rs.l0.Estimate(acc)
-	}
-	acc := scratch.floatAcc
-	for i := range acc {
-		acc[i] = 0
-	}
-	for t, k := range cols {
-		sketch.AxpyFloat(acc, float64(vals[t]), floatSk[k])
-	}
-	return rs.fl.EstimatePowInPlace(acc)
+	})
+	return est
 }
 
 // putSparseRow appends a sparse row (delta-coded columns, varint values).
@@ -213,6 +264,50 @@ func putSparseRow(msg *comm.Message, cols []int32, vals []int64) {
 		msg.PutUvarint(uint64(c - prev))
 		prev = c
 		msg.PutVarint(vals[t])
+	}
+}
+
+// sparseRowLen is the number of bytes putSparseRow writes for a row.
+func sparseRowLen(cols []int32, vals []int64) int {
+	n := uvarintLen(uint64(len(cols)))
+	prev := int32(-1)
+	for t, c := range cols {
+		v := vals[t]
+		n += uvarintLen(uint64(c-prev)) + uvarintLen(uint64(v<<1)^uint64(v>>63)) // zig-zag
+		prev = c
+	}
+	return n
+}
+
+// uvarintLen is the number of bytes of v as a uvarint: seven bits each.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// putSampledRows writes Alice's round 2 of Algorithm 1: for each
+// repetition in order, the number of its picks, then every pick's row
+// index, weight and sparse row of A. The message grows once, to its
+// exact size, before the first byte is written; a row picked by several
+// repetitions is measured once.
+func putSampledRows(msg *comm.Message, a *intmat.Sparse, picks [][]weightedPick) {
+	size := 0
+	rowLen := make([]int, a.Rows()) // 0 until measured: every encoding takes a byte
+	for _, rep := range picks {
+		size += uvarintLen(uint64(len(rep)))
+		for _, smp := range rep {
+			if rowLen[smp.i] == 0 {
+				rowLen[smp.i] = sparseRowLen(a.Row(smp.i))
+			}
+			size += uvarintLen(uint64(smp.i)) + 8 + rowLen[smp.i]
+		}
+	}
+	msg.Grow(size)
+	for _, rep := range picks {
+		msg.PutUvarint(uint64(len(rep)))
+		for _, smp := range rep {
+			msg.PutUvarint(uint64(smp.i))
+			msg.PutFloat64(smp.weight)
+			cols, vals := a.Row(smp.i)
+			putSparseRow(msg, cols, vals)
+		}
 	}
 }
 
@@ -301,6 +396,7 @@ type BobLpState struct {
 	famBytes  int64
 	round1    []byte         // encoded round-1 payload: per-row ℓp sketches of B
 	nz        *intmat.Sparse // B's non-zeros per row, borrowed: what round 2 multiplies against
+	rowSums   []int64        // p = 1 only: l1RowSums of B, what round 2 reads for non-negative rows
 }
 
 // NewBobLpState validates the parameters and runs the matrix-dependent
@@ -316,6 +412,9 @@ func NewBobLpState(b intmat.Matrix, p float64, o LpOpts) (*BobLpState, error) {
 	nz := b.List()
 	s := &BobLpState{p: p, opts: o, nz: nz}
 	s.sketchers, s.famBytes = lpSketchFamilies(o, nz.Cols(), p)
+	if p == 1 {
+		s.rowSums = l1RowSums(nz)
+	}
 	// Per-row sketches are independent, so each repetition's encoding is
 	// sharded over contiguous row ranges; concatenating the per-shard
 	// buffers in shard order reproduces the sequential payload bytes.
@@ -334,9 +433,11 @@ func NewBobLpState(b intmat.Matrix, p float64, o LpOpts) (*BobLpState, error) {
 }
 
 // Bytes reports the memory retained by the precomputation — the round-1
-// sketches and the sketch families (the sizing input for cache
-// accounting; B's lists are their owner's and not counted).
-func (s *BobLpState) Bytes() int64 { return int64(len(s.round1)) + s.famBytes }
+// sketches, the row sums and the sketch families (the sizing input for
+// cache accounting; B's lists are their owner's and not counted).
+func (s *BobLpState) Bytes() int64 {
+	return int64(len(s.round1)) + 8*int64(len(s.rowSums)) + s.famBytes
+}
 
 // AliceState returns the Alice-side state for the same (m2, p, options,
 // seed), sharing this state's sketch families instead of drawing them a
@@ -358,7 +459,7 @@ func (s *BobLpState) Serve(t comm.Transport) (est float64, err error) {
 	// Round 2: sampled rows in; exact norms of the sampled rows of C,
 	// weighted sum per repetition.
 	recv2 := t.Recv(comm.AliceToBob)
-	return median(sampledRowSums(s.nz, recv2, s.opts.Reps, s.p, s.opts.Shards)), nil
+	return median(sampledRowSums(s.nz, s.rowSums, recv2, s.opts.Reps, s.p, s.opts.Shards)), nil
 }
 
 // lpSample is one decoded round-2 sample: its inverse-probability
@@ -375,34 +476,45 @@ type lpSample struct {
 // The repetitions sample independently, so one row of A arrives several
 // times over (at n = 512, ε = 0.25 some 1420 samples name 490 distinct
 // rows); each distinct row is evaluated once. Two samples are the same
-// row when they carry the same row index and the same (cols, vals) — the
+// row when they carry the same row index and the same encoding — the
 // index alone is the peer's word, and a peer that lies about it must not
-// change the answer. The varint stream decodes sequentially; the per-row
-// products — the expensive part — are then sharded over the distinct
-// rows (each row of C is independent) and the weighted contributions
-// summed in sample order, which is the sequential, un-grouped driver's
-// float summation order exactly.
-func sampledRowSums(nz *intmat.Sparse, recv *comm.Message, reps int, p float64, shards int) []float64 {
+// change the answer (two encodings of one row, which Alice never sends,
+// are merely evaluated twice). The stream is read sequentially: every
+// sample's row is decoded into one reused scratch and refused unless its
+// columns ascend within B, and a distinct row is kept as the bytes it
+// took on the wire, so nothing but the samples grows with the message —
+// each repetition's land in room reserved from its count, bounded by the
+// bytes that arrived (a sample takes at least ten). The per-row products,
+// the expensive part, are then sharded over the distinct rows (each row
+// of C is independent), each shard decoding its rows again, and the
+// weighted contributions summed in sample order, which is the
+// sequential, un-grouped sum's float order exactly.
+//
+// rowSums, when not nil, holds l1RowSums of B, and p is 1: a row that
+// l1RowSum can evaluate exactly takes that path, every other row lpPow.
+func sampledRowSums(nz *intmat.Sparse, rowSums []int64, recv *comm.Message, reps int, p float64, shards int) []float64 {
 	var (
 		samples []lpSample
 		repEnds = make([]int, reps) // repetition rep is samples[repEnds[rep-1]:repEnds[rep]]
-		cols    []int32             // the distinct rows, back to back
-		vals    []int64             // parallel to cols
-		bounds  = []int{0}          // distinct row r is [bounds[r], bounds[r+1]) of cols/vals
+		rows    [][]byte            // the distinct rows' encodings, in recv's payload
 		first   = map[uint64]int{}  // row index on the wire → the distinct row first sent under it
+		cols    []int32             // scratch: the row being read
+		vals    []int64
 	)
+	payload := recv.Bytes()
 	for rep := range repEnds {
-		for n := recv.Uvarint(); n > 0; n-- {
+		n := recv.Uvarint()
+		samples = slices.Grow(samples, int(min(n, uint64(recv.Remaining()/10))))
+		for ; n > 0; n-- {
 			idx := recv.Uvarint()
 			w := recv.Float64()
-			lo := len(cols)
-			cols, vals = appendSparseRow(recv, cols, vals, nz.Rows())
+			lo := len(payload) - recv.Remaining()
+			cols, vals = appendSparseRow(recv, cols[:0], vals[:0], nz.Rows())
+			row := payload[lo : len(payload)-recv.Remaining()]
 			r, seen := first[idx]
-			if seen && slices.Equal(cols[lo:], cols[bounds[r]:bounds[r+1]]) && slices.Equal(vals[lo:], vals[bounds[r]:bounds[r+1]]) {
-				cols, vals = cols[:lo], vals[:lo]
-			} else {
-				r = len(bounds) - 1
-				bounds = append(bounds, len(cols))
+			if !seen || !bytes.Equal(row, rows[r]) {
+				r = len(rows)
+				rows = append(rows, row)
 				if !seen {
 					first[idx] = r
 				}
@@ -411,11 +523,25 @@ func sampledRowSums(nz *intmat.Sparse, recv *comm.Message, reps int, p float64, 
 		}
 		repEnds[rep] = len(samples)
 	}
-	norms := make([]float64, len(bounds)-1)
+	norms := make([]float64, len(rows))
 	runShards(len(norms), shards, func(_, lo, hi int) {
-		y := make([]int64, nz.Cols())
+		var (
+			y    []int64 // lpPow's scratch, for the first row that needs it
+			cols []int32
+			vals []int64
+		)
 		for r := lo; r < hi; r++ {
-			norms[r] = lpPow(nz, y, cols[bounds[r]:bounds[r+1]], vals[bounds[r]:bounds[r+1]], p)
+			cols, vals = appendSparseRow(comm.FromBytes(rows[r]), cols[:0], vals[:0], nz.Rows())
+			if rowSums != nil {
+				if norm, ok := l1RowSum(rowSums, cols, vals); ok {
+					norms[r] = norm
+					continue
+				}
+			}
+			if y == nil {
+				y = make([]int64, nz.Cols())
+			}
+			norms[r] = lpPow(nz, y, cols, vals, p)
 		}
 	})
 	perRep := make([]float64, reps)
@@ -498,20 +624,11 @@ func (s *AliceLpState) Serve(t comm.Transport, am intmat.Matrix) (err error) {
 	n := a.Cols()
 
 	recv1 := t.Recv(comm.BobToAlice)
+	blk := readSketchBlock(recv1, s.sketchers, n)
 	alicePriv := rng.New(o.Seed).Derive("alice-private", "lp")
-	rho := o.RhoC / o.Eps
+	picks := blk.sampleRows(a, beta, o.RhoC/o.Eps, alicePriv, o.Shards)
 	msg2 := comm.NewMessage()
-	for _, rs := range s.sketchers {
-		fieldSk, floatSk := rs.decodeRows(recv1, n)
-		picks := sampleRowsByNorm(rs, a, fieldSk, floatSk, beta, rho, alicePriv, s.opts.Shards)
-		msg2.PutUvarint(uint64(len(picks)))
-		for _, smp := range picks {
-			msg2.PutUvarint(uint64(smp.i))
-			msg2.PutFloat64(smp.weight)
-			cols, vals := a.Row(smp.i)
-			putSparseRow(msg2, cols, vals)
-		}
-	}
+	putSampledRows(msg2, a, picks)
 	msg2.Label = "sampled rows of A with weights"
 	t.Send(comm.AliceToBob, msg2)
 	return nil
@@ -553,17 +670,10 @@ func OneRoundLp(a, b *intmat.Dense, p float64, o LpOpts) (float64, Cost, error) 
 	recv := conn.Send(comm.BobToAlice, msg)
 
 	perRep := make([]float64, o.Reps)
-	as := a.List()
-	for rep, rs := range sketchers {
-		fieldSk, floatSk := rs.decodeRows(recv, n)
-		scratch := newRowScratch(rs)
+	for rep, est := range readSketchBlock(recv, sketchers, n).rowNorms(a.List(), o.Shards) {
 		var total float64
-		for i := 0; i < as.Rows(); i++ {
-			cols, vals := as.Row(i)
-			if len(cols) == 0 {
-				continue
-			}
-			if e := rs.estimateRow(scratch, cols, vals, fieldSk, floatSk); e > 0 {
+		for _, e := range est {
+			if e > 0 {
 				total += e
 			}
 		}

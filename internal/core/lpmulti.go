@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"repro/internal/comm"
-	"repro/internal/field"
 	"repro/internal/intmat"
 	"repro/internal/rng"
 )
@@ -65,32 +64,27 @@ func EstimateLpMulti(a, b *intmat.Dense, ps []float64, o LpOpts) ([]float64, Cos
 	}
 	recv1 := conn.Send(comm.BobToAlice, msg1)
 
-	// Alice: per family, group and sample exactly as EstimateLp.
+	// Alice: per p, group and sample exactly as EstimateLp.
 	alicePriv := rng.New(o.Seed).Derive("alice-private", "lpmulti")
-	rho := o.RhoC / o.Eps
 	as := intmat.FromDense(a)
+	var picks [][]weightedPick
+	for _, fam := range sketchers {
+		picks = append(picks, readSketchBlock(recv1, fam, n).sampleRows(as, beta, o.RhoC/o.Eps, alicePriv, o.Shards)...)
+	}
 	msg2 := comm.NewMessage()
 	msg2.Label = "sampled rows of A (all p, batched)"
-	for _, fam := range sketchers {
-		for _, rs := range fam {
-			fieldSk, floatSk := rs.decodeRows(recv1, n)
-			picks := sampleRowsByNorm(rs, as, fieldSk, floatSk, beta, rho, alicePriv, o.Shards)
-			msg2.PutUvarint(uint64(len(picks)))
-			for _, s := range picks {
-				msg2.PutUvarint(uint64(s.i))
-				msg2.PutFloat64(s.weight)
-				cols, vals := as.Row(s.i)
-				putSparseRow(msg2, cols, vals)
-			}
-		}
-	}
+	putSampledRows(msg2, as, picks)
 	recv2 := conn.Send(comm.AliceToBob, msg2)
 
 	// Bob: exact norms of sampled rows, median per family — BobLpState's
 	// round 2, once per p.
 	out := make([]float64, len(ps))
 	for pi, p := range ps {
-		out[pi] = median(sampledRowSums(nz, recv2, o.Reps, p, o.Shards))
+		var rowSums []int64
+		if p == 1 {
+			rowSums = l1RowSums(nz)
+		}
+		out[pi] = median(sampledRowSums(nz, rowSums, recv2, o.Reps, p, o.Shards))
 	}
 	return out, costOf(conn), nil
 }
@@ -101,33 +95,25 @@ type weightedPick struct {
 	weight float64
 }
 
-// sampleRowsByNorm performs Algorithm 1's group-and-sample step for one
-// sketch family: estimate every row norm, partition into (1+β)-geometric
-// groups, and sample each group at rate ∝ its share of the total.
-//
-// The row-norm estimation — the expensive sketch-combine per row — is
-// sharded over contiguous row ranges (each shard owns a private scratch
-// buffer and writes disjoint rowEst slots); the total is then re-summed
-// in row order, matching the sequential float summation exactly, and the
-// coin-consuming group-and-sample step runs sequentially so priv's
-// stream is untouched by the shard count.
-func sampleRowsByNorm(rs rowSketcher, a *intmat.Sparse, fieldSk [][]field.Elem, floatSk [][]float64, beta, rho float64, priv *rng.RNG, shards int) []weightedPick {
-	m1 := a.Rows()
-	rowEst := make([]float64, m1)
-	runShards(m1, shards, func(_, lo, hi int) {
-		scratch := newRowScratch(rs)
-		for i := lo; i < hi; i++ {
-			cols, vals := a.Row(i)
-			if len(cols) == 0 {
-				continue
-			}
-			e := rs.estimateRow(scratch, cols, vals, fieldSk, floatSk)
-			if e < 0 {
-				e = 0
-			}
-			rowEst[i] = e
-		}
-	})
+// sampleRows performs Algorithm 1's group-and-sample step for every
+// repetition of the block: estimate every row norm of every repetition
+// in one sharded pass (rowNorms), then, repetition by repetition in
+// order, partition the rows into (1+β)-geometric groups and sample each
+// group at rate ∝ its share of the total. Only the sampling draws
+// coins, sequentially and in the order a per-repetition pass drew them,
+// so priv's stream is untouched by the shard count and the fused pass.
+func (blk *sketchBlock) sampleRows(a *intmat.Sparse, beta, rho float64, priv *rng.RNG, shards int) [][]weightedPick {
+	rowEst := blk.rowNorms(a, shards)
+	picks := make([][]weightedPick, len(rowEst))
+	for rep, est := range rowEst {
+		picks[rep] = groupAndSample(est, beta, rho, priv)
+	}
+	return picks
+}
+
+// groupAndSample samples one repetition's rows from their estimated
+// norms. The total is summed in row order, the sequential float order.
+func groupAndSample(rowEst []float64, beta, rho float64, priv *rng.RNG) []weightedPick {
 	// An empty row's estimate stayed +0, which leaves the sum as it is.
 	total := 0.0
 	for _, e := range rowEst {

@@ -103,7 +103,8 @@ func withRowSums(rowSums []int64, nb intmat.Matrix, rows []int) ([]int64, error)
 // sketch has the same word count within a repetition, and the same
 // across repetitions), so the new rows' encodings are spliced into a
 // copy of the retained bytes at their block offsets — the result is
-// byte-identical to NewBobLpState(nb, p, opts). The sketch families are
+// byte-identical to NewBobLpState(nb, p, opts); at p = 1 the listed
+// rows' sums are recomputed the same way. The sketch families are
 // the receiver's (drawn from the seed alone, they do not depend on the
 // matrix), and the successor keeps nb's lists as the constructor does:
 // those of a *intmat.Sparse — the registry's patched successor, which
@@ -132,6 +133,9 @@ func (s *BobLpState) UpdateRows(nb intmat.Matrix, rows []int) (*BobLpState, erro
 	}
 	ns := *s
 	ns.round1, ns.nz = round1, nz
+	if s.rowSums != nil {
+		ns.rowSums = withRowTotals(s.rowSums, rows, func(k int) int64 { return l1RowSumOf(nz, k) })
+	}
 	return &ns, nil
 }
 

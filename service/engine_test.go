@@ -3,9 +3,14 @@ package service
 import (
 	"context"
 	"errors"
+	"math"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/comm"
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -234,5 +239,57 @@ func TestDeleteMatrix(t *testing.T) {
 	}
 	if err := e.DeleteMatrix("b"); !errors.Is(err, ErrMatrixNotFound) {
 		t.Fatalf("double delete: %v", err)
+	}
+}
+
+// forgedRound1 hands Alice a forged round 1 in place of Bob's on the
+// first job only: each of Bob's rows re-encoded through forge.
+type forgedRound1 struct {
+	comm.Transport
+	forge func([]float64) []float64
+}
+
+func (f *forgedRound1) Recv(dir comm.Direction) *comm.Message {
+	msg := f.Transport.Recv(dir)
+	if dir != comm.BobToAlice {
+		return msg
+	}
+	out := comm.NewMessage()
+	for msg.Remaining() > 0 {
+		out.PutFloat64Slice(f.forge(msg.Float64Slice()))
+	}
+	return comm.FromBytes(out.Bytes())
+}
+
+// TestEngineRefusesForgedRound1: an lp round 1 whose rows are a word
+// short of the sketch family's width, or carry a NaN or an infinite
+// word, fails the request with a malformed-message error instead of
+// being estimated from; the engine goes on serving.
+func TestEngineRefusesForgedRound1(t *testing.T) {
+	ctx := context.Background()
+	for name, forge := range map[string]func([]float64) []float64{
+		"a word short": func(v []float64) []float64 { return v[:len(v)-1] },
+		"a NaN word":   func(v []float64) []float64 { v[0] = math.NaN(); return v },
+		"an Inf word":  func(v []float64) []float64 { v[len(v)-1] = math.Inf(-1); return v },
+	} {
+		var jobs atomic.Int64
+		factory := func() (core.Endpoint, core.Endpoint, func(), error) {
+			alice, bob, cleanup, err := InProcess()
+			if jobs.Add(1) == 1 {
+				alice.T = &forgedRound1{Transport: alice.T, forge: forge}
+			}
+			return alice, bob, cleanup, err
+		}
+		e := newTestEngine(t, Config{Transport: factory})
+		if _, _, err := e.PutMatrix("b", testBinaryMatrix(170, 64, 0.2)); err != nil {
+			t.Fatal(err)
+		}
+		req := Request{Matrix: "b", Kind: "lp", P: 1, Eps: 0.25, A: testBinaryMatrix(171, 64, 0.05)}
+		if _, err := e.Estimate(ctx, req); err == nil || !strings.Contains(err.Error(), "core: malformed protocol message") {
+			t.Fatalf("%s: %v, want a malformed-message error", name, err)
+		}
+		if res, err := e.Estimate(ctx, req); err != nil || res.Estimate <= 0 {
+			t.Fatalf("%s: the next query got %+v, %v", name, res, err)
+		}
 	}
 }
