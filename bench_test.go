@@ -411,47 +411,48 @@ func BenchmarkE14_RoundsVsBandwidth(b *testing.B) {
 
 // BenchmarkE15_ProtocolVsNaive measures where the paper's protocols beat
 // shipping A: Algorithm 1 (lp, p = 1, ε = 0.25) and Algorithm 4 (hh,
-// ϕ = 0.1, ε = 0.05) at n = 256 against core.NaiveInt's sparse shipment
-// of A, as A fills up. `naive-bits` is that shipment and `ratio` is
-// bits/op over it: the protocol wins where ratio < 1. lp's sketches are
-// dense whatever A is and hh's factor follows B's non-zeros, not A's, so
-// both costs are nearly flat in density(A) while the shipment grows with
-// it; DESIGN.md's E15 row has the crossover this puts at n = 256.
+// ϕ = 0.1, ε = 0.05) at n = 256, 1024 and 4096, B at density 0.05,
+// against the sparse shipment of A that core.NaiveInt makes (its one
+// message, sized without the product NaiveInt then computes), as A fills
+// up. `naive-bits` is that shipment and `ratio` is bits/op over it: the
+// protocol wins where ratio < 1. lp's sketches are dense whatever A is
+// and hh's factor follows B's non-zeros, not A's, so both costs are
+// nearly flat in density(A) while the shipment grows with it;
+// DESIGN.md's E15 row has the n at which lp first wins.
 func BenchmarkE15_ProtocolVsNaive(b *testing.B) {
-	n := 256
-	B := workload.Binary(150, n, n, 0.05).ToInt()
-	for _, density := range []float64{0.002, 0.01, 0.05, 0.2} {
-		A := workload.Binary(uint64(151+int(density*1000)), n, n, density).ToInt()
-		_, naive, err := core.NaiveInt(A, B)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, proto := range []struct {
-			name string
-			run  func(seed uint64) (core.Cost, error)
-		}{
-			{"lp", func(seed uint64) (core.Cost, error) {
-				_, c, err := core.EstimateLp(A, B, 1, core.LpOpts{Eps: 0.25, Seed: seed})
-				return c, err
-			}},
-			{"hh", func(seed uint64) (core.Cost, error) {
-				_, c, err := core.HeavyHitters(A, B, core.HHOpts{Phi: 0.1, Eps: 0.05, Seed: seed})
-				return c, err
-			}},
-		} {
-			b.Run(fmt.Sprintf("%s/density=%.3f", proto.name, density), func(b *testing.B) {
-				var cost core.Cost
-				for i := 0; i < b.N; i++ {
-					c, err := proto.run(uint64(i))
-					if err != nil {
-						b.Fatal(err)
+	for _, n := range []int{256, 1024, 4096} {
+		B := workload.Binary(150, n, n, 0.05).ToInt()
+		for _, density := range []float64{0.002, 0.01, 0.05, 0.2} {
+			A := workload.Binary(uint64(151+int(density*1000)), n, n, density).ToInt()
+			naive := comm.NewMessage()
+			naive.PutSparse(A.List())
+			for _, proto := range []struct {
+				name string
+				run  func(seed uint64) (core.Cost, error)
+			}{
+				{"lp", func(seed uint64) (core.Cost, error) {
+					_, c, err := core.EstimateLp(A, B, 1, core.LpOpts{Eps: 0.25, Seed: seed})
+					return c, err
+				}},
+				{"hh", func(seed uint64) (core.Cost, error) {
+					_, c, err := core.HeavyHitters(A, B, core.HHOpts{Phi: 0.1, Eps: 0.05, Seed: seed})
+					return c, err
+				}},
+			} {
+				b.Run(fmt.Sprintf("n=%d/%s/density=%.3f", n, proto.name, density), func(b *testing.B) {
+					var cost core.Cost
+					for i := 0; i < b.N; i++ {
+						c, err := proto.run(uint64(i))
+						if err != nil {
+							b.Fatal(err)
+						}
+						cost = c
 					}
-					cost = c
-				}
-				reportCost(b, cost)
-				b.ReportMetric(float64(naive.Bits), "naive-bits")
-				b.ReportMetric(float64(cost.Bits)/float64(naive.Bits), "ratio")
-			})
+					reportCost(b, cost)
+					b.ReportMetric(float64(8*naive.Len()), "naive-bits")
+					b.ReportMetric(float64(cost.Bits)/float64(8*naive.Len()), "ratio")
+				})
+			}
 		}
 	}
 }

@@ -218,30 +218,59 @@ func (m *Message) Float64() float64 {
 	return v
 }
 
-// PutFloat64Slice appends a length-prefixed vector of float64s
-// (8 bytes per entry — the "word" of the paper's word model).
-func (m *Message) PutFloat64Slice(v []float64) {
-	m.PutUvarint(uint64(len(v)))
+// Float24 words. A float word of a sketch travels in 3 bytes: the top 24
+// bits of its IEEE-754 binary64 pattern — the sign, all 11 exponent bits
+// and 12 mantissa bits — little-endian, with no length prefix: a reader
+// knows how many words it expects from the sketch they belong to. The
+// full exponent keeps binary64's range, which the p-stable sketches of
+// small p need (their words span far more than float32's), and the
+// magnitude is rounded to nearest, ties to even, at the 12th mantissa
+// bit, so a normal word's relative error is at most 2⁻¹³. A finite word
+// is never rounded into exponent 0x7FF: one that would round up to
+// infinity is truncated instead, and readers refuse exponent 0x7FF.
+// In memory a word is a uint32 holding the top 32 bits of its binary64
+// pattern (the low 8 zero); Float24 turns it back into the float.
+
+// float24Max is the largest finite Float24 magnitude, exponent 0x7FE
+// with all 12 mantissa bits set.
+const float24Max = 0x7FEFFF
+
+// PutFloat24s appends every word of v as a Float24 word, 3 bytes each.
+func (m *Message) PutFloat24s(v []float64) {
+	m.Grow(3 * len(v))
 	for _, x := range v {
-		m.PutFloat64(x)
+		b := math.Float64bits(x)
+		w := b >> 40
+		// Round up past the half-way point, and at it when that makes the
+		// kept mantissa even, unless that carries into exponent 0x7FF.
+		if rest := b & (1<<40 - 1); (rest > 1<<39 || rest == 1<<39 && w&1 == 1) && w&0x7FFFFF < float24Max {
+			w++
+		}
+		m.buf = append(m.buf, byte(w), byte(w>>8), byte(w>>16))
 	}
 }
 
-// Float64Slice reads a vector written by PutFloat64Slice.
-func (m *Message) Float64Slice() []float64 {
-	v := make([]float64, m.wordCount())
-	m.readFloat64s(v)
-	return v
+// Float24sInto reads len(dst) Float24 words into dst, each as the top 32
+// bits of its binary64 pattern. It panics before writing a word when
+// the payload holds fewer than 3·len(dst) more bytes, and at a word of
+// exponent 0x7FF (an infinity or NaN, which no finite word encodes to).
+func (m *Message) Float24sInto(dst []uint32) {
+	if len(dst) > (len(m.buf)-m.pos)/3 {
+		panic(fmt.Sprintf("comm: %d Float24 words in %d bytes", len(dst), len(m.buf)-m.pos))
+	}
+	src := m.buf[m.pos : m.pos+3*len(dst)]
+	for i := range dst {
+		w := uint32(src[3*i])<<8 | uint32(src[3*i+1])<<16 | uint32(src[3*i+2])<<24
+		if w&0x7FF00000 == 0x7FF00000 {
+			panic("comm: a Float24 word is not finite")
+		}
+		dst[i] = w
+	}
+	m.pos += 3 * len(dst)
 }
 
-// Float64SliceInto reads a vector written by PutFloat64Slice into dst,
-// for a reader that knows the vector's length (a sketch family's width)
-// and lands many vectors in one block: a length prefix other than
-// len(dst) panics, as a prefix the payload cannot back does.
-func (m *Message) Float64SliceInto(dst []float64) {
-	m.wantWords(len(dst))
-	m.readFloat64s(dst)
-}
+// Float24 returns the float a word read by Float24sInto stands for.
+func Float24(w uint32) float64 { return math.Float64frombits(uint64(w) << 32) }
 
 // wordCount reads the length prefix of a vector of 8-byte words and
 // checks it against the payload before the caller allocates.
@@ -249,23 +278,6 @@ func (m *Message) wordCount() int {
 	n := int(m.Uvarint())
 	m.checkLen(n, 8)
 	return n
-}
-
-// wantWords reads the length prefix of a fixed-width vector of 8-byte
-// words and panics unless it is n.
-func (m *Message) wantWords(n int) {
-	if got := m.wordCount(); got != n {
-		panic(fmt.Sprintf("comm: %d-word vector where the reader expects %d", got, n))
-	}
-}
-
-// readFloat64s fills dst from the next 8·len(dst) bytes.
-func (m *Message) readFloat64s(dst []float64) {
-	src := m.buf[m.pos : m.pos+8*len(dst)]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-	m.pos += 8 * len(dst)
 }
 
 // PutUint64 appends a fixed 8-byte unsigned integer (used for field
@@ -304,9 +316,14 @@ func (m *Message) Uint64Slice() []uint64 {
 	return v
 }
 
-// Uint64SliceInto is Float64SliceInto for PutUint64Slice's vectors.
+// Uint64SliceInto reads a vector written by PutUint64Slice into dst,
+// for a reader that knows the vector's length (a sketch family's width)
+// and lands many vectors in one block: a length prefix other than
+// len(dst) panics, as a prefix the payload cannot back does.
 func (m *Message) Uint64SliceInto(dst []uint64) {
-	m.wantWords(len(dst))
+	if got := m.wordCount(); got != len(dst) {
+		panic(fmt.Sprintf("comm: %d-word vector where the reader expects %d", got, len(dst)))
+	}
 	m.readUint64s(dst)
 }
 

@@ -1,6 +1,10 @@
 package comm
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -69,57 +73,145 @@ func TestVarintRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFloatSliceRoundTrip: Float24 words take 3 bytes each and no
+// prefix, and a float whose mantissa fits in 12 bits comes back exactly.
 func TestFloatSliceRoundTrip(t *testing.T) {
 	m := NewMessage()
-	in := []float64{1.5, -2.25, 0, 1e300}
-	m.PutFloat64Slice(in)
-	m.pos = 0
-	out := m.Float64Slice()
-	if len(out) != len(in) {
-		t.Fatal("length mismatch")
+	in := []float64{1.5, -2.25, 0, math.Copysign(0, -1), 0x1.fffp+1000, -0x1p-1022, 4097}
+	m.PutFloat24s(in)
+	if m.Len() != 3*len(in) {
+		t.Fatalf("%d words took %d bytes, want %d", len(in), m.Len(), 3*len(in))
 	}
+	out := make([]uint32, len(in))
+	m.Float24sInto(out)
 	for i := range in {
-		if in[i] != out[i] {
-			t.Fatalf("slice[%d] = %v, want %v", i, out[i], in[i])
+		if got := Float24(out[i]); math.Float64bits(got) != math.Float64bits(in[i]) {
+			t.Fatalf("word %d = %v, want %v", i, got, in[i])
 		}
+	}
+	if m.Remaining() != 0 {
+		t.Fatalf("%d bytes left", m.Remaining())
 	}
 }
 
 // TestFixedWidthSlicesShareOneBlock: the fixed-width readers land
-// several vectors in one caller-sized block, and refuse a length prefix
-// other than the width they were given — shorter, longer, or beyond
-// what the payload holds — before they write a word.
+// several vectors in one caller-sized block; they refuse a Float24 word
+// that is not finite, and, before they write a word, a vector the
+// payload cannot hold or — for the prefixed field words — a length
+// prefix other than the width they were given.
 func TestFixedWidthSlicesShareOneBlock(t *testing.T) {
 	m := NewMessage()
-	m.PutFloat64Slice([]float64{1.5, -2.25})
-	m.PutFloat64Slice([]float64{1e300, 0})
+	m.PutFloat24s([]float64{1.5, -2.25})
+	m.PutFloat24s([]float64{0x1p300, 0})
 	m.PutUint64Slice([]uint64{7, 1 << 60})
-	m.pos = 0
-	block := make([]float64, 4)
-	m.Float64SliceInto(block[:2])
-	m.Float64SliceInto(block[2:])
-	if block[0] != 1.5 || block[1] != -2.25 || block[2] != 1e300 || block[3] != 0 {
-		t.Fatalf("block = %v, want the two vectors side by side", block)
+	block := make([]uint32, 4)
+	m.Float24sInto(block[:2])
+	m.Float24sInto(block[2:])
+	want := []float64{1.5, -2.25, 0x1p300, 0}
+	for i, w := range block {
+		if Float24(w) != want[i] {
+			t.Fatalf("block = %x, want %v side by side", block, want)
+		}
 	}
 	words := make([]uint64, 2)
 	if m.Uint64SliceInto(words); words[0] != 7 || words[1] != 1<<60 {
 		t.Fatalf("Uint64SliceInto = %v", words)
 	}
+	before := slices.Clone(block)
 	for _, c := range []struct {
 		name string
 		put  func(*Message)
 		read func(*Message)
 	}{
-		{"short", func(m *Message) { m.PutFloat64Slice([]float64{1}) }, func(m *Message) { m.Float64SliceInto(block[:2]) }},
+		{"short", func(m *Message) { m.PutFloat24s([]float64{1, 2, 3}) }, func(m *Message) { m.Float24sInto(block) }},
+		{"a byte short", func(m *Message) { m.PutFloat24s([]float64{1, 2}); m.buf = m.buf[:5] }, func(m *Message) { m.Float24sInto(block[:2]) }},
+		{"not finite", func(m *Message) { m.PutFloat24s([]float64{1, math.Inf(1)}) }, func(m *Message) { m.Float24sInto(make([]uint32, 2)) }},
 		{"long", func(m *Message) { m.PutUint64Slice([]uint64{1, 2, 3}) }, func(m *Message) { m.Uint64SliceInto(words) }},
-		{"beyond the payload", func(m *Message) { m.PutUvarint(2) }, func(m *Message) { m.Float64SliceInto(block[:2]) }},
+		{"beyond the payload", func(m *Message) { m.PutUvarint(2) }, func(m *Message) { m.Uint64SliceInto(words) }},
 	} {
 		m := NewMessage()
 		c.put(m)
 		mustPanic(t, c.name, func() { c.read(m) })
 	}
-	if block[0] != 1.5 || words[0] != 7 {
-		t.Fatalf("a refused vector wrote into the block: %v, %v", block, words)
+	if !slices.Equal(block, before) || words[0] != 7 {
+		t.Fatalf("a refused vector wrote into the block: %x, %v", block, words)
+	}
+}
+
+// TestFloat24Words holds the Float24 form to its contract on 10⁵ seeded
+// words and on the edges (±0, subnormals, every power of two and its two
+// neighbours, ties, MaxFloat64): a word reads back as exactly the top 24
+// bits of the written float's pattern rounded to nearest, ties to even,
+// on the magnitude; the sign survives; a normal word's relative error is
+// at most 2⁻¹³; a finite word stays finite, the largest truncated
+// instead of rounded to infinity; and the reader refuses every word of
+// exponent 0x7FF.
+func TestFloat24Words(t *testing.T) {
+	rnd := rand.New(rand.NewSource(27))
+	var in []float64
+	for e := -1074; e <= 1023; e++ {
+		p := math.Ldexp(1, e)
+		in = append(in, p, -p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)))
+	}
+	in = append(in, 0, math.Copysign(0, -1), math.MaxFloat64, -math.MaxFloat64,
+		0x1.0008p0, 0x1.0018p0, 0x1.00080001p0, 0x1.fff8p0, 0x1.fff8p1023, -0x1.fff7fffp1023)
+	for len(in) < 100_000 {
+		var b uint64
+		switch rnd.Intn(3) {
+		case 0: // any pattern
+			b = rnd.Uint64()
+		case 1: // the magnitudes sketches hold
+			b = math.Float64bits(rnd.NormFloat64() * math.Pow(10, float64(rnd.Intn(100)-50)))
+		default: // a tie at the 12th mantissa bit, or one unit either side of it
+			b = rnd.Uint64()&^(1<<40-1) | 1<<39 + uint64(rnd.Intn(3)) - 1
+		}
+		if x := math.Float64frombits(b); !math.IsNaN(x) && !math.IsInf(x, 0) {
+			in = append(in, x)
+		}
+	}
+	m := NewMessage()
+	m.PutFloat24s(in)
+	if m.Len() != 3*len(in) {
+		t.Fatalf("%d words took %d bytes", len(in), m.Len())
+	}
+	out := make([]uint32, len(in))
+	m.Float24sInto(out)
+	for i, x := range in {
+		got := Float24(out[i])
+		if out[i]&0xFF != 0 {
+			t.Fatalf("%v: word %#x keeps bits below the top 24", x, out[i])
+		}
+		if math.Signbit(got) != math.Signbit(x) {
+			t.Fatalf("%v came back as %v: the sign moved", x, got)
+		}
+		// The 24-bit patterns either side of |x|: the one above when |x|
+		// is past the half-way point, or at it with an odd one below —
+		// unless the one above is infinite.
+		b := math.Float64bits(math.Abs(x))
+		down := b &^ (1<<40 - 1)
+		want := down
+		if rest := b - down; (rest > 1<<39 || rest == 1<<39 && down>>40&1 == 1) && (down+1<<40)>>52 != 0x7FF {
+			want = down + 1<<40
+		}
+		if gb := math.Float64bits(math.Abs(got)); gb != want {
+			t.Fatalf("%v (%#x) came back as %v (%#x), want %#x", x, b, got, gb, want)
+		}
+		if math.IsInf(got, 0) {
+			t.Fatalf("%v came back infinite", x)
+		}
+		if a := math.Abs(x); a >= 0x1p-1022 {
+			if rel := math.Abs(got-x) / a; rel > 0x1p-13 {
+				t.Fatalf("%v came back as %v: relative error %g > 2⁻¹³", x, got, rel)
+			}
+		}
+	}
+	if got := Float24(out[slices.Index(in, math.MaxFloat64)]); got != 0x1.fffp1023 {
+		t.Fatalf("MaxFloat64 came back as %v, want it truncated to 0x1.fffp1023", got)
+	}
+	for _, bad := range []uint64{0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000, 0x7FFFFF0000000000, 0xFFF0010000000000} {
+		raw := []byte{0, 0, 0, byte(bad >> 40), byte(bad >> 48), byte(bad >> 56)}
+		dst := []uint32{7, 7}
+		mustPanic(t, fmt.Sprintf("pattern %#x", bad), func() { FromBytes(raw).Float24sInto(dst) })
 	}
 }
 

@@ -13,6 +13,7 @@
 // derive sketching matrices from a common seed outside this package.
 //
 // The encoding vocabulary (unsigned/signed varints, fixed 64-bit floats,
-// bitmaps, delta-coded index lists, sparse matrices) mirrors the message
+// 3-byte Float24 sketch words, bitmaps, delta-coded index lists, sparse
+// vectors and matrices) mirrors the message
 // types the paper's protocols need; each helper documents its exact cost.
 package comm

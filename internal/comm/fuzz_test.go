@@ -3,6 +3,7 @@ package comm
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"slices"
 	"testing"
 )
@@ -100,6 +101,40 @@ func FuzzZeroRuns(f *testing.F) {
 	})
 }
 
+// FuzzFloat24RoundTrip: any finite float64 pattern comes back through
+// PutFloat24s and Float24sInto finite, with its sign, as a word with
+// nothing below its top 24 bits, and — when normal — within 2⁻¹³ of
+// itself; an infinity or NaN is written with exponent 0x7FF, and the
+// reader refuses it.
+func FuzzFloat24RoundTrip(f *testing.F) {
+	f.Add(math.Float64bits(1))
+	f.Add(math.Float64bits(math.MaxFloat64))
+	f.Add(math.Float64bits(-0x1.fff8p0))
+	f.Add(uint64(1))
+	f.Add(math.Float64bits(math.Inf(-1)))
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		x := math.Float64frombits(bits)
+		m := NewMessage()
+		m.PutFloat24s([]float64{x})
+		w := make([]uint32, 1)
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("the reader took %v back as %#x", x, w[0])
+				}
+			}()
+		}
+		m.Float24sInto(w)
+		got := Float24(w[0])
+		if w[0]&0xFF != 0 || math.IsInf(got, 0) || math.IsNaN(got) || math.Signbit(got) != math.Signbit(x) {
+			t.Fatalf("%v (%#x) came back as %v (%#x)", x, bits, got, w[0])
+		}
+		if a := math.Abs(x); a >= 0x1p-1022 && math.Abs(got-x)/a > 0x1p-13 {
+			t.Fatalf("%v came back as %v: relative error %g", x, got, math.Abs(got-x)/a)
+		}
+	})
+}
+
 func FuzzBitmapRoundTrip(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0xaa}, uint16(20))
 	f.Fuzz(func(t *testing.T, raw []byte, nRaw uint16) {
@@ -141,7 +176,7 @@ func FuzzReaderOnArbitraryBytes(f *testing.F) {
 			func(m *Message) { m.Float64() },
 			func(m *Message) { m.Bitmap() },
 			func(m *Message) { m.IndexList() },
-			func(m *Message) { m.Float64Slice() },
+			func(m *Message) { m.Float24sInto(make([]uint32, len(raw)/3+len(raw)%2)) },
 			func(m *Message) { m.Uint64Slice() },
 			func(m *Message) { m.AppendSparseVarints(len(raw), nil, nil) },
 			func(m *Message) { m.AppendSparseUint64s(1<<40, nil, nil) },

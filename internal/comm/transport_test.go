@@ -185,7 +185,7 @@ func TestNetConnPeerCloseSurfacesAsTransportError(t *testing.T) {
 func TestFrameRoundTripAndErrors(t *testing.T) {
 	var buf bytes.Buffer
 	msg := NewMessage()
-	msg.PutFloat64Slice([]float64{1.5, -2.25})
+	msg.PutFloat24s([]float64{1.5, -2.25})
 	n, err := WriteFrame(&buf, msg)
 	if err != nil {
 		t.Fatal(err)
@@ -197,9 +197,9 @@ func TestFrameRoundTripAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := got.Float64Slice()
-	if len(v) != 2 || v[0] != 1.5 || v[1] != -2.25 {
-		t.Fatalf("round trip %v", v)
+	v := make([]uint32, 2)
+	if got.Float24sInto(v); Float24(v[0]) != 1.5 || Float24(v[1]) != -2.25 || got.Remaining() != 0 {
+		t.Fatalf("round trip %x", v)
 	}
 
 	if _, err := ReadFrame(bytes.NewReader([]byte{1, 2})); err == nil {

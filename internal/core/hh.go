@@ -166,14 +166,7 @@ func AliceHH(t comm.Transport, a intmat.Matrix, m2 int, bNonNeg bool, o HHOpts) 
 	// Step 3: Alice samples the non-zero entries of A, one private coin
 	// each in row-major order.
 	alicePriv := rng.New(o.Seed).Derive("alice-private", "hh")
-	entries := as.Entries()
-	kept := entries[:0]
-	for _, e := range entries {
-		if alicePriv.Bernoulli(beta) {
-			kept = append(kept, e)
-		}
-	}
-	aBeta := intmat.NewSparse(m1, n, kept)
+	aBeta := as.Filter(func(int, int, int64) bool { return alicePriv.Bernoulli(beta) })
 
 	// Step 4: recover C^β via the Lemma 2.5 tensor sketch.
 	ts := hhTensorSketch(o, m1, n, m2, beta, t1absAlice)

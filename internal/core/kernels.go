@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 
+	"repro/internal/comm"
 	"repro/internal/intmat"
 )
 
@@ -159,4 +160,27 @@ func l1RowSum(rowSums []int64, cols []int32, vals []int64) (norm float64, ok boo
 		total += prod
 	}
 	return float64(total), true
+}
+
+// axpyFloat24 accumulates y += a·x for float sketch words x as
+// comm.Float24sInto lands them — the top 32 bits of each binary64
+// pattern, rebuilt with a shift — the combination primitive Alice builds
+// sketches of rows of C with, from Bob's sketches of rows of B and
+// integer coefficients from A: a few hundred words a call, thousands of
+// calls a query. Every word is its own sum, so the 4-way unrolling (one
+// bounds check, hoisted) changes no float.
+//
+//mp:hotpath
+func axpyFloat24(y []float64, a float64, x []uint32) {
+	y = y[:len(x)]
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		y[i] += a * comm.Float24(x[i])
+		y[i+1] += a * comm.Float24(x[i+1])
+		y[i+2] += a * comm.Float24(x[i+2])
+		y[i+3] += a * comm.Float24(x[i+3])
+	}
+	for ; i < len(x); i++ {
+		y[i] += a * comm.Float24(x[i])
+	}
 }

@@ -66,33 +66,31 @@ func EstimateLinfGeneral(a, b *intmat.Dense, o LinfGeneralOpts) (float64, Cost, 
 	}
 	bs := sketch.NewBlockAMS(shared.Derive("linfgeneral"), m1, blockSize, o.AMSReps, o.AMSCols)
 
-	// Round 1 (Alice→Bob): the sketch of every column of A.
+	// Round 1 (Alice→Bob): the sketch of every column of A, as Float24
+	// words.
 	msg := comm.NewMessage()
 	col := make([]int64, m1)
 	for k := 0; k < n; k++ {
 		for i := 0; i < m1; i++ {
 			col[i] = a.Get(i, k)
 		}
-		msg.PutFloat64Slice(bs.Apply(col))
+		msg.PutFloat24s(bs.Apply(col))
 	}
 	recv := conn.Send(comm.AliceToBob, msg)
 
-	skA := make([][]float64, n)
-	for k := 0; k < n; k++ {
-		skA[k] = recv.Float64Slice()
-	}
+	dim := bs.Dim()
+	skA := make([]uint32, n*dim)
+	recv.Float24sInto(skA)
 
 	// Bob: per column j of C, combine and maximize block estimates.
 	best := 0.0
-	acc := make([]float64, bs.Dim())
+	acc := make([]float64, dim)
 	for j := 0; j < m2; j++ {
-		for i := range acc {
-			acc[i] = 0
-		}
+		clear(acc)
 		any := false
 		for k := 0; k < n; k++ {
 			if v := b.Get(k, j); v != 0 {
-				sketch.AxpyFloat(acc, float64(v), skA[k])
+				axpyFloat24(acc, float64(v), skA[k*dim:][:dim])
 				any = true
 			}
 		}

@@ -122,25 +122,35 @@ func newRowSketcher(r *rng.RNG, dim int, p float64, sizeWords int) rowSketcher {
 // and appends the sketches to msg. A sketch is built by adding the
 // row's coordinates in ascending column order — the order, and so the
 // floating-point sums, of the families' Apply over the row's cells,
-// which skips the zeros. Each row's encoding is self-delimiting, so the
-// shard-parallel precompute concatenates per-range buffers in range
-// order to reproduce the sequential bytes exactly.
+// which skips the zeros. A float sketch travels as width Float24 words
+// (3 bytes each, no length prefix: Alice knows the width from the
+// family); a field sketch, exact at p = 0, as a PutUint64Slice. Every
+// row of one family takes the same bytes, so the shard-parallel
+// precompute concatenates per-range buffers in range order to reproduce
+// the sequential bytes exactly, and UpdateRows splices a row at
+// (rep·n + k) times that size.
 func (rs rowSketcher) encodeRowRange(msg *comm.Message, b *intmat.Sparse, lo, hi int) {
-	for k := lo; k < hi; k++ {
-		cols, vals := b.Row(k)
-		if rs.l0 != nil {
-			y := make([]field.Elem, rs.l0.Dim())
+	if rs.l0 != nil {
+		y := make([]field.Elem, rs.l0.Dim())
+		for k := lo; k < hi; k++ {
+			clear(y)
+			cols, vals := b.Row(k)
 			for x, j := range cols {
 				rs.l0.AddCoord(y, int(j), vals[x])
 			}
 			msg.PutUint64Slice(y)
-		} else {
-			y := make([]float64, rs.fl.Dim())
-			for x, j := range cols {
-				rs.fl.AddCoord(y, int(j), vals[x])
-			}
-			msg.PutFloat64Slice(y)
 		}
+		return
+	}
+	y := make([]float64, rs.fl.Dim())
+	msg.Grow((hi - lo) * 3 * len(y))
+	for k := lo; k < hi; k++ {
+		clear(y)
+		cols, vals := b.Row(k)
+		for x, j := range cols {
+			rs.fl.AddCoord(y, int(j), vals[x])
+		}
+		msg.PutFloat24s(y)
 	}
 }
 
@@ -148,54 +158,52 @@ func (rs rowSketcher) encodeRowRange(msg *comm.Message, b *intmat.Sparse, lo, hi
 // every repetition of one norm index, rep-interleaved. Row k's sketches
 // for repetitions 0, 1, … lie side by side in one stripe of reps × width
 // words, so a single pass over a row of A combines every repetition's
-// sketches at once — one Axpy over the stripe per non-zero of the row,
+// sketches at once — one axpy over the stripe per non-zero of the row,
 // into an accumulator of the same layout. Each word is still its own sum
 // over the row's non-zeros in column order, so each repetition's
-// estimate is the one a pass over that repetition alone computes.
+// estimate is the one a pass over that repetition alone computes. Float
+// words stay as they arrived, 4 bytes each (comm.Float24sInto), and are
+// rebuilt inside the combine.
 type sketchBlock struct {
 	sketchers []rowSketcher // one per repetition, all of one kind and width
 	width     int           // words in one repetition's sketch
 	fieldSk   []field.Elem  // n stripes at p = 0
-	floatSk   []float64     // n stripes at p > 0
+	floatSk   []uint32      // n stripes at p > 0, Float24 words
 }
 
 // readSketchBlock reads the n row sketches of each repetition, in the
 // wire's repetition-major order, into one rep-interleaved block. Every
-// row must be the family's width and every float word finite: a peer's
-// row of another length, or a NaN or ±Inf word, panics — the message
-// readers' way of refusing a payload, which recoverDecodeError turns
-// into the request's error. The block is sized only once the payload is
-// known to hold n·reps rows of that width.
+// field row must be the family's width and every float word finite: a
+// peer's field row of another length, a payload too short for n·reps
+// rows, or a NaN or ±Inf word panics — the message readers' way of
+// refusing a payload, which recoverDecodeError turns into the request's
+// error. The block is sized only once the payload is known to hold
+// n·reps rows of that width.
 func readSketchBlock(msg *comm.Message, sketchers []rowSketcher, n int) *sketchBlock {
 	blk := &sketchBlock{sketchers: sketchers}
 	rs := sketchers[0]
+	wordBytes := 3
 	if rs.l0 != nil {
-		blk.width = rs.l0.Dim()
+		blk.width, wordBytes = rs.l0.Dim(), 8
 	} else {
 		blk.width = rs.fl.Dim()
 	}
 	stripe := len(sketchers) * blk.width
-	if msg.Remaining()/8 < n*stripe {
+	if msg.Remaining()/wordBytes < n*stripe {
 		panic(fmt.Sprintf("core: round 1 holds %d bytes, too few for %d rows of %d-word sketches", msg.Remaining(), n*len(sketchers), blk.width))
 	}
 	if rs.l0 != nil {
 		blk.fieldSk = make([]field.Elem, n*stripe)
 	} else {
-		blk.floatSk = make([]float64, n*stripe)
+		blk.floatSk = make([]uint32, n*stripe)
 	}
 	for rep := range sketchers {
 		for k := 0; k < n; k++ {
 			at := k*stripe + rep*blk.width
 			if blk.fieldSk != nil {
 				msg.Uint64SliceInto(blk.fieldSk[at : at+blk.width])
-				continue
-			}
-			row := blk.floatSk[at : at+blk.width]
-			msg.Float64SliceInto(row)
-			for _, x := range row {
-				if !(math.Abs(x) <= math.MaxFloat64) {
-					panic(fmt.Sprintf("core: row sketch word %v is not finite", x))
-				}
+			} else {
+				msg.Float24sInto(blk.floatSk[at : at+blk.width])
 			}
 		}
 	}
@@ -236,7 +244,7 @@ func (blk *sketchBlock) rowNorms(a *intmat.Sparse, shards int) [][]float64 {
 			} else {
 				clear(floatAcc)
 				for t, k := range cols {
-					sketch.AxpyFloat(floatAcc, float64(vals[t]), blk.floatSk[int(k)*stripe:][:stripe])
+					axpyFloat24(floatAcc, float64(vals[t]), blk.floatSk[int(k)*stripe:][:stripe])
 				}
 			}
 			for rep, rs := range blk.sketchers {
@@ -625,6 +633,9 @@ func (s *AliceLpState) Serve(t comm.Transport, am intmat.Matrix) (err error) {
 
 	recv1 := t.Recv(comm.BobToAlice)
 	blk := readSketchBlock(recv1, s.sketchers, n)
+	if recv1.Remaining() != 0 {
+		panic(fmt.Sprintf("core: %d bytes after round 1's row sketches", recv1.Remaining()))
+	}
 	alicePriv := rng.New(o.Seed).Derive("alice-private", "lp")
 	picks := blk.sampleRows(a, beta, o.RhoC/o.Eps, alicePriv, o.Shards)
 	msg2 := comm.NewMessage()

@@ -139,9 +139,10 @@ func scriptedBob(msg *comm.Message) func(comm.Transport) error {
 	}
 }
 
-// round1Rows writes a scripted round 1: reps × n rows of width words
-// each (field words at p = 0), every word v, except that the last row's
-// last word is last.
+// round1Rows writes a scripted round 1 in the layout Bob's encodes:
+// reps × n rows of width words each — Float24 words back to back, or
+// prefixed field rows at p = 0 — every word v, except that the last
+// row's last word is last.
 func round1Rows(p float64, reps, n, width int, v, last float64) *comm.Message {
 	msg := comm.NewMessage()
 	for r := 0; r < reps*n; r++ {
@@ -157,15 +158,16 @@ func round1Rows(p float64, reps, n, width int, v, last float64) *comm.Message {
 		if r == reps*n-1 && width > 0 {
 			row[width-1] = last
 		}
-		msg.PutFloat64Slice(row)
+		msg.PutFloat24s(row)
 	}
 	return msg
 }
 
-// TestAliceLpRefusesMalformedRound1: round 1 is fixed-width rows of
-// finite words. A peer whose rows are a word short or long for the
-// family, whose payload ends early, or whose float words are NaN or ±Inf
-// gets a malformed-message error, not an estimate, at every shard count.
+// TestAliceLpRefusesMalformedRound1: round 1 is exactly reps × n rows of
+// the family's width in finite words. A peer whose rows are a word short
+// or long for the family, whose payload ends a row early, or whose float
+// words are NaN or ±Inf gets a malformed-message error, not an estimate,
+// at every shard count.
 func TestAliceLpRefusesMalformedRound1(t *testing.T) {
 	a := randomInt(2640, 20, 12, 0.4, 3, true)
 	for _, p := range []float64{0, 1} {
@@ -225,6 +227,7 @@ func FuzzAliceLpRound1(f *testing.F) {
 		alices = append(alices, bob.AliceState())
 		f.Add(bob.round1, uint8(i))
 		f.Add(bob.round1[:len(bob.round1)/2], uint8(i))
+		f.Add(append(slices.Clip(bob.round1), 0), uint8(i))
 	}
 	f.Add([]byte{0x80}, uint8(1))
 	f.Fuzz(func(t *testing.T, round1 []byte, pi uint8) {

@@ -101,9 +101,10 @@ func withRowSums(rowSums []int64, nb intmat.Matrix, rows []int) ([]int64, error)
 // re-sketching only the listed rows. The round-1 payload is a
 // concatenation of fixed-size per-row sketch blocks (every row's
 // sketch has the same word count within a repetition, and the same
-// across repetitions), so the new rows' encodings are spliced into a
-// copy of the retained bytes at their block offsets — the result is
-// byte-identical to NewBobLpState(nb, p, opts); at p = 1 the listed
+// across repetitions: 3·width bytes of Float24 words at p > 0, a
+// prefixed field row at p = 0), so the new rows' encodings are spliced
+// into a copy of the retained bytes at their block offsets — the result
+// is byte-identical to NewBobLpState(nb, p, opts); at p = 1 the listed
 // rows' sums are recomputed the same way. The sketch families are
 // the receiver's (drawn from the seed alone, they do not depend on the
 // matrix), and the successor keeps nb's lists as the constructor does:

@@ -553,6 +553,24 @@ func (s *Sparse) Entries() []Entry {
 	return out
 }
 
+// Filter returns the matrix of the stored entries keep accepts. keep is
+// called once per entry, in row-major order; the kept entries are
+// copied once, into lists cut from two arrays that grow with them.
+func (s *Sparse) Filter(keep func(i, j int, v int64) bool) *Sparse {
+	ends := make([]int32, len(s.list))
+	var cols []int32
+	var vals []int64
+	for i, l := range s.list {
+		for x, j := range l.cols {
+			if keep(i, int(j), l.vals[x]) {
+				cols, vals = append(cols, j), append(vals, l.vals[x])
+			}
+		}
+		ends[i] = int32(len(cols))
+	}
+	return cutRows(s.cols, ends, cols, vals)
+}
+
 // ToDense converts to a dense matrix.
 func (s *Sparse) ToDense() *Dense {
 	d := NewDense(len(s.list), s.cols)

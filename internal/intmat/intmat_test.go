@@ -349,6 +349,39 @@ func TestTransposeTwiceIsIdentity(t *testing.T) {
 	}
 }
 
+// TestFilterMatchesEntrySubset: Filter asks once per stored entry, in
+// row-major order, and returns what NewSparse builds from the entries it
+// kept — every one, none, or a coin's choice.
+func TestFilterMatchesEntrySubset(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		s := FromDense(randomDense(r, 9, 11, 0.3, 5))
+		for _, rate := range []float64{0, 0.4, 1} {
+			var kept []Entry
+			at := 0
+			entries := s.Entries()
+			got := s.Filter(func(i, j int, v int64) bool {
+				if (Entry{I: i, J: j, V: v}) != entries[at] {
+					return false
+				}
+				at++
+				keep := r.Bernoulli(rate)
+				if keep {
+					kept = append(kept, Entry{I: i, J: j, V: v})
+				}
+				return keep
+			})
+			if at != len(entries) || !got.Equal(NewSparse(9, 11, kept)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestEmptyRowsEqualAcrossConstructors: a row without non-zeros is the
 // same row whether FromDense, NewSparse, Patch or Transpose made it,
 // and Equal still tells different matrices apart.

@@ -156,8 +156,9 @@ func (s *L0) Estimate(y []field.Elem) float64 {
 }
 
 // AxpyField accumulates y += a·x over the field, the combination
-// primitive protocols use on transmitted field sketches; unrolled as
-// AxpyFloat is.
+// primitive protocols use on transmitted field sketches. Every word is
+// its own sum, so the 4-way unrolling (one bounds check, hoisted)
+// changes no word.
 //
 //mp:hotpath
 func AxpyField(y []field.Elem, a int64, x []field.Elem) {

@@ -39,8 +39,8 @@ func TestQuickAMSLinearity(t *testing.T) {
 			z[i] = a*x[i] + b*y[i]
 		}
 		combined := make([]float64, s.Dim())
-		AxpyFloat(combined, float64(a), s.Apply(x))
-		AxpyFloat(combined, float64(b), s.Apply(y))
+		axpy(combined, float64(a), s.Apply(x))
+		axpy(combined, float64(b), s.Apply(y))
 		direct := s.Apply(z)
 		for i := range direct {
 			if math.Abs(combined[i]-direct[i]) > 1e-6*(1+math.Abs(direct[i])) {

@@ -138,25 +138,3 @@ type FloatSketch interface {
 	// P returns the norm index the sketch estimates.
 	P() float64
 }
-
-// AxpyFloat accumulates y += a·x, the combination primitive of the float
-// sketches: protocols use it to build sketches of rows of C from
-// sketches of rows of B with integer coefficients from A — a few dozen
-// words a call, tens of thousands of calls a query. Every word is its
-// own sum, so the 4-way unrolling (one bounds check, hoisted) changes no
-// float.
-//
-//mp:hotpath
-func AxpyFloat(y []float64, a float64, x []float64) {
-	y = y[:len(x)]
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		y[i] += a * x[i]
-		y[i+1] += a * x[i+1]
-		y[i+2] += a * x[i+2]
-		y[i+3] += a * x[i+3]
-	}
-	for ; i < len(x); i++ {
-		y[i] += a * x[i]
-	}
-}

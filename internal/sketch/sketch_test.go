@@ -31,11 +31,11 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestAxpyFloat(t *testing.T) {
-	y := []float64{1, 2}
-	AxpyFloat(y, 3, []float64{10, -1})
-	if y[0] != 31 || y[1] != -1 {
-		t.Fatalf("AxpyFloat = %v", y)
+// axpy accumulates y += a·x: the linearity tests' combination of float
+// sketches.
+func axpy(y []float64, a float64, x []float64) {
+	for i := range x {
+		y[i] += a * x[i]
 	}
 }
 
@@ -88,7 +88,7 @@ func TestAMSLinearity(t *testing.T) {
 	sx, sy, sz := s.Apply(x), s.Apply(y), s.Apply(z)
 	combined := make([]float64, len(sx))
 	copy(combined, sx)
-	AxpyFloat(combined, 3, sy)
+	axpy(combined, 3, sy)
 	for i := range sz {
 		if math.Abs(combined[i]-sz[i]) > 1e-9 {
 			t.Fatalf("AMS not linear at %d: %v vs %v", i, combined[i], sz[i])
@@ -193,8 +193,8 @@ func TestStableLinearity(t *testing.T) {
 	}
 	sx, sy, sz := s.Apply(x), s.Apply(y), s.Apply(z)
 	combined := make([]float64, len(sx))
-	AxpyFloat(combined, 2, sx)
-	AxpyFloat(combined, -1, sy)
+	axpy(combined, 2, sx)
+	axpy(combined, -1, sy)
 	for i := range sz {
 		if math.Abs(combined[i]-sz[i]) > 1e-6 {
 			t.Fatalf("Stable not linear at %d", i)

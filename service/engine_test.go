@@ -243,7 +243,8 @@ func TestDeleteMatrix(t *testing.T) {
 }
 
 // forgedRound1 hands Alice a forged round 1 in place of Bob's on the
-// first job only: each of Bob's rows re-encoded through forge.
+// first job only: Bob's Float24 words, as floats, re-encoded through
+// forge.
 type forgedRound1 struct {
 	comm.Transport
 	forge func([]float64) []float64
@@ -254,17 +255,21 @@ func (f *forgedRound1) Recv(dir comm.Direction) *comm.Message {
 	if dir != comm.BobToAlice {
 		return msg
 	}
-	out := comm.NewMessage()
-	for msg.Remaining() > 0 {
-		out.PutFloat64Slice(f.forge(msg.Float64Slice()))
+	words := make([]uint32, msg.Remaining()/3)
+	msg.Float24sInto(words)
+	v := make([]float64, len(words))
+	for i, w := range words {
+		v[i] = comm.Float24(w)
 	}
+	out := comm.NewMessage()
+	out.PutFloat24s(f.forge(v))
 	return comm.FromBytes(out.Bytes())
 }
 
-// TestEngineRefusesForgedRound1: an lp round 1 whose rows are a word
-// short of the sketch family's width, or carry a NaN or an infinite
-// word, fails the request with a malformed-message error instead of
-// being estimated from; the engine goes on serving.
+// TestEngineRefusesForgedRound1: an lp round 1 a word short of the
+// sketch family's rows, or carrying a NaN or an infinite word, fails the
+// request with a malformed-message error instead of being estimated
+// from; the engine goes on serving.
 func TestEngineRefusesForgedRound1(t *testing.T) {
 	ctx := context.Background()
 	for name, forge := range map[string]func([]float64) []float64{

@@ -4,7 +4,9 @@
 # uploads (snapshots) and five row patches (the WAL suffix); answers.json is
 # that server's /v1/matrices listing and its pinned-seed answer per kind, taken
 # just before the kill. TestParentDataDirRecovers holds a recovery of a copy of
-# data/ to them.
+# data/ to them. When lp's round 1 moved to 3-byte Float24 words, the `bits` of
+# the three answers that carry it (lp p=1 on both matrices, hh on "ints") were
+# re-pinned by hand; data/ and every estimate are the parent's.
 import json, random, subprocess, time, urllib.request, os, signal, sys
 addr = "127.0.0.1:18311"
 base = "http://" + addr
