@@ -87,13 +87,6 @@ func (m *Matrix) Row(i int) []uint64 {
 	return m.words[i*m.wordsPer : (i+1)*m.wordsPer]
 }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.rows, m.cols)
-	copy(c.words, m.words)
-	return c
-}
-
 // RowWeight returns the popcount of row i (the set size |Ai|).
 func (m *Matrix) RowWeight(i int) int {
 	w := 0

@@ -189,19 +189,6 @@ func TestFromSparse(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	m := New(2, 2)
-	m.Set(0, 0, true)
-	c := m.Clone()
-	c.Set(1, 1, true)
-	if m.Get(1, 1) {
-		t.Fatal("clone shares storage with original")
-	}
-	if !c.Get(0, 0) {
-		t.Fatal("clone lost original bits")
-	}
-}
-
 func TestWeightDecomposition(t *testing.T) {
 	// Property: total weight equals the sum of row weights and the sum of
 	// column weights.

@@ -5,16 +5,18 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bitmat"
 	"repro/internal/comm"
 	"repro/internal/intmat"
 	"repro/internal/rng"
 )
 
 // Each Alice driver has one body, on the non-zero lists of her matrix,
-// and a Dense-taking name that lists the matrix and calls it. The engine
-// hands the body a listing made from wire cells in whatever order they
-// came; the harness and the in-process pairs call the Dense name. Both
-// must put the same bytes on the wire.
+// and a Dense-taking name that lists the matrix and calls it; the two ℓ∞
+// drivers read bit rows, which the engine sets from the listing. The
+// engine hands the body a listing made from wire cells in whatever order
+// they came; the harness and the in-process pairs call the Dense name.
+// Both must put the same bytes on the wire.
 
 // wireListing lists d the way a request's matrix is listed: from its
 // non-zero cells and a few explicit zeros, shuffled.
@@ -124,7 +126,7 @@ func TestAliceListDriversMatchDenseAdapters(t *testing.T) {
 			kinds = append(kinds,
 				kind{"linf",
 					func(tr comm.Transport) error { return AliceLinf(tr, aBits, m2, linfO) },
-					func(tr comm.Transport) error { return AliceLinfSparse(tr, as, m2, linfO) },
+					func(tr comm.Transport) error { return AliceLinf(tr, bitmat.FromSparse(as), m2, linfO) },
 					func(tr comm.Transport) error {
 						est, arg, err := BobLinf(tr, bBits, m1, linfO)
 						out = fmt.Sprint(est, arg)
@@ -132,7 +134,7 @@ func TestAliceListDriversMatchDenseAdapters(t *testing.T) {
 					}},
 				kind{"linfkappa",
 					func(tr comm.Transport) error { return AliceLinfKappa(tr, aBits, m2, kappaO) },
-					func(tr comm.Transport) error { return AliceLinfKappaSparse(tr, as, m2, kappaO) },
+					func(tr comm.Transport) error { return AliceLinfKappa(tr, bitmat.FromSparse(as), m2, kappaO) },
 					func(tr comm.Transport) error {
 						est, arg, err := BobLinfKappa(tr, bBits, m1, kappaO)
 						out = fmt.Sprint(est, arg)

@@ -139,15 +139,10 @@ func HeavyHittersBinary(a, b *bitmat.Matrix, o HHBinaryOpts) ([]WeightedPair, Co
 	type cand struct{ i, j int }
 	seen := map[cand]bool{}
 	var su []cand
-	collect := func(m interface {
-		Rows() int
-		Cols() int
-		Get(i, j int) int64
-	}) {
-		for i := 0; i < m.Rows(); i++ {
-			for j := 0; j < m.Cols(); j++ {
-				v := float64(m.Get(i, j))
-				if v > 0 && math.Pow(v, o.P) >= candThreshold {
+	collect := func(p *partial) {
+		p.eachRow(func(i int, js []int, row []int64) {
+			for _, j := range js {
+				if math.Pow(float64(row[j]), o.P) >= candThreshold {
 					c := cand{i, j}
 					if !seen[c] {
 						seen[c] = true
@@ -155,7 +150,7 @@ func HeavyHittersBinary(a, b *bitmat.Matrix, o HHBinaryOpts) ([]WeightedPair, Co
 					}
 				}
 			}
-		}
+		})
 	}
 
 	// Alice→Bob: SA; Bob unions with SB; Bob→Alice: SU.

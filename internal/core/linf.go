@@ -3,10 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bitmat"
 	"repro/internal/comm"
-	"repro/internal/intmat"
 	"repro/internal/rng"
 )
 
@@ -112,28 +112,23 @@ func bobExchangeSend(t comm.Transport, b *bitmat.Matrix, uk []int, active []int)
 }
 
 // aliceExchangeTurn is Alice's whole exchange: read Bob's vk and lists,
-// build CA, reply with her lists for the items she covers plus her
+// assemble CA, reply with her lists for the items she covers plus her
 // local maximum — one A→B message. It returns CA for protocols that
 // need the partial matrix.
-func aliceExchangeTurn(t comm.Transport, aliceCols [][]itemEntry, level int, uk []int, active []int, m1, m2 int) *intmat.Dense {
+func aliceExchangeTurn(t comm.Transport, aliceCols [][]itemEntry, level int, uk []int, active []int, m1, m2 int) *partial {
 	recvB := t.Recv(comm.BobToAlice)
 	vkA := make([]int, len(uk))
 	for _, k := range active {
 		vkA[k] = int(recvB.Uvarint())
 	}
-	ca := intmat.NewDense(m1, m2)
+	ca := &partial{m1: m1, m2: m2}
 	for _, k := range active {
 		if uk[k] > 0 && vkA[k] > 0 && vkA[k] < uk[k] {
 			js := indexListBelow(recvB, m2, "column")
-			for _, i := range survivorsAt(aliceCols[k], level) {
-				row := ca.Row(i)
-				for _, j := range js {
-					row[j]++
-				}
-			}
+			ca.blocks = append(ca.blocks, [2][]int{survivorsAt(aliceCols[k], level), js})
 		}
 	}
-	maxCA, argI, argJ := ca.Linf()
+	maxCA, argI, argJ := ca.linf()
 
 	aliceMsg := comm.NewMessage()
 	aliceMsg.Label = "Alice's item index lists and ‖CA‖∞"
@@ -147,6 +142,59 @@ func aliceExchangeTurn(t comm.Transport, aliceCols [][]itemEntry, level int, uk 
 	aliceMsg.PutUvarint(uint64(argJ))
 	t.Send(comm.AliceToBob, aliceMsg)
 	return ca
+}
+
+// partial is one party's share of the subsampled product (CA or CB),
+// m1 × m2, as the exchange assembles it: each block (rows, cols) adds
+// one to every cell of rows × cols. It is never made dense; eachRow
+// walks it.
+type partial struct {
+	m1, m2 int
+	blocks [][2][]int
+}
+
+// eachRow visits the rows of p in ascending order, each with its
+// non-zero columns ascending; row holds the row's values by column. One
+// m2 scratch serves every row.
+func (p *partial) eachRow(visit func(i int, js []int, row []int64)) {
+	byRow := make([][]int32, p.m1) // the blocks covering each row
+	for x, blk := range p.blocks {
+		for _, i := range blk[0] {
+			byRow[i] = append(byRow[i], int32(x))
+		}
+	}
+	row := make([]int64, p.m2)
+	var js []int
+	for i, xs := range byRow {
+		for _, x := range xs {
+			for _, j := range p.blocks[x][1] {
+				if row[j] == 0 {
+					js = append(js, j)
+				}
+				row[j]++
+			}
+		}
+		slices.Sort(js)
+		visit(i, js, row)
+		for _, j := range js {
+			row[j] = 0
+		}
+		js = js[:0]
+	}
+}
+
+// linf is p's largest entry and the first cell in row-major order that
+// holds it — intmat.Dense.Linf's rule, since the cell goes on the wire —
+// or (0, 0, 0) when p is empty.
+func (p *partial) linf() (max int64, argI, argJ int) {
+	p.eachRow(func(i int, js []int, row []int64) {
+		for _, j := range js {
+			if row[j] > max {
+				max, argI, argJ = row[j], i, j
+			}
+		}
+	})
+	return max, argI, argJ
 }
 
 // indexListBelow reads an index list of the exchange and refuses an
@@ -199,28 +247,21 @@ func levelBound(cells int, base float64) int {
 	return int(math.Ceil(math.Log(float64(cells))/math.Log(base))) + 1
 }
 
-// bobExchangeFinish is Bob's closing move: read Alice's lists, build
+// bobExchangeFinish is Bob's closing move: read Alice's lists, assemble
 // CB, and combine both sides' maxima into the protocol output
 // max(‖CA‖∞, ‖CB‖∞) with its witnessing pair.
-func bobExchangeFinish(t comm.Transport, b *bitmat.Matrix, vk, uk []int, active []int, m1 int) (maxVal int64, arg Pair, cb *intmat.Dense) {
+func bobExchangeFinish(t comm.Transport, b *bitmat.Matrix, vk, uk []int, active []int, m1 int) (maxVal int64, arg Pair, cb *partial) {
 	recvA := t.Recv(comm.AliceToBob)
-	cb = intmat.NewDense(m1, b.Cols())
+	cb = &partial{m1: m1, m2: b.Cols()}
 	for _, k := range active {
 		if uk[k] > 0 && vk[k] > 0 && uk[k] <= vk[k] {
-			is := indexListBelow(recvA, m1, "row")
-			bRow := b.RowSupport(k)
-			for _, i := range is {
-				row := cb.Row(i)
-				for _, j := range bRow {
-					row[j]++
-				}
-			}
+			cb.blocks = append(cb.blocks, [2][]int{indexListBelow(recvA, m1, "row"), b.RowSupport(k)})
 		}
 	}
 	maxCAFromAlice := recvA.Varint()
 	aI := int(recvA.Uvarint())
 	aJ := int(recvA.Uvarint())
-	maxCB, bI, bJ := cb.Linf()
+	maxCB, bI, bJ := cb.linf()
 	if maxCAFromAlice >= maxCB {
 		return maxCAFromAlice, Pair{I: aI, J: aJ}, cb
 	}
@@ -231,7 +272,7 @@ func bobExchangeFinish(t comm.Transport, b *bitmat.Matrix, vk, uk []int, active 
 // hold both matrices (heavy hitters for Boolean inputs). t must be a
 // two-sided transport (the in-process Conn): Bob's send is immediately
 // receivable by Alice's turn on the same goroutine.
-func indexExchange(t comm.Transport, aliceCols [][]itemEntry, level int, uk []int, b *bitmat.Matrix, m1, m2 int, active []int) (maxVal int64, arg Pair, ca, cb *intmat.Dense) {
+func indexExchange(t comm.Transport, aliceCols [][]itemEntry, level int, uk []int, b *bitmat.Matrix, m1, m2 int, active []int) (maxVal int64, arg Pair, ca, cb *partial) {
 	vk := bobExchangeSend(t, b, uk, active)
 	ca = aliceExchangeTurn(t, aliceCols, level, uk, active, m1, m2)
 	maxVal, arg, cb = bobExchangeFinish(t, b, vk, uk, active, m1)
@@ -336,12 +377,6 @@ func AliceLinf(t comm.Transport, a *bitmat.Matrix, m2 int, o LinfOpts) (err erro
 	}
 	aliceExchangeTurn(t, cols, lStar, colSums[lStar], allItems(n), a.Rows(), m2)
 	return nil
-}
-
-// AliceLinfSparse is AliceLinf on the non-zero lists of Alice's 0/1
-// matrix, from which her bit rows are set: every listed entry is a one.
-func AliceLinfSparse(t comm.Transport, a *intmat.Sparse, m2 int, o LinfOpts) error {
-	return AliceLinf(t, bitmat.FromSparse(a), m2, o)
 }
 
 // BobLinf drives Bob's side of Algorithm 2: he locates the first level

@@ -225,6 +225,36 @@ func allocatedBy(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// TestLinfExchangeAllocatesBelowOneDenseProduct: each party keeps its
+// share of the subsampled product as the index lists the exchange
+// assembled it from. Both used to build a dense m1 × m2 int64 matrix per
+// query only to read its maximum — 2 × 128 MiB at the 4096² shape cap —
+// so one whole query of either kind, both parties and the transport
+// included, now allocates less than one such matrix.
+func TestLinfExchangeAllocatesBelowOneDenseProduct(t *testing.T) {
+	const n = 256
+	a, b, _, _ := plantedMaxPair(4200, n, 20, 0.004)
+	runs := map[string]func() error{
+		"linf": func() error {
+			_, _, _, err := EstimateLinfBinary(a, b, LinfOpts{Eps: 0.5, Seed: 4201})
+			return err
+		},
+		"linfkappa": func() error {
+			_, _, _, err := EstimateLinfKappa(a, b, LinfKappaOpts{Kappa: 8, Seed: 4202})
+			return err
+		},
+	}
+	for name, run := range runs {
+		var err error
+		if got := allocatedBy(func() { err = run() }); got >= 8*n*n {
+			t.Errorf("%s: one query allocated %d bytes, a dense %d×%d product is %d", name, got, n, n, 8*n*n)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
 // TestLinfServeBoundsLevelCount: Bob sizes his per-level column sums
 // from the deepest level Alice declares. He used to allocate for
 // whatever number arrived before reading a byte of the sums — and in

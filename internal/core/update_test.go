@@ -33,10 +33,13 @@ func patchIntRows(seed uint64, m *intmat.Dense, rows []int, maxAbs int64, nonneg
 	return nm
 }
 
-// patchBitRows returns a clone of m with the listed rows re-randomized.
+// patchBitRows returns a copy of m with the listed rows re-randomized.
 func patchBitRows(seed uint64, m *bitmat.Matrix, rows []int) *bitmat.Matrix {
 	rnd := rand.New(rand.NewSource(int64(seed)))
-	nm := m.Clone()
+	nm := bitmat.New(m.Rows(), m.Cols())
+	for i := 0; i < m.Rows(); i++ {
+		copy(nm.Row(i), m.Row(i))
+	}
 	for _, k := range rows {
 		for j := 0; j < m.Cols(); j++ {
 			nm.Set(k, j, rnd.Float64() < 0.3)

@@ -177,7 +177,7 @@ func (c *sketchCache) invalidateMatrix(names ...string) {
 // cache lock: it recomputes only the update's touched rows, and
 // holding the lock keeps a concurrent miss from rebuilding the same
 // state redundantly while the migration is mid-flight.
-func (c *sketchCache) refreshMatrix(matrix string, gen, oldSub, newSub uint64, advance func(bobState) (bobState, bool)) (refreshed, dropped int) {
+func (c *sketchCache) refreshMatrix(matrix string, gen, oldSub, newSub uint64, advance func(kind string, st bobState) (bobState, bool)) (refreshed, dropped int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var next *list.Element
@@ -198,7 +198,7 @@ func (c *sketchCache) refreshMatrix(matrix string, gen, oldSub, newSub uint64, a
 			dropped++
 			continue
 		}
-		st, ok := advance(e.state)
+		st, ok := advance(e.key.kind, e.state)
 		if !ok {
 			c.removeLocked(e)
 			dropped++

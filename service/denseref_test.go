@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bitmat"
 	"repro/internal/intmat"
 )
 
@@ -40,19 +39,6 @@ func scanDense(d *intmat.Dense) cellCounts {
 		}
 	}
 	return c
-}
-
-// toBool is the bit form of a 0/1 dense matrix.
-func toBool(d *intmat.Dense) *bitmat.Matrix {
-	b := bitmat.New(d.Rows(), d.Cols())
-	for i := 0; i < d.Rows(); i++ {
-		for j, v := range d.Row(i) {
-			if v != 0 {
-				b.Set(i, j, true)
-			}
-		}
-	}
-	return b
 }
 
 // patchDense is the dense-cell row patch: a clone, each patched row
@@ -187,9 +173,6 @@ func TestRowPatchMatchesDensePatch(t *testing.T) {
 			}
 			if sm.cells != want || rep.NNZ != want.nnz || rep.Binary != (want.nonBinary == 0) || rep.NonNeg != (want.negative == 0) {
 				t.Fatalf("trial %d step %d: tallies %+v reply %+v, a scan of the dense patch counts %+v", trial, step, sm.cells, rep.MatrixInfo, want)
-			}
-			if (sm.bits != nil) != rep.Binary || (sm.bits != nil && !sm.bits.Equal(toBool(ref))) {
-				t.Fatalf("trial %d step %d: bit rows differ from the dense patch's", trial, step)
 			}
 			// lp, l0sample and hh take any matrix; exact and l1sample need
 			// it non-negative, the ℓ∞ kinds 0/1.

@@ -207,9 +207,9 @@ func TestBadRequests(t *testing.T) {
 	if _, _, err := e.PutMatrix("x", Matrix{Rows: -1, Cols: 4}); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("negative rows: %v", err)
 	}
-	// Errors are visible in stats (only the protocol-level ones count as
-	// requests; admission/validation failures before dispatch do not).
-	if st := e.Stats(); st.Errors == 0 {
+	// Errors are visible in stats: every query of a known kind counts,
+	// however it failed.
+	if st := e.Stats(); st.Errors != int64(len(cases))-1 {
 		t.Errorf("stats should record protocol errors: %+v", st)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bitmat"
 	"repro/internal/intmat"
 )
 
@@ -32,10 +31,10 @@ type MatrixInfo struct {
 }
 
 // servedMatrix is one registry entry: Bob's matrix, held once as its
-// non-zero lists — what every Bob state borrows, what a row update
-// patches, what a snapshot encodes — beside the bit rows the two
-// Boolean kinds read, plus the catalog metadata Alice learns out of
-// band. The lists are immutable and shared across goroutines.
+// non-zero lists — what every Bob state borrows or derives its form
+// from, what a row update patches, what a snapshot encodes — plus the
+// catalog metadata Alice learns out of band. The lists are immutable
+// and shared across goroutines.
 // gen is the upload generation of the name — unique per PutMatrix, so
 // sketch-cache entries built against a replaced matrix can never serve
 // its successor. sub is the generation's sub-version: it advances by
@@ -48,7 +47,6 @@ type servedMatrix struct {
 	gen   uint64
 	sub   uint64
 	list  *intmat.Sparse
-	bits  *bitmat.Matrix // non-nil iff the matrix is 0/1
 	elem  *list.Element
 }
 
@@ -68,9 +66,6 @@ func newServedMatrix(name string, list *intmat.Sparse, uploaded time.Time, gen, 
 		c.addRow(vals, 1)
 	}
 	sm.setCells(c)
-	if sm.info.Binary {
-		sm.bits = bitmat.FromSparse(list)
-	}
 	return sm
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/bitmat"
-	"repro/internal/core"
 	"repro/internal/intmat"
 )
 
@@ -268,7 +266,7 @@ func (e *Engine) updateRows(name string, req UpdateRequest) (UpdateReply, bool, 
 	defer e.updMu.Unlock()
 	sm, ok := e.reg.get(name)
 	if !ok {
-		return UpdateReply{}, false, fmt.Errorf("%w: %q", ErrMatrixNotFound, name)
+		return UpdateReply{}, false, errMatrixNotFound(name)
 	}
 	// A repeated idempotency key is a retry (or a replication tier's
 	// log replay) of an update that already committed: answer with the
@@ -297,8 +295,8 @@ func (e *Engine) updateRows(name string, req UpdateRequest) (UpdateReply, bool, 
 	var refreshed, dropped int
 	if e.cache != nil {
 		refreshed, dropped = e.cache.refreshMatrix(name, sm.gen, sm.sub, newSM.sub,
-			func(st bobState) (bobState, bool) {
-				return advanceState(st, newSM, rows)
+			func(kind string, st bobState) (bobState, bool) {
+				return kinds[kind].advance(st, newSM, rows)
 			})
 	}
 	rep := UpdateReply{
@@ -330,10 +328,10 @@ func (e *Engine) rememberUpdateLocked(k updKey, rep UpdateReply) {
 
 // patchServed builds sm's copy-on-write successor under the row
 // patches (PatchRows): cell tallies and the catalog flags adjusted by the
-// touched rows (old row out, new row in), sub-version bumped, bit form
-// patched incrementally when it stays binary. Returns the touched rows
-// for cache revalidation. Shared by the live update path and WAL replay
-// at recovery, so a replayed update reconstructs identical served state.
+// touched rows (old row out, new row in), sub-version bumped. Returns
+// the touched rows for cache revalidation. Shared by the live update
+// path and WAL replay at recovery, so a replayed update reconstructs
+// identical served state.
 func patchServed(sm *servedMatrix, ups []RowUpdate, delta bool) (*servedMatrix, []int, error) {
 	list, rows, err := PatchRows(sm.list, ups, delta)
 	if err != nil {
@@ -348,66 +346,5 @@ func patchServed(sm *servedMatrix, ups []RowUpdate, delta bool) (*servedMatrix, 
 		cells.addRow(now, 1)
 	}
 	next.setCells(cells)
-	switch {
-	case !next.info.Binary:
-	case sm.bits == nil:
-		next.bits = bitmat.FromSparse(list)
-	default:
-		next.bits = sm.bits.Clone()
-		for _, k := range rows {
-			old, _ := sm.list.Row(k)
-			for _, j := range old {
-				next.bits.Set(k, int(j), false)
-			}
-			now, _ := list.Row(k)
-			for _, j := range now {
-				next.bits.Set(k, int(j), true)
-			}
-		}
-	}
 	return next, rows, nil
-}
-
-// advanceState incrementally advances one cached Bob state to the
-// updated matrix, recomputing only the touched rows. A state that
-// cannot be advanced — the update invalidated its kind's input
-// contract (signedness for exact/l1sample, binarity for the ℓ∞ kinds)
-// — reports false and is dropped from the cache; the next query of
-// that kind rebuilds (and surfaces the contract error) exactly as a
-// cold cache would.
-func advanceState(st bobState, sm *servedMatrix, rows []int) (bobState, bool) {
-	switch v := st.(type) {
-	case *lpStates:
-		nb, err := v.bob.UpdateRows(sm.list, rows)
-		if err != nil {
-			return nil, false
-		}
-		return &lpStates{bob: nb, alice: v.alice}, true
-	case *core.BobL0SampleState:
-		nb, err := v.UpdateRows(sm.list, rows)
-		return nb, err == nil
-	case *core.BobExactL1State:
-		nb, err := v.UpdateRows(sm.list, rows)
-		return nb, err == nil
-	case *core.BobL1SampleState:
-		nb, err := v.UpdateRows(sm.list, rows)
-		return nb, err == nil
-	case *core.BobLinfState:
-		if sm.bits == nil {
-			return nil, false
-		}
-		nb, err := v.UpdateRows(sm.bits, rows)
-		return nb, err == nil
-	case *core.BobLinfKappaState:
-		if sm.bits == nil {
-			return nil, false
-		}
-		nb, err := v.UpdateRows(sm.bits, rows)
-		return nb, err == nil
-	case *core.BobHHState:
-		nb, err := v.UpdateRows(sm.list, rows)
-		return nb, err == nil
-	default:
-		return nil, false
-	}
 }

@@ -134,10 +134,10 @@ func TestUpdateRowsMatchesReupload(t *testing.T) {
 	}
 }
 
-// TestUpdateRowsBinaryKinds covers the bit-form maintenance: a binary
-// matrix stays binary across an update (patched bit rows, linf answers
-// match a reupload) and loses its ℓ∞ eligibility when an update makes
-// it non-binary.
+// TestUpdateRowsBinaryKinds: a binary matrix stays binary across an
+// update (the ℓ∞ states advance on bit rows derived from the patched
+// lists, and answer as after a reupload) and loses its ℓ∞ eligibility
+// when an update makes it non-binary.
 func TestUpdateRowsBinaryKinds(t *testing.T) {
 	const n = 20
 	wire := MatrixFromBool(workload.Binary(60, n, n, 0.3))
@@ -345,7 +345,7 @@ func TestSketchCacheRefreshMatrix(t *testing.T) {
 	c.put(k("m", 1, 0, "hh"), fakeState{8})   // migration collides with it
 	c.put(k("other", 1, 0, "lp"), fakeState{6})
 
-	refreshed, dropped := c.refreshMatrix("m", 1, 0, 1, func(st bobState) (bobState, bool) {
+	refreshed, dropped := c.refreshMatrix("m", 1, 0, 1, func(_ string, st bobState) (bobState, bool) {
 		if st.(fakeState).n == 3 {
 			return nil, false
 		}
@@ -463,7 +463,7 @@ func TestUpdateRowsConcurrentChurn(t *testing.T) {
 }
 
 // checkServedAgainstScan holds a served matrix's incrementally kept
-// tallies, catalog flags and bit form to a fresh scan of its dense form.
+// tallies and catalog flags to a fresh scan of its dense form.
 func checkServedAgainstScan(t *testing.T, when string, sm *servedMatrix) {
 	t.Helper()
 	dense := sm.list.ToDense()
@@ -473,12 +473,6 @@ func checkServedAgainstScan(t *testing.T, when string, sm *servedMatrix) {
 	}
 	if sm.info.NNZ != want.nnz || sm.info.Binary != (want.nonBinary == 0) || sm.info.NonNeg != (want.negative == 0) {
 		t.Fatalf("%s: info %+v disagrees with the scan %+v", when, sm.info, want)
-	}
-	if (sm.bits != nil) != sm.info.Binary {
-		t.Fatalf("%s: bit form present = %v for binary = %v", when, sm.bits != nil, sm.info.Binary)
-	}
-	if sm.bits != nil && !sm.bits.Equal(toBool(dense)) {
-		t.Fatalf("%s: bit form differs from the dense form", when)
 	}
 }
 

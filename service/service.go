@@ -9,10 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bitmat"
-	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/intmat"
 	"repro/internal/store"
 )
 
@@ -31,17 +28,6 @@ var (
 	// ErrClosed is returned after Close.
 	ErrClosed = errors.New("service: engine closed")
 )
-
-// Kinds lists the supported job kinds with the protocol each runs.
-var Kinds = map[string]string{
-	"lp":        "Algorithm 1 (Theorem 3.1): (1±ε)·‖AB‖p^p, p ∈ [0,2]",
-	"l0sample":  "Theorem 3.2: uniform non-zero entry of AB with exact value",
-	"l1sample":  "Remark 3: entry (i,j) ∝ C[i][j] with join witness",
-	"exact":     "Remark 2: exact ‖AB‖1 for non-negative matrices",
-	"linf":      "Algorithm 2 (Theorem 4.1): (2+ε)·‖AB‖∞ for Boolean matrices",
-	"linfkappa": "Algorithm 3 (Theorem 4.3): κ·‖AB‖∞ for Boolean matrices",
-	"hh":        "Algorithm 4 (Theorem 5.1): ℓp-(ϕ,ε)-heavy hitters",
-}
 
 // Config parameterizes an Engine. Zero values select the defaults.
 type Config struct {
@@ -334,7 +320,7 @@ func (e *Engine) DeleteMatrix(name string) error {
 		return err
 	}
 	if !e.reg.delete(name) {
-		return fmt.Errorf("%w: %q", ErrMatrixNotFound, name)
+		return errMatrixNotFound(name)
 	}
 	if e.cache != nil {
 		e.cache.invalidateMatrix(name)
@@ -500,38 +486,27 @@ func (e *Engine) jobSeed(req Request) (seed, epoch uint64) {
 	return e.nextSeed(), 0
 }
 
-// runJob validates the request, builds both parties' inputs (Alice's
-// matrix as the row lists her drivers read — it is never dense here —
-// and Bob's state through the sketch cache), and drives the protocol
-// over a fresh transport. Cancelling ctx aborts the run at its next
-// transport operation.
+// runJob validates the request, builds both parties' inputs (prepare)
+// and drives the protocol over a fresh transport. Cancelling ctx aborts
+// the run at its next transport operation. Every query of a known kind
+// is counted once in the per-kind stats, however it fails.
 func (e *Engine) runJob(ctx context.Context, req Request) (*Result, error) {
-	sm, ok := e.reg.get(req.Matrix)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrMatrixNotFound, req.Matrix)
-	}
-	// What a few bytes of request can get wrong is refused before A is
-	// listed: listing costs O(rows + entries) of A's own declared shape.
-	if _, ok := Kinds[req.Kind]; !ok {
+	sm, found := e.reg.get(req.Matrix)
+	k, known := kinds[req.Kind]
+	if !known {
+		if !found {
+			return nil, errMatrixNotFound(req.Matrix)
+		}
 		return nil, errUnknownKind(req.Kind)
 	}
-	if req.A.Cols != sm.info.Rows {
-		return nil, fmt.Errorf("%w: A is %dx%d but %q has %d rows",
-			ErrBadRequest, req.A.Rows, req.A.Cols, req.Matrix, sm.info.Rows)
-	}
-	a, aBinary, aNonNeg, err := req.A.List()
+	job, err := e.prepare(req, sm, k)
 	if err != nil {
+		e.stats.recordFailure(req.Kind)
 		return nil, err
 	}
-	seed, epoch := e.jobSeed(req)
-
-	job, err := e.buildJob(req, sm, a, aBinary, aNonNeg, seed, epoch)
-	if err != nil {
-		return nil, err
-	}
-
 	alice, bob, cleanup, err := e.cfg.Transport()
 	if err != nil {
+		e.stats.recordFailure(req.Kind)
 		return nil, fmt.Errorf("service: transport: %w", err)
 	}
 	defer cleanup()
@@ -573,9 +548,28 @@ func (e *Engine) runJob(ctx context.Context, req Request) (*Result, error) {
 	res.Matrix = req.Matrix
 	res.Bits = stats.TotalBits()
 	res.Rounds = stats.Rounds
-	res.Seed = seed
 	res.Elapsed = elapsed
 	return res, nil
+}
+
+// prepare validates a query of a known kind against the served matrix
+// (nil when the name is not served) and hands it to the kind's entry.
+// What a few bytes of request can get wrong is refused before A is
+// listed: listing costs O(rows + entries) of A's own declared shape.
+func (e *Engine) prepare(req Request, sm *servedMatrix, k kind) (*job, error) {
+	if sm == nil {
+		return nil, errMatrixNotFound(req.Matrix)
+	}
+	if req.A.Cols != sm.info.Rows {
+		return nil, fmt.Errorf("%w: A is %dx%d but %q has %d rows",
+			ErrBadRequest, req.A.Rows, req.A.Cols, req.Matrix, sm.info.Rows)
+	}
+	a, aBinary, aNonNeg, err := req.A.List()
+	if err != nil {
+		return nil, err
+	}
+	seed, epoch := e.jobSeed(req)
+	return k.job(e, req, sm, query{a: a, aBinary: aBinary, aNonNeg: aNonNeg, b: sm.info, seed: seed}, epoch)
 }
 
 // mapProtocolError folds core's validation errors into ErrBadRequest so
@@ -593,44 +587,11 @@ func mapProtocolError(err error) error {
 	return errors.New("service: protocol failed")
 }
 
-// lpStates is the lp cache entry: Bob's precomputed row sketches of B
-// plus the Alice-side state over the same sketch families. The engine
-// drives both parties of every job, so Alice's query-independent state
-// (the same (m2, p, eps, seed) fingerprint) is derived from Bob's and
-// shares his families rather than drawing them again — a remote Alice,
-// e.g. a real network client, simply does not use it.
-type lpStates struct {
-	bob   *core.BobLpState
-	alice *core.AliceLpState
-}
-
-func newLpStates(b *intmat.Sparse, p float64, o core.LpOpts) (*lpStates, error) {
-	bob, err := core.NewBobLpState(b, p, o)
-	if err != nil {
-		return nil, err
-	}
-	return &lpStates{bob: bob, alice: bob.AliceState()}, nil
-}
-
-// Bytes is the entry's in-memory size, for the cache's Bytes stat; the
-// shared families are Bob's, and counted there.
-func (s *lpStates) Bytes() int64 { return s.bob.Bytes() + s.alice.Bytes() }
-
-// job packages one protocol execution: the two party drivers plus the
-// result they fill in (Bob's driver writes the outputs — the estimate
-// lives server-side for every kind).
-type job struct {
-	alice  func(comm.Transport) error
-	bob    func(comm.Transport) error
-	result *Result
-}
-
 // bobState fetches the cached Bob-side state for one (matrix, kind,
 // fingerprint, epoch) key, building and inserting it on a miss. With
 // the cache disabled every call builds fresh — the two-phase core API
 // makes that path identical to the pre-cache drivers. Build failures
-// are validation errors from core; they are recorded as failed requests
-// (they surfaced mid-protocol before the two-phase split) and mapped to
+// are validation errors from core, which the caller maps to
 // ErrBadRequest.
 func (e *Engine) bobState(sm *servedMatrix, kind, fp string, epoch uint64, build func() (bobState, error)) (bobState, error) {
 	if e.cache == nil {
@@ -648,193 +609,10 @@ func (e *Engine) bobState(sm *servedMatrix, kind, fp string, epoch uint64, build
 	return st, nil
 }
 
-// buildJob wires the request to the matching protocol drivers, fetching
-// Bob's matrix-dependent state through the sketch cache. Catalog
-// metadata (dimensions, binarity, signedness) crosses as parameters,
-// never as protocol payload, so costs match the paper's accounting.
-//
-// The fingerprint passed to bobState covers exactly the inputs the
-// precomputed state depends on: the seed appears for lp/l0sample/hh
-// (their states bake in sketches drawn from it) and is omitted for the
-// seed-free Bob phases, whose entries therefore serve any seed.
-func (e *Engine) buildJob(req Request, sm *servedMatrix, a *intmat.Sparse, aBinary, aNonNeg bool, seed, epoch uint64) (*job, error) {
-	res := &Result{}
-	b := sm.list
-	m2 := sm.info.Cols
-	eps := req.Eps
-	if eps == 0 {
-		eps = 0.25
-	}
-	state := func(fp string, build func() (bobState, error)) (bobState, error) {
-		st, err := e.bobState(sm, req.Kind, fp, epoch, build)
-		if err != nil {
-			e.stats.recordFailure(req.Kind)
-			return nil, fmt.Errorf("%w: %s", mapProtocolError(err), err)
-		}
-		return st, nil
-	}
-	switch req.Kind {
-	case "lp":
-		p := req.P // p = 0 is meaningful: ℓ0, the composition-size estimate
-		o := core.LpOpts{Eps: eps, Seed: seed, Shards: e.cfg.Shards}
-		st, err := state(fmt.Sprintf("p=%g eps=%g seed=%d", p, eps, seed),
-			func() (bobState, error) { return newLpStates(b, p, o) })
-		if err != nil {
-			return nil, err
-		}
-		lp := st.(*lpStates)
-		return &job{
-			alice: func(t comm.Transport) error { return lp.alice.Serve(t, a) },
-			bob: func(t comm.Transport) (err error) {
-				res.Estimate, err = lp.bob.Serve(t)
-				return err
-			},
-			result: res,
-		}, nil
-	case "l0sample":
-		o := core.L0SampleOpts{Eps: eps, Seed: seed, Shards: e.cfg.Shards}
-		st, err := state(fmt.Sprintf("eps=%g seed=%d", eps, seed),
-			func() (bobState, error) { return core.NewBobL0SampleState(b, o) })
-		if err != nil {
-			return nil, err
-		}
-		l0 := st.(*core.BobL0SampleState)
-		m1 := a.Rows()
-		return &job{
-			alice: func(t comm.Transport) error { return core.AliceL0Sample(t, a, o) },
-			bob: func(t comm.Transport) (err error) {
-				pair, v, err := l0.Serve(t, m1)
-				res.I, res.J, res.Estimate = pair.I, pair.J, float64(v)
-				return err
-			},
-			result: res,
-		}, nil
-	case "l1sample":
-		st, err := state("", func() (bobState, error) { return core.NewBobL1SampleState(b, e.cfg.Shards) })
-		if err != nil {
-			return nil, err
-		}
-		l1 := st.(*core.BobL1SampleState)
-		return &job{
-			alice: func(t comm.Transport) error { return core.AliceSampleL1(t, a, seed) },
-			bob: func(t comm.Transport) (err error) {
-				res.I, res.J, res.Witness, err = l1.Serve(t, seed)
-				return err
-			},
-			result: res,
-		}, nil
-	case "exact":
-		st, err := state("", func() (bobState, error) { return core.NewBobExactL1State(b, e.cfg.Shards) })
-		if err != nil {
-			return nil, err
-		}
-		ex := st.(*core.BobExactL1State)
-		return &job{
-			alice: func(t comm.Transport) error { return core.AliceExactL1(t, a) },
-			bob: func(t comm.Transport) (err error) {
-				v, err := ex.Serve(t)
-				res.Estimate = float64(v)
-				return err
-			},
-			result: res,
-		}, nil
-	case "linf":
-		bBits, err := binaryPair(sm, aBinary)
-		if err != nil {
-			return nil, err
-		}
-		o := core.LinfOpts{Eps: eps, Seed: seed, Shards: e.cfg.Shards}
-		st, err := state(fmt.Sprintf("eps=%g", eps),
-			func() (bobState, error) { return core.NewBobLinfState(bBits, o) })
-		if err != nil {
-			return nil, err
-		}
-		lf := st.(*core.BobLinfState)
-		m1 := a.Rows()
-		return &job{
-			alice: func(t comm.Transport) error { return core.AliceLinfSparse(t, a, m2, o) },
-			bob: func(t comm.Transport) (err error) {
-				var arg core.Pair
-				res.Estimate, arg, err = lf.Serve(t, m1)
-				res.I, res.J = arg.I, arg.J
-				return err
-			},
-			result: res,
-		}, nil
-	case "linfkappa":
-		bBits, err := binaryPair(sm, aBinary)
-		if err != nil {
-			return nil, err
-		}
-		kappa := req.Kappa
-		if kappa == 0 {
-			kappa = 8
-		}
-		o := core.LinfKappaOpts{Kappa: kappa, Seed: seed, Shards: e.cfg.Shards}
-		st, err := state(fmt.Sprintf("kappa=%g", kappa),
-			func() (bobState, error) { return core.NewBobLinfKappaState(bBits, o) })
-		if err != nil {
-			return nil, err
-		}
-		lk := st.(*core.BobLinfKappaState)
-		m1 := a.Rows()
-		return &job{
-			alice: func(t comm.Transport) error { return core.AliceLinfKappaSparse(t, a, m2, o) },
-			bob: func(t comm.Transport) (err error) {
-				var arg core.Pair
-				res.Estimate, arg, err = lk.Serve(t, m1)
-				res.I, res.J = arg.I, arg.J
-				return err
-			},
-			result: res,
-		}, nil
-	case "hh":
-		phi := req.Phi
-		if phi == 0 {
-			phi = 0.2
-		}
-		hhEps := req.Eps
-		if hhEps == 0 {
-			hhEps = phi / 2
-		}
-		o := core.HHOpts{Phi: phi, Eps: hhEps, P: req.P, Seed: seed, Shards: e.cfg.Shards}
-		st, err := state(fmt.Sprintf("p=%g phi=%g eps=%g seed=%d", req.P, phi, hhEps, seed),
-			func() (bobState, error) { return core.NewBobHHState(b, o) })
-		if err != nil {
-			return nil, err
-		}
-		hh := st.(*core.BobHHState)
-		m1 := a.Rows()
-		bNonNeg := sm.info.NonNeg
-		return &job{
-			alice: func(t comm.Transport) error { return core.AliceHH(t, a, m2, bNonNeg, o) },
-			bob: func(t comm.Transport) (err error) {
-				out, err := hh.Serve(t, m1, aNonNeg)
-				for _, wp := range out {
-					res.Entries = append(res.Entries, Entry{I: wp.I, J: wp.J, Value: wp.Value})
-				}
-				res.Estimate = float64(len(out))
-				return err
-			},
-			result: res,
-		}, nil
-	default: // a kind in Kinds without a case above
-		return nil, errUnknownKind(req.Kind)
-	}
-}
-
 func errUnknownKind(kind string) error {
 	return fmt.Errorf("%w: unknown kind %q", ErrBadRequest, kind)
 }
 
-// binaryPair checks both matrices qualify for the Boolean-matrix
-// protocols and returns Bob's bit form.
-func binaryPair(sm *servedMatrix, aBinary bool) (bBits *bitmat.Matrix, err error) {
-	if sm.bits == nil {
-		return nil, fmt.Errorf("%w: matrix %q is not Boolean (required for ℓ∞ kinds)", ErrBadRequest, sm.info.Name)
-	}
-	if !aBinary {
-		return nil, fmt.Errorf("%w: query matrix must be Boolean for ℓ∞ kinds", ErrBadRequest)
-	}
-	return sm.bits, nil
+func errMatrixNotFound(name string) error {
+	return fmt.Errorf("%w: %q", ErrMatrixNotFound, name)
 }

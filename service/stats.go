@@ -27,7 +27,8 @@ type KindStats struct {
 
 // Stats is a snapshot of the engine's aggregate serving statistics.
 type Stats struct {
-	// Requests counts estimation queries run, failed ones included.
+	// Requests counts estimation queries of a known kind, each once,
+	// however it failed; queries of an unknown kind are not counted.
 	Requests int64 `json:"requests"`
 	// Errors counts the failed queries among Requests.
 	Errors int64 `json:"errors"`
@@ -106,9 +107,10 @@ func (c *collector) record(kind string, bits int64, rounds int, lat time.Duratio
 	c.ringN++
 }
 
-// recordFailure counts a request that failed before any protocol ran
-// (driver-state validation). No latency sample is written: a stream of
-// invalid requests must not flood the percentile window with zeros.
+// recordFailure counts a request that failed before any protocol ran:
+// refused, or its state or transport could not be built. No latency
+// sample is written: a stream of invalid requests must not flood the
+// percentile window with zeros.
 func (c *collector) recordFailure(kind string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
