@@ -69,11 +69,15 @@ func (o *LpOpts) setDefaults() error {
 // lpSketchFamilies derives the per-repetition shared sketch families for
 // Algorithm 1 with the given options — the common construction both
 // party drivers (and therefore the in-process EstimateLp) must agree on
-// — and the approximate memory they retain. Drawing them is the dear
-// part of a state build (Reps × width × dim p-stable variates), so it
-// runs once per state: the families are immutable after construction
-// (the sketch package's contract) and everything derived from a state —
-// the other party's state, UpdateRows' successor — shares them.
+// — and the memory they retain, as each family reports it. A family is
+// drawn once per state (Reps × width × dim variates at 0 < p < 2, a few
+// hash coefficients at p ∈ {0, 2}) and is immutable after construction
+// (the sketch package's contract), so everything derived from a state —
+// the other party's state, UpdateRows' successor — shares it. Drawing
+// them is most of a cold state build only on a very sparse B: at
+// n = 512 and 0 < p < 2 it is a few ms, under a third of the build on a
+// 0.2-full B, whose rows' sketching is the rest (DESIGN.md, "The cold lp
+// state").
 func lpSketchFamilies(o LpOpts, dim int, p float64) (sketchers []rowSketcher, bytes int64) {
 	beta := math.Sqrt(o.Eps)
 	sizeWords := int(math.Ceil(o.SketchC / (beta * beta)))
@@ -83,9 +87,15 @@ func lpSketchFamilies(o LpOpts, dim int, p float64) (sketchers []rowSketcher, by
 	shared := rng.New(o.Seed)
 	sketchers = make([]rowSketcher, o.Reps)
 	for rep := range sketchers {
-		sketchers[rep] = newRowSketcher(shared.Derive("lp", strconv.Itoa(rep)), dim, p, sizeWords)
+		rs := newRowSketcher(shared.Derive("lp", strconv.Itoa(rep)), dim, p, sizeWords)
+		if rs.l0 != nil {
+			bytes += rs.l0.Bytes()
+		} else {
+			bytes += rs.fl.Bytes()
+		}
+		sketchers[rep] = rs
 	}
-	return sketchers, int64(o.Reps) * int64(sizeWords) * int64(dim) * 8
+	return sketchers, bytes
 }
 
 // rowSketcher abstracts the two sketch families Algorithm 1 uses for its

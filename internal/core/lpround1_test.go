@@ -268,3 +268,35 @@ func TestBobLpStateBytesFollowRound1(t *testing.T) {
 		}
 	}
 }
+
+// TestLpFamilyBytesAreRetained: the sketch families an lp state is
+// charged for are what they hold — a Stable family its width × n
+// variates (the odd width, one word past ⌈SketchC/ε⌉), ℓ0's and AMS's
+// families their hash coefficients (2 per pairwise hash, 4 per AMS
+// measurement), a few kB where Reps × ⌈SketchC/ε⌉ × n words would be
+// 655 kB at n = 512.
+func TestLpFamilyBytesAreRetained(t *testing.T) {
+	const n = 512
+	b := randomInt(2722, 8, n, 0.3, 3, true)
+	for _, p := range []float64{0, 0.5, 1, 2} {
+		st, err := NewBobLpState(b, p, LpOpts{Eps: 0.25, Seed: 2723})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var perRep int64
+		switch rs := st.sketchers[0]; p {
+		case 0:
+			perRep = 8 * 2 * int64(1+2*rs.l0.Levels())
+		case 2:
+			perRep = 8 * 4 * int64(rs.fl.Dim())
+		default:
+			perRep = 8 * 33 * n
+		}
+		if want := int64(len(st.sketchers)) * perRep; st.famBytes != want {
+			t.Errorf("p %g: families charged %d bytes, they hold %d", p, st.famBytes, want)
+		}
+		if alice, _ := NewAliceLpState(n, p, LpOpts{Eps: 0.25, Seed: 2723}); alice.Bytes() != st.famBytes {
+			t.Errorf("p %g: Alice's families charged %d bytes, Bob's %d", p, alice.Bytes(), st.famBytes)
+		}
+	}
+}

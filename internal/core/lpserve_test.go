@@ -80,6 +80,37 @@ func TestLpTranscriptsPinned(t *testing.T) {
 	}
 }
 
+// BenchmarkLpPrecompute prices a cold Bob state at p = 1, ε = 0.25 on
+// one shard — drawing the five p-stable families and sketching every
+// row of B — on the repo benchmark's lp_cached shape (n = 512, B 0.2
+// full) and kinds_uncached's (n = 256, B 0.004 full). The p = 1
+// calibration is process-wide and paid before the timer starts.
+func BenchmarkLpPrecompute(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		n       int
+		density float64
+	}{
+		{"lp_cached", 512, 0.2},
+		{"kinds_uncached", 256, 0.004},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			bm := randomBinary(3010, c.n, c.n, c.density).ToInt().List()
+			o := LpOpts{Eps: 0.25, Seed: 3011, Shards: 1}
+			if _, err := NewBobLpState(bm, 1, o); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewBobLpState(bm, 1, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkLpServe prices one cached Algorithm 1 query — Serve on a
 // built Bob state against Alice's Serve over an in-process pair — on
 // the repo benchmark's lp_cached shape (n = 512, B 0.2 full and A 0.02

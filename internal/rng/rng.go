@@ -136,14 +136,26 @@ func (r *RNG) Stable(p float64) float64 {
 	if p <= 0 || p > 2 {
 		panic("rng: Stable index out of range (0,2]")
 	}
+	if p == 1 {
+		return math.Tan(r.CauchyAngle())
+	}
 	theta := (r.Float64() - 0.5) * math.Pi // U(-π/2, π/2)
 	w := r.ExpFloat64()
-	if p == 1 {
-		return math.Tan(theta)
-	}
 	t := math.Sin(p*theta) / math.Pow(math.Cos(theta), 1/p)
 	s := math.Pow(math.Cos((1-p)*theta)/w, (1-p)/p)
 	return t * s
+}
+
+// CauchyAngle returns the angle θ ∈ (−π/2, π/2) of one Stable(1) draw,
+// which is math.Tan(θ), consuming exactly the words Stable(1) does. The
+// transform's Exp(1) variate W is unused at p = 1, but its words are
+// still drawn — Float64 until a non-zero one, as ExpFloat64 does, without
+// the logarithm — so every later word of the stream stays where it was.
+func (r *RNG) CauchyAngle() float64 {
+	theta := (r.Float64() - 0.5) * math.Pi
+	for r.Float64() == 0 {
+	}
+	return theta
 }
 
 // Perm returns a uniformly random permutation of [0, n).
@@ -199,6 +211,9 @@ func (h *PolyHash) Eval(x uint64) field.Elem {
 	}
 	return acc
 }
+
+// Bytes reports the memory the hash retains: its coefficients.
+func (h *PolyHash) Bytes() int64 { return 8 * int64(len(h.coeffs)) }
 
 // Bucket maps x to a bucket in [0, m). The field is ~2^61 so the modulo
 // bias is below 2^-40 for any m used here.

@@ -112,6 +112,46 @@ func TestStableCauchyMedian(t *testing.T) {
 	}
 }
 
+// refStable is Stable as first written: the Chambers–Mallows–Stuck
+// transform with W drawn through ExpFloat64 at every p, p = 1 included.
+func refStable(r *RNG, p float64) float64 {
+	theta := (r.Float64() - 0.5) * math.Pi
+	w := r.ExpFloat64()
+	if p == 1 {
+		return math.Tan(theta)
+	}
+	t := math.Sin(p*theta) / math.Pow(math.Cos(theta), 1/p)
+	s := math.Pow(math.Cos((1-p)*theta)/w, (1-p)/p)
+	return t * s
+}
+
+// TestStableMatchesReference: every variate, and the words each draw
+// consumes, equal refStable's — so every stream derived after a draw,
+// and every sketch family drawn from one, is word for word the same.
+// The state {1, 2, 3, 4} yields a non-zero word and then a zero one,
+// the case where W's draw takes a second word.
+func TestStableMatchesReference(t *testing.T) {
+	for _, p := range []float64{0.5, 1, 1.5} {
+		got, want := New(2024), New(2024)
+		for i := 0; i < 100000; i++ {
+			if g, w := got.Stable(p), refStable(want, p); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("p %g draw %d: %v, reference %v", p, i, g, w)
+			}
+		}
+		if g, w := got.Uint64(), want.Uint64(); g != w {
+			t.Fatalf("p %g: next word %#x after 10⁵ draws, reference %#x", p, g, w)
+		}
+
+		got, want = &RNG{s: [4]uint64{1, 2, 3, 4}}, &RNG{s: [4]uint64{1, 2, 3, 4}}
+		if g, w := got.Stable(p), refStable(want, p); math.Float64bits(g) != math.Float64bits(w) || got.s != want.s {
+			t.Fatalf("p %g after a zero word: %v, reference %v; state %x, reference %x", p, g, w, got.s, want.s)
+		}
+	}
+	if r := (&RNG{s: [4]uint64{1, 2, 3, 4}}); r.Uint64() == 0 || r.Uint64() != 0 {
+		t.Fatal("state {1, 2, 3, 4} no longer yields a non-zero word, then a zero one")
+	}
+}
+
 func TestStableHalfIndexFinite(t *testing.T) {
 	r := New(8)
 	for i := 0; i < 1000; i++ {

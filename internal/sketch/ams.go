@@ -32,6 +32,9 @@ func NewAMS(r *rng.RNG, n, reps, cols int) *AMS {
 // Dim returns the sketch length.
 func (s *AMS) Dim() int { return s.reps * s.cols }
 
+// Bytes reports the memory the sketch retains: its hash coefficients.
+func (s *AMS) Bytes() int64 { return hashBytes(s.signs...) }
+
 // P returns 2.
 func (s *AMS) P() float64 { return 2 }
 

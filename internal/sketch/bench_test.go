@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/intmat"
@@ -37,6 +38,23 @@ func BenchmarkStableApply(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Apply(x)
+	}
+}
+
+var calibrationSink float64
+
+// BenchmarkStableMedianCalibration prices the first NewStable of a
+// process at each p: the 400 001-draw calibration, cache cleared every
+// iteration.
+func BenchmarkStableMedianCalibration(b *testing.B) {
+	for _, p := range []float64{0.5, 1, 1.5} {
+		b.Run(fmt.Sprintf("p=%g", p), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				stableMedians.Clear()
+				calibrationSink = stableMedian(p)
+			}
+		})
 	}
 }
 

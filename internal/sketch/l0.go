@@ -64,6 +64,11 @@ func NewL0(r *rng.RNG, n, buckets int) *L0 {
 // Dim returns the sketch length in field elements.
 func (s *L0) Dim() int { return s.levels * s.buckets }
 
+// Bytes reports the memory the sketch retains: its hash coefficients.
+func (s *L0) Bytes() int64 {
+	return s.level.Bytes() + hashBytes(s.bucket...) + hashBytes(s.coef...)
+}
+
 // Levels returns the number of subsampling levels.
 func (s *L0) Levels() int { return s.levels }
 

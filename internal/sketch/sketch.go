@@ -1,13 +1,10 @@
 package sketch
 
-import "math"
+import (
+	"math"
 
-// median returns the median of v (averaging the middle pair for even
-// lengths). It copies the input.
-func median(v []float64) float64 {
-	s := append([]float64(nil), v...)
-	return medianInPlace(s)
-}
+	"repro/internal/rng"
+)
 
 // medianInPlace returns the median of v, reordering v. Median estimators
 // sit on the serving hot path (one per sketched row of C per query), so
@@ -137,4 +134,15 @@ type FloatSketch interface {
 	EstimatePowInPlace(y []float64) float64
 	// P returns the norm index the sketch estimates.
 	P() float64
+	// Bytes reports the memory the sketch family retains.
+	Bytes() int64
+}
+
+// hashBytes is the memory the hashes retain, summed.
+func hashBytes(hs ...*rng.PolyHash) int64 {
+	var n int64
+	for _, h := range hs {
+		n += h.Bytes()
+	}
+	return n
 }

@@ -2,10 +2,18 @@ package sketch
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/rng"
 )
+
+// median returns the median of v (averaging the middle pair for even
+// lengths). It copies the input.
+func median(v []float64) float64 {
+	s := append([]float64(nil), v...)
+	return medianInPlace(s)
+}
 
 func TestMedian(t *testing.T) {
 	cases := []struct {
@@ -223,5 +231,108 @@ func TestStableMedianCalibrationCauchy(t *testing.T) {
 	// Cache must return the identical value.
 	if m1, m2 := stableMedian(1.5), stableMedian(1.5); m1 != m2 {
 		t.Fatal("stableMedian cache not stable")
+	}
+}
+
+// stableMedianPins are the calibrated medians as the general path — all
+// 400 001 draws evaluated, then the median selected — computes them at
+// every p. They scale every Stable estimate, so no change to the
+// calibration may move a bit.
+var stableMedianPins = map[float64]uint64{
+	0.5: 0x3ff493c8606045e7, // 1.2860797657671073
+	1:   0x3ff005e5b549a352, // 1.0014397698925745
+	1.5: 0x3fef025436d8f657, // 0.9690342971077354
+}
+
+// TestStableMedianPinned: the calibration — one tangent of the median
+// angle at p = 1, the general transform elsewhere — returns the pinned
+// bit patterns, on a fresh calibration and from the cache.
+func TestStableMedianPinned(t *testing.T) {
+	for p, want := range stableMedianPins {
+		if got := calibrateStableMedian(p); math.Float64bits(got) != want {
+			t.Errorf("p %g: calibrated %v (%#016x), pinned %v", p, got, math.Float64bits(got), math.Float64frombits(want))
+		}
+		if got := stableMedian(p); math.Float64bits(got) != want {
+			t.Errorf("p %g: cached %v, pinned %v", p, got, math.Float64frombits(want))
+		}
+	}
+}
+
+// TestStableMedianConcurrent: first calls at several p at once each get
+// their p's calibration (run under -race, this is the data-race check
+// on the cache).
+func TestStableMedianConcurrent(t *testing.T) {
+	stableMedians.Clear()
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		for p, want := range stableMedianPins {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := stableMedian(p); math.Float64bits(got) != want {
+					t.Errorf("p %g: %v, pinned %v", p, got, math.Float64frombits(want))
+				}
+			}()
+		}
+	}
+	wg.Wait()
+}
+
+// rowMajorApply is a Stable sketch the way S was first held, a row of n
+// variates per word drawn in stream order: word i is Σ_j S[i][j]·x_j over
+// the non-zeros in ascending j.
+func rowMajorApply(r *rng.RNG, p float64, rows int, x []int64) []float64 {
+	s := make([][]float64, rows)
+	for i := range s {
+		s[i] = make([]float64, len(x))
+		for j := range s[i] {
+			s[i][j] = r.Stable(p)
+		}
+	}
+	y := make([]float64, rows)
+	for j, v := range x {
+		if v != 0 {
+			for i := range y {
+				y[i] += s[i][j] * float64(v)
+			}
+		}
+	}
+	return y
+}
+
+// TestStableMatchesRowMajor: the column-major family sketches every
+// vector bit-equal to a row-major S drawn from the same stream, through
+// Apply and through AddCoord over the non-zeros, at a width the 4-way
+// unrolling covers whole and at two it leaves a word over (33 is lp's
+// width at ε = 0.25).
+func TestStableMatchesRowMajor(t *testing.T) {
+	const n = 70
+	r := rng.New(106)
+	for _, p := range []float64{0.5, 1, 1.5} {
+		for _, rows := range []int{8, 33, 101} {
+			s := NewStable(rng.New(uint64(107+rows)), n, p, rows)
+			for trial := 0; trial < 5; trial++ {
+				x := make([]int64, n)
+				for j := range x {
+					if r.Bernoulli(0.4) {
+						x[j] = r.Int63n(2001) - 1000
+					}
+				}
+				want := rowMajorApply(rng.New(uint64(107+rows)), p, rows, x)
+				byCoord := make([]float64, rows)
+				for j, v := range x {
+					if v != 0 {
+						s.AddCoord(byCoord, j, v)
+					}
+				}
+				for name, got := range map[string][]float64{"Apply": s.Apply(x), "AddCoord": byCoord} {
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("p %g rows %d trial %d: %s word %d = %v, row-major %v", p, rows, trial, name, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }

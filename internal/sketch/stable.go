@@ -18,36 +18,52 @@ import (
 // calibrated empirically once per p from a large fixed-seed sample and
 // cached process-wide. The calibration error (< 0.3% at 400001 samples)
 // is far below the sketch's own O(1/√rows) estimation error.
+//
+// S is held column-major — column j, the coefficients coordinate j adds
+// into every word with, is mat[j*rows:][:rows] — so AddCoord, the whole
+// of a row's sketching, reads one contiguous run per non-zero.
 type Stable struct {
 	n     int
 	rows  int
 	p     float64
-	scale float64     // median of |standard p-stable|
-	mat   [][]float64 // rows × n sketching matrix
+	scale float64   // median of |standard p-stable|
+	mat   []float64 // S, column-major: S[i][j] is mat[j*rows+i]
 }
 
-var (
-	stableMedianMu    sync.Mutex
-	stableMedianCache = map[float64]float64{}
-)
+// stableMedians maps p to its calibration, run once (sync.OnceValue)
+// and outside any lock shared between values of p.
+var stableMedians sync.Map
 
 // stableMedian returns the median of |X| for standard p-stable X,
 // calibrated empirically with a fixed seed and cached.
 func stableMedian(p float64) float64 {
-	stableMedianMu.Lock()
-	defer stableMedianMu.Unlock()
-	if m, ok := stableMedianCache[p]; ok {
-		return m
+	f, ok := stableMedians.Load(p)
+	if !ok {
+		f, _ = stableMedians.LoadOrStore(p, sync.OnceValue(func() float64 { return calibrateStableMedian(p) }))
 	}
+	return f.(func() float64)()
+}
+
+// calibrateStableMedian is the median of |X| over 400 001 draws of a
+// fixed stream. At p = 1 a draw is tan θ, and math.Tan is odd, so |X| is
+// tan |θ|; tan increases on [0, π/2), and the count is odd, so the median
+// is a single draw's, tan of the median |θ| — one tangent, not 400 001
+// (DESIGN.md, "The cold lp state", on why rounding cannot reorder the
+// draws around it here; TestStableMedianPinned holds the bits).
+func calibrateStableMedian(p float64) float64 {
 	const samples = 400001
 	r := rng.New(0x57ab1e0ca1) // fixed calibration stream, independent of sketches
 	v := make([]float64, samples)
+	if p == 1 {
+		for i := range v {
+			v[i] = math.Abs(r.CauchyAngle())
+		}
+		return math.Tan(medianInPlace(v))
+	}
 	for i := range v {
 		v[i] = math.Abs(r.Stable(p))
 	}
-	m := median(v)
-	stableMedianCache[p] = m
-	return m
+	return medianInPlace(v)
 }
 
 // NewStable constructs a p-stable sketch with the given number of
@@ -61,16 +77,19 @@ func NewStable(r *rng.RNG, n int, p float64, rows int) *Stable {
 		panic("sketch: Stable needs rows >= 1")
 	}
 	s := &Stable{n: n, rows: rows, p: p, scale: stableMedian(p)}
-	s.mat = make([][]float64, rows)
-	for i := range s.mat {
-		row := make([]float64, n)
-		for j := range row {
-			row[j] = r.Stable(p)
+	s.mat = make([]float64, n*rows)
+	// Drawn row by row, the order of the stream: S is a function of r
+	// alone, whatever its layout.
+	for i := 0; i < rows; i++ {
+		for j := 0; j < n; j++ {
+			s.mat[j*rows+i] = r.Stable(p)
 		}
-		s.mat[i] = row
 	}
 	return s
 }
+
+// Bytes reports the memory the sketch retains: S's rows × n variates.
+func (s *Stable) Bytes() int64 { return 8 * int64(len(s.mat)) }
 
 // Dim returns the sketch length.
 func (s *Stable) Dim() int { return s.rows }
@@ -93,11 +112,24 @@ func (s *Stable) Apply(x []int64) []float64 {
 }
 
 // AddCoord adds value v at coordinate j into an existing sketch
-// (turnstile update).
+// (turnstile update): y += v·(column j of S), an axpy over one
+// contiguous column. Every word is its own sum, so the 4-way unrolling
+// (one bounds check, hoisted) changes no float.
+//
+//mp:hotpath
 func (s *Stable) AddCoord(y []float64, j int, v int64) {
 	fv := float64(v)
-	for i := range y {
-		y[i] += s.mat[i][j] * fv
+	col := s.mat[j*s.rows:][:s.rows]
+	y = y[:len(col)]
+	i := 0
+	for ; i+4 <= len(col); i += 4 {
+		y[i] += col[i] * fv
+		y[i+1] += col[i+1] * fv
+		y[i+2] += col[i+2] * fv
+		y[i+3] += col[i+3] * fv
+	}
+	for ; i < len(col); i++ {
+		y[i] += col[i] * fv
 	}
 }
 
