@@ -68,7 +68,7 @@ func bobKinds(a *intmat.Dense, m2 int) []bobKind {
 			func(any) []*intmat.Sparse { return nil }},
 		{"l1sample",
 			func(b intmat.Matrix) (any, error) { return NewBobL1SampleState(b, 2) },
-			func(st any) string { s := st.(*BobL1SampleState); return fmt.Sprint(s.rowSums, s.Bytes()) },
+			func(st any) string { s := st.(*BobL1SampleState); return fmt.Sprint(s.tot, s.Bytes()) },
 			func(st any, nb intmat.Matrix, rows []int) (any, error) {
 				return st.(*BobL1SampleState).UpdateRows(nb, rows)
 			},
@@ -83,7 +83,7 @@ func bobKinds(a *intmat.Dense, m2 int) []bobKind {
 			func(st any) []*intmat.Sparse { return []*intmat.Sparse{st.(*BobL1SampleState).b} }},
 		{"exact",
 			func(b intmat.Matrix) (any, error) { return NewBobExactL1State(b, 2) },
-			func(st any) string { s := st.(*BobExactL1State); return fmt.Sprint(s.rowSums, s.Bytes()) },
+			func(st any) string { s := st.(*BobExactL1State); return fmt.Sprint(s.tot, s.Bytes()) },
 			func(st any, nb intmat.Matrix, rows []int) (any, error) {
 				return st.(*BobExactL1State).UpdateRows(nb, rows)
 			},
@@ -94,7 +94,7 @@ func bobKinds(a *intmat.Dense, m2 int) []bobKind {
 			func(b intmat.Matrix) (any, error) { return NewBobHHState(b, hhO) },
 			func(st any) string {
 				s := st.(*BobHHState)
-				return fmt.Sprint(s.absRowSums, s.bNonNeg, s.Bytes())
+				return fmt.Sprint(s.tot, s.Bytes())
 			},
 			func(st any, nb intmat.Matrix, rows []int) (any, error) { return st.(*BobHHState).UpdateRows(nb, rows) },
 			// Alice is told B is signed, so every run takes the nested
@@ -110,7 +110,7 @@ func bobKinds(a *intmat.Dense, m2 int) []bobKind {
 			}},
 		{"linf",
 			func(b intmat.Matrix) (any, error) { return NewBobLinfState(bits(b), linfO) },
-			func(st any) string { s := st.(*BobLinfState); return fmt.Sprint(s.vk, s.Bytes()) },
+			func(st any) string { s := st.(*BobLinfState); return fmt.Sprint(s.tot, s.Bytes()) },
 			func(st any, nb intmat.Matrix, rows []int) (any, error) {
 				return st.(*BobLinfState).UpdateRows(bits(nb), rows)
 			},
@@ -119,7 +119,7 @@ func bobKinds(a *intmat.Dense, m2 int) []bobKind {
 			func(any) []*intmat.Sparse { return nil }},
 		{"linfkappa",
 			func(b intmat.Matrix) (any, error) { return NewBobLinfKappaState(bits(b), kappaO) },
-			func(st any) string { s := st.(*BobLinfKappaState); return fmt.Sprint(s.vk, s.Bytes()) },
+			func(st any) string { s := st.(*BobLinfKappaState); return fmt.Sprint(s.tot, s.Bytes()) },
 			func(st any, nb intmat.Matrix, rows []int) (any, error) {
 				return st.(*BobLinfKappaState).UpdateRows(bits(nb), rows)
 			},

@@ -61,6 +61,7 @@ var (
 	ErrBadPhi            = errors.New("core: heavy-hitter parameters must satisfy 0 < ε ≤ ϕ ≤ 1")
 	ErrNeedNonNegative   = errors.New("core: protocol requires non-negative matrices")
 	ErrSampleFailed      = errors.New("core: sampling failed (empty product or sketch failure)")
+	ErrOverflow          = errors.New("core: a total of the inputs reaches 2⁶³")
 )
 
 func checkDims(aCols, bRows int) error {

@@ -29,8 +29,8 @@ type HHOpts struct {
 	Reps int
 	// Seed is the shared public-coin seed.
 	Seed uint64
-	// Shards splits Bob's row-parallel phases (the scale dot product and
-	// the embedded Algorithm 1 state) into contiguous ranges executed
+	// Shards splits Bob's row-parallel phases (the row totals and the
+	// embedded Algorithm 1 state) into contiguous ranges executed
 	// concurrently. Never changes a transcript byte or an output bit; 0
 	// or 1 runs sequentially.
 	Shards int
@@ -133,7 +133,10 @@ func AliceHH(t comm.Transport, a intmat.Matrix, m2 int, bNonNeg bool, o HHOpts) 
 	// Step 1a (Alice→Bob): column sums of |A|.
 	msg1 := comm.NewMessage()
 	msg1.Label = "column sums of |A|"
-	absColSums, aNonNeg := absColumnSums(as)
+	absColSums, aNonNeg, err := absColumnSums(as)
+	if err != nil {
+		return err
+	}
 	for _, s := range absColSums {
 		msg1.PutUvarint(uint64(s))
 	}
@@ -214,19 +217,17 @@ func BobHH(t comm.Transport, b intmat.Matrix, m1 int, aNonNeg bool, o HHOpts) (o
 // BobHHState is the matrix-dependent phase of Bob's side of
 // Algorithm 4: B's non-zeros row by row (borrowed), which every query's
 // Lemma 2.5 factor is compressed from (the sketch itself is sized per
-// query, from the scale Alice's column sums give); the absolute row sums
-// of B (the
-// ‖|A|·|B|‖1 scale folds them against those column sums); B's
-// signedness; and — built lazily on first use, since it is only needed
-// when the exact p = 1 scale shortcut does not apply to a query — the
-// nested BobLpState of the embedded Algorithm 1, whose round 2 borrows
-// this state's non-zero lists rather than listing B again. Safe for
-// concurrent Serve calls.
+// query, from the scale Alice's column sums give); the row totals of B,
+// which the ‖|A|·|B|‖1 scale folds those column sums against and which
+// tell B's signedness; and — built lazily on first use, since it is
+// only needed when the exact p = 1 scale shortcut does not apply to a
+// query — the nested BobLpState of the embedded Algorithm 1, whose
+// round 2 borrows this state's lists and totals rather than deriving
+// them again. Safe for concurrent Serve calls.
 type BobHHState struct {
-	nz         *intmat.Sparse // B's non-zeros per row: step 4 compresses them, the nested state borrows them
-	absRowSums []int64
-	bNonNeg    bool
-	opts       HHOpts // defaults applied
+	nz   *intmat.Sparse // B's non-zeros per row: step 4 compresses them, the nested state borrows them
+	tot  *rowTotals     // the nested state borrows them too
+	opts HHOpts         // defaults applied
 
 	nestedMu    sync.Mutex
 	nestedBuilt bool
@@ -240,39 +241,20 @@ func NewBobHHState(b intmat.Matrix, o HHOpts) (*BobHHState, error) {
 	if err := o.setDefaults(); err != nil {
 		return nil, err
 	}
-	s := &BobHHState{nz: b.List(), bNonNeg: true, opts: o}
-	s.absRowSums = make([]int64, s.nz.Rows())
-	for k := range s.absRowSums {
-		s.absRowSums[k], s.bNonNeg = absSum(s.nz, k, s.bNonNeg)
-	}
-	return s, nil
+	nz := b.List()
+	return &BobHHState{nz: nz, tot: newRowTotals(nz.Rows(), o.Shards, listTotal(nz)), opts: o}, nil
 }
 
-// absSum returns the sum of the absolute values of row k of nz, and
-// nonNeg unless the row holds a negative entry.
-func absSum(nz *intmat.Sparse, k int, nonNeg bool) (int64, bool) {
-	var sum int64
-	_, vals := nz.Row(k)
-	for _, v := range vals {
-		if v < 0 {
-			v, nonNeg = -v, false
-		}
-		sum += v
-	}
-	return sum, nonNeg
-}
-
-// Bytes reports the memory retained by the precomputation (the nested
-// ℓp sketches are counted once built; B's lists are their owner's and
-// not counted).
+// Bytes reports the memory retained by the precomputation: the row
+// totals, and once built the nested state, which holds the same totals
+// and counts them (B's lists are their owner's and not counted).
 func (s *BobHHState) Bytes() int64 {
-	n := int64(8 * len(s.absRowSums))
 	s.nestedMu.Lock()
+	defer s.nestedMu.Unlock()
 	if s.nested != nil {
-		n += s.nested.Bytes()
+		return s.nested.Bytes()
 	}
-	s.nestedMu.Unlock()
-	return n
+	return s.tot.Bytes()
 }
 
 // nestedLp returns the nested Algorithm 1 state, building it on first
@@ -281,7 +263,7 @@ func (s *BobHHState) nestedLp() (*BobLpState, error) {
 	s.nestedMu.Lock()
 	defer s.nestedMu.Unlock()
 	if !s.nestedBuilt {
-		s.nested, s.nestedErr = NewBobLpState(s.nz, s.opts.P, hhNestedLpOpts(s.opts))
+		s.nested, s.nestedErr = newBobLpState(s.nz, s.tot, s.opts.P, hhNestedLpOpts(s.opts))
 		s.nestedBuilt = true
 	}
 	return s.nested, s.nestedErr
@@ -298,20 +280,21 @@ func (s *BobHHState) Serve(t comm.Transport, m1 int, aNonNeg bool) (out []Weight
 
 	// Step 1a in: the exact ‖|A|·|B|‖1, which upper-bounds the sampled
 	// sparsity for any sign pattern and equals ‖C‖1 for non-negative
-	// inputs. The varint stream decodes sequentially; the dot product
-	// shards with exact int64 partials.
+	// inputs — refused once it reaches 2⁶³.
 	recv1 := t.Recv(comm.AliceToBob)
-	absColSums := make([]int64, n)
+	absColSums := make([]uint64, n)
 	for k := 0; k < n; k++ {
-		absColSums[k] = int64(recv1.Uvarint())
+		absColSums[k] = recv1.Uvarint()
 	}
-	t1abs := sumInt64Shards(n, o.Shards, func(k int) int64 {
-		return absColSums[k] * s.absRowSums[k]
-	})
+	sum, ok := foldTotals(s.tot, absColSums, intLimit)
+	if !ok {
+		return nil, ErrOverflow
+	}
+	t1abs := int64(sum)
 
 	// Step 1b: the heaviness scale ‖C‖p^p.
 	var tp float64
-	if o.P == 1 && aNonNeg && s.bNonNeg {
+	if o.P == 1 && aNonNeg && s.tot.nSigned == 0 {
 		tp = float64(t1abs)
 	} else {
 		nested, err := s.nestedLp()

@@ -109,12 +109,12 @@ func TestRound2GroupingMatchesUngrouped(t *testing.T) {
 			}
 		}
 		nz := intmat.FromDense(b)
-		var rowSums []int64
-		if p == 1 {
-			rowSums = l1RowSums(nz)
-		}
+		tot := newRowTotals(nz.Rows(), 1, listTotal(nz))
 		for _, shards := range []int{1, 2, 4} {
-			got := sampledRowSums(nz, rowSums, comm.FromBytes(msg.Bytes()), reps, p, shards)
+			got, err := sampledRowSums(nz, tot, comm.FromBytes(msg.Bytes()), reps, p, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for rep := range want {
 				if math.Float64bits(got[rep]) != math.Float64bits(want[rep]) {
 					t.Fatalf("p %g shards %d repetition %d: grouped sum %v, un-grouped reference %v", p, shards, rep, got[rep], want[rep])

@@ -13,7 +13,7 @@ import (
 // The identity needs non-negativity (for signed matrices cancellations
 // make ‖AB‖1 genuinely hard, which is why the paper's Remark 2 is stated
 // for the Boolean-matrix join setting); signed inputs return
-// ErrNeedNonNegative.
+// ErrNeedNonNegative, and a total that reaches 2⁶³ ErrOverflow.
 func ExactL1(a, b *intmat.Dense) (int64, Cost, error) {
 	if err := checkDims(a.Cols(), b.Rows()); err != nil {
 		return 0, Cost{}, err
@@ -34,7 +34,10 @@ func ExactL1(a, b *intmat.Dense) (int64, Cost, error) {
 // output.
 func AliceExactL1(t comm.Transport, a intmat.Matrix) (err error) {
 	defer recoverDecodeError(&err)
-	colSums, nonNeg := absColumnSums(a.List())
+	colSums, nonNeg, err := absColumnSums(a.List())
+	if err != nil {
+		return err
+	}
 	if !nonNeg {
 		return ErrNeedNonNegative
 	}
@@ -58,57 +61,48 @@ func BobExactL1(t comm.Transport, b intmat.Matrix) (total int64, err error) {
 }
 
 // BobExactL1State is the matrix-dependent phase of Bob's side of
-// Remark 2: the row sums of B (and its non-negativity check), computed
-// once so each served query only multiplies them against Alice's column
-// sums. Immutable after construction; safe for concurrent Serve calls.
+// Remark 2: the row totals of B, computed once so each served query
+// only folds Alice's column sums against them. Immutable after
+// construction; safe for concurrent Serve calls.
 type BobExactL1State struct {
-	rowSums []int64
-	shards  int
+	tot *rowTotals
 }
 
-// NewBobExactL1State validates B and precomputes its row sums, sharding
-// both row scans over contiguous ranges. shards ≤ 1 runs sequentially;
-// the shard count never changes a transcript byte or an output bit.
+// NewBobExactL1State totals B's rows, the pass sharded over contiguous
+// ranges, and refuses B if a row holds a negative entry. shards ≤ 1
+// runs sequentially; the shard count never changes a transcript byte or
+// an output bit.
 func NewBobExactL1State(b intmat.Matrix, shards int) (*BobExactL1State, error) {
-	nz := b.List()
-	if err := requireNonNegativeSharded(nz, shards); err != nil {
-		return nil, err
+	return exactL1State(newRowTotals(b.Rows(), shards, listTotal(b.List())))
+}
+
+// exactL1State is the state over B's totals, refused while a row of B
+// holds a negative entry.
+func exactL1State(tot *rowTotals) (*BobExactL1State, error) {
+	if tot.nSigned > 0 {
+		return nil, ErrNeedNonNegative
 	}
-	return &BobExactL1State{rowSums: rowSumsSharded(nz, shards), shards: shards}, nil
+	return &BobExactL1State{tot: tot}, nil
 }
 
 // Bytes reports the memory retained by the precomputation.
-func (s *BobExactL1State) Bytes() int64 { return int64(8 * len(s.rowSums)) }
+func (s *BobExactL1State) Bytes() int64 { return s.tot.Bytes() }
 
-// Serve runs the per-query phase of Bob's side of Remark 2 over t. The
-// varint stream decodes sequentially; the dot product against the
-// precomputed row sums then shards with exact int64 partials.
+// Serve runs the per-query phase of Bob's side of Remark 2 over t:
+// Alice's column sums folded against B's row totals, or ErrOverflow
+// when ‖AB‖1 reaches 2⁶³.
 func (s *BobExactL1State) Serve(t comm.Transport) (total int64, err error) {
 	defer recoverDecodeError(&err)
 	recv := t.Recv(comm.AliceToBob)
-	colSums := make([]int64, len(s.rowSums))
+	colSums := make([]uint64, len(s.tot.abs))
 	for k := range colSums {
-		colSums[k] = int64(recv.Uvarint())
+		colSums[k] = recv.Uvarint()
 	}
-	total = dotInt64Sharded(colSums, s.rowSums, s.shards)
-	return total, nil
-}
-
-// rowSumsSharded computes per-row sums of b over contiguous sharded row
-// ranges (disjoint writes; exact integer arithmetic).
-func rowSumsSharded(b *intmat.Sparse, shards int) []int64 {
-	rowSums := make([]int64, b.Rows())
-	runShards(b.Rows(), shards, func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			var rs int64
-			_, vals := b.Row(k)
-			for _, v := range vals {
-				rs += v
-			}
-			rowSums[k] = rs
-		}
-	})
-	return rowSums
+	sum, ok := foldTotals(s.tot, colSums, intLimit)
+	if !ok {
+		return 0, ErrOverflow
+	}
+	return int64(sum), nil
 }
 
 // SampleL1 is Remark 3: one-round ℓ1-sampling of C = AB for non-negative
@@ -140,7 +134,10 @@ func SampleL1(a, b *intmat.Dense, seed uint64) (i, j, witness int, cost Cost, er
 func AliceSampleL1(t comm.Transport, am intmat.Matrix, seed uint64) (err error) {
 	defer recoverDecodeError(&err)
 	a := am.List()
-	colSums, nonNeg := absColumnSums(a)
+	colSums, nonNeg, err := absColumnSums(a)
+	if err != nil {
+		return err
+	}
 	if !nonNeg {
 		return ErrNeedNonNegative
 	}
@@ -181,29 +178,35 @@ func BobSampleL1(t comm.Transport, b intmat.Matrix, seed uint64) (i, j, witness 
 }
 
 // BobL1SampleState is the matrix-dependent phase of Bob's side of
-// Remark 3: B's non-zero lists (borrowed) with its row sums
+// Remark 3: B's non-zero lists (borrowed) with its row totals
 // precomputed. The sampling seed is a per-query input of Serve (Bob's
 // private coins are drawn fresh per query), so one state serves any
 // seed. Immutable after construction; safe for concurrent Serve calls.
 type BobL1SampleState struct {
-	b       *intmat.Sparse
-	rowSums []int64
-	shards  int
+	b   *intmat.Sparse
+	tot *rowTotals
 }
 
-// NewBobL1SampleState validates B and precomputes its row sums over
-// sharded row ranges. shards ≤ 1 runs sequentially; the shard count
-// never changes a transcript byte or an output bit.
+// NewBobL1SampleState totals B's rows over sharded row ranges and
+// refuses B if a row holds a negative entry. shards ≤ 1 runs
+// sequentially; the shard count never changes a transcript byte or an
+// output bit.
 func NewBobL1SampleState(b intmat.Matrix, shards int) (*BobL1SampleState, error) {
 	nz := b.List()
-	if err := requireNonNegativeSharded(nz, shards); err != nil {
-		return nil, err
+	return l1SampleState(nz, newRowTotals(nz.Rows(), shards, listTotal(nz)))
+}
+
+// l1SampleState is the state over B's lists and totals, refused while a
+// row of B holds a negative entry.
+func l1SampleState(nz *intmat.Sparse, tot *rowTotals) (*BobL1SampleState, error) {
+	if tot.nSigned > 0 {
+		return nil, ErrNeedNonNegative
 	}
-	return &BobL1SampleState{b: nz, rowSums: rowSumsSharded(nz, shards), shards: shards}, nil
+	return &BobL1SampleState{b: nz, tot: tot}, nil
 }
 
 // Bytes reports the memory retained by the precomputation.
-func (s *BobL1SampleState) Bytes() int64 { return int64(8 * len(s.rowSums)) }
+func (s *BobL1SampleState) Bytes() int64 { return s.tot.Bytes() }
 
 // Serve runs the per-query phase of Bob's side of Remark 3 over t with
 // the given shared seed.
@@ -213,46 +216,33 @@ func (s *BobL1SampleState) Serve(t comm.Transport, seed uint64) (i, j, witness i
 	bobPriv := rng.New(seed).Derive("bob-private", "l1sample")
 	recv := t.Recv(comm.AliceToBob)
 	n := b.Rows()
-	colSums := make([]int64, n)
+	colSums := make([]uint64, n)
 	rowPicks := make([]int, n)
 	for k := 0; k < n; k++ {
-		colSums[k] = int64(recv.Uvarint())
+		colSums[k] = recv.Uvarint()
 		rowPicks[k] = int(recv.Varint())
 	}
-	// Item weights shard with exact int64 arithmetic — only past the
-	// cheap-reduction floor, where the O(1)-per-item fill outweighs pool
-	// synchronization; the coin-consuming sampling below always stays
-	// sequential so bobPriv's stream is untouched.
-	weights := make([]int64, n)
-	var total int64
-	if n < minShardCheapElems {
-		for k := 0; k < n; k++ {
-			weights[k] = colSums[k] * s.rowSums[k]
-			total += weights[k]
-		}
-	} else {
-		runShards(n, s.shards, func(_, lo, hi int) {
-			for k := lo; k < hi; k++ {
-				weights[k] = colSums[k] * s.rowSums[k]
-			}
-		})
-		total = sumInt64Shards(n, s.shards, func(k int) int64 { return weights[k] })
+	// Item k weighs colSumA(k)·rowSumB(k); once their total is below
+	// 2⁶³, so is every weight and every running sum.
+	total, ok := foldTotals(s.tot, colSums, intLimit)
+	if !ok {
+		return 0, 0, 0, ErrOverflow
 	}
 	if total == 0 {
 		return 0, 0, 0, ErrSampleFailed
 	}
-	target := bobPriv.Int63n(total)
-	var acc int64
+	target := bobPriv.Int63n(int64(total))
+	var acc uint64
 	k := 0
 	for ; k < n; k++ {
-		acc += weights[k]
-		if acc > target {
+		acc += colSums[k] * s.tot.abs[k]
+		if acc > uint64(target) {
 			break
 		}
 	}
 	// Column sample from row B_{k,*} proportional to values: a walk
 	// down the row's non-zeros, where alone the running sum moves.
-	jt := bobPriv.Int63n(s.rowSums[k])
+	jt := bobPriv.Int63n(int64(s.tot.abs[k]))
 	var jacc int64
 	col := 0
 	cols, vals := b.Row(k)
@@ -267,46 +257,30 @@ func (s *BobL1SampleState) Serve(t comm.Transport, seed uint64) (i, j, witness i
 }
 
 // requireNonNegative refuses a matrix with a negative entry.
-func requireNonNegative(m intmat.Matrix) error { return requireNonNegativeSharded(m.List(), 1) }
-
-// requireNonNegativeSharded refuses a listed matrix with a negative
-// entry, the row scan split over sharded ranges; the verdict is
-// split-independent.
-func requireNonNegativeSharded(m *intmat.Sparse, shards int) error {
-	ranges := shardRanges(m.Rows(), shards)
-	neg := make([]bool, len(ranges))
-	runShards(m.Rows(), shards, func(s, lo, hi int) {
-		for i := lo; i < hi && !neg[s]; i++ {
-			_, vals := m.Row(i)
-			for _, v := range vals {
-				if v < 0 {
-					neg[s] = true
-					break
-				}
-			}
-		}
-	})
-	for _, n := range neg {
-		if n {
-			return ErrNeedNonNegative
-		}
+func requireNonNegative(m intmat.Matrix) error {
+	if newRowTotals(m.Rows(), 1, listTotal(m)).nSigned > 0 {
+		return ErrNeedNonNegative
 	}
 	return nil
 }
 
 // absColumnSums returns the column sums of |a| — a's own column sums
-// when it is entrywise non-negative, which nonNeg reports.
-func absColumnSums(a *intmat.Sparse) (sums []int64, nonNeg bool) {
+// when it is entrywise non-negative, which nonNeg reports — or
+// ErrOverflow when one reaches 2⁶³.
+func absColumnSums(a *intmat.Sparse) (sums []int64, nonNeg bool, err error) {
 	sums, nonNeg = make([]int64, a.Cols()), true
 	for i := 0; i < a.Rows(); i++ {
 		cols, vals := a.Row(i)
 		for x, k := range cols {
-			v := vals[x]
-			if v < 0 {
-				v, nonNeg = -v, false
+			u := uint64(vals[x])
+			if vals[x] < 0 {
+				u, nonNeg = -u, false
 			}
-			sums[k] += v
+			if u >= intLimit-uint64(sums[k]) {
+				return nil, false, ErrOverflow
+			}
+			sums[k] += int64(u)
 		}
 	}
-	return sums, nonNeg
+	return sums, nonNeg, nil
 }

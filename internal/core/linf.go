@@ -21,10 +21,9 @@ type LinfOpts struct {
 	GammaC float64
 	// Seed is the shared public-coin seed.
 	Seed uint64
-	// Shards splits Bob's row-parallel phases (row-weight precompute,
-	// per-level ‖C^ℓ‖1 dot products) into contiguous ranges executed
-	// concurrently. Never changes a transcript byte or an output bit;
-	// 0 or 1 runs sequentially.
+	// Shards splits Bob's row-weight precompute into contiguous ranges
+	// executed concurrently. Never changes a transcript byte or an
+	// output bit; 0 or 1 runs sequentially.
 	Shards int
 }
 
@@ -393,38 +392,27 @@ func BobLinf(t comm.Transport, b *bitmat.Matrix, m1 int, o LinfOpts) (est float6
 }
 
 // BobLinfState is the matrix-dependent phase of Bob's side of
-// Algorithm 2: B with its per-row weights v_k precomputed (the level
-// selection folds them against Alice's column sums every query).
-// Immutable after construction; safe for concurrent Serve calls.
+// Algorithm 2: B with its row totals — a 0/1 row's weight v_k —
+// precomputed (the level selection folds them against Alice's column
+// sums every query). Immutable after construction; safe for concurrent
+// Serve calls.
 type BobLinfState struct {
 	b    *bitmat.Matrix
-	vk   []int64 // RowWeight per row of B
+	tot  *rowTotals
 	opts LinfOpts
 }
 
-// NewBobLinfState validates the options and precomputes B's row
-// weights over sharded row ranges.
+// NewBobLinfState validates the options and totals B's rows over
+// sharded row ranges.
 func NewBobLinfState(b *bitmat.Matrix, o LinfOpts) (*BobLinfState, error) {
 	if err := o.setDefaults(); err != nil {
 		return nil, err
 	}
-	return &BobLinfState{b: b, vk: rowWeightsSharded(b, o.Shards), opts: o}, nil
-}
-
-// rowWeightsSharded computes per-row bit weights of b over contiguous
-// sharded row ranges (disjoint writes).
-func rowWeightsSharded(b *bitmat.Matrix, shards int) []int64 {
-	vk := make([]int64, b.Rows())
-	runShards(b.Rows(), shards, func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			vk[k] = int64(b.RowWeight(k))
-		}
-	})
-	return vk
+	return &BobLinfState{b: b, tot: newRowTotals(b.Rows(), o.Shards, bitTotal(b)), opts: o}, nil
 }
 
 // Bytes reports the memory retained by the precomputation.
-func (s *BobLinfState) Bytes() int64 { return int64(8 * len(s.vk)) }
+func (s *BobLinfState) Bytes() int64 { return s.tot.Bytes() }
 
 // Serve runs the per-query phase of Bob's side of Algorithm 2 over t.
 // m1 is Alice's row count for this query.
@@ -444,14 +432,9 @@ func (s *BobLinfState) Serve(t comm.Transport, m1 int) (est float64, arg Pair, e
 	threshold := gamma * float64(m1) * float64(m2)
 	lStar := gotMax
 	for ℓ := 0; ℓ <= gotMax; ℓ++ {
-		// Remark 2 per level: the ‖C^ℓ‖1 dot product shards with exact
-		// int64 partials; the level scan itself stays sequential (it
-		// stops at the first level under the threshold).
-		colSums := bobColSums[ℓ]
-		l1 := sumInt64Shards(n, o.Shards, func(k int) int64 {
-			return int64(colSums[k]) * s.vk[k]
-		})
-		if float64(l1) <= threshold {
+		// Remark 2 per level; a ‖C^ℓ‖1 that reaches 2⁶³ is above any
+		// threshold.
+		if l1, ok := foldTotals(s.tot, bobColSums[ℓ], intLimit); ok && float64(l1) <= threshold {
 			lStar = ℓ
 			break
 		}

@@ -22,10 +22,9 @@ type LinfKappaOpts struct {
 	// DisableUniverseSampling turns off the universe-sampling step — the
 	// ablation the paper discusses, which only reaches Õ(n^1.5/√κ).
 	DisableUniverseSampling bool
-	// Shards splits Bob's row-parallel phases (row-weight precompute,
-	// per-level ‖D^ℓ‖1 dot products) into contiguous ranges executed
-	// concurrently. Never changes a transcript byte or an output bit;
-	// 0 or 1 runs sequentially.
+	// Shards splits Bob's row-weight precompute into contiguous ranges
+	// executed concurrently. Never changes a transcript byte or an
+	// output bit; 0 or 1 runs sequentially.
 	Shards int
 }
 
@@ -183,25 +182,26 @@ func BobLinfKappa(t comm.Transport, b *bitmat.Matrix, m1 int, o LinfKappaOpts) (
 }
 
 // BobLinfKappaState is the matrix-dependent phase of Bob's side of
-// Algorithm 3: B with its per-row weights v_k precomputed. Immutable
-// after construction; safe for concurrent Serve calls.
+// Algorithm 3: B with its row totals — a 0/1 row's weight v_k —
+// precomputed. Immutable after construction; safe for concurrent Serve
+// calls.
 type BobLinfKappaState struct {
 	b    *bitmat.Matrix
-	vk   []int64 // RowWeight per row of B
+	tot  *rowTotals
 	opts LinfKappaOpts
 }
 
-// NewBobLinfKappaState validates the options and precomputes B's row
-// weights over sharded row ranges.
+// NewBobLinfKappaState validates the options and totals B's rows over
+// sharded row ranges.
 func NewBobLinfKappaState(b *bitmat.Matrix, o LinfKappaOpts) (*BobLinfKappaState, error) {
 	if err := o.setDefaults(b.Rows()); err != nil {
 		return nil, err
 	}
-	return &BobLinfKappaState{b: b, vk: rowWeightsSharded(b, o.Shards), opts: o}, nil
+	return &BobLinfKappaState{b: b, tot: newRowTotals(b.Rows(), o.Shards, bitTotal(b)), opts: o}, nil
 }
 
 // Bytes reports the memory retained by the precomputation.
-func (s *BobLinfKappaState) Bytes() int64 { return int64(8 * len(s.vk)) }
+func (s *BobLinfKappaState) Bytes() int64 { return s.tot.Bytes() }
 
 // Serve runs the per-query phase of Bob's side of Algorithm 3 over t.
 // m1 is Alice's row count for this query.
@@ -223,9 +223,9 @@ func (s *BobLinfKappaState) Serve(t comm.Transport, m1 int) (est float64, arg Pa
 	if len(keepBob) != n {
 		panic(fmt.Sprintf("core: survivor bitmap over %d items, B has %d rows", len(keepBob), n))
 	}
-	fullColSums := make([]int64, n)
+	fullColSums := make([]uint64, n)
 	for k := 0; k < n; k++ {
-		fullColSums[k] = int64(recv1.Uvarint())
+		fullColSums[k] = recv1.Uvarint()
 	}
 	var activeBob []int
 	for k := 0; k < n; k++ {
@@ -235,24 +235,16 @@ func (s *BobLinfKappaState) Serve(t comm.Transport, m1 int) (est float64, arg Pa
 	}
 	bobColSums := readLevelSums(recv1, levelBound(m1*n, 2), n, activeBob)
 	gotMax := len(bobColSums) - 1
-	// ‖C‖1 and ‖D‖1 shard with exact int64 partials over item ranges.
-	l1C := sumInt64Shards(n, o.Shards, func(k int) int64 {
-		return fullColSums[k] * s.vk[k]
-	})
-	l1D := sumInt64Shards(n, o.Shards, func(k int) int64 {
-		if !keepBob[k] {
-			return 0
-		}
-		return int64(bobColSums[0][k]) * s.vk[k]
-	})
-	if l1D == 0 {
+	// ‖D‖1 and ‖C‖1 by Remark 2 (D's column sums are zero off the
+	// surviving items); a fold that reaches 2⁶³ is not zero.
+	if l1D, ok := foldTotals(s.tot, bobColSums[0], intLimit); ok && l1D == 0 {
 		// ‖D‖1 = 0: announce the fallback and output 1 iff C is non-zero
 		// (κ-accurate by E5).
 		msgL := comm.NewMessage()
 		msgL.Label = "empty-product fallback"
 		msgL.PutUvarint(uint64(gotMax) + 1)
 		t.Send(comm.BobToAlice, msgL)
-		if l1C == 0 {
+		if l1C, ok := foldTotals(s.tot, fullColSums, intLimit); ok && l1C == 0 {
 			return 0, Pair{}, nil
 		}
 		return 1, Pair{}, nil
@@ -260,12 +252,7 @@ func (s *BobLinfKappaState) Serve(t comm.Transport, m1 int) (est float64, arg Pa
 	threshold := alpha * float64(m1) * float64(m2) / o.Kappa
 	lStar := gotMax
 	for ℓ := 0; ℓ <= gotMax; ℓ++ {
-		colSums := bobColSums[ℓ]
-		l1 := sumInt64Shards(len(activeBob), o.Shards, func(t int) int64 {
-			k := activeBob[t]
-			return int64(colSums[k]) * s.vk[k]
-		})
-		if float64(l1) <= threshold {
+		if l1, ok := foldTotals(s.tot, bobColSums[ℓ], intLimit); ok && float64(l1) <= threshold {
 			lStar = ℓ
 			break
 		}

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"slices"
 	"strconv"
+	"sync/atomic"
 
 	"repro/internal/comm"
 	"repro/internal/field"
@@ -414,25 +415,28 @@ type BobLpState struct {
 	famBytes  int64
 	round1    []byte         // encoded round-1 payload: per-row ℓp sketches of B
 	nz        *intmat.Sparse // B's non-zeros per row, borrowed: what round 2 multiplies against
-	rowSums   []int64        // p = 1 only: l1RowSums of B, what round 2 reads for non-negative rows
+	tot       *rowTotals     // B's row totals: round 2's overflow bound, and its exact p = 1 rows
 }
 
 // NewBobLpState validates the parameters and runs the matrix-dependent
 // precomputation of Bob's side of Algorithm 1. The state keeps b's lists
 // (b.List()): those of a *intmat.Sparse are borrowed, not copied.
 func NewBobLpState(b intmat.Matrix, p float64, o LpOpts) (*BobLpState, error) {
+	nz := b.List()
+	return newBobLpState(nz, newRowTotals(nz.Rows(), o.Shards, listTotal(nz)), p, o)
+}
+
+// newBobLpState is NewBobLpState over B's lists and row totals, both
+// borrowed.
+func newBobLpState(nz *intmat.Sparse, tot *rowTotals, p float64, o LpOpts) (*BobLpState, error) {
 	if p < 0 || p > 2 {
 		return nil, ErrBadP
 	}
 	if err := o.setDefaults(); err != nil {
 		return nil, err
 	}
-	nz := b.List()
-	s := &BobLpState{p: p, opts: o, nz: nz}
+	s := &BobLpState{p: p, opts: o, nz: nz, tot: tot}
 	s.sketchers, s.famBytes = lpSketchFamilies(o, nz.Cols(), p)
-	if p == 1 {
-		s.rowSums = l1RowSums(nz)
-	}
 	// Per-row sketches are independent, so each repetition's encoding is
 	// sharded over contiguous row ranges; concatenating the per-shard
 	// buffers in shard order reproduces the sequential payload bytes.
@@ -451,10 +455,10 @@ func NewBobLpState(b intmat.Matrix, p float64, o LpOpts) (*BobLpState, error) {
 }
 
 // Bytes reports the memory retained by the precomputation — the round-1
-// sketches, the row sums and the sketch families (the sizing input for
+// sketches, the row totals and the sketch families (the sizing input for
 // cache accounting; B's lists are their owner's and not counted).
 func (s *BobLpState) Bytes() int64 {
-	return int64(len(s.round1)) + 8*int64(len(s.rowSums)) + s.famBytes
+	return int64(len(s.round1)) + s.tot.Bytes() + s.famBytes
 }
 
 // AliceState returns the Alice-side state for the same (m2, p, options,
@@ -477,7 +481,11 @@ func (s *BobLpState) Serve(t comm.Transport) (est float64, err error) {
 	// Round 2: sampled rows in; exact norms of the sampled rows of C,
 	// weighted sum per repetition.
 	recv2 := t.Recv(comm.AliceToBob)
-	return median(sampledRowSums(s.nz, s.rowSums, recv2, s.opts.Reps, s.p, s.opts.Shards)), nil
+	sums, err := sampledRowSums(s.nz, s.tot, recv2, s.opts.Reps, s.p, s.opts.Shards)
+	if err != nil {
+		return 0, err
+	}
+	return median(sums), nil
 }
 
 // lpSample is one decoded round-2 sample: its inverse-probability
@@ -508,9 +516,12 @@ type lpSample struct {
 // weighted contributions summed in sample order, which is the
 // sequential, un-grouped sum's float order exactly.
 //
-// rowSums, when not nil, holds l1RowSums of B, and p is 1: a row that
-// l1RowSum can evaluate exactly takes that path, every other row lpPow.
-func sampledRowSums(nz *intmat.Sparse, rowSums []int64, recv *comm.Message, reps int, p float64, shards int) []float64 {
+// tot holds B's row totals. At p = 1 a row whose total they give
+// exactly (a non-negative row against non-negative rows of B, below 2⁵³)
+// takes it; every other row lpPow, unless Σ_k |a_k|·‖B_k‖₁ reaches 2⁶³,
+// where lpPow's int64 products could wrap: then the query is refused
+// with ErrOverflow.
+func sampledRowSums(nz *intmat.Sparse, tot *rowTotals, recv *comm.Message, reps int, p float64, shards int) ([]float64, error) {
 	var (
 		samples []lpSample
 		repEnds = make([]int, reps) // repetition rep is samples[repEnds[rep-1]:repEnds[rep]]
@@ -542,6 +553,7 @@ func sampledRowSums(nz *intmat.Sparse, rowSums []int64, recv *comm.Message, reps
 		repEnds[rep] = len(samples)
 	}
 	norms := make([]float64, len(rows))
+	var overflow atomic.Bool
 	runShards(len(norms), shards, func(_, lo, hi int) {
 		var (
 			y    []int64 // lpPow's scratch, for the first row that needs it
@@ -550,11 +562,15 @@ func sampledRowSums(nz *intmat.Sparse, rowSums []int64, recv *comm.Message, reps
 		)
 		for r := lo; r < hi; r++ {
 			cols, vals = appendSparseRow(comm.FromBytes(rows[r]), cols[:0], vals[:0], nz.Rows())
-			if rowSums != nil {
-				if norm, ok := l1RowSum(rowSums, cols, vals); ok {
-					norms[r] = norm
+			if p == 1 {
+				if total, nonNeg, ok := tot.foldRow(cols, vals, floatLimit); ok && nonNeg {
+					norms[r] = float64(total)
 					continue
 				}
+			}
+			if _, _, ok := tot.foldRow(cols, vals, intLimit); !ok {
+				overflow.Store(true)
+				return
 			}
 			if y == nil {
 				y = make([]int64, nz.Cols())
@@ -562,6 +578,9 @@ func sampledRowSums(nz *intmat.Sparse, rowSums []int64, recv *comm.Message, reps
 			norms[r] = lpPow(nz, y, cols, vals, p)
 		}
 	})
+	if overflow.Load() {
+		return nil, ErrOverflow
+	}
 	perRep := make([]float64, reps)
 	lo := 0
 	for rep, end := range repEnds {
@@ -574,7 +593,7 @@ func sampledRowSums(nz *intmat.Sparse, rowSums []int64, recv *comm.Message, reps
 		perRep[rep] = est
 		lo = end
 	}
-	return perRep
+	return perRep, nil
 }
 
 // AliceLp drives Alice's side of Algorithm 1: she decodes Bob's row

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -10,6 +11,14 @@ import (
 	"repro/internal/comm"
 	"repro/internal/intmat"
 )
+
+// l1RowSum is round 2's exact p = 1 path: the row's fold against B's
+// row totals under 2⁵³, answered only for a non-negative row against
+// non-negative rows of B.
+func l1RowSum(tot *rowTotals, cols []int32, vals []int64) (float64, bool) {
+	total, nonNeg, ok := tot.foldRow(cols, vals, floatLimit)
+	return float64(total), ok && nonNeg
+}
 
 // TestL1RowSumMatchesLpPow: wherever the row-sum path answers, its
 // ‖row · B‖₁ is lpPow's at p = 1, bit for bit, and it answers for every
@@ -22,7 +31,7 @@ func TestL1RowSumMatchesLpPow(t *testing.T) {
 		nonNegB := trial%2 == 0
 		b := randomInt(uint64(2621+trial), 30, 50, 0.3, 1+int64(trial)*7, nonNegB)
 		nz := b.List()
-		sums := l1RowSums(nz)
+		sums := newRowTotals(nz.Rows(), 1, listTotal(nz))
 		y := make([]int64, nz.Cols())
 		for row := 0; row < 50; row++ {
 			nonNegA := row%2 == 0
@@ -63,9 +72,9 @@ func TestL1RowSumFallsBackAt2Pow53(t *testing.T) {
 	b.Set(2, 0, big/4) // row 2 sums to 2⁵¹
 	b.Set(3, 1, 1<<62)
 	nz := b.List()
-	sums := l1RowSums(nz)
-	if sums[0] != big-1 || sums[1] != -1 || sums[2] != big/4 || sums[3] != -1 {
-		t.Fatalf("row sums %v", sums)
+	sums := newRowTotals(nz.Rows(), 1, listTotal(nz))
+	if !slices.Equal(sums.abs, []uint64{uint64(big) - 1, uint64(big), uint64(big) / 4, 1 << 62}) || sums.nSigned != 0 {
+		t.Fatalf("row totals %v", sums)
 	}
 	y := make([]int64, nz.Cols())
 	for _, c := range []struct {
@@ -95,9 +104,9 @@ func TestL1RowSumFallsBackAt2Pow53(t *testing.T) {
 }
 
 // TestBobLpUpdateRowsKeepsRowSums: an update that turns a row of B
-// negative marks its sum, one that turns it back restores it, and at
-// every step the state's sums — and round-1 bytes — are a fresh
-// state's on the same matrix.
+// negative marks its total signed, one that turns it back restores it,
+// and at every step the state's totals — and round-1 bytes — are a
+// fresh state's on the same matrix.
 func TestBobLpUpdateRowsKeepsRowSums(t *testing.T) {
 	o := LpOpts{Eps: 0.5, Seed: 2630}
 	b := randomInt(2631, 16, 20, 0.3, 5, true)
@@ -116,15 +125,12 @@ func TestBobLpUpdateRowsKeepsRowSums(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(st.rowSums, fresh.rowSums) || string(st.round1) != string(fresh.round1) {
-			t.Fatalf("step %d: updated sums %v, fresh %v", step, st.rowSums, fresh.rowSums)
+		if !reflect.DeepEqual(st.tot, fresh.tot) || string(st.round1) != string(fresh.round1) {
+			t.Fatalf("step %d: updated totals %v, fresh %v", step, st.tot, fresh.tot)
 		}
-		if neg := st.rowSums[3] == -1; neg != (step == 0) {
-			t.Fatalf("step %d: row 3's sum is %d", step, st.rowSums[3])
+		if st.tot.isSigned(3) != (step == 0) || st.tot.nSigned != 1-step {
+			t.Fatalf("step %d: row 3 signed %v, %d signed rows", step, st.tot.isSigned(3), st.tot.nSigned)
 		}
-	}
-	if p2, _ := NewBobLpState(b, 2, o); p2.rowSums != nil {
-		t.Fatal("a p = 2 state kept row sums")
 	}
 }
 

@@ -79,12 +79,13 @@ func EstimateLpMulti(a, b *intmat.Dense, ps []float64, o LpOpts) ([]float64, Cos
 	// Bob: exact norms of sampled rows, median per family — BobLpState's
 	// round 2, once per p.
 	out := make([]float64, len(ps))
+	tot := newRowTotals(nz.Rows(), o.Shards, listTotal(nz))
 	for pi, p := range ps {
-		var rowSums []int64
-		if p == 1 {
-			rowSums = l1RowSums(nz)
+		sums, err := sampledRowSums(nz, tot, recv2, o.Reps, p, o.Shards)
+		if err != nil {
+			return nil, costOf(conn), err
 		}
-		out[pi] = median(sampledRowSums(nz, rowSums, recv2, o.Reps, p, o.Shards))
+		out[pi] = median(sums)
 	}
 	return out, costOf(conn), nil
 }

@@ -263,8 +263,8 @@ func TestBobLpStateBytesFollowRound1(t *testing.T) {
 		if len(st.round1) != want {
 			t.Errorf("p %g: round 1 is %d bytes, want %d", p, len(st.round1), want)
 		}
-		if got := st.Bytes(); got != int64(want)+8*int64(len(st.rowSums))+st.famBytes {
-			t.Errorf("p %g: Bytes() = %d, round 1 %d + row sums %d + families %d", p, got, want, 8*len(st.rowSums), st.famBytes)
+		if got := st.Bytes(); got != int64(want)+st.tot.Bytes()+st.famBytes {
+			t.Errorf("p %g: Bytes() = %d, round 1 %d + row totals %d + families %d", p, got, want, st.tot.Bytes(), st.famBytes)
 		}
 	}
 }

@@ -80,11 +80,14 @@ func TestLpTranscriptsPinned(t *testing.T) {
 	}
 }
 
-// BenchmarkLpPrecompute prices a cold Bob state at p = 1, ε = 0.25 on
-// one shard — drawing the five p-stable families and sketching every
-// row of B — on the repo benchmark's lp_cached shape (n = 512, B 0.2
-// full) and kinds_uncached's (n = 256, B 0.004 full). The p = 1
-// calibration is process-wide and paid before the timer starts.
+// BenchmarkLpPrecompute prices a cold Bob state of each kind that
+// holds B's row totals, on one shard, on the repo benchmark's lp_cached
+// shape (n = 512, B 0.2 full) and kinds_uncached's (n = 256, B 0.004
+// full), Boolean. lp's is at p = 1, ε = 0.25 — drawing the five
+// p-stable families and sketching every row of B; the p = 1
+// calibration is process-wide and paid before the timer starts. The
+// other kinds' states are B's row totals (hh's nested lp state is built
+// on a query's first need, not here).
 func BenchmarkLpPrecompute(b *testing.B) {
 	for _, c := range []struct {
 		name    string
@@ -94,20 +97,38 @@ func BenchmarkLpPrecompute(b *testing.B) {
 		{"lp_cached", 512, 0.2},
 		{"kinds_uncached", 256, 0.004},
 	} {
-		b.Run(c.name, func(b *testing.B) {
-			bm := randomBinary(3010, c.n, c.n, c.density).ToInt().List()
-			o := LpOpts{Eps: 0.25, Seed: 3011, Shards: 1}
-			if _, err := NewBobLpState(bm, 1, o); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := NewBobLpState(bm, 1, o); err != nil {
+		bits := randomBinary(3010, c.n, c.n, c.density)
+		bm := bits.ToInt().List()
+		for _, k := range []struct {
+			name  string
+			build func() error
+		}{
+			{"lp", func() error { _, err := NewBobLpState(bm, 1, LpOpts{Eps: 0.25, Seed: 3011, Shards: 1}); return err }},
+			{"exact", func() error { _, err := NewBobExactL1State(bm, 1); return err }},
+			{"l1sample", func() error { _, err := NewBobL1SampleState(bm, 1); return err }},
+			{"linf", func() error { _, err := NewBobLinfState(bits, LinfOpts{Eps: 0.5, Seed: 3012, Shards: 1}); return err }},
+			{"linfkappa", func() error {
+				_, err := NewBobLinfKappaState(bits, LinfKappaOpts{Kappa: 4, Seed: 3013, Shards: 1})
+				return err
+			}},
+			{"hh", func() error {
+				_, err := NewBobHHState(bm, HHOpts{Phi: 0.2, Eps: 0.1, Seed: 3014, Shards: 1})
+				return err
+			}},
+		} {
+			b.Run(c.name+"/"+k.name, func(b *testing.B) {
+				if err := k.build(); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := k.build(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

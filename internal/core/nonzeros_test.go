@@ -543,9 +543,9 @@ func TestBobHHStateListsFollowUpdates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.nz.Rows() != fresh.nz.Rows() || st.Bytes() != fresh.Bytes() || st.bNonNeg != fresh.bNonNeg {
-			t.Fatalf("step %d: %d rows / %d bytes / nonNeg %v, rebuilt %d / %d / %v", step,
-				st.nz.Rows(), st.Bytes(), st.bNonNeg, fresh.nz.Rows(), fresh.Bytes(), fresh.bNonNeg)
+		if st.nz.Rows() != fresh.nz.Rows() || st.Bytes() != fresh.Bytes() || st.tot.nSigned != fresh.tot.nSigned {
+			t.Fatalf("step %d: %d rows / %d bytes / %d signed rows, rebuilt %d / %d / %d", step,
+				st.nz.Rows(), st.Bytes(), st.tot.nSigned, fresh.nz.Rows(), fresh.Bytes(), fresh.tot.nSigned)
 		}
 		for k := 0; k < fresh.nz.Rows(); k++ {
 			cols, vals := st.nz.Row(k)
@@ -554,8 +554,8 @@ func TestBobHHStateListsFollowUpdates(t *testing.T) {
 				t.Fatalf("step %d: row %d lists %v %v, rebuilt %v %v", step, k, cols, vals, fcols, fvals)
 			}
 		}
-		if !reflect.DeepEqual(st.absRowSums, fresh.absRowSums) {
-			t.Fatalf("step %d: absolute row sums diverged", step)
+		if !reflect.DeepEqual(st.tot, fresh.tot) {
+			t.Fatalf("step %d: row totals diverged", step)
 		}
 		ts := hhTensorSketch(st.opts, 16, next.Rows(), next.Cols(), 1, 500)
 		mu, mf := comm.NewMessage(), comm.NewMessage()

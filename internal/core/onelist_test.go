@@ -74,9 +74,10 @@ func TestAliceHHMessagesMatchDenseScans(t *testing.T) {
 }
 
 // TestBobHHNestedStateBorrowsList: the nested Algorithm 1 state of an hh
-// state multiplies against the hh state's own lists — built, and carried
-// through UpdateRows — so B is listed once however many states read it
-// and Bytes leaves the lists to their owner, as a state rebuilt on the
+// state multiplies against the hh state's own lists and reads its row
+// totals — built, and carried through UpdateRows — so B is listed and
+// totalled once however many states read it; Bytes leaves the lists to
+// their owner and counts the totals once, as a state rebuilt on the
 // updated matrix does.
 func TestBobHHNestedStateBorrowsList(t *testing.T) {
 	b := randomInt(4200, 20, 22, 0.2, 3, false)
@@ -90,11 +91,11 @@ func TestBobHHNestedStateBorrowsList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nested.nz != st.nz {
-		t.Fatal("the nested state listed B again")
+	if nested.nz != st.nz || nested.tot != st.tot {
+		t.Fatal("the nested state listed or totalled B again")
 	}
-	if got, want := st.Bytes(), bare+nested.Bytes(); got != want {
-		t.Fatalf("Bytes() = %d with the nested state built, want %d: the borrowed lists are their owner's", got, want)
+	if got, want := st.Bytes(), bare+nested.Bytes()-st.tot.Bytes(); got != want {
+		t.Fatalf("Bytes() = %d with the nested state built, want %d: the borrowed lists are their owner's, the totals count once", got, want)
 	}
 	cur := b
 	for step, rows := range [][]int{{3}, {0, 19}, {3, 3, 7}} {
@@ -107,8 +108,8 @@ func TestBobHHNestedStateBorrowsList(t *testing.T) {
 		if st, err = st.UpdateRows(next, rows); err != nil {
 			t.Fatal(err)
 		}
-		if st.nested == nil || st.nested.nz != st.nz {
-			t.Fatalf("step %d: the updated nested state does not share the updated hh state's lists", step)
+		if st.nested == nil || st.nested.nz != st.nz || st.nested.tot != st.tot {
+			t.Fatalf("step %d: the updated nested state does not share the updated hh state's lists and totals", step)
 		}
 		fresh, err := NewBobHHState(next, o)
 		if err != nil {

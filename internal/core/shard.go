@@ -43,14 +43,6 @@ const maxShardSlots = 64
 // coarsened.
 const minShardRows = 8
 
-// minShardCheapElems gates the parallelization of cheap reductions —
-// loops doing O(1) work per row, like the int64 dot products of the
-// level-selection and scale steps. Goroutine spawn plus semaphore
-// traffic costs a few microseconds; a multiply-add costs a nanosecond,
-// so below this row count the sequential loop is strictly faster and
-// the parallel path would slow the serve down.
-const minShardCheapElems = 1 << 15
-
 var (
 	// shardSem bounds concurrently executing shard tasks process-wide.
 	shardSem = make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
@@ -150,38 +142,4 @@ func runShards(n, shards int, fn func(shard, lo, hi int)) {
 			panic(p)
 		}
 	}
-}
-
-// sumInt64Shards computes Σ_{k=lo}^{hi-1} term(k) with per-shard int64
-// partials. Integer addition is exact and associative, so the merged
-// total is identical to the sequential left-to-right sum for any shard
-// split — the workhorse of the sharded Serve paths' dot products.
-// Below minShardCheapElems the sum runs sequentially: term is O(1), so
-// small dot products would pay more in pool synchronization than they
-// save in parallelism.
-func sumInt64Shards(n, shards int, term func(k int) int64) int64 {
-	if n < minShardCheapElems {
-		shards = 1
-	}
-	ranges := shardRanges(n, shards)
-	if len(ranges) == 1 {
-		var total int64
-		for k := ranges[0][0]; k < ranges[0][1]; k++ {
-			total += term(k)
-		}
-		return total
-	}
-	partial := make([]int64, len(ranges))
-	runShards(n, shards, func(s, lo, hi int) {
-		var sum int64
-		for k := lo; k < hi; k++ {
-			sum += term(k)
-		}
-		partial[s] = sum
-	})
-	var total int64
-	for _, p := range partial {
-		total += p
-	}
-	return total
 }

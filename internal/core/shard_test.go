@@ -96,23 +96,6 @@ func TestRunShardsReraisesTaskPanic(t *testing.T) {
 	}
 }
 
-func TestSumInt64ShardsMatchesSequential(t *testing.T) {
-	term := func(k int) int64 { return int64(k*k - 17*k + 3) }
-	// Spans both sides of minShardCheapElems: small n runs sequentially,
-	// large n exercises the parallel per-shard partials.
-	for _, n := range []int{0, 1, 15, 16, 64, 100, minShardCheapElems, minShardCheapElems + 13} {
-		var want int64
-		for k := 0; k < n; k++ {
-			want += term(k)
-		}
-		for _, shards := range []int{0, 1, 2, 4, 64} {
-			if got := sumInt64Shards(n, shards, term); got != want {
-				t.Fatalf("sumInt64Shards(n=%d, shards=%d) = %d, want %d", n, shards, got, want)
-			}
-		}
-	}
-}
-
 // TestShardCountersAdvance pins that parallel sections feed the pool
 // counters the service surfaces in its stats.
 func TestShardCountersAdvance(t *testing.T) {

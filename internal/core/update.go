@@ -14,14 +14,17 @@ import (
 //
 // Every sketch and summary a Bob state precomputes is assembled from
 // independent per-row contributions — fixed-size per-row ℓp sketch
-// blocks and per-row non-zero lists (lp, hh), the same lists transposed
-// (l0sample), per-row sums and weights (exact, l1sample, linf,
-// linfkappa, hh).
-// Replacing a row of B therefore replaces exactly that row's
-// contribution, and because the shared sketch families are drawn from
-// the seed before any row is touched, the incrementally updated state
-// is *identical* to one rebuilt from scratch on the new matrix: same
-// round-1 bytes, same Serve transcripts, same outputs, bit for bit.
+// blocks (lp), per-row non-zero lists (lp, l1sample, hh), the same
+// lists transposed (l0sample), and B's row totals (every state but
+// l0sample's), whose signed-row count each patch moves by the patched
+// rows alone. Every UpdateRows but l0sample's is therefore the same
+// three steps: updatedRows, rowTotals.patched, then only the kind's own
+// part — lp's splice of its round-1 blocks, hh's nested state.
+// Replacing a row of B replaces exactly that row's contribution, and
+// because the shared sketch families are drawn from the seed before
+// any row is touched, the incrementally updated state is *identical*
+// to one rebuilt from scratch on the new matrix: same round-1 bytes,
+// same Serve transcripts, same outputs, bit for bit.
 // The update_test.go parity tests pin this for every state kind.
 //
 // Each UpdateRows method returns a NEW state and leaves the receiver
@@ -64,39 +67,6 @@ func updatedRows(nb shape, n, cols int, rows []int) ([]int, error) {
 	return slices.Compact(out), nil
 }
 
-// withRowTotals returns a copy of the per-row totals with the listed
-// rows recomputed by total.
-func withRowTotals(totals []int64, rows []int, total func(k int) int64) []int64 {
-	out := append([]int64(nil), totals...)
-	for _, k := range rows {
-		out[k] = total(k)
-	}
-	return out
-}
-
-// withRowSums is withRowTotals for the row sums of a matrix that must
-// stay non-negative: the listed rows of nb are summed, and refused if
-// one holds a negative entry (the rest of nb is unchanged from a matrix
-// the constructor already validated).
-func withRowSums(rowSums []int64, nb intmat.Matrix, rows []int) ([]int64, error) {
-	nonNeg := true
-	out := withRowTotals(rowSums, rows, func(k int) int64 {
-		var rs int64
-		_, vals := nb.ListRow(k)
-		for _, v := range vals {
-			if v < 0 {
-				nonNeg = false
-			}
-			rs += v
-		}
-		return rs
-	})
-	if !nonNeg {
-		return nil, ErrNeedNonNegative
-	}
-	return out, nil
-}
-
 // UpdateRows derives the BobLpState of nb from an existing state by
 // re-sketching only the listed rows. The round-1 payload is a
 // concatenation of fixed-size per-row sketch blocks (every row's
@@ -104,8 +74,8 @@ func withRowSums(rowSums []int64, nb intmat.Matrix, rows []int) ([]int64, error)
 // across repetitions: 3·width bytes of Float24 words at p > 0, a
 // prefixed field row at p = 0), so the new rows' encodings are spliced
 // into a copy of the retained bytes at their block offsets — the result
-// is byte-identical to NewBobLpState(nb, p, opts); at p = 1 the listed
-// rows' sums are recomputed the same way. The sketch families are
+// is byte-identical to NewBobLpState(nb, p, opts), and the listed rows'
+// totals are recomputed the same way. The sketch families are
 // the receiver's (drawn from the seed alone, they do not depend on the
 // matrix), and the successor keeps nb's lists as the constructor does:
 // those of a *intmat.Sparse — the registry's patched successor, which
@@ -115,10 +85,17 @@ func (s *BobLpState) UpdateRows(nb intmat.Matrix, rows []int) (*BobLpState, erro
 	if err != nil {
 		return nil, err
 	}
+	nz := nb.List()
+	return s.spliced(nz, s.tot.patched(listTotal(nz), rows), rows)
+}
+
+// spliced is the state of nz, whose listed rows differ from the
+// receiver's matrix, given nz's row totals: the receiver's round 1 with
+// those rows' blocks re-sketched.
+func (s *BobLpState) spliced(nz *intmat.Sparse, tot *rowTotals, rows []int) (*BobLpState, error) {
 	// Every row's block has one size, so row k of repetition rep sits at
 	// block (rep·n + k); a re-sketched block of any other size means nb
 	// is not a matrix this state's layout can hold.
-	nz := nb.List()
 	n := nz.Rows()
 	round1 := append([]byte(nil), s.round1...)
 	for rep, rs := range s.sketchers {
@@ -133,10 +110,7 @@ func (s *BobLpState) UpdateRows(nb intmat.Matrix, rows []int) (*BobLpState, erro
 		}
 	}
 	ns := *s
-	ns.round1, ns.nz = round1, nz
-	if s.rowSums != nil {
-		ns.rowSums = withRowTotals(s.rowSums, rows, func(k int) int64 { return l1RowSumOf(nz, k) })
-	}
+	ns.round1, ns.nz, ns.tot = round1, nz, tot
 	return &ns, nil
 }
 
@@ -151,90 +125,63 @@ func (s *BobL0SampleState) UpdateRows(nb intmat.Matrix, rows []int) (*BobL0Sampl
 }
 
 // UpdateRows derives the BobExactL1State of nb by recomputing only the
-// listed rows' sums. The updated rows must be non-negative.
+// listed rows' totals. The updated rows must be non-negative.
 func (s *BobExactL1State) UpdateRows(nb intmat.Matrix, rows []int) (*BobExactL1State, error) {
-	rows, err := updatedRows(nb, len(s.rowSums), nb.Cols(), rows) // the state never kept B's width
+	rows, err := updatedRows(nb, len(s.tot.abs), nb.Cols(), rows) // the state never kept B's width
 	if err != nil {
 		return nil, err
 	}
-	rowSums, err := withRowSums(s.rowSums, nb, rows)
-	if err != nil {
-		return nil, err
-	}
-	return &BobExactL1State{rowSums: rowSums, shards: s.shards}, nil
+	return exactL1State(s.tot.patched(listTotal(nb), rows))
 }
 
 // UpdateRows derives the BobL1SampleState of nb by recomputing only
-// the listed rows' sums; the updated rows must be non-negative.
+// the listed rows' totals; the updated rows must be non-negative.
 func (s *BobL1SampleState) UpdateRows(nb intmat.Matrix, rows []int) (*BobL1SampleState, error) {
 	rows, err := updatedRows(nb, s.b.Rows(), s.b.Cols(), rows)
 	if err != nil {
 		return nil, err
 	}
 	nz := nb.List()
-	rowSums, err := withRowSums(s.rowSums, nz, rows)
-	if err != nil {
-		return nil, err
-	}
-	return &BobL1SampleState{b: nz, rowSums: rowSums, shards: s.shards}, nil
+	return l1SampleState(nz, s.tot.patched(listTotal(nz), rows))
 }
 
 // UpdateRows derives the BobLinfState of nb by recomputing only the
-// listed rows' bit weights.
+// listed rows' weights.
 func (s *BobLinfState) UpdateRows(nb *bitmat.Matrix, rows []int) (*BobLinfState, error) {
 	rows, err := updatedRows(nb, s.b.Rows(), s.b.Cols(), rows)
 	if err != nil {
 		return nil, err
 	}
-	vk := withRowTotals(s.vk, rows, func(k int) int64 { return int64(nb.RowWeight(k)) })
-	return &BobLinfState{b: nb, vk: vk, opts: s.opts}, nil
+	return &BobLinfState{b: nb, tot: s.tot.patched(bitTotal(nb), rows), opts: s.opts}, nil
 }
 
 // UpdateRows derives the BobLinfKappaState of nb by recomputing only
-// the listed rows' bit weights.
+// the listed rows' weights.
 func (s *BobLinfKappaState) UpdateRows(nb *bitmat.Matrix, rows []int) (*BobLinfKappaState, error) {
 	rows, err := updatedRows(nb, s.b.Rows(), s.b.Cols(), rows)
 	if err != nil {
 		return nil, err
 	}
-	vk := withRowTotals(s.vk, rows, func(k int) int64 { return int64(nb.RowWeight(k)) })
-	return &BobLinfKappaState{b: nb, vk: vk, opts: s.opts}, nil
+	return &BobLinfKappaState{b: nb, tot: s.tot.patched(bitTotal(nb), rows), opts: s.opts}, nil
 }
 
 // UpdateRows derives the BobHHState of nb by keeping its lists as the
-// constructor does, recomputing the listed rows' absolute sums,
-// re-deriving the signedness flag (a full rescan is needed only when a
-// previously signed matrix may have lost its last negative row), and
-// incrementally updating the nested Algorithm 1 state when the old
-// state had built it — handing it the same lists, so the two keep
-// sharing one.
+// constructor does, recomputing the listed rows' totals (which carry
+// B's signedness), and incrementally updating the nested Algorithm 1
+// state when the old state had built it — handing it the same lists
+// and totals, so the two keep sharing them.
 func (s *BobHHState) UpdateRows(nb intmat.Matrix, rows []int) (*BobHHState, error) {
 	rows, err := updatedRows(nb, s.nz.Rows(), s.nz.Cols(), rows)
 	if err != nil {
 		return nil, err
 	}
-	ns := &BobHHState{nz: nb.List(), opts: s.opts}
-	patchNonNeg := true
-	ns.absRowSums = withRowTotals(s.absRowSums, rows, func(k int) (sum int64) {
-		sum, patchNonNeg = absSum(ns.nz, k, patchNonNeg)
-		return sum
-	})
-	switch {
-	case !patchNonNeg:
-		ns.bNonNeg = false
-	case s.bNonNeg:
-		ns.bNonNeg = true
-	default:
-		// The old matrix was signed and every updated row is now
-		// non-negative: the negative entry may have lived in a replaced
-		// row, so re-derive the flag exactly as the constructor would.
-		ns.bNonNeg = requireNonNegativeSharded(ns.nz, s.opts.Shards) == nil
-	}
+	nz := nb.List()
+	ns := &BobHHState{nz: nz, tot: s.tot.patched(listTotal(nz), rows), opts: s.opts}
 	s.nestedMu.Lock()
 	built, nested, nerr := s.nestedBuilt, s.nested, s.nestedErr
 	s.nestedMu.Unlock()
 	if built && nerr == nil && nested != nil {
-		if nn, err := nested.UpdateRows(ns.nz, rows); err == nil {
+		if nn, err := nested.spliced(ns.nz, ns.tot, rows); err == nil {
 			ns.nested, ns.nestedBuilt = nn, true
 		}
 		// On failure the nested state is left unbuilt and re-derived

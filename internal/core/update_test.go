@@ -456,7 +456,7 @@ func TestUpdateRowsValidation(t *testing.T) {
 
 // TestUpdateRowsHHSignTransitions pins the three signedness paths of
 // the hh update: staying non-negative, turning signed, and losing the
-// last negative row (the full-rescan case).
+// last negative row (the signed-row count back at zero, no rescan).
 func TestUpdateRowsHHSignTransitions(t *testing.T) {
 	b := randomInt(940, 10, 10, 0.4, 3, true)
 	o := HHOpts{Phi: 0.3, Eps: 0.15, Seed: 941}
@@ -464,7 +464,7 @@ func TestUpdateRowsHHSignTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.bNonNeg {
+	if st.tot.nSigned != 0 {
 		t.Fatal("seed matrix should be non-negative")
 	}
 
@@ -475,32 +475,33 @@ func TestUpdateRowsHHSignTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stNeg.bNonNeg {
-		t.Fatal("update introduced a negative entry but bNonNeg stayed true")
+	if stNeg.tot.nSigned == 0 {
+		t.Fatal("update introduced a negative entry but no row counts as signed")
 	}
 	fr, err := NewBobHHState(neg, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.bNonNeg != stNeg.bNonNeg || fr.absRowSums[2] != stNeg.absRowSums[2] {
+	if fr.tot.nSigned != stNeg.tot.nSigned || fr.tot.abs[2] != stNeg.tot.abs[2] {
 		t.Fatal("signed update diverged from rebuild")
 	}
 
-	// Lose the last negative row again: the flag must recover (full
-	// rescan path).
+	// Lose the last negative row again: the count must fall to zero.
 	back, err := stNeg.UpdateRows(b, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.bNonNeg {
-		t.Fatal("removing the only negative row did not restore bNonNeg")
+	if back.tot.nSigned != 0 {
+		t.Fatal("removing the only negative row left a row counted as signed")
 	}
 }
 
 // TestUpdateRowsRandomizedParity is the property-based variant: random
 // matrices, random patch sets, random shard counts — incremental and
-// rebuilt lp/l0sample/exact states must agree on transcripts for every
-// trial.
+// rebuilt states of every kind must agree on what they retain and on
+// transcripts for every trial; and a signed B that loses its last
+// negative row, then regains one, leaves the updated states' signed-row
+// count the rebuilt states'.
 func TestUpdateRowsRandomizedParity(t *testing.T) {
 	rnd := rand.New(rand.NewSource(950))
 	for trial := 0; trial < 8; trial++ {
@@ -610,6 +611,92 @@ func TestUpdateRowsRandomizedParity(t *testing.T) {
 		inF, outF = runRecorded(t, aliceHH, func(tr comm.Transport) error { _, err := hhFr.Serve(tr, aHit.Rows(), false); return err })
 		if !bytes.Equal(inU, inF) || !bytes.Equal(outU, outF) {
 			t.Fatalf("trial %d: hh transcript diverged", trial)
+		}
+
+		// The kinds that hold only B's totals (and l1sample its lists):
+		// l1sample and exact on a non-negative B, linf and linfkappa on
+		// its 0/1 form.
+		bPos := randomInt(uint64(1020+trial), n, m, 0.25, 4, true)
+		bPos2 := patchIntRows(uint64(1030+trial), bPos, rows, 4, true)
+		for _, k := range bobKinds(randomInt(uint64(1040+trial), 8, n, 0.3, 3, true), m) {
+			if k.name != "l1sample" && k.name != "exact" && k.name != "linf" && k.name != "linfkappa" {
+				continue
+			}
+			st, err := k.build(bPos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			up, err := k.update(st, bPos2, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr, err := k.build(bPos2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k.retained(up) != k.retained(fr) {
+				t.Fatalf("trial %d: %s retains %s, rebuilt %s", trial, k.name, k.retained(up), k.retained(fr))
+			}
+			inU, outU := runRecorded(t, k.alice, func(tr comm.Transport) error { return k.serve(up, tr) })
+			inF, outF := runRecorded(t, k.alice, func(tr comm.Transport) error { return k.serve(fr, tr) })
+			if !bytes.Equal(inU, inF) || !bytes.Equal(outU, outF) {
+				t.Fatalf("trial %d: %s transcript diverged", trial, k.name)
+			}
+		}
+	}
+
+	bPos := randomInt(1050, 16, 12, 0.3, 4, true)
+	a := randomInt(1051, 8, 16, 0.3, 3, true)
+	signed := bPos.Clone()
+	signed.Set(5, 2, -3)
+	cleared := patchIntRows(1052, signed, []int{5}, 4, true)
+	regained := cleared.Clone()
+	regained.Set(9, 0, -1)
+	ho := HHOpts{Phi: 0.2, Eps: 0.1, Seed: 1053}
+	lo := LpOpts{Eps: 0.4, Seed: 1054}
+	hh, err := NewBobHHState(signed, ho)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp, err := NewBobLpState(signed, 1, lo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step, c := range []struct {
+		next    *intmat.Dense
+		rows    []int
+		nSigned int
+	}{{cleared, []int{5}, 0}, {regained, []int{9}, 1}} {
+		if hh, err = hh.UpdateRows(c.next, c.rows); err != nil {
+			t.Fatal(err)
+		}
+		if lp, err = lp.UpdateRows(c.next, c.rows); err != nil {
+			t.Fatal(err)
+		}
+		hhFr, err := NewBobHHState(c.next, ho)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lpFr, err := NewBobLpState(c.next, 1, lo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hh.tot.nSigned != c.nSigned || !reflect.DeepEqual(hh.tot, hhFr.tot) || !reflect.DeepEqual(lp.tot, lpFr.tot) {
+			t.Fatalf("sign step %d: %d signed rows, want %d; totals %v / %v, rebuilt %v", step, hh.tot.nSigned, c.nSigned, hh.tot, lp.tot, hhFr.tot)
+		}
+		// Alice is told B's signedness as the catalog would; a state that
+		// misjudged it would take the other scale path than hers.
+		aliceHH := func(tr comm.Transport) error { return AliceHH(tr, a, c.next.Cols(), c.nSigned == 0, ho) }
+		inU, outU := runRecorded(t, aliceHH, func(tr comm.Transport) error { _, err := hh.Serve(tr, a.Rows(), true); return err })
+		inF, outF := runRecorded(t, aliceHH, func(tr comm.Transport) error { _, err := hhFr.Serve(tr, a.Rows(), true); return err })
+		if !bytes.Equal(inU, inF) || !bytes.Equal(outU, outF) {
+			t.Fatalf("sign step %d: hh transcript diverged", step)
+		}
+		aliceLp := func(tr comm.Transport) error { return AliceLp(tr, a, c.next.Cols(), 1, lo) }
+		inU, outU = runRecorded(t, aliceLp, func(tr comm.Transport) error { _, err := lp.Serve(tr); return err })
+		inF, outF = runRecorded(t, aliceLp, func(tr comm.Transport) error { _, err := lpFr.Serve(tr); return err })
+		if !bytes.Equal(inU, inF) || !bytes.Equal(outU, outF) {
+			t.Fatalf("sign step %d: lp transcript diverged", step)
 		}
 	}
 }

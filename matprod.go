@@ -84,6 +84,7 @@ var (
 	ErrBadPhi            = core.ErrBadPhi
 	ErrNeedNonNegative   = core.ErrNeedNonNegative
 	ErrSampleFailed      = core.ErrSampleFailed
+	ErrOverflow          = core.ErrOverflow
 )
 
 // EstimateLp is Algorithm 1 (Theorem 3.1): a two-round (1±ε)-approximation

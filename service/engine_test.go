@@ -180,6 +180,12 @@ func TestBadRequests(t *testing.T) {
 	if _, _, err := e.PutMatrix("b", testMatrix(40, 16, 0.3)); err != nil {
 		t.Fatal(err)
 	}
+	// ‖AB‖₁ = 2³²·2³¹ + 2³²·2³¹ = 2⁶⁴: every kind that folds Remark 2's
+	// totals refuses it rather than answering a wrapped int64.
+	if _, _, err := e.PutMatrix("wide", Matrix{Rows: 2, Cols: 1, Entries: [][3]int64{{0, 0, 1 << 31}, {1, 0, 1 << 31}}}); err != nil {
+		t.Fatal(err)
+	}
+	wideA := Matrix{Rows: 1, Cols: 2, Entries: [][3]int64{{0, 0, 1 << 32}, {0, 1, 1 << 32}}}
 	ctx := context.Background()
 	cases := []struct {
 		name string
@@ -194,10 +200,18 @@ func TestBadRequests(t *testing.T) {
 		{"exact on signed matrix", Request{Matrix: "b", Kind: "exact", A: testBinaryMatrix(41, 16, 0.3)}, ErrBadRequest},
 		{"out-of-range entry", Request{Matrix: "b", Kind: "lp", A: Matrix{Rows: 16, Cols: 16, Entries: [][3]int64{{20, 0, 1}}}}, ErrBadRequest},
 		{"hh phi < eps", Request{Matrix: "b", Kind: "hh", Phi: 0.1, Eps: 0.5, A: testMatrix(41, 16, 0.3)}, ErrBadRequest},
+		{"overflow exact", Request{Matrix: "wide", Kind: "exact", A: wideA}, ErrBadRequest},
+		{"overflow l1sample", Request{Matrix: "wide", Kind: "l1sample", A: wideA}, ErrBadRequest},
+		{"overflow hh", Request{Matrix: "wide", Kind: "hh", A: wideA}, ErrBadRequest},
+		{"overflow lp", Request{Matrix: "wide", Kind: "lp", P: 1, A: wideA}, ErrBadRequest},
 	}
 	for _, tc := range cases {
-		if _, err := e.Estimate(ctx, tc.req); !errors.Is(err, tc.want) {
+		_, err := e.Estimate(ctx, tc.req)
+		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err=%v, want %v", tc.name, err, tc.want)
+		}
+		if strings.HasPrefix(tc.name, "overflow") && (err == nil || !strings.Contains(err.Error(), core.ErrOverflow.Error())) {
+			t.Errorf("%s: err=%v, want it to carry %v", tc.name, err, core.ErrOverflow)
 		}
 	}
 	// Bad uploads.

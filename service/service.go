@@ -579,6 +579,7 @@ func mapProtocolError(err error) error {
 	for _, bad := range []error{
 		core.ErrBadP, core.ErrBadEps, core.ErrBadKappa, core.ErrBadPhi,
 		core.ErrNeedNonNegative, core.ErrDimensionMismatch, core.ErrUpdateShape,
+		core.ErrOverflow,
 	} {
 		if errors.Is(err, bad) {
 			return ErrBadRequest
