@@ -69,6 +69,13 @@ type Transport interface {
 	// Recv returns the next message travelling in direction dir. Only
 	// the receiving party of dir may call Recv on party-scoped
 	// transports.
+	//
+	// The returned message's bytes are never reused or mutated by the
+	// transport: a later Send or Recv on it writes to other memory, so a
+	// receiver may keep a payload past the exchange — as a protocol state
+	// keeps the round 1 it decoded, to recognise the same bytes on the
+	// next query. On an in-process transport the bytes are the sender's,
+	// which a sender must leave unchanged once sent.
 	Recv(dir Direction) *Message
 	// Stats returns the accumulated cost visible at this endpoint. For
 	// all transports in this package every protocol message passes

@@ -119,6 +119,57 @@ func TestNetConnMatchesConnAccounting(t *testing.T) {
 	}
 }
 
+// TestRecvPayloadsAreNeverReused pins Transport.Recv's ownership
+// contract on both party-scoped transports: a received payload keeps its
+// bytes while the transport carries more messages of the same size in
+// both directions, and no two received payloads share memory.
+func TestRecvPayloadsAreNeverReused(t *testing.T) {
+	pipe := func() (alice, bob Transport, finish func()) {
+		ac, bc := net.Pipe()
+		return NewNetConn(Alice, ac), NewNetConn(Bob, bc), func() { ac.Close(); bc.Close() }
+	}
+	pair := func() (alice, bob Transport, finish func()) {
+		a, b := Pair()
+		return a, b, func() { a.Finish(); b.Finish() }
+	}
+	for name, connect := range map[string]func() (Transport, Transport, func()){"Pair": pair, "NetConn": pipe} {
+		t.Run(name, func(t *testing.T) {
+			alice, bob, finish := connect()
+			defer finish()
+			const rounds = 4
+			payload := func(r int) []byte { return bytes.Repeat([]byte{byte(r + 1)}, 64) }
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for r := 0; r < rounds; r++ {
+					msg := NewMessage()
+					msg.buf = payload(r)
+					bob.Send(BobToAlice, msg)
+					bob.Recv(AliceToBob)
+				}
+			}()
+			var kept [][]byte
+			for r := 0; r < rounds; r++ {
+				kept = append(kept, alice.Recv(BobToAlice).Bytes())
+				reply := NewMessage()
+				reply.buf = payload(100 + r)
+				alice.Send(AliceToBob, reply)
+			}
+			<-done
+			for r, got := range kept {
+				if !bytes.Equal(got, payload(r)) {
+					t.Errorf("payload %d now reads %v", r, got[:4])
+				}
+				for _, other := range kept[:r] {
+					if &got[0] == &other[0] {
+						t.Errorf("payload %d shares memory with an earlier one", r)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestConnRecvReplaysPending(t *testing.T) {
 	conn := NewConn()
 	msg := NewMessage()

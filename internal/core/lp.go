@@ -223,16 +223,31 @@ func readSketchBlock(msg *comm.Message, sketchers []rowSketcher, n int) *sketchB
 
 // rowNorms estimates ‖(A·B)_i‖p^p for every row i of a and every
 // repetition: est[rep][i], +0 for a row of A with no non-zero, and a
-// negative estimate clamped to 0. Rows are sharded over contiguous
+// negative estimate clamped to 0. With logBase = log(1+β) > 0 it also
+// returns each estimate's (1+β)-geometric level, level[rep][i] =
+// ⌊log(max(e, 1)) / logBase⌋, the group Algorithm 1 samples the row in;
+// with logBase = 0, level is nil. Rows are sharded over contiguous
 // ranges; each shard owns one stripe-wide accumulator and writes
 // disjoint slots, and no coin is drawn.
-func (blk *sketchBlock) rowNorms(a *intmat.Sparse, shards int) [][]float64 {
+//
+// Round 1's words are finite, but words near ±MaxFloat64 can still
+// combine to an infinite or NaN estimate, which no integer B sketches
+// to and which has no level: it panics, refusing round 1 as malformed
+// the way a non-finite word is refused.
+func (blk *sketchBlock) rowNorms(a *intmat.Sparse, shards int, logBase float64) (est [][]float64, level [][]int) {
 	reps, w, m1 := len(blk.sketchers), blk.width, a.Rows()
 	stripe := reps * w
 	all := make([]float64, reps*m1)
-	est := make([][]float64, reps)
+	est = make([][]float64, reps)
 	for rep := range est {
 		est[rep] = all[rep*m1 : (rep+1)*m1]
+	}
+	if logBase > 0 {
+		levels := make([]int, reps*m1)
+		level = make([][]int, reps)
+		for rep := range level {
+			level[rep] = levels[rep*m1 : (rep+1)*m1]
+		}
 	}
 	runShards(m1, shards, func(_, lo, hi int) {
 		var fieldAcc []field.Elem
@@ -265,14 +280,20 @@ func (blk *sketchBlock) rowNorms(a *intmat.Sparse, shards int) [][]float64 {
 				} else {
 					e = rs.fl.EstimatePowInPlace(floatAcc[rep*w:][:w])
 				}
+				if math.IsNaN(e) || math.IsInf(e, 0) {
+					panic(fmt.Sprintf("core: round 1 gives row %d of A the non-finite estimate %v", i, e))
+				}
 				if e < 0 {
 					e = 0
 				}
 				est[rep][i] = e
+				if level != nil {
+					level[rep][i] = int(math.Floor(math.Log(math.Max(e, 1)) / logBase))
+				}
 			}
 		}
 	})
-	return est
+	return est, level
 }
 
 // putSparseRow appends a sparse row (delta-coded columns, varint values).
@@ -349,6 +370,17 @@ func appendSparseRow(msg *comm.Message, cols []int32, vals []int64, bRows int) (
 	return cols, vals
 }
 
+// skipSparseRow steps over a row written by putSparseRow without
+// decoding it: its count, then a column gap and a value per entry, each
+// a varint (a zig-zag varint takes a uvarint's bytes). A truncated or
+// over-long varint panics, as the message readers do.
+func skipSparseRow(msg *comm.Message) {
+	for nnz := msg.Uvarint(); nnz > 0; nnz-- {
+		msg.Uvarint()
+		msg.Uvarint()
+	}
+}
+
 // EstimateLp is Algorithm 1 (Theorem 3.1): a two-round protocol that
 // approximates ‖AB‖p^p, p ∈ [0, 2], within a (1±ε) factor using Õ(n/ε)
 // bits of communication.
@@ -406,8 +438,9 @@ func BobLp(t comm.Transport, b intmat.Matrix, p float64, o LpOpts) (est float64,
 // round-1 bytes, so a served run is byte-identical to a fresh BobLp with
 // the same inputs.
 //
-// A state is immutable after construction and safe for concurrent Serve
-// calls.
+// A state is immutable after construction, but for the round-1 view of
+// the Alice state it hands out (AliceState), and safe for concurrent
+// Serve calls.
 type BobLpState struct {
 	p         float64
 	opts      LpOpts        // defaults applied
@@ -416,6 +449,7 @@ type BobLpState struct {
 	round1    []byte         // encoded round-1 payload: per-row ℓp sketches of B
 	nz        *intmat.Sparse // B's non-zeros per row, borrowed: what round 2 multiplies against
 	tot       *rowTotals     // B's row totals: round 2's overflow bound, and its exact p = 1 rows
+	alice     *AliceLpState  // AliceState's, on these families: its view is of this round 1
 }
 
 // NewBobLpState validates the parameters and runs the matrix-dependent
@@ -437,6 +471,7 @@ func newBobLpState(nz *intmat.Sparse, tot *rowTotals, p float64, o LpOpts) (*Bob
 	}
 	s := &BobLpState{p: p, opts: o, nz: nz, tot: tot}
 	s.sketchers, s.famBytes = lpSketchFamilies(o, nz.Cols(), p)
+	s.alice = &AliceLpState{p: p, opts: o, sketchers: s.sketchers}
 	// Per-row sketches are independent, so each repetition's encoding is
 	// sharded over contiguous row ranges; concatenating the per-shard
 	// buffers in shard order reproduces the sequential payload bytes.
@@ -455,19 +490,22 @@ func newBobLpState(nz *intmat.Sparse, tot *rowTotals, p float64, o LpOpts) (*Bob
 }
 
 // Bytes reports the memory retained by the precomputation — the round-1
-// sketches, the row totals and the sketch families (the sizing input for
-// cache accounting; B's lists are their owner's and not counted).
+// sketches, the row totals, the sketch families and, once AliceState has
+// served, its round-1 view (the sizing input for cache accounting,
+// summed live; B's lists are their owner's and not counted). The view's
+// payload is this state's round 1 over an in-process transport, counted
+// once, and its own bytes over a socket.
 func (s *BobLpState) Bytes() int64 {
-	return int64(len(s.round1)) + s.tot.Bytes() + s.famBytes
+	return int64(len(s.round1)) + s.tot.Bytes() + s.famBytes + s.alice.viewBytes(s.round1)
 }
 
 // AliceState returns the Alice-side state for the same (m2, p, options,
 // seed), sharing this state's sketch families instead of drawing them a
 // second time — for a serving system that drives both parties against
-// its own matrix.
-func (s *BobLpState) AliceState() *AliceLpState {
-	return &AliceLpState{p: s.p, opts: s.opts, sketchers: s.sketchers}
-}
+// its own matrix. Every call returns the same state, so every query's
+// Alice finds the round 1 this state replays already decoded (see
+// AliceLpState).
+func (s *BobLpState) AliceState() *AliceLpState { return s.alice }
 
 // Serve runs the per-query phase of Bob's side of Algorithm 1 over t.
 func (s *BobLpState) Serve(t comm.Transport) (est float64, err error) {
@@ -505,16 +543,17 @@ type lpSample struct {
 // row when they carry the same row index and the same encoding — the
 // index alone is the peer's word, and a peer that lies about it must not
 // change the answer (two encodings of one row, which Alice never sends,
-// are merely evaluated twice). The stream is read sequentially: every
-// sample's row is decoded into one reused scratch and refused unless its
-// columns ascend within B, and a distinct row is kept as the bytes it
-// took on the wire, so nothing but the samples grows with the message —
-// each repetition's land in room reserved from its count, bounded by the
-// bytes that arrived (a sample takes at least ten). The per-row products,
-// the expensive part, are then sharded over the distinct rows (each row
-// of C is independent), each shard decoding its rows again, and the
-// weighted contributions summed in sample order, which is the
-// sequential, un-grouped sum's float order exactly.
+// are merely evaluated twice). The stream is read sequentially, and
+// every sample's row only stepped over (skipSparseRow): a distinct row is
+// kept as the bytes it took on the wire, so nothing but the samples
+// grows with the message — each repetition's land in room reserved from
+// its count, bounded by the bytes that arrived (a sample takes at least
+// ten). The per-row products, the expensive part, are then sharded over
+// the distinct rows (each row of C is independent), each shard decoding
+// its rows once and refusing any whose columns do not ascend within B —
+// every sample's bytes are a distinct row's, so no sample escapes the
+// check — and the weighted contributions summed in sample order, which
+// is the sequential, un-grouped sum's float order exactly.
 //
 // tot holds B's row totals. At p = 1 a row whose total they give
 // exactly (a non-negative row against non-negative rows of B, below 2⁵³)
@@ -527,8 +566,6 @@ func sampledRowSums(nz *intmat.Sparse, tot *rowTotals, recv *comm.Message, reps 
 		repEnds = make([]int, reps) // repetition rep is samples[repEnds[rep-1]:repEnds[rep]]
 		rows    [][]byte            // the distinct rows' encodings, in recv's payload
 		first   = map[uint64]int{}  // row index on the wire → the distinct row first sent under it
-		cols    []int32             // scratch: the row being read
-		vals    []int64
 	)
 	payload := recv.Bytes()
 	for rep := range repEnds {
@@ -538,7 +575,7 @@ func sampledRowSums(nz *intmat.Sparse, tot *rowTotals, recv *comm.Message, reps 
 			idx := recv.Uvarint()
 			w := recv.Float64()
 			lo := len(payload) - recv.Remaining()
-			cols, vals = appendSparseRow(recv, cols[:0], vals[:0], nz.Rows())
+			skipSparseRow(recv)
 			row := payload[lo : len(payload)-recv.Remaining()]
 			r, seen := first[idx]
 			if !seen || !bytes.Equal(row, rows[r]) {
@@ -569,8 +606,8 @@ func sampledRowSums(nz *intmat.Sparse, tot *rowTotals, recv *comm.Message, reps 
 				}
 			}
 			if _, _, ok := tot.foldRow(cols, vals, intLimit); !ok {
-				overflow.Store(true)
-				return
+				overflow.Store(true) // the rest are still decoded: a malformed row is refused as such
+				continue
 			}
 			if y == nil {
 				y = make([]int64, nz.Cols())
@@ -617,13 +654,30 @@ func AliceLp(t comm.Transport, a intmat.Matrix, m2 int, p float64, o LpOpts) (er
 // that drives both parties (the engine plays Alice against its own
 // served matrix) reuses one state across queries; the per-query Serve
 // is unchanged in behavior, so transcripts are identical to a fresh
-// AliceLp. Immutable after construction; safe for concurrent Serve
-// calls.
+// AliceLp. Safe for concurrent Serve calls.
+//
+// The state keeps a view of the last round 1 it decoded: the payload and
+// the block read from it. A query whose round 1 is byte-equal to the
+// view's — every query against one cached Bob state — combines the
+// view's block instead of decoding a fresh one; any other round 1 is read
+// with every check and, once it passes them, becomes the view. The block
+// is never written after it is read, so concurrent queries share it, and
+// the view holds the payload without copying it, which the transports'
+// contract (comm.Transport.Recv) makes safe.
 type AliceLpState struct {
 	p         float64
 	opts      LpOpts // defaults applied
 	sketchers []rowSketcher
 	bytes     int64
+	view      atomic.Pointer[round1View]
+}
+
+// round1View is the round 1 an AliceLpState last decoded: the payload
+// as it arrived, for n rows of B, and the block read from it.
+type round1View struct {
+	payload []byte
+	n       int
+	blk     *sketchBlock
 }
 
 // NewAliceLpState validates the parameters and derives the shared
@@ -644,9 +698,41 @@ func NewAliceLpState(m2 int, p float64, o LpOpts) (*AliceLpState, error) {
 }
 
 // Bytes reports the approximate memory retained by the sketch families
-// — zero for a state from BobLpState.AliceState, whose families are
-// Bob's and counted there.
-func (s *AliceLpState) Bytes() int64 { return s.bytes }
+// and the round-1 view — the families count zero for a state from
+// BobLpState.AliceState, whose families are Bob's and counted there.
+func (s *AliceLpState) Bytes() int64 { return s.bytes + s.viewBytes(nil) }
+
+// viewBytes is the memory the round-1 view holds: its block, and its
+// payload unless that is shared — the caller's own bytes, as Bob's round
+// 1 is when an in-process transport hands them over.
+func (s *AliceLpState) viewBytes(shared []byte) int64 {
+	v := s.view.Load()
+	if v == nil {
+		return 0
+	}
+	n := 4*int64(len(v.blk.floatSk)) + 8*int64(len(v.blk.fieldSk))
+	if len(v.payload) == 0 || len(shared) == 0 || &v.payload[0] != &shared[0] {
+		n += int64(len(v.payload))
+	}
+	return n
+}
+
+// round1Block returns round 1 as Alice combines it, for n rows of B: the
+// view's block when recv's payload is byte-equal to the view's, and
+// otherwise a block read by readSketchBlock, refused if any byte follows
+// the last row, and kept as the new view.
+func (s *AliceLpState) round1Block(recv *comm.Message, n int) *sketchBlock {
+	payload := recv.Bytes()
+	if v := s.view.Load(); v != nil && v.n == n && bytes.Equal(v.payload, payload) {
+		return v.blk
+	}
+	blk := readSketchBlock(recv, s.sketchers, n)
+	if recv.Remaining() != 0 {
+		panic(fmt.Sprintf("core: %d bytes after round 1's row sketches", recv.Remaining()))
+	}
+	s.view.Store(&round1View{payload: payload, n: n, blk: blk})
+	return blk
+}
 
 // Serve runs the per-query phase of Alice's side of Algorithm 1 over t
 // with the non-zero lists of her matrix.
@@ -660,11 +746,7 @@ func (s *AliceLpState) Serve(t comm.Transport, am intmat.Matrix) (err error) {
 	beta := math.Sqrt(o.Eps)
 	n := a.Cols()
 
-	recv1 := t.Recv(comm.BobToAlice)
-	blk := readSketchBlock(recv1, s.sketchers, n)
-	if recv1.Remaining() != 0 {
-		panic(fmt.Sprintf("core: %d bytes after round 1's row sketches", recv1.Remaining()))
-	}
+	blk := s.round1Block(t.Recv(comm.BobToAlice), n)
 	alicePriv := rng.New(o.Seed).Derive("alice-private", "lp")
 	picks := blk.sampleRows(a, beta, o.RhoC/o.Eps, alicePriv, o.Shards)
 	msg2 := comm.NewMessage()
@@ -710,7 +792,8 @@ func OneRoundLp(a, b *intmat.Dense, p float64, o LpOpts) (float64, Cost, error) 
 	recv := conn.Send(comm.BobToAlice, msg)
 
 	perRep := make([]float64, o.Reps)
-	for rep, est := range readSketchBlock(recv, sketchers, n).rowNorms(a.List(), o.Shards) {
+	rowEst, _ := readSketchBlock(recv, sketchers, n).rowNorms(a.List(), o.Shards, 0)
+	for rep, est := range rowEst {
 		var total float64
 		for _, e := range est {
 			if e > 0 {

@@ -171,9 +171,10 @@ func round1Rows(p float64, reps, n, width int, v, last float64) *comm.Message {
 
 // TestAliceLpRefusesMalformedRound1: round 1 is exactly reps × n rows of
 // the family's width in finite words. A peer whose rows are a word short
-// or long for the family, whose payload ends a row early, or whose float
-// words are NaN or ±Inf gets a malformed-message error, not an estimate,
-// at every shard count.
+// or long for the family, whose payload ends a row early, whose float
+// words are NaN or ±Inf, or whose finite words combine to a row estimate
+// that is not finite gets a malformed-message error, not an estimate, at
+// every shard count.
 func TestAliceLpRefusesMalformedRound1(t *testing.T) {
 	a := randomInt(2640, 20, 12, 0.4, 3, true)
 	for _, p := range []float64{0, 1} {
@@ -199,6 +200,17 @@ func TestAliceLpRefusesMalformedRound1(t *testing.T) {
 				cases["a NaN word"] = round1Rows(p, reps, n, width, 1, math.NaN())
 				cases["a +Inf word"] = round1Rows(p, reps, n, width, 1, math.Inf(1))
 				cases["a −Inf word"] = round1Rows(p, reps, n, width, -1, math.Inf(-1))
+				// Finite words whose combinations are not: every row of A
+				// with two non-zeros sketches to ±Inf or NaN words.
+				alternating := comm.NewMessage()
+				row := make([]float64, width)
+				for i := range row {
+					row[i] = math.MaxFloat64 * float64(1-2*(i%2))
+				}
+				for r := 0; r < reps*n; r++ {
+					alternating.PutFloat24s(row)
+				}
+				cases["alternating ±MaxFloat64 words"] = alternating
 			}
 			for name, msg := range cases {
 				_, err := runPair(func(tr comm.Transport) error { return st.Serve(tr, a) }, scriptedBob(msg))
@@ -218,14 +230,18 @@ func TestAliceLpRefusesMalformedRound1(t *testing.T) {
 // FuzzAliceLpRound1 feeds arbitrary bytes to Alice as round 1: her
 // Serve may refuse them or sample from them, but a panic must never
 // escape it (on the shard goroutines either: A's 16 rows split in two).
-// The shapes keep a well-formed round 1 to a few hundred bytes, so the
+// Every input goes to the Alice state a Bob state hands out, which keeps
+// its view of round 1 from one input to the next, and to a fresh state:
+// both must refuse it with the same error or send the same round 2. The
+// shapes keep a well-formed round 1 to a few hundred bytes, so the
 // fuzzer's mutations stay cheap to run and to minimize.
 func FuzzAliceLpRound1(f *testing.F) {
 	a := randomInt(2650, 16, 3, 0.5, 3, false)
 	b := randomInt(2651, 3, 4, 0.5, 3, false)
 	o := LpOpts{Eps: 1, Reps: 2, SketchC: 2, Seed: 2652, Shards: 2}
+	ps := []float64{0, 0.5, 1, 2}
 	var alices []*AliceLpState
-	for i, p := range []float64{0, 0.5, 1, 2} {
+	for i, p := range ps {
 		bob, err := NewBobLpState(b, p, o)
 		if err != nil {
 			f.Fatal(err)
@@ -237,8 +253,24 @@ func FuzzAliceLpRound1(f *testing.F) {
 	}
 	f.Add([]byte{0x80}, uint8(1))
 	f.Fuzz(func(t *testing.T, round1 []byte, pi uint8) {
-		st := alices[int(pi)%len(alices)]
-		runPair(func(tr comm.Transport) error { return st.Serve(tr, a) }, scriptedBob(comm.FromBytes(round1)))
+		i := int(pi) % len(alices)
+		fresh, err := NewAliceLpState(b.Cols(), ps[i], o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sent [2]string
+		var errs [2]string
+		for x, st := range []*AliceLpState{alices[i], fresh} {
+			// The view keeps the payload, and the fuzzer reuses its input.
+			msg := comm.FromBytes(slices.Clone(round1))
+			_, err := runPair(func(tr comm.Transport) error { return st.Serve(&round2Tap{Transport: tr, sent: &sent[x]}, a) }, scriptedBob(msg))
+			if err != nil {
+				errs[x] = err.Error()
+			}
+		}
+		if errs[0] != errs[1] || sent[0] != sent[1] {
+			t.Fatalf("the shared state answered %q with %d bytes of round 2, a fresh one %q with %d", errs[0], len(sent[0]), errs[1], len(sent[1]))
+		}
 	})
 }
 

@@ -81,7 +81,7 @@ func refEstimateLp(a, b *intmat.Sparse, o LpOpts, sketchers []rowSketcher, rowNo
 	priv := rng.New(o.Seed).Derive("alice-private", "lp")
 	perRep := make([]float64, o.Reps)
 	for rep, est := range refRowNorms(sketchers, refSketches(sketchers, b), a) {
-		for _, pick := range groupAndSample(est, math.Sqrt(o.Eps), o.RhoC/o.Eps, priv) {
+		for _, pick := range refGroupAndSample(est, math.Sqrt(o.Eps), o.RhoC/o.Eps, priv) {
 			perRep[rep] += float64(pick.weight * rowNorms[pick.i])
 		}
 	}
@@ -164,7 +164,8 @@ func TestRound1WordsWithinRoundingBound(t *testing.T) {
 				}
 			}
 		}
-		est, refEst := blk.rowNorms(a, 1), refRowNorms(bob.sketchers, ys, a)
+		est, _ := blk.rowNorms(a, 1, 0)
+		refEst := refRowNorms(bob.sketchers, ys, a)
 		for rep := range est {
 			for i, e := range refEst[rep] {
 				if e > 0 && !(est[rep][i] > 0) {
@@ -245,26 +246,47 @@ func TestRound1RoundingKeepsAccuracy(t *testing.T) {
 // reps·n·width Float24 words — 3/(8 + 1/width) of the prefixed float64
 // rows it replaced, 99/265 at width 33 — and the state's Bytes(), which
 // the sketch cache sums as its resident bytes, is that plus the row sums
-// and the sketch families. Field rows at p = 0 keep their prefix.
+// and the sketch families. Field rows at p = 0 keep their prefix. Once
+// the state's Alice has served, Bytes() counts her round-1 view too:
+// n·reps·width words of 4 bytes (8 at p = 0) over an in-process pair,
+// whose payload is the state's own round 1, and the payload as well
+// over a socket, where it is a frame of its own.
 func TestBobLpStateBytesFollowRound1(t *testing.T) {
 	b := randomInt(2720, 64, 40, 0.3, 3, true)
+	a := randomInt(2724, 20, 64, 0.2, 3, true).List()
 	for _, p := range []float64{0, 0.5, 1, 2} {
-		st, err := NewBobLpState(b, p, LpOpts{Eps: 0.25, Seed: 2721})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reps, n := len(st.sketchers), b.Rows()
-		var want int
-		if rs := st.sketchers[0]; p == 0 {
-			want = reps * n * (uvarintLen(uint64(rs.l0.Dim())) + 8*rs.l0.Dim())
-		} else {
-			want = reps * n * 3 * rs.fl.Dim()
-		}
-		if len(st.round1) != want {
-			t.Errorf("p %g: round 1 is %d bytes, want %d", p, len(st.round1), want)
-		}
-		if got := st.Bytes(); got != int64(want)+st.tot.Bytes()+st.famBytes {
-			t.Errorf("p %g: Bytes() = %d, round 1 %d + row totals %d + families %d", p, got, want, st.tot.Bytes(), st.famBytes)
+		for _, socket := range []bool{false, true} {
+			st, err := NewBobLpState(b, p, LpOpts{Eps: 0.25, Seed: 2721})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps, n := len(st.sketchers), b.Rows()
+			var want, block int
+			if rs := st.sketchers[0]; p == 0 {
+				want = reps * n * (uvarintLen(uint64(rs.l0.Dim())) + 8*rs.l0.Dim())
+				block = reps * n * 8 * rs.l0.Dim()
+			} else {
+				want = reps * n * 3 * rs.fl.Dim()
+				block = reps * n * 4 * rs.fl.Dim()
+			}
+			if len(st.round1) != want {
+				t.Errorf("p %g: round 1 is %d bytes, want %d", p, len(st.round1), want)
+			}
+			cold := st.Bytes()
+			if cold != int64(want)+st.tot.Bytes()+st.famBytes {
+				t.Errorf("p %g: Bytes() = %d, round 1 %d + row totals %d + families %d", p, cold, want, st.tot.Bytes(), st.famBytes)
+			}
+			alice := func(tr comm.Transport) error { return st.AliceState().Serve(tr, a) }
+			bob := func(tr comm.Transport) (err error) { _, err = st.Serve(tr); return err }
+			if socket {
+				runRecorded(t, alice, bob)
+				block += want
+			} else if _, err := runPair(alice, bob); err != nil {
+				t.Fatal(err)
+			}
+			if got := st.Bytes() - cold; got != int64(block) {
+				t.Errorf("p %g, socket %v: serving grew Bytes() by %d, the view holds %d", p, socket, got, block)
+			}
 		}
 	}
 }

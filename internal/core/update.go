@@ -111,6 +111,8 @@ func (s *BobLpState) spliced(nz *intmat.Sparse, tot *rowTotals, rows []int) (*Bo
 	}
 	ns := *s
 	ns.round1, ns.nz, ns.tot = round1, nz, tot
+	// A fresh Alice: the parent's view is of the parent's round 1.
+	ns.alice = &AliceLpState{p: s.p, opts: s.opts, sketchers: s.sketchers}
 	return &ns, nil
 }
 

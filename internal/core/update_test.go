@@ -552,6 +552,9 @@ func TestUpdateRowsRandomizedParity(t *testing.T) {
 				aHit.Set(i, k, int64(1+i%3))
 			}
 		}
+		if !up.nz.Equal(fr.nz) || up.Bytes() != fr.Bytes() || up.AliceState().Bytes() != 0 {
+			t.Fatalf("trial %d: lp non-zero lists or byte accounting diverged", trial)
+		}
 		var estU, estF float64
 		costU, errU := runPair(
 			func(tr comm.Transport) error { return up.AliceState().Serve(tr, aHit) },
@@ -565,8 +568,10 @@ func TestUpdateRowsRandomizedParity(t *testing.T) {
 		if math.Float64bits(estU) != math.Float64bits(estF) || costU.Bits != costF.Bits || costU.Rounds != costF.Rounds {
 			t.Fatalf("trial %d: updated state answers %v (%v), rebuilt state %v (%v)", trial, estU, costU, estF, costF)
 		}
-		if !up.nz.Equal(fr.nz) || up.Bytes() != fr.Bytes() || up.AliceState().Bytes() != 0 {
-			t.Fatalf("trial %d: lp non-zero lists or byte accounting diverged", trial)
+		// Serving through its own Alice charged the updated state her
+		// round-1 view: n rows of reps × width Float24 words, 4 bytes each.
+		if view := int64(4 * n * len(up.sketchers) * up.sketchers[0].fl.Dim()); up.Bytes() != fr.Bytes()+view {
+			t.Fatalf("trial %d: after a served query the updated state holds %d bytes, the rebuilt one %d and the view %d", trial, up.Bytes(), fr.Bytes(), view)
 		}
 
 		so := L0SampleOpts{Eps: 0.5, Seed: uint64(1000 + trial), Shards: shards}

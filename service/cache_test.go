@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // twinEngines returns a cache-enabled engine and a cache-disabled
@@ -72,6 +74,39 @@ func TestCacheHitMatchesFreshRun(t *testing.T) {
 	}
 	if fs := fresh.Stats().Cache; fs != (CacheStats{}) {
 		t.Fatalf("disabled cache reported stats %+v", fs)
+	}
+}
+
+// TestCacheBytesCountLpView: an lp entry's bytes are summed live, so
+// once a query has served, CacheStats.Bytes holds the state's Alice's
+// round-1 view beside the state — n·reps·width words of 4 bytes at
+// p = 1, ε = 0.25 (5 repetitions of 33 words) — and a cache hit, which
+// reuses the view, adds nothing.
+func TestCacheBytesCountLpView(t *testing.T) {
+	const n = 64
+	e := newTestEngine(t, Config{})
+	served := testBinaryMatrix(86, n, 0.3)
+	if _, _, err := e.PutMatrix("b", served); err != nil {
+		t.Fatal(err)
+	}
+	b, _, _, err := served.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := uint64(87)
+	st, err := core.NewBobLpState(b, 1, core.LpOpts{Eps: 0.25, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := st.Bytes() + 5*n*33*4
+	req := Request{Matrix: "b", Kind: "lp", P: 1, Eps: 0.25, Seed: &seed, A: testBinaryMatrix(88, n, 0.1)}
+	for q := 0; q < 2; q++ {
+		if _, err := e.Estimate(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Stats().Cache.Bytes; got != want {
+			t.Fatalf("query %d: cache holds %d bytes, the state %d and the view %d", q, got, st.Bytes(), want-st.Bytes())
+		}
 	}
 }
 
