@@ -370,10 +370,12 @@ func (g *Gateway) rebalance(ctx context.Context) RebalanceReport {
 		if moved || failed {
 			g.mu.Lock()
 			// Re-check the entry: a concurrent PutMatrix replaced it iff
-			// the pointer changed, and its placement then already
-			// reflects the new pool.
-			if cur, ok := g.matrices[name]; ok && cur == pm {
-				npm := pm.clone()
+			// the epoch changed, and its placement then already reflects
+			// the new pool. A row update committed meanwhile moved only
+			// the content: each gain's applied entry records the version
+			// it was seeded with, and the apply loop replays the rest.
+			if cur, ok := g.matrices[name]; ok && cur.ver.epoch == pm.ver.epoch {
+				npm := cur.clone()
 				npm.replicas = kept
 				g.matrices[name] = npm
 			}

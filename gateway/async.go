@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/service"
@@ -79,6 +80,9 @@ type matrixUpd struct {
 	// need a full reseed rather than a replay.
 	log      []logEntry
 	logStart uint64
+	// logLen mirrors len(log) for readers that must not take mu, which
+	// writers hold across replica legs (Stats, the metrics scrape).
+	logLen atomic.Int64
 	// applied maps backend id → the version its copy has reached.
 	applied map[string]version
 	// sending marks backends with a replay or reseed in flight;
@@ -141,6 +145,7 @@ func (st *matrixUpd) resetLocked(ver version, ids []string) {
 	st.head = ver
 	st.log = nil
 	st.logStart = 0
+	st.logLen.Store(0)
 	st.applied = make(map[string]version, len(ids))
 	for _, id := range ids {
 		st.applied[id] = ver
@@ -240,6 +245,7 @@ func (g *Gateway) appendLogLocked(st *matrixUpd, ver version, ups []service.RowU
 		st.logStart = st.log[n-1].seq
 		st.log = append(st.log[:0:0], st.log[n:]...)
 	}
+	st.logLen.Store(int64(len(st.log)))
 }
 
 // reseedUploadTimeout bounds one apply-loop full-wire reseed upload.

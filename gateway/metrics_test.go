@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 
@@ -141,5 +142,132 @@ func TestGatewayMetricsEndpointE2E(t *testing.T) {
 				t.Errorf("counter %s went backwards: %v -> %v", series, v, got2[series])
 			}
 		}
+	}
+}
+
+// familySchema lists an exposition's families sorted by name, one line
+// each: name, TYPE, the label names of the family's first series ("le"
+// dropped; "-" for none) and HELP.
+func familySchema(t *testing.T, body string) []string {
+	t.Helper()
+	type fam struct{ typ, labels, help string }
+	fams := make(map[string]*fam)
+	get := func(name string) *fam {
+		if fams[name] == nil {
+			fams[name] = &fam{}
+		}
+		return fams[name]
+	}
+	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, help, _ := strings.Cut(rest, " ")
+			get(name).help = help
+			continue
+		}
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(rest, " ")
+			get(name).typ = typ
+			continue
+		}
+		series := line[:strings.LastIndexByte(line, ' ')]
+		name, labels, _ := strings.Cut(series, "{")
+		if _, ok := fams[name]; !ok {
+			for _, suf := range []string{"_bucket", "_sum", "_count"} {
+				if base, cut := strings.CutSuffix(name, suf); cut && fams[base] != nil {
+					name = base
+				}
+			}
+		}
+		f := fams[name]
+		if f == nil {
+			t.Fatalf("series %q outside any family", line)
+		}
+		if f.labels != "" {
+			continue
+		}
+		var names []string
+		for _, kv := range strings.Split(strings.TrimSuffix(labels, "}"), ",") {
+			if k, _, ok := strings.Cut(kv, "="); ok && k != "le" {
+				names = append(names, k)
+			}
+		}
+		f.labels = strings.Join(names, ",")
+		if f.labels == "" {
+			f.labels = "-"
+		}
+	}
+	out := make([]string, 0, len(fams))
+	for name, f := range fams {
+		if f.labels == "" {
+			f.labels = "?" // no series to read label names from
+		}
+		out = append(out, fmt.Sprintf("%s %s %s %s", name, f.typ, f.labels, f.help))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestGatewayMetricsFamilySchema pins every family a gateway over two
+// backends exports — name, TYPE, label names and HELP — so a change in
+// how families are declared cannot change what a scrape returns.
+func TestGatewayMetricsFamilySchema(t *testing.T) {
+	n := 8
+	b1, b2 := startBackend(t), startBackend(t)
+	g := newTestGateway(t, 2, b1.addr, b2.addr)
+	srv := httptest.NewServer(NewHandler(g))
+	t.Cleanup(srv.Close)
+	ctx := context.Background()
+	wire, _ := testMatrix(n)
+	if _, err := g.PutMatrix(ctx, "m", wire); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := g.estimateSLA(ctx, exactReq("m", n), SLA{Level: ConsStrong}, ""); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(srv.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"mpgw_async_applied_total counter - Update-log entries replayed to lagging replicas (apply loop and in-line catch-ups).",
+		"mpgw_async_reseeds_total counter - Full-wire reseeds of replicas whose lag a log replay could not cover.",
+		"mpgw_backend_consec_fails gauge backend Current consecutive probe-failure streak (drives probe backoff).",
+		"mpgw_backend_draining gauge backend Whether the backend is excluded from routing pending removal (1 = draining).",
+		"mpgw_backend_errors_total counter backend Failed requests among the backend's requests.",
+		"mpgw_backend_failovers_total counter backend Requests that failed over away from this backend to another replica.",
+		"mpgw_backend_healthy gauge backend Whether the backend's last probe or request succeeded (1 = healthy).",
+		"mpgw_backend_inflight gauge backend Requests currently outstanding against the backend.",
+		"mpgw_backend_matrices gauge backend Matrices currently placed on the backend.",
+		"mpgw_backend_request_duration_seconds histogram backend Latency of successful backend calls on the estimate and batch routing paths, by backend.",
+		"mpgw_backend_requests_total counter backend Requests sent to the backend, failed ones included.",
+		"mpgw_batches_total counter - Batch calls scattered across replicas.",
+		"mpgw_estimates_total counter - Estimate queries routed, batch-fallback re-routes included.",
+		"mpgw_failovers_total counter - Queries answered by a replica other than the first one tried.",
+		"mpgw_lost_replicas_total counter - Replica copies evicted by their backend and pruned from the placement table.",
+		"mpgw_matrices gauge - Matrices currently placed.",
+		"mpgw_placements_total counter - Matrices placed (initial puts and chunked commits).",
+		"mpgw_rebalanced_total counter - Matrices moved by admin add/drain/remove rebalances.",
+		"mpgw_repairs_total counter - Replica copies re-seeded from the gateway's retained wire forms.",
+		"mpgw_replication gauge - Configured replication factor R.",
+		"mpgw_reseed_bytes_total counter - Wire bytes re-uploaded to returning backends by probe resyncs.",
+		"mpgw_resyncs_total counter - Returning backends reconciled with the placement table by the probe loop.",
+		"mpgw_retries_total counter - Per-query routing attempts beyond the first.",
+		"mpgw_sessions gauge - Live consistency sessions.",
+		"mpgw_sla_requests_total counter level,outcome SLA-routed reads by consistency level and outcome (hit, catchup, miss).",
+		"mpgw_update_log_entries gauge - Retained update-log entries summed over all placed matrices.",
+		"mpgw_update_reverts_total counter - Row updates rolled back all-or-nothing after a replica leg failed.",
+		"mpgw_updates_total counter - Replicated row-update requests, failed ones included.",
+		"mpgw_uptime_seconds gauge - Time since the gateway started serving.",
+		"mpgw_wire_bytes gauge - Total size of the retained wire copies replicas are re-seeded from.",
+		"mpgw_write_quorum gauge - Configured ack quorum W a row update commits on (0 = every live replica).",
+	}
+	got := familySchema(t, string(body))
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("family schema changed:\n--- got ---\n%s\n--- want ---\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -264,7 +264,7 @@ func (g *Gateway) commitLocked(ctx context.Context, st *matrixUpd, name string, 
 	// table write that publishes the update — repairs and reseeds from
 	// here on ship the post-update matrix.
 	rep.RowsApplied = len(ups)
-	if !g.installUpdate(name, pm, newList, rep.MatrixInfo, newVer) {
+	if !g.installUpdate(name, pm.ver, newList, rep.MatrixInfo, newVer) {
 		g.convergeReplacement(name)
 		return service.UpdateReply{}, fmt.Errorf("%w: %q", service.ErrConflict, name)
 	}
@@ -301,16 +301,21 @@ func isTransportLevel(err error) bool {
 }
 
 // installUpdate publishes a committed update for name iff the table
-// entry is still pm (compare half of the copy-on-write): the patched
-// wire becomes the retained copy at version ver — the update-log head
-// the commit assigned. Reports whether the swap happened.
-func (g *Gateway) installUpdate(name string, pm *placedMatrix, newList *intmat.Sparse, info service.MatrixInfo, ver version) bool {
+// entry is still at version from, the one the update was computed from
+// (compare half of the copy-on-write): the patched wire becomes the
+// retained copy at version ver — the update-log head the commit
+// assigned. The entry is rebuilt from the current one, so replica-set
+// edits made meanwhile (a rebalance, an eviction prune) are kept; only a
+// wholesale replacement (a new epoch) or a delete defeats the swap.
+// Reports whether the swap happened.
+func (g *Gateway) installUpdate(name string, from version, newList *intmat.Sparse, info service.MatrixInfo, ver version) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if cur, ok := g.matrices[name]; !ok || cur != pm {
+	cur, ok := g.matrices[name]
+	if !ok || cur.ver != from {
 		return false
 	}
-	npm := pm.clone()
+	npm := cur.clone()
 	npm.info = info
 	npm.list = newList
 	npm.ver = ver

@@ -150,17 +150,7 @@ func (g *Gateway) Stats() Stats {
 	for _, pm := range g.matrices {
 		wireBytes += wireSize(pm.list)
 	}
-	upd := make([]*matrixUpd, 0, len(g.upd))
-	for _, st := range g.upd {
-		upd = append(upd, st)
-	}
 	g.mu.Unlock()
-	var logEntries int
-	for _, st := range upd {
-		st.mu.Lock()
-		logEntries += len(st.log)
-		st.mu.Unlock()
-	}
 	return Stats{
 		Replication:      g.cfg.Replication,
 		Matrices:         matrices,
@@ -178,7 +168,7 @@ func (g *Gateway) Stats() Stats {
 		ReseedBytes:      g.reseedBytes.Load(),
 		WireBytes:        wireBytes,
 		WriteQuorum:      g.cfg.WriteQuorum,
-		UpdateLogEntries: logEntries,
+		UpdateLogEntries: g.updateLogEntries(),
 		AsyncApplied:     g.asyncApplied.Load(),
 		AsyncReseeds:     g.asyncReseeds.Load(),
 		Sessions:         g.sessions.len(),
@@ -186,4 +176,17 @@ func (g *Gateway) Stats() Stats {
 		Backends:         g.Backends(),
 		Uptime:           time.Since(g.start),
 	}
+}
+
+// updateLogEntries sums the retained update-log lengths. It reads each
+// matrix's logLen, not its log: an update holds the matrix's commit lock
+// across its replica legs, and a stats read must not wait on those.
+func (g *Gateway) updateLogEntries() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	var n int64
+	for _, st := range g.upd {
+		n += st.logLen.Load()
+	}
+	return int(n)
 }

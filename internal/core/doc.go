@@ -29,8 +29,12 @@
 //
 // # Model
 //
-// Every protocol routes all exchanged bytes through a comm.Conn, which
-// records exact bit counts and rounds. Shared randomness (the sketching
+// Every protocol routes all exchanged bytes through a transport that
+// records exact bit counts and rounds: the party drivers through a
+// comm.Transport (see drivers.go), and the seven protocols that still
+// run interleaved — NaiveBinary, NaiveInt, EstimateLinfGeneral,
+// DistributedProduct, HeavyHittersBinary, EstimateLpMulti and
+// OneRoundLp — through a comm.Conn. Shared randomness (the sketching
 // matrices) is derived by both parties from the Seed option — the paper's
 // public-coin model — and costs nothing; private randomness (sampling
 // decisions) is derived from per-party labels so the other party provably

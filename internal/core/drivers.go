@@ -9,16 +9,21 @@ import (
 
 // This file is the runtime for transport-separated protocol execution.
 //
-// Every protocol in this package exists once, as a pair of party
+// Every protocol a serving system runs exists once, as a pair of party
 // drivers (AliceLp/BobLp, AliceL0Sample/BobL0Sample, …) written against
 // comm.Transport: each driver holds only its own party's matrix and
-// exchanges messages through the transport seam. The interleaved
-// reference functions (EstimateLp, SampleL0, …) run the two drivers
-// over an in-process comm.Pair, which accounts bits and rounds exactly
-// like the original single-threaded simulation — and the same driver
-// code runs unchanged over a comm.NetConn when the parties are
-// separated by a real socket, with identical transcripts and therefore
-// identical costs.
+// exchanges messages through the transport seam. The reference
+// functions (EstimateLp, SampleL0, …) run the two drivers over an
+// in-process comm.Pair, which accounts bits and rounds exactly like the
+// original single-threaded simulation — and the same driver code runs
+// unchanged over a comm.NetConn when the parties are separated by a real
+// socket, with identical transcripts and therefore identical costs.
+//
+// Seven protocols have no drivers yet and still run interleaved, one
+// function playing both parties over a comm.Conn: NaiveBinary, NaiveInt,
+// EstimateLinfGeneral, DistributedProduct, HeavyHittersBinary,
+// EstimateLpMulti and OneRoundLp. The Conn accounts bits and rounds the
+// same way, but these cannot run across a socket.
 //
 // Every driver reads its party's matrix as non-zero lists and takes it
 // as an intmat.Matrix: a serving system hands over the *intmat.Sparse it

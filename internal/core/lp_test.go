@@ -248,3 +248,37 @@ func TestLpServeMalformedSampledRow(t *testing.T) {
 		}
 	}
 }
+
+// TestL0FamiliesNeverEstimateNonZeroEmpty draws the p = 0 row-sketch
+// families Algorithm 1 draws at n = 512 (seeds 0–1999, five repetitions
+// each: 10 000 families) and checks that none estimates a non-zero
+// vector as empty. A level hash can put every coordinate at level 0
+// (seed 400, repetition 0 does): level 0 then saturates with nothing
+// above it, and the estimate must come from that level, not fall
+// through to 0 — which would drop the row from lp at p = 0 and from
+// l0sample.
+func TestL0FamiliesNeverEstimateNonZeroEmpty(t *testing.T) {
+	const n = 512
+	dense, half := make([]int64, n), make([]int64, n)
+	for j := range dense {
+		dense[j] = 1
+		half[j] = int64(j % 2)
+	}
+	for seed := uint64(0); seed < 2000; seed++ {
+		o := LpOpts{Eps: 0.25, Seed: seed}
+		if err := o.setDefaults(); err != nil {
+			t.Fatal(err)
+		}
+		families, _ := lpSketchFamilies(o, n, 0)
+		for rep, rs := range families {
+			for _, x := range []struct {
+				nnz int
+				v   []int64
+			}{{n, dense}, {n / 2, half}} {
+				if est := rs.l0.Estimate(rs.l0.Apply(x.v)); !(est > 0) {
+					t.Fatalf("seed %d repetition %d: a vector with %d non-zeros estimated %v", seed, rep, x.nnz, est)
+				}
+			}
+		}
+	}
+}

@@ -52,17 +52,8 @@ func (f *family) writeText(w io.Writer) error {
 	if f.collect != nil {
 		return f.writeSamples(w)
 	}
-	for _, c := range f.sortedChildren() {
-		var err error
-		switch m := c.(type) {
-		case *Counter:
-			_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(f.labels, m.lv, "", ""), formatValue(m.Value()))
-		case *Gauge:
-			_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(f.labels, m.lv, "", ""), formatValue(m.Value()))
-		case *Histogram:
-			err = writeHistogram(w, f, m)
-		}
-		if err != nil {
+	for _, h := range f.sortedHists() {
+		if err := writeHistogram(w, f, h); err != nil {
 			return err
 		}
 	}
@@ -74,7 +65,7 @@ func (f *family) writeText(w io.Writer) error {
 func (f *family) writeSamples(w io.Writer) error {
 	samples := f.collect()
 	sort.Slice(samples, func(i, j int) bool {
-		return childKey(samples[i].Labels) < childKey(samples[j].Labels)
+		return labelKey(samples[i].Labels) < labelKey(samples[j].Labels)
 	})
 	for _, s := range samples {
 		if len(s.Labels) != len(f.labels) {

@@ -1,26 +1,23 @@
-// Package metrics is a dependency-free metrics layer exposing counter,
-// gauge, and histogram families in the Prometheus text exposition
-// format (text/plain; version=0.0.4). It exists because the module has
-// zero external dependencies and keeps that property while giving the
-// service and gateway tiers a scrapeable /metrics endpoint.
+// Package metrics is a dependency-free metrics layer rendering metric
+// families in the Prometheus text exposition format (text/plain;
+// version=0.0.4). It exists because the module has zero external
+// dependencies and keeps that property while giving the service and
+// gateway tiers a scrapeable /metrics endpoint.
 //
-// The design splits the cost of a metric into a cold resolution step
-// and a hot observation step:
+// A family is one of two instrument kinds:
 //
-//   - Resolution (NewCounterVec + With) takes the family lock once and
-//     returns a handle bound to one label set. Call sites resolve their
-//     handles at construction time.
-//   - Observation (Inc, Add, Observe) on a resolved handle is lock-free:
-//     no map lookup, no mutex — only atomic adds on cache-line-padded
-//     cells. Counters and histogram shards are striped across a small
-//     set of cells handed out per P through a sync.Pool, so concurrent
-//     writers on different Ps land on different cache lines.
-//
-// Families whose values already exist elsewhere (an engine's stats
-// counters) register as func-backed families (CounterFunc, GaugeFunc):
-// the collector callback is invoked only at export time, so mirroring
-// an existing counter into /metrics costs nothing on the serving path
-// and the two surfaces can never disagree.
+//   - A histogram vector (NewHistogramVec), the only instrument a
+//     serving path observes into. Resolution (With) takes the family
+//     lock once and returns a handle bound to one label set; call sites
+//     resolve at construction time. Observation (Observe) on a resolved
+//     handle is lock-free: no map lookup, no mutex — only atomic adds on
+//     cache-line-padded shards, handed out per P through a sync.Pool so
+//     concurrent writers on different Ps land on different cache lines.
+//   - A func-backed family (CounterFunc, GaugeFunc) whose samples are
+//     read at export time from counters the tier already keeps. It costs
+//     the serving path nothing, and the exposition cannot disagree with
+//     the tier's own stats. A collector runs on the scrape's goroutine,
+//     so it must take no lock a write holds across I/O.
 package metrics
 
 import (
@@ -72,7 +69,7 @@ func NewRegistry() *Registry {
 }
 
 // family is one named metric family: a fixed label-name schema plus
-// either materialized children (atomic handles) or a collect callback.
+// either histograms resolved per label set or a collect callback.
 type family struct {
 	name   string
 	help   string
@@ -81,16 +78,11 @@ type family struct {
 	// buckets are the histogram upper bounds (histogram families only).
 	buckets []float64
 
-	mu       sync.Mutex
-	children map[string]child // key: label values joined with 0xff
+	mu    sync.Mutex
+	hists map[string]*Histogram // key: label values joined with 0xff
 	// collect, when non-nil, makes this a func-backed family sampled at
-	// export time instead of holding children.
+	// export time instead of holding histograms.
 	collect func() []Sample
-}
-
-// child is one materialized (label-resolved) metric of a family.
-type child interface {
-	labelValues() []string
 }
 
 // register validates and installs a family, panicking on programmer
@@ -114,44 +106,28 @@ func (r *Registry) register(f *family) *family {
 	if _, dup := r.byName[f.name]; dup {
 		panic(fmt.Sprintf("metrics: duplicate metric name %q", f.name))
 	}
-	f.children = make(map[string]child)
+	f.hists = make(map[string]*Histogram)
 	r.byName[f.name] = f
 	r.fams = append(r.fams, f)
 	return f
 }
 
-// childKey joins label values into the family's children map key.
-func childKey(values []string) string { return strings.Join(values, "\xff") }
+// labelKey joins label values into a sort and lookup key.
+func labelKey(values []string) string { return strings.Join(values, "\xff") }
 
-// resolve fetches or creates the child for one label-value set.
-func (f *family) resolve(values []string, build func() child) child {
-	if len(values) != len(f.labels) {
-		panic(fmt.Sprintf("metrics: %q wants %d label values, got %d", f.name, len(f.labels), len(values)))
-	}
-	key := childKey(values)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok := f.children[key]; ok {
-		return c
-	}
-	c := build()
-	f.children[key] = c
-	return c
-}
-
-// sortedChildren snapshots the children ordered by label values, for a
+// sortedHists snapshots the histograms ordered by label values, for a
 // deterministic exposition.
-func (f *family) sortedChildren() []child {
+func (f *family) sortedHists() []*Histogram {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	keys := make([]string, 0, len(f.children))
-	for k := range f.children {
+	keys := make([]string, 0, len(f.hists))
+	for k := range f.hists {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := make([]child, 0, len(keys))
+	out := make([]*Histogram, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, f.children[k])
+		out = append(out, f.hists[k])
 	}
 	return out
 }
@@ -163,12 +139,6 @@ func (f *family) sortedChildren() []child {
 // the point is to split a contended cache line across Ps, not to scale
 // with goroutine count.
 const stripeCells = 8
-
-// cell is one cache-line-padded atomic float64 (stored as bits).
-type cell struct {
-	bits atomic.Uint64
-	_    [56]byte // pad to a 64-byte line so neighbor cells never share one
-}
 
 // addFloat atomically adds v to a float64-bits cell.
 //
@@ -206,116 +176,6 @@ func (s *striper) idx() int {
 }
 
 // ---------------------------------------------------------------------
-// Counter
-
-// Counter is a monotonically increasing value resolved to one label
-// set. Inc and Add are lock-free and safe for concurrent use.
-type Counter struct {
-	vals [stripeCells]cell
-	st   striper
-	lv   []string
-}
-
-func (c *Counter) labelValues() []string { return c.lv }
-
-// Inc adds 1.
-//
-//mp:hotpath
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds v, which must be non-negative (counters are monotone);
-// negative deltas are dropped.
-//
-//mp:hotpath
-func (c *Counter) Add(v float64) {
-	if v < 0 {
-		return
-	}
-	addFloat(&c.vals[c.st.idx()].bits, v)
-}
-
-// Value sums the counter's cells.
-func (c *Counter) Value() float64 {
-	var sum float64
-	for i := range c.vals {
-		sum += math.Float64frombits(c.vals[i].bits.Load())
-	}
-	return sum
-}
-
-// CounterVec is a counter family partitioned by labels.
-type CounterVec struct{ f *family }
-
-// NewCounterVec registers a counter family with the given label names.
-func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *CounterVec {
-	return &CounterVec{f: r.register(&family{name: name, help: help, kind: kindCounter, labels: labelNames})}
-}
-
-// NewCounter registers a label-less counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	return r.NewCounterVec(name, help).With()
-}
-
-// With resolves the counter for one label-value set. Resolution takes
-// the family lock; call sites should resolve once and keep the handle.
-func (v *CounterVec) With(labelValues ...string) *Counter {
-	return v.f.resolve(labelValues, func() child { return &Counter{lv: labelValues} }).(*Counter)
-}
-
-// ---------------------------------------------------------------------
-// Gauge
-
-// Gauge is a value that can go up and down, resolved to one label set.
-// All methods are lock-free and safe for concurrent use.
-type Gauge struct {
-	bits atomic.Uint64
-	lv   []string
-}
-
-func (g *Gauge) labelValues() []string { return g.lv }
-
-// Set replaces the gauge's value.
-//
-//mp:hotpath
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds v (negative to subtract).
-//
-//mp:hotpath
-func (g *Gauge) Add(v float64) { addFloat(&g.bits, v) }
-
-// Inc adds 1.
-//
-//mp:hotpath
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec subtracts 1.
-//
-//mp:hotpath
-func (g *Gauge) Dec() { g.Add(-1) }
-
-// Value reads the gauge.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// GaugeVec is a gauge family partitioned by labels.
-type GaugeVec struct{ f *family }
-
-// NewGaugeVec registers a gauge family with the given label names.
-func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{f: r.register(&family{name: name, help: help, kind: kindGauge, labels: labelNames})}
-}
-
-// NewGauge registers a label-less gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	return r.NewGaugeVec(name, help).With()
-}
-
-// With resolves the gauge for one label-value set.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	return v.f.resolve(labelValues, func() child { return &Gauge{lv: labelValues} }).(*Gauge)
-}
-
-// ---------------------------------------------------------------------
 // Histogram
 
 // histShard is one stripe of a histogram: per-bucket counts plus the
@@ -335,8 +195,6 @@ type Histogram struct {
 	st      striper
 	lv      []string
 }
-
-func (h *Histogram) labelValues() []string { return h.lv }
 
 // Observe records one value.
 //
@@ -368,18 +226,6 @@ func (h *Histogram) snapshot() (cum []uint64, count uint64, sum float64) {
 	return cum, running, sum
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 {
-	_, n, _ := h.snapshot()
-	return n
-}
-
-// Sum returns the sum of observed values so far.
-func (h *Histogram) Sum() float64 {
-	_, _, s := h.snapshot()
-	return s
-}
-
 // HistogramVec is a histogram family partitioned by labels.
 type HistogramVec struct{ f *family }
 
@@ -407,15 +253,26 @@ func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram
 	return r.NewHistogramVec(name, help, buckets).With()
 }
 
-// With resolves the histogram for one label-value set.
+// With resolves the histogram for one label-value set: the same values
+// return the same handle. Resolution takes the family lock; call sites
+// resolve once and keep the handle.
 func (v *HistogramVec) With(labelValues ...string) *Histogram {
-	return v.f.resolve(labelValues, func() child {
-		h := &Histogram{buckets: v.f.buckets, shards: make([]histShard, stripeCells), lv: labelValues}
-		for i := range h.shards {
-			h.shards[i].counts = make([]atomic.Uint64, len(v.f.buckets)+1)
-		}
+	f := v.f
+	if len(labelValues) != len(f.labels) {
+		panic(fmt.Sprintf("metrics: %q wants %d label values, got %d", f.name, len(f.labels), len(labelValues)))
+	}
+	key := labelKey(labelValues)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if h, ok := f.hists[key]; ok {
 		return h
-	}).(*Histogram)
+	}
+	h := &Histogram{buckets: f.buckets, shards: make([]histShard, stripeCells), lv: labelValues}
+	for i := range h.shards {
+		h.shards[i].counts = make([]atomic.Uint64, len(f.buckets)+1)
+	}
+	f.hists[key] = h
+	return h
 }
 
 // DefBuckets is the default latency bucket layout (seconds): 100µs to

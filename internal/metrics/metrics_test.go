@@ -13,12 +13,12 @@ import (
 // buckets with _sum and _count, and deterministic series order.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
-	reqs := r.NewCounterVec("app_requests_total", "Requests served.", "kind", "outcome")
-	reqs.With("lp", "ok").Add(41)
-	reqs.With("lp", "ok").Inc()
-	reqs.With("exact", "error").Inc()
-	g := r.NewGauge("app_workers_busy", "Busy worker slots.")
-	g.Set(3)
+	r.CounterFunc("app_requests_total", "Requests served.", []string{"kind", "outcome"}, func() []Sample {
+		return []Sample{{Labels: []string{"lp", "ok"}, Value: 42}, {Labels: []string{"exact", "error"}, Value: 1}}
+	})
+	r.GaugeFunc("app_workers_busy", "Busy worker slots.", nil, func() []Sample {
+		return []Sample{{Value: 3}}
+	})
 	h := r.NewHistogram("app_latency_seconds", "Request latency.", []float64{0.1, 1, 10})
 	h.Observe(0.05)
 	h.Observe(0.05)
@@ -94,8 +94,9 @@ app_backend_healthy{backend="b"} 0
 // values and HELP text.
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounterVec("esc_total", "line one\nwith \\ slash", "path")
-	c.With("a\"b\\c\nd").Inc()
+	r.CounterFunc("esc_total", "line one\nwith \\ slash", []string{"path"}, func() []Sample {
+		return []Sample{{Labels: []string{"a\"b\\c\nd"}, Value: 1}}
+	})
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
@@ -111,18 +112,18 @@ esc_total{path="a\"b\\c\nd"} 1
 
 // TestWithReturnsSameHandle pins the pre-resolution contract: the same
 // label values resolve to the same handle, so call sites may resolve
-// once and increments from any copy aggregate.
+// once and observations from any copy aggregate.
 func TestWithReturnsSameHandle(t *testing.T) {
 	r := NewRegistry()
-	v := r.NewCounterVec("x_total", "", "k")
+	v := r.NewHistogramVec("x_seconds", "", []float64{1}, "k")
 	a, b := v.With("q"), v.With("q")
 	if a != b {
 		t.Fatal("With returned distinct handles for identical label values")
 	}
-	a.Inc()
-	b.Inc()
-	if got := a.Value(); got != 2 {
-		t.Fatalf("aggregated value = %v, want 2", got)
+	a.Observe(0.5)
+	b.Observe(0.5)
+	if _, count, _ := a.snapshot(); count != 2 {
+		t.Fatalf("aggregated count = %v, want 2", count)
 	}
 }
 
@@ -143,15 +144,14 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestConcurrentIncrements hammers one counter, one gauge, and one
-// histogram from many goroutines (with concurrent exports mixed in)
-// and asserts the exact totals: the striped cells must lose nothing.
+// TestConcurrentIncrements hammers one histogram from many goroutines
+// (with concurrent resolutions and exports mixed in) and asserts the
+// exact bucket counts and sum: the striped shards must lose nothing.
 // Run under -race this is also the layer's data-race test.
 func TestConcurrentIncrements(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounterVec("cc_total", "", "k").With("a")
-	g := r.NewGauge("cg", "")
-	h := r.NewHistogram("ch_seconds", "", []float64{0.5})
+	v := r.NewHistogramVec("ch_seconds", "", []float64{0.5}, "k")
+	h := v.With("a")
 	const workers, perWorker = 16, 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -159,9 +159,7 @@ func TestConcurrentIncrements(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				c.Inc()
-				g.Add(1)
-				h.Observe(float64(i % 2)) // alternates the two buckets
+				v.With("a").Observe(float64(i % 2)) // alternates the two buckets
 				if i%500 == 0 {
 					r.WriteText(io.Discard) //nolint:errcheck
 				}
@@ -170,12 +168,6 @@ func TestConcurrentIncrements(t *testing.T) {
 	}
 	wg.Wait()
 	const total = workers * perWorker
-	if got := c.Value(); got != total {
-		t.Errorf("counter = %v, want %d", got, total)
-	}
-	if got := g.Value(); got != total {
-		t.Errorf("gauge = %v, want %d", got, total)
-	}
 	cum, count, sum := h.snapshot()
 	if count != total || cum[0] != total/2 || sum != total/2 {
 		t.Errorf("histogram count=%d cum=%v sum=%v, want %d [%d] %d", count, cum, sum, total, total/2, total/2)
@@ -186,7 +178,7 @@ func TestConcurrentIncrements(t *testing.T) {
 // body parses as series lines.
 func TestHandlerContentType(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("one_total", "One.").Inc()
+	r.CounterFunc("one_total", "One.", nil, func() []Sample { return []Sample{{Value: 1}} })
 	srv := httptest.NewServer(Handler(r))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/")
@@ -207,7 +199,9 @@ func TestHandlerContentType(t *testing.T) {
 // export lints clean, and mangled lines are reported.
 func TestLintText(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounterVec("lint_total", "Lint.", "k").With("v").Inc()
+	r.CounterFunc("lint_total", "Lint.", []string{"k"}, func() []Sample {
+		return []Sample{{Labels: []string{"v"}, Value: 1}}
+	})
 	r.NewHistogram("lint_seconds", "", []float64{0.1}).Observe(0.2)
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
@@ -225,18 +219,19 @@ func TestLintText(t *testing.T) {
 // errors: bad names, duplicate names, bad buckets, arity mismatches.
 func TestRegisterPanics(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("ok_total", "")
+	none := func() []Sample { return nil }
+	r.CounterFunc("ok_total", "", nil, none)
 	for _, tc := range []struct {
 		name string
 		fn   func()
 	}{
-		{"bad metric name", func() { r.NewCounter("0bad", "") }},
-		{"bad label name", func() { r.NewCounterVec("p1_total", "", "0bad") }},
-		{"duplicate name", func() { r.NewCounter("ok_total", "") }},
-		{"duplicate across kinds", func() { r.NewGauge("ok_total", "") }},
+		{"bad metric name", func() { r.CounterFunc("0bad", "", nil, none) }},
+		{"bad label name", func() { r.GaugeFunc("p1", "", []string{"0bad"}, none) }},
+		{"duplicate name", func() { r.CounterFunc("ok_total", "", nil, none) }},
+		{"duplicate across kinds", func() { r.NewHistogram("ok_total", "", nil) }},
 		{"reserved le", func() { r.NewHistogramVec("p2", "", nil, "le") }},
 		{"bad buckets", func() { r.NewHistogram("p3", "", []float64{2, 1}) }},
-		{"arity mismatch", func() { r.NewCounterVec("p4_total", "", "k").With("x", "y") }},
+		{"arity mismatch", func() { r.NewHistogramVec("p4_seconds", "", nil, "k").With("x", "y") }},
 		{"bad exp buckets", func() { ExpBuckets(0, 2, 3) }},
 	} {
 		func() {
@@ -248,15 +243,6 @@ func TestRegisterPanics(t *testing.T) {
 			tc.fn()
 		}()
 	}
-}
-
-func BenchmarkCounterInc(b *testing.B) {
-	c := NewRegistry().NewCounterVec("bench_total", "", "k").With("v")
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.Inc()
-		}
-	})
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {

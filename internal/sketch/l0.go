@@ -131,6 +131,15 @@ func (s *L0) Estimate(y []field.Elem) float64 {
 	// subsampling noise, so we take the first level at or below the 0.8K
 	// saturation threshold.
 	threshold := int(0.8 * K)
+	estimate := func(ℓ, occupied int) float64 {
+		if occupied >= s.buckets {
+			occupied = s.buckets - 1 // saturated: clamp
+		}
+		empty := K - float64(occupied)
+		t := math.Log(empty/K) / math.Log(1-1/K)
+		return t * float64(uint64(1)<<uint(ℓ))
+	}
+	var last, lastOcc int // the deepest non-empty level seen, its occupancy
 	for ℓ := 0; ℓ < s.levels; ℓ++ {
 		occupied := 0
 		for b := 0; b < s.buckets; b++ {
@@ -140,24 +149,24 @@ func (s *L0) Estimate(y []field.Elem) float64 {
 		}
 		if occupied == 0 {
 			// Nothing survived at this level. At level 0 that means the
-			// vector is zero; at higher levels it means the support is
-			// tiny and an earlier saturated level cannot exist under
-			// nested subsampling, so keep scanning.
+			// vector is zero. Past it, every level above was over the
+			// threshold, and the levels are nested, so deeper ones are
+			// empty too unless bucket sums cancelled: keep scanning, and
+			// fall through to the deepest non-empty level.
 			if ℓ == 0 {
 				return 0
 			}
 			continue
 		}
 		if occupied <= threshold || ℓ == s.levels-1 {
-			if occupied >= s.buckets {
-				occupied = s.buckets - 1 // saturated last level: clamp
-			}
-			empty := K - float64(occupied)
-			t := math.Log(empty/K) / math.Log(1-1/K)
-			return t * float64(uint64(1)<<uint(ℓ))
+			return estimate(ℓ, occupied)
 		}
+		last, lastOcc = ℓ, occupied
 	}
-	return 0
+	// Every non-empty level is past the threshold and the last level is
+	// empty: a level hash put the support on few levels. The vector is
+	// still non-zero, so estimate from the deepest non-empty level.
+	return estimate(last, lastOcc)
 }
 
 // AxpyField accumulates y += a·x over the field, the combination

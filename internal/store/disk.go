@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -81,10 +82,18 @@ type Disk struct {
 	mu     sync.Mutex
 	closed bool
 	wals   map[string]*walHandle // open append handles by matrix name
-	stats  Stats
+	// n holds the Stats counters outside mu, which appends and snapshot
+	// installs hold across fsync: a stats read must not wait on one.
+	n diskCounters
 
 	flushWG sync.WaitGroup
 	stop    chan struct{}
+}
+
+// diskCounters are the live Stats counters.
+type diskCounters struct {
+	snapshots, snapshotBytes, walAppends, walBytes, walTruncations atomic.Int64
+	deletes, loads, fsyncs, tornRecords, tornBytes, errors         atomic.Int64
 }
 
 // walHandle is one matrix's open WAL append handle.
@@ -148,10 +157,10 @@ func (d *Disk) syncDirtyLocked() {
 			continue
 		}
 		if err := h.f.Sync(); err != nil {
-			d.stats.Errors++
+			d.n.errors.Add(1)
 			continue
 		}
-		d.stats.Fsyncs++
+		d.n.fsyncs.Add(1)
 		h.dirty = false
 	}
 }
@@ -180,7 +189,7 @@ func (d *Disk) namePath(name string) string  { return filepath.Join(d.matrixDir(
 func (d *Disk) snapPath(name string) string  { return filepath.Join(d.matrixDir(name), "snap") }
 func (d *Disk) walPath(name string) string   { return filepath.Join(d.matrixDir(name), "wal") }
 func notExist(err error) bool                { return errors.Is(err, fs.ErrNotExist) }
-func (d *Disk) fail(err error) error         { d.stats.Errors++; return err }
+func (d *Disk) fail(err error) error         { d.n.errors.Add(1); return err }
 
 // nameFileMagic versions the name file ("MPN1" + raw name bytes).
 const nameFileMagic = "MPN1"
@@ -253,7 +262,7 @@ func (d *Disk) syncFile(f File, force bool) error {
 	if err := f.Sync(); err != nil {
 		return err
 	}
-	d.stats.Fsyncs++
+	d.n.fsyncs.Add(1)
 	return nil
 }
 
@@ -265,7 +274,7 @@ func (d *Disk) syncDirOf(dir string) error {
 	if err := d.fs.SyncDir(dir); err != nil {
 		return err
 	}
-	d.stats.Fsyncs++
+	d.n.fsyncs.Add(1)
 	return nil
 }
 
@@ -276,7 +285,7 @@ func (d *Disk) Load(name string) (*Snapshot, []Record, error) {
 	if d.closed {
 		return nil, nil, ErrClosed
 	}
-	d.stats.Loads++
+	d.n.loads.Add(1)
 	var snap *Snapshot
 	if b, err := d.fs.ReadFile(d.snapPath(name)); err == nil {
 		s, derr := decodeSnapshotFile(b)
@@ -321,8 +330,8 @@ func (d *Disk) openWALLocked(name string, forAppend bool) ([]Record, error) {
 		var torn int64
 		recs, validLen, torn = parseWAL(b)
 		if torn > 0 || validLen < len(b) {
-			d.stats.TornRecords += torn
-			d.stats.TornBytes += int64(len(b) - validLen)
+			d.n.tornRecords.Add(torn)
+			d.n.tornBytes.Add(int64(len(b) - validLen))
 			if validLen < 4 {
 				validLen = 0 // no magic either: rewrite as an empty file
 			}
@@ -362,8 +371,8 @@ func (d *Disk) SaveSnapshot(name string, snap Snapshot) error {
 	if err := d.saveSnapshotLocked(name, snap); err != nil {
 		return d.fail(fmt.Errorf("store: snapshot %q: %w", name, err))
 	}
-	d.stats.Snapshots++
-	d.stats.SnapshotBytes += int64(len(snap.Payload))
+	d.n.snapshots.Add(1)
+	d.n.snapshotBytes.Add(int64(len(snap.Payload)))
 	return nil
 }
 
@@ -424,12 +433,12 @@ func (d *Disk) AppendWAL(name string, rec Record) error {
 			delete(d.wals, name)
 			return d.fail(fmt.Errorf("store: sync wal of %q: %w", name, err))
 		}
-		d.stats.Fsyncs++
+		d.n.fsyncs.Add(1)
 	case FsyncBatch:
 		h.dirty = true
 	}
-	d.stats.WALAppends++
-	d.stats.WALBytes += int64(len(rec.Payload))
+	d.n.walAppends.Add(1)
+	d.n.walBytes.Add(int64(len(rec.Payload)))
 	return nil
 }
 
@@ -469,7 +478,7 @@ func (d *Disk) TruncateWAL(name string, epoch, seq uint64) error {
 	if err := d.rewriteLocked(path, out); err != nil {
 		return d.fail(fmt.Errorf("store: truncate wal of %q: %w", name, err))
 	}
-	d.stats.WALTruncations++
+	d.n.walTruncations.Add(1)
 	return nil
 }
 
@@ -523,7 +532,7 @@ func (d *Disk) Delete(name string) error {
 	if err := d.fs.RemoveAll(d.matrixDir(name)); err != nil {
 		return d.fail(fmt.Errorf("store: delete %q: %w", name, err))
 	}
-	d.stats.Deletes++
+	d.n.deletes.Add(1)
 	return nil
 }
 
@@ -541,17 +550,24 @@ func (d *Disk) Sync() error {
 		if err := h.f.Sync(); err != nil {
 			return d.fail(fmt.Errorf("store: sync: %w", err))
 		}
-		d.stats.Fsyncs++
+		d.n.fsyncs.Add(1)
 		h.dirty = false
 	}
 	return nil
 }
 
-// Stats implements Store.
+// Stats implements Store. It takes no lock, so it answers while an
+// append or a snapshot install waits on an fsync.
 func (d *Disk) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
+	n := &d.n
+	return Stats{
+		Snapshots: n.snapshots.Load(), SnapshotBytes: n.snapshotBytes.Load(),
+		WALAppends: n.walAppends.Load(), WALBytes: n.walBytes.Load(),
+		WALTruncations: n.walTruncations.Load(), Deletes: n.deletes.Load(),
+		Loads: n.loads.Load(), Fsyncs: n.fsyncs.Load(),
+		TornRecords: n.tornRecords.Load(), TornBytes: n.tornBytes.Load(),
+		Errors: n.errors.Load(),
+	}
 }
 
 // Close implements Store.
@@ -569,7 +585,7 @@ func (d *Disk) Close() error {
 			if err := h.f.Sync(); err != nil && first == nil {
 				first = err
 			} else if err == nil {
-				d.stats.Fsyncs++
+				d.n.fsyncs.Add(1)
 			}
 		}
 		if err := h.f.Close(); err != nil && first == nil {

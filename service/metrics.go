@@ -19,9 +19,12 @@ import (
 //     adds, a few tens of nanoseconds against a millisecond-scale
 //     protocol run. DESIGN.md states this contract.
 //   - Everything the engine already counts (requests, cache, uploads,
-//     row updates, shard pool, occupancy) exports as func-backed
+//     row updates, shard pool, store, occupancy) exports as func-backed
 //     families sampled from the live counters at scrape time: zero
-//     hot-path cost, and /metrics can never disagree with /stats.
+//     hot-path cost, and /metrics can never disagree with /stats. The
+//     label-less ones are rows of one table — name, help, counter or
+//     gauge, and one read — and no read takes a lock a write holds
+//     across I/O, so a scrape never waits on an fsync.
 type engineMetrics struct {
 	reg *metrics.Registry
 	// reqDur holds the per-kind protocol-duration histograms,
@@ -52,14 +55,11 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		"Admission-slot wait before a query (or batch) starts executing, reported separately from service time.",
 		queueWaitBuckets())
 
-	perKind := func() (map[string]KindStats, Stats) {
-		s := e.stats.countersSnapshot(e.reg.len())
-		return s.PerKind, s
-	}
+	counters := func() Stats { return e.stats.countersSnapshot(e.reg.len()) }
 	reg.CounterFunc("mp_requests_total",
 		"Estimate queries by protocol kind and outcome.",
 		[]string{"kind", "outcome"}, func() []metrics.Sample {
-			pk, _ := perKind()
+			pk := counters().PerKind
 			out := make([]metrics.Sample, 0, 2*len(pk))
 			for kind, ks := range pk {
 				out = append(out,
@@ -71,59 +71,13 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	reg.CounterFunc("mp_protocol_bits_total",
 		"Exact protocol communication payload shipped, by kind (bits).",
 		[]string{"kind"}, func() []metrics.Sample {
-			pk, _ := perKind()
+			pk := counters().PerKind
 			out := make([]metrics.Sample, 0, len(pk))
 			for kind, ks := range pk {
 				out = append(out, metrics.Sample{Labels: []string{kind}, Value: float64(ks.Bits)})
 			}
 			return out
 		})
-	reg.CounterFunc("mp_rejected_total",
-		"Admissions shed with 429 because the worker pool and queue were full.",
-		nil, func() []metrics.Sample {
-			_, s := perKind()
-			return []metrics.Sample{{Value: float64(s.Rejected)}}
-		})
-	reg.CounterFunc("mp_evictions_total",
-		"Served matrices LRU-evicted from the registry.",
-		nil, func() []metrics.Sample {
-			_, s := perKind()
-			return []metrics.Sample{{Value: float64(s.Evictions)}}
-		})
-	reg.GaugeFunc("mp_matrices",
-		"Served matrices currently in the registry.",
-		nil, func() []metrics.Sample {
-			return []metrics.Sample{{Value: float64(e.reg.len())}}
-		})
-	reg.GaugeFunc("mp_uptime_seconds",
-		"Time since the engine started serving.",
-		nil, func() []metrics.Sample {
-			return []metrics.Sample{{Value: time.Since(e.stats.start).Seconds()}}
-		})
-
-	// Worker-pool occupancy: live channel fill levels, not counters —
-	// a scrape sees the instantaneous saturation state.
-	reg.GaugeFunc("mp_workers_busy",
-		"Worker slots currently executing protocol jobs.",
-		nil, func() []metrics.Sample {
-			return []metrics.Sample{{Value: float64(len(e.workers))}}
-		})
-	reg.GaugeFunc("mp_workers_capacity",
-		"Configured worker-pool size.",
-		nil, func() []metrics.Sample {
-			return []metrics.Sample{{Value: float64(cap(e.workers))}}
-		})
-	reg.GaugeFunc("mp_queue_depth",
-		"Admissions currently waiting for a worker slot.",
-		nil, func() []metrics.Sample {
-			return []metrics.Sample{{Value: float64(len(e.queue))}}
-		})
-	reg.GaugeFunc("mp_queue_capacity",
-		"Configured admission-queue depth.",
-		nil, func() []metrics.Sample {
-			return []metrics.Sample{{Value: float64(cap(e.queue))}}
-		})
-
 	if e.cache != nil {
 		reg.CounterFunc("mp_cache_lookups_total",
 			"Sketch-cache lookups by result.",
@@ -134,87 +88,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 					{Labels: []string{"miss"}, Value: float64(cs.Misses)},
 				}
 			})
-		reg.GaugeFunc("mp_cache_entries",
-			"Precomputed Bob-side states currently cached.",
-			nil, func() []metrics.Sample {
-				return []metrics.Sample{{Value: float64(e.cache.snapshot().Entries)}}
-			})
-		reg.GaugeFunc("mp_cache_bytes",
-			"Summed in-memory size of the cached states.",
-			nil, func() []metrics.Sample {
-				return []metrics.Sample{{Value: float64(e.cache.snapshot().Bytes)}}
-			})
-		reg.GaugeFunc("mp_cache_seed_epoch",
-			"Current seed epoch of the sketch cache.",
-			nil, func() []metrics.Sample {
-				return []metrics.Sample{{Value: float64(e.cache.snapshot().SeedEpoch)}}
-			})
 	}
-
-	if e.persist != nil {
-		persistStats := func() PersistStats { return e.persist.snapshot() }
-		reg.CounterFunc("mp_store_snapshots_total",
-			"Matrix snapshots persisted to the durable store (installs and compactions).",
-			nil, func() []metrics.Sample {
-				return []metrics.Sample{{Value: float64(persistStats().Snapshots)}}
-			})
-		reg.CounterFunc("mp_store_wal_appends_total",
-			"Row-update records appended to the write-ahead log.",
-			nil, func() []metrics.Sample {
-				return []metrics.Sample{{Value: float64(persistStats().WALAppends)}}
-			})
-		reg.CounterFunc("mp_store_compactions_total",
-			"Background snapshot compactions (snapshot plus WAL truncation).",
-			nil, func() []metrics.Sample {
-				return []metrics.Sample{{Value: float64(persistStats().Compactions)}}
-			})
-		reg.CounterFunc("mp_store_tombstones_total",
-			"Durable matrix states removed by DELETE and LRU eviction.",
-			nil, func() []metrics.Sample {
-				return []metrics.Sample{{Value: float64(persistStats().Tombstones)}}
-			})
-		reg.CounterFunc("mp_store_errors_total",
-			"Failed durable-store operations.",
-			nil, func() []metrics.Sample {
-				return []metrics.Sample{{Value: float64(persistStats().Errors)}}
-			})
-		reg.CounterFunc("mp_store_recovered_matrices_total",
-			"Matrices restored from durable state at boot.",
-			nil, func() []metrics.Sample {
-				return []metrics.Sample{{Value: float64(persistStats().RecoveredMatrices)}}
-			})
-		reg.CounterFunc("mp_store_replayed_records_total",
-			"WAL records replayed over snapshots at boot.",
-			nil, func() []metrics.Sample {
-				return []metrics.Sample{{Value: float64(persistStats().ReplayedRecords)}}
-			})
-		reg.CounterFunc("mp_store_recovery_errors_total",
-			"Matrices or log suffixes skipped at boot because their durable state did not validate.",
-			nil, func() []metrics.Sample {
-				return []metrics.Sample{{Value: float64(persistStats().RecoveryErrors)}}
-			})
-		reg.CounterFunc("mp_store_fsyncs_total",
-			"fsync calls issued by the durable store (files and directories).",
-			nil, func() []metrics.Sample {
-				return []metrics.Sample{{Value: float64(persistStats().Backend.Fsyncs)}}
-			})
-		reg.CounterFunc("mp_store_torn_records_total",
-			"Torn WAL tail records detected and truncated on open — the expected shape of a crash mid-append.",
-			nil, func() []metrics.Sample {
-				return []metrics.Sample{{Value: float64(persistStats().Backend.TornRecords)}}
-			})
-		reg.CounterFunc("mp_store_snapshot_bytes_total",
-			"Summed payload bytes of persisted snapshots.",
-			nil, func() []metrics.Sample {
-				return []metrics.Sample{{Value: float64(persistStats().Backend.SnapshotBytes)}}
-			})
-		reg.CounterFunc("mp_store_wal_bytes_total",
-			"Summed payload bytes of appended WAL records.",
-			nil, func() []metrics.Sample {
-				return []metrics.Sample{{Value: float64(persistStats().Backend.WALBytes)}}
-			})
-	}
-
 	reg.CounterFunc("mp_uploads_total",
 		"Chunked-upload lifecycle events.",
 		[]string{"event"}, func() []metrics.Sample {
@@ -226,22 +100,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 				{Labels: []string{"expired"}, Value: float64(us.Expired)},
 			}
 		})
-	reg.CounterFunc("mp_upload_chunks_total",
-		"Chunks accepted across all chunked uploads.",
-		nil, func() []metrics.Sample {
-			return []metrics.Sample{{Value: float64(e.uploads.Stats().Chunks)}}
-		})
-	reg.GaugeFunc("mp_uploads_active",
-		"Chunked uploads currently staged (begun, not yet committed).",
-		nil, func() []metrics.Sample {
-			return []metrics.Sample{{Value: float64(e.uploads.Stats().Active)}}
-		})
-	reg.GaugeFunc("mp_upload_staged_elems",
-		"Total rows*cols staged across active chunked uploads, against the MaxStagedElems budget.",
-		nil, func() []metrics.Sample {
-			return []metrics.Sample{{Value: float64(e.uploads.Stats().StagedElems)}}
-		})
-
 	reg.CounterFunc("mp_row_update_requests_total",
 		"PATCH row-update requests by outcome.",
 		[]string{"outcome"}, func() []metrics.Sample {
@@ -250,11 +108,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 				{Labels: []string{"ok"}, Value: float64(ru.Requests - ru.Errors)},
 				{Labels: []string{"error"}, Value: float64(ru.Errors)},
 			}
-		})
-	reg.CounterFunc("mp_rows_updated_total",
-		"Row patches applied to served matrices.",
-		nil, func() []metrics.Sample {
-			return []metrics.Sample{{Value: float64(e.rowUpd.snapshot().Rows)}}
 		})
 	reg.CounterFunc("mp_cache_state_migrations_total",
 		"Cached Bob states migrated across row updates, by result.",
@@ -265,35 +118,101 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 				{Labels: []string{"dropped"}, Value: float64(ru.StatesDropped)},
 			}
 		})
-
-	// Shard-pool occupancy. The pool is process-wide (see ShardStats),
-	// so in a process hosting several engines these aggregate across
-	// them — same caveat as /stats.
-	reg.GaugeFunc("mp_shards",
-		"Configured row shards per job on the parallel serve path.",
-		nil, func() []metrics.Sample {
-			return []metrics.Sample{{Value: float64(e.cfg.Shards)}}
-		})
-	reg.CounterFunc("mp_shard_jobs_total",
-		"Sharded sections that ran in parallel on the process-wide pool.",
-		nil, func() []metrics.Sample {
-			return []metrics.Sample{{Value: float64(shardStatsSnapshot(e.cfg.Shards).Jobs)}}
-		})
-	reg.CounterFunc("mp_shard_tasks_total",
-		"Shard tasks executed by the process-wide pool.",
-		nil, func() []metrics.Sample {
-			return []metrics.Sample{{Value: float64(shardStatsSnapshot(e.cfg.Shards).Tasks)}}
-		})
+	// The shard pool is process-wide (see ShardStats), so in a process
+	// hosting several engines its families aggregate across them — same
+	// caveat as /stats.
+	shards := func() ShardStats { return shardStatsSnapshot(e.cfg.Shards) }
 	reg.CounterFunc("mp_shard_busy_seconds_total",
 		"Cumulative busy time per shard index — near-equal values mean a healthy row distribution.",
 		[]string{"shard"}, func() []metrics.Sample {
-			busy := shardStatsSnapshot(e.cfg.Shards).Busy
+			busy := shards().Busy
 			out := make([]metrics.Sample, len(busy))
 			for i, d := range busy {
 				out[i] = metrics.Sample{Labels: []string{strconv.Itoa(i)}, Value: d.Seconds()}
 			}
 			return out
 		})
+
+	// The label-less families: one read each of a snapshot the engine
+	// already keeps. Worker-pool occupancy reads live channel fill
+	// levels, so a scrape sees the instantaneous saturation state.
+	counter, gauge := reg.CounterFunc, reg.GaugeFunc
+	type row struct {
+		name, help string
+		register   func(name, help string, labels []string, collect func() []metrics.Sample)
+		read       func() float64
+	}
+	rows := []row{
+		{"mp_rejected_total", "Admissions shed with 429 because the worker pool and queue were full.", counter,
+			func() float64 { return float64(counters().Rejected) }},
+		{"mp_evictions_total", "Served matrices LRU-evicted from the registry.", counter,
+			func() float64 { return float64(counters().Evictions) }},
+		{"mp_matrices", "Served matrices currently in the registry.", gauge,
+			func() float64 { return float64(e.reg.len()) }},
+		{"mp_uptime_seconds", "Time since the engine started serving.", gauge,
+			func() float64 { return time.Since(e.stats.start).Seconds() }},
+		{"mp_workers_busy", "Worker slots currently executing protocol jobs.", gauge,
+			func() float64 { return float64(len(e.workers)) }},
+		{"mp_workers_capacity", "Configured worker-pool size.", gauge,
+			func() float64 { return float64(cap(e.workers)) }},
+		{"mp_queue_depth", "Admissions currently waiting for a worker slot.", gauge,
+			func() float64 { return float64(len(e.queue)) }},
+		{"mp_queue_capacity", "Configured admission-queue depth.", gauge,
+			func() float64 { return float64(cap(e.queue)) }},
+		{"mp_upload_chunks_total", "Chunks accepted across all chunked uploads.", counter,
+			func() float64 { return float64(e.uploads.Stats().Chunks) }},
+		{"mp_uploads_active", "Chunked uploads currently staged (begun, not yet committed).", gauge,
+			func() float64 { return float64(e.uploads.Stats().Active) }},
+		{"mp_upload_staged_elems", "Total rows*cols staged across active chunked uploads, against the MaxStagedElems budget.", gauge,
+			func() float64 { return float64(e.uploads.Stats().StagedElems) }},
+		{"mp_rows_updated_total", "Row patches applied to served matrices.", counter,
+			func() float64 { return float64(e.rowUpd.snapshot().Rows) }},
+		{"mp_shards", "Configured row shards per job on the parallel serve path.", gauge,
+			func() float64 { return float64(e.cfg.Shards) }},
+		{"mp_shard_jobs_total", "Sharded sections that ran in parallel on the process-wide pool.", counter,
+			func() float64 { return float64(shards().Jobs) }},
+		{"mp_shard_tasks_total", "Shard tasks executed by the process-wide pool.", counter,
+			func() float64 { return float64(shards().Tasks) }},
+	}
+	if c := e.cache; c != nil {
+		rows = append(rows,
+			row{"mp_cache_entries", "Precomputed Bob-side states currently cached.", gauge,
+				func() float64 { return float64(c.snapshot().Entries) }},
+			row{"mp_cache_bytes", "Summed in-memory size of the cached states.", gauge,
+				func() float64 { return float64(c.snapshot().Bytes) }},
+			row{"mp_cache_seed_epoch", "Current seed epoch of the sketch cache.", gauge,
+				func() float64 { return float64(c.snapshot().SeedEpoch) }})
+	}
+	if p := e.persist; p != nil {
+		rows = append(rows,
+			row{"mp_store_snapshots_total", "Matrix snapshots persisted to the durable store (installs and compactions).", counter,
+				func() float64 { return float64(p.snapshot().Snapshots) }},
+			row{"mp_store_wal_appends_total", "Row-update records appended to the write-ahead log.", counter,
+				func() float64 { return float64(p.snapshot().WALAppends) }},
+			row{"mp_store_compactions_total", "Background snapshot compactions (snapshot plus WAL truncation).", counter,
+				func() float64 { return float64(p.snapshot().Compactions) }},
+			row{"mp_store_tombstones_total", "Durable matrix states removed by DELETE and LRU eviction.", counter,
+				func() float64 { return float64(p.snapshot().Tombstones) }},
+			row{"mp_store_errors_total", "Failed durable-store operations.", counter,
+				func() float64 { return float64(p.snapshot().Errors) }},
+			row{"mp_store_recovered_matrices_total", "Matrices restored from durable state at boot.", counter,
+				func() float64 { return float64(p.snapshot().RecoveredMatrices) }},
+			row{"mp_store_replayed_records_total", "WAL records replayed over snapshots at boot.", counter,
+				func() float64 { return float64(p.snapshot().ReplayedRecords) }},
+			row{"mp_store_recovery_errors_total", "Matrices or log suffixes skipped at boot because their durable state did not validate.", counter,
+				func() float64 { return float64(p.snapshot().RecoveryErrors) }},
+			row{"mp_store_fsyncs_total", "fsync calls issued by the durable store (files and directories).", counter,
+				func() float64 { return float64(p.snapshot().Backend.Fsyncs) }},
+			row{"mp_store_torn_records_total", "Torn WAL tail records detected and truncated on open — the expected shape of a crash mid-append.", counter,
+				func() float64 { return float64(p.snapshot().Backend.TornRecords) }},
+			row{"mp_store_snapshot_bytes_total", "Summed payload bytes of persisted snapshots.", counter,
+				func() float64 { return float64(p.snapshot().Backend.SnapshotBytes) }},
+			row{"mp_store_wal_bytes_total", "Summed payload bytes of appended WAL records.", counter,
+				func() float64 { return float64(p.snapshot().Backend.WALBytes) }})
+	}
+	for _, r := range rows {
+		r.register(r.name, r.help, nil, func() []metrics.Sample { return []metrics.Sample{{Value: r.read()}} })
+	}
 	return m
 }
 

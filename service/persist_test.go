@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"os"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -588,5 +592,85 @@ func TestStoreErrorOnDeleteKeepsMatrix(t *testing.T) {
 	}
 	if got := e.Stats().Store.Errors; got == 0 {
 		t.Fatal("failed tombstone not counted as a store error")
+	}
+}
+
+// syncGateFS is a store.FS whose file fsyncs, once armed, signal entered
+// and wait for release: a disk stuck in fsync.
+type syncGateFS struct {
+	store.OSFS
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+type syncGateFile struct {
+	*os.File
+	fs *syncGateFS
+}
+
+func (f syncGateFile) Sync() error {
+	if f.fs.armed.CompareAndSwap(true, false) {
+		close(f.fs.entered)
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+func (g *syncGateFS) Create(path string) (store.File, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return syncGateFile{f, g}, nil
+}
+
+func (g *syncGateFS) OpenAppend(path string) (store.File, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return syncGateFile{f, g}, nil
+}
+
+// TestStatsAnswerWhileStoreFsyncs holds a row update's WAL fsync and
+// checks that Stats and a /v1/metrics scrape, which read the store's
+// counters, still answer promptly.
+func TestStatsAnswerWhileStoreFsyncs(t *testing.T) {
+	fs := &syncGateFS{entered: make(chan struct{}), release: make(chan struct{})}
+	d := openPersistDisk(t, t.TempDir(), fs)
+	t.Cleanup(func() { d.Close() })
+	srv, client := newTestServer(t, Config{Store: d})
+	// Deferred, so a test that fails early frees the fsync before the
+	// server's cleanup waits on the requests behind it.
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(fs.release) }) }
+	defer release()
+	ctx := context.Background()
+	if _, err := client.UploadMatrix(ctx, "m", testBinaryMatrix(1, 8, 0.5)); err != nil {
+		t.Fatal(err)
+	}
+
+	fs.armed.Store(true)
+	updated := make(chan error, 1)
+	go func() {
+		_, err := client.ReplaceRow(ctx, "m", 0, [][2]int64{{1, 1}})
+		updated <- err
+	}()
+	<-fs.entered
+	const bound = 100 * time.Millisecond
+	hc := &http.Client{Timeout: bound}
+	for _, path := range []string{"/v1/stats", "/v1/metrics"} {
+		resp, err := hc.Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s while the store fsyncs: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s status = %d", path, resp.StatusCode)
+		}
+	}
+	release()
+	if err := <-updated; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -513,22 +513,18 @@ func (e *Engine) runJob(ctx context.Context, req Request) (*Result, error) {
 
 	// Abort the transport when ctx is cancelled mid-run: finishing both
 	// endpoints unblocks (and fails) any pending Send/Recv, and cleanup
-	// closes socket-backed transports outright.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			if alice.Finish != nil {
-				alice.Finish()
-			}
-			if bob.Finish != nil {
-				bob.Finish()
-			}
-			cleanup()
-		case <-watchDone:
+	// closes socket-backed transports outright. No goroutine runs unless
+	// ctx is cancelled.
+	stop := context.AfterFunc(ctx, func() {
+		if alice.Finish != nil {
+			alice.Finish()
 		}
-	}()
+		if bob.Finish != nil {
+			bob.Finish()
+		}
+		cleanup()
+	})
+	defer stop()
 
 	start := time.Now()
 	runErr := core.RunParties(alice, bob, job.alice, job.bob)
