@@ -26,19 +26,14 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/gateway"
+	"repro/service"
 )
 
 func main() {
@@ -77,35 +72,14 @@ func main() {
 	})
 	defer gw.Close()
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           gateway.NewHandler(gw),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
 	log.Printf("mpgateway listening on %s (backends=%d replication=%d write-quorum=%d [0 = every live replica] probe-interval=%v)",
 		*addr, len(pool), *replication, *writeQuorum, *probeInterval)
 	for _, b := range pool {
 		log.Printf("backend: %s", b)
 	}
 
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-stop:
-		log.Printf("received %v, draining", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("shutdown: %v", err)
-		}
-	case err := <-errCh:
-		if !errors.Is(err, http.ErrServerClosed) {
-			log.Fatalf("serve: %v", err)
-		}
+	if err := service.ListenAndServe(*addr, gateway.NewHandler(gw)); err != nil {
+		log.Fatalf("serve: %v", err)
 	}
 	st := gw.Stats()
 	log.Printf("routed %d estimates, %d batches across %d backends: %d failovers, %d retries, %d repairs, %d rebalanced",

@@ -26,16 +26,10 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"os"
-	"os/signal"
 	"sort"
-	"syscall"
 	"time"
 
 	"repro/internal/store"
@@ -112,12 +106,6 @@ func main() {
 			*dataDir, *fsyncFlag, *snapshotEvery, ps.RecoveredMatrices, ps.ReplayedRecords, ps.RecoveryErrors)
 	}
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           service.NewHandler(engine),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
 	kinds := make([]string, 0, len(service.Kinds))
 	for k := range service.Kinds {
 		kinds = append(kinds, k)
@@ -129,23 +117,8 @@ func main() {
 		engine.Stats().Shard.Shards)
 	log.Printf("kinds: %v", kinds)
 
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-stop:
-		log.Printf("received %v, draining", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("shutdown: %v", err)
-		}
-	case err := <-errCh:
-		if !errors.Is(err, http.ErrServerClosed) {
-			log.Fatalf("serve: %v", err)
-		}
+	if err := service.ListenAndServe(*addr, service.NewHandler(engine)); err != nil {
+		log.Fatalf("serve: %v", err)
 	}
 	st := engine.Stats()
 	log.Printf("served %d requests (%d errors, %d rejected), %d protocol bits, p50=%v p99=%v",

@@ -17,8 +17,8 @@ import (
 )
 
 // Gateway errors. The HTTP layer maps them to statuses (see
-// writeError in http.go); service errors wrapped by gateway paths keep
-// their service-side status mapping.
+// Gateway.WriteError in http.go); service errors wrapped by gateway
+// paths keep their service-side status mapping.
 var (
 	// ErrNoBackends is returned when no backend is eligible to take a
 	// placement or a query (mapped to 503).
@@ -578,11 +578,23 @@ func (g *Gateway) repairReplica(ctx context.Context, b *backend, name string) bo
 // answered 404/429/502/503 — see failoverable). A replica that lost
 // the matrix to a restart is repaired in line from the gateway's
 // retained copy and retried. Answered client errors (bad parameters
-// and the like) are returned without failover. The query runs under
-// the default (strong) consistency SLA with no session: it is answered
-// by a replica at the update-log head.
+// and the like) are returned without failover.
+//
+// Under an HTTP request (see NewHandler) the query honours the
+// request's consistency SLA and session, and on success the reply
+// echoes MP-Session, when there is one, and the answering replica's
+// MP-Version. A call with no request runs under the default (strong)
+// SLA with no session: it is answered by a replica at the update-log
+// head.
 func (g *Gateway) Estimate(ctx context.Context, req service.Request) (*service.Result, error) {
-	res, _, err := g.estimateSLA(ctx, req, SLA{}, "")
+	sla, sess, err := g.slaOf(ctx)
+	if err != nil {
+		return nil, err
+	}
+	res, ver, err := g.estimateSLA(ctx, req, sla, sess)
+	if err == nil {
+		echo(ctx, sess, ver.String())
+	}
 	return res, err
 }
 
@@ -784,8 +796,21 @@ func boundedFloorLocked(st *matrixUpd, cutoff time.Time) version {
 // query through Estimate's failover path, so one dying backend costs
 // latency, not answers. Queries naming unplaced matrices fail in their
 // item, matching the single-backend batch semantics.
+//
+// Under an HTTP request the batch honours its consistency SLA and
+// session like Estimate, and on success the reply echoes MP-Session
+// but carries no MP-Version: the items may come from replicas at
+// different versions.
 func (g *Gateway) EstimateBatch(ctx context.Context, reqs []service.Request) ([]service.BatchItem, error) {
-	return g.estimateBatchSLA(ctx, reqs, SLA{}, "")
+	sla, sess, err := g.slaOf(ctx)
+	if err != nil {
+		return nil, err
+	}
+	items, err := g.estimateBatchSLA(ctx, reqs, sla, sess)
+	if err == nil {
+		echo(ctx, sess, "")
+	}
+	return items, err
 }
 
 // estimateBatchSLA is EstimateBatch under a consistency SLA: queries

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -285,4 +286,106 @@ func TestGatewayClosed(t *testing.T) {
 		t.Fatalf("admin after close: %v", err)
 	}
 	g.Close() // idempotent
+}
+
+// TestHTTPJSONTrailingBytes pins the service tier's one-value JSON body
+// rule at the gateway: trailing garbage or a second concatenated object
+// is a 400 before any backend is contacted.
+func TestHTTPJSONTrailingBytes(t *testing.T) {
+	b1 := startBackend(t)
+	_, gc := startGatewayServer(t, 1, b1.addr)
+	const m = `{"rows":2,"cols":2,"entries":[[0,0,1]]}`
+	for body, want := range map[string]int{
+		m + " trailing":  http.StatusBadRequest,
+		m + `{"rows":9}`: http.StatusBadRequest,
+		m + "\n":         http.StatusOK,
+	} {
+		req, err := http.NewRequest(http.MethodPut, gc.BaseURL+"/v1/matrix/t", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("PUT %q: status %d, want %d", body, resp.StatusCode, want)
+		}
+	}
+}
+
+// TestHTTPHeaderEcho pins which consistency headers each gateway route
+// returns: a row update and a single estimate carry MP-Version, a batch
+// carries none (its items may come from replicas at different
+// versions), MP-Session is echoed whenever the request has a session,
+// and ?consistency= is parsed on reads only.
+func TestHTTPHeaderEcho(t *testing.T) {
+	n := 8
+	b1 := startBackend(t)
+	_, gc := startGatewayServer(t, 1, b1.addr)
+	wire, _ := testMatrix(n)
+	if _, err := gc.UploadMatrix(context.Background(), "m", wire); err != nil {
+		t.Fatal(err)
+	}
+	query, err := json.Marshal(exactReq("m", n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := `{"queries":[` + string(query) + `]}`
+	do := func(method, path, body, session string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, gc.BaseURL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		if session != "" {
+			req.Header.Set("MP-Session", session)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+	check := func(what string, resp *http.Response, status int, session string, version bool) {
+		t.Helper()
+		if resp.StatusCode != status {
+			t.Fatalf("%s: status %d, want %d", what, resp.StatusCode, status)
+		}
+		if got := resp.Header.Get("MP-Session"); got != session {
+			t.Errorf("%s: MP-Session %q, want %q", what, got, session)
+		}
+		if got := resp.Header.Get("MP-Version"); (got != "") != version {
+			t.Errorf("%s: MP-Version %q, want present=%v", what, got, version)
+		}
+	}
+	const patch = `{"row":0,"entries":[[1,5]]}`
+
+	check("PATCH with session", do("PATCH", "/v1/matrices/m/rows", patch, "wtok"), http.StatusOK, "wtok", true)
+	check("PATCH without session", do("PATCH", "/v1/matrices/m/rows", patch, ""), http.StatusOK, "", true)
+
+	resp := do("POST", "/v1/estimate?consistency=monotonic", string(query), "")
+	tok := resp.Header.Get("MP-Session")
+	if tok == "" {
+		t.Fatal("monotonic estimate without a token minted no MP-Session")
+	}
+	check("minting monotonic estimate", resp, http.StatusOK, tok, true)
+	check("strong estimate without session", do("POST", "/v1/estimate", string(query), ""), http.StatusOK, "", true)
+
+	check("batch with session", do("POST", "/v1/estimate/batch", batch, tok), http.StatusOK, tok, false)
+	check("batch without session", do("POST", "/v1/estimate/batch", batch, ""), http.StatusOK, "", false)
+
+	// The SLA is parsed on reads only: a bad level fails a read before
+	// any routing and is ignored by writes.
+	check("bad consistency estimate", do("POST", "/v1/estimate?consistency=bogus", string(query), tok), http.StatusBadRequest, "", false)
+	check("bad consistency batch", do("POST", "/v1/estimate/batch?consistency=bogus", batch, tok), http.StatusBadRequest, "", false)
+	check("bad consistency PATCH", do("PATCH", "/v1/matrices/m/rows?consistency=bogus", patch, tok), http.StatusOK, tok, true)
+	resp = do("PUT", "/v1/matrix/p?consistency=bogus", `{"rows":2,"cols":2,"entries":[[0,0,1]]}`, tok)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("PUT with a bad consistency: status %d, want 200", resp.StatusCode)
+	}
 }

@@ -51,8 +51,18 @@ import (
 // apply loop drains the rest (see async.go). Updates are serialized per
 // matrix; a concurrent full replacement of the name wins with
 // ErrConflict and the replicas are converged back to it.
+//
+// Under an HTTP request (see NewHandler) the update takes the request's
+// session — consistency levels apply to reads only — and on success the
+// reply echoes MP-Session, when there is one, and the committed
+// MP-Version, which a client can hand to another consumer as a read
+// floor. A call with no request runs with no session.
 func (g *Gateway) UpdateRows(ctx context.Context, name string, req service.UpdateRequest) (service.UpdateReply, error) {
-	rep, _, err := g.updateRowsSLA(ctx, name, req, "")
+	sess := sessionToken(ctx)
+	rep, ver, err := g.updateRowsSLA(ctx, name, req, sess)
+	if err == nil {
+		echo(ctx, sess, ver.String())
+	}
 	return rep, err
 }
 

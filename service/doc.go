@@ -37,11 +37,13 @@
 // # HTTP surface
 //
 // NewHandler exposes the engine as a JSON API and Client is its typed
-// counterpart; docs/API.md is the complete HTTP reference. The
-// exported helpers DecodeJSON, WriteJSON, and WriteError plus
-// Client.DoJSON let HTTP tiers layered on this API — package gateway,
-// the replicated multi-backend front tier — share the same body-limit,
-// error-mapping, and request plumbing. cmd/mpserver and cmd/mpload are
-// the runnable server and load generator; cmd/mpgateway fronts a fleet
-// of servers.
+// counterpart; docs/API.md is the complete HTTP reference. The ten /v1
+// routes are declared once, by Routes, over the Front interface: the
+// engine serves through a thin adapter, and package gateway, the
+// replicated multi-backend front tier, serves the same table with its
+// *Gateway, so the tiers share one body limit, decode → call → reply
+// shape and error envelope. ListenAndServe is both binaries' serve
+// loop: it drains in-flight requests on SIGINT/SIGTERM. cmd/mpserver
+// and cmd/mpload are the runnable server and load generator;
+// cmd/mpgateway fronts a fleet of servers.
 package service

@@ -1,12 +1,19 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log"
 	"math"
 	"net/http"
+	"os"
+	"os/signal"
 	"strconv"
+	"syscall"
+	"time"
 
 	"repro/internal/metrics"
 )
@@ -17,7 +24,56 @@ import (
 var maxBodyBytes int64 = 256 << 20
 
 // NewHandler exposes the engine as an HTTP API under the versioned
-// /v1 prefix, the only surface it serves:
+// /v1 prefix, the only surface it serves: the ten routes of Routes.
+func NewHandler(e *Engine) http.Handler {
+	mux := http.NewServeMux()
+	Routes[UploadReply, []MatrixInfo, Stats](mux, engineFront{e})
+	return mux
+}
+
+// Front is the surface one tier serves under /v1: the engine's (see
+// NewHandler) and package gateway's. U is the reply of an upload (PUT
+// or chunked commit), L the matrix listing and S the statistics.
+type Front[U, L, S any] interface {
+	PutMatrix(ctx context.Context, name string, m Matrix) (U, error)
+	DeleteMatrix(ctx context.Context, name string) error
+	Matrices() L
+	BeginUpload(name string, rows, cols int) (UploadInfo, error)
+	AppendChunk(name, token string, rowStart, rowEnd int, entries [][3]int64) (UploadInfo, error)
+	CommitUpload(ctx context.Context, name, token string) (U, error)
+	AbortUpload(name, token string) error
+	UpdateRows(ctx context.Context, name string, req UpdateRequest) (UpdateReply, error)
+	Estimate(ctx context.Context, req Request) (*Result, error)
+	EstimateBatch(ctx context.Context, reqs []Request) ([]BatchItem, error)
+	Stats() S
+	Metrics() *metrics.Registry
+	// WriteError writes err as the tier's error reply.
+	WriteError(w http.ResponseWriter, err error)
+}
+
+// engineFront serves the engine as a Front: an upload's reply folds in
+// the evicted names, and the engine's writes take no context.
+type engineFront struct{ *Engine }
+
+func (f engineFront) PutMatrix(_ context.Context, name string, m Matrix) (UploadReply, error) {
+	info, evicted, err := f.Engine.PutMatrix(name, m)
+	return UploadReply{MatrixInfo: info, Evicted: evicted}, err
+}
+
+func (f engineFront) CommitUpload(_ context.Context, name, token string) (UploadReply, error) {
+	info, evicted, err := f.Engine.CommitUpload(name, token)
+	return UploadReply{MatrixInfo: info, Evicted: evicted}, err
+}
+
+func (f engineFront) DeleteMatrix(_ context.Context, name string) error {
+	return f.Engine.DeleteMatrix(name)
+}
+
+func (f engineFront) UpdateRows(_ context.Context, name string, req UpdateRequest) (UpdateReply, error) {
+	return f.Engine.UpdateRows(name, req)
+}
+
+// Routes declares the /v1 API on mux, served by f:
 //
 //	PUT    /v1/matrix/{name}           upload/replace a served matrix (single body)
 //	DELETE /v1/matrix/{name}           remove a served matrix
@@ -40,117 +96,94 @@ var maxBodyBytes int64 = 256 << 20
 // {"op":"commit","upload":…}), so each request body holds only one
 // row-range chunk and matrices far beyond the single-body size limit
 // can be admitted.
-func NewHandler(e *Engine) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("PUT /v1/matrix/{name}", func(w http.ResponseWriter, r *http.Request) {
-		var m Matrix
-		if err := DecodeRequest(w, r, &m); err != nil {
-			e.writeError(w, err)
-			return
-		}
-		info, evicted, err := e.PutMatrix(r.PathValue("name"), m)
-		if err != nil {
-			e.writeError(w, err)
-			return
-		}
-		WriteReply(w, r, http.StatusOK, UploadReply{MatrixInfo: info, Evicted: evicted})
-	})
+func Routes[U, L, S any](mux *http.ServeMux, f Front[U, L, S]) {
+	mux.HandleFunc("PUT /v1/matrix/{name}", handle(f.WriteError, func(r *http.Request, m Matrix) (U, error) {
+		return f.PutMatrix(r.Context(), r.PathValue("name"), m)
+	}))
 	mux.HandleFunc("DELETE /v1/matrix/{name}", func(w http.ResponseWriter, r *http.Request) {
-		if err := e.DeleteMatrix(r.PathValue("name")); err != nil {
-			e.writeError(w, err)
+		if err := f.DeleteMatrix(r.Context(), r.PathValue("name")); err != nil {
+			f.WriteError(w, err)
 			return
 		}
 		WriteJSON(w, http.StatusOK, map[string]string{"deleted": r.PathValue("name")})
 	})
 	mux.HandleFunc("GET /v1/matrices", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, e.Matrices())
+		WriteJSON(w, http.StatusOK, f.Matrices())
 	})
-	mux.HandleFunc("POST /v1/matrices/{name}/chunks", func(w http.ResponseWriter, r *http.Request) {
-		var req ChunkRequest
-		if err := DecodeRequest(w, r, &req); err != nil {
-			e.writeError(w, err)
-			return
-		}
+	mux.HandleFunc("POST /v1/matrices/{name}/chunks", handle(f.WriteError, func(r *http.Request, req ChunkRequest) (any, error) {
 		name := r.PathValue("name")
 		switch req.Op {
 		case "begin":
-			info, err := e.BeginUpload(name, req.Rows, req.Cols)
-			if err != nil {
-				e.writeError(w, err)
-				return
-			}
-			WriteJSON(w, http.StatusOK, info)
+			return f.BeginUpload(name, req.Rows, req.Cols)
 		case "append":
-			info, err := e.AppendChunk(name, req.Upload, req.RowStart, req.RowEnd, req.Entries)
-			if err != nil {
-				e.writeError(w, err)
-				return
-			}
-			WriteJSON(w, http.StatusOK, info)
+			return f.AppendChunk(name, req.Upload, req.RowStart, req.RowEnd, req.Entries)
 		case "commit":
-			info, evicted, err := e.CommitUpload(name, req.Upload)
-			if err != nil {
-				e.writeError(w, err)
-				return
-			}
-			WriteReply(w, r, http.StatusOK, UploadReply{MatrixInfo: info, Evicted: evicted})
+			return f.CommitUpload(r.Context(), name, req.Upload)
 		case "abort":
-			if err := e.AbortUpload(name, req.Upload); err != nil {
-				e.writeError(w, err)
-				return
-			}
-			WriteJSON(w, http.StatusOK, map[string]string{"aborted": req.Upload})
-		default:
-			e.writeError(w, fmt.Errorf("%w: unknown chunk op %q", ErrBadRequest, req.Op))
+			return map[string]string{"aborted": req.Upload}, f.AbortUpload(name, req.Upload)
 		}
-	})
-	mux.HandleFunc("PATCH /v1/matrices/{name}/rows", func(w http.ResponseWriter, r *http.Request) {
-		var req UpdateRequest
-		if err := DecodeRequest(w, r, &req); err != nil {
-			e.writeError(w, err)
-			return
-		}
-		rep, err := e.UpdateRows(r.PathValue("name"), req)
-		if err != nil {
-			e.writeError(w, err)
-			return
-		}
-		WriteReply(w, r, http.StatusOK, rep)
-	})
-	mux.HandleFunc("POST /v1/estimate", func(w http.ResponseWriter, r *http.Request) {
-		var req Request
-		if err := DecodeRequest(w, r, &req); err != nil {
-			e.writeError(w, err)
-			return
-		}
-		res, err := e.Estimate(r.Context(), req)
-		if err != nil {
-			e.writeError(w, err)
-			return
-		}
-		WriteReply(w, r, http.StatusOK, res)
-	})
-	mux.HandleFunc("POST /v1/estimate/batch", func(w http.ResponseWriter, r *http.Request) {
-		var req BatchRequest
-		if err := DecodeRequest(w, r, &req); err != nil {
-			e.writeError(w, err)
-			return
-		}
-		items, err := e.EstimateBatch(r.Context(), req.Queries)
-		if err != nil {
-			e.writeError(w, err)
-			return
-		}
-		WriteReply(w, r, http.StatusOK, BatchResponse{Results: items})
-	})
+		return nil, fmt.Errorf("%w: unknown chunk op %q", ErrBadRequest, req.Op)
+	}))
+	mux.HandleFunc("PATCH /v1/matrices/{name}/rows", handle(f.WriteError, func(r *http.Request, req UpdateRequest) (UpdateReply, error) {
+		return f.UpdateRows(r.Context(), r.PathValue("name"), req)
+	}))
+	mux.HandleFunc("POST /v1/estimate", handle(f.WriteError, func(r *http.Request, req Request) (*Result, error) {
+		return f.Estimate(r.Context(), req)
+	}))
+	mux.HandleFunc("POST /v1/estimate/batch", handle(f.WriteError, func(r *http.Request, req BatchRequest) (BatchResponse, error) {
+		items, err := f.EstimateBatch(r.Context(), req.Queries)
+		return BatchResponse{Results: items}, err
+	}))
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, e.Stats())
+		WriteJSON(w, http.StatusOK, f.Stats())
 	})
-	mux.Handle("GET /v1/metrics", metrics.Handler(e.Metrics()))
+	mux.Handle("GET /v1/metrics", metrics.Handler(f.Metrics()))
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	return mux
+}
+
+// handle is one body-carrying route: decode a T, call, and reply with
+// the result in the negotiated encoding or with the call's error.
+func handle[T, R any](writeError func(http.ResponseWriter, error), call func(*http.Request, T) (R, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req T
+		if err := DecodeRequest(w, r, &req); err != nil {
+			writeError(w, err)
+			return
+		}
+		rep, err := call(r, req)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		WriteReply(w, r, http.StatusOK, rep)
+	}
+}
+
+// ListenAndServe serves h on addr until SIGINT or SIGTERM, then drains
+// in-flight requests for up to 10 s. It returns nil after a drain and
+// the listener's error otherwise.
+func ListenAndServe(addr string, h http.Handler) error {
+	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.ListenAndServe() }()
+
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(stop)
+	select {
+	case sig := <-stop:
+		log.Printf("received %v, draining", sig)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			log.Printf("shutdown: %v", err)
+		}
+		return nil
+	case err := <-errCh:
+		return err
+	}
 }
 
 // ChunkRequest is the body of POST /v1/matrices/{name}/chunks: one
@@ -209,14 +242,21 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)) //mp:rawwire-ok this IS the sanctioned decode helper
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return fmt.Errorf("%w: body exceeds %d bytes", ErrBodyTooLarge, mbe.Limit)
+	err := dec.Decode(v)
+	if err == nil {
+		// A body is exactly one value, as a binary body is: anything
+		// but whitespace after it is refused.
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
+		} else if err == nil {
+			err = errors.New("trailing data after the JSON value")
 		}
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	return nil
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return fmt.Errorf("%w: body exceeds %d bytes", ErrBodyTooLarge, mbe.Limit)
+	}
+	return fmt.Errorf("%w: %v", ErrBadRequest, err)
 }
 
 // WriteJSON writes v as the JSON response body with the given status.
@@ -278,12 +318,12 @@ func ErrorCode(err error) (status int, code string) {
 	}
 }
 
-// writeError is WriteError with the engine's backoff hint attached:
-// admission sheds (ErrOverloaded → 429) carry a Retry-After header
-// derived from the recent median queue wait, so open-loop clients and
-// the gateway's failover stop hammering a saturated engine instead of
-// retrying into the same full queue.
-func (e *Engine) writeError(w http.ResponseWriter, err error) {
+// WriteError is the package's WriteError with the engine's backoff
+// hint attached: admission sheds (ErrOverloaded → 429) carry a
+// Retry-After header derived from the recent median queue wait, so
+// open-loop clients and the gateway's failover stop hammering a
+// saturated engine instead of retrying into the same full queue.
+func (e *Engine) WriteError(w http.ResponseWriter, err error) {
 	if errors.Is(err, ErrOverloaded) {
 		secs := int(math.Ceil(e.RetryAfter().Seconds()))
 		w.Header().Set("Retry-After", strconv.Itoa(secs))

@@ -227,3 +227,32 @@ func TestClientAuxiliarySurfaces(t *testing.T) {
 		t.Fatalf("APIError.Error() = %q", got)
 	}
 }
+
+// TestHTTPJSONTrailingBytes pins that a JSON body is exactly one value:
+// trailing garbage or a second concatenated object is a 400, as
+// trailing bytes after a binary body already are. Whitespace after the
+// value (json.Encoder's newline) stays accepted.
+func TestHTTPJSONTrailingBytes(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	const m = `{"rows":2,"cols":2,"entries":[[0,0,1]]}`
+	for body, want := range map[string]int{
+		m + " trailing":  http.StatusBadRequest,
+		m + `{"rows":9}`: http.StatusBadRequest,
+		m + "]":          http.StatusBadRequest,
+		m + " \n\t":      http.StatusOK,
+		"\n" + m + "\n":  http.StatusOK,
+	} {
+		req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/matrix/t", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("PUT %q: status %d, want %d", body, resp.StatusCode, want)
+		}
+	}
+}
