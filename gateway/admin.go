@@ -57,7 +57,8 @@ func (g *Gateway) probeLoop() {
 // health state. An unhealthy backend that answers is resynced —
 // re-seeded with every matrix placed on it that it no longer holds —
 // before it is re-admitted, so a restarted (empty) backend returns to
-// rotation already serving its share.
+// rotation already serving its share. So is a healthy one marked by
+// dropCopy.
 func (g *Gateway) probeBackend(b *backend) {
 	b.mu.Lock()
 	demotionsBefore := b.demotions
@@ -91,7 +92,7 @@ func (g *Gateway) probeBackend(b *backend) {
 	b.consecFails = 0
 	b.nextProbe = now.Add(g.cfg.ProbeInterval)
 	b.mu.Unlock()
-	if !wasHealthy {
+	if b.sweep.Swap(false) || !wasHealthy {
 		g.resyncBackend(b)
 	}
 	b.mu.Lock()
@@ -121,12 +122,13 @@ func (g *Gateway) probeBackend(b *backend) {
 // missing — Resyncs advances while Repairs and ReseedBytes do not,
 // which is how the stats distinguish disk recovery from gateway
 // re-seeding. Best-effort: a failure leaves the backend to the
-// estimate path's per-query repair.
+// estimate path's per-query repair, or to the next probe's sweep.
 func (g *Gateway) resyncBackend(b *backend) {
 	ctx, cancel := context.WithTimeout(g.baseCtx, 30*time.Second)
 	defer cancel()
 	held, err := b.client.Matrices(ctx)
 	if err != nil {
+		b.sweep.Store(true)
 		return
 	}
 	g.resyncs.Add(1)
@@ -154,9 +156,24 @@ func (g *Gateway) resyncBackend(b *backend) {
 		}
 	}
 	for _, mi := range held {
-		if !placed[mi.Name] {
-			_ = b.client.DeleteMatrix(ctx, mi.Name)
+		if placed[mi.Name] {
+			continue
 		}
+		// A write of the name: a put shipping it to b is waited out.
+		st := g.lockWriter(mi.Name, true)
+		if _, reps, err := g.replicaSnapshot(mi.Name); err != nil || !slices.Contains(reps, b) {
+			g.dropCopy(ctx, b, mi.Name)
+		}
+		g.unlockWriter(mi.Name, st)
+	}
+}
+
+// dropCopy deletes name's copy from b, best-effort. A copy b may still
+// hold (no answer, or an error other than 404) would fill its registry,
+// so b is marked for a sweep at its next successful probe.
+func (g *Gateway) dropCopy(ctx context.Context, b *backend, name string) {
+	if err := b.client.DeleteMatrix(ctx, name); err != nil && !isNotFound(err) {
+		b.sweep.Store(true)
 	}
 }
 
@@ -361,7 +378,7 @@ func (g *Gateway) rebalance(ctx context.Context) RebalanceReport {
 				g.mu.Unlock()
 				if b != nil {
 					delCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
-					_ = b.client.DeleteMatrix(delCtx, name)
+					g.dropCopy(delCtx, b, name)
 					cancel()
 				}
 				moved = true
@@ -369,12 +386,11 @@ func (g *Gateway) rebalance(ctx context.Context) RebalanceReport {
 		}
 		if moved || failed {
 			g.mu.Lock()
-			// Re-check the entry: a concurrent PutMatrix replaced it iff
-			// the epoch changed, and its placement then already reflects
-			// the new pool. A row update committed meanwhile moved only
-			// the content: each gain's applied entry records the version
-			// it was seeded with, and the apply loop replays the rest.
-			if cur, ok := g.matrices[name]; ok && cur.ver.epoch == pm.ver.epoch {
+			// Puts wait on topoMu, so only a delete can have removed the
+			// entry. A row update committed meanwhile moved only the
+			// content: each gain's applied entry records the version it
+			// was seeded with, and the apply loop replays the rest.
+			if cur, ok := g.matrices[name]; ok {
 				npm := cur.clone()
 				npm.replicas = kept
 				g.matrices[name] = npm

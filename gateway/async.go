@@ -3,7 +3,6 @@ package gateway
 import (
 	"context"
 	"errors"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,18 +28,22 @@ import (
 //
 // Ordering discipline:
 //
-//   - a matrix's st.mu IS its commit order. Writers hold it across
-//     their replica legs, so log-append order equals send order;
+//   - a matrix's st.mu IS its commit order. Every writer of the name —
+//     a row update, a put, a delete — holds it across its replica legs
+//     (lockWriter), so log-append order equals send order and two writes
+//     never overlap on a replica. A put or a delete also waits out every
+//     send reservation first, so a reserved state is never reset or
+//     dropped under its holder;
 //   - the apply loop never contacts a backend without first reserving
 //     its send slot (st.sending) under st.mu, so a background drain can
 //     never interleave with a commit leg or an in-line catch-up to the
 //     same backend — writers skip reserved backends, and drains skip
 //     backends a writer could pick only while holding st.mu;
-//   - every full reseed of a placed matrix goes through seedReplica,
-//     which takes the same reservation.
+//   - every full copy shipped to a placed matrix's replica goes through
+//     shipCopy.
 //
-// A reseed stamps the backend's applied entry to the snapshot version
-// it uploaded — an unconditional overwrite, not a monotone advance,
+// A shipped copy stamps the backend's applied entry to the version it
+// uploaded — an unconditional overwrite, not a monotone advance,
 // because a full upload really can move a replica's content backwards
 // (the apply loop then drains the difference forward again, and the
 // backends' per-generation idempotency keys keep the replay exact).
@@ -68,9 +71,9 @@ const clientDedupeWindow = 128
 // matrixUpd is one matrix's update-ordering state: the log head, the
 // bounded ordered log, the per-backend applied vector, and the send
 // reservations that keep concurrent senders off the same backend. The
-// struct is stable per name — placement installs reset its fields in
-// place (resetLocked) rather than replacing the pointer, so a drain
-// holding a reservation always releases it on the state routing reads.
+// struct lives from a name's first write until a write leaves the name
+// unplaced (a delete, a failed put of a new name): a replacement resets
+// its fields in place (resetLocked) rather than replacing the pointer.
 type matrixUpd struct {
 	mu   sync.Mutex
 	head version
@@ -138,9 +141,7 @@ func (st *matrixUpd) release(id string) {
 
 // resetLocked reinstalls the state after a wholesale placement: a fresh
 // epoch head, an empty log, every target replica stamped at the head.
-// In-flight drains keep their sending slots (they clear them on exit)
-// and detect the epoch change before sending anything stale (see
-// runDrain).
+// The placing writer has waited out every send reservation.
 func (st *matrixUpd) resetLocked(ver version, ids []string) {
 	st.head = ver
 	st.log = nil
@@ -188,51 +189,55 @@ func (st *matrixUpd) rememberLocked(key uint64, rep service.UpdateReply, ver ver
 	}
 }
 
-// updState returns the matrix's update state, creating it from the
-// current placement on first touch; nil when the matrix is not placed.
-// The placement paths always install state explicitly (resetUpdState),
-// so the lazy branch only covers matrices placed before the state map
-// existed — and stamps every replica at the table head, which is what
-// a just-installed placement means.
+// updState returns the matrix's update state; nil when no write has
+// installed one. Every placed matrix has one.
 func (g *Gateway) updState(name string) *matrixUpd {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if st, ok := g.upd[name]; ok {
-		return st
-	}
-	pm, ok := g.matrices[name]
-	if !ok {
-		return nil
-	}
-	st := newMatrixUpd()
-	st.resetLocked(pm.ver, pm.replicas)
-	g.upd[name] = st
-	return st
+	return g.upd[name]
 }
 
-// resetUpdState installs fresh update state for a wholesale placement.
-func (g *Gateway) resetUpdState(name string, ver version, ids []string) {
+// isCurrent reports whether st is still name's update state. A state
+// is dropped only by a writer holding st.mu with no send slot reserved,
+// so the answer holds while the caller holds st.mu or a slot on st.
+func (g *Gateway) isCurrent(name string, st *matrixUpd) bool {
 	g.mu.Lock()
-	st := g.upd[name]
-	if st == nil {
-		st = newMatrixUpd()
-		g.upd[name] = st
+	defer g.mu.Unlock()
+	return g.upd[name] == st
+}
+
+// lockWriter takes name's commit lock and returns its update state with
+// st.mu held, installing one for a new name; unlockWriter releases it.
+// whole (a put, a delete) also waits until no send slot is reserved. A
+// state dropped while the writer waited sends it back to the current.
+func (g *Gateway) lockWriter(name string, whole bool) *matrixUpd {
+	for {
+		g.mu.Lock()
+		st := g.upd[name]
+		if st == nil {
+			st = newMatrixUpd()
+			g.upd[name] = st
+		}
+		g.mu.Unlock()
+		st.mu.Lock() //mp:lockio-ok audited: the per-matrix commit lock is held across the replica legs by design — log-append order must equal send order (see the ordering discipline above)
+		for whole && len(st.sending) > 0 {
+			st.slotFreed.Wait()
+		}
+		if g.isCurrent(name, st) {
+			return st
+		}
+		st.mu.Unlock()
+	}
+}
+
+// unlockWriter releases the commit lock, first dropping the state of a
+// name the write left unplaced, so writers waiting on it start over.
+func (g *Gateway) unlockWriter(name string, st *matrixUpd) {
+	g.mu.Lock()
+	if _, placed := g.matrices[name]; !placed && g.upd[name] == st {
+		delete(g.upd, name)
 	}
 	g.mu.Unlock()
-	st.mu.Lock()
-	st.resetLocked(ver, ids)
-	st.mu.Unlock()
-}
-
-// setApplied stamps a backend's applied entry after a full reseed — an
-// unconditional overwrite (see the file comment).
-func (g *Gateway) setApplied(name, id string, v version) {
-	st := g.updState(name)
-	if st == nil {
-		return
-	}
-	st.mu.Lock()
-	st.setAppliedLocked(id, v)
 	st.mu.Unlock()
 }
 
@@ -251,18 +256,14 @@ func (g *Gateway) appendLogLocked(st *matrixUpd, ver version, ups []service.RowU
 // reseedUploadTimeout bounds one apply-loop full-wire reseed upload.
 const reseedUploadTimeout = 10 * time.Second
 
-// errEpochChanged aborts a replay whose matrix was wholesale replaced
-// under it.
-var errEpochChanged = errors.New("gateway: placement epoch changed under a log replay")
-
 // replay is the one loop that sends log entries: b gets entries in
 // order, each send bounded by ProbeTimeout, and its applied entry is
 // kept in step — advanced after each ack, zeroed by a send that got no
 // answer (see rowupdate.go). Callers own b's send slot: held says they
 // hold st.mu itself (an in-line catch-up); a drain holds only the
-// reservation, so the vector is touched — and the epoch re-checked —
-// under st.mu per entry.
-func (g *Gateway) replay(ctx context.Context, st *matrixUpd, name string, b *backend, epoch uint64, entries []logEntry, held bool) error {
+// reservation, so the vector is touched under st.mu per entry. Either
+// way no put can reset the log meanwhile.
+func (g *Gateway) replay(ctx context.Context, st *matrixUpd, name string, b *backend, entries []logEntry, held bool) error {
 	for _, ent := range entries {
 		sendCtx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
 		_, err := b.client.UpdateRows(sendCtx, name, service.UpdateRequest{Updates: ent.ups, Delta: ent.delta, Key: ent.seq})
@@ -271,10 +272,8 @@ func (g *Gateway) replay(ctx context.Context, st *matrixUpd, name string, b *bac
 			st.mu.Lock()
 		}
 		switch {
-		case st.head.epoch != epoch:
-			err = errEpochChanged
 		case err == nil:
-			st.advanceAppliedLocked(b.id, version{epoch: epoch, seq: ent.seq})
+			st.advanceAppliedLocked(b.id, version{epoch: st.head.epoch, seq: ent.seq})
 		case isTransportLevel(err):
 			st.setAppliedLocked(b.id, version{})
 		}
@@ -295,16 +294,18 @@ func (g *Gateway) replay(ctx context.Context, st *matrixUpd, name string, b *bac
 // interleave with commits. A drain already on the backend is waited out
 // (it is doing the same work) — with st.mu released, so commitLocked,
 // which must not let another writer in, skips reserved backends before
-// calling. Reports whether the backend reached the head.
+// calling. A state a delete dropped meanwhile (a reader looked it up
+// before the delete) replays nothing: its log is not the name's any
+// more. Reports whether the backend reached the head.
 func (g *Gateway) catchUpLocked(ctx context.Context, st *matrixUpd, name string, b *backend) bool {
 	for st.sending[b.id] {
 		st.slotFreed.Wait()
 	}
 	pending, ok := st.pendingLocked(st.applied[b.id])
-	if !ok {
-		return false // needs a full reseed; that is the apply loop's job
+	if !ok || !g.isCurrent(name, st) {
+		return false // a full reseed is the apply loop's job
 	}
-	if err := g.replay(ctx, st, name, b, st.head.epoch, pending, true); err != nil {
+	if err := g.replay(ctx, st, name, b, pending, true); err != nil {
 		b.noteFailover(err, isTransportLevel(err))
 		return false
 	}
@@ -360,12 +361,9 @@ func (g *Gateway) drainAll() {
 // drainMatrix collects the lagging replicas of one matrix under st.mu
 // — reserving each one's send slot — and drains them concurrently
 // outside it: a log replay where the pending suffix is still in the
-// log, a full reseed (nil entries) where it is not.
+// log, a full reseed (nil entries) where it is not. The replica set is
+// read under st.mu too, so it is the last put's, not one it replaced.
 func (g *Gateway) drainMatrix(name string) {
-	_, reps, err := g.replicaSnapshot(name)
-	if err != nil {
-		return
-	}
 	st := g.updState(name)
 	if st == nil {
 		return
@@ -373,51 +371,40 @@ func (g *Gateway) drainMatrix(name string) {
 	var lagging []*backend
 	var entries [][]logEntry
 	st.mu.Lock()
-	epoch := st.head.epoch
-	for _, b := range reps {
-		av := st.applied[b.id]
-		if av.AtLeast(st.head) || !b.eligible() || !st.reserveLocked(b.id) {
-			continue
+	if _, reps, err := g.replicaSnapshot(name); err == nil && g.isCurrent(name, st) {
+		for _, b := range reps {
+			av := st.applied[b.id]
+			if av.AtLeast(st.head) || !b.eligible() || !st.reserveLocked(b.id) {
+				continue
+			}
+			pending, _ := st.pendingLocked(av)
+			lagging = append(lagging, b)
+			entries = append(entries, append([]logEntry(nil), pending...))
 		}
-		pending, _ := st.pendingLocked(av)
-		lagging = append(lagging, b)
-		entries = append(entries, append([]logEntry(nil), pending...))
 	}
 	st.mu.Unlock()
 	_, _ = fanout(lagging, func(i int, b *backend) error {
-		g.runDrain(name, st, b, epoch, entries[i])
+		g.runDrain(name, st, b, entries[i])
 		return nil
 	})
 }
 
 // runDrain executes one backend's drain job while holding its send
-// reservation. A 404 mid-replay (the backend lost the matrix) falls
-// back to a full reseed, and so does an epoch change under the drain (a
-// wholesale placement replaced the matrix): reseeding from the current
-// table keeps a stale patch from surviving on top of the replacement's
-// upload. Any other failure leaves the replica lagging for the next
-// pass.
-func (g *Gateway) runDrain(name string, st *matrixUpd, b *backend, epoch uint64, entries []logEntry) {
+// reservation: a log replay, or a full reseed where no replay can cover
+// the gap (trimmed window, epoch change: nil entries) or the backend
+// answers 404 mid-replay (it lost the matrix). Any other failure leaves
+// the replica lagging for the next pass.
+func (g *Gateway) runDrain(name string, st *matrixUpd, b *backend, entries []logEntry) {
 	defer st.release(b.id)
-	if len(entries) == 0 {
-		g.reseedLagging(name, b)
-		return
+	if len(entries) > 0 {
+		switch err := g.replay(g.baseCtx, st, name, b, entries, false); {
+		case err == nil:
+			return
+		case !isNotFound(err):
+			b.noteFailover(err, isTransportLevel(err))
+			return
+		}
 	}
-	err := g.replay(g.baseCtx, st, name, b, epoch, entries, false)
-	var apiErr *service.APIError
-	switch {
-	case err == nil:
-	case err == errEpochChanged, errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound:
-		g.reseedLagging(name, b)
-	default:
-		b.noteFailover(err, isTransportLevel(err))
-	}
-}
-
-// reseedLagging re-seeds a backend whose log replay is impossible
-// (trimmed window, epoch change, lost copy). Callers hold the backend's
-// send reservation.
-func (g *Gateway) reseedLagging(name string, b *backend) {
 	ctx, cancel := context.WithTimeout(g.baseCtx, reseedUploadTimeout)
 	defer cancel()
 	switch _, err := g.seedReplica(ctx, name, b, true); {

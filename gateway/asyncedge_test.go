@@ -3,8 +3,7 @@ package gateway
 // Edge-path tests for the async replication machinery: the per-matrix
 // update-log state helpers, SLA routing's in-line catch-up and
 // degrade-to-freshest branches, quorum commits against lagging, lost,
-// and unreachable replicas, log-trim reseeds, and the
-// replacement-race converger. These paths are hard to reach from the
+// and unreachable replicas, and log-trim reseeds. These paths are hard to reach from the
 // happy-path integration tests because the background apply loop
 // normally keeps every replica at the log head, so most tests here
 // park the loop on a long probe interval and tamper with the applied
@@ -14,7 +13,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -204,17 +202,7 @@ func TestSLARouteCatchupAndDegrade(t *testing.T) {
 		t.Fatalf("strong misses = %d, want 2", got)
 	}
 
-	// updState's lazy branch: a table entry without installed update
-	// state gets one stamped at the retained version; unplaced names
-	// resolve to nil.
-	g.mu.Lock()
-	delete(g.upd, "m")
-	g.mu.Unlock()
-	if st := g.updState("m"); st == nil {
-		t.Fatal("updState did not lazily install state for a placed matrix")
-	} else if got := headVersion(st); got.seq == 0 {
-		t.Fatalf("lazy state head = %v, want the retained post-update version", got)
-	}
+	// Unplaced names have no update state.
 	if g.updState("ghost") != nil {
 		t.Fatal("updState invented state for an unplaced matrix")
 	}
@@ -523,46 +511,6 @@ func TestEstimateBatchSLADetourAndSessions(t *testing.T) {
 	}
 	if got := g.sessions.floor("batch-sess", "m", ConsMonotonic); !got.AtLeast(head) {
 		t.Fatalf("session floor after scatter = %v, want >= %v", got, head)
-	}
-}
-
-// TestConvergeReplacementAndEpochConflict checks the replacement-race
-// converger re-uploads the retained wire over a divergent replica copy
-// and that an update racing a wholesale replacement is rejected with a
-// conflict instead of patching the replacement's content.
-func TestConvergeReplacementAndEpochConflict(t *testing.T) {
-	n := 8
-	b1, b2 := startBackend(t), startBackend(t)
-	g := newTestGateway(t, 2, b1.addr, b2.addr)
-	ctx := context.Background()
-
-	wire, sum := testMatrix(n)
-	info, err := g.PutMatrix(ctx, "m", wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Diverge one replica behind the gateway's back, then converge.
-	divergent := info.Replicas[1]
-	if _, err := service.New(divergent).UploadMatrixFull(ctx, "m", identWire(n)); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := backendSum(ctx, divergent, "m", n); err != nil || got != float64(n) {
-		t.Fatalf("divergent copy sum = %v, %v (want %v)", got, err, n)
-	}
-	g.convergeReplacement("m")
-	if got, err := backendSum(ctx, divergent, "m", n); err != nil || got != sum {
-		t.Fatalf("converged copy sum = %v, %v (want %v)", got, err, sum)
-	}
-	g.convergeReplacement("ghost") // unplaced: a no-op
-
-	// A commit whose log state belongs to a newer epoch than the table
-	// snapshot means a replacement owns the name: conflict, no patch.
-	st := g.updState("m")
-	st.mu.Lock()
-	st.head.epoch++
-	st.mu.Unlock()
-	if _, err := g.UpdateRows(ctx, "m", replaceRowReq(0, [][2]int64{{1, 2}})); !errors.Is(err, service.ErrConflict) {
-		t.Fatalf("update racing a replacement = %v, want ErrConflict", err)
 	}
 }
 

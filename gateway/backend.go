@@ -29,6 +29,9 @@ type backend struct {
 	// backend — the least-busy routing signal. Atomic so the hot
 	// routing path never takes the bookkeeping lock.
 	inflight atomic.Int64
+	// sweep asks the next successful probe for the straggler sweep: a
+	// delete of a copy here was not confirmed (see dropCopy).
+	sweep atomic.Bool
 
 	mu       sync.Mutex
 	healthy  bool

@@ -172,8 +172,8 @@ type Gateway struct {
 
 	// upd holds each matrix's update-ordering state (log, applied
 	// vectors, send reservations — see async.go). The map itself is
-	// guarded by mu; each entry carries its own lock, which replaced
-	// the old gateway-wide updMu as the per-matrix commit order.
+	// guarded by mu; each entry carries its own lock, the name's commit
+	// lock, which orders every write of the name (see lockWriter).
 	upd map[string]*matrixUpd
 
 	// epochSeq assigns version epochs to wholesale placement installs.
@@ -348,28 +348,51 @@ func (g *Gateway) uploadTo(ctx context.Context, b *backend, name string, m servi
 	return rep.MatrixInfo, nil
 }
 
+// shipCopy is the one way a full copy reaches a replica of a placed
+// matrix: it uploads list to b as name's copy at version ver and stamps
+// b's applied entry with what b now holds — ver once acked, zero when
+// the upload got no answer, unchanged when b refused it. Callers own b's
+// send slot: locked says they hold st.mu (one call at a time); otherwise
+// they hold b's reservation.
+func (g *Gateway) shipCopy(ctx context.Context, st *matrixUpd, name string, b *backend, list *intmat.Sparse, ver version, locked bool) (service.MatrixInfo, error) {
+	info, err := g.uploadTo(ctx, b, name, service.MatrixFromList(list))
+	switch {
+	case err == nil:
+	case isTransportLevel(err):
+		ver = version{}
+	default:
+		return info, err
+	}
+	if !locked {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+	}
+	st.setAppliedLocked(b.id, ver)
+	return info, err
+}
+
 // errNotSeeded is seedReplica's verdict when it never contacted the
 // backend: the matrix left the table or a drain owns the send slot.
 var errNotSeeded = errors.New("gateway: replica not seeded")
 
-// seedReplica is the one way a placed matrix is re-shipped to a backend
+// seedReplica re-ships a placed matrix to a backend outside any writer
 // (estimate-path repair, probe resync, rebalance gain, apply-loop
-// reseed): it uploads the table's current retained copy of name to b
-// and stamps b's applied entry with the version of the entry whose
-// copy it shipped — never a head read afterwards, so an update that
-// commits while the upload is in flight is still owed to b and the
-// apply loop replays it. The upload holds b's send slot for the matrix,
-// so it cannot interleave with a drain or a commit leg; held says the
-// caller (a drain) already owns the slot. It returns the shipped wire's
-// accounted size; an error other than errNotSeeded is the upload's own.
+// reseed): it ships the table's current retained copy of name to b,
+// stamped with the version of the entry whose copy it shipped — never a
+// head read afterwards, so an update that commits while the upload is in
+// flight is still owed to b and the apply loop replays it. The upload
+// holds b's send slot for the matrix, so it cannot interleave with a
+// writer or a drain; held says the caller (a drain) already owns the
+// slot. It returns the shipped wire's accounted size; an error other
+// than errNotSeeded is the upload's own.
 func (g *Gateway) seedReplica(ctx context.Context, name string, b *backend, held bool) (int64, error) {
+	st := g.updState(name)
+	if st == nil {
+		return 0, errNotSeeded
+	}
 	if !held {
-		st := g.updState(name)
-		if st == nil {
-			return 0, errNotSeeded
-		}
 		st.mu.Lock()
-		free := st.reserveLocked(b.id)
+		free := g.isCurrent(name, st) && st.reserveLocked(b.id)
 		st.mu.Unlock()
 		if !free {
 			return 0, errNotSeeded
@@ -382,10 +405,9 @@ func (g *Gateway) seedReplica(ctx context.Context, name string, b *backend, held
 	if !ok {
 		return 0, errNotSeeded
 	}
-	if _, err := g.uploadTo(ctx, b, name, service.MatrixFromList(pm.list)); err != nil {
+	if _, err := g.shipCopy(ctx, st, name, b, pm.list, pm.ver, false); err != nil {
 		return 0, err
 	}
-	g.setApplied(name, b.id, pm.ver)
 	return wireSize(pm.list), nil
 }
 
@@ -413,10 +435,12 @@ func fanout(backends []*backend, op func(i int, b *backend) error) (errs []error
 
 // PutMatrix validates and places a matrix: it lists the wire form by
 // the backends' own rule (refusing here what each of them would), uploads
-// it to every target replica concurrently, and on any failure deletes
-// the copies that landed (all-or-nothing) and reports the failure. On
-// success the placement table records the matrix, its replicas, and the
-// lists as the retained copy rebalancing re-uploads from.
+// it to every target replica concurrently, and on any failure undoes the
+// copies that landed (all-or-nothing, see undoPut) and reports the
+// failure. On success the placement table records the matrix, its
+// replicas, and the lists as the retained copy rebalancing re-uploads
+// from. The put holds the name's commit lock throughout (see
+// lockWriter).
 func (g *Gateway) PutMatrix(ctx context.Context, name string, m service.Matrix) (PlacementInfo, error) {
 	if g.isClosed() {
 		return PlacementInfo{}, ErrClosed
@@ -437,6 +461,8 @@ func (g *Gateway) PutMatrix(ctx context.Context, name string, m service.Matrix) 
 	if err != nil {
 		return PlacementInfo{}, err
 	}
+	st := g.lockWriter(name, true)
+	defer g.unlockWriter(name, st)
 	infos := make([]service.MatrixInfo, len(targets))
 	errs, first := fanout(targets, func(i int, b *backend) error {
 		var err error
@@ -444,15 +470,7 @@ func (g *Gateway) PutMatrix(ctx context.Context, name string, m service.Matrix) 
 		return err
 	})
 	if first != nil {
-		// All-or-nothing: tear the successful copies back down so no
-		// replica serves a matrix the gateway does not consider placed.
-		for i, err := range errs {
-			if err == nil {
-				delCtx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
-				_ = targets[i].client.DeleteMatrix(delCtx, name)
-				cancel()
-			}
-		}
+		g.undoPut(st, name, targets, errs)
 		return PlacementInfo{}, fmt.Errorf("gateway: replicated put of %q failed: %w", name, first)
 	}
 	ids := make([]string, len(targets))
@@ -464,29 +482,55 @@ func (g *Gateway) PutMatrix(ctx context.Context, name string, m service.Matrix) 
 	g.mu.Lock()
 	g.matrices[name] = pm
 	g.mu.Unlock()
-	g.resetUpdState(name, ver, ids)
+	st.resetLocked(ver, ids)
 	g.placements.Add(1)
 	return PlacementInfo{MatrixInfo: pm.info, Replicas: ids}, nil
 }
 
+// undoPut tears down the legs of a failed put that may have landed
+// (all but the refused ones): a replica of the name's current placement
+// gets the table's copy back, any other is deleted. Callers hold st.mu.
+func (g *Gateway) undoPut(st *matrixUpd, name string, targets []*backend, errs []error) {
+	g.mu.Lock()
+	cur := g.matrices[name]
+	g.mu.Unlock()
+	for i, b := range targets {
+		if errs[i] != nil && !isTransportLevel(errs[i]) {
+			continue
+		}
+		undoCtx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
+		if cur != nil && slices.Contains(cur.replicas, b.id) {
+			// b may hold the failed put's copy until the table's lands.
+			st.setAppliedLocked(b.id, version{})
+			_, _ = g.shipCopy(undoCtx, st, name, b, cur.list, cur.ver, true)
+		} else {
+			g.dropCopy(undoCtx, b, name)
+		}
+		cancel()
+	}
+	g.wakeApply()
+}
+
 // DeleteMatrix removes a matrix from every replica holding it and from
-// the placement table. Replica deletions are best-effort (a down
-// replica's copy is cleaned up by the straggler sweep when it
-// returns); an unknown name is ErrMatrixNotFound.
+// the placement table, under the name's commit lock (see lockWriter).
+// Replica deletions are best-effort (see dropCopy); an unknown name is
+// ErrMatrixNotFound.
 func (g *Gateway) DeleteMatrix(ctx context.Context, name string) error {
 	if g.isClosed() {
 		return ErrClosed
 	}
+	st := g.lockWriter(name, true)
+	defer g.unlockWriter(name, st)
 	_, reps, err := g.replicaSnapshot(name)
 	if err != nil {
 		return err
 	}
 	g.mu.Lock()
 	delete(g.matrices, name)
-	delete(g.upd, name)
 	g.mu.Unlock()
 	_, _ = fanout(reps, func(_ int, b *backend) error {
-		return b.client.DeleteMatrix(ctx, name)
+		g.dropCopy(ctx, b, name)
+		return nil
 	})
 	return nil
 }
@@ -645,8 +689,7 @@ func (g *Gateway) estimateSLA(ctx context.Context, req service.Request, sla SLA,
 		// A 404 from a replica that should hold the matrix means the
 		// backend restarted empty: re-seed it from the retained wire
 		// form and retry it once before moving on.
-		var apiErr *service.APIError
-		if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound && g.repairReplica(ctx, b, req.Matrix) {
+		if isNotFound(err) && g.repairReplica(ctx, b, req.Matrix) {
 			if res, rerr := b.callEstimate(ctx, req); rerr == nil {
 				if attempt > 0 {
 					g.failovers.Add(1)

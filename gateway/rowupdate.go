@@ -48,9 +48,10 @@ import (
 // comment for the per-leg semantics). With Config.WriteQuorum 0 (the
 // default) every live replica applies the patch before the call
 // returns; with W > 0 the call commits once W replicas ack and the
-// apply loop drains the rest (see async.go). Updates are serialized per
-// matrix; a concurrent full replacement of the name wins with
-// ErrConflict and the replicas are converged back to it.
+// apply loop drains the rest (see async.go). Every write of a name —
+// an update, a put, a delete — holds the name's commit lock across its
+// replica legs (see lockWriter), so an update racing a put of the name
+// applies before it or after it, on the copy the put left.
 //
 // Under an HTTP request (see NewHandler) the update takes the request's
 // session — consistency levels apply to reads only — and on success the
@@ -78,20 +79,18 @@ func (g *Gateway) updateRowsSLA(ctx context.Context, name string, req service.Up
 	if err != nil {
 		return service.UpdateReply{}, version{}, err
 	}
-	st := g.updState(name)
-	if st == nil {
-		return service.UpdateReply{}, version{}, fmt.Errorf("%w: %q", service.ErrMatrixNotFound, name)
-	}
-	st.mu.Lock() //mp:lockio-ok audited: the per-matrix commit lock is held across the replica legs by design — log-append order must equal send order (see async.go's ordering discipline)
-	defer st.mu.Unlock()
 	for {
+		st := g.lockWriter(name, false)
 		rep, ver, err := g.updateRowsLocked(ctx, st, name, req, ups, sess)
+		if err == errSendSlotBusy {
+			// Wait (st.mu released) for a send slot to come free, then
+			// start over: another writer may have committed meanwhile.
+			st.slotFreed.Wait()
+		}
+		g.unlockWriter(name, st)
 		if err != errSendSlotBusy {
 			return rep, ver, err
 		}
-		// Wait (st.mu released) for a send slot to come free, then start
-		// over: another writer may have committed meanwhile.
-		st.slotFreed.Wait()
 	}
 }
 
@@ -119,12 +118,6 @@ func (g *Gateway) updateRowsLocked(ctx context.Context, st *matrixUpd, name stri
 	if len(reps) == 0 {
 		return service.UpdateReply{}, version{}, fmt.Errorf("%w: matrix %q has no replica to update", ErrNoBackends, name)
 	}
-	if st.head.epoch != pm.ver.epoch {
-		// A wholesale replacement installed its table entry and is
-		// waiting on st.mu to reset this state: its upload owns the
-		// name, and patching its content would corrupt it.
-		return service.UpdateReply{}, version{}, fmt.Errorf("%w: %q", service.ErrConflict, name)
-	}
 	newList, _, err := service.PatchRows(pm.list, ups, req.Delta)
 	if err != nil {
 		return service.UpdateReply{}, version{}, err
@@ -143,28 +136,6 @@ func (g *Gateway) updateRowsLocked(ctx context.Context, st *matrixUpd, name stri
 	st.rememberLocked(req.Key, rep, newVer)
 	g.sessions.noteWrite(sess, name, newVer)
 	return rep, newVer, nil
-}
-
-// patchLeg sends one replica its commit-path patch. A replica that
-// lost the matrix (an answered 404) is repaired in line with the
-// patched wire and reports repaired, with a reply synthesized from the
-// upload. A repair upload that got no answer may have landed, so its
-// error replaces the 404: the copy is then unknown, not merely lagging.
-func (g *Gateway) patchLeg(ctx context.Context, b *backend, name string, fwd service.UpdateRequest, newList *intmat.Sparse, rows int) (rep service.UpdateReply, repaired bool, err error) {
-	rep, err = b.client.UpdateRows(ctx, name, fwd)
-	var apiErr *service.APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
-		return rep, false, err
-	}
-	info, rerr := g.uploadTo(ctx, b, name, service.MatrixFromList(newList))
-	if rerr != nil {
-		if isTransportLevel(rerr) {
-			err = rerr
-		}
-		return rep, false, err
-	}
-	g.repairs.Add(1)
-	return service.UpdateReply{MatrixInfo: info, RowsApplied: rows}, true, nil
 }
 
 // commitLocked is the one commit path (see the file comment for the
@@ -208,32 +179,45 @@ func (g *Gateway) commitLocked(ctx context.Context, st *matrixUpd, name string, 
 			break
 		}
 		replies := make([]service.UpdateReply, len(round))
-		repaired := make([]bool, len(round))
 		errs, _ := fanout(round, func(i int, b *backend) error {
 			var err error
-			replies[i], repaired[i], err = g.patchLeg(ctx, b, name, fwd, newList, len(ups))
+			replies[i], err = b.client.UpdateRows(ctx, name, fwd)
 			return err
 		})
 		for i, b := range round {
-			if errs[i] == nil {
+			err, repaired := errs[i], false
+			if isNotFound(err) {
+				// b lost its copy: repair it in line with the patched
+				// list, which counts as an ack. A repair that got no
+				// answer may have landed, so its error replaces the 404.
+				info, rerr := g.shipCopy(ctx, st, name, b, newList, newVer, true)
+				switch {
+				case rerr == nil:
+					g.repairs.Add(1)
+					replies[i], repaired, err = service.UpdateReply{MatrixInfo: info, RowsApplied: len(ups)}, true, nil
+				case isTransportLevel(rerr):
+					err = rerr
+				}
+			}
+			if err == nil {
 				st.setAppliedLocked(b.id, newVer)
 				// Prefer the reply of a leg that applied the patch: a
 				// repaired leg's sub-version and cache counters describe
 				// its full re-upload, not the update.
-				if len(acked) == 0 || (fromRepair && !repaired[i]) {
-					rep, fromRepair = replies[i], repaired[i]
+				if len(acked) == 0 || (fromRepair && !repaired) {
+					rep, fromRepair = replies[i], repaired
 				}
 				acked = append(acked, b)
 				continue
 			}
-			lagging, unknown := failoverable(errs[i])
+			lagging, unknown := failoverable(err)
 			if !lagging {
 				if hardErr == nil {
-					hardErr = errs[i]
+					hardErr = err
 				}
 				continue
 			}
-			b.noteFailover(errs[i], unknown)
+			b.noteFailover(err, unknown)
 			if unknown {
 				st.setAppliedLocked(b.id, version{})
 			}
@@ -243,20 +227,16 @@ func (g *Gateway) commitLocked(ctx context.Context, st *matrixUpd, name string, 
 	if hardErr != nil || len(acked) == 0 || len(acked) < need {
 		// Not committed: converge every acked leg back to the retained
 		// pre-update wire so no replica holds an uncommitted patch. A
-		// leg unreachable mid-revert is stamped at the zero version —
+		// leg the revert does not reach stays at the zero version —
 		// never replayable — so the apply loop full-reseeds it.
 		if len(acked) > 0 {
 			g.updateReverts.Add(1)
 		}
 		for _, b := range acked {
+			st.setAppliedLocked(b.id, version{})
 			revCtx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
-			_, rerr := g.uploadTo(revCtx, b, name, service.MatrixFromList(pm.list))
+			_, _ = g.shipCopy(revCtx, st, name, b, pm.list, pm.ver, true)
 			cancel()
-			if rerr != nil {
-				st.setAppliedLocked(b.id, version{})
-			} else {
-				st.setAppliedLocked(b.id, pm.ver)
-			}
 		}
 		g.wakeApply()
 		switch {
@@ -273,34 +253,19 @@ func (g *Gateway) commitLocked(ctx context.Context, st *matrixUpd, name string, 
 	// Commit: the patched wire becomes the retained copy in the same
 	// table write that publishes the update — repairs and reseeds from
 	// here on ship the post-update matrix.
+	// The entry is rebuilt from the current one, so replica-set edits
+	// made meanwhile (a rebalance, an eviction prune) are kept.
 	rep.RowsApplied = len(ups)
-	if !g.installUpdate(name, pm.ver, newList, rep.MatrixInfo, newVer) {
-		g.convergeReplacement(name)
-		return service.UpdateReply{}, fmt.Errorf("%w: %q", service.ErrConflict, name)
-	}
+	g.mu.Lock()
+	npm := g.matrices[name].clone()
+	npm.info, npm.list, npm.ver = rep.MatrixInfo, newList, newVer
+	g.matrices[name] = npm
+	g.mu.Unlock()
 	g.appendLogLocked(st, newVer, ups, fwd.Delta)
 	if len(acked) < len(reps) {
 		g.wakeApply()
 	}
 	return rep, nil
-}
-
-// convergeReplacement handles an update losing the copy-on-write race
-// to a full replacement of the name: the replacement's wholesale
-// upload is authoritative, but a replica it wrote *before* the update
-// landed there would now be divergent. Re-upload the replacement's
-// retained wire to every current replica, best-effort.
-func (g *Gateway) convergeReplacement(name string) {
-	cur, curReps, err := g.replicaSnapshot(name)
-	if err != nil {
-		return
-	}
-	_, _ = fanout(curReps, func(_ int, b *backend) error {
-		syncCtx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
-		defer cancel()
-		_, err := g.uploadTo(syncCtx, b, name, service.MatrixFromList(cur.list))
-		return err
-	})
 }
 
 // isTransportLevel classifies an update-leg error for the backend's
@@ -310,25 +275,9 @@ func isTransportLevel(err error) bool {
 	return !errors.As(err, &apiErr)
 }
 
-// installUpdate publishes a committed update for name iff the table
-// entry is still at version from, the one the update was computed from
-// (compare half of the copy-on-write): the patched wire becomes the
-// retained copy at version ver — the update-log head the commit
-// assigned. The entry is rebuilt from the current one, so replica-set
-// edits made meanwhile (a rebalance, an eviction prune) are kept; only a
-// wholesale replacement (a new epoch) or a delete defeats the swap.
-// Reports whether the swap happened.
-func (g *Gateway) installUpdate(name string, from version, newList *intmat.Sparse, info service.MatrixInfo, ver version) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	cur, ok := g.matrices[name]
-	if !ok || cur.ver != from {
-		return false
-	}
-	npm := cur.clone()
-	npm.info = info
-	npm.list = newList
-	npm.ver = ver
-	g.matrices[name] = npm
-	return true
+// isNotFound reports an answered 404: the backend does not hold the
+// matrix.
+func isNotFound(err error) bool {
+	var apiErr *service.APIError
+	return errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound
 }
